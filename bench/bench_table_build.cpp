@@ -1,16 +1,13 @@
-// A/B benchmark of the neighbor-table build pipelines at Fig. 3 scenario
-// sizes: the two-pass CSR builder (count -> scan -> fill, default) against
-// the legacy pair-sort pipeline (kernel -> sort_by_key -> D2H), each under
-// both scan modes (full pair evaluation vs the half-comparison scan that
-// tests each candidate pair once and expands symmetry on the host). A
-// four-variant reuse sweep on one device then shows the buffer pool paying
-// the pinned page-lock cost only on the first variant.
+// Benchmark of the neighbor-table build at Fig. 3 scenario sizes: the
+// two-pass CSR builder (count -> scan -> fill) under both scan modes (full
+// pair evaluation vs the half-comparison scan that tests each candidate
+// pair once and expands symmetry on the host). A four-variant reuse sweep
+// on one device then shows the buffer pool paying the pinned page-lock
+// cost only on the first variant.
 //
-// Expected shape: CSR wins both host wall-clock and modeled K20c device
-// seconds — it drops the device sort, halves the D2H bytes (bare PointId
-// values instead of (key, value) pairs), and issues no result-set atomics
-// (pair mode pays one bulk reservation per 128-pair staged flush, itself
-// >= 10x fewer atomics than the historical one-per-pair scheme).
+// Expected shape: the half scan needs about half the distance FLOPs and
+// ships about half the value bytes of the full scan; whether it also wins
+// end to end depends on the host expansion it adds.
 //
 // A sharded-scaling sweep (schema v4) then builds the same workloads
 // spatially partitioned across k = 1..4 simulated devices (a grid-row slab
@@ -90,14 +87,12 @@ struct ModeResult {
 };
 
 ModeResult run_mode(cudasim::Device& device, const hdbscan::GridIndex& index,
-                    float eps, hdbscan::TableBuildMode mode,
-                    hdbscan::ScanMode scan) {
+                    float eps, hdbscan::ScanMode scan) {
   using namespace hdbscan;
   ModeResult r;
-  r.mode = mode == TableBuildMode::kCsrTwoPass ? "csr_two_pass" : "pair_sort";
+  r.mode = "csr_two_pass";
   r.scan = scan == ScanMode::kHalf ? "half" : "full";
   BatchPolicy policy;
-  policy.build_mode = mode;
   policy.scan_mode = scan;
   NeighborTableBuilder builder(device, policy);
   BuildReport report;
@@ -132,8 +127,8 @@ ModeResult run_mode(cudasim::Device& device, const hdbscan::GridIndex& index,
 
 int main() {
   using namespace hdbscan;
-  bench::banner("Table-build A/B — two-pass CSR vs pair-sort",
-                "Fig. 3 workload sizes; tentpole pipeline comparison");
+  bench::banner("Table build — two-pass CSR, full vs half scan",
+                "Fig. 3 workload sizes");
 
   struct Row {
     std::string dataset;
@@ -146,7 +141,7 @@ int main() {
 
   // eps values from the Fig. 3 sweeps, chosen where the neighborhood
   // degree is representative (sparser settings make the fixed per-point
-  // offsets array and per-thread flush dominate both pipelines equally).
+  // offsets array dominate both scan modes equally).
   for (const auto& [dataset, eps] :
        std::vector<std::pair<std::string, float>>{{"SW1", 0.3f},
                                                   {"SDSS1", 0.5f}}) {
@@ -155,11 +150,8 @@ int main() {
     cudasim::Device device = bench::make_device();
 
     Row row{dataset, eps, points.size(), data::dataset_seed(dataset), {}};
-    for (const TableBuildMode mode :
-         {TableBuildMode::kCsrTwoPass, TableBuildMode::kPairSort}) {
-      for (const ScanMode scan : {ScanMode::kFull, ScanMode::kHalf}) {
-        row.modes.push_back(run_mode(device, index, eps, mode, scan));
-      }
+    for (const ScanMode scan : {ScanMode::kFull, ScanMode::kHalf}) {
+      row.modes.push_back(run_mode(device, index, eps, scan));
     }
 
     std::printf("\n  [%s]  eps = %.2f  |T| = %llu pairs\n", dataset.c_str(),

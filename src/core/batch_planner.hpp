@@ -15,7 +15,7 @@
 //     three streams this yields exactly n_b = 3 (one batch per stream).
 //
 // The planner additionally respects a device-memory cap: if three stream
-// buffers (plus the sort's scratch duplicate) would not fit alongside the
+// value buffers (plus the per-point counts) would not fit alongside the
 // index, b_b shrinks and n_b grows accordingly.
 #pragma once
 
@@ -29,32 +29,18 @@
 
 namespace hdbscan {
 
-/// How each batch's neighbor pairs are materialized and shipped to the
-/// host.
-enum class TableBuildMode {
-  /// Two-pass CSR (default): count kernel -> exclusive scan -> fill kernel
-  /// writing values into exact per-point slots. No device sort, no per-pair
-  /// keys on the wire (half the D2H bytes), overflow splits only when the
-  /// exact batch size exceeds the buffer (known before the fill pass runs).
-  kCsrTwoPass,
-  /// Legacy pair pipeline (paper Alg. 4): kernel appends (key, value)
-  /// pairs through the atomic cursor, device sort_by_key groups keys, the
-  /// full pairs go over PCIe. Kept for A/B benchmarking and as the
-  /// fallback the ablations compare against.
-  kPairSort,
-};
-
 /// How the builder reacts to injected (or, on real hardware, actual)
 /// device faults — the degradation ladder: retry transient kernel faults,
-/// shrink batches on allocation failure, fail work over from a lost device
-/// to the survivors, and finally fall back to the host builder when no
-/// device remains.
+/// shrink the buffers on allocation failure, fail work over from a lost
+/// device to the survivors, and finally fall back to the host builder when
+/// no device remains.
 struct ResiliencePolicy {
   /// Retries of one batch after TransientKernelFault before it becomes a
   /// hard error (the launch did no work, so a retry is always safe).
   unsigned max_transient_retries = 2;
-  /// Times one batch may be split in two after DeviceOutOfMemory before
-  /// the allocation failure becomes a hard error.
+  /// Times the context setup may halve its buffer cap (replanning n_b)
+  /// after DeviceOutOfMemory before the allocation failure becomes a hard
+  /// error. Batches allocate nothing once the contexts exist.
   unsigned max_alloc_retries = 3;
   /// Requeue a lost device's unfinished batches onto surviving devices.
   /// Safe because strided batches cover disjoint key sets and a batch's
@@ -73,29 +59,23 @@ struct BatchPolicy {
   std::uint64_t static_buffer_pairs = 100'000'000;     ///< b_b in static mode
   unsigned num_streams = 3;
   unsigned block_size = 256;
-  bool use_shared_kernel = false;  ///< build T with GPUCalcShared instead
   /// When non-zero, skips the estimation kernel and uses this as a_b
   /// directly (callers that already know the result size, e.g. repeated
   /// runs; also how tests exercise the overflow-recovery path).
   std::uint64_t estimated_total_override = 0;
-  /// Neighbor-table materialization strategy (see TableBuildMode).
-  TableBuildMode build_mode = TableBuildMode::kCsrTwoPass;
   /// Which spatial index the traversal kernels run against. kBvh requires
-  /// the CSR pipeline (build_mode kCsrTwoPass, no shared kernel) and
   /// whole-index builds — sharded slabs keep the grid. The estimation
   /// kernel always samples through the grid: the estimate is a property of
   /// the data, not of the traversal structure.
   IndexBackend index_backend = IndexBackend::kGrid;
   /// Candidate-pair traversal (see ScanMode in common/types.hpp). kHalf
   /// tests each pair once — roughly half the distance FLOPs and candidate
-  /// reads of kFull — and the builder restores symmetry afterwards
-  /// (device-side for the shared kernel, host-side expand for the batched
-  /// pipelines). kFull is kept for A/B benchmarking.
+  /// reads of kFull — and the builder restores symmetry afterwards with
+  /// one host-side expand. kFull is kept for A/B benchmarking.
   ScanMode scan_mode = ScanMode::kHalf;
-  /// Deepest recursive overflow/out-of-memory split allowed: a batch may
-  /// shrink to 1/2^max_split_depth of its planned size before the builder
-  /// gives up on it. Guards against a pathological estimate looping
-  /// forever.
+  /// Deepest recursive overflow split allowed: a batch may shrink to
+  /// 1/2^max_split_depth of its planned size before the builder gives up
+  /// on it. Guards against a pathological estimate looping forever.
   unsigned max_split_depth = 10;
   /// Fault-degradation behavior (see ResiliencePolicy).
   ResiliencePolicy resilience;

@@ -129,12 +129,12 @@ struct FusedSharedState {
   }
 };
 
-/// One context's pump. The fused ladder is the table builder's minus the
-/// out-of-memory rung (a fused launch allocates nothing): transient faults
-/// retry the launch — injected faults fire before any block executes, so
-/// a faulted launch mutated no degree, no parent and parked no edge, and
-/// the retry re-traverses from a clean slate — and a lost device's items
-/// go to the orphan pool for the survivors.
+/// One context's pump, with the table builder's batch ladder (a fused
+/// launch allocates nothing either): transient faults retry the launch —
+/// injected faults fire before any block executes, so a faulted launch
+/// mutated no degree, no parent and parked no edge, and the retry
+/// re-traverses from a clean slate — and a lost device's items go to the
+/// orphan pool for the survivors.
 void fused_pump(FusedContext& fc, FusedWorkQueue& queue,
                 FusedSharedState& state, float eps, ScanMode scan,
                 unsigned block_size, QualitySpec quality,
@@ -234,7 +234,6 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   report.fused = true;
   report.streamed = true;
   report.table_materialized = false;
-  report.build_mode = policy.build_mode;
   report.scan_mode = policy.scan_mode;
   report.index_backend = policy.index_backend;
   const ResiliencePolicy& res = policy.resilience;

@@ -40,25 +40,18 @@ ClusterResult run_cell_graph_mode(const cudasim::DeviceConfig& config,
   return out;
 }
 
-/// Shared fused-mode tail of both hybrid_dbscan overloads: run the
-/// traversal, finalize the consumer, fill the streaming/fused timing
-/// fields. `local.index_seconds` must already be set.
-ClusterResult run_fused_mode(const std::vector<cudasim::Device*>& devices,
-                             const GridIndex& index, float eps, int minpts,
-                             const BatchPolicy& policy, HybridTimings& local,
-                             WallTimer& total_timer) {
+/// Tail of the streaming and fused modes: finalize the consumer that
+/// ingested the build and fill the streaming timing fields.
+/// `local.index_seconds`, `local.gpu_table_seconds` and
+/// `local.build_report` must already be set.
+ClusterResult finish_streamed(StreamingDbscan& consumer,
+                              const GridIndex& index, HybridTimings& local,
+                              WallTimer& total_timer) {
   WallTimer phase_timer;
-  StreamingDbscan consumer(index.size(), minpts);
-  consumer.set_cancel_token(policy.cancel);
-  local.build_report = fused_cluster(devices, index, eps, consumer, policy);
-  local.gpu_table_seconds = phase_timer.seconds();
-
-  phase_timer.reset();
   const ClusterResult indexed = consumer.finalize();
   local.dbscan_seconds = phase_timer.seconds();
 
   const StreamingDbscan::Stats& st = consumer.stats();
-  local.fused = true;
   local.streamed = true;
   local.consume_seconds = st.consume_seconds;
   local.finalize_seconds = st.finalize_seconds;
@@ -67,8 +60,11 @@ ClusterResult run_fused_mode(const std::vector<cudasim::Device*>& devices,
   local.peak_consumer_bytes = consumer.peak_memory_bytes();
   local.total_seconds = total_timer.seconds();
   local.modeled_gpu_table_seconds = local.build_report.modeled_table_seconds;
-  // As in streaming mode, the in-flight union work runs on the consumer's
-  // own cores; the post-build tail is the only serial clustering share.
+  // On the reference host the consumers drain completed staging buffers
+  // (or, fused, union inside the kernel) on their own cores, so the union
+  // work adds its slowest thread — not the summed CPU time — to the
+  // critical path: response time is max(build, slowest union thread) +
+  // tail.
   local.modeled_total_seconds =
       local.index_seconds +
       std::max(local.modeled_gpu_table_seconds,
@@ -95,12 +91,28 @@ ClusterResult hybrid_dbscan(cudasim::Device& device,
                             std::span<const Point2> points, float eps,
                             int minpts, HybridTimings* timings,
                             const BatchPolicy& policy, ClusterMode mode) {
+  ShardedBuildOptions options;
+  options.policy = policy;
+  return hybrid_dbscan(std::vector<cudasim::Device*>{&device}, points, eps,
+                       minpts, timings, options, mode);
+}
+
+ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
+                            std::span<const Point2> points, float eps,
+                            int minpts, HybridTimings* timings,
+                            const ShardedBuildOptions& options,
+                            ClusterMode mode) {
   HybridTimings local;
   WallTimer total_timer;
+  const BatchPolicy& policy = options.policy;
 
   if (policy.quality.mode == ClusterQuality::kCellGraph) {
+    if (devices.empty() || devices.front() == nullptr) {
+      throw std::invalid_argument("hybrid_dbscan: no devices");
+    }
     const ClusterResult out = run_cell_graph_mode(
-        device.config(), points, eps, minpts, mode, local, total_timer);
+        devices.front()->config(), points, eps, minpts, mode, local,
+        total_timer);
     if (timings != nullptr) *timings = local;
     return out;
   }
@@ -116,159 +128,47 @@ ClusterResult hybrid_dbscan(cudasim::Device& device,
   }();
   local.index_seconds = phase_timer.seconds();
 
-  if (mode == ClusterMode::kFused) {
-    const ClusterResult out = run_fused_mode({&device}, index, eps,
-                                             run_minpts, policy, local,
-                                             total_timer);
-    if (timings != nullptr) *timings = local;
-    return out;
-  }
-
-  if (mode == ClusterMode::kStreaming &&
-      policy.build_mode == TableBuildMode::kCsrTwoPass) {
-    // Streaming fast path: the union-find consumer ingests every CSR
-    // batch on the builder's stream threads, so the host clustering work
-    // runs while the GPU is still filling later batches — and T is never
-    // materialized (no shard merge, no half-table expansion, no table
-    // memory).
-    phase_timer.reset();
-    StreamingDbscan consumer(index.size(), run_minpts);
-    NeighborTableBuilder builder(device, policy);
-    builder.build(index, eps, &local.build_report, &consumer,
-                  /*materialize_table=*/false);
+  phase_timer.reset();
+  if (mode == ClusterMode::kBatchTable) {
+    const NeighborTable table = build_fleet_neighbor_table(
+        devices, index, eps, options, &local.build_report);
     local.gpu_table_seconds = phase_timer.seconds();
 
     phase_timer.reset();
-    const ClusterResult indexed = consumer.finalize();
+    const ClusterResult indexed = dbscan_neighbor_table(table, run_minpts);
     local.dbscan_seconds = phase_timer.seconds();
 
-    const StreamingDbscan::Stats& st = consumer.stats();
-    local.streamed = true;
-    local.consume_seconds = st.consume_seconds;
-    local.finalize_seconds = st.finalize_seconds;
-    local.overlap_fraction = st.overlap_fraction();
-    local.streamed_edge_fraction = st.streamed_fraction();
-    local.peak_consumer_bytes = consumer.peak_memory_bytes();
     local.total_seconds = total_timer.seconds();
-    local.modeled_gpu_table_seconds =
-        local.build_report.modeled_table_seconds;
-    // On the reference host the consumers drain completed staging buffers
-    // on their own cores (one per builder stream), so the union work adds
-    // its slowest thread — not the summed CPU time — to the critical
-    // path: response time is max(build, slowest union thread) + tail.
-    local.modeled_total_seconds =
-        local.index_seconds +
-        std::max(local.modeled_gpu_table_seconds,
-                 st.max_thread_consume_seconds) +
-        st.finalize_seconds;
+    local.modeled_gpu_table_seconds = local.build_report.modeled_table_seconds;
+    local.modeled_total_seconds = local.index_seconds +
+                                  local.modeled_gpu_table_seconds +
+                                  local.dbscan_seconds;
     if (timings != nullptr) *timings = local;
     return unmap_labels(indexed, index.original_ids);
   }
 
-  phase_timer.reset();
-  NeighborTableBuilder builder(device, policy);
-  const NeighborTable table = builder.build(index, eps, &local.build_report);
-  local.gpu_table_seconds = phase_timer.seconds();
-
-  phase_timer.reset();
-  const ClusterResult indexed = dbscan_neighbor_table(table, run_minpts);
-  local.dbscan_seconds = phase_timer.seconds();
-
-  local.total_seconds = total_timer.seconds();
-  local.modeled_gpu_table_seconds = local.build_report.modeled_table_seconds;
-  local.modeled_total_seconds = local.index_seconds +
-                                local.modeled_gpu_table_seconds +
-                                local.dbscan_seconds;
-  if (timings != nullptr) *timings = local;
-  return unmap_labels(indexed, index.original_ids);
-}
-
-ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
-                            std::span<const Point2> points, float eps,
-                            int minpts, HybridTimings* timings,
-                            const ShardedBuildOptions& options,
-                            ClusterMode mode) {
-  HybridTimings local;
-  WallTimer total_timer;
-
-  if (options.policy.quality.mode == ClusterQuality::kCellGraph) {
-    if (devices.empty() || devices.front() == nullptr) {
-      throw std::invalid_argument("hybrid_dbscan: no devices");
-    }
-    const ClusterResult out = run_cell_graph_mode(
-        devices.front()->config(), points, eps, minpts, mode, local,
-        total_timer);
-    if (timings != nullptr) *timings = local;
-    return out;
-  }
-  const int run_minpts = options.policy.quality.scaled_minpts(minpts);
-
-  WallTimer phase_timer;
-  const GridIndex index = [&] {
-    TRACE_SPAN("index", "grid_index n=%zu", points.size());
-    return build_grid_index(points, eps);
-  }();
-  local.index_seconds = phase_timer.seconds();
-
+  StreamingDbscan consumer(index.size(), run_minpts);
   if (mode == ClusterMode::kFused) {
     // Fused mode replicates the (whole) index across the devices and
     // interleaves the strided batches — no slab sharding applies, since
     // the kernels union global ids directly.
-    const ClusterResult out = run_fused_mode(devices, index, eps, run_minpts,
-                                             options.policy, local,
-                                             total_timer);
-    if (timings != nullptr) *timings = local;
-    return out;
+    consumer.set_cancel_token(policy.cancel);
+    local.build_report = fused_cluster(devices, index, eps, consumer, policy);
+    local.fused = true;
+  } else {
+    // Streaming: the union-find consumer ingests every CSR batch on the
+    // builder's stream threads, so the host clustering work runs while the
+    // GPU is still filling later batches — and T is never materialized (no
+    // shard merge, no half-table expansion, no table memory).
+    build_fleet_neighbor_table(devices, index, eps, options,
+                               &local.build_report, &consumer,
+                               /*materialize_table=*/false);
   }
-
-  if (mode == ClusterMode::kStreaming &&
-      options.policy.build_mode == TableBuildMode::kCsrTwoPass) {
-    phase_timer.reset();
-    StreamingDbscan consumer(index.size(), run_minpts);
-    build_sharded_neighbor_table(devices, index, eps, options,
-                                 &local.build_report, &consumer,
-                                 /*materialize_table=*/false);
-    local.gpu_table_seconds = phase_timer.seconds();
-
-    phase_timer.reset();
-    const ClusterResult indexed = consumer.finalize();
-    local.dbscan_seconds = phase_timer.seconds();
-
-    const StreamingDbscan::Stats& st = consumer.stats();
-    local.streamed = true;
-    local.consume_seconds = st.consume_seconds;
-    local.finalize_seconds = st.finalize_seconds;
-    local.overlap_fraction = st.overlap_fraction();
-    local.streamed_edge_fraction = st.streamed_fraction();
-    local.peak_consumer_bytes = consumer.peak_memory_bytes();
-    local.total_seconds = total_timer.seconds();
-    local.modeled_gpu_table_seconds =
-        local.build_report.modeled_table_seconds;
-    local.modeled_total_seconds =
-        local.index_seconds +
-        std::max(local.modeled_gpu_table_seconds,
-                 st.max_thread_consume_seconds) +
-        st.finalize_seconds;
-    if (timings != nullptr) *timings = local;
-    return unmap_labels(indexed, index.original_ids);
-  }
-
-  phase_timer.reset();
-  const NeighborTable table = build_sharded_neighbor_table(
-      devices, index, eps, options, &local.build_report);
   local.gpu_table_seconds = phase_timer.seconds();
-
-  phase_timer.reset();
-  const ClusterResult indexed = dbscan_neighbor_table(table, run_minpts);
-  local.dbscan_seconds = phase_timer.seconds();
-
-  local.total_seconds = total_timer.seconds();
-  local.modeled_gpu_table_seconds = local.build_report.modeled_table_seconds;
-  local.modeled_total_seconds = local.index_seconds +
-                                local.modeled_gpu_table_seconds +
-                                local.dbscan_seconds;
+  const ClusterResult out =
+      finish_streamed(consumer, index, local, total_timer);
   if (timings != nullptr) *timings = local;
-  return unmap_labels(indexed, index.original_ids);
+  return out;
 }
 
 }  // namespace hdbscan

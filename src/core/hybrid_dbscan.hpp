@@ -44,32 +44,33 @@ struct HybridTimings {
   std::size_t peak_consumer_bytes = 0;  ///< replaces the table footprint
 };
 
-/// Runs HYBRID-DBSCAN for a single (eps, minpts). The returned labels are
-/// in the order of `points` (the grid index's internal reordering is
-/// unmapped before returning). ClusterMode::kStreaming clusters the CSR
-/// batches as the GPU produces them and never materializes T (it falls
-/// back to the batch path under TableBuildMode::kPairSort, which has no
-/// streaming delivery). ClusterMode::kFused goes further: the traversal
-/// kernel itself counts degrees and unions both-core edges
-/// (core/fused_clustering), so even the CSR passes and value transfers
-/// disappear — combine with policy.index_backend = IndexBackend::kBvh for
-/// the tree-traversal variant.
-ClusterResult hybrid_dbscan(cudasim::Device& device,
-                            std::span<const Point2> points, float eps,
-                            int minpts, HybridTimings* timings = nullptr,
-                            const BatchPolicy& policy = {},
-                            ClusterMode mode = ClusterMode::kBatchTable);
-
-/// Multi-device HYBRID-DBSCAN: T is built sharded across `devices` (one
-/// grid slab plus its eps-halo per shard; see core/sharded_build.hpp) and
-/// the labels are bit-identical to the single-device run. In streaming
-/// mode the cross-shard core-core unions flow through the same
-/// StreamingDbscan consumer the single-device path uses, fed global keys
-/// by the shard translation layer.
+/// Runs HYBRID-DBSCAN for a single (eps, minpts) on a fleet of devices.
+/// The returned labels are in the order of `points` (the grid index's
+/// internal reordering is unmapped before returning). T is built by
+/// build_fleet_neighbor_table: a fleet of one device with num_shards <= 1
+/// builds the whole index; any other fleet builds it sharded (one grid
+/// slab plus its eps-halo per shard; see core/sharded_build.hpp), with
+/// labels bit-identical to the one-device run.
+/// ClusterMode::kStreaming clusters the CSR batches as the GPU produces
+/// them and never materializes T; on a sharded build the cross-shard
+/// core-core unions reach the same StreamingDbscan consumer, fed global
+/// keys by the shard translation layer. ClusterMode::kFused goes further:
+/// the traversal kernel itself counts degrees and unions both-core edges
+/// (core/fused_clustering) over the whole index replicated on every
+/// device, so even the CSR passes and value transfers disappear — combine
+/// with policy.index_backend = IndexBackend::kBvh for the tree-traversal
+/// variant.
 ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
                             std::span<const Point2> points, float eps,
                             int minpts, HybridTimings* timings = nullptr,
                             const ShardedBuildOptions& options = {},
+                            ClusterMode mode = ClusterMode::kBatchTable);
+
+/// One device is a fleet of one: forwards to the fleet overload.
+ClusterResult hybrid_dbscan(cudasim::Device& device,
+                            std::span<const Point2> points, float eps,
+                            int minpts, HybridTimings* timings = nullptr,
+                            const BatchPolicy& policy = {},
                             ClusterMode mode = ClusterMode::kBatchTable);
 
 /// Remaps labels from the grid index's point order back to input order.

@@ -12,7 +12,6 @@
 
 #include "common/timer.hpp"
 #include "core/report_metrics.hpp"
-#include "cudasim/buffer.hpp"
 #include "cudasim/buffer_pool.hpp"
 #include "cudasim/error.hpp"
 #include "cudasim/sort.hpp"
@@ -20,7 +19,6 @@
 #include "gpu/bvh_device_index.hpp"
 #include "gpu/device_index.hpp"
 #include "gpu/kernels.hpp"
-#include "gpu/result_sink.hpp"
 #include "index/bvh.hpp"
 #include "index/rtree.hpp"
 #include "obs/trace.hpp"
@@ -33,25 +31,21 @@ namespace {
 /// All tallies are context-private: the stream thread appends into its own
 /// shard of T lock-free, and the builder harvests the numbers after the
 /// streams synchronize — the shared mutex never sits on the batch path.
+/// Every device buffer a batch touches is checked out here, so once the
+/// context exists the batch path allocates no device memory at all.
 struct StreamContext {
   StreamContext(cudasim::Device& device_in, const GridView& view_in,
-                TableBuildMode mode, std::uint64_t buffer_pairs,
-                std::uint32_t max_batch_points, unsigned timeline_id_in)
+                std::uint64_t buffer_pairs, std::uint32_t max_batch_points,
+                unsigned timeline_id_in)
       : device(device_in),
         view(view_in),
         timeline_id(timeline_id_in),
         stream(device_in),
-        shard(view_in.num_points) {
-    if (mode == TableBuildMode::kPairSort) {
-      sink.emplace(device_in, buffer_pairs);
-      pair_staging.emplace(device_in, buffer_pairs);
-    } else {
-      counts.emplace(device_in, max_batch_points);
-      values.emplace(device_in, buffer_pairs);
-      offsets_staging.emplace(device_in, max_batch_points);
-      values_staging.emplace(device_in, buffer_pairs);
-    }
-  }
+        shard(view_in.num_points),
+        counts(device_in, max_batch_points),
+        values(device_in, buffer_pairs),
+        offsets_staging(device_in, max_batch_points),
+        values_staging(device_in, buffer_pairs) {}
 
   /// Pinned staging bytes that required a *fresh* page-lock this build
   /// (pool hits were locked by an earlier build and cost nothing now).
@@ -59,13 +53,8 @@ struct StreamContext {
   /// sweep pays the pinned-allocation cost only on its first variant.
   [[nodiscard]] std::uint64_t fresh_pinned_bytes() const noexcept {
     std::uint64_t b = 0;
-    if (pair_staging && pair_staging->fresh()) b += pair_staging->bytes();
-    if (offsets_staging && offsets_staging->fresh()) {
-      b += offsets_staging->bytes();
-    }
-    if (values_staging && values_staging->fresh()) {
-      b += values_staging->bytes();
-    }
+    if (offsets_staging.fresh()) b += offsets_staging.bytes();
+    if (values_staging.fresh()) b += values_staging.bytes();
     return b;
   }
 
@@ -86,17 +75,13 @@ struct StreamContext {
   /// Private fraction of T; merged into the final table exactly once.
   NeighborTable shard;
 
-  // --- pair-sort (legacy) pipeline state (pool-backed: returned to the
-  // device's BufferPool on destruction, so the next build over the same
-  // device checks the same memory back out instead of re-allocating) ---
-  std::optional<gpu::ResultSetDevice> sink;
-  std::optional<cudasim::PooledPinnedBuffer<NeighborPair>> pair_staging;
-
-  // --- two-pass CSR pipeline state (pool-backed as above) ---
-  std::optional<cudasim::PooledDeviceBuffer<std::uint32_t>> counts;
-  std::optional<cudasim::PooledDeviceBuffer<PointId>> values;
-  std::optional<cudasim::PooledPinnedBuffer<std::uint32_t>> offsets_staging;
-  std::optional<cudasim::PooledPinnedBuffer<PointId>> values_staging;
+  // --- two-pass CSR pipeline state (pool-backed: returned to the device's
+  // BufferPool on destruction, so the next build over the same device
+  // checks the same memory back out instead of re-allocating) ---
+  cudasim::PooledDeviceBuffer<std::uint32_t> counts;
+  cudasim::PooledDeviceBuffer<PointId> values;
+  cudasim::PooledPinnedBuffer<std::uint32_t> offsets_staging;
+  cudasim::PooledPinnedBuffer<PointId> values_staging;
 
   // --- streaming delivery state (CSR + sink builds) ---
   /// Host scratch for reconstructing pass-1 counts from the scanned
@@ -110,7 +95,6 @@ struct StreamContext {
   std::uint64_t sink_count_batches = 0;
   double append_seconds = 0.0;  ///< measured host CPU time appending into T
   double kernel_modeled = 0.0;
-  double sort_modeled = 0.0;
   double scan_modeled = 0.0;
   std::uint64_t total_pairs = 0;
   std::uint64_t max_batch_pairs = 0;
@@ -128,11 +112,10 @@ struct StreamContext {
 /// the host — without duplicating keys.
 struct WorkItem {
   gpu::BatchSpec spec;
-  unsigned depth = 0;              ///< overflow/shrink splits applied
+  unsigned depth = 0;              ///< overflow splits applied
   unsigned transient_retries = 0;  ///< TransientKernelFault retries so far
-  unsigned alloc_retries = 0;      ///< OOM shrink-splits along this lineage
   /// The sink already received this lineage's pass-1 counts. The flag
-  /// rides through retries, OOM splits and failover (push_halves and the
+  /// rides through retries, splits and failover (push_halves and the
   /// orphan pool copy the item), which is what makes count delivery
   /// exactly-once: a split half or a retried launch re-runs its kernels
   /// but never re-adds degrees the parent item already delivered.
@@ -223,7 +206,6 @@ struct SharedBuildState {
   std::mutex mutex;
   std::exception_ptr hard_error;
   std::uint32_t transient_retries = 0;
-  std::uint32_t alloc_retries = 0;
   std::uint32_t failover_batches = 0;
 
   void set_hard_error(std::exception_ptr e) {
@@ -250,76 +232,14 @@ struct SharedBuildState {
 
 /// (l, n_b) == (l, 2 n_b) u (l + n_b, 2 n_b): same points, half each.
 /// The halves stay on the splitting context's sub-queue.
-void push_halves(WorkQueue& queue, std::size_t ctx, const WorkItem& item,
-                 unsigned extra_alloc_retry) {
+void push_halves(WorkQueue& queue, std::size_t ctx, const WorkItem& item) {
   WorkItem half = item;
   half.depth = item.depth + 1;
-  half.alloc_retries = item.alloc_retries + extra_alloc_retry;
   half.spec = {item.spec.batch, item.spec.num_batches * 2};
   queue.push(ctx, half);
   half.spec = {item.spec.batch + item.spec.num_batches,
                item.spec.num_batches * 2};
   queue.push(ctx, half);
-}
-
-/// Legacy pair pipeline: kernel -> device sort_by_key -> D2H pairs ->
-/// shard append. On buffer overflow the two halves go back to the queue.
-/// Under ScanMode::kHalf the kernel emits forward rows only — about half
-/// the pairs sort, ship and append; the builder transposes the merged
-/// table once at the end.
-void process_batch_pairs(StreamContext& sc, ScanMode scan, float eps,
-                         WorkItem& item, unsigned block_size,
-                         WorkQueue& queue, unsigned max_split_depth) {
-  const gpu::BatchSpec spec = item.spec;
-  if (spec.points_in_batch(sc.view.query_count()) == 0) return;
-  TRACE_SPAN("batch", "batch %u/%u d%u", spec.batch, spec.num_batches,
-             sc.device.id());
-
-  sc.sink->reset();
-  const cudasim::KernelStats stats = gpu::run_calc_global(
-      sc.device, sc.view, eps, spec, sc.sink->view(), scan, block_size,
-      sc.quality);
-  ++sc.batches_run;
-  sc.kernel_modeled += stats.modeled_seconds;
-  sc.device_model += stats.modeled_seconds;
-  sc.atomic_ops += stats.work.atomic_ops;
-  sc.kernel_flops += stats.work.flops;
-  sc.kernel_global_bytes += stats.work.global_bytes;
-
-  if (sc.sink->overflowed()) {
-    if (item.depth >= max_split_depth) {
-      throw_split_exhausted(spec, item.depth, max_split_depth);
-    }
-    ++sc.overflow_splits;
-    TRACE_INSTANT("resilience", "overflow_split %u/%u", spec.batch,
-                  spec.num_batches);
-    push_halves(queue, sc.timeline_id, item, /*extra_alloc_retry=*/0);
-    return;
-  }
-
-  const std::uint64_t pairs = sc.sink->stored();
-  // Group identical keys before shipping R to the host (Alg. 4 line 7).
-  cudasim::sort_by_key(sc.device, sc.sink->pairs(), pairs,
-                       [](const NeighborPair& p) { return p.key; });
-  const std::uint64_t bytes = pairs * sizeof(NeighborPair);
-  // D2H into this stream's pinned staging area.
-  sc.device.blocking_transfer(sc.pair_staging->data(),
-                              sc.sink->pairs().device_data(), bytes,
-                              /*to_device=*/false, /*pinned_host=*/true);
-  const double sort_s =
-      cudasim::modeled_sort_seconds(sc.device.config(), bytes);
-  sc.sort_modeled += sort_s;
-  sc.device_model +=
-      sort_s + cudasim::modeled_transfer_seconds(sc.device.config(), bytes,
-                                                 /*pinned=*/true);
-  sc.d2h_bytes += bytes;
-  // Host side: append this batch into the context's private shard — no
-  // lock; shards merge after all streams drain.
-  hdbscan::ThreadCpuTimer append_timer;
-  sc.shard.append_sorted_batch({sc.pair_staging->data(), pairs});
-  sc.append_seconds += append_timer.seconds();
-  sc.total_pairs += pairs;
-  sc.max_batch_pairs = std::max(sc.max_batch_pairs, pairs);
 }
 
 /// Two-pass CSR pipeline: count kernel -> exclusive scan (exact batch
@@ -345,10 +265,10 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   const cudasim::KernelStats count_stats =
       sc.backend == IndexBackend::kBvh
           ? gpu::run_count_batch(sc.device, sc.bvh_view, eps, spec,
-                                 sc.counts->device_data(), scan, block_size,
+                                 sc.counts.device_data(), scan, block_size,
                                  sc.quality)
           : gpu::run_count_batch(sc.device, sc.view, eps, spec,
-                                 sc.counts->device_data(), scan, block_size,
+                                 sc.counts.device_data(), scan, block_size,
                                  sc.quality);
   ++sc.batches_run;
   sc.kernel_modeled += count_stats.modeled_seconds;
@@ -358,21 +278,21 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   sc.kernel_global_bytes += count_stats.work.global_bytes;
 
   // Exact batch size; counts become exclusive CSR offsets in place.
-  const std::uint64_t total = cudasim::exclusive_scan(sc.device, *sc.counts,
+  const std::uint64_t total = cudasim::exclusive_scan(sc.device, sc.counts,
                                                       pts);
   const double scan_s = cudasim::modeled_scan_seconds(
       sc.device.config(), pts * sizeof(std::uint32_t));
   sc.scan_modeled += scan_s;
   sc.device_model += scan_s;
 
-  if (total > sc.values->size()) {
+  if (total > sc.values.size()) {
     if (item.depth >= max_split_depth) {
       throw_split_exhausted(spec, item.depth, max_split_depth);
     }
     ++sc.overflow_splits;
     TRACE_INSTANT("resilience", "overflow_split %u/%u", spec.batch,
                   spec.num_batches);
-    push_halves(queue, sc.timeline_id, item, /*extra_alloc_retry=*/0);
+    push_halves(queue, sc.timeline_id, item);
     return;
   }
 
@@ -382,8 +302,8 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   // while the fill kernel is still distance-testing. Same bytes as the
   // old post-fill offsets transfer, just earlier on the timeline.
   const std::uint64_t offset_bytes = pts * sizeof(std::uint32_t);
-  sc.device.blocking_transfer(sc.offsets_staging->data(),
-                              sc.counts->device_data(), offset_bytes,
+  sc.device.blocking_transfer(sc.offsets_staging.data(),
+                              sc.counts.device_data(), offset_bytes,
                               /*to_device=*/false, /*pinned_host=*/true);
   sc.device_model += cudasim::modeled_transfer_seconds(
       sc.device.config(), offset_bytes, /*pinned=*/true);
@@ -393,7 +313,7 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
     // Exclusive offsets + the exact total reconstruct the pass-1 counts
     // without a second transfer: counts[g] = offsets[g+1] - offsets[g].
     sc.counts_scratch.resize(pts);
-    const std::uint32_t* offs = sc.offsets_staging->data();
+    const std::uint32_t* offs = sc.offsets_staging.data();
     for (std::uint32_t g = 0; g + 1 < pts; ++g) {
       sc.counts_scratch[g] = offs[g + 1] - offs[g];
     }
@@ -411,12 +331,12 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   const cudasim::KernelStats fill_stats =
       sc.backend == IndexBackend::kBvh
           ? gpu::run_fill_csr(sc.device, sc.bvh_view, eps, spec,
-                              sc.counts->device_data(),
-                              sc.values->device_data(), scan, block_size,
+                              sc.counts.device_data(),
+                              sc.values.device_data(), scan, block_size,
                               sc.quality)
           : gpu::run_fill_csr(sc.device, sc.view, eps, spec,
-                              sc.counts->device_data(),
-                              sc.values->device_data(), scan, block_size,
+                              sc.counts.device_data(),
+                              sc.values.device_data(), scan, block_size,
                               sc.quality);
   sc.kernel_modeled += fill_stats.modeled_seconds;
   sc.device_model += fill_stats.modeled_seconds;
@@ -425,11 +345,10 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   sc.kernel_global_bytes += fill_stats.work.global_bytes;
 
   // D2H: bare values only — the per-point offsets are already host-side
-  // and no NeighborPair keys cross the wire, so about half the bytes of
-  // the pair pipeline.
+  // and no keys cross the wire.
   const std::uint64_t value_bytes = total * sizeof(PointId);
-  sc.device.blocking_transfer(sc.values_staging->data(),
-                              sc.values->device_data(), value_bytes,
+  sc.device.blocking_transfer(sc.values_staging.data(),
+                              sc.values.device_data(), value_bytes,
                               /*to_device=*/false, /*pinned_host=*/true);
   sc.device_model += cudasim::modeled_transfer_seconds(
       sc.device.config(), value_bytes, /*pinned=*/true);
@@ -438,8 +357,8 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   if (materialize) {
     hdbscan::ThreadCpuTimer append_timer;
     sc.shard.append_csr_batch(spec.batch, spec.num_batches,
-                              {sc.offsets_staging->data(), pts},
-                              {sc.values_staging->data(), total});
+                              {sc.offsets_staging.data(), pts},
+                              {sc.values_staging.data(), total});
     sc.append_seconds += append_timer.seconds();
   }
   if (sink != nullptr) {
@@ -448,8 +367,8 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
     hdbscan::ThreadCpuTimer consume_timer;
     sink->consume(BatchDelivery{spec.batch, spec.num_batches, scan,
                                 item.counts_delivered,
-                                {sc.offsets_staging->data(), pts},
-                                {sc.values_staging->data(), total}, {}});
+                                {sc.offsets_staging.data(), pts},
+                                {sc.values_staging.data(), total}, {}});
     sc.consume_seconds += consume_timer.seconds();
     ++sc.sink_batches;
   }
@@ -457,32 +376,17 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   sc.max_batch_pairs = std::max(sc.max_batch_pairs, total);
 }
 
-void process_item(StreamContext& sc, TableBuildMode mode, ScanMode scan,
-                  float eps, WorkItem& item, unsigned block_size,
-                  WorkQueue& queue, unsigned max_split_depth,
-                  BatchSink* sink, bool materialize) {
-  if (mode == TableBuildMode::kPairSort) {
-    process_batch_pairs(sc, scan, eps, item, block_size, queue,
-                        max_split_depth);
-  } else {
-    process_batch_csr(sc, scan, eps, item, block_size, queue,
-                      max_split_depth, sink, materialize);
-  }
-}
-
 /// One context's work pump, run on its stream thread. Pops items until the
 /// queue is dry, applying the degradation ladder on faults:
 ///   * TransientKernelFault — the launch did no work; retry the item up to
 ///     max_transient_retries times before it becomes a hard error.
-///   * DeviceOutOfMemory   — a mid-batch scratch allocation failed (e.g.
-///     the pair sort's temp buffer); split the batch in two, which halves
-///     the scratch, bounded by max_alloc_retries and max_split_depth.
 ///   * DeviceLost          — the context is dead; requeue the item for a
 ///     survivor (or the host) and exit the pump.
 /// Anything else is a hard error: recorded once, every pump winds down,
-/// and build() rethrows only after all streams have drained.
+/// and build() rethrows only after all streams have drained. (A batch
+/// allocates no device memory, so out-of-memory is a setup-time rung.)
 void pump(StreamContext& sc, WorkQueue& queue, SharedBuildState& state,
-          TableBuildMode mode, ScanMode scan, float eps, unsigned block_size,
+          ScanMode scan, float eps, unsigned block_size,
           const ResiliencePolicy& res, unsigned max_split_depth,
           BatchSink* sink, bool materialize, const CancelToken* cancel) {
   const std::size_t ctx = sc.timeline_id;
@@ -503,8 +407,8 @@ void pump(StreamContext& sc, WorkQueue& queue, SharedBuildState& state,
       return;
     }
     try {
-      process_item(sc, mode, scan, eps, item, block_size, queue,
-                   max_split_depth, sink, materialize);
+      process_batch_csr(sc, scan, eps, item, block_size, queue,
+                        max_split_depth, sink, materialize);
     } catch (const cudasim::TransientKernelFault&) {
       if (item.transient_retries < res.max_transient_retries) {
         ++item.transient_retries;
@@ -515,20 +419,6 @@ void pump(StreamContext& sc, WorkQueue& queue, SharedBuildState& state,
           ++state.transient_retries;
         }
         queue.push(ctx, item);
-        continue;
-      }
-      state.set_hard_error(std::current_exception());
-      return;
-    } catch (const cudasim::DeviceOutOfMemory&) {
-      if (item.alloc_retries < res.max_alloc_retries &&
-          item.depth < max_split_depth) {
-        TRACE_INSTANT("resilience", "oom_split %u/%u", item.spec.batch,
-                      item.spec.num_batches);
-        {
-          std::lock_guard lock(state.mutex);
-          ++state.alloc_retries;
-        }
-        push_halves(queue, ctx, item, /*extra_alloc_retry=*/1);
         continue;
       }
       state.set_hard_error(std::current_exception());
@@ -591,40 +481,22 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
                                                BatchSink* sink,
                                                bool materialize_table) {
   TRACE_SPAN("build", "table_build n=%zu", index.size());
-  if (sink != nullptr && policy_.build_mode == TableBuildMode::kPairSort) {
-    throw std::invalid_argument(
-        "NeighborTableBuilder: streaming delivery (BatchSink) requires "
-        "TableBuildMode::kCsrTwoPass");
-  }
   if (!materialize_table && sink == nullptr) {
     throw std::invalid_argument(
         "NeighborTableBuilder: materialize_table=false without a sink "
         "would discard the build");
   }
   const bool use_bvh = policy_.index_backend == IndexBackend::kBvh;
-  if (use_bvh) {
-    if (policy_.build_mode != TableBuildMode::kCsrTwoPass) {
-      throw std::invalid_argument(
-          "NeighborTableBuilder: IndexBackend::kBvh requires "
-          "TableBuildMode::kCsrTwoPass");
-    }
-    if (policy_.use_shared_kernel) {
-      throw std::invalid_argument(
-          "NeighborTableBuilder: IndexBackend::kBvh has no shared-memory "
-          "kernel (the block-per-cell schedule is a grid concept)");
-    }
-    if (!index.emit_ids.empty() || index.query_count() != index.size()) {
-      throw std::invalid_argument(
-          "NeighborTableBuilder: IndexBackend::kBvh supports whole-index "
-          "builds only; sharded slabs keep the grid backend");
-    }
+  if (use_bvh &&
+      (!index.emit_ids.empty() || index.query_count() != index.size())) {
+    throw std::invalid_argument(
+        "NeighborTableBuilder: IndexBackend::kBvh supports whole-index "
+        "builds only; sharded slabs keep the grid backend");
   }
   const bool materialize = materialize_table;
   check_cancel(policy_.cancel);  // cheapest point to abandon: no device work yet
   WallTimer total_timer;
   BuildReport local_report;
-  local_report.used_shared_kernel = policy_.use_shared_kernel;
-  local_report.build_mode = policy_.build_mode;
   local_report.scan_mode = policy_.scan_mode;
   local_report.index_backend = policy_.index_backend;
   local_report.streamed = sink != nullptr;
@@ -789,20 +661,13 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     }
   };
 
-  // Plan n_b and b_b, capping the buffers so that num_streams result
-  // buffers and their scratch never exceed any surviving device's free
-  // memory. A pair-mode slot costs sizeof(NeighborPair) twice over (sink +
-  // the sort's Thrust-style temp); a CSR slot is a bare PointId plus the
-  // small per-point counts array — the same memory therefore holds ~4x
-  // more neighbors in CSR mode, which shrinks n_b. `shrink_shift` halves
-  // the buffer cap per out-of-memory retry of the context setup.
-  const bool pair_mode = policy_.build_mode == TableBuildMode::kPairSort;
-  const std::uint64_t bytes_per_slot =
-      pair_mode ? 2 * sizeof(NeighborPair) : sizeof(PointId);
+  // Plan n_b and b_b, capping the buffers so that num_streams value
+  // buffers and the per-point counts never exceed any surviving device's
+  // free memory. A slot is a bare PointId. `shrink_shift` halves the
+  // buffer cap per out-of-memory retry of the context setup.
+  const std::uint64_t bytes_per_slot = sizeof(PointId);
   const std::uint64_t counts_reserve_bytes =
-      pair_mode ? 0
-                : static_cast<std::uint64_t>(index.size()) *
-                      sizeof(std::uint32_t);
+      static_cast<std::uint64_t>(index.size()) * sizeof(std::uint32_t);
   auto compute_plan = [&](unsigned shrink_shift) {
     std::uint64_t min_free_bytes =
         std::numeric_limits<std::uint64_t>::max();
@@ -826,7 +691,6 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     return plan_batches(local_report.estimate.estimated_total,
                         planning_policy, max_buffer_pairs);
   };
-  local_report.plan = compute_plan(0);
 
   NeighborTable table(index.size());
 
@@ -847,324 +711,256 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
       cudasim::modeled_transfer_seconds(cfg, upload_bytes, /*pinned=*/false) +
       local_report.estimate.kernel_stats.modeled_seconds;
 
-  double slowest_stream = 0.0;
-  double append_total = 0.0;
-
-  if (policy_.use_shared_kernel && local_report.plan.num_batches == 1 &&
-      sink == nullptr) {
-    // GPUCalcShared path (single batch only: the block-per-cell mapping is
-    // incompatible with the strided batch assignment). First surviving
-    // device only; always the pair pipeline — the block-per-cell schedule
-    // has no per-thread point to count for CSR slots, and for the same
-    // reason it cannot feed a streaming sink (a non-null sink falls
-    // through to the batched CSR pipeline). This legacy path has no
-    // degradation ladder: a fault here propagates to the caller.
-    const BatchPlan& plan = local_report.plan;
-    local_report.build_mode = TableBuildMode::kPairSort;
-    const gpu::GridDeviceIndex& dev_index = *slots.front().dev_index;
-    const GridView first_view = dev_index.view();
-    gpu::ResultSetDevice result_sink(first_device, plan.buffer_pairs);
-    // kHalf here halves the distance tests but the kernel push_dual's both
-    // directions device-side (the result set never crosses PCIe per-batch
-    // in this single-batch path), so the sink already holds the full table.
-    const cudasim::KernelStats stats = gpu::run_calc_shared(
-        first_device, first_view, dev_index.schedule(),
-        dev_index.num_nonempty_cells(), eps, result_sink.view(), policy_.scan_mode,
-        policy_.block_size, policy_.quality);
-    local_report.batches_run = 1;
-    local_report.kernel_modeled_seconds = stats.modeled_seconds;
-    local_report.atomic_ops += stats.work.atomic_ops;
-    local_report.kernel_flops += stats.work.flops;
-    local_report.kernel_global_bytes += stats.work.global_bytes;
-    if (result_sink.overflowed()) {
-      throw std::runtime_error(
-          "neighbor table build (shared kernel): batch 0/1 overflowed the "
-          "result buffer of " + std::to_string(plan.buffer_pairs) +
-          " pairs; the single-batch shared kernel cannot split — use the "
-          "batched pipeline for this density");
+  // One context (stream + device buffers + pinned staging + private
+  // shard) per (device, stream) pair. Creating them allocates the big
+  // result buffers, so this is where a tight device first runs out of
+  // memory: each retry halves the buffer cap (growing n_b to match) —
+  // bounded by max_alloc_retries — and a device that dies here is
+  // dropped and planning redone for the survivors.
+  std::vector<std::unique_ptr<StreamContext>> contexts;
+  unsigned shrink = 0;
+  for (;;) {
+    drop_lost_slots();
+    if (slots.empty()) {
+      if (res.host_fallback) return full_host_fallback();
+      throw cudasim::DeviceLost(
+          "neighbor table build: every device was lost before batching "
+          "started");
     }
-    const std::uint64_t pairs = result_sink.stored();
-    const std::uint64_t bytes = pairs * sizeof(NeighborPair);
-    cudasim::sort_by_key(first_device, result_sink.pairs(), pairs,
-                         [](const NeighborPair& p) { return p.key; });
-    cudasim::PooledPinnedBuffer<NeighborPair> staging(first_device, pairs);
-    first_device.blocking_transfer(staging.data(), result_sink.pairs().device_data(),
-                                   bytes, false, true);
-    hdbscan::ThreadCpuTimer append_timer;
-    table.reserve_values(pairs);
-    table.append_sorted_batch({staging.data(), pairs});
-    append_total = append_timer.seconds();
-    local_report.total_pairs = pairs;
-    local_report.max_batch_pairs = pairs;
-    local_report.sort_modeled_seconds =
-        cudasim::modeled_sort_seconds(cfg, bytes);
-    local_report.d2h_bytes = bytes;
-    slowest_stream = stats.modeled_seconds +
-                     local_report.sort_modeled_seconds +
-                     cudasim::modeled_transfer_seconds(cfg, bytes, true) +
-                     append_total;
-    // Page-lock cost only when the pool actually had to pin new memory.
-    if (staging.fresh()) {
-      modeled_fixed += cudasim::modeled_pinned_alloc_seconds(cfg, bytes);
-    }
-  } else {
-    local_report.used_shared_kernel = false;
-    // One context (stream + device buffers + pinned staging + private
-    // shard) per (device, stream) pair. Creating them allocates the big
-    // result buffers, so this is where a tight device first runs out of
-    // memory: each retry halves the buffer cap (growing n_b to match) —
-    // bounded by max_alloc_retries — and a device that dies here is
-    // dropped and planning redone for the survivors.
-    std::vector<std::unique_ptr<StreamContext>> contexts;
-    unsigned shrink = 0;
-    for (;;) {
-      drop_lost_slots();
-      if (slots.empty()) {
-        if (res.host_fallback) return full_host_fallback();
-        throw cudasim::DeviceLost(
-            "neighbor table build: every device was lost before batching "
-            "started");
+    local_report.plan = compute_plan(shrink);
+    const std::uint32_t max_batch_points =
+        (static_cast<std::uint32_t>(index.size()) +
+         local_report.plan.num_batches - 1) /
+        local_report.plan.num_batches;
+    const auto num_contexts = static_cast<unsigned>(slots.size()) *
+                              std::max(1u, policy_.num_streams);
+    try {
+      for (DeviceSlot& slot : slots) {
+        for (unsigned s = 0; s < std::max(1u, policy_.num_streams); ++s) {
+          const auto id = static_cast<unsigned>(contexts.size());
+          contexts.push_back(std::make_unique<StreamContext>(
+              *slot.device, slot.dev_index->view(),
+              local_report.plan.buffer_pairs, std::max(1u, max_batch_points),
+              id));
+          contexts.back()->backend = policy_.index_backend;
+          contexts.back()->quality = policy_.quality;
+          if (slot.bvh_index) {
+            contexts.back()->bvh_view = slot.bvh_index->view();
+          }
+          contexts.back()->shard.reserve_values(
+              local_report.plan.estimated_total_pairs / num_contexts);
+        }
       }
-      local_report.plan = compute_plan(shrink);
-      const std::uint32_t max_batch_points =
-          (static_cast<std::uint32_t>(index.size()) +
-           local_report.plan.num_batches - 1) /
-          local_report.plan.num_batches;
-      const auto num_contexts = static_cast<unsigned>(slots.size()) *
-                                std::max(1u, policy_.num_streams);
+      break;
+    } catch (const cudasim::DeviceOutOfMemory&) {
+      contexts.clear();
+      if (shrink >= res.max_alloc_retries) throw;
+      ++shrink;
+      ++local_report.alloc_retries;
+    } catch (const cudasim::DeviceLost&) {
+      contexts.clear();  // next iteration drops the dead slot and replans
+    }
+  }
+  const BatchPlan& plan = local_report.plan;
+  for (const auto& sc : contexts) {
+    // Only buffers the pool had to freshly page-lock are charged; reuse
+    // sweeps over N parameter variants pay this once, on the first one.
+    modeled_fixed += cudasim::modeled_pinned_alloc_seconds(
+                         cfg, sc->fresh_pinned_bytes()) /
+                     static_cast<double>(slots.size());
+  }
+
+  // All batches start in a shared work queue; each context's pump pops,
+  // processes into the private shard, and applies the degradation ladder
+  // on faults (see pump()). The rounds loop re-arms pumps on surviving
+  // contexts until the queue is dry — this is what makes failover work:
+  // an item a dying context pushed back is picked up next round by a
+  // survivor, and the strided key sets stay disjoint whoever runs it.
+  WorkQueue queue(contexts.size());
+  for (std::uint32_t l = 0; l < plan.num_batches; ++l) {
+    queue.push(l % contexts.size(),
+               WorkItem{gpu::BatchSpec{l, plan.num_batches}});
+  }
+  SharedBuildState state;
+  const ScanMode scan = policy_.scan_mode;
+  while (!queue.empty()) {
+    bool any_live = false;
+    for (auto& sc : contexts) {
+      if (sc->device.lost()) {
+        // A sibling stream's fault may have killed this device before
+        // this context's pump ever ran — surface its share regardless.
+        queue.orphan_context(sc->timeline_id);
+        continue;
+      }
+      any_live = true;
+      StreamContext* scp = sc.get();
+      sc->stream.host_fn([scp, &queue, &state, scan, eps,
+                          block = policy_.block_size, &res,
+                          depth_max = policy_.max_split_depth, sink,
+                          materialize, cancel = policy_.cancel,
+                          ctx = policy_.trace] {
+        // Stream threads outlive any one build; attribute this pump's
+        // spans to the request the build serves.
+        RequestScope scope(ctx);
+        pump(*scp, queue, state, scan, eps, block, res, depth_max, sink,
+             materialize, cancel);
+      });
+    }
+    if (!any_live) break;
+    // Drain every stream — on every device — before looking at the
+    // outcome: an error on one context must never leave another
+    // context's in-flight work racing the cleanup below.
+    for (auto& sc : contexts) {
       try {
-        for (DeviceSlot& slot : slots) {
-          for (unsigned s = 0; s < std::max(1u, policy_.num_streams); ++s) {
-            const auto id = static_cast<unsigned>(contexts.size());
-            contexts.push_back(std::make_unique<StreamContext>(
-                *slot.device, slot.dev_index->view(), policy_.build_mode,
-                local_report.plan.buffer_pairs, std::max(1u, max_batch_points),
-                id));
-            contexts.back()->backend = policy_.index_backend;
-            contexts.back()->quality = policy_.quality;
-            if (slot.bvh_index) {
-              contexts.back()->bvh_view = slot.bvh_index->view();
-            }
-            contexts.back()->shard.reserve_values(
-                local_report.plan.estimated_total_pairs / num_contexts);
-          }
-        }
-        break;
-      } catch (const cudasim::DeviceOutOfMemory&) {
-        contexts.clear();
-        if (shrink >= res.max_alloc_retries) throw;
-        ++shrink;
-        ++local_report.alloc_retries;
-      } catch (const cudasim::DeviceLost&) {
-        contexts.clear();  // next iteration drops the dead slot and replans
+        sc->stream.synchronize();
+      } catch (...) {
+        state.set_hard_error(std::current_exception());
       }
     }
-    const BatchPlan& plan = local_report.plan;
-    for (const auto& sc : contexts) {
-      // Only buffers the pool had to freshly page-lock are charged; reuse
-      // sweeps over N parameter variants pay this once, on the first one.
-      modeled_fixed += cudasim::modeled_pinned_alloc_seconds(
-                           cfg, sc->fresh_pinned_bytes()) /
-                       static_cast<double>(slots.size());
-    }
+    if (state.has_hard_error()) break;
+  }
+  {
+    std::lock_guard lock(state.mutex);
+    local_report.transient_retries += state.transient_retries;
+    local_report.failover_batches += state.failover_batches;
+  }
+  if (state.hard_error) {
+    // Streams are already drained (the rounds loop synchronizes every
+    // context before breaking), so rethrowing here unwinds contexts and
+    // device indexes with no op left in flight anywhere.
+    std::rethrow_exception(state.hard_error);
+  }
 
-    // All batches start in a shared work queue; each context's pump pops,
-    // processes into the private shard, and applies the degradation ladder
-    // on faults (see pump()). The rounds loop re-arms pumps on surviving
-    // contexts until the queue is dry — this is what makes failover work:
-    // an item a dying context pushed back is picked up next round by a
-    // survivor, and the strided key sets stay disjoint whoever runs it.
-    WorkQueue queue(contexts.size());
-    for (std::uint32_t l = 0; l < plan.num_batches; ++l) {
-      queue.push(l % contexts.size(),
-                 WorkItem{gpu::BatchSpec{l, plan.num_batches}});
+  // Whatever is still queued could not run on any device (every context
+  // is dead). The last rung: finish exactly those batches on the host —
+  // their key sets are disjoint from everything the devices completed,
+  // so the shards absorb like any other.
+  std::vector<NeighborTable> host_shards;
+  if (!queue.empty()) {
+    if (!res.host_fallback) {
+      const std::size_t unfinished = queue.drain().size();
+      throw cudasim::DeviceLost(
+          "neighbor table build: all devices lost with " +
+          std::to_string(unfinished) + " batches unfinished");
     }
-    SharedBuildState state;
-    const TableBuildMode mode = policy_.build_mode;
-    const ScanMode scan = policy_.scan_mode;
-    while (!queue.empty()) {
-      bool any_live = false;
-      for (auto& sc : contexts) {
-        if (sc->device.lost()) {
-          // A sibling stream's fault may have killed this device before
-          // this context's pump ever ran — surface its share regardless.
-          queue.orphan_context(sc->timeline_id);
-          continue;
+    local_report.used_host_fallback = true;
+    // A degraded BVH build must finish its batches under the kernels'
+    // *id-based* kHalf cover, not the grid stencil's — mixing ownership
+    // rules within one build double-counts the cross pairs whose stencil
+    // owner differs from their id owner once the merged table expands.
+    // The host rung for the tree backends is the packed STR R-tree
+    // (parallel bulk load), searched through the same reordered ids.
+    std::optional<RTree> fallback_rtree;
+    for (const WorkItem& item : queue.drain()) {
+      check_cancel(policy_.cancel);  // host batches are slow; poll each one
+      TRACE_SPAN("host", "host_fallback %u/%u", item.spec.batch,
+                 item.spec.num_batches);
+      if (use_bvh) {
+        if (!fallback_rtree) {
+          fallback_rtree.emplace(index.points, /*node_capacity=*/16u,
+                                 RTreeBuild::kStrParallel);
         }
-        any_live = true;
-        StreamContext* scp = sc.get();
-        sc->stream.host_fn([scp, &queue, &state, mode, scan, eps,
-                            block = policy_.block_size, &res,
-                            depth_max = policy_.max_split_depth, sink,
-                            materialize, cancel = policy_.cancel,
-                            ctx = policy_.trace] {
-          // Stream threads outlive any one build; attribute this pump's
-          // spans to the request the build serves.
-          RequestScope scope(ctx);
-          pump(*scp, queue, state, mode, scan, eps, block, res, depth_max,
-               sink, materialize, cancel);
-        });
+        host_shards.push_back(build_neighbor_table_host_strided_idrule(
+            index, *fallback_rtree, eps, item.spec.batch,
+            item.spec.num_batches, policy_.scan_mode, policy_.quality));
+      } else {
+        host_shards.push_back(build_neighbor_table_host_strided(
+            index, eps, item.spec.batch, item.spec.num_batches,
+            policy_.scan_mode, policy_.quality));
       }
-      if (!any_live) break;
-      // Drain every stream — on every device — before looking at the
-      // outcome: an error on one context must never leave another
-      // context's in-flight work racing the cleanup below.
-      for (auto& sc : contexts) {
-        try {
-          sc->stream.synchronize();
-        } catch (...) {
-          state.set_hard_error(std::current_exception());
+      ++local_report.host_fallback_batches;
+      local_report.total_pairs += host_shards.back().total_pairs();
+      if (sink != nullptr) {
+        // Deliver the host-built rows one key at a time (the shard's
+        // value layout is private). An item whose counts already went
+        // out on a device that died later keeps its flag, so the sink
+        // derives degrees from the rows only when it must.
+        hdbscan::ThreadCpuTimer consume_timer;
+        const NeighborTable& shard = host_shards.back();
+        const std::uint32_t zero = 0;
+        const auto n = static_cast<std::uint32_t>(index.query_count());
+        for (std::uint32_t k = item.spec.batch; k < n;
+             k += item.spec.num_batches) {
+          sink->consume(BatchDelivery{k, /*key_stride=*/1,
+                                      policy_.scan_mode,
+                                      item.counts_delivered,
+                                      {&zero, 1}, shard.neighbors(k), {}});
+          ++local_report.sink_batches;
         }
+        local_report.sink_consume_seconds += consume_timer.seconds();
       }
-      if (state.has_hard_error()) break;
     }
-    {
-      std::lock_guard lock(state.mutex);
-      local_report.transient_retries += state.transient_retries;
-      local_report.alloc_retries += state.alloc_retries;
-      local_report.failover_batches += state.failover_batches;
-    }
-    if (state.hard_error) {
-      // Streams are already drained (the rounds loop synchronizes every
-      // context before breaking), so rethrowing here unwinds contexts and
-      // device indexes with no op left in flight anywhere.
-      std::rethrow_exception(state.hard_error);
-    }
+  }
 
-    // Whatever is still queued could not run on any device (every context
-    // is dead). The last rung: finish exactly those batches on the host —
-    // their key sets are disjoint from everything the devices completed,
-    // so the shards absorb like any other.
-    std::vector<NeighborTable> host_shards;
-    if (!queue.empty()) {
-      if (!res.host_fallback) {
-        const std::size_t unfinished = queue.drain().size();
-        throw cudasim::DeviceLost(
-            "neighbor table build: all devices lost with " +
-            std::to_string(unfinished) + " batches unfinished");
-      }
-      local_report.used_host_fallback = true;
-      // A degraded BVH build must finish its batches under the kernels'
-      // *id-based* kHalf cover, not the grid stencil's — mixing ownership
-      // rules within one build double-counts the cross pairs whose stencil
-      // owner differs from their id owner once the merged table expands.
-      // The host rung for the tree backends is the packed STR R-tree
-      // (parallel bulk load), searched through the same reordered ids.
-      std::optional<RTree> fallback_rtree;
-      for (const WorkItem& item : queue.drain()) {
-        check_cancel(policy_.cancel);  // host batches are slow; poll each one
-        TRACE_SPAN("host", "host_fallback %u/%u", item.spec.batch,
-                   item.spec.num_batches);
-        if (use_bvh) {
-          if (!fallback_rtree) {
-            fallback_rtree.emplace(index.points, /*node_capacity=*/16u,
-                                   RTreeBuild::kStrParallel);
-          }
-          host_shards.push_back(build_neighbor_table_host_strided_idrule(
-              index, *fallback_rtree, eps, item.spec.batch,
-              item.spec.num_batches, policy_.scan_mode, policy_.quality));
-        } else {
-          host_shards.push_back(build_neighbor_table_host_strided(
-              index, eps, item.spec.batch, item.spec.num_batches,
-              policy_.scan_mode, policy_.quality));
-        }
-        ++local_report.host_fallback_batches;
-        local_report.total_pairs += host_shards.back().total_pairs();
-        if (sink != nullptr) {
-          // Deliver the host-built rows one key at a time (the shard's
-          // value layout is private). An item whose counts already went
-          // out on a device that died later keeps its flag, so the sink
-          // derives degrees from the rows only when it must.
-          hdbscan::ThreadCpuTimer consume_timer;
-          const NeighborTable& shard = host_shards.back();
-          const std::uint32_t zero = 0;
-          const auto n = static_cast<std::uint32_t>(index.query_count());
-          for (std::uint32_t k = item.spec.batch; k < n;
-               k += item.spec.num_batches) {
-            sink->consume(BatchDelivery{k, /*key_stride=*/1,
-                                        policy_.scan_mode,
-                                        item.counts_delivered,
-                                        {&zero, 1}, shard.neighbors(k), {}});
-            ++local_report.sink_batches;
-          }
-          local_report.sink_consume_seconds += consume_timer.seconds();
-        }
-      }
+  // Merge the per-stream shards into T exactly once (deterministic
+  // order), and harvest the context-private tallies. The fan-in is
+  // parallel (absorb_shards: disjoint value regions + key ranges, one
+  // exact allocation) and skips the collision sweep — the strided
+  // batch assignment makes the contexts' and host shards' key sets
+  // disjoint by construction, splits and failover included, and the
+  // property tests compare the result against serial absorption. A
+  // streaming-only build (materialize_table=false) skips the merge
+  // entirely: the sink already consumed every row, so T is never
+  // assembled and the shard memory is simply dropped.
+  double merge_seconds = 0.0;
+  if (materialize) {
+    TRACE_SPAN("build", "shard_merge");
+    std::vector<NeighborTable> parts;
+    parts.reserve(contexts.size() + host_shards.size());
+    for (auto& sc : contexts) {
+      parts.push_back(std::move(sc->shard));
     }
+    for (auto& shard : host_shards) {
+      parts.push_back(std::move(shard));
+    }
+    merge_seconds = table.absorb_shards(
+        std::move(parts), static_cast<unsigned>(std::max(1, cfg.host_cores)),
+        /*check_collisions=*/false);
+  }
+  double slowest_stream = 0.0;
+  for (const auto& sc : contexts) {
+    local_report.total_pairs += sc->total_pairs;
+    local_report.max_batch_pairs =
+        std::max(local_report.max_batch_pairs, sc->max_batch_pairs);
+    local_report.batches_run += sc->batches_run;
+    local_report.overflow_splits += sc->overflow_splits;
+    local_report.kernel_modeled_seconds += sc->kernel_modeled;
+    local_report.scan_modeled_seconds += sc->scan_modeled;
+    local_report.atomic_ops += sc->atomic_ops;
+    local_report.d2h_bytes += sc->d2h_bytes;
+    local_report.kernel_flops += sc->kernel_flops;
+    local_report.kernel_global_bytes += sc->kernel_global_bytes;
+    local_report.sink_batches += sc->sink_batches;
+    local_report.sink_count_batches += sc->sink_count_batches;
+    local_report.sink_consume_seconds += sc->consume_seconds;
+    slowest_stream = std::max(slowest_stream,
+                              sc->device_model + sc->append_seconds);
+  }
+  // The final merge runs after the streams drain; like expand_half it
+  // parallelizes on the reference host, so the model charges its
+  // critical path (absorb_shards' slowest worker), not its CPU sum.
+  modeled_fixed += merge_seconds;
 
-    // Merge the per-stream shards into T exactly once (deterministic
-    // order), and harvest the context-private tallies. The fan-in is
-    // parallel (absorb_shards: disjoint value regions + key ranges, one
-    // exact allocation) and skips the collision sweep — the strided
-    // batch assignment makes the contexts' and host shards' key sets
-    // disjoint by construction, splits and failover included, and the
-    // property tests compare the result against serial absorption. A
-    // streaming-only build (materialize_table=false) skips the merge
-    // entirely: the sink already consumed every row, so T is never
-    // assembled and the shard memory is simply dropped.
-    double merge_seconds = 0.0;
-    if (materialize) {
-      TRACE_SPAN("build", "shard_merge");
-      std::vector<NeighborTable> parts;
-      parts.reserve(contexts.size() + host_shards.size());
-      for (auto& sc : contexts) {
-        parts.push_back(std::move(sc->shard));
-      }
-      for (auto& shard : host_shards) {
-        parts.push_back(std::move(shard));
-      }
-      merge_seconds = table.absorb_shards(
-          std::move(parts), static_cast<unsigned>(std::max(1, cfg.host_cores)),
-          /*check_collisions=*/false);
-    }
-    for (const auto& sc : contexts) {
-      local_report.total_pairs += sc->total_pairs;
-      local_report.max_batch_pairs =
-          std::max(local_report.max_batch_pairs, sc->max_batch_pairs);
-      local_report.batches_run += sc->batches_run;
-      local_report.overflow_splits += sc->overflow_splits;
-      local_report.kernel_modeled_seconds += sc->kernel_modeled;
-      local_report.sort_modeled_seconds += sc->sort_modeled;
-      local_report.scan_modeled_seconds += sc->scan_modeled;
-      local_report.atomic_ops += sc->atomic_ops;
-      local_report.d2h_bytes += sc->d2h_bytes;
-      local_report.kernel_flops += sc->kernel_flops;
-      local_report.kernel_global_bytes += sc->kernel_global_bytes;
-      local_report.sink_batches += sc->sink_batches;
-      local_report.sink_count_batches += sc->sink_count_batches;
-      local_report.sink_consume_seconds += sc->consume_seconds;
-      append_total += sc->append_seconds;
-      slowest_stream = std::max(slowest_stream,
-                                sc->device_model + sc->append_seconds);
-    }
-    // The final merge runs after the streams drain; like expand_half it
-    // parallelizes on the reference host, so the model charges its
-    // critical path (absorb_shards' slowest worker), not its CPU sum.
-    modeled_fixed += merge_seconds;
-    append_total += merge_seconds;
+  // Half-scan builds merged *forward* rows; one host transpose restores
+  // the back rows and makes the table identical to a full-scan build.
+  // Like the merge it runs after the streams drain, but it parallelizes
+  // across rows, so the model charges its critical path over the
+  // reference host's cores rather than this machine's. A streaming sink
+  // consumed forward rows directly (it unions both directions as rows
+  // arrive), so a non-materialized build never pays the transpose.
+  if (policy_.scan_mode == ScanMode::kHalf && materialize &&
+      policy_.expand_half) {
+    TRACE_SPAN("build", "expand_half");
+    local_report.expand_seconds = table.expand_half_table(
+        static_cast<unsigned>(std::max(1, cfg.host_cores)));
+    modeled_fixed += local_report.expand_seconds;
+    local_report.total_pairs = table.total_pairs();
+  }
 
-    // Half-scan builds merged *forward* rows; one host transpose restores
-    // the back rows and makes the table identical to a full-scan build.
-    // Like the merge it runs after the streams drain, but it parallelizes
-    // across rows, so the model charges its critical path over the
-    // reference host's cores rather than this machine's. A streaming sink
-    // consumed forward rows directly (it unions both directions as rows
-    // arrive), so a non-materialized build never pays the transpose.
-    if (policy_.scan_mode == ScanMode::kHalf && materialize &&
-        policy_.expand_half) {
-      TRACE_SPAN("build", "expand_half");
-      local_report.expand_seconds = table.expand_half_table(
-          static_cast<unsigned>(std::max(1, cfg.host_cores)));
-      modeled_fixed += local_report.expand_seconds;
-      append_total += local_report.expand_seconds;
-      local_report.total_pairs = table.total_pairs();
-    }
-
-    // Devices that died during batching (their setup losses were tallied
-    // when their slots were dropped).
-    for (const DeviceSlot& slot : slots) {
-      if (slot.device->lost()) ++local_report.devices_lost;
-    }
+  // Devices that died during batching (their setup losses were tallied
+  // when their slots were dropped).
+  for (const DeviceSlot& slot : slots) {
+    if (slot.device->lost()) ++local_report.devices_lost;
   }
 
   // Compose the modeled build time: fixed costs plus the slowest context's

@@ -9,26 +9,22 @@
 //      Streams overlap kernel execution, transfers and host-side table
 //      construction, exactly as described in §VI.
 //
-// Two batch pipelines (TableBuildMode):
-//   * kCsrTwoPass (default) — count kernel writes per-point neighbor
-//     counts, an exclusive scan turns them into exact CSR offsets, the
-//     fill kernel writes neighbor ids straight into their slots. No
-//     device sort, no atomics in the fill pass, and only bare PointId
-//     values + per-point offsets cross PCIe (about half the bytes).
-//   * kPairSort (legacy, paper Alg. 4) — kernel appends (key, value)
-//     pairs through the atomic cursor (bulk-reserved in stages), on-device
-//     sort_by_key groups keys, full pairs go D2H.
-// Each (device, stream) context appends into its own private NeighborTable
-// shard; shards are merged once after all streams synchronize, so no host
-// mutex serializes the per-batch appends.
+// Each batch runs the two-pass CSR pipeline: the count kernel writes
+// per-point neighbor counts, an exclusive scan turns them into exact CSR
+// offsets, the fill kernel writes neighbor ids straight into their slots.
+// This replaces the paper's atomic append + device sort_by_key + (key,
+// value) transfer of Alg. 4: no device sort, no atomics in either pass,
+// and only bare PointId values + per-point offsets cross PCIe (about half
+// the bytes). Each (device, stream) context appends into its own private
+// NeighborTable shard; shards are merged once after all streams
+// synchronize, so no host mutex serializes the per-batch appends.
 //
 // Robustness: should a batch still exceed its buffer (adversarial skew
 // beyond what alpha covers), the batch is recursively split in two —
 // batch (l, n_b) becomes (l, 2 n_b) and (l + n_b, 2 n_b), which partitions
-// the same point set — instead of crashing or silently dropping pairs. In
-// CSR mode the exact size is known after the (cheap) count pass, so a
-// split wastes no fill-kernel work and the legacy mid-kernel overflow is
-// unreachable.
+// the same point set — instead of crashing or silently dropping pairs. The
+// exact size is known after the (cheap) count pass, so a split wastes no
+// fill-kernel work.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +50,7 @@ struct BuildReport {
   double estimate_seconds = 0.0;
   double table_seconds = 0.0;          ///< total wall time of build()
   double kernel_modeled_seconds = 0.0; ///< summed modeled GPU kernel time
-  double sort_modeled_seconds = 0.0;   ///< modeled device sort (pair mode)
-  double scan_modeled_seconds = 0.0;   ///< modeled device scan (CSR mode)
+  double scan_modeled_seconds = 0.0;   ///< modeled device exclusive scans
   std::uint64_t atomic_ops = 0;        ///< global atomics across all kernels
   std::uint64_t d2h_bytes = 0;         ///< result bytes shipped to the host
   std::uint64_t kernel_flops = 0;      ///< distance-test FLOPs (batch kernels)
@@ -78,8 +73,6 @@ struct BuildReport {
   /// consumer drains completed staging buffers on its own cores.
   double sink_consume_seconds = 0.0;
 
-  bool used_shared_kernel = false;
-  TableBuildMode build_mode = TableBuildMode::kCsrTwoPass;
   ScanMode scan_mode = ScanMode::kHalf;  ///< pair-evaluation mode that ran
   /// Spatial index the traversal kernels ran against (grid stencil vs
   /// packed-BVH stack traversal). Affects the kHalf pair-ownership rule;
@@ -88,7 +81,7 @@ struct BuildReport {
 
   /// Modeled wall time of the whole T construction on the reference
   /// hardware (K20c + PCIe 2.0): index upload, estimation kernel, pinned
-  /// allocation, then per-stream (kernel + sort + D2H) timelines overlapped
+  /// allocation, then per-stream (kernels + scan + D2H) timelines overlapped
   /// across streams while the host-side appends into B serialize. This is
   /// the "GPU time" the figures report — the simulator executes device
   /// code on the host CPU, so its raw wall time is not GPU time (DESIGN.md).
@@ -155,12 +148,11 @@ class NeighborTableBuilder {
 
   /// Streaming build: every batch's pass-1 counts and CSR rows are handed
   /// to `sink` the moment they land (see dbscan/batch_sink.hpp for the
-  /// exactly-once contract under the degradation ladder). Requires
-  /// TableBuildMode::kCsrTwoPass; a non-null sink disables the
-  /// single-batch shared-kernel fast path. With `materialize_table` false
-  /// the shard appends, final merge and half-table expansion are all
-  /// skipped and the returned table is empty — labels-only callers save
-  /// the transpose and the host table memory entirely.
+  /// exactly-once contract under the degradation ladder). With
+  /// `materialize_table` false the shard appends, final merge and
+  /// half-table expansion are all skipped and the returned table is empty
+  /// — labels-only callers save the transpose and the host table memory
+  /// entirely.
   NeighborTable build(const GridIndex& index, float eps, BuildReport* report,
                       BatchSink* sink, bool materialize_table);
 

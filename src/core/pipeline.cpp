@@ -159,218 +159,8 @@ PipelineReport run_multi_clustering(cudasim::Device& device,
                                     std::span<const Point2> points,
                                     std::span<const Variant> variants,
                                     const PipelineOptions& options) {
-  if (options.policy.quality.mode == ClusterQuality::kCellGraph) {
-    return run_cell_graph_variants(device.config(), points, variants,
-                                   options);
-  }
-  // Subsampled variants threshold their degrees at minpts * s (the
-  // kernels keep that expected fraction of each neighborhood).
-  const auto run_minpts = [&](std::size_t i) {
-    return options.policy.quality.scaled_minpts(variants[i].minpts);
-  };
-  PipelineReport report;
-  report.variants.resize(variants.size());
-  if (options.keep_results) report.results.resize(variants.size());
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    report.variants[i].variant = variants[i];
-  }
-  WallTimer total_timer;
-
-  if (!options.pipelined) {
-    std::exception_ptr first_error;
-    std::size_t failed = 0;
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      try {
-        TRACE_SPAN("pipeline", "variant v%zu eps=%.3f", i,
-                   static_cast<double>(variants[i].eps));
-        if (device.lost()) {
-          // The device died on an earlier variant: finish the sweep
-          // host-side rather than failing every remaining variant.
-          WallTimer t;
-          GridIndex index = build_grid_index(points, variants[i].eps);
-          NeighborTable table = build_neighbor_table_host_parallel(
-              index, variants[i].eps, /*num_threads=*/0,
-              options.policy.quality);
-          const double table_s = t.seconds();
-          WallTimer dbscan_timer;
-          ClusterResult indexed = dbscan_neighbor_table(table, run_minpts(i));
-          ClusterResult r = unmap_labels(indexed, index.original_ids);
-          report.variants[i].table_seconds = table_s;
-          report.variants[i].modeled_table_seconds = table_s;
-          report.variants[i].dbscan_seconds = dbscan_timer.seconds();
-          report.variants[i].num_clusters = r.num_clusters;
-          report.variants[i].noise_count = r.noise_count();
-          report.variants[i].outcome.host_fallback = true;
-          if (options.keep_results) report.results[i] = std::move(r);
-        } else {
-          HybridTimings t;
-          ClusterResult r =
-              hybrid_dbscan(device, points, variants[i].eps,
-                            variants[i].minpts, &t, options.policy,
-                            options.cluster_mode);
-          report.variants[i].table_seconds =
-              t.index_seconds + t.gpu_table_seconds;
-          report.variants[i].modeled_table_seconds =
-              t.index_seconds + t.modeled_gpu_table_seconds;
-          report.variants[i].dbscan_seconds = t.dbscan_seconds;
-          report.variants[i].num_clusters = r.num_clusters;
-          report.variants[i].noise_count = r.noise_count();
-          report.variants[i].streamed = t.streamed;
-          report.variants[i].overlap_fraction = t.overlap_fraction;
-          if (options.keep_results) report.results[i] = std::move(r);
-        }
-      } catch (...) {
-        report.variants[i].outcome.ok = false;
-        report.variants[i].outcome.error = describe_current_exception();
-        report.variants[i].outcome.failure = classify_current_exception();
-        ++failed;
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (!variants.empty() && failed == variants.size()) {
-      std::rethrow_exception(first_error);
-    }
-    report.total_seconds = total_timer.seconds();
-    return report;
-  }
-
-  BoundedQueue queue(std::max(1u, options.queue_capacity),
-                     options.queue_bytes_budget);
-  std::mutex report_mutex;
-  std::exception_ptr first_error;
-  std::size_t failed_variants = 0;  // guarded by report_mutex
-
-  auto record_failure = [&](std::size_t i) {
-    std::lock_guard lock(report_mutex);
-    report.variants[i].outcome.ok = false;
-    report.variants[i].outcome.error = describe_current_exception();
-    report.variants[i].outcome.failure = classify_current_exception();
-    ++failed_variants;
-    if (!first_error) first_error = std::current_exception();
-  };
-
-  // Producer: builds the grid index and T for v_{i+1} while the consumers
-  // are still clustering v_i. A variant whose build fails is recorded and
-  // skipped — its siblings keep flowing. Once the device is lost the
-  // remaining variants' tables are built host-side instead.
-  // Streaming requires the CSR pipeline's delivery surface; a pair-sort
-  // policy silently falls back to batch-table consumption.
-  const bool streaming =
-      options.cluster_mode == ClusterMode::kStreaming &&
-      options.policy.build_mode == TableBuildMode::kCsrTwoPass;
-  const bool fused = options.cluster_mode == ClusterMode::kFused;
-
-  std::thread producer([&] {
-    obs::set_thread_track(obs::kHostPid, "producer");
-    NeighborTableBuilder builder(device, options.policy);
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      try {
-        TRACE_SPAN("pipeline", "produce v%zu eps=%.3f", i,
-                   static_cast<double>(variants[i].eps));
-        WallTimer t;
-        WallTimer index_timer;
-        GridIndex index = build_grid_index(points, variants[i].eps);
-        const double index_s = index_timer.seconds();
-        TableItem item;
-        item.variant_index = i;
-        const bool host = device.lost();
-        double modeled_s = 0.0;
-        if (host) {
-          item.table = build_neighbor_table_host_parallel(
-              index, variants[i].eps, /*num_threads=*/0,
-              options.policy.quality);
-          item.payload_bytes = table_payload_bytes(item.table);
-        } else if (fused) {
-          // Fused variants never touch the table builder: the traversal
-          // kernel ingests straight into the clusterer, and the pipeline
-          // consumers — like streaming mode — only run the tail.
-          auto clusterer = std::make_unique<StreamingDbscan>(
-              index.size(), run_minpts(i));
-          clusterer->set_cancel_token(options.policy.cancel);
-          const BuildReport build_report = fused_cluster(
-              device, index, variants[i].eps, *clusterer, options.policy);
-          modeled_s = index_s + build_report.modeled_table_seconds;
-          item.payload_bytes = clusterer->memory_bytes();
-          item.streaming = std::move(clusterer);
-        } else if (streaming) {
-          // This variant's core-core unions run on the builder's stream
-          // threads *during* this build — intra-variant overlap on top of
-          // the inter-variant producer/consumer overlap. The consumers
-          // only run the resolution tail.
-          auto clusterer = std::make_unique<StreamingDbscan>(
-              index.size(), run_minpts(i));
-          clusterer->set_cancel_token(options.policy.cancel);
-          BuildReport build_report;
-          builder.build(index, variants[i].eps, &build_report,
-                        clusterer.get(), /*materialize_table=*/false);
-          modeled_s = index_s + build_report.modeled_table_seconds;
-          item.payload_bytes = clusterer->memory_bytes();
-          item.streaming = std::move(clusterer);
-        } else {
-          BuildReport build_report;
-          item.table = builder.build(index, variants[i].eps, &build_report);
-          modeled_s = index_s + build_report.modeled_table_seconds;
-          item.payload_bytes = table_payload_bytes(item.table);
-        }
-        item.original_ids = std::move(index.original_ids);
-        {
-          std::lock_guard lock(report_mutex);
-          report.variants[i].table_seconds = t.seconds();
-          report.variants[i].modeled_table_seconds =
-              host ? t.seconds() : modeled_s;
-          report.variants[i].outcome.host_fallback = host;
-        }
-        queue.push(std::move(item));
-      } catch (...) {
-        record_failure(i);
-      }
-    }
-    queue.close();
-  });
-
-  std::vector<std::thread> consumers;
-  consumers.reserve(std::max(1u, options.num_consumers));
-  for (unsigned c = 0; c < std::max(1u, options.num_consumers); ++c) {
-    consumers.emplace_back([&] {
-      obs::set_thread_track(obs::kHostPid, "consumer");
-      while (auto item = queue.pop()) {
-        const std::size_t i = item->variant_index;
-        try {
-          TRACE_SPAN("pipeline", "consume v%zu minpts=%u", i,
-                     variants[i].minpts);
-          WallTimer t;
-          ClusterResult indexed =
-              item->streaming
-                  ? item->streaming->finalize()
-                  : dbscan_neighbor_table(item->table, run_minpts(i));
-          const double dbscan_s = t.seconds();
-          ClusterResult result = options.keep_results
-                                     ? unmap_labels(indexed, item->original_ids)
-                                     : std::move(indexed);
-          std::lock_guard lock(report_mutex);
-          report.variants[i].dbscan_seconds = dbscan_s;
-          report.variants[i].num_clusters = result.num_clusters;
-          report.variants[i].noise_count = result.noise_count();
-          if (item->streaming) {
-            report.variants[i].streamed = true;
-            report.variants[i].overlap_fraction =
-                item->streaming->stats().overlap_fraction();
-          }
-          if (options.keep_results) report.results[i] = std::move(result);
-        } catch (...) {
-          record_failure(i);
-        }
-      }
-    });
-  }
-
-  producer.join();
-  for (auto& c : consumers) c.join();
-  if (!variants.empty() && failed_variants == variants.size()) {
-    std::rethrow_exception(first_error);
-  }
-  report.total_seconds = total_timer.seconds();
-  return report;
+  return run_multi_clustering(std::vector<cudasim::Device*>{&device}, points,
+                              variants, options);
 }
 
 PipelineReport run_multi_clustering(
@@ -388,10 +178,9 @@ PipelineReport run_multi_clustering(
     return run_cell_graph_variants(fleet.front()->config(), points, variants,
                                    options);
   }
-  if (fleet.size() == 1 && options.num_shards <= 1) {
-    return run_multi_clustering(*fleet.front(), points, variants, options);
-  }
-  const auto run_minpts = [&options, variants](std::size_t i) {
+  // Subsampled variants threshold their degrees at minpts * s (the
+  // kernels keep that expected fraction of each neighborhood).
+  const auto run_minpts = [&](std::size_t i) {
     return options.policy.quality.scaled_minpts(variants[i].minpts);
   };
 
@@ -403,127 +192,23 @@ PipelineReport run_multi_clustering(
   }
   WallTimer total_timer;
 
-  const bool streaming =
-      options.cluster_mode == ClusterMode::kStreaming &&
-      options.policy.build_mode == TableBuildMode::kCsrTwoPass;
-  const bool fused = options.cluster_mode == ClusterMode::kFused;
-  const auto any_live = [&fleet] {
-    for (const cudasim::Device* d : fleet) {
-      if (!d->lost()) return true;
+  const auto live_devices = [&fleet] {
+    std::vector<cudasim::Device*> live;
+    for (cudasim::Device* d : fleet) {
+      if (!d->lost()) live.push_back(d);
     }
-    return false;
+    return live;
   };
   ShardedBuildOptions sopts;
   sopts.num_shards = options.num_shards;
   sopts.policy = options.policy;
 
-  // Builds one variant's table (or streams its unions) across the fleet
-  // and packages it for the consumers — the fleet analogue of the
-  // single-device producer body. Returns the item plus its timing split.
-  auto produce_item = [&](std::size_t i, double& wall_s, double& modeled_s,
-                          bool& host) -> TableItem {
-    WallTimer t;
-    WallTimer index_timer;
-    GridIndex index = build_grid_index(points, variants[i].eps);
-    const double index_s = index_timer.seconds();
-    TableItem item;
-    item.variant_index = i;
-    host = !any_live();
-    modeled_s = 0.0;
-    if (host) {
-      item.table = build_neighbor_table_host_parallel(
-          index, variants[i].eps, /*num_threads=*/0, options.policy.quality);
-      item.payload_bytes = table_payload_bytes(item.table);
-    } else if (fused) {
-      // Fused fleet variants replicate the whole index (no slab sharding;
-      // the kernels union global ids) and interleave the strided batches
-      // across every live device's streams.
-      std::vector<cudasim::Device*> live;
-      for (cudasim::Device* d : fleet) {
-        if (!d->lost()) live.push_back(d);
-      }
-      auto clusterer = std::make_unique<StreamingDbscan>(index.size(),
-                                                         run_minpts(i));
-      clusterer->set_cancel_token(options.policy.cancel);
-      const BuildReport build_report = fused_cluster(
-          live, index, variants[i].eps, *clusterer, options.policy);
-      modeled_s = index_s + build_report.modeled_table_seconds;
-      item.payload_bytes = clusterer->memory_bytes();
-      item.streaming = std::move(clusterer);
-    } else if (streaming) {
-      auto clusterer = std::make_unique<StreamingDbscan>(index.size(),
-                                                         run_minpts(i));
-      clusterer->set_cancel_token(options.policy.cancel);
-      BuildReport build_report;
-      build_sharded_neighbor_table(fleet, index, variants[i].eps, sopts,
-                                   &build_report, clusterer.get(),
-                                   /*materialize_table=*/false);
-      modeled_s = index_s + build_report.modeled_table_seconds;
-      item.payload_bytes = clusterer->memory_bytes();
-      item.streaming = std::move(clusterer);
-    } else {
-      BuildReport build_report;
-      item.table = build_sharded_neighbor_table(fleet, index, variants[i].eps,
-                                                sopts, &build_report);
-      modeled_s = index_s + build_report.modeled_table_seconds;
-      item.payload_bytes = table_payload_bytes(item.table);
-    }
-    item.original_ids = std::move(index.original_ids);
-    wall_s = t.seconds();
-    if (host) modeled_s = wall_s;
-    return item;
-  };
-
-  if (!options.pipelined) {
-    std::exception_ptr first_error;
-    std::size_t failed = 0;
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      try {
-        TRACE_SPAN("pipeline", "variant v%zu eps=%.3f", i,
-                   static_cast<double>(variants[i].eps));
-        double wall_s = 0.0;
-        double modeled_s = 0.0;
-        bool host = false;
-        TableItem item = produce_item(i, wall_s, modeled_s, host);
-        WallTimer dbscan_timer;
-        ClusterResult indexed =
-            item.streaming
-                ? item.streaming->finalize()
-                : dbscan_neighbor_table(item.table, run_minpts(i));
-        ClusterResult result = unmap_labels(indexed, item.original_ids);
-        report.variants[i].table_seconds = wall_s;
-        report.variants[i].modeled_table_seconds = modeled_s;
-        report.variants[i].dbscan_seconds = dbscan_timer.seconds();
-        report.variants[i].num_clusters = result.num_clusters;
-        report.variants[i].noise_count = result.noise_count();
-        report.variants[i].outcome.host_fallback = host;
-        if (item.streaming) {
-          report.variants[i].streamed = true;
-          report.variants[i].overlap_fraction =
-              item.streaming->stats().overlap_fraction();
-        }
-        if (options.keep_results) report.results[i] = std::move(result);
-      } catch (...) {
-        report.variants[i].outcome.ok = false;
-        report.variants[i].outcome.error = describe_current_exception();
-        report.variants[i].outcome.failure = classify_current_exception();
-        ++failed;
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (!variants.empty() && failed == variants.size()) {
-      std::rethrow_exception(first_error);
-    }
-    report.total_seconds = total_timer.seconds();
-    return report;
-  }
-
-  BoundedQueue queue(std::max(1u, options.queue_capacity),
-                     options.queue_bytes_budget);
   std::mutex report_mutex;
   std::exception_ptr first_error;
   std::size_t failed_variants = 0;  // guarded by report_mutex
 
+  // A variant that fails is recorded and skipped — its siblings keep
+  // flowing. Call only from a catch block.
   auto record_failure = [&](std::size_t i) {
     std::lock_guard lock(report_mutex);
     report.variants[i].outcome.ok = false;
@@ -533,68 +218,138 @@ PipelineReport run_multi_clustering(
     if (!first_error) first_error = std::current_exception();
   };
 
-  std::thread producer([&] {
-    obs::set_thread_track(obs::kHostPid, "producer");
+  // Builds one variant's index and table (or streams its unions),
+  // records its build times and packages it for the consumers. Once every
+  // device is lost the remaining variants' tables are built host-side
+  // instead.
+  auto produce_item = [&](std::size_t i) -> TableItem {
+    WallTimer t;
+    WallTimer index_timer;
+    GridIndex index = build_grid_index(points, variants[i].eps);
+    const double index_s = index_timer.seconds();
+    TableItem item;
+    item.variant_index = i;
+    const std::vector<cudasim::Device*> live = live_devices();
+    const bool host = live.empty();
+    double modeled_s = 0.0;
+    if (host) {
+      item.table = build_neighbor_table_host_parallel(
+          index, variants[i].eps, /*num_threads=*/0, options.policy.quality);
+      item.payload_bytes = table_payload_bytes(item.table);
+    } else if (options.cluster_mode == ClusterMode::kBatchTable) {
+      BuildReport build_report;
+      item.table = build_fleet_neighbor_table(fleet, index, variants[i].eps,
+                                              sopts, &build_report);
+      modeled_s = index_s + build_report.modeled_table_seconds;
+      item.payload_bytes = table_payload_bytes(item.table);
+    } else {
+      // Streaming and fused variants run their core-core unions during
+      // their own build — intra-variant overlap on top of the
+      // inter-variant producer/consumer overlap. The consumers only run
+      // the resolution tail.
+      auto clusterer = std::make_unique<StreamingDbscan>(index.size(),
+                                                         run_minpts(i));
+      clusterer->set_cancel_token(options.policy.cancel);
+      BuildReport build_report;
+      if (options.cluster_mode == ClusterMode::kFused) {
+        // Fused variants never touch the table builder: the whole index is
+        // replicated across the live devices (no slab sharding; the
+        // kernels union global ids) and the traversal kernel ingests
+        // straight into the clusterer.
+        build_report = fused_cluster(live, index, variants[i].eps,
+                                     *clusterer, options.policy);
+      } else {
+        build_fleet_neighbor_table(fleet, index, variants[i].eps, sopts,
+                                   &build_report, clusterer.get(),
+                                   /*materialize_table=*/false);
+      }
+      modeled_s = index_s + build_report.modeled_table_seconds;
+      item.payload_bytes = clusterer->memory_bytes();
+      item.streaming = std::move(clusterer);
+    }
+    item.original_ids = std::move(index.original_ids);
+    const double wall_s = t.seconds();
+    std::lock_guard lock(report_mutex);
+    report.variants[i].table_seconds = wall_s;
+    report.variants[i].modeled_table_seconds = host ? wall_s : modeled_s;
+    report.variants[i].outcome.host_fallback = host;
+    return item;
+  };
+
+  // DBSCAN over a materialized table, or a streamed clusterer's tail.
+  auto consume_item = [&](TableItem& item) {
+    const std::size_t i = item.variant_index;
+    WallTimer t;
+    ClusterResult indexed =
+        item.streaming ? item.streaming->finalize()
+                       : dbscan_neighbor_table(item.table, run_minpts(i));
+    const double dbscan_s = t.seconds();
+    ClusterResult result = options.keep_results
+                               ? unmap_labels(indexed, item.original_ids)
+                               : std::move(indexed);
+    std::lock_guard lock(report_mutex);
+    report.variants[i].dbscan_seconds = dbscan_s;
+    report.variants[i].num_clusters = result.num_clusters;
+    report.variants[i].noise_count = result.noise_count();
+    if (item.streaming) {
+      report.variants[i].streamed = true;
+      report.variants[i].overlap_fraction =
+          item.streaming->stats().overlap_fraction();
+    }
+    if (options.keep_results) report.results[i] = std::move(result);
+  };
+
+  if (!options.pipelined) {
     for (std::size_t i = 0; i < variants.size(); ++i) {
       try {
-        TRACE_SPAN("pipeline", "produce v%zu eps=%.3f", i,
+        TRACE_SPAN("pipeline", "variant v%zu eps=%.3f", i,
                    static_cast<double>(variants[i].eps));
-        double wall_s = 0.0;
-        double modeled_s = 0.0;
-        bool host = false;
-        TableItem item = produce_item(i, wall_s, modeled_s, host);
-        {
-          std::lock_guard lock(report_mutex);
-          report.variants[i].table_seconds = wall_s;
-          report.variants[i].modeled_table_seconds = modeled_s;
-          report.variants[i].outcome.host_fallback = host;
-        }
-        queue.push(std::move(item));
+        TableItem item = produce_item(i);
+        consume_item(item);
       } catch (...) {
         record_failure(i);
       }
     }
-    queue.close();
-  });
-
-  std::vector<std::thread> consumers;
-  consumers.reserve(std::max(1u, options.num_consumers));
-  for (unsigned c = 0; c < std::max(1u, options.num_consumers); ++c) {
-    consumers.emplace_back([&] {
-      obs::set_thread_track(obs::kHostPid, "consumer");
-      while (auto item = queue.pop()) {
-        const std::size_t i = item->variant_index;
+  } else {
+    // Producer: builds the grid index and T for v_{i+1} while the
+    // consumers are still clustering v_i.
+    BoundedQueue queue(std::max(1u, options.queue_capacity),
+                       options.queue_bytes_budget);
+    std::thread producer([&] {
+      obs::set_thread_track(obs::kHostPid, "producer");
+      for (std::size_t i = 0; i < variants.size(); ++i) {
         try {
-          TRACE_SPAN("pipeline", "consume v%zu minpts=%u", i,
-                     variants[i].minpts);
-          WallTimer t;
-          ClusterResult indexed =
-              item->streaming
-                  ? item->streaming->finalize()
-                  : dbscan_neighbor_table(item->table, run_minpts(i));
-          const double dbscan_s = t.seconds();
-          ClusterResult result = options.keep_results
-                                     ? unmap_labels(indexed, item->original_ids)
-                                     : std::move(indexed);
-          std::lock_guard lock(report_mutex);
-          report.variants[i].dbscan_seconds = dbscan_s;
-          report.variants[i].num_clusters = result.num_clusters;
-          report.variants[i].noise_count = result.noise_count();
-          if (item->streaming) {
-            report.variants[i].streamed = true;
-            report.variants[i].overlap_fraction =
-                item->streaming->stats().overlap_fraction();
-          }
-          if (options.keep_results) report.results[i] = std::move(result);
+          TRACE_SPAN("pipeline", "produce v%zu eps=%.3f", i,
+                     static_cast<double>(variants[i].eps));
+          queue.push(produce_item(i));
         } catch (...) {
           record_failure(i);
         }
       }
+      queue.close();
     });
+
+    std::vector<std::thread> consumers;
+    consumers.reserve(std::max(1u, options.num_consumers));
+    for (unsigned c = 0; c < std::max(1u, options.num_consumers); ++c) {
+      consumers.emplace_back([&] {
+        obs::set_thread_track(obs::kHostPid, "consumer");
+        while (auto item = queue.pop()) {
+          try {
+            TRACE_SPAN("pipeline", "consume v%zu minpts=%u",
+                       item->variant_index,
+                       variants[item->variant_index].minpts);
+            consume_item(*item);
+          } catch (...) {
+            record_failure(item->variant_index);
+          }
+        }
+      });
+    }
+    producer.join();
+    for (auto& c : consumers) c.join();
   }
 
-  producer.join();
-  for (auto& c : consumers) c.join();
   if (!variants.empty() && failed_variants == variants.size()) {
     std::rethrow_exception(first_error);
   }

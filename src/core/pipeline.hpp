@@ -76,9 +76,10 @@ struct PipelineOptions {
   /// both-core edges (core/fused_clustering) — not even the CSR passes
   /// run; honors policy.index_backend for grid-vs-BVH traversal.
   ClusterMode cluster_mode = ClusterMode::kBatchTable;
-  /// Fleet overload only: shards per variant's table build (0 = one shard
-  /// per live device, the sharded orchestrator's default). The
-  /// single-device overload ignores it.
+  /// Shards per variant's table build (0 = one shard per live device, the
+  /// sharded orchestrator's default). A fleet of one device with
+  /// num_shards <= 1 builds the whole index unsharded (see
+  /// build_fleet_neighbor_table).
   unsigned num_shards = 0;
 };
 
@@ -88,23 +89,24 @@ struct PipelineReport {
   std::vector<ClusterResult> results;    ///< only when keep_results
 };
 
-/// Clusters `points` for every variant. With options.pipelined the
-/// producer/consumer overlap is on; otherwise variants run sequentially.
-PipelineReport run_multi_clustering(cudasim::Device& device,
-                                    std::span<const Point2> points,
-                                    std::span<const Variant> variants,
-                                    const PipelineOptions& options = {});
-
-/// Fleet overload: each variant's neighbor table is built across all
-/// (surviving) devices via the sharded orchestrator — eps-halo row slabs,
-/// re-partitioning on device loss, the whole §12 ladder — while the
-/// producer/consumer overlap and the bounded queue (count + byte budget,
-/// one-item minimum) work exactly as in the single-device pipeline. With
-/// one device and num_shards <= 1 this degenerates to the single-device
-/// overload.
+/// Clusters `points` for every variant on a fleet of devices. With
+/// options.pipelined the producer/consumer overlap (bounded queue: count +
+/// byte budget, one-item minimum) is on; otherwise variants run
+/// sequentially. Each variant's table is built by
+/// build_fleet_neighbor_table: a fleet of one device with num_shards <= 1
+/// builds the whole index, any other fleet goes through the sharded
+/// orchestrator — eps-halo row slabs, re-partitioning on device loss, the
+/// whole §12 ladder. Once every device is lost, later variants build their
+/// tables host-side.
 PipelineReport run_multi_clustering(
     const std::vector<cudasim::Device*>& devices,
     std::span<const Point2> points, std::span<const Variant> variants,
     const PipelineOptions& options = {});
+
+/// One device is a fleet of one: forwards to the fleet overload.
+PipelineReport run_multi_clustering(cudasim::Device& device,
+                                    std::span<const Point2> points,
+                                    std::span<const Variant> variants,
+                                    const PipelineOptions& options = {});
 
 }  // namespace hdbscan

@@ -43,8 +43,7 @@ struct ReuseReport {
 /// `results` when non-null. ClusterMode::kStreaming fans every CSR batch
 /// out to one union-find consumer per minpts value during the single
 /// build (T itself is never materialized); phase 2 then only runs each
-/// consumer's resolution tail. Falls back to the batch path under
-/// TableBuildMode::kPairSort.
+/// consumer's resolution tail. Any other mode builds and shares T.
 ReuseReport cluster_minpts_sweep(cudasim::Device& device,
                                  std::span<const Point2> points, float eps,
                                  std::span<const int> minpts_values,

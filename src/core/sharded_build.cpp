@@ -196,7 +196,6 @@ void accumulate_report(BuildReport& agg, const BuildReport& r) {
   agg.max_batch_pairs = std::max(agg.max_batch_pairs, r.max_batch_pairs);
   agg.estimate_seconds += r.estimate_seconds;
   agg.kernel_modeled_seconds += r.kernel_modeled_seconds;
-  agg.sort_modeled_seconds += r.sort_modeled_seconds;
   agg.scan_modeled_seconds += r.scan_modeled_seconds;
   agg.atomic_ops += r.atomic_ops;
   agg.d2h_bytes += r.d2h_bytes;
@@ -253,7 +252,6 @@ NeighborTable build_sharded_impl(
   TRACE_SPAN("build", "sharded_build n=%zu", index.size());
 
   BuildReport agg;
-  agg.build_mode = options.policy.build_mode;
   agg.scan_mode = options.policy.scan_mode;
   agg.streamed = sink != nullptr;
   agg.table_materialized = materialize_table;
@@ -362,11 +360,10 @@ NeighborTable build_sharded_impl(
           out.fail_row_end = shard.row_end;
           out.ghosts = shard.num_ghosts();
           BatchPolicy sp = options.policy;
-          // Deferred expansion and no shared kernel: both would emit
-          // ghost-key rows that collide at the global merge. Device loss
-          // is recovered here (re-partition), not inside the shard build.
+          // Deferred expansion: a shard-local one would emit ghost-key
+          // rows that collide at the global merge. Device loss is
+          // recovered here (re-partition), not inside the shard build.
           sp.expand_half = false;
-          sp.use_shared_kernel = false;
           sp.resilience.failover = false;
           sp.resilience.host_fallback = false;
           sp.metrics_labels = "shard=" + std::to_string(shard.shard_id);
@@ -588,6 +585,19 @@ NeighborTable build_sharded_neighbor_table(
     if (report != nullptr) report->failure = classify_current_exception();
     throw;
   }
+}
+
+NeighborTable build_fleet_neighbor_table(
+    const std::vector<cudasim::Device*>& devices, const GridIndex& index,
+    float eps, const ShardedBuildOptions& options, BuildReport* report,
+    BatchSink* sink, bool materialize_table) {
+  if (devices.size() == 1 && devices.front() != nullptr &&
+      options.num_shards <= 1 && options.plan == nullptr) {
+    NeighborTableBuilder builder(*devices.front(), options.policy);
+    return builder.build(index, eps, report, sink, materialize_table);
+  }
+  return build_sharded_neighbor_table(devices, index, eps, options, report,
+                                      sink, materialize_table);
 }
 
 }  // namespace hdbscan

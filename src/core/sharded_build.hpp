@@ -46,12 +46,11 @@ struct ShardedBuildOptions {
   /// the grid's row count and drops slabs that own no points.
   unsigned num_shards = 0;
   /// Per-shard batch policy template. The orchestrator overrides
-  /// expand_half (always deferred), use_shared_kernel (the shared kernel's
-  /// device-side symmetry restoration would emit ghost rows),
-  /// metrics_labels (each shard publishes under "shard=<uid>"), and the
-  /// failover/host_fallback rungs (device loss is handled here, by
-  /// re-partitioning; resilience.host_fallback still decides whether a
-  /// fully dead fleet finishes on the host or throws DeviceLost).
+  /// expand_half (always deferred), metrics_labels (each shard publishes
+  /// under "shard=<uid>"), and the failover/host_fallback rungs (device
+  /// loss is handled here, by re-partitioning; resilience.host_fallback
+  /// still decides whether a fully dead fleet finishes on the host or
+  /// throws DeviceLost).
   BatchPolicy policy;
   /// Reusable partition. The plan for a given (index, eps-geometry) is
   /// deterministic, so callers building the same index repeatedly — an
@@ -73,6 +72,18 @@ struct ShardedBuildOptions {
 /// NeighborTableBuilder::build. Throws cudasim::DeviceLost when every
 /// device dies and host fallback is off; propagates other hard errors.
 NeighborTable build_sharded_neighbor_table(
+    const std::vector<cudasim::Device*>& devices, const GridIndex& index,
+    float eps, const ShardedBuildOptions& options,
+    BuildReport* report = nullptr, BatchSink* sink = nullptr,
+    bool materialize_table = true);
+
+/// The build-path choice of the fleet front doors (hybrid_dbscan,
+/// run_multi_clustering): a fleet of one device with num_shards <= 1 and
+/// no shard plan builds the whole index with NeighborTableBuilder (a
+/// one-shard sharded build would only add the slab copy and the
+/// translation); any other fleet goes to build_sharded_neighbor_table.
+/// Same arguments and contract as both.
+NeighborTable build_fleet_neighbor_table(
     const std::vector<cudasim::Device*>& devices, const GridIndex& index,
     float eps, const ShardedBuildOptions& options,
     BuildReport* report = nullptr, BatchSink* sink = nullptr,

@@ -146,8 +146,6 @@ struct GlobalKernelBody {
   float eps2;
   BatchSpec batch;
   ResultSinkView sink;
-  ScanMode mode;
-  QualitySpec quality;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -160,16 +158,9 @@ struct GlobalKernelBody {
     ctx.count_global_bytes(sizeof(Point2));
 
     StagedSink staged(sink);
-    // Values go out through the emission map (identity on the full index;
-    // local->global on shard slabs): one extra 4 B read per emitted pair,
-    // which buys the merge freedom from ever touching individual pairs.
-    for_each_neighbor(view, mode, pid, point, eps2, quality, ctx,
-                      [&](PointId candidate) {
-                        if (view.emit_ids != nullptr) {
-                          ctx.count_global_bytes(sizeof(PointId));
-                        }
-                        staged.push(NeighborPair{pid, view.emit(candidate)},
-                                    ctx);
+    for_each_neighbor(view, ScanMode::kFull, pid, point, eps2, QualitySpec{},
+                      ctx, [&](PointId candidate) {
+                        staged.push(NeighborPair{pid, candidate}, ctx);
                       });
     staged.flush(ctx);
   }
@@ -180,8 +171,6 @@ struct SharedKernelParams {
   const std::uint32_t* schedule;
   float eps2;
   ResultSinkView sink;
-  ScanMode mode;
-  QualitySpec quality;
 };
 
 // Shared-memory arena layout for GPUCalcShared (block size B):
@@ -195,12 +184,6 @@ constexpr std::size_t kSmemHeader = 40;
 
 /// One logical thread of GPUCalcShared (paper Alg. 3) as a coroutine;
 /// co_await ctx.sync() is the simulator's __syncthreads().
-///
-/// No emission map here: push_dual emits each matched id as a key in one
-/// direction and a value in the other, and keys must stay in resident-id
-/// space (they index the CSR/staging rows). Shard builds — the only users
-/// of emit_ids — disable the shared kernel for exactly this class of
-/// reason (ghost-key rows), so the map being ignored is unreachable.
 cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
                                          SharedKernelParams p) {
   const unsigned tid = ctx.thread_idx;
@@ -221,25 +204,11 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
   const std::uint32_t cell_to_proc = p.schedule[ctx.block_idx];
   ctx.count_global_bytes(sizeof(std::uint32_t));
 
-  // Thread 0 publishes the comparison cell ids (Alg. 3 lines 8-10). In
-  // kHalf the list is the own cell first (compared under the id >= mine
-  // rule) followed by the forward stencil; every qualifying pair is then
-  // tested by exactly one block and emitted in both directions on the
-  // spot (push_dual), so this kernel's output is the full table with no
-  // host-side expansion step.
-  const bool half = p.mode == ScanMode::kHalf;
+  // Thread 0 publishes the comparison cell ids (Alg. 3 lines 8-10).
   if (tid == 0) {
     std::array<std::uint32_t, 9> tmp{};
-    unsigned n = 0;
-    if (half) {
-      cell_ids[n++] = cell_to_proc;
-      const unsigned fwd =
-          get_forward_neighbor_cells(p.view.params, cell_to_proc, tmp);
-      for (unsigned c = 0; c < fwd; ++c) cell_ids[n++] = tmp[c];
-    } else {
-      n = get_neighbor_cells(p.view.params, cell_to_proc, tmp);
-      for (unsigned c = 0; c < n; ++c) cell_ids[c] = tmp[c];
-    }
+    const unsigned n = get_neighbor_cells(p.view.params, cell_to_proc, tmp);
+    for (unsigned c = 0; c < n; ++c) cell_ids[c] = tmp[c];
     cell_count[0] = n;
     ctx.count_shared_bytes(4ull * n + 4);
   }
@@ -281,44 +250,21 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
         co_await ctx.sync();
 
         // Compare this thread's origin point against the tile (lines
-        // 19-22), everything served from shared memory. In kHalf the
-        // own-cell tile (c == 0) only tests candidates with id >= mine —
-        // the ordering invariant's same-cell halving — and cross matches
-        // are emitted in both directions at once.
+        // 19-22), everything served from shared memory.
         if (has_origin) {
           const std::uint32_t tile =
               std::min<std::uint32_t>(bdim, comp_range.end - cbase);
           const Point2 mine = origin_pts[tid];
           const PointId my_id = origin_ids[tid];
-          const bool own_half = half && c == 0;
-          const bool sampled = p.quality.sampled();
-          std::uint64_t tested = 0;
-          std::uint64_t hashed = 0;
           for (std::uint32_t j = 0; j < tile; ++j) {
-            const PointId cand = comp_ids[j];
-            if (own_half && cand < my_id) continue;
-            if (sampled) {
-              ++hashed;  // id hash before the shared point read
-              if (!p.quality.keep_pair(my_id, cand)) continue;
-            }
-            ++tested;
             if (dist2(mine, comp_pts[j]) <= p.eps2) {
-              if (!half) {
-                staged.push(NeighborPair{my_id, cand}, ctx);
-              } else if (cand == my_id) {
-                staged.push(NeighborPair{my_id, my_id}, ctx);
-              } else {
-                staged.push_dual(my_id, cand, ctx);
-              }
+              staged.push(NeighborPair{my_id, comp_ids[j]}, ctx);
             }
           }
-          // Candidate ids are read for the whole tile (the filter needs
-          // them); points and the distance test only for tested ones.
           ctx.count_shared_bytes(sizeof(Point2) + sizeof(PointId) +
                                  static_cast<std::uint64_t>(tile) *
-                                     sizeof(PointId) +
-                                 tested * sizeof(Point2));
-          ctx.count_flops(hashed * 4 + tested * 6);
+                                     (sizeof(PointId) + sizeof(Point2)));
+          ctx.count_flops(static_cast<std::uint64_t>(tile) * 6);
         }
         // Keep the tile stable until every thread is done comparing.
         co_await ctx.sync();
@@ -381,8 +327,10 @@ struct FillCsrKernelBody {
     const Point2 point = view.points[i];
     ctx.count_global_bytes(sizeof(Point2) + sizeof(std::uint32_t));
     PointId* out = values + offsets[gid];
-    // Emission-mapped values (see GlobalKernelBody): the CSR slots receive
-    // globally addressed neighbor ids on shard slabs.
+    // Values go out through the emission map (identity on the full index;
+    // local->global on shard slabs): one extra 4 B read per emitted value,
+    // which buys the shard merge freedom from ever touching individual
+    // pairs.
     for_each_neighbor(view, mode, pid, point, eps2, quality, ctx,
                       [&](PointId candidate) {
                         *out++ = view.emit(candidate);
@@ -590,22 +538,11 @@ struct CountKernelBody {
 cudasim::KernelStats run_calc_global(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, ResultSinkView sink,
-                                     ScanMode mode, unsigned block_size,
-                                     QualitySpec quality) {
+                                     unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
-  GlobalKernelBody body{view, eps * eps, batch, sink, mode, quality};
+  GlobalKernelBody body{view, eps * eps, batch, sink};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
-}
-
-void enqueue_calc_global(cudasim::Stream& stream, const GridView& view,
-                         float eps, BatchSpec batch, ResultSinkView sink,
-                         ScanMode mode, cudasim::KernelStats* stats_out,
-                         unsigned block_size, QualitySpec quality) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  GlobalKernelBody body{view, eps * eps, batch, sink, mode, quality};
-  stream.launch(grid, block_size, body, stats_out);
 }
 
 cudasim::KernelStats run_count_batch(cudasim::Device& device,
@@ -694,28 +631,14 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
                                      const GridView& view,
                                      const std::uint32_t* schedule,
                                      std::uint32_t num_cells, float eps,
-                                     ResultSinkView sink, ScanMode mode,
-                                     unsigned block_size,
-                                     QualitySpec quality) {
-  SharedKernelParams params{view, schedule, eps * eps, sink, mode, quality};
+                                     ResultSinkView sink,
+                                     unsigned block_size) {
+  SharedKernelParams params{view, schedule, eps * eps, sink};
   auto gen = [params](cudasim::CoopCtx& ctx) {
     return shared_kernel_thread(ctx, params);
   };
   return cudasim::run_coop_kernel(device, num_cells, block_size,
                                   shared_kernel_smem_bytes(block_size), gen);
-}
-
-void enqueue_calc_shared(cudasim::Stream& stream, const GridView& view,
-                         const std::uint32_t* schedule, std::uint32_t num_cells,
-                         float eps, ResultSinkView sink, ScanMode mode,
-                         cudasim::KernelStats* stats_out,
-                         unsigned block_size, QualitySpec quality) {
-  SharedKernelParams params{view, schedule, eps * eps, sink, mode, quality};
-  auto gen = [params](cudasim::CoopCtx& ctx) {
-    return shared_kernel_thread(ctx, params);
-  };
-  stream.launch_coop(num_cells, block_size,
-                     shared_kernel_smem_bytes(block_size), gen, stats_out);
 }
 
 std::uint64_t run_count_kernel(cudasim::Device& device, const GridView& view,

@@ -21,7 +21,6 @@
 #include "common/types.hpp"
 #include "cudasim/device.hpp"
 #include "cudasim/kernel.hpp"
-#include "cudasim/stream.hpp"
 #include "dbscan/streaming_dbscan.hpp"
 #include "gpu/result_sink.hpp"
 #include "index/bvh.hpp"
@@ -45,55 +44,35 @@ struct BatchSpec {
   }
 };
 
-/// GPUCalcGlobal, synchronous (runs on the calling thread + executor pool).
-/// Under ScanMode::kHalf each candidate pair is tested once and only the
-/// *forward* rows are emitted (same-cell candidates at/after the query's
-/// lookup position plus the forward stencil); the caller restores symmetry
-/// afterwards via NeighborTable::expand_half_table.
-/// Every traversal entry point below takes a trailing `quality`: under
-/// ClusterQuality::kSubsampled each candidate pair is run through the
-/// seeded Bernoulli filter *before* the candidate's point is read, so a
-/// dropped pair costs only the 4-byte id read plus the hash — the point
-/// fetch and distance test are skipped. Self-pairs always pass. The
-/// estimation kernel stays exact (the estimate is a property of the data);
-/// the planner scales it by the sample rate instead.
+/// GPUCalcGlobal, synchronous (runs on the calling thread + executor pool):
+/// appends every (point, neighbor) pair of the batch through the staged
+/// atomic cursor. The paper's Alg. 2, kept for the kernel comparisons; the
+/// table builder uses the CSR count/fill passes below.
 cudasim::KernelStats run_calc_global(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, ResultSinkView sink,
-                                     ScanMode mode = ScanMode::kFull,
-                                     unsigned block_size = kDefaultBlockSize,
-                                     QualitySpec quality = {});
+                                     unsigned block_size = kDefaultBlockSize);
 
-/// GPUCalcGlobal, enqueued on a stream. `stats_out` (optional) is written
-/// when the launch completes.
-void enqueue_calc_global(cudasim::Stream& stream, const GridView& view,
-                         float eps, BatchSpec batch, ResultSinkView sink,
-                         ScanMode mode = ScanMode::kFull,
-                         cudasim::KernelStats* stats_out = nullptr,
-                         unsigned block_size = kDefaultBlockSize,
-                         QualitySpec quality = {});
-
-/// GPUCalcShared, synchronous. `schedule` maps each block to a (non-empty)
-/// cell id; `num_cells` is the grid dimension. Under ScanMode::kHalf each
-/// pair is tested once and emitted in both directions device-side
-/// (StagedSink::push_dual), so the output is already the full table.
+/// GPUCalcShared, synchronous (the paper's Alg. 3). `schedule` maps each
+/// block to a (non-empty) cell id; `num_cells` is the grid dimension.
 cudasim::KernelStats run_calc_shared(cudasim::Device& device,
                                      const GridView& view,
                                      const std::uint32_t* schedule,
                                      std::uint32_t num_cells, float eps,
                                      ResultSinkView sink,
-                                     ScanMode mode = ScanMode::kFull,
-                                     unsigned block_size = kDefaultBlockSize,
-                                     QualitySpec quality = {});
+                                     unsigned block_size = kDefaultBlockSize);
 
-/// GPUCalcShared, enqueued on a stream.
-void enqueue_calc_shared(cudasim::Stream& stream, const GridView& view,
-                         const std::uint32_t* schedule, std::uint32_t num_cells,
-                         float eps, ResultSinkView sink,
-                         ScanMode mode = ScanMode::kFull,
-                         cudasim::KernelStats* stats_out = nullptr,
-                         unsigned block_size = kDefaultBlockSize,
-                         QualitySpec quality = {});
+// Every traversal entry point below takes a `mode` and a trailing
+// `quality`. Under ScanMode::kHalf each candidate pair is tested once and
+// only the *forward* rows are emitted (same-cell candidates at/after the
+// query's lookup position plus the forward stencil); the caller restores
+// symmetry afterwards via NeighborTable::expand_half_table. Under
+// ClusterQuality::kSubsampled each candidate pair is run through the
+// seeded Bernoulli filter *before* the candidate's point is read, so a
+// dropped pair costs only the 4-byte id read plus the hash — the point
+// fetch and distance test are skipped. Self-pairs always pass. The
+// estimation kernel stays exact (the estimate is a property of the data);
+// the planner scales it by the sample rate instead.
 
 /// Two-pass CSR builder, pass 1: per-point neighbor counts for one batch.
 /// Thread g writes |N_eps(point g of the batch)| to counts[g]

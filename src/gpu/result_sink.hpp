@@ -87,15 +87,6 @@ class StagedSink {
     if (count_ == kStageCapacity) flush(ctx);
   }
 
-  /// Dual-row append for ScanMode::kHalf: the pair was distance-tested
-  /// once but qualifies both rows, so emit (a, b) and its transpose
-  /// (b, a) together. Both land in the same staging buffer, so the
-  /// amortized cursor cost is unchanged.
-  void push_dual(PointId a, PointId b, cudasim::ThreadCtx& ctx) noexcept {
-    push(NeighborPair{a, b}, ctx);
-    push(NeighborPair{b, a}, ctx);
-  }
-
   void flush(cudasim::ThreadCtx& ctx) noexcept {
     if (count_ == 0) return;
     const std::uint64_t start = sink_.reserve(count_, ctx);

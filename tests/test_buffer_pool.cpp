@@ -221,21 +221,25 @@ TEST(BufferPool, ScriptedOomDuringBuildLeavesPoolConsistent) {
   NeighborTable oracle = build_neighbor_table_host(index, eps);
   oracle.canonicalize();
 
+  // Allocations 1-4 upload the grid index; every later one checks out a
+  // stream context's counts or values buffer (batches allocate nothing).
+  // #6 fails on the first context's values buffer after its counts buffer
+  // was checked out, so the setup unwind returns a block to the pool; #7
+  // fails the retry. Each failure halves the buffer cap and replans.
   cudasim::FaultPlan plan;
-  plan.oom_allocs = {5, 6};
+  plan.oom_allocs = {6, 7};
   cudasim::SimulationOptions opt = fast_options();
   opt.fault = std::make_shared<cudasim::FaultInjector>(plan);
   cudasim::Device dev({}, opt);
-  BatchPolicy policy;
-  policy.build_mode = TableBuildMode::kPairSort;
   BuildReport report;
   {
-    NeighborTableBuilder builder(dev, policy);
+    NeighborTableBuilder builder(dev);
     NeighborTable table = builder.build(index, eps, &report);
     table.canonicalize();
     EXPECT_TRUE(table.identical_to(oracle));
   }
   EXPECT_GE(report.alloc_retries, 1u);
+  EXPECT_EQ(dev.metrics().injected_oom_faults, 2u);
   dev.pool().trim();
   EXPECT_EQ(dev.used_global_bytes(), 0u);
 }

@@ -1,7 +1,8 @@
-// The two-pass CSR pipeline must produce exactly the same neighbor table
-// as the legacy pair-sort pipeline and the host oracle — across clustered,
-// uniform, and degenerate (every point in one cell) data — while shipping
-// fewer bytes over PCIe and issuing fewer global atomics.
+// The two-pass CSR pipeline must produce exactly the neighbor table the
+// host oracle does — across clustered, uniform, and degenerate (every point
+// in one cell) data — and account for its transfers and atomics exactly:
+// per-point offsets plus bare values cross PCIe, and no batch kernel
+// issues a global atomic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,41 +35,38 @@ void expect_tables_equal(const NeighborTable& got, const NeighborTable& want) {
   }
 }
 
-/// Builds T in the given mode and checks it against the host oracle.
+/// Builds T under the given scan mode and checks it against the host
+/// oracle.
 BuildReport build_and_check(const std::vector<Point2>& points, float eps,
-                            TableBuildMode mode) {
+                            ScanMode scan = ScanMode::kHalf) {
   const GridIndex index = build_grid_index(points, eps);
   const NeighborTable oracle = build_neighbor_table_host(index, eps);
   cudasim::Device dev({}, fast_options());
   BatchPolicy policy;
-  policy.build_mode = mode;
+  policy.scan_mode = scan;
   BuildReport report;
   NeighborTableBuilder builder(dev, policy);
   expect_tables_equal(builder.build(index, eps, &report), oracle);
-  EXPECT_EQ(report.build_mode, mode);
+  EXPECT_EQ(report.scan_mode, scan);
   EXPECT_EQ(report.total_pairs, oracle.total_pairs());
   return report;
 }
 
-TEST(CsrPipeline, MatchesPairModeAndOracleClustered) {
-  const auto points = data::generate_sky_survey(4000, 71);
-  build_and_check(points, 0.3f, TableBuildMode::kCsrTwoPass);
-  build_and_check(points, 0.3f, TableBuildMode::kPairSort);
+TEST(CsrPipeline, MatchesOracleClustered) {
+  build_and_check(data::generate_sky_survey(4000, 71), 0.3f);
 }
 
-TEST(CsrPipeline, MatchesPairModeAndOracleUniform) {
-  const auto points = data::generate_uniform(4000, 72, 10.0f, 10.0f);
-  build_and_check(points, 0.4f, TableBuildMode::kCsrTwoPass);
-  build_and_check(points, 0.4f, TableBuildMode::kPairSort);
+TEST(CsrPipeline, MatchesOracleUniform) {
+  build_and_check(data::generate_uniform(4000, 72, 10.0f, 10.0f), 0.4f);
 }
 
-TEST(CsrPipeline, MatchesPairModeAndOracleDegenerateOneCell) {
+TEST(CsrPipeline, MatchesOracleDegenerateOneCell) {
   // Every point identical: the entire dataset lands in one grid cell and
   // every point neighbors every point (n^2 pairs) — worst-case skew for
   // batching, counting, and the CSR offsets.
   const std::vector<Point2> points(600, Point2{1.0f, 1.0f});
-  build_and_check(points, 0.5f, TableBuildMode::kCsrTwoPass);
-  build_and_check(points, 0.5f, TableBuildMode::kPairSort);
+  build_and_check(points, 0.5f, ScanMode::kFull);
+  build_and_check(points, 0.5f, ScanMode::kHalf);
 }
 
 TEST(CsrPipeline, OverflowSplitsRecoverWithCsr) {
@@ -89,37 +87,26 @@ TEST(CsrPipeline, OverflowSplitsRecoverWithCsr) {
   EXPECT_EQ(report.total_pairs, oracle.total_pairs());
 }
 
-TEST(CsrPipeline, ShipsFewerBytesAndAtomicsThanPairMode) {
-  // Dense enough (~30 neighbors per point) that the per-point offsets
-  // array is small against the values; sparse data dilutes the D2H win
-  // because offsets cost 4 bytes per point regardless of degree.
+TEST(CsrPipeline, ShipsExactCsrBytesAndOnlyEstimationAtomics) {
+  // A materialized build of n points and a final table of P pairs ships
+  // 4 B of offset per point plus 4 B per shipped value. kFull ships every
+  // row whole: 4n + 4P. kHalf ships forward rows only — the n self pairs
+  // plus each of the (P - n) / 2 cross pairs once: 4n + 4 (P + n) / 2 =
+  // 6n + 2P. The count and fill kernels issue no atomics, so the only
+  // ones left are the estimation kernel's.
   const auto points = data::generate_uniform(4000, 74, 10.0f, 10.0f);
-  const BuildReport csr =
-      build_and_check(points, 0.5f, TableBuildMode::kCsrTwoPass);
-  const BuildReport pair =
-      build_and_check(points, 0.5f, TableBuildMode::kPairSort);
-  ASSERT_EQ(csr.total_pairs, pair.total_pairs);
-  // Pair mode ships 8-byte (key, value) pairs; CSR ships 4-byte values
-  // plus a small per-point offsets array.
-  EXPECT_LT(csr.d2h_bytes, pair.d2h_bytes * 6 / 10);
-  // CSR kernels use no result-set atomics at all; pair mode still pays one
-  // bulk reservation per staged flush. Either way CSR must win clearly.
-  EXPECT_LT(csr.atomic_ops, pair.atomic_ops);
-  // CSR drops the device sort entirely (and its modeled time with it).
-  EXPECT_EQ(csr.sort_modeled_seconds, 0.0);
-  EXPECT_GT(pair.sort_modeled_seconds, 0.0);
-  EXPECT_GT(csr.scan_modeled_seconds, 0.0);
-}
-
-TEST(CsrPipeline, StagedReservationCutsPairModeAtomics) {
-  // With 128-slot staging, pair mode needs at most one global atomic per
-  // 128 pairs plus one trailing flush per thread — at least 10x fewer
-  // atomic ops than pairs produced (the pre-staging scheme paid one each).
-  const auto points = data::generate_uniform(4000, 75, 10.0f, 10.0f);
-  const BuildReport pair =
-      build_and_check(points, 0.4f, TableBuildMode::kPairSort);
-  ASSERT_GT(pair.atomic_ops, 0u);
-  EXPECT_GE(pair.total_pairs / pair.atomic_ops, 10u);
+  const std::uint64_t n = points.size();
+  for (const ScanMode scan : {ScanMode::kFull, ScanMode::kHalf}) {
+    const BuildReport r = build_and_check(points, 0.5f, scan);
+    ASSERT_EQ(r.overflow_splits, 0u);
+    ASSERT_EQ(r.transient_retries, 0u);
+    const std::uint64_t pairs = r.total_pairs;
+    EXPECT_EQ(r.d2h_bytes,
+              scan == ScanMode::kFull ? 4 * n + 4 * pairs : 6 * n + 2 * pairs);
+    ASSERT_GT(r.estimate.kernel_stats.work.atomic_ops, 0u);
+    EXPECT_EQ(r.atomic_ops, r.estimate.kernel_stats.work.atomic_ops);
+    EXPECT_GT(r.scan_modeled_seconds, 0.0);
+  }
 }
 
 }  // namespace

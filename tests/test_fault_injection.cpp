@@ -67,9 +67,8 @@ Scenario make_scenario(std::size_t n, float eps) {
 
 /// Deterministic single-context policy with enough batches that mid-build
 /// faults reliably leave unfinished work behind.
-BatchPolicy many_batch_policy(const Scenario& s, TableBuildMode mode) {
+BatchPolicy many_batch_policy(const Scenario& s) {
   BatchPolicy policy;
-  policy.build_mode = mode;
   policy.num_streams = 1;
   policy.estimated_total_override = s.oracle.total_pairs();
   policy.static_threshold_pairs = 1;  // force the static-buffer path
@@ -165,8 +164,7 @@ TEST(ResilientBuild, TransientFaultsAreRetriedAndTableMatches) {
   cudasim::FaultPlan plan;
   plan.transient_launches = {2, 5};
   cudasim::Device device({}, faulted_options(plan));
-  NeighborTableBuilder builder(
-      device, many_batch_policy(s, TableBuildMode::kCsrTwoPass));
+  NeighborTableBuilder builder(device, many_batch_policy(s));
   BuildReport report;
   const NeighborTable table = builder.build(s.index, s.eps, &report);
   EXPECT_GE(report.transient_retries, 2u);
@@ -176,32 +174,10 @@ TEST(ResilientBuild, TransientFaultsAreRetriedAndTableMatches) {
   expect_identical(table, s.oracle);
 }
 
-TEST(ResilientBuild, MidBatchOomSplitsTheBatchAndRecovers) {
-  const Scenario s = make_scenario(2500, 0.35f);
-  // Pair mode checks its sort scratch out of the buffer pool, which only
-  // allocates on the first batch (later batches reuse the cached block).
-  // Alloc #6 is that first mid-batch scratch acquire: the pool is cold, so
-  // the trim-and-retry frees nothing and the OOM reaches the ladder, which
-  // splits the batch (half the pairs, half the scratch) instead of failing
-  // the build.
-  cudasim::FaultPlan plan;
-  plan.oom_allocs = {6};
-  cudasim::Device device({}, faulted_options(plan));
-  NeighborTableBuilder builder(
-      device, many_batch_policy(s, TableBuildMode::kPairSort));
-  BuildReport report;
-  const NeighborTable table = builder.build(s.index, s.eps, &report);
-  EXPECT_GE(report.alloc_retries, 1u);
-  EXPECT_EQ(device.metrics().injected_oom_faults, 1u);
-  EXPECT_EQ(report.devices_lost, 0u);
-  expect_identical(table, s.oracle);
-}
-
 TEST(ResilientBuild, SameSeedAndPlanReplayIdentically) {
   const Scenario s = make_scenario(2500, 0.35f);
   const cudasim::FaultPlan plan = cudasim::FaultPlan::randomized(42);
-  const BatchPolicy policy =
-      many_batch_policy(s, TableBuildMode::kCsrTwoPass);
+  const BatchPolicy policy = many_batch_policy(s);
 
   auto run = [&](BuildReport* report) {
     cudasim::SimulationOptions opt = faulted_options(plan);
@@ -237,8 +213,7 @@ TEST(ResilientBuild, TwoDeviceAcceptanceScenario) {
   // complete without throwing, record the retries and the failover, and
   // produce a table byte-identical (canonicalized) to a fault-free build.
   const Scenario s = make_scenario(4000, 0.35f);
-  const BatchPolicy policy =
-      many_batch_policy(s, TableBuildMode::kCsrTwoPass);
+  const BatchPolicy policy = many_batch_policy(s);
 
   // Fault-free reference on the same 2-device topology.
   cudasim::Device ref0({}, fast_options());
@@ -271,7 +246,7 @@ TEST(ResilientBuild, TwoDeviceAcceptanceScenario) {
 
 TEST(ResilientBuild, AllDevicesLostFallsBackToHost) {
   const Scenario s = make_scenario(3000, 0.35f);
-  BatchPolicy policy = many_batch_policy(s, TableBuildMode::kCsrTwoPass);
+  BatchPolicy policy = many_batch_policy(s);
   policy.resilience.host_fallback = true;
   cudasim::FaultPlan plan0;
   plan0.lost_at_op = 20;
@@ -289,8 +264,7 @@ TEST(ResilientBuild, AllDevicesLostFallsBackToHost) {
 
 TEST(ResilientBuild, HostFallbackDisabledSurfacesDeviceLoss) {
   const Scenario s = make_scenario(3000, 0.35f);
-  const BatchPolicy policy =
-      many_batch_policy(s, TableBuildMode::kCsrTwoPass);  // fallback off
+  const BatchPolicy policy = many_batch_policy(s);  // fallback off
   cudasim::FaultPlan plan;
   plan.lost_at_op = 20;
   cudasim::Device device({}, faulted_options(plan));

@@ -1,8 +1,9 @@
-// ScanMode::kHalf property tests: every pipeline's half-comparison build
-// must canonicalize to the exact table the legacy full scan produces —
-// including on the inputs that stress the ordering invariant (duplicate
-// coordinates, points sitting exactly on cell boundaries, one dense cell)
-// — while doing roughly half the distance-test FLOPs.
+// ScanMode::kHalf property tests: every half-comparison build (batched
+// CSR, 3-D, host strided) must canonicalize to the exact table the full
+// scan produces — including on the inputs that stress the ordering
+// invariant (duplicate coordinates, points sitting exactly on cell
+// boundaries, one dense cell) — while doing roughly half the
+// distance-test FLOPs.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -35,13 +36,9 @@ void expect_identical(NeighborTable got, NeighborTable want) {
 
 /// Builds the same index twice — once per scan mode — and checks byte
 /// equality after canonicalization.
-void expect_half_matches_full(const std::vector<Point2>& points, float eps,
-                              TableBuildMode build_mode,
-                              bool use_shared = false) {
+void expect_half_matches_full(const std::vector<Point2>& points, float eps) {
   const GridIndex index = build_grid_index(points, eps);
   BatchPolicy policy;
-  policy.build_mode = build_mode;
-  policy.use_shared_kernel = use_shared;
 
   policy.scan_mode = ScanMode::kFull;
   cudasim::Device full_dev({}, fast_options());
@@ -81,23 +78,11 @@ std::vector<Point2> cell_boundary_points(float eps) {
 }
 
 TEST(HalfComparison, CsrMatchesFullOnDuplicateCoordinates) {
-  expect_half_matches_full(duplicate_heavy_points(), 0.3f,
-                           TableBuildMode::kCsrTwoPass);
-}
-
-TEST(HalfComparison, PairSortMatchesFullOnDuplicateCoordinates) {
-  expect_half_matches_full(duplicate_heavy_points(), 0.3f,
-                           TableBuildMode::kPairSort);
+  expect_half_matches_full(duplicate_heavy_points(), 0.3f);
 }
 
 TEST(HalfComparison, CsrMatchesFullOnCellBoundaryPoints) {
-  expect_half_matches_full(cell_boundary_points(0.25f), 0.25f,
-                           TableBuildMode::kCsrTwoPass);
-}
-
-TEST(HalfComparison, PairSortMatchesFullOnCellBoundaryPoints) {
-  expect_half_matches_full(cell_boundary_points(0.25f), 0.25f,
-                           TableBuildMode::kPairSort);
+  expect_half_matches_full(cell_boundary_points(0.25f), 0.25f);
 }
 
 TEST(HalfComparison, CsrMatchesFullOnDenseSingleCell) {
@@ -107,16 +92,7 @@ TEST(HalfComparison, CsrMatchesFullOnDenseSingleCell) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     points[i].x += 0.0001f * static_cast<float>(i % 7);
   }
-  expect_half_matches_full(points, 0.5f, TableBuildMode::kCsrTwoPass);
-}
-
-TEST(HalfComparison, SharedKernelMatchesFull) {
-  // The shared-tile kernel restores symmetry device-side (push_dual), so
-  // its half build needs no host expand — it must still match byte-for-byte.
-  expect_half_matches_full(data::generate_sky_survey(3000, 91), 0.35f,
-                           TableBuildMode::kPairSort, /*use_shared=*/true);
-  expect_half_matches_full(duplicate_heavy_points(), 0.3f,
-                           TableBuildMode::kPairSort, /*use_shared=*/true);
+  expect_half_matches_full(points, 0.5f);
 }
 
 TEST(HalfComparison, MatchesHostOracle) {

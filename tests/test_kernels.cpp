@@ -235,6 +235,21 @@ TEST(ResultSink, StagedFlushSpanningCapacityRaisesOverflow) {
   }
 }
 
+TEST(ResultSink, StagedReservationCutsGlobalKernelAtomics) {
+  // With 128-slot staging the global kernel needs at most one global
+  // atomic per 128 pairs plus one trailing flush per thread — at least 10x
+  // fewer atomic ops than pairs produced (the pre-staging scheme paid one
+  // each).
+  const KernelTestData d = make_data(0, 0.4f, 4000);
+  cudasim::Device dev({}, fast_options());
+  gpu::ResultSetDevice sink(dev, d.expected.size() + 16);
+  const auto stats =
+      gpu::run_calc_global(dev, GridView::of(d.index), d.eps, {}, sink.view());
+  ASSERT_EQ(sink.stored(), d.expected.size());
+  ASSERT_GT(stats.work.atomic_ops, 0u);
+  EXPECT_GE(sink.stored() / stats.work.atomic_ops, 10u);
+}
+
 TEST(CountKernel, FullCensusEqualsTotalPairs) {
   const KernelTestData d = make_data(2, 0.3f);
   cudasim::Device dev({}, fast_options());
@@ -272,8 +287,7 @@ TEST(SharedKernel, HandlesCellsLargerThanBlock) {
   const std::uint64_t expected_pairs = 300ull * 300ull;  // all within eps
   gpu::ResultSetDevice sink(dev, expected_pairs + 16);
   gpu::run_calc_shared(dev, GridView::of(index), index.nonempty_cells.data(),
-                       1, 0.5f, sink.view(), ScanMode::kFull,
-                       /*block_size=*/32);
+                       1, 0.5f, sink.view(), /*block_size=*/32);
   EXPECT_FALSE(sink.overflowed());
   EXPECT_EQ(sink.count(), expected_pairs);
 }

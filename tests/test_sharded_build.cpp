@@ -1,9 +1,11 @@
 // Multi-device sharded table builds: spatial slab partitioning with an
 // eps-halo of ghost points per shard, merged through absorb_shard into a
 // table — and labels — bit-identical to the single-device batch build,
-// including under injected device loss (the shard re-partition rung).
+// including under injected device loss (the shard re-partition rung). The
+// front doors treat one device as a fleet of one, which skips sharding.
 #include "core/sharded_build.hpp"
 
+#include "core/hybrid_dbscan.hpp"
 #include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -78,7 +80,6 @@ Scenario make_scenario(std::size_t n, float eps, std::uint64_t seed) {
 /// Small batches so every shard runs several of them per stream.
 BatchPolicy many_batch_policy(const Scenario& s, ScanMode scan) {
   BatchPolicy policy;
-  policy.build_mode = TableBuildMode::kCsrTwoPass;
   policy.scan_mode = scan;
   policy.estimated_total_override = s.oracle.total_pairs();
   policy.static_threshold_pairs = 1;
@@ -632,6 +633,64 @@ TEST(ShardedBuildPipeline, ByteBudgetOneItemMinimumDrainsShardedBuilds) {
   for (const auto& dev : fleet.owned) {
     dev->pool().trim();
     EXPECT_EQ(dev->used_global_bytes(), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Front doors: one device is a fleet of one
+// ---------------------------------------------------------------------------
+
+class FleetOfOne : public ::testing::TestWithParam<ClusterMode> {};
+
+TEST_P(FleetOfOne, HybridDbscanOverloadsAgreeWithoutSharding) {
+  const Scenario s = make_scenario(3000, 0.35f, 32);
+  const int minpts = 4;
+  const ClusterMode mode = GetParam();
+  cudasim::Device dev({}, fast_options());
+
+  HybridTimings single_t;
+  const ClusterResult single =
+      hybrid_dbscan(dev, s.points, s.eps, minpts, &single_t,
+                    many_batch_policy(s, ScanMode::kHalf), mode);
+  ShardedBuildOptions options;
+  options.policy = many_batch_policy(s, ScanMode::kHalf);
+  HybridTimings fleet_t;
+  const ClusterResult fleet = hybrid_dbscan({&dev}, s.points, s.eps, minpts,
+                                            &fleet_t, options, mode);
+
+  EXPECT_EQ(fleet.labels, single.labels);
+  EXPECT_EQ(fleet.num_clusters, single.num_clusters);
+  // A fleet of one builds the whole index: no slab copy, no translation.
+  EXPECT_EQ(single_t.build_report.shards, 0u);
+  EXPECT_EQ(fleet_t.build_report.shards, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, FleetOfOne,
+                         ::testing::Values(ClusterMode::kBatchTable,
+                                           ClusterMode::kStreaming,
+                                           ClusterMode::kFused));
+
+TEST(FleetOfOne, RunMultiClusteringOverloadsAgree) {
+  const Scenario s = make_scenario(2500, 0.35f, 33);
+  const std::vector<Variant> variants = {{0.3f, 4}, {0.35f, 8}, {0.4f, 4}};
+  for (const bool pipelined : {false, true}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "sequential");
+    PipelineOptions opts;
+    opts.pipelined = pipelined;
+    opts.keep_results = true;
+    cudasim::Device dev({}, fast_options());
+    const PipelineReport single =
+        run_multi_clustering(dev, s.points, variants, opts);
+    const PipelineReport fleet =
+        run_multi_clustering({&dev}, s.points, variants, opts);
+    ASSERT_EQ(single.results.size(), variants.size());
+    ASSERT_EQ(fleet.results.size(), variants.size());
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+      EXPECT_TRUE(single.variants[i].outcome.ok);
+      EXPECT_TRUE(fleet.variants[i].outcome.ok);
+      EXPECT_EQ(fleet.results[i].labels, single.results[i].labels)
+          << "variant " << i;
+    }
   }
 }
 

@@ -268,38 +268,33 @@ int cmd_cluster(int argc, char** argv) {
   const ClusterMode mode = fused       ? ClusterMode::kFused
                            : streaming ? ClusterMode::kStreaming
                                        : ClusterMode::kBatchTable;
-  BatchPolicy policy;
-  policy.index_backend = backend;
-  policy.quality = quality;
+  // One simulated device per shard; without --shards a fleet of one builds
+  // the whole index unsharded.
+  const unsigned num_devices = std::max(1u, shards);
+  std::vector<std::unique_ptr<cudasim::Device>> fleet;
+  std::vector<cudasim::Device*> fleet_ptrs;
+  for (unsigned d = 0; d < num_devices; ++d) {
+    fleet.push_back(std::make_unique<cudasim::Device>());
+    fleet_ptrs.push_back(fleet.back().get());
+  }
+  ShardedBuildOptions options;
+  options.num_shards = shards;
+  options.policy.index_backend = backend;
+  options.policy.quality = quality;
 
   HybridTimings timings;
-  ClusterResult result;
-  if (shards > 1) {
-    // One simulated device per shard: the spatially sharded build path.
-    std::vector<std::unique_ptr<cudasim::Device>> fleet;
-    std::vector<cudasim::Device*> fleet_ptrs;
-    for (unsigned d = 0; d < shards; ++d) {
-      fleet.push_back(std::make_unique<cudasim::Device>());
-      fleet_ptrs.push_back(fleet.back().get());
-    }
-    ShardedBuildOptions options;
-    options.num_shards = shards;
-    options.policy = policy;
-    result = hybrid_dbscan(fleet_ptrs, points, eps, minpts, &timings,
-                           options, mode);
-    const BuildReport& br = timings.build_report;
+  const ClusterResult result = hybrid_dbscan(fleet_ptrs, points, eps, minpts,
+                                             &timings, options, mode);
+  const BuildReport& br = timings.build_report;
+  if (br.shards != 0) {
     std::printf("sharded build: %u shards on %u devices, %llu halo ghosts"
                 " (%.1f%% of points), %llu cross-shard pairs\n",
-                br.shards, shards,
+                br.shards, num_devices,
                 static_cast<unsigned long long>(br.halo_ghost_points),
                 100.0 * static_cast<double>(br.halo_ghost_points) /
                     static_cast<double>(std::max<std::size_t>(1,
                                                               points.size())),
                 static_cast<unsigned long long>(br.cross_shard_pairs));
-  } else {
-    cudasim::Device device;
-    result = hybrid_dbscan(device, points, eps, minpts, &timings, policy,
-                           mode);
   }
   std::printf("%zu points, eps=%g minpts=%d -> %d clusters, %zu noise"
               " (%.3f s, modeled %.3f s)\n",
@@ -318,23 +313,24 @@ int cmd_cluster(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     timings.build_report.total_pairs));
   }
-  if (timings.streamed) {
-    std::printf("%s: %.0f%% of the union work overlapped the build"
+  if (timings.fused) {
+    // The unions run inside the traversal kernel, so there is no separate
+    // union phase to overlap; report how many edges the kernel settled.
+    std::printf("fused [%s index]: no table materialized, %llu pairs"
+                " traversed, %.0f%% of edges settled inside the kernel"
+                " (%.3f s tail), %llu parked-edge bytes D2H, consumer peak"
+                " %zu bytes\n",
+                std::string(to_string(br.index_backend)).c_str(),
+                static_cast<unsigned long long>(br.total_pairs),
+                100.0 * timings.streamed_edge_fraction,
+                timings.finalize_seconds,
+                static_cast<unsigned long long>(br.d2h_bytes),
+                timings.peak_consumer_bytes);
+  } else if (timings.streamed) {
+    std::printf("streaming: %.0f%% of the union work overlapped the build"
                 " (%.3f s hidden, %.3f s tail), consumer peak %zu bytes\n",
-                timings.fused ? "fused" : "streaming",
                 100.0 * timings.overlap_fraction, timings.consume_seconds,
                 timings.finalize_seconds, timings.peak_consumer_bytes);
-  }
-  if (timings.fused) {
-    std::printf("fused [%s index]: no table materialized, %llu pairs"
-                " traversed, %llu parked-edge bytes D2H\n",
-                std::string(to_string(
-                                timings.build_report.index_backend))
-                    .c_str(),
-                static_cast<unsigned long long>(
-                    timings.build_report.total_pairs),
-                static_cast<unsigned long long>(
-                    timings.build_report.d2h_bytes));
   }
 
   const auto stats = analysis::compute_cluster_stats(points, result);
