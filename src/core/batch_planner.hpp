@@ -32,8 +32,8 @@ namespace hdbscan {
 /// How the builder reacts to injected (or, on real hardware, actual)
 /// device faults — the degradation ladder: retry transient kernel faults,
 /// shrink the buffers on allocation failure, fail work over from a lost
-/// device to the survivors, and finally fall back to the host builder when
-/// no device remains.
+/// device to the survivors, and finally finish on the host — the kernel
+/// bodies run on the host pool — when no device remains.
 struct ResiliencePolicy {
   /// Retries of one batch after TransientKernelFault before it becomes a
   /// hard error (the launch did no work, so a retry is always safe).
@@ -46,9 +46,9 @@ struct ResiliencePolicy {
   /// Safe because strided batches cover disjoint key sets and a batch's
   /// shard append happens only after every device op for it succeeded.
   bool failover = true;
-  /// When every device is lost, finish the remaining batches with the
-  /// host builder instead of throwing. Off by default so a single-device
-  /// out-of-memory condition still surfaces as DeviceOutOfMemory.
+  /// When every device is lost, finish the remaining batches on the host
+  /// instead of throwing. Off by default so a single-device out-of-memory
+  /// condition still surfaces as DeviceOutOfMemory.
   bool host_fallback = false;
 };
 

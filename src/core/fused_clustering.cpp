@@ -18,7 +18,6 @@
 #include "gpu/device_index.hpp"
 #include "gpu/kernels.hpp"
 #include "index/bvh.hpp"
-#include "index/rtree.hpp"
 #include "obs/trace.hpp"
 
 namespace hdbscan {
@@ -240,57 +239,6 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   const bool use_bvh = policy.index_backend == IndexBackend::kBvh;
   const ScanMode scan = policy.scan_mode;
 
-  // The host fallback: complete unfinished strided batches by delivering
-  // host-searched rows into the same consumer, under the *same* ownership
-  // rule the device kernels used — the grid's forward stencil for kGrid,
-  // the R-tree/BVH id rule (partner id >= key, self included) for kBvh.
-  // Mixing rules would deliver some cross pairs twice and double their
-  // degree contributions.
-  std::optional<RTree> fallback_rtree;
-  auto host_finish = [&](const FusedWorkItem& item) {
-    TRACE_SPAN("host", "fused_host_fallback %u/%u", item.spec.batch,
-               item.spec.num_batches);
-    if (use_bvh && !fallback_rtree) {
-      fallback_rtree.emplace(index.points, /*node_capacity=*/16u,
-                             RTreeBuild::kStrParallel);
-    }
-    const auto n = static_cast<std::uint32_t>(index.query_count());
-    const std::uint32_t zero = 0;
-    std::vector<PointId> row;
-    std::vector<PointId> scratch;
-    hdbscan::ThreadCpuTimer consume_timer;
-    for (std::uint32_t k = item.spec.batch; k < n;
-         k += item.spec.num_batches) {
-      check_cancel(policy.cancel);
-      row.clear();
-      if (use_bvh) {
-        scratch.clear();
-        fallback_rtree->query_circle(index.points[k], eps, scratch);
-        for (const PointId v : scratch) {
-          if (scan == ScanMode::kHalf && v < k) continue;
-          row.push_back(v);
-        }
-      } else if (scan == ScanMode::kHalf) {
-        grid_query_forward(index, k, eps, row);
-      } else {
-        grid_query(index, index.points[k], eps, row);
-      }
-      if (policy.quality.sampled()) {
-        // Same Bernoulli filter the fused kernels apply, on the same
-        // (key, partner) ids — a host-finished batch keeps the sample.
-        std::erase_if(row, [&](PointId v) {
-          return !policy.quality.keep_pair(k, v);
-        });
-      }
-      consumer.consume(BatchDelivery{k, /*key_stride=*/1, scan,
-                                     /*counts_delivered=*/false,
-                                     {&zero, 1}, row, {}});
-      ++report.sink_batches;
-    }
-    report.sink_consume_seconds += consume_timer.seconds();
-    ++report.host_fallback_batches;
-  };
-
   // Upload only what the chosen backend traverses: the grid arrays for
   // kGrid, the packed BVH for kBvh. There is no estimation kernel — with
   // no result buffers there is nothing to size — which is also why the
@@ -306,6 +254,27 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
     TRACE_SPAN("fused", "bvh_build n=%zu", index.size());
     host_bvh.emplace(build_bvh_index(index.points));
   }
+
+  // The host fallback: unfinished strided batches run the fused body
+  // itself on the host, over the same index the devices traversed, so the
+  // pair-ownership rule is the kernels' by construction. Edges it parks
+  // never crossed PCIe, so they are kept out of the transfer charge.
+  std::uint64_t host_parked = 0;
+  auto host_finish = [&](const FusedWorkItem& item) {
+    check_cancel(policy.cancel);
+    TRACE_SPAN("host", "fused_host_fallback %u/%u", item.spec.batch,
+               item.spec.num_batches);
+    const std::uint64_t parked_before = consumer.stats().fused_parked;
+    if (use_bvh) {
+      gpu::host_fused_batch(BvhView::of(*host_bvh), eps, item.spec, consumer,
+                            scan, policy.quality);
+    } else {
+      gpu::host_fused_batch(GridView::of(index), eps, item.spec, consumer,
+                            scan, policy.quality);
+    }
+    host_parked += consumer.stats().fused_parked - parked_before;
+    ++report.host_fallback_batches;
+  };
   std::vector<FusedSlot> slots;
   slots.reserve(devices.size());
   std::exception_ptr setup_error;
@@ -449,7 +418,8 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   // asynchronous on real hardware, so billing them once at the end is the
   // conservative bound.
   const StreamingDbscan::Stats& st = consumer.stats();
-  const std::uint64_t parked_bytes = st.fused_parked * sizeof(NeighborPair);
+  const std::uint64_t parked_bytes =
+      (st.fused_parked - host_parked) * sizeof(NeighborPair);
   report.d2h_bytes = parked_bytes;
   if (parked_bytes != 0 && !slots.empty()) {
     modeled_fixed += cudasim::modeled_transfer_seconds(

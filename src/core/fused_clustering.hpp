@@ -18,9 +18,9 @@
 // retry the launch (injected faults fire before any block runs, so a
 // faulted launch mutated nothing and the retry is exactly-once), a lost
 // device's batches fail over to the survivors, and when no device remains
-// the unfinished batches complete on the host — through the packed STR
-// R-tree under the tree backends' id-ownership rule, or the grid's forward
-// stencil under IndexBackend::kGrid, so the pair cover never mixes rules.
+// the unfinished batches complete on the host by running the fused kernel
+// body itself on the host pool (gpu::host_fused_batch) over the same grid
+// or BVH, so the pair cover never mixes ownership rules.
 #pragma once
 
 #include <vector>

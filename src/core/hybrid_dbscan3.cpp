@@ -9,7 +9,7 @@
 #include "cudasim/sort.hpp"
 #include "cudasim/stream.hpp"
 #include "dbscan/dbscan.hpp"
-#include "gpu/kernels3.hpp"
+#include "gpu/kernels.hpp"
 #include "gpu/result_sink.hpp"
 
 namespace hdbscan {
@@ -59,7 +59,7 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
   const auto npts = static_cast<std::uint32_t>(index.points.size());
   cudasim::PooledDeviceBuffer<std::uint32_t> d_counts(
       device, std::max<std::uint32_t>(1, npts));
-  cudasim::KernelStats stats = gpu::run_count_batch3(
+  cudasim::KernelStats stats = gpu::run_count_batch(
       device, view, eps, {}, d_counts.device_data(), mode,
       gpu::kDefaultBlockSize, quality);
   local.modeled_table_seconds += stats.modeled_seconds;
@@ -71,9 +71,9 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
 
   cudasim::PooledDeviceBuffer<PointId> d_values(
       device, std::max<std::uint64_t>(1, pairs));
-  stats = gpu::run_fill_csr3(device, view, eps, {}, d_counts.device_data(),
-                             d_values.device_data(), mode,
-                             gpu::kDefaultBlockSize, quality);
+  stats = gpu::run_fill_csr(device, view, eps, {}, d_counts.device_data(),
+                            d_values.device_data(), mode,
+                            gpu::kDefaultBlockSize, quality);
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 
@@ -179,8 +179,8 @@ ClusterResult fused_dbscan3(cudasim::Device& device,
 
   StreamingDbscan consumer(index.size(), quality.scaled_minpts(minpts));
   const cudasim::KernelStats stats =
-      gpu::run_fused_batch3(device, view, eps, {}, consumer, mode,
-                            gpu::kDefaultBlockSize, quality);
+      gpu::run_fused_batch(device, view, eps, {}, consumer, mode,
+                           gpu::kDefaultBlockSize, quality);
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 

@@ -20,7 +20,6 @@
 #include "gpu/device_index.hpp"
 #include "gpu/kernels.hpp"
 #include "index/bvh.hpp"
-#include "index/rtree.hpp"
 #include "obs/trace.hpp"
 
 namespace hdbscan {
@@ -376,6 +375,39 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   sc.max_batch_pairs = std::max(sc.max_batch_pairs, total);
 }
 
+/// Hands a host-finished batch to the sink the way process_batch_csr
+/// hands a device batch: the pass-1 counts (unless this lineage already
+/// delivered them from a device that died later), then the CSR rows.
+/// `shard` holds only this batch, so its value array is the batch's CSR
+/// values in key order.
+void deliver_host_batch(BatchSink& sink, WorkItem& item, ScanMode scan,
+                        const NeighborTable& shard, std::uint32_t query_count,
+                        BuildReport& report) {
+  const gpu::BatchSpec spec = item.spec;
+  const std::uint32_t pts = spec.points_in_batch(query_count);
+  if (pts == 0) return;
+  std::vector<std::uint32_t> counts(pts);
+  std::vector<std::uint32_t> offsets(pts);
+  std::uint32_t run = 0;
+  for (std::uint32_t g = 0; g < pts; ++g) {
+    counts[g] = shard.neighbor_count(spec.batch + g * spec.num_batches);
+    offsets[g] = run;
+    run += counts[g];
+  }
+  hdbscan::ThreadCpuTimer consume_timer;
+  if (!item.counts_delivered) {
+    sink.consume_counts(
+        CountDelivery{spec.batch, spec.num_batches, scan, counts, {}});
+    ++report.sink_count_batches;
+    item.counts_delivered = true;
+  }
+  sink.consume(BatchDelivery{spec.batch, spec.num_batches, scan,
+                             item.counts_delivered, offsets, shard.values(),
+                             {}});
+  ++report.sink_batches;
+  report.sink_consume_seconds += consume_timer.seconds();
+}
+
 /// One context's work pump, run on its stream thread. Pops items until the
 /// queue is dry, applying the degradation ladder on faults:
 ///   * TransientKernelFault — the launch did no work; retry the item up to
@@ -502,39 +534,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
   local_report.streamed = sink != nullptr;
   local_report.table_materialized = materialize;
   const ResiliencePolicy& res = policy_.resilience;
-
-  // When every rung of the ladder above it has failed (or every device
-  // failed setup), the whole table is built host-side in one go.
-  auto full_host_fallback = [&]() -> NeighborTable {
-    TRACE_SPAN("host", "host_fallback_full");
-    check_cancel(policy_.cancel);
-    local_report.used_host_fallback = true;
-    // The parallel host builder queries full neighborhoods directly, so
-    // no half-table expansion applies on this rung.
-    local_report.scan_mode = ScanMode::kFull;
-    NeighborTable t = build_neighbor_table_host_parallel(
-        index, eps, /*num_threads=*/0, policy_.quality);
-    local_report.total_pairs = t.total_pairs();
-    if (sink != nullptr) {
-      // This rung only fires before any batch ran, so the sink has seen
-      // nothing: deliver the whole table, one (symmetric) row per key.
-      hdbscan::ThreadCpuTimer consume_timer;
-      const std::uint32_t zero = 0;
-      const auto nq = static_cast<std::uint32_t>(index.query_count());
-      for (std::uint32_t k = 0; k < nq; ++k) {
-        sink->consume(BatchDelivery{k, /*key_stride=*/1, ScanMode::kFull,
-                                    /*counts_delivered=*/false,
-                                    {&zero, 1}, t.neighbors(k), {}});
-      }
-      local_report.sink_consume_seconds += consume_timer.seconds();
-      local_report.sink_batches += nq;
-    }
-    local_report.table_seconds = total_timer.seconds();
-    publish_build_report(local_report, policy_.metrics_labels);
-    if (report != nullptr) *report = local_report;
-    if (!materialize) return NeighborTable(index.size());
-    return t;
-  };
+  const ScanMode scan = policy_.scan_mode;
 
   // Upload the index once per device (pageable host memory, as in the
   // paper: only the result set uses the pinned staging path). Multi-device
@@ -582,314 +582,305 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
       if (!setup_error) setup_error = std::current_exception();
     }
   }
-  if (slots.empty()) {
-    if (res.host_fallback) return full_host_fallback();
-    std::rethrow_exception(setup_error);
-  }
-
-  // Estimate the result-set size from a 1% sample (negligible cost), or
-  // take the caller's figure when provided. Estimation fails over device
-  // by device: transient faults retry in place, a lost or out-of-memory
-  // device passes the baton to the next one.
-  if (policy_.estimated_total_override != 0) {
-    local_report.estimate.estimated_total = policy_.estimated_total_override;
-    local_report.estimate.sampled_pairs = policy_.estimated_total_override;
-    local_report.estimate.sample_stride = 1;
-  } else {
-    TRACE_SPAN("build", "estimate");
-    WallTimer est_timer;
-    bool estimated = false;
-    std::exception_ptr est_error;
-    for (DeviceSlot& slot : slots) {
-      if (slot.device->lost()) continue;
-      unsigned retries = 0;
-      while (!estimated) {
-        check_cancel(policy_.cancel);
-        try {
-          local_report.estimate = estimate_result_size(
-              *slot.device, slot.dev_index->view(), eps,
-              policy_.sample_fraction, policy_.block_size);
-          estimated = true;
-        } catch (const cudasim::TransientKernelFault&) {
-          if (retries < res.max_transient_retries) {
-            ++retries;
-            ++local_report.transient_retries;
-            continue;
-          }
-          if (!est_error) est_error = std::current_exception();
-          break;
-        } catch (const cudasim::DeviceLost&) {
-          if (!est_error) est_error = std::current_exception();
-          break;
-        } catch (const cudasim::DeviceOutOfMemory&) {
-          if (!est_error) est_error = std::current_exception();
-          break;
-        }
-      }
-      if (estimated) break;
-    }
-    if (!estimated) {
-      if (res.host_fallback) return full_host_fallback();
-      std::rethrow_exception(est_error);
-    }
-    local_report.estimate_seconds = est_timer.seconds();
-    local_report.atomic_ops +=
-        local_report.estimate.kernel_stats.work.atomic_ops;
-  }
-  // The estimation kernel always counts the exact neighborhood — e_b is a
-  // property of the data, not of the quality mode — so a subsampled build
-  // plans its buffers for the expected kept fraction instead. The planner's
-  // alpha slack absorbs the Bernoulli variance on top.
-  if (policy_.quality.sampled()) {
-    const double r = std::clamp(policy_.quality.sample_rate, 0.0f, 1.0f);
-    local_report.estimate.estimated_total = std::max<std::uint64_t>(
-        index.size(),
-        static_cast<std::uint64_t>(
-            static_cast<double>(local_report.estimate.estimated_total) * r));
-  }
-
-  // Drop slots whose device died since the last check, tallying each loss
-  // exactly once (later phases only ever see surviving slots).
-  auto drop_lost_slots = [&] {
-    for (auto it = slots.begin(); it != slots.end();) {
-      if (it->device->lost()) {
-        ++local_report.devices_lost;
-        it = slots.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
-  // Plan n_b and b_b, capping the buffers so that num_streams value
-  // buffers and the per-point counts never exceed any surviving device's
-  // free memory. A slot is a bare PointId. `shrink_shift` halves the
-  // buffer cap per out-of-memory retry of the context setup.
-  const std::uint64_t bytes_per_slot = sizeof(PointId);
-  const std::uint64_t counts_reserve_bytes =
-      static_cast<std::uint64_t>(index.size()) * sizeof(std::uint32_t);
-  auto compute_plan = [&](unsigned shrink_shift) {
-    std::uint64_t min_free_bytes =
-        std::numeric_limits<std::uint64_t>::max();
-    for (const DeviceSlot& slot : slots) {
-      min_free_bytes = std::min(min_free_bytes,
-                                slot.device->free_global_bytes());
-    }
-    const std::uint64_t budget_bytes =
-        min_free_bytes * 9 / 10 -
-        std::min(min_free_bytes * 9 / 10, counts_reserve_bytes);
-    std::uint64_t max_buffer_pairs = std::max<std::uint64_t>(
-        1, budget_bytes /
-               (std::max(1u, policy_.num_streams) * bytes_per_slot));
-    max_buffer_pairs =
-        std::max<std::uint64_t>(1, max_buffer_pairs >> shrink_shift);
-    // With several devices, plan one batch per (device, stream) context so
-    // every device contributes even on the variable-buffer path.
-    BatchPolicy planning_policy = policy_;
-    planning_policy.num_streams = std::max(1u, policy_.num_streams) *
-                                  static_cast<unsigned>(slots.size());
-    return plan_batches(local_report.estimate.estimated_total,
-                        planning_policy, max_buffer_pairs);
-  };
+  // The reference hardware the modeled costs are priced on.
+  const cudasim::DeviceConfig& cfg =
+      (slots.empty() ? *devices_.front() : *slots.front().device).config();
 
   NeighborTable table(index.size());
-
-  // Modeled fixed costs on the reference hardware: index upload over the
-  // pageable link (parallel across devices -> counted once), the
-  // estimation kernel, and page-locking the staging buffers (spread across
-  // the devices' hosts in multi-device mode).
-  cudasim::Device& first_device = *slots.front().device;
-  const auto& cfg = first_device.config();
-  const std::uint64_t upload_bytes =
-      index.points.size() * sizeof(Point2) +
-      index.cells.size() * sizeof(CellRange) +
-      index.lookup.size() * sizeof(PointId) +
-      index.nonempty_cells.size() * sizeof(std::uint32_t) +
-      index.emit_ids.size() * sizeof(PointId) +
-      (slots.front().bvh_index ? slots.front().bvh_index->upload_bytes() : 0);
-  double modeled_fixed =
-      cudasim::modeled_transfer_seconds(cfg, upload_bytes, /*pinned=*/false) +
-      local_report.estimate.kernel_stats.modeled_seconds;
-
-  // One context (stream + device buffers + pinned staging + private
-  // shard) per (device, stream) pair. Creating them allocates the big
-  // result buffers, so this is where a tight device first runs out of
-  // memory: each retry halves the buffer cap (growing n_b to match) —
-  // bounded by max_alloc_retries — and a device that dies here is
-  // dropped and planning redone for the survivors.
+  double modeled_fixed = 0.0;
   std::vector<std::unique_ptr<StreamContext>> contexts;
-  unsigned shrink = 0;
-  for (;;) {
-    drop_lost_slots();
+
+  // Runs estimation, planning and the batch rounds on the devices that
+  // survived setup, and returns the batches no device finished: none on a
+  // clean run, whatever a lost fleet left queued, or the whole index as
+  // the single batch {0, 1} when no device survives setup or estimation.
+  // Without the host rung each of those outcomes throws instead.
+  const std::vector<WorkItem> whole_index{WorkItem{gpu::BatchSpec{0, 1}}};
+  auto run_on_devices = [&]() -> std::vector<WorkItem> {
     if (slots.empty()) {
-      if (res.host_fallback) return full_host_fallback();
-      throw cudasim::DeviceLost(
-          "neighbor table build: every device was lost before batching "
-          "started");
+      if (res.host_fallback) return whole_index;
+      std::rethrow_exception(setup_error);
     }
-    local_report.plan = compute_plan(shrink);
-    const std::uint32_t max_batch_points =
-        (static_cast<std::uint32_t>(index.size()) +
-         local_report.plan.num_batches - 1) /
-        local_report.plan.num_batches;
-    const auto num_contexts = static_cast<unsigned>(slots.size()) *
-                              std::max(1u, policy_.num_streams);
-    try {
+
+    // Estimate the result-set size from a 1% sample (negligible cost), or
+    // take the caller's figure when provided. Estimation fails over device
+    // by device: transient faults retry in place, a lost or out-of-memory
+    // device passes the baton to the next one. A device that died after
+    // its upload (another user of a shared device can kill it) is tried
+    // too: its refusal is the DeviceLost the build reports when no device
+    // is left.
+    if (policy_.estimated_total_override != 0) {
+      local_report.estimate.estimated_total = policy_.estimated_total_override;
+      local_report.estimate.sampled_pairs = policy_.estimated_total_override;
+      local_report.estimate.sample_stride = 1;
+    } else {
+      TRACE_SPAN("build", "estimate");
+      WallTimer est_timer;
+      bool estimated = false;
+      std::exception_ptr est_error;
       for (DeviceSlot& slot : slots) {
-        for (unsigned s = 0; s < std::max(1u, policy_.num_streams); ++s) {
-          const auto id = static_cast<unsigned>(contexts.size());
-          contexts.push_back(std::make_unique<StreamContext>(
-              *slot.device, slot.dev_index->view(),
-              local_report.plan.buffer_pairs, std::max(1u, max_batch_points),
-              id));
-          contexts.back()->backend = policy_.index_backend;
-          contexts.back()->quality = policy_.quality;
-          if (slot.bvh_index) {
-            contexts.back()->bvh_view = slot.bvh_index->view();
+        unsigned retries = 0;
+        while (!estimated) {
+          check_cancel(policy_.cancel);
+          try {
+            local_report.estimate = estimate_result_size(
+                *slot.device, slot.dev_index->view(), eps,
+                policy_.sample_fraction, policy_.block_size);
+            estimated = true;
+          } catch (const cudasim::TransientKernelFault&) {
+            if (retries < res.max_transient_retries) {
+              ++retries;
+              ++local_report.transient_retries;
+              continue;
+            }
+            if (!est_error) est_error = std::current_exception();
+            break;
+          } catch (const cudasim::DeviceLost&) {
+            if (!est_error) est_error = std::current_exception();
+            break;
+          } catch (const cudasim::DeviceOutOfMemory&) {
+            if (!est_error) est_error = std::current_exception();
+            break;
           }
-          contexts.back()->shard.reserve_values(
-              local_report.plan.estimated_total_pairs / num_contexts);
+        }
+        if (estimated) break;
+      }
+      if (!estimated) {
+        if (res.host_fallback) return whole_index;
+        std::rethrow_exception(est_error);
+      }
+      local_report.estimate_seconds = est_timer.seconds();
+      local_report.atomic_ops +=
+          local_report.estimate.kernel_stats.work.atomic_ops;
+    }
+    // The estimation kernel always counts the exact neighborhood — e_b is a
+    // property of the data, not of the quality mode — so a subsampled build
+    // plans its buffers for the expected kept fraction instead. The
+    // planner's alpha slack absorbs the Bernoulli variance on top.
+    if (policy_.quality.sampled()) {
+      const double r = std::clamp(policy_.quality.sample_rate, 0.0f, 1.0f);
+      local_report.estimate.estimated_total = std::max<std::uint64_t>(
+          index.size(),
+          static_cast<std::uint64_t>(
+              static_cast<double>(local_report.estimate.estimated_total) *
+              r));
+    }
+
+    // Drop slots whose device died since the last check, tallying each
+    // loss exactly once (later phases only ever see surviving slots).
+    auto drop_lost_slots = [&] {
+      for (auto it = slots.begin(); it != slots.end();) {
+        if (it->device->lost()) {
+          ++local_report.devices_lost;
+          it = slots.erase(it);
+        } else {
+          ++it;
         }
       }
-      break;
-    } catch (const cudasim::DeviceOutOfMemory&) {
-      contexts.clear();
-      if (shrink >= res.max_alloc_retries) throw;
-      ++shrink;
-      ++local_report.alloc_retries;
-    } catch (const cudasim::DeviceLost&) {
-      contexts.clear();  // next iteration drops the dead slot and replans
-    }
-  }
-  const BatchPlan& plan = local_report.plan;
-  for (const auto& sc : contexts) {
-    // Only buffers the pool had to freshly page-lock are charged; reuse
-    // sweeps over N parameter variants pay this once, on the first one.
-    modeled_fixed += cudasim::modeled_pinned_alloc_seconds(
-                         cfg, sc->fresh_pinned_bytes()) /
-                     static_cast<double>(slots.size());
-  }
+    };
 
-  // All batches start in a shared work queue; each context's pump pops,
-  // processes into the private shard, and applies the degradation ladder
-  // on faults (see pump()). The rounds loop re-arms pumps on surviving
-  // contexts until the queue is dry — this is what makes failover work:
-  // an item a dying context pushed back is picked up next round by a
-  // survivor, and the strided key sets stay disjoint whoever runs it.
-  WorkQueue queue(contexts.size());
-  for (std::uint32_t l = 0; l < plan.num_batches; ++l) {
-    queue.push(l % contexts.size(),
-               WorkItem{gpu::BatchSpec{l, plan.num_batches}});
-  }
-  SharedBuildState state;
-  const ScanMode scan = policy_.scan_mode;
-  while (!queue.empty()) {
-    bool any_live = false;
-    for (auto& sc : contexts) {
-      if (sc->device.lost()) {
-        // A sibling stream's fault may have killed this device before
-        // this context's pump ever ran — surface its share regardless.
-        queue.orphan_context(sc->timeline_id);
-        continue;
+    // Plan n_b and b_b, capping the buffers so that num_streams value
+    // buffers and the per-point counts never exceed any surviving device's
+    // free memory. A slot is a bare PointId. `shrink_shift` halves the
+    // buffer cap per out-of-memory retry of the context setup.
+    const std::uint64_t bytes_per_slot = sizeof(PointId);
+    const std::uint64_t counts_reserve_bytes =
+        static_cast<std::uint64_t>(index.size()) * sizeof(std::uint32_t);
+    auto compute_plan = [&](unsigned shrink_shift) {
+      std::uint64_t min_free_bytes =
+          std::numeric_limits<std::uint64_t>::max();
+      for (const DeviceSlot& slot : slots) {
+        min_free_bytes = std::min(min_free_bytes,
+                                  slot.device->free_global_bytes());
       }
-      any_live = true;
-      StreamContext* scp = sc.get();
-      sc->stream.host_fn([scp, &queue, &state, scan, eps,
-                          block = policy_.block_size, &res,
-                          depth_max = policy_.max_split_depth, sink,
-                          materialize, cancel = policy_.cancel,
-                          ctx = policy_.trace] {
-        // Stream threads outlive any one build; attribute this pump's
-        // spans to the request the build serves.
-        RequestScope scope(ctx);
-        pump(*scp, queue, state, scan, eps, block, res, depth_max, sink,
-             materialize, cancel);
-      });
-    }
-    if (!any_live) break;
-    // Drain every stream — on every device — before looking at the
-    // outcome: an error on one context must never leave another
-    // context's in-flight work racing the cleanup below.
-    for (auto& sc : contexts) {
+      const std::uint64_t budget_bytes =
+          min_free_bytes * 9 / 10 -
+          std::min(min_free_bytes * 9 / 10, counts_reserve_bytes);
+      std::uint64_t max_buffer_pairs = std::max<std::uint64_t>(
+          1, budget_bytes /
+                 (std::max(1u, policy_.num_streams) * bytes_per_slot));
+      max_buffer_pairs =
+          std::max<std::uint64_t>(1, max_buffer_pairs >> shrink_shift);
+      // With several devices, plan one batch per (device, stream) context
+      // so every device contributes even on the variable-buffer path.
+      BatchPolicy planning_policy = policy_;
+      planning_policy.num_streams = std::max(1u, policy_.num_streams) *
+                                    static_cast<unsigned>(slots.size());
+      return plan_batches(local_report.estimate.estimated_total,
+                          planning_policy, max_buffer_pairs);
+    };
+
+    // Modeled fixed costs on the reference hardware: index upload over the
+    // pageable link (parallel across devices -> counted once), the
+    // estimation kernel, and page-locking the staging buffers (spread
+    // across the devices' hosts in multi-device mode).
+    const std::uint64_t upload_bytes =
+        index.points.size() * sizeof(Point2) +
+        index.cells.size() * sizeof(CellRange) +
+        index.lookup.size() * sizeof(PointId) +
+        index.nonempty_cells.size() * sizeof(std::uint32_t) +
+        index.emit_ids.size() * sizeof(PointId) +
+        (slots.front().bvh_index ? slots.front().bvh_index->upload_bytes()
+                                 : 0);
+    modeled_fixed =
+        cudasim::modeled_transfer_seconds(cfg, upload_bytes,
+                                          /*pinned=*/false) +
+        local_report.estimate.kernel_stats.modeled_seconds;
+
+    // One context (stream + device buffers + pinned staging + private
+    // shard) per (device, stream) pair. Creating them allocates the big
+    // result buffers, so this is where a tight device first runs out of
+    // memory: each retry halves the buffer cap (growing n_b to match) —
+    // bounded by max_alloc_retries — and a device that dies here is
+    // dropped and planning redone for the survivors.
+    unsigned shrink = 0;
+    for (;;) {
+      drop_lost_slots();
+      if (slots.empty()) {
+        if (res.host_fallback) return whole_index;
+        throw cudasim::DeviceLost(
+            "neighbor table build: every device was lost before batching "
+            "started");
+      }
+      local_report.plan = compute_plan(shrink);
+      const std::uint32_t max_batch_points =
+          (static_cast<std::uint32_t>(index.size()) +
+           local_report.plan.num_batches - 1) /
+          local_report.plan.num_batches;
+      const auto num_contexts = static_cast<unsigned>(slots.size()) *
+                                std::max(1u, policy_.num_streams);
       try {
-        sc->stream.synchronize();
-      } catch (...) {
-        state.set_hard_error(std::current_exception());
+        for (DeviceSlot& slot : slots) {
+          for (unsigned s = 0; s < std::max(1u, policy_.num_streams); ++s) {
+            const auto id = static_cast<unsigned>(contexts.size());
+            contexts.push_back(std::make_unique<StreamContext>(
+                *slot.device, slot.dev_index->view(),
+                local_report.plan.buffer_pairs,
+                std::max(1u, max_batch_points), id));
+            contexts.back()->backend = policy_.index_backend;
+            contexts.back()->quality = policy_.quality;
+            if (slot.bvh_index) {
+              contexts.back()->bvh_view = slot.bvh_index->view();
+            }
+            contexts.back()->shard.reserve_values(
+                local_report.plan.estimated_total_pairs / num_contexts);
+          }
+        }
+        break;
+      } catch (const cudasim::DeviceOutOfMemory&) {
+        contexts.clear();
+        if (shrink >= res.max_alloc_retries) throw;
+        ++shrink;
+        ++local_report.alloc_retries;
+      } catch (const cudasim::DeviceLost&) {
+        contexts.clear();  // next iteration drops the dead slot and replans
       }
     }
-    if (state.has_hard_error()) break;
-  }
-  {
-    std::lock_guard lock(state.mutex);
-    local_report.transient_retries += state.transient_retries;
-    local_report.failover_batches += state.failover_batches;
-  }
-  if (state.hard_error) {
-    // Streams are already drained (the rounds loop synchronizes every
-    // context before breaking), so rethrowing here unwinds contexts and
-    // device indexes with no op left in flight anywhere.
-    std::rethrow_exception(state.hard_error);
-  }
+    const BatchPlan& plan = local_report.plan;
+    for (const auto& sc : contexts) {
+      // Only buffers the pool had to freshly page-lock are charged; reuse
+      // sweeps over N parameter variants pay this once, on the first one.
+      modeled_fixed += cudasim::modeled_pinned_alloc_seconds(
+                           cfg, sc->fresh_pinned_bytes()) /
+                       static_cast<double>(slots.size());
+    }
 
-  // Whatever is still queued could not run on any device (every context
-  // is dead). The last rung: finish exactly those batches on the host —
-  // their key sets are disjoint from everything the devices completed,
-  // so the shards absorb like any other.
-  std::vector<NeighborTable> host_shards;
-  if (!queue.empty()) {
-    if (!res.host_fallback) {
-      const std::size_t unfinished = queue.drain().size();
+    // All batches start in a shared work queue; each context's pump pops,
+    // processes into the private shard, and applies the degradation ladder
+    // on faults (see pump()). The rounds loop re-arms pumps on surviving
+    // contexts until the queue is dry — this is what makes failover work:
+    // an item a dying context pushed back is picked up next round by a
+    // survivor, and the strided key sets stay disjoint whoever runs it.
+    WorkQueue queue(contexts.size());
+    for (std::uint32_t l = 0; l < plan.num_batches; ++l) {
+      queue.push(l % contexts.size(),
+                 WorkItem{gpu::BatchSpec{l, plan.num_batches}});
+    }
+    SharedBuildState state;
+    while (!queue.empty()) {
+      bool any_live = false;
+      for (auto& sc : contexts) {
+        if (sc->device.lost()) {
+          // A sibling stream's fault may have killed this device before
+          // this context's pump ever ran — surface its share regardless.
+          queue.orphan_context(sc->timeline_id);
+          continue;
+        }
+        any_live = true;
+        StreamContext* scp = sc.get();
+        sc->stream.host_fn([scp, &queue, &state, scan, eps,
+                            block = policy_.block_size, &res,
+                            depth_max = policy_.max_split_depth, sink,
+                            materialize, cancel = policy_.cancel,
+                            ctx = policy_.trace] {
+          // Stream threads outlive any one build; attribute this pump's
+          // spans to the request the build serves.
+          RequestScope scope(ctx);
+          pump(*scp, queue, state, scan, eps, block, res, depth_max, sink,
+               materialize, cancel);
+        });
+      }
+      if (!any_live) break;
+      // Drain every stream — on every device — before looking at the
+      // outcome: an error on one context must never leave another
+      // context's in-flight work racing the cleanup below.
+      for (auto& sc : contexts) {
+        try {
+          sc->stream.synchronize();
+        } catch (...) {
+          state.set_hard_error(std::current_exception());
+        }
+      }
+      if (state.has_hard_error()) break;
+    }
+    {
+      std::lock_guard lock(state.mutex);
+      local_report.transient_retries += state.transient_retries;
+      local_report.failover_batches += state.failover_batches;
+    }
+    if (state.hard_error) {
+      // Streams are already drained (the rounds loop synchronizes every
+      // context before breaking), so rethrowing here unwinds contexts and
+      // device indexes with no op left in flight anywhere.
+      std::rethrow_exception(state.hard_error);
+    }
+    // Whatever is still queued could not run on any device (every context
+    // is dead).
+    std::vector<WorkItem> unfinished = queue.drain();
+    if (!unfinished.empty() && !res.host_fallback) {
       throw cudasim::DeviceLost(
           "neighbor table build: all devices lost with " +
-          std::to_string(unfinished) + " batches unfinished");
+          std::to_string(unfinished.size()) + " batches unfinished");
     }
-    local_report.used_host_fallback = true;
-    // A degraded BVH build must finish its batches under the kernels'
-    // *id-based* kHalf cover, not the grid stencil's — mixing ownership
-    // rules within one build double-counts the cross pairs whose stencil
-    // owner differs from their id owner once the merged table expands.
-    // The host rung for the tree backends is the packed STR R-tree
-    // (parallel bulk load), searched through the same reordered ids.
-    std::optional<RTree> fallback_rtree;
-    for (const WorkItem& item : queue.drain()) {
-      check_cancel(policy_.cancel);  // host batches are slow; poll each one
-      TRACE_SPAN("host", "host_fallback %u/%u", item.spec.batch,
-                 item.spec.num_batches);
-      if (use_bvh) {
-        if (!fallback_rtree) {
-          fallback_rtree.emplace(index.points, /*node_capacity=*/16u,
-                                 RTreeBuild::kStrParallel);
-        }
-        host_shards.push_back(build_neighbor_table_host_strided_idrule(
-            index, *fallback_rtree, eps, item.spec.batch,
-            item.spec.num_batches, policy_.scan_mode, policy_.quality));
-      } else {
-        host_shards.push_back(build_neighbor_table_host_strided(
-            index, eps, item.spec.batch, item.spec.num_batches,
-            policy_.scan_mode, policy_.quality));
-      }
-      ++local_report.host_fallback_batches;
-      local_report.total_pairs += host_shards.back().total_pairs();
-      if (sink != nullptr) {
-        // Deliver the host-built rows one key at a time (the shard's
-        // value layout is private). An item whose counts already went
-        // out on a device that died later keeps its flag, so the sink
-        // derives degrees from the rows only when it must.
-        hdbscan::ThreadCpuTimer consume_timer;
-        const NeighborTable& shard = host_shards.back();
-        const std::uint32_t zero = 0;
-        const auto n = static_cast<std::uint32_t>(index.query_count());
-        for (std::uint32_t k = item.spec.batch; k < n;
-             k += item.spec.num_batches) {
-          sink->consume(BatchDelivery{k, /*key_stride=*/1,
-                                      policy_.scan_mode,
-                                      item.counts_delivered,
-                                      {&zero, 1}, shard.neighbors(k), {}});
-          ++local_report.sink_batches;
-        }
-        local_report.sink_consume_seconds += consume_timer.seconds();
-      }
+    return unfinished;
+  };
+  std::vector<WorkItem> host_items = run_on_devices();
+
+  // The last rung: the host finishes those batches with the kernels' own
+  // count and fill bodies under the policy's scan mode, over the index the
+  // devices traversed, so its rows follow the kernels' pair-ownership rule
+  // by construction. Their key sets are disjoint from everything the
+  // devices completed, so the shards absorb like any other, and a sink
+  // gets the deliveries a device batch sends.
+  std::vector<NeighborTable> host_shards;
+  local_report.used_host_fallback = !host_items.empty();
+  for (WorkItem& item : host_items) {
+    check_cancel(policy_.cancel);  // host batches are slow; poll each one
+    TRACE_SPAN("host", "host_fallback %u/%u", item.spec.batch,
+               item.spec.num_batches);
+    NeighborTable shard =
+        use_bvh ? gpu::host_csr_batch(BvhView::of(*host_bvh), eps, item.spec,
+                                      scan, policy_.quality)
+                : gpu::host_csr_batch(GridView::of(index), eps, item.spec,
+                                      scan, policy_.quality);
+    ++local_report.host_fallback_batches;
+    local_report.total_pairs += shard.total_pairs();
+    if (sink != nullptr) {
+      deliver_host_batch(*sink, item, scan, shard,
+                         static_cast<std::uint32_t>(index.query_count()),
+                         local_report);
     }
+    if (materialize) host_shards.push_back(std::move(shard));
   }
 
   // Merge the per-stream shards into T exactly once (deterministic
@@ -948,8 +939,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
   // reference host's cores rather than this machine's. A streaming sink
   // consumed forward rows directly (it unions both directions as rows
   // arrive), so a non-materialized build never pays the transpose.
-  if (policy_.scan_mode == ScanMode::kHalf && materialize &&
-      policy_.expand_half) {
+  if (scan == ScanMode::kHalf && materialize && policy_.expand_half) {
     TRACE_SPAN("build", "expand_half");
     local_report.expand_seconds = table.expand_half_table(
         static_cast<unsigned>(std::max(1, cfg.host_cores)));

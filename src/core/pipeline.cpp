@@ -15,6 +15,7 @@
 #include "core/hybrid_dbscan.hpp"
 #include "core/neighbor_table_builder.hpp"
 #include "dbscan/dbscan.hpp"
+#include "gpu/kernels.hpp"
 #include "obs/trace.hpp"
 
 namespace hdbscan {
@@ -233,8 +234,9 @@ PipelineReport run_multi_clustering(
     const bool host = live.empty();
     double modeled_s = 0.0;
     if (host) {
-      item.table = build_neighbor_table_host_parallel(
-          index, variants[i].eps, /*num_threads=*/0, options.policy.quality);
+      item.table = gpu::host_csr_batch(GridView::of(index), variants[i].eps,
+                                       gpu::BatchSpec{0, 1}, ScanMode::kFull,
+                                       options.policy.quality);
       item.payload_bytes = table_payload_bytes(item.table);
     } else if (options.cluster_mode == ClusterMode::kBatchTable) {
       BuildReport build_report;

@@ -20,6 +20,7 @@
 #include "core/report_metrics.hpp"
 #include "core/shard_planner.hpp"
 #include "cudasim/error.hpp"
+#include "gpu/kernels.hpp"
 #include "obs/trace.hpp"
 
 namespace hdbscan {
@@ -500,16 +501,18 @@ NeighborTable build_sharded_impl(
       throw cudasim::DeviceLost(
           "sharded build: all devices lost with work remaining");
     }
-    // Final rung: finish the unbuilt slabs on the host, through the same
-    // translation/dedup path, keeping everything the devices completed.
+    // Final rung: finish the unbuilt slabs on the host with the kernels'
+    // own count and fill bodies (one batch per slab, emitting through the
+    // slab's map), through the same translation/dedup path, keeping
+    // everything the devices completed.
     agg.used_host_fallback = true;
     ThreadCpuTimer host_timer;
     const std::uint32_t zero = 0;
     for (GridShard& shard : pending) {
       check_cancel(options.policy.cancel);
-      NeighborTable local = build_neighbor_table_host_strided(
-          shard.index, eps, 0, 1, options.policy.scan_mode,
-          options.policy.quality);
+      NeighborTable local = gpu::host_csr_batch(
+          GridView::of(shard.index), eps, gpu::BatchSpec{0, 1},
+          options.policy.scan_mode, options.policy.quality);
       ++agg.host_fallback_batches;
       agg.halo_ghost_points += shard.num_ghosts();
       if (sink != nullptr) {

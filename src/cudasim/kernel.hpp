@@ -5,6 +5,9 @@
 //  * Flat launch — every logical thread is independent (no __syncthreads).
 //    Used by GPUCalcGlobal. Blocks execute in parallel on the executor
 //    pool; threads within a block run sequentially on one executor thread.
+//    The same block loop also runs on the host (run_flat_host), which is
+//    how the degradation ladder's host rungs execute the device's own
+//    kernel bodies.
 //
 //  * Cooperative launch — threads within a block may call co_await
 //    ctx.sync(), the simulator's __syncthreads(). Used by GPUCalcShared.
@@ -27,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "cudasim/device.hpp"
 #include "cudasim/error.hpp"
@@ -156,6 +160,34 @@ inline void validate_launch(const Device& dev, unsigned grid_dim,
   }
 }
 
+/// The flat block loop both executors share: blocks run in parallel on
+/// `pool`, the threads of a block run in order with one ThreadCtx each,
+/// and the per-block counters are merged into the returned total.
+template <typename F>
+BlockCounters run_flat_blocks(hdbscan::ThreadPool& pool, unsigned grid_dim,
+                              unsigned block_dim, F& body) {
+  BlockCounters total;
+  std::mutex merge_mutex;
+  pool.parallel_for(
+      0, grid_dim,
+      [&](std::size_t b) {
+        BlockCounters block_work;
+        for (unsigned t = 0; t < block_dim; ++t) {
+          ThreadCtx ctx;
+          ctx.block_idx = static_cast<unsigned>(b);
+          ctx.thread_idx = t;
+          ctx.block_dim = block_dim;
+          ctx.grid_dim = grid_dim;
+          ctx.counters_ = &block_work;
+          body(ctx);
+        }
+        std::lock_guard lock(merge_mutex);
+        total.merge(block_work);
+      },
+      /*grain=*/1);
+  return total;
+}
+
 }  // namespace detail
 
 /// Executes a flat kernel synchronously on the calling thread + executor
@@ -173,31 +205,24 @@ KernelStats run_flat_kernel(Device& dev, unsigned grid_dim, unsigned block_dim,
   KernelStats stats;
   stats.blocks = grid_dim;
   stats.threads = static_cast<std::uint64_t>(grid_dim) * block_dim;
-
-  std::mutex merge_mutex;
-  dev.executor().parallel_for(
-      0, grid_dim,
-      [&](std::size_t b) {
-        BlockCounters block_work;
-        ThreadCtx ctx;
-        ctx.block_idx = static_cast<unsigned>(b);
-        ctx.block_dim = block_dim;
-        ctx.grid_dim = grid_dim;
-        ctx.counters_ = &block_work;
-        for (unsigned t = 0; t < block_dim; ++t) {
-          ctx.thread_idx = t;
-          body(ctx);
-        }
-        std::lock_guard lock(merge_mutex);
-        stats.work.merge(block_work);
-      },
-      /*grain=*/1);
+  stats.work = detail::run_flat_blocks(dev.executor(), grid_dim, block_dim,
+                                       body);
 
   stats.wall_seconds = wall.seconds();
   stats.finalize(dev.config());
   hdbscan::obs::modeled_advance(stats.modeled_seconds);
   dev.record_kernel(stats);
   return stats;
+}
+
+/// Executes a flat kernel body on the host: the device launch's block
+/// loop on the process-wide pool, with no device behind it — no launch
+/// validation, no fault gate, no modeled time and no kernel record. The
+/// returned counters are the work the body charged.
+template <typename F>
+BlockCounters run_flat_host(unsigned grid_dim, unsigned block_dim, F&& body) {
+  return detail::run_flat_blocks(hdbscan::global_pool(), grid_dim, block_dim,
+                                 body);
 }
 
 /// Executes a cooperative kernel: `gen(ctx)` must be a coroutine returning

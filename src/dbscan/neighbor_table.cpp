@@ -1,7 +1,6 @@
 #include "dbscan/neighbor_table.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -351,122 +350,6 @@ void NeighborTable::canonicalize() {
   begin_ = std::move(new_begin);
   end_ = std::move(new_end);
   values_ = std::move(new_values);
-}
-
-NeighborTable build_neighbor_table_host_strided(const GridIndex& index,
-                                                float eps,
-                                                std::uint32_t first_key,
-                                                std::uint32_t key_stride,
-                                                ScanMode mode,
-                                                QualitySpec quality) {
-  if (key_stride == 0) {
-    throw std::invalid_argument("build_neighbor_table_host_strided: stride 0");
-  }
-  NeighborTable shard(index.size());
-  // Only owned points are queried: a shard sub-index's ghost rows stay
-  // empty, exactly like the device pipeline's batch domain.
-  const std::size_t n = index.query_count();
-  std::vector<PointId> neighbors;
-  std::vector<NeighborPair> pairs;
-  for (std::uint64_t key = first_key; key < n; key += key_stride) {
-    if (mode == ScanMode::kHalf) {
-      grid_query_forward(index, static_cast<PointId>(key), eps, neighbors);
-    } else {
-      grid_query(index, index.points[key], eps, neighbors);
-    }
-    pairs.clear();
-    pairs.reserve(neighbors.size());
-    // Values pass through the index's emission map, matching the device
-    // kernels (shard slabs emit global ids; full indexes are identity).
-    // The Bernoulli filter runs on resident ids, pre-emission — the same
-    // pair the kernels hash — so a degraded build keeps the same sample.
-    for (const PointId v : neighbors) {
-      if (!quality.keep_pair(static_cast<PointId>(key), v)) continue;
-      pairs.push_back({static_cast<PointId>(key), index.emit(v)});
-    }
-    shard.append_sorted_batch(pairs);
-  }
-  return shard;
-}
-
-NeighborTable build_neighbor_table_host_strided_idrule(const GridIndex& index,
-                                                       const RTree& rtree,
-                                                       float eps,
-                                                       std::uint32_t first_key,
-                                                       std::uint32_t key_stride,
-                                                       ScanMode mode,
-                                                       QualitySpec quality) {
-  if (key_stride == 0) {
-    throw std::invalid_argument(
-        "build_neighbor_table_host_strided_idrule: stride 0");
-  }
-  if (rtree.size() != index.size()) {
-    throw std::invalid_argument(
-        "build_neighbor_table_host_strided_idrule: R-tree/index size mismatch");
-  }
-  NeighborTable shard(index.size());
-  const std::size_t n = index.query_count();
-  std::vector<PointId> neighbors;
-  std::vector<NeighborPair> pairs;
-  for (std::uint64_t key = first_key; key < n; key += key_stride) {
-    neighbors.clear();
-    rtree.query_circle(index.points[key], eps, neighbors);
-    pairs.clear();
-    pairs.reserve(neighbors.size());
-    for (const PointId v : neighbors) {
-      // The tree backends' kHalf cover: row `key` owns the pairs whose
-      // partner id is not below it (self included).
-      if (mode == ScanMode::kHalf && v < key) continue;
-      if (!quality.keep_pair(static_cast<PointId>(key), v)) continue;
-      pairs.push_back({static_cast<PointId>(key), v});
-    }
-    std::sort(pairs.begin(), pairs.end(),
-              [](const NeighborPair& a, const NeighborPair& b) {
-                return a.value < b.value;
-              });
-    shard.append_sorted_batch(pairs);
-  }
-  return shard;
-}
-
-NeighborTable build_neighbor_table_host_parallel(const GridIndex& index,
-                                                 float eps,
-                                                 unsigned num_threads,
-                                                 QualitySpec quality) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  NeighborTable table(index.size());
-  const std::size_t n = index.query_count();
-
-  // Each worker searches a contiguous id range and stages its pairs;
-  // appends are serialized (ranges have disjoint keys, so order between
-  // batches is irrelevant).
-  std::mutex table_mutex;
-  const std::size_t chunk =
-      std::max<std::size_t>(1, (n + num_threads - 1) / num_threads);
-  std::vector<std::thread> workers;
-  for (unsigned w = 0; w < num_threads; ++w) {
-    const std::size_t begin = static_cast<std::size_t>(w) * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    workers.emplace_back([&, begin, end, ctx = current_request_context()] {
-      RequestScope scope(ctx);
-      std::vector<PointId> neighbors;
-      std::vector<NeighborPair> pairs;
-      for (std::size_t i = begin; i < end; ++i) {
-        grid_query(index, index.points[i], eps, neighbors);
-        for (const PointId v : neighbors) {
-          if (!quality.keep_pair(static_cast<PointId>(i), v)) continue;
-          pairs.push_back({static_cast<PointId>(i), v});
-        }
-      }
-      std::lock_guard lock(table_mutex);
-      table.append_sorted_batch(pairs);
-    });
-  }
-  for (auto& t : workers) t.join();
-  return table;
 }
 
 NeighborTable build_neighbor_table_host(const GridIndex& index, float eps,

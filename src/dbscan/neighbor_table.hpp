@@ -18,7 +18,6 @@
 #include "common/default_init.hpp"
 #include "common/types.hpp"
 #include "index/grid_index.hpp"
-#include "index/rtree.hpp"
 
 namespace hdbscan {
 
@@ -157,52 +156,16 @@ class NeighborTable {
   ValueVector values_;                ///< B
 };
 
-/// CPU-only construction of T straight from a grid index — the host
+/// CPU-only construction of T straight from a grid index, one
+/// grid_query per point — the oracle for kernel, builder and fault tests.
+/// It shares no code with the kernels' traversal on purpose: the host
 /// fallback the paper mentions ("a CPU-only implementation could also
-/// compute and reuse T") and the oracle for kernel tests.
-/// Every host builder takes a trailing `quality`: under
+/// compute and reuse T") runs the kernel bodies themselves on the host
+/// (gpu::host_csr_batch), and this builder is what checks it. Under
 /// ClusterQuality::kSubsampled the same seeded per-pair Bernoulli filter
-/// the device kernels apply runs on each returned neighbor, so a degraded
-/// build (host-fallback rung, shard host rung, oracle comparison) samples
-/// exactly the pair set the kernels would have.
+/// the kernels apply runs on each returned neighbor, so it samples exactly
+/// the pair set a subsampled build keeps.
 NeighborTable build_neighbor_table_host(const GridIndex& index, float eps,
                                         QualitySpec quality = {});
-
-/// Multithreaded host construction of T: point ranges are searched in
-/// parallel and appended as per-range batches. Produces exactly the same
-/// table as the sequential builder. `num_threads` 0 = hardware concurrency.
-NeighborTable build_neighbor_table_host_parallel(const GridIndex& index,
-                                                 float eps,
-                                                 unsigned num_threads = 0,
-                                                 QualitySpec quality = {});
-
-/// Host construction of one strided batch's shard: only the keys
-/// first_key + g * key_stride (g = 0, 1, ...) are searched and filled; all
-/// other ranges stay empty. This is the degradation ladder's final rung —
-/// when every device is lost mid-build, the builder completes exactly the
-/// unfinished batches on the host and absorbs the shards, keeping all
-/// GPU-completed work. The shard is absorb_shard()-compatible.
-/// Under ScanMode::kHalf the shard holds *forward* rows (grid_query_forward)
-/// so it composes with device-built half shards; the builder expands the
-/// merged table once at the end.
-NeighborTable build_neighbor_table_host_strided(
-    const GridIndex& index, float eps, std::uint32_t first_key,
-    std::uint32_t key_stride, ScanMode mode = ScanMode::kFull,
-    QualitySpec quality = {});
-
-/// Strided host fallback for IndexBackend::kBvh builds. The tree kernels
-/// have no forward stencil, so their ScanMode::kHalf cover is *id-based*:
-/// row k owns exactly the neighbors with id >= k (self included). A
-/// degraded BVH build must complete its unfinished batches under the same
-/// ownership rule — mixing in the grid's stencil rule would double-count
-/// cross pairs whose stencil owner differs from their id owner once the
-/// merged table is expanded. Neighborhoods are searched through `rtree`
-/// (the packed STR host index, built over the same reordered point array
-/// as `index`, so ids agree); under kFull the rows match the grid
-/// fallback's exactly.
-NeighborTable build_neighbor_table_host_strided_idrule(
-    const GridIndex& index, const RTree& rtree, float eps,
-    std::uint32_t first_key, std::uint32_t key_stride,
-    ScanMode mode = ScanMode::kFull, QualitySpec quality = {});
 
 }  // namespace hdbscan

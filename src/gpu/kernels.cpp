@@ -4,36 +4,42 @@
 #include <array>
 #include <atomic>
 #include <span>
-#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace hdbscan::gpu {
 
 namespace {
 
-/// Candidate traversal shared by the per-point kernel bodies. Calls
-/// `emit(candidate)` for every candidate within eps of `point`, charging
-/// the per-candidate reads (lookup id 4 B + point 8 B) and the 6-op
-/// squared-distance test.
+/// Spatial dimensions of a point type (all-float coordinates).
+template <typename Point>
+inline constexpr unsigned kDims = sizeof(Point) / sizeof(float);
+
+/// Candidate traversal shared by the per-point kernel bodies over a grid,
+/// 2-D or 3-D. Calls `emit(candidate)` for every candidate within eps of
+/// `point`, charging the per-candidate reads (lookup id 4 B + the point)
+/// and the 3·D-op squared-distance test (6 ops in 2-D, 9 in 3-D).
 ///
-/// kFull walks the whole 9-cell stencil — every qualifying pair (i, j) is
-/// tested from both sides. kHalf tests each pair exactly once: the own
+/// kFull walks the whole 3^D-cell stencil — every qualifying pair (i, j)
+/// is tested from both sides. kHalf tests each pair exactly once: the own
 /// cell contributes only the suffix of candidates at/after the query's own
 /// lookup position (found by binary search over the cell's ascending slice
 /// of A — charged as log2 candidate-id reads), and only the forward half
 /// of the stencil is visited. Emissions are therefore forward rows only;
 /// symmetry is restored downstream (NeighborTable::expand_half_table).
-template <typename Emit>
-void for_each_neighbor(const GridView& view, ScanMode mode, PointId pid,
-                       const Point2& point, float eps2,
+template <typename View, typename Point, typename Emit>
+void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
+                       const Point& point, float eps2,
                        const QualitySpec& quality, cudasim::ThreadCtx& ctx,
                        Emit&& emit) {
+  constexpr std::uint64_t kTestFlops = 3 * kDims<Point>;
   const bool sampled = quality.sampled();
   auto scan_range = [&](std::uint32_t begin, std::uint32_t end) {
     const std::uint32_t candidates = end - begin;
     if (!sampled) {
       ctx.count_global_bytes(static_cast<std::uint64_t>(candidates) *
-                             (sizeof(PointId) + sizeof(Point2)));
-      ctx.count_flops(static_cast<std::uint64_t>(candidates) * 6);
+                             (sizeof(PointId) + sizeof(point)));
+      ctx.count_flops(static_cast<std::uint64_t>(candidates) * kTestFlops);
       for (std::uint32_t a = begin; a < end; ++a) {
         const PointId candidate = view.lookup[a];
         if (dist2(point, view.points[candidate]) <= eps2) emit(candidate);
@@ -42,8 +48,8 @@ void for_each_neighbor(const GridView& view, ScanMode mode, PointId pid,
     }
     // Subsampled: the Bernoulli trial runs on the id pair *before* the
     // candidate's point is read, so a dropped candidate costs only its
-    // 4 B id read plus the ~4-op hash; kept candidates pay the usual 8 B
-    // point fetch and 6-op distance test.
+    // 4 B id read plus the ~4-op hash; kept candidates pay the usual point
+    // fetch and distance test.
     std::uint64_t kept = 0;
     for (std::uint32_t a = begin; a < end; ++a) {
       const PointId candidate = view.lookup[a];
@@ -53,8 +59,9 @@ void for_each_neighbor(const GridView& view, ScanMode mode, PointId pid,
     }
     ctx.count_global_bytes(
         static_cast<std::uint64_t>(candidates) * sizeof(PointId) +
-        kept * sizeof(Point2));
-    ctx.count_flops(static_cast<std::uint64_t>(candidates) * 4 + kept * 6);
+        kept * sizeof(point));
+    ctx.count_flops(static_cast<std::uint64_t>(candidates) * 4 +
+                    kept * kTestFlops);
   };
 
   // `params` keeps the global geometry even on a shard slab, so cell ids
@@ -62,7 +69,7 @@ void for_each_neighbor(const GridView& view, ScanMode mode, PointId pid,
   // Owned points' whole stencils lie inside the slab by construction
   // (shard_planner includes the epsilon-halo rows), so no bound check.
   const std::uint32_t cell = view.params.linear_cell(point);
-  std::array<std::uint32_t, 9> cell_ids{};
+  std::array<std::uint32_t, kDims<Point> == 2 ? 9 : 27> cell_ids{};
   unsigned ncells = 0;
   if (mode == ScanMode::kHalf) {
     const CellRange own = view.cells[cell - view.cell_base];
@@ -86,7 +93,7 @@ void for_each_neighbor(const GridView& view, ScanMode mode, PointId pid,
   }
 }
 
-/// BVH counterpart of for_each_neighbor: explicit-stack traversal over the
+/// BVH overload of for_each_neighbor: explicit-stack traversal over the
 /// packed node array. Every visited node costs one node read and the
 /// min_dist2 prune (~8 ops); accepted leaves charge like a shared-kernel
 /// tile — candidate ids are read for the whole leaf (the kHalf id filter
@@ -94,10 +101,10 @@ void for_each_neighbor(const GridView& view, ScanMode mode, PointId pid,
 /// Under kHalf subtrees whose max_id < pid hold nothing row pid owns and
 /// are pruned before their MBR is even tested.
 template <typename Emit>
-void for_each_neighbor_bvh(const BvhView& view, ScanMode mode, PointId pid,
-                           const Point2& point, float eps2,
-                           const QualitySpec& quality, cudasim::ThreadCtx& ctx,
-                           Emit&& emit) {
+void for_each_neighbor(const BvhView& view, ScanMode mode, PointId pid,
+                       const Point2& point, float eps2,
+                       const QualitySpec& quality, cudasim::ThreadCtx& ctx,
+                       Emit&& emit) {
   const bool half = mode == ScanMode::kHalf;
   const bool sampled = quality.sampled();
   std::uint32_t stack[160];
@@ -276,12 +283,20 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
   staged.flush(ctx);
 }
 
+/// Bytes one emitted CSR value costs: the 4 B write, plus the 4 B
+/// emission-map read on shard slabs (only the 2-D grid has slabs).
+std::uint64_t value_write_bytes(const GridView& view) {
+  return view.emit_ids != nullptr ? 2 * sizeof(PointId) : sizeof(PointId);
+}
+std::uint64_t value_write_bytes(const auto&) { return sizeof(PointId); }
+
 /// Pass 1 of the two-pass CSR builder: thread g counts the neighbors of
 /// its batch point and writes counts[g]. No atomics, no result
 /// materialization — an exclusive scan of `counts` then yields the exact
 /// CSR slot offsets for the fill pass.
+template <typename View>
 struct CountBatchKernelBody {
-  GridView view;
+  View view;
   float eps2;
   BatchSpec batch;
   std::uint32_t* counts;
@@ -293,8 +308,8 @@ struct CountBatchKernelBody {
     const std::uint64_t i = gid * batch.num_batches + batch.batch;
     if (i >= view.query_count()) return;
     const auto pid = static_cast<PointId>(i);
-    const Point2 point = view.points[i];
-    ctx.count_global_bytes(sizeof(Point2));
+    const auto point = view.points[i];
+    ctx.count_global_bytes(sizeof(point));
     std::uint32_t neighbors = 0;
     // In kHalf the counts are *forward-row* lengths — no atomics on other
     // rows; the host transpose restores the back rows after the merge.
@@ -310,8 +325,9 @@ struct CountBatchKernelBody {
 /// [offsets[g], offsets[g] + counts[g]). The offsets are exact, so the
 /// pass needs no atomics, no sort, and ships bare PointId values (half the
 /// bytes of a NeighborPair) over PCIe.
+template <typename View>
 struct FillCsrKernelBody {
-  GridView view;
+  View view;
   float eps2;
   BatchSpec batch;
   const std::uint32_t* offsets;
@@ -324,72 +340,18 @@ struct FillCsrKernelBody {
     const std::uint64_t i = gid * batch.num_batches + batch.batch;
     if (i >= view.query_count()) return;
     const auto pid = static_cast<PointId>(i);
-    const Point2 point = view.points[i];
-    ctx.count_global_bytes(sizeof(Point2) + sizeof(std::uint32_t));
+    const auto point = view.points[i];
+    ctx.count_global_bytes(sizeof(point) + sizeof(std::uint32_t));
     PointId* out = values + offsets[gid];
-    // Values go out through the emission map (identity on the full index;
-    // local->global on shard slabs): one extra 4 B read per emitted value,
-    // which buys the shard merge freedom from ever touching individual
-    // pairs.
+    // Values go out through the emission map (identity on a whole index;
+    // local->global on shard slabs), which buys the shard merge freedom
+    // from ever touching individual pairs.
+    const std::uint64_t write_bytes = value_write_bytes(view);
     for_each_neighbor(view, mode, pid, point, eps2, quality, ctx,
                       [&](PointId candidate) {
                         *out++ = view.emit(candidate);
-                        ctx.count_global_bytes(
-                            view.emit_ids != nullptr ? 2 * sizeof(PointId)
-                                                     : sizeof(PointId));
+                        ctx.count_global_bytes(write_bytes);
                       });
-  }
-};
-
-/// BVH pass 1: like CountBatchKernelBody but over the tree traversal. No
-/// emission map — BVH-backed builds are whole-index only (sharded slabs
-/// keep the grid backend), so resident ids are already global.
-struct BvhCountBatchKernelBody {
-  BvhView view;
-  float eps2;
-  BatchSpec batch;
-  std::uint32_t* counts;
-  ScanMode mode;
-  QualitySpec quality;
-
-  void operator()(cudasim::ThreadCtx& ctx) const {
-    const std::uint64_t gid = ctx.global_id();
-    const std::uint64_t i = gid * batch.num_batches + batch.batch;
-    if (i >= view.query_count()) return;
-    const auto pid = static_cast<PointId>(i);
-    const Point2 point = view.points[i];
-    ctx.count_global_bytes(sizeof(Point2));
-    std::uint32_t neighbors = 0;
-    for_each_neighbor_bvh(view, mode, pid, point, eps2, quality, ctx,
-                          [&](PointId) { ++neighbors; });
-    counts[gid] = neighbors;
-    ctx.count_global_bytes(sizeof(std::uint32_t));
-  }
-};
-
-/// BVH pass 2: fills the pre-sized CSR slots, mirroring FillCsrKernelBody.
-struct BvhFillCsrKernelBody {
-  BvhView view;
-  float eps2;
-  BatchSpec batch;
-  const std::uint32_t* offsets;
-  PointId* values;
-  ScanMode mode;
-  QualitySpec quality;
-
-  void operator()(cudasim::ThreadCtx& ctx) const {
-    const std::uint64_t gid = ctx.global_id();
-    const std::uint64_t i = gid * batch.num_batches + batch.batch;
-    if (i >= view.query_count()) return;
-    const auto pid = static_cast<PointId>(i);
-    const Point2 point = view.points[i];
-    ctx.count_global_bytes(sizeof(Point2) + sizeof(std::uint32_t));
-    PointId* out = values + offsets[gid];
-    for_each_neighbor_bvh(view, mode, pid, point, eps2, quality, ctx,
-                          [&](PointId candidate) {
-                            *out++ = candidate;
-                            ctx.count_global_bytes(sizeof(PointId));
-                          });
   }
 };
 
@@ -397,8 +359,7 @@ struct BvhFillCsrKernelBody {
 /// StreamingDbscan::ingest_fused when full and at thread end).
 constexpr unsigned kFusedSpill = 256;
 
-/// Per-thread body of the fused no-table clustering kernel, shared by both
-/// backends (`traverse` dispatches to the grid stencil or the BVH stack).
+/// Per-thread body of the fused no-table clustering kernel.
 ///
 /// Degree handling: the thread's own contributions (self pair + every
 /// candidate it tests) accumulate in a register and land as ONE fetch_add
@@ -421,22 +382,13 @@ struct FusedKernelBody {
   StreamingDbscan::FusedView fu;
   StreamingDbscan* sink;
 
-  void traverse(PointId pid, const Point2& point, cudasim::ThreadCtx& ctx,
-                auto&& emit) const {
-    if constexpr (std::is_same_v<View, GridView>) {
-      for_each_neighbor(view, mode, pid, point, eps2, quality, ctx, emit);
-    } else {
-      for_each_neighbor_bvh(view, mode, pid, point, eps2, quality, ctx, emit);
-    }
-  }
-
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
     const std::uint64_t i = gid * batch.num_batches + batch.batch;
     if (i >= view.query_count()) return;
     const auto pid = static_cast<PointId>(i);
-    const Point2 point = view.points[i];
-    ctx.count_global_bytes(sizeof(Point2));
+    const auto point = view.points[i];
+    ctx.count_global_bytes(sizeof(point));
 
     NeighborPair local[kFusedSpill];
     unsigned nlocal = 0;
@@ -444,7 +396,8 @@ struct FusedKernelBody {
     std::uint64_t seen = 0;
     std::uint64_t streamed = 0;
 
-    traverse(pid, point, ctx, [&](PointId cand) {
+    for_each_neighbor(view, mode, pid, point, eps2, quality, ctx,
+                      [&](PointId cand) {
       ++own_degree;  // self pair included: degree counts the point itself
       if (cand == pid) return;
       std::uint32_t deg_v;
@@ -533,6 +486,13 @@ struct CountKernelBody {
   return static_cast<unsigned>((threads_needed + block_size - 1) / block_size);
 }
 
+/// Blocks a batch's per-point kernel needs: one thread per batch point.
+template <typename View>
+[[nodiscard]] unsigned batch_grid_dim(const View& view, BatchSpec batch,
+                                      unsigned block_size) {
+  return grid_dim_for(batch.points_in_batch(view.query_count()), block_size);
+}
+
 }  // namespace
 
 cudasim::KernelStats run_calc_global(cudasim::Device& device,
@@ -545,81 +505,104 @@ cudasim::KernelStats run_calc_global(cudasim::Device& device,
   return cudasim::run_flat_kernel(device, grid, block_size, body);
 }
 
+template <typename View>
 cudasim::KernelStats run_count_batch(cudasim::Device& device,
-                                     const GridView& view, float eps,
+                                     const View& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
                                      ScanMode mode, unsigned block_size,
                                      QualitySpec quality) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  CountBatchKernelBody body{view, eps * eps, batch, counts, mode, quality};
-  return cudasim::run_flat_kernel(device, grid, block_size, body);
+  return cudasim::run_flat_kernel(
+      device, batch_grid_dim(view, batch, block_size), block_size,
+      CountBatchKernelBody<View>{view, eps * eps, batch, counts, mode,
+                                 quality});
 }
 
-cudasim::KernelStats run_fill_csr(cudasim::Device& device,
-                                  const GridView& view, float eps,
-                                  BatchSpec batch,
+template <typename View>
+cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
+                                  float eps, BatchSpec batch,
                                   const std::uint32_t* offsets,
                                   PointId* values, ScanMode mode,
                                   unsigned block_size, QualitySpec quality) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  FillCsrKernelBody body{view,   eps * eps, batch,
-                         offsets, values,    mode, quality};
-  return cudasim::run_flat_kernel(device, grid, block_size, body);
+  return cudasim::run_flat_kernel(
+      device, batch_grid_dim(view, batch, block_size), block_size,
+      FillCsrKernelBody<View>{view, eps * eps, batch, offsets, values, mode,
+                              quality});
 }
 
-cudasim::KernelStats run_count_batch(cudasim::Device& device,
-                                     const BvhView& view, float eps,
-                                     BatchSpec batch, std::uint32_t* counts,
-                                     ScanMode mode, unsigned block_size,
-                                     QualitySpec quality) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  BvhCountBatchKernelBody body{view, eps * eps, batch, counts, mode, quality};
-  return cudasim::run_flat_kernel(device, grid, block_size, body);
-}
-
-cudasim::KernelStats run_fill_csr(cudasim::Device& device,
-                                  const BvhView& view, float eps,
-                                  BatchSpec batch,
-                                  const std::uint32_t* offsets,
-                                  PointId* values, ScanMode mode,
-                                  unsigned block_size, QualitySpec quality) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  BvhFillCsrKernelBody body{view,    eps * eps, batch,
-                            offsets, values,    mode, quality};
-  return cudasim::run_flat_kernel(device, grid, block_size, body);
-}
-
+template <typename View>
 cudasim::KernelStats run_fused_batch(cudasim::Device& device,
-                                     const GridView& view, float eps,
+                                     const View& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
                                      ScanMode mode, unsigned block_size,
                                      QualitySpec quality) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  FusedKernelBody<GridView> body{view,    eps * eps,
-                                 batch,   mode,
-                                 quality, sink.fused_view(),
-                                 &sink};
-  return cudasim::run_flat_kernel(device, grid, block_size, body);
+  return cudasim::run_flat_kernel(
+      device, batch_grid_dim(view, batch, block_size), block_size,
+      FusedKernelBody<View>{view, eps * eps, batch, mode, quality,
+                            sink.fused_view(), &sink});
 }
 
-cudasim::KernelStats run_fused_batch(cudasim::Device& device,
-                                     const BvhView& view, float eps,
-                                     BatchSpec batch, StreamingDbscan& sink,
-                                     ScanMode mode, unsigned block_size,
-                                     QualitySpec quality) {
+template <typename View>
+NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
+                             ScanMode mode, QualitySpec quality) {
+  NeighborTable shard(view.num_points);
   const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  FusedKernelBody<BvhView> body{view,    eps * eps,
-                                batch,   mode,
-                                quality, sink.fused_view(),
-                                &sink};
-  return cudasim::run_flat_kernel(device, grid, block_size, body);
+  if (points == 0) return shard;
+  const unsigned grid = batch_grid_dim(view, batch, kDefaultBlockSize);
+  std::vector<std::uint32_t> offsets(points);
+  cudasim::run_flat_host(grid, kDefaultBlockSize,
+                         CountBatchKernelBody<View>{view, eps * eps, batch,
+                                                    offsets.data(), mode,
+                                                    quality});
+  // Counts become exclusive CSR offsets in place, as on the device.
+  std::uint32_t total = 0;
+  for (std::uint32_t& slot : offsets) total += std::exchange(slot, total);
+  std::vector<PointId> values(total);
+  cudasim::run_flat_host(grid, kDefaultBlockSize,
+                         FillCsrKernelBody<View>{view, eps * eps, batch,
+                                                 offsets.data(), values.data(),
+                                                 mode, quality});
+  shard.append_csr_batch(batch.batch, batch.num_batches, offsets, values);
+  return shard;
 }
+
+template <typename View>
+void host_fused_batch(const View& view, float eps, BatchSpec batch,
+                      StreamingDbscan& sink, ScanMode mode,
+                      QualitySpec quality) {
+  cudasim::run_flat_host(batch_grid_dim(view, batch, kDefaultBlockSize),
+                         kDefaultBlockSize,
+                         FusedKernelBody<View>{view, eps * eps, batch, mode,
+                                               quality, sink.fused_view(),
+                                               &sink});
+}
+
+#define HDBSCAN_TRAVERSAL_KERNELS(View)                                      \
+  template cudasim::KernelStats run_count_batch<View>(                       \
+      cudasim::Device&, const View&, float, BatchSpec, std::uint32_t*,       \
+      ScanMode, unsigned, QualitySpec);                                      \
+  template cudasim::KernelStats run_fill_csr<View>(                          \
+      cudasim::Device&, const View&, float, BatchSpec, const std::uint32_t*, \
+      PointId*, ScanMode, unsigned, QualitySpec);                            \
+  template cudasim::KernelStats run_fused_batch<View>(                       \
+      cudasim::Device&, const View&, float, BatchSpec, StreamingDbscan&,     \
+      ScanMode, unsigned, QualitySpec);
+HDBSCAN_TRAVERSAL_KERNELS(GridView)
+HDBSCAN_TRAVERSAL_KERNELS(GridView3)
+HDBSCAN_TRAVERSAL_KERNELS(BvhView)
+#undef HDBSCAN_TRAVERSAL_KERNELS
+
+template NeighborTable host_csr_batch<GridView>(const GridView&, float,
+                                                BatchSpec, ScanMode,
+                                                QualitySpec);
+template NeighborTable host_csr_batch<BvhView>(const BvhView&, float,
+                                               BatchSpec, ScanMode,
+                                               QualitySpec);
+template void host_fused_batch<GridView>(const GridView&, float, BatchSpec,
+                                         StreamingDbscan&, ScanMode,
+                                         QualitySpec);
+template void host_fused_batch<BvhView>(const BvhView&, float, BatchSpec,
+                                        StreamingDbscan&, ScanMode,
+                                        QualitySpec);
 
 std::size_t shared_kernel_smem_bytes(unsigned block_size) {
   return kSmemHeader +

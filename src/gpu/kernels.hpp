@@ -1,5 +1,6 @@
-// The paper's two epsilon-neighborhood GPU kernels plus the result-size
-// estimation kernel for the batching scheme.
+// The paper's two epsilon-neighborhood GPU kernels, the result-size
+// estimation kernel for the batching scheme, and the per-point traversal
+// kernels every table and clustering path runs.
 //
 //  * GPUCalcGlobal (Alg. 2): one thread per point; reads candidates from
 //    up to 9 adjacent grid cells straight out of global memory.
@@ -10,6 +11,9 @@
 //    mentions kicks in.
 //  * Count kernel (§VI): counts neighbors of a uniform sample of points to
 //    produce the result-size estimate e_b without materializing results.
+//  * CSR count/fill and fused kernels: one body each, templated over the
+//    index view (2-D grid, 3-D grid, BVH) and run either on a simulated
+//    device or on the host pool — see the section below.
 //
 // Batched execution (§VI, Fig. 2): batch l of n_b processes points
 // i = gid * n_b + l, so every batch samples the (spatially sorted) database
@@ -21,10 +25,12 @@
 #include "common/types.hpp"
 #include "cudasim/device.hpp"
 #include "cudasim/kernel.hpp"
+#include "dbscan/neighbor_table.hpp"
 #include "dbscan/streaming_dbscan.hpp"
 #include "gpu/result_sink.hpp"
 #include "index/bvh.hpp"
 #include "index/grid_index.hpp"
+#include "index/grid_index3.hpp"
 
 namespace hdbscan::gpu {
 
@@ -62,25 +68,48 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
                                      ResultSinkView sink,
                                      unsigned block_size = kDefaultBlockSize);
 
-// Every traversal entry point below takes a `mode` and a trailing
-// `quality`. Under ScanMode::kHalf each candidate pair is tested once and
-// only the *forward* rows are emitted (same-cell candidates at/after the
-// query's lookup position plus the forward stencil); the caller restores
-// symmetry afterwards via NeighborTable::expand_half_table. Under
-// ClusterQuality::kSubsampled each candidate pair is run through the
+// --- Per-point traversal kernels: one body per kernel, any index --------
+//
+// The count, fill and fused bodies are each written once, as templates
+// over the index view they traverse:
+//  * GridView  — the paper's 2-D grid: the 9-cell stencil (shard slabs
+//    included: values go out through the slab's emission map);
+//  * GridView3 — the 3-D grid: the same traversal over the 27-cell stencil;
+//  * BvhView   — the packed BVH (IndexBackend::kBvh): a stack traversal with
+//    min_dist2 pruning against node MBRs instead of a stencil.
+// Each runs under two executors: a cudasim device launch (run_*, which
+// validates, fault-gates, models and records the launch) or the host pool
+// (host_*, none of those). Host-run work therefore follows the kernels'
+// pair-ownership rule by construction — that is what lets the degradation
+// ladder finish a device build's batches on the host.
+//
+// Every entry point takes a `mode` and a trailing `quality`. Under
+// ScanMode::kHalf each candidate pair is tested once and only the
+// *forward* rows are emitted; the caller restores symmetry afterwards via
+// NeighborTable::expand_half_table. On a grid a forward row is the
+// same-cell candidates at/after the query's lookup position plus the
+// forward stencil; a tree has no forward stencil, so there row i owns
+// exactly the candidates with id >= i (self included) and subtrees whose
+// max_id < i are pruned outright. Either way every cross pair lands in
+// exactly one row — the cover expand_half_table and the streaming
+// consumer require — so the expanded tables are identical across indexes.
+// Under ClusterQuality::kSubsampled each candidate pair is run through the
 // seeded Bernoulli filter *before* the candidate's point is read, so a
 // dropped pair costs only the 4-byte id read plus the hash — the point
 // fetch and distance test are skipped. Self-pairs always pass. The
 // estimation kernel stays exact (the estimate is a property of the data);
 // the planner scales it by the sample rate instead.
+//
+// `View` is GridView, GridView3 or BvhView (instantiated in kernels.cpp).
 
 /// Two-pass CSR builder, pass 1: per-point neighbor counts for one batch.
 /// Thread g writes |N_eps(point g of the batch)| to counts[g]
 /// (counts must hold batch.points_in_batch(n) entries). No atomics.
 /// Under ScanMode::kHalf counts[g] is the *forward-row* length (still no
 /// atomics — the host transpose restores back rows after the merge).
+template <typename View>
 cudasim::KernelStats run_count_batch(cudasim::Device& device,
-                                     const GridView& view, float eps,
+                                     const View& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
                                      ScanMode mode = ScanMode::kFull,
                                      unsigned block_size = kDefaultBlockSize,
@@ -90,39 +119,9 @@ cudasim::KernelStats run_count_batch(cudasim::Device& device,
 /// `offsets` is the exclusive prefix scan of the pass-1 counts; thread g
 /// writes its neighbors at values[offsets[g]...]. No atomics, no sort
 /// needed afterwards. `mode` must match the count pass.
-cudasim::KernelStats run_fill_csr(cudasim::Device& device,
-                                  const GridView& view, float eps,
-                                  BatchSpec batch,
-                                  const std::uint32_t* offsets,
-                                  PointId* values,
-                                  ScanMode mode = ScanMode::kFull,
-                                  unsigned block_size = kDefaultBlockSize,
-                                  QualitySpec quality = {});
-
-// --- IndexBackend::kBvh traversal variants -------------------------------
-//
-// Same per-point batching contract as the grid kernels, but candidates
-// come from a packed-BVH stack traversal (min_dist2 pruning against node
-// MBRs) instead of the 9-cell stencil. Under ScanMode::kHalf the tree has
-// no forward stencil, so the half rule is id-based: row i owns exactly the
-// candidates with id >= i (self included) and subtrees whose max_id < i
-// are pruned outright. Every cross pair lands in exactly one row — the
-// same cover expand_half_table and the streaming consumer require — so
-// the merged/expanded table is identical to the grid backend's.
-
-/// Two-pass CSR pass 1 over the BVH: counts[g] = |forward row of batch
-/// point g| (full row under kFull). No atomics.
-cudasim::KernelStats run_count_batch(cudasim::Device& device,
-                                     const BvhView& view, float eps,
-                                     BatchSpec batch, std::uint32_t* counts,
-                                     ScanMode mode = ScanMode::kFull,
-                                     unsigned block_size = kDefaultBlockSize,
-                                     QualitySpec quality = {});
-
-/// Two-pass CSR pass 2 over the BVH; `mode` must match the count pass.
-cudasim::KernelStats run_fill_csr(cudasim::Device& device,
-                                  const BvhView& view, float eps,
-                                  BatchSpec batch,
+template <typename View>
+cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
+                                  float eps, BatchSpec batch,
                                   const std::uint32_t* offsets,
                                   PointId* values,
                                   ScanMode mode = ScanMode::kFull,
@@ -141,22 +140,37 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device,
 // for the compaction/finalize machinery to settle. The neighbor table is
 // never materialized: the only per-pair bytes are the parked-edge writes.
 
-/// Fused traversal over the grid backend. Returns the launch's stats;
-/// degrees/unions/parked edges land in `sink`.
+/// Fused traversal launch. Returns the launch's stats; degrees, unions
+/// and parked edges land in `sink`.
+template <typename View>
 cudasim::KernelStats run_fused_batch(cudasim::Device& device,
-                                     const GridView& view, float eps,
+                                     const View& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
                                      ScanMode mode = ScanMode::kHalf,
                                      unsigned block_size = kDefaultBlockSize,
                                      QualitySpec quality = {});
 
-/// Fused traversal over the BVH backend.
-cudasim::KernelStats run_fused_batch(cudasim::Device& device,
-                                     const BvhView& view, float eps,
-                                     BatchSpec batch, StreamingDbscan& sink,
-                                     ScanMode mode = ScanMode::kHalf,
-                                     unsigned block_size = kDefaultBlockSize,
-                                     QualitySpec quality = {});
+// --- Host execution of the same bodies -----------------------------------
+
+/// One CSR batch on the host: the count body, a host exclusive scan and
+/// the fill body, then an append_csr_batch into a fresh table of
+/// view.num_points rows. The result is the shard a device batch appends
+/// (absorb_shard-compatible; only the batch's keys are filled, as forward
+/// rows under kHalf, through the emission map on shard slabs), so it
+/// merges with device-built shards and expands like them. Grid and BVH
+/// views only.
+template <typename View>
+NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
+                             ScanMode mode = ScanMode::kFull,
+                             QualitySpec quality = {});
+
+/// One fused batch on the host: the fused body's degrees, unions and
+/// parked edges land in `sink` exactly as from run_fused_batch. Grid and
+/// BVH views only.
+template <typename View>
+void host_fused_batch(const View& view, float eps, BatchSpec batch,
+                      StreamingDbscan& sink, ScanMode mode = ScanMode::kHalf,
+                      QualitySpec quality = {});
 
 /// Shared-memory bytes GPUCalcShared needs for a given block size (origin
 /// and comparison tiles plus the neighbor-cell-id scratch).

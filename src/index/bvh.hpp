@@ -76,6 +76,9 @@ struct BvhView {
     return num_query != 0 ? num_query : num_points;
   }
 
+  /// BVH builds are whole-index only, so values are resident ids.
+  [[nodiscard]] PointId emit(PointId c) const noexcept { return c; }
+
   [[nodiscard]] static BvhView of(const BvhIndex& b) noexcept {
     return BvhView{b.nodes.data(),
                    static_cast<std::uint32_t>(b.nodes.size()),

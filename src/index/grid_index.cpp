@@ -160,33 +160,4 @@ void grid_query(const GridIndex& index, const Point2& q, float eps,
   }
 }
 
-void grid_query_forward(const GridIndex& index, PointId query, float eps,
-                        std::vector<PointId>& out) {
-  out.clear();
-  const float eps2 = eps * eps;
-  const Point2 point = index.points[query];
-  const std::uint32_t cell = index.params.linear_cell(point);
-
-  // Same cell: the ordering invariant makes the slice of A ascending, so
-  // candidates with id >= query occupy a suffix starting at lower_bound.
-  const CellRange own = index.cells[cell - index.cell_base];
-  const auto* first = index.lookup.data() + own.begin;
-  const auto* last = index.lookup.data() + own.end;
-  for (const auto* a = std::lower_bound(first, last, query); a != last; ++a) {
-    if (dist2(point, index.points[*a]) <= eps2) out.push_back(*a);
-  }
-
-  std::array<std::uint32_t, 9> cells{};
-  const unsigned n = get_forward_neighbor_cells(index.params, cell, cells);
-  for (unsigned c = 0; c < n; ++c) {
-    const std::uint32_t local = cells[c] - index.cell_base;
-    if (local >= index.cells.size()) continue;
-    const CellRange range = index.cells[local];
-    for (std::uint32_t a = range.begin; a < range.end; ++a) {
-      const PointId id = index.lookup[a];
-      if (dist2(point, index.points[id]) <= eps2) out.push_back(id);
-    }
-  }
-}
-
 }  // namespace hdbscan

@@ -125,7 +125,7 @@ struct GridIndex {
 };
 
 /// Non-owning view of the index data; what kernels receive. The pointers
-/// may reference host vectors (tests) or device buffers (the real pipeline).
+/// may reference host vectors (tests, the host rungs) or device buffers.
 struct GridView {
   GridParams params;
   const Point2* points = nullptr;
@@ -174,19 +174,11 @@ struct GridView {
 GridIndex build_grid_index(std::span<const Point2> input, float eps,
                            std::uint64_t max_cells = 1ull << 27);
 
-/// Reference search used by tests and the host fallback: all point ids
-/// (into the index's reordered D) within eps of q.
+/// Reference search: all point ids (into the index's reordered D) within
+/// eps of q. It shares no code with the kernels' traversal, which is what
+/// makes it the oracle the host table builder and dbscan_grid run on; the
+/// host fallback runs the kernel bodies instead (gpu/kernels.hpp).
 void grid_query(const GridIndex& index, const Point2& q, float eps,
                 std::vector<PointId>& out);
-
-/// Forward-only reference search mirroring the kernels' ScanMode::kHalf
-/// traversal for point id `query` (an id into the index's reordered D):
-/// same-cell candidates with id >= query (including query itself) plus all
-/// points of the forward-stencil cells, distance-filtered. The union of
-/// forward results over all queries, transposed, is the full neighbor
-/// table — the host-fallback shard builder and the equivalence tests use
-/// exactly this.
-void grid_query_forward(const GridIndex& index, PointId query, float eps,
-                        std::vector<PointId>& out);
 
 }  // namespace hdbscan

@@ -9,8 +9,8 @@
 
 namespace hdbscan {
 
-unsigned get_neighbor_cells3(const GridParams3& params, std::uint32_t cell,
-                             std::array<std::uint32_t, 27>& out) noexcept {
+unsigned get_neighbor_cells(const GridParams3& params, std::uint32_t cell,
+                            std::array<std::uint32_t, 27>& out) noexcept {
   const std::uint32_t plane = params.cells_x * params.cells_y;
   const std::uint32_t cz = cell / plane;
   const std::uint32_t rem = cell % plane;
@@ -38,7 +38,7 @@ unsigned get_neighbor_cells3(const GridParams3& params, std::uint32_t cell,
   return n;
 }
 
-unsigned get_forward_neighbor_cells3(
+unsigned get_forward_neighbor_cells(
     const GridParams3& params, std::uint32_t cell,
     std::array<std::uint32_t, 27>& out) noexcept {
   const std::uint32_t plane = params.cells_x * params.cells_y;
@@ -177,37 +177,12 @@ void grid_query3(const GridIndex3& index, const Point3& q, float eps,
   const float eps2 = eps * eps;
   std::array<std::uint32_t, 27> neighbors{};
   const unsigned n =
-      get_neighbor_cells3(index.params, index.params.linear_cell(q), neighbors);
+      get_neighbor_cells(index.params, index.params.linear_cell(q), neighbors);
   for (unsigned c = 0; c < n; ++c) {
     const CellRange range = index.cells[neighbors[c]];
     for (std::uint32_t a = range.begin; a < range.end; ++a) {
       const PointId id = index.lookup[a];
       if (dist2(q, index.points[id]) <= eps2) out.push_back(id);
-    }
-  }
-}
-
-void grid_query3_forward(const GridIndex3& index, PointId query, float eps,
-                         std::vector<PointId>& out) {
-  out.clear();
-  const float eps2 = eps * eps;
-  const Point3 point = index.points[query];
-  const std::uint32_t cell = index.params.linear_cell(point);
-
-  const CellRange own = index.cells[cell];
-  const auto* first = index.lookup.data() + own.begin;
-  const auto* last = index.lookup.data() + own.end;
-  for (const auto* a = std::lower_bound(first, last, query); a != last; ++a) {
-    if (dist2(point, index.points[*a]) <= eps2) out.push_back(*a);
-  }
-
-  std::array<std::uint32_t, 27> cells{};
-  const unsigned n = get_forward_neighbor_cells3(index.params, cell, cells);
-  for (unsigned c = 0; c < n; ++c) {
-    const CellRange range = index.cells[cells[c]];
-    for (std::uint32_t a = range.begin; a < range.end; ++a) {
-      const PointId id = index.lookup[a];
-      if (dist2(point, index.points[id]) <= eps2) out.push_back(id);
     }
   }
 }

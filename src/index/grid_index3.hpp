@@ -44,16 +44,17 @@ struct GridParams3 {
 };
 
 /// Fills `out` with the (at most 27) linear cell ids adjacent to `cell`
-/// (inclusive); returns how many. Boundary cells are clipped.
-unsigned get_neighbor_cells3(const GridParams3& params, std::uint32_t cell,
-                             std::array<std::uint32_t, 27>& out) noexcept;
+/// (inclusive); returns how many. Boundary cells are clipped. The 3-D
+/// overload of the 2-D stencil, so one kernel traversal serves both.
+unsigned get_neighbor_cells(const GridParams3& params, std::uint32_t cell,
+                            std::array<std::uint32_t, 27>& out) noexcept;
 
 /// Forward half of the 27-cell stencil: the (at most 13) adjacent cells
 /// with linear id strictly greater than `cell` — the 2-D forward stencil
 /// in the dz = 0 plane plus the entire dz = +1 plane. Excludes `cell`
 /// itself; same-cell pairs are halved via the lookup ordering invariant,
 /// exactly as in 2-D (see build_grid_index).
-unsigned get_forward_neighbor_cells3(
+unsigned get_forward_neighbor_cells(
     const GridParams3& params, std::uint32_t cell,
     std::array<std::uint32_t, 27>& out) noexcept;
 
@@ -69,13 +70,22 @@ struct GridIndex3 {
   [[nodiscard]] std::size_t size() const noexcept { return points.size(); }
 };
 
-/// Non-owning kernel view (host vectors or device buffers).
+/// Non-owning kernel view (host vectors or device buffers). It carries the
+/// few members the shared kernel bodies read from the 2-D GridView: a 3-D
+/// index is always whole, so every point is queried, values are emitted
+/// as resident ids and cells[0] is cell 0.
 struct GridView3 {
   GridParams3 params;
   const Point3* points = nullptr;
   std::uint32_t num_points = 0;
   const CellRange* cells = nullptr;
   const PointId* lookup = nullptr;
+  static constexpr std::uint32_t cell_base = 0;
+
+  [[nodiscard]] std::uint32_t query_count() const noexcept {
+    return num_points;
+  }
+  [[nodiscard]] PointId emit(PointId c) const noexcept { return c; }
 
   [[nodiscard]] static GridView3 of(const GridIndex3& g) noexcept {
     return GridView3{g.params, g.points.data(),
@@ -87,13 +97,8 @@ struct GridView3 {
 GridIndex3 build_grid_index3(std::span<const Point3> input, float eps,
                              std::uint64_t max_cells = 1ull << 27);
 
+/// Reference search (the 3-D oracle): all point ids within eps of q.
 void grid_query3(const GridIndex3& index, const Point3& q, float eps,
                  std::vector<PointId>& out);
-
-/// Forward-only reference search mirroring ScanMode::kHalf in 3-D: same-cell
-/// candidates with id >= query plus all points of the forward 27-stencil
-/// cells, distance-filtered (see grid_query_forward in grid_index.hpp).
-void grid_query3_forward(const GridIndex3& index, PointId query, float eps,
-                         std::vector<PointId>& out);
 
 }  // namespace hdbscan

@@ -6,8 +6,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
-
 namespace hdbscan {
 
 RTree::RTree(std::span<const Point2> points, unsigned node_capacity,
@@ -19,10 +17,7 @@ RTree::RTree(std::span<const Point2> points, unsigned node_capacity,
   if (points.empty()) throw std::invalid_argument("RTree: empty database");
   switch (build) {
     case RTreeBuild::kStrSerial:
-      build_str(points, /*parallel=*/false);
-      break;
-    case RTreeBuild::kStrParallel:
-      build_str(points, /*parallel=*/true);
+      build_str(points);
       break;
     case RTreeBuild::kIncremental:
       build_incremental(points);
@@ -30,15 +25,12 @@ RTree::RTree(std::span<const Point2> points, unsigned node_capacity,
   }
 }
 
-void RTree::build_str(std::span<const Point2> points, bool parallel) {
+void RTree::build_str(std::span<const Point2> points) {
   const std::size_t n = points.size();
 
   // --- STR leaf packing ---
   // Sort ids by x, cut into ceil(sqrt(nleaves)) vertical slices, sort each
-  // slice by y, then pack runs of `capacity_` points into leaves. The
-  // slice sorts are independent, so the parallel build fans them out over
-  // the global pool; every other step is order-deterministic, which keeps
-  // the parallel tree bit-identical to the serial one.
+  // slice by y, then pack runs of `capacity_` points into leaves.
   std::vector<PointId> order(n);
   std::iota(order.begin(), order.end(), PointId{0});
   std::sort(order.begin(), order.end(), [&](PointId a, PointId b) {
@@ -52,35 +44,24 @@ void RTree::build_str(std::span<const Point2> points, bool parallel) {
       ((num_leaves + num_slices - 1) / num_slices) * capacity_;
   const std::size_t slices = (n + slice_size - 1) / slice_size;
 
-  auto sort_slice = [&](std::size_t s) {
+  for (std::size_t s = 0; s < slices; ++s) {
     const std::size_t begin = s * slice_size;
     const std::size_t end = std::min(n, begin + slice_size);
     std::sort(order.begin() + static_cast<std::ptrdiff_t>(begin),
               order.begin() + static_cast<std::ptrdiff_t>(end),
               [&](PointId a, PointId b) { return points[a].y < points[b].y; });
-  };
-  if (parallel && slices > 1) {
-    global_pool().parallel_for(0, slices, sort_slice, 1);
-  } else {
-    for (std::size_t s = 0; s < slices; ++s) sort_slice(s);
   }
 
   points_.resize(n);
   entries_.resize(n);
-  auto place = [&](std::size_t i) {
+  for (std::size_t i = 0; i < n; ++i) {
     points_[i] = points[order[i]];
     entries_[i] = order[i];
-  };
-  if (parallel && n > 4096) {
-    global_pool().parallel_for(0, n, place);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) place(i);
   }
 
-  // Pack leaves. Leaf l covers entries [l * capacity_, ...), so the MBR
-  // expansions are independent per leaf and parallelize cleanly.
+  // Pack leaves: leaf l covers entries [l * capacity_, ...).
   nodes_.resize(num_leaves);
-  auto pack_leaf = [&](std::size_t l) {
+  for (std::size_t l = 0; l < num_leaves; ++l) {
     const std::size_t begin = l * capacity_;
     const std::size_t end = std::min(n, begin + capacity_);
     Node leaf;
@@ -89,18 +70,12 @@ void RTree::build_str(std::span<const Point2> points, bool parallel) {
     leaf.count = static_cast<std::uint32_t>(end - begin);
     for (std::size_t i = begin; i < end; ++i) leaf.mbr.expand(points_[i]);
     nodes_[l] = leaf;
-  };
-  if (parallel && num_leaves > 64) {
-    global_pool().parallel_for(0, num_leaves, pack_leaf);
-  } else {
-    for (std::size_t l = 0; l < num_leaves; ++l) pack_leaf(l);
   }
   std::vector<std::uint32_t> level(num_leaves);
   std::iota(level.begin(), level.end(), std::uint32_t{0});
   height_ = 1;
 
   // --- build upper levels by packing `capacity_` children per node ---
-  // (serial either way: the upper levels are a vanishing fraction of n).
   while (level.size() > 1) {
     std::vector<std::uint32_t> parent_level;
     for (std::size_t begin = 0; begin < level.size(); begin += capacity_) {
@@ -331,23 +306,6 @@ void RTree::build_incremental(std::span<const Point2> points) {
     nodes_[packed_idx] = packed;
   }
   height_ = max_depth;
-}
-
-bool RTree::structurally_equal(const RTree& other) const noexcept {
-  if (entries_ != other.entries_ || root_ != other.root_ ||
-      height_ != other.height_ || nodes_.size() != other.nodes_.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& a = nodes_[i];
-    const Node& b = other.nodes_[i];
-    if (a.first != b.first || a.count != b.count || a.leaf != b.leaf ||
-        a.mbr.min_x != b.mbr.min_x || a.mbr.min_y != b.mbr.min_y ||
-        a.mbr.max_x != b.mbr.max_x || a.mbr.max_y != b.mbr.max_y) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void RTree::query_circle(const Point2& q, float eps, std::vector<PointId>& out,

@@ -1,14 +1,11 @@
 // R-tree index (Guttman 1984) used by the reference sequential DBSCAN
-// implementation the paper compares against (their citation [4]), and as
-// the host-fallback rung of the fused (no-table) clustering path — a
-// degraded BVH-backed run falls back to R-tree circle queries because both
-// share the tree-shaped pruning behavior the grid stencil lacks.
+// implementation the paper compares against (their citation [4]) and by
+// perfbench's correctness gate.
 //
-// Built with Sort-Tile-Recursive (STR) bulk loading — serially or with the
-// slice sorts and leaf packing parallelized — or incrementally with
-// Guttman's insert + linear split as a structural reference the bulk loads
-// are validated against. All three builds produce the same packed node
-// layout and answer queries through the same explicit-stack traversal.
+// Built with Sort-Tile-Recursive (STR) bulk loading, or incrementally with
+// Guttman's insert + linear split as a structural reference the bulk load
+// is validated against. Both builds produce the same packed node layout
+// and answer queries through the same explicit-stack traversal.
 // query_circle optionally charges its elapsed time to a TimeAccumulator —
 // that instrumentation produces Table I (fraction of the total DBSCAN
 // response time spent searching the R-tree).
@@ -23,13 +20,11 @@
 
 namespace hdbscan {
 
-/// How the tree is constructed. The STR variants produce bit-identical
-/// trees (the parallel build only distributes the slice sorts and leaf
-/// packing); the incremental build produces a generally different — and
-/// worse-packed — structure whose query *results* must nonetheless match.
+/// How the tree is constructed. The incremental build produces a generally
+/// different — and worse-packed — structure than the STR bulk load, whose
+/// query *results* must nonetheless match.
 enum class RTreeBuild {
-  kStrSerial,    ///< original single-threaded STR bulk load
-  kStrParallel,  ///< same STR layout, built across the global thread pool
+  kStrSerial,    ///< single-threaded STR bulk load
   kIncremental,  ///< Guttman insert + linear split, one point at a time
 };
 
@@ -54,10 +49,6 @@ class RTree {
   }
   [[nodiscard]] unsigned height() const noexcept { return height_; }
 
-  /// Structural fingerprint (node MBRs + entry order) used by tests to
-  /// assert the parallel STR build packs exactly like the serial one.
-  [[nodiscard]] bool structurally_equal(const RTree& other) const noexcept;
-
  private:
   struct Node {
     Rect2 mbr;
@@ -66,7 +57,7 @@ class RTree {
     bool leaf = false;
   };
 
-  void build_str(std::span<const Point2> points, bool parallel);
+  void build_str(std::span<const Point2> points);
   void build_incremental(std::span<const Point2> points);
   void query_impl(const Point2& q, float eps, std::vector<PointId>& out) const;
 

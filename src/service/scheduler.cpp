@@ -15,6 +15,7 @@
 #include "dbscan/batch_sink.hpp"
 #include "dbscan/dbscan.hpp"
 #include "dbscan/streaming_dbscan.hpp"
+#include "gpu/kernels.hpp"
 #include "index/grid_index.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/registry.hpp"
@@ -158,8 +159,9 @@ void ClusterService::register_dataset(const std::string& name,
   if (ds.ref_pairs == 0) {
     // No device could run the kernel: a 1-in-16 strided host sample of
     // the same grid gives the reference figure.
-    const NeighborTable sample = build_neighbor_table_host_strided(
-        index, reference_eps, 0, 16, ScanMode::kFull);
+    const NeighborTable sample = gpu::host_csr_batch(
+        GridView::of(index), reference_eps, gpu::BatchSpec{0, 16},
+        ScanMode::kFull);
     ds.ref_pairs = std::max<std::uint64_t>(1, sample.total_pairs() * 16);
   }
   std::lock_guard lock(mutex_);
@@ -730,9 +732,9 @@ void ClusterService::process_group(PendingPtr leader,
     WallTimer t;
     GridIndex index = build_grid_index(ds.points, lead.eps);
     CachedTable entry;
-    entry.table = build_neighbor_table_host_parallel(index, lead.eps,
-                                                     /*num_threads=*/0,
-                                                     quality);
+    entry.table = gpu::host_csr_batch(GridView::of(index), lead.eps,
+                                      gpu::BatchSpec{0, 1}, ScanMode::kFull,
+                                      quality);
     entry.table.canonicalize();
     entry.original_ids = std::move(index.original_ids);
     entry.bytes = CachedTable::payload_bytes(entry.table);

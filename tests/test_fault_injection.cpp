@@ -15,7 +15,11 @@
 #include "cudasim/error.hpp"
 #include "cudasim/fault.hpp"
 #include "cudasim/kernel.hpp"
+#include "cudasim/stream.hpp"
 #include "data/generators.hpp"
+#include "dbscan/dbscan.hpp"
+#include "dbscan/streaming_dbscan.hpp"
+#include "gpu/device_index.hpp"
 #include "index/grid_index.hpp"
 
 namespace hdbscan {
@@ -260,6 +264,128 @@ TEST(ResilientBuild, AllDevicesLostFallsBackToHost) {
   EXPECT_TRUE(report.used_host_fallback);
   EXPECT_EQ(report.devices_lost, 2u);
   expect_identical(table, s.oracle);
+}
+
+/// Device ops one clean build of `policy` consumes on a single device, so a
+/// scripted loss can be placed mid-build.
+std::uint64_t clean_build_ops(const Scenario& s, const BatchPolicy& policy) {
+  std::shared_ptr<cudasim::FaultInjector> probe;
+  cudasim::Device device({}, faulted_options(cudasim::FaultPlan{}, &probe));
+  (void)NeighborTableBuilder(device, policy).build(s.index, s.eps);
+  return probe->ops();
+}
+
+/// A streaming build of `policy` on one device with `plan` must hand the
+/// consumer exactly the oracle's degrees and labels.
+void expect_streaming_exact(const Scenario& s, const BatchPolicy& policy,
+                            const cudasim::FaultPlan& plan,
+                            BuildReport* report) {
+  const int minpts = 4;
+  cudasim::Device device({}, faulted_options(plan));
+  StreamingDbscan consumer(s.index.size(), minpts);
+  (void)NeighborTableBuilder(device, policy)
+      .build(s.index, s.eps, report, &consumer, /*materialize_table=*/false);
+  for (PointId i = 0; i < s.index.size(); ++i) {
+    ASSERT_EQ(consumer.degree(i), s.oracle.neighbor_count(i))
+        << "degree mismatch at point " << i;
+  }
+  EXPECT_EQ(consumer.finalize().labels,
+            dbscan_neighbor_table(s.oracle, minpts).labels);
+}
+
+TEST(ResilientBuild, BvhHostFallbackAfterDeviceBatchesStaysExact) {
+  // A BVH build that loses its only device mid-build finishes the rest of
+  // its batches on the host; the merged (and, under kHalf, expanded) table
+  // and the streamed degrees must match the oracle, so the host rows
+  // follow the tree kernels' id-ownership rule.
+  const Scenario s = make_scenario(3000, 0.35f);
+  for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
+    SCOPED_TRACE(scan == ScanMode::kHalf ? "kHalf" : "kFull");
+    BatchPolicy policy = many_batch_policy(s);
+    policy.index_backend = IndexBackend::kBvh;
+    policy.scan_mode = scan;
+    policy.resilience.host_fallback = true;
+    cudasim::FaultPlan plan;
+    plan.lost_at_op = clean_build_ops(s, policy) / 2;
+
+    cudasim::Device device({}, faulted_options(plan));
+    BuildReport report;
+    const NeighborTable table =
+        NeighborTableBuilder(device, policy).build(s.index, s.eps, &report);
+    EXPECT_GT(report.batches_run, 0u);
+    EXPECT_GT(report.host_fallback_batches, 0u);
+    EXPECT_TRUE(report.used_host_fallback);
+    EXPECT_EQ(report.devices_lost, 1u);
+    expect_identical(table, s.oracle);
+
+    BuildReport stream_report;
+    expect_streaming_exact(s, policy, plan, &stream_report);
+    EXPECT_GT(stream_report.batches_run, 0u);
+    EXPECT_GT(stream_report.host_fallback_batches, 0u);
+  }
+}
+
+TEST(ResilientBuild, LossBeforeBatchingReportsHostBatchAndScanMode) {
+  // The only device dies at its first op (the index upload), so the whole
+  // index is finished on the host as one batch — under the policy's scan
+  // mode, merged and expanded like a device build, and reported as such.
+  const Scenario s = make_scenario(2000, 0.35f);
+  BatchPolicy policy;
+  policy.scan_mode = ScanMode::kHalf;
+  policy.resilience.host_fallback = true;
+  cudasim::FaultPlan plan;
+  plan.lost_at_op = 1;
+
+  cudasim::Device device({}, faulted_options(plan));
+  BuildReport report;
+  const NeighborTable table =
+      NeighborTableBuilder(device, policy).build(s.index, s.eps, &report);
+  EXPECT_TRUE(report.used_host_fallback);
+  EXPECT_EQ(report.batches_run, 0u);
+  EXPECT_GE(report.host_fallback_batches, 1u);
+  EXPECT_EQ(report.scan_mode, ScanMode::kHalf);
+  EXPECT_EQ(report.devices_lost, 1u);
+  expect_identical(table, s.oracle);
+
+  BuildReport stream_report;
+  expect_streaming_exact(s, policy, plan, &stream_report);
+  EXPECT_GE(stream_report.host_fallback_batches, 1u);
+  EXPECT_EQ(stream_report.scan_mode, ScanMode::kHalf);
+}
+
+TEST(ResilientBuild, DeviceLostBetweenUploadAndEstimationIsReported) {
+  // A device that dies after its own index upload but before estimation
+  // (another user of a shared device can kill it) must surface as
+  // DeviceLost, or finish on the host when that rung is armed, instead of
+  // rethrowing an empty error. Listing the device twice reproduces that
+  // order deterministically: the first op of its second upload kills it.
+  const Scenario s = make_scenario(2000, 0.35f);
+  std::shared_ptr<cudasim::FaultInjector> probe;
+  {
+    cudasim::Device device({}, faulted_options(cudasim::FaultPlan{}, &probe));
+    cudasim::Stream stream(device);
+    const gpu::GridDeviceIndex upload(device, stream, s.index);
+    stream.synchronize();
+  }
+  cudasim::FaultPlan plan;
+  plan.lost_at_op = probe->ops() + 1;
+  for (const bool host_fallback : {false, true}) {
+    SCOPED_TRACE(host_fallback ? "host fallback" : "no host fallback");
+    cudasim::Device device({}, faulted_options(plan));
+    BatchPolicy policy;
+    policy.resilience.host_fallback = host_fallback;
+    NeighborTableBuilder builder({&device, &device}, policy);
+    if (!host_fallback) {
+      EXPECT_THROW((void)builder.build(s.index, s.eps), cudasim::DeviceLost);
+      continue;
+    }
+    BuildReport report;
+    const NeighborTable table = builder.build(s.index, s.eps, &report);
+    EXPECT_TRUE(device.lost());
+    EXPECT_EQ(report.batches_run, 0u);
+    EXPECT_EQ(report.host_fallback_batches, 1u);
+    expect_identical(table, s.oracle);
+  }
 }
 
 TEST(ResilientBuild, HostFallbackDisabledSurfacesDeviceLoss) {

@@ -312,8 +312,9 @@ TEST(FusedChaos, DeviceLossFailsOverToSurvivorExactly) {
 
 TEST(FusedChaos, TotalFleetLossCompletesOnHostExactly) {
   // Both backends must fall back under their own pair-ownership rule —
-  // the BVH id rule via the R-tree, the grid's forward stencil — or the
-  // degree parity check below catches the double-counted cross pairs.
+  // the BVH id rule, the grid's forward stencil; the host runs the fused
+  // body over the same index — or the degree parity check below catches
+  // the double-counted cross pairs.
   const Scenario s = make_scenario(1500, 0.35f, 4, 78);
   for (const IndexBackend backend :
        {IndexBackend::kGrid, IndexBackend::kBvh}) {
@@ -332,6 +333,33 @@ TEST(FusedChaos, TotalFleetLossCompletesOnHostExactly) {
     EXPECT_TRUE(report.used_host_fallback);
     EXPECT_GT(report.host_fallback_batches, 0u);
     EXPECT_EQ(report.devices_lost, 1u);
+    expect_exact(s, consumer);
+  }
+}
+
+TEST(FusedChaos, HostParkedEdgesAreNotChargedAsTransfers) {
+  // The only device dies during the index upload, so the host runs the
+  // whole fused traversal: the edges it parks never cross PCIe, so the
+  // run ships zero result bytes while the labels stay exact.
+  const Scenario s = make_scenario(1500, 0.35f, 4, 80);
+  for (const IndexBackend backend :
+       {IndexBackend::kGrid, IndexBackend::kBvh}) {
+    SCOPED_TRACE(to_string(backend));
+    cudasim::FaultPlan lost;
+    lost.lost_at_op = 1;
+    Fleet fleet;
+    fleet.add(faulted_options(lost));
+
+    StreamingDbscan consumer(s.index.size(), s.minpts);
+    BatchPolicy policy = chaos_policy(backend);
+    policy.resilience.host_fallback = true;
+    const BuildReport report =
+        fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
+
+    EXPECT_TRUE(report.used_host_fallback);
+    EXPECT_EQ(report.batches_run, 0u);
+    EXPECT_GT(consumer.stats().fused_parked, 0u);
+    EXPECT_EQ(report.d2h_bytes, 0u);
     expect_exact(s, consumer);
   }
 }

@@ -11,7 +11,7 @@
 #include "cudasim/buffer_pool.hpp"
 #include "dbscan/cluster_compare.hpp"
 #include "dbscan/dbscan.hpp"
-#include "gpu/kernels3.hpp"
+#include "gpu/kernels.hpp"
 #include "index/grid_index3.hpp"
 
 namespace hdbscan {
@@ -95,7 +95,7 @@ TEST(NeighborCells3, InteriorCellHas27) {
   GridParams3 p{0, 0, 0, 1.0f, 5, 5, 5};
   std::array<std::uint32_t, 27> out{};
   // Center cell of the 5x5x5 grid: (2,2,2) -> (2*5+2)*5+2 = 62.
-  EXPECT_EQ(get_neighbor_cells3(p, 62, out), 27u);
+  EXPECT_EQ(get_neighbor_cells(p, 62, out), 27u);
   std::set<std::uint32_t> cells(out.begin(), out.begin() + 27);
   EXPECT_EQ(cells.size(), 27u);
   EXPECT_TRUE(cells.count(62));
@@ -104,8 +104,8 @@ TEST(NeighborCells3, InteriorCellHas27) {
 TEST(NeighborCells3, CornerCellHasEight) {
   GridParams3 p{0, 0, 0, 1.0f, 5, 5, 5};
   std::array<std::uint32_t, 27> out{};
-  EXPECT_EQ(get_neighbor_cells3(p, 0, out), 8u);
-  EXPECT_EQ(get_neighbor_cells3(p, 124, out), 8u);  // far corner
+  EXPECT_EQ(get_neighbor_cells(p, 0, out), 8u);
+  EXPECT_EQ(get_neighbor_cells(p, 124, out), 8u);  // far corner
 }
 
 class Grid3QueryProperty : public ::testing::TestWithParam<float> {};
@@ -126,57 +126,45 @@ INSTANTIATE_TEST_SUITE_P(Eps, Grid3QueryProperty,
                          ::testing::Values(0.1f, 0.3f, 0.8f, 2.0f));
 
 TEST(Kernels3, GlobalKernelMatchesHostQueries) {
+  // The shared count/fill bodies over the 27-cell stencil, full scan: the
+  // 3-D CSR build must hold exactly the grid_query3 oracle's rows.
   const auto points = blobs3(1500, 8, 4, 0.25f, 4.0f, 0.2);
   const float eps = 0.35f;
   const GridIndex3 index = build_grid_index3(points, eps);
-  const NeighborTable oracle = build_neighbor_table_host3(index, eps);
+  NeighborTable oracle = build_neighbor_table_host3(index, eps);
 
   cudasim::Device dev({}, fast_options());
-  gpu::ResultSetDevice sink(dev, oracle.total_pairs() + 16);
-  gpu::run_calc_global3(dev, GridView3::of(index), eps, {}, sink.view());
-  ASSERT_FALSE(sink.overflowed());
-  EXPECT_EQ(sink.count(), oracle.total_pairs());
-
-  auto view = sink.pairs().unsafe_host_view();
-  std::vector<NeighborPair> got(view.begin(),
-                                view.begin() + static_cast<std::ptrdiff_t>(
-                                                   sink.count()));
-  std::sort(got.begin(), got.end());
-  std::vector<NeighborPair> expected;
-  for (PointId i = 0; i < oracle.num_points(); ++i) {
-    for (const PointId v : oracle.neighbors(i)) expected.push_back({i, v});
-  }
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(got, expected);
+  NeighborTable table = build_neighbor_table_device3(dev, index, eps, nullptr,
+                                                     ScanMode::kFull);
+  table.canonicalize();
+  oracle.canonicalize();
+  EXPECT_EQ(table.total_pairs(), oracle.total_pairs());
+  EXPECT_TRUE(table.identical_to(oracle));
 }
 
 TEST(Kernels3, BatchedUnionEqualsUnbatched) {
+  // A strided 3-D count pass: every batch's per-point counts are the
+  // oracle's row lengths, so the batches together count every pair once.
   const auto points = blobs3(1000, 9, 3, 0.3f, 4.0f, 0.3);
   const float eps = 0.4f;
   const GridIndex3 index = build_grid_index3(points, eps);
   const NeighborTable oracle = build_neighbor_table_host3(index, eps);
   cudasim::Device dev({}, fast_options());
-  std::vector<NeighborPair> all;
+  const auto n = static_cast<std::uint32_t>(index.size());
   const std::uint32_t nb = 5;
+  std::uint64_t total = 0;
   for (std::uint32_t l = 0; l < nb; ++l) {
-    gpu::ResultSetDevice sink(dev, oracle.total_pairs() + 16);
-    gpu::run_calc_global3(dev, GridView3::of(index), eps, {l, nb},
-                          sink.view());
-    auto view = sink.pairs().unsafe_host_view();
-    all.insert(all.end(), view.begin(),
-               view.begin() + static_cast<std::ptrdiff_t>(sink.count()));
+    const gpu::BatchSpec batch{l, nb};
+    std::vector<std::uint32_t> counts(batch.points_in_batch(n));
+    gpu::run_count_batch(dev, GridView3::of(index), eps, batch,
+                         counts.data());
+    for (std::uint32_t g = 0; g < counts.size(); ++g) {
+      ASSERT_EQ(counts[g], oracle.neighbor_count(l + g * nb))
+          << "point " << l + g * nb;
+      total += counts[g];
+    }
   }
-  EXPECT_EQ(all.size(), oracle.total_pairs());
-}
-
-TEST(Kernels3, CountCensusMatchesOracle) {
-  const auto points = random_points3(1500, 10, 4.0f);
-  const float eps = 0.3f;
-  const GridIndex3 index = build_grid_index3(points, eps);
-  const NeighborTable oracle = build_neighbor_table_host3(index, eps);
-  cudasim::Device dev({}, fast_options());
-  EXPECT_EQ(gpu::run_count_kernel3(dev, GridView3::of(index), eps, 1),
-            oracle.total_pairs());
+  EXPECT_EQ(total, oracle.total_pairs());
 }
 
 TEST(HybridDbscan3, RecoversThreeDBlobs) {

@@ -1,8 +1,8 @@
 // ScanMode::kHalf property tests: every half-comparison build (batched
-// CSR, 3-D, host strided) must canonicalize to the exact table the full
-// scan produces — including on the inputs that stress the ordering
-// invariant (duplicate coordinates, points sitting exactly on cell
-// boundaries, one dense cell) — while doing roughly half the
+// CSR, 3-D, host-run kernel bodies) must canonicalize to the exact table
+// the full scan produces — including on the inputs that stress the
+// ordering invariant (duplicate coordinates, points sitting exactly on
+// cell boundaries, one dense cell) — while doing roughly half the
 // distance-test FLOPs.
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "core/hybrid_dbscan3.hpp"
 #include "core/neighbor_table_builder.hpp"
 #include "data/generators.hpp"
+#include "gpu/kernels.hpp"
 #include "index/grid_index.hpp"
 #include "index/grid_index3.hpp"
 
@@ -116,8 +117,9 @@ TEST(HalfComparison, HostStridedForwardShardsExpandToFullTable) {
   NeighborTable merged(index.size());
   const std::uint32_t stride = 3;
   for (std::uint32_t first = 0; first < stride; ++first) {
-    merged.absorb_shard(build_neighbor_table_host_strided(
-        index, eps, first, stride, ScanMode::kHalf));
+    merged.absorb_shard(gpu::host_csr_batch(GridView::of(index), eps,
+                                            {first, stride},
+                                            ScanMode::kHalf));
   }
   const double expand_seconds = merged.expand_half_table();
   EXPECT_GE(expand_seconds, 0.0);

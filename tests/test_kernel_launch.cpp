@@ -106,4 +106,31 @@ TEST(FlatKernel, LargeGridExecutesCorrectTotal) {
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
+TEST(FlatHost, RunsTheDeviceBlockLoopWithoutADevice) {
+  // The host executor runs every logical thread once with the same ids and
+  // merges the same per-block counters as a device launch of the body.
+  auto body = [](std::vector<std::atomic<int>>& hits) {
+    return [&hits](ThreadCtx& ctx) {
+      hits[ctx.global_id()]++;
+      ctx.count_flops(ctx.thread_idx + 1);
+      ctx.count_global_bytes(8);
+      ctx.count_atomic();
+    };
+  };
+  std::vector<std::atomic<int>> host_hits(5 * 48);
+  const cudasim::BlockCounters host =
+      cudasim::run_flat_host(5, 48, body(host_hits));
+  for (const auto& h : host_hits) EXPECT_EQ(h.load(), 1);
+
+  Device dev({}, fast_options());
+  std::vector<std::atomic<int>> device_hits(5 * 48);
+  const KernelStats device =
+      cudasim::run_flat_kernel(dev, 5, 48, body(device_hits));
+  EXPECT_EQ(host.flops, device.work.flops);
+  EXPECT_EQ(host.global_bytes, device.work.global_bytes);
+  EXPECT_EQ(host.atomic_ops, device.work.atomic_ops);
+  // Host-run work is not a launch: the device saw only its own.
+  EXPECT_EQ(dev.metrics().kernel_launches, 1u);
+}
+
 }  // namespace

@@ -4,9 +4,16 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/neighbor_table_builder.hpp"
+#include "core/shard_planner.hpp"
 #include "data/generators.hpp"
+#include "dbscan/dbscan.hpp"
+#include "dbscan/streaming_dbscan.hpp"
+#include "gpu/kernels.hpp"
+#include "index/bvh.hpp"
 #include "index/grid_index.hpp"
 
 namespace hdbscan {
@@ -107,21 +114,150 @@ TEST(NeighborTable, SymmetricNeighborhoods) {
   }
 }
 
-TEST(NeighborTable, ParallelHostBuildEqualsSequential) {
-  const auto points = data::generate_space_weather(3000, 24);
-  const float eps = 0.35f;
-  const GridIndex index = build_grid_index(points, eps);
-  const NeighborTable sequential = build_neighbor_table_host(index, eps);
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    const NeighborTable parallel =
-        build_neighbor_table_host_parallel(index, eps, threads);
-    ASSERT_EQ(parallel.total_pairs(), sequential.total_pairs());
-    for (PointId i = 0; i < sequential.num_points(); ++i) {
-      const auto a = sequential.neighbors(i);
-      const auto b = parallel.neighbors(i);
-      ASSERT_EQ(std::vector<PointId>(a.begin(), a.end()),
-                std::vector<PointId>(b.begin(), b.end()))
-          << "threads=" << threads << " point " << i;
+// ---------------------------------------------------------------------------
+// Host execution of the kernel bodies (gpu::host_csr_batch and
+// gpu::host_fused_batch) against the independent grid_query oracle.
+// ---------------------------------------------------------------------------
+
+cudasim::SimulationOptions fast_options() {
+  cudasim::SimulationOptions opt;
+  opt.throttle_transfers = false;
+  opt.throttle_pinned_alloc = false;
+  opt.executor_threads = 2;
+  return opt;
+}
+
+void expect_identical(NeighborTable got, NeighborTable want) {
+  got.canonicalize();
+  want.canonicalize();
+  ASSERT_EQ(got.num_points(), want.num_points());
+  EXPECT_EQ(got.total_pairs(), want.total_pairs());
+  EXPECT_TRUE(got.identical_to(want));
+}
+
+/// Absorbs the host shards of `num_batches` strided batches and, under
+/// kHalf, expands the merged forward rows — the shape of a degraded
+/// builder's merge.
+template <typename View>
+NeighborTable host_table(const View& view, float eps,
+                         std::uint32_t num_batches, ScanMode mode,
+                         QualitySpec quality = {}) {
+  NeighborTable merged(view.num_points);
+  for (std::uint32_t l = 0; l < num_batches; ++l) {
+    merged.absorb_shard(gpu::host_csr_batch(view, eps, {l, num_batches},
+                                            mode, quality));
+  }
+  if (mode == ScanMode::kHalf) merged.expand_half_table();
+  return merged;
+}
+
+struct HostScenario {
+  GridIndex index;
+  NeighborTable oracle;
+  float eps = 0.35f;
+};
+
+HostScenario host_scenario() {
+  HostScenario s;
+  s.index = build_grid_index(data::generate_space_weather(2500, 24), s.eps);
+  s.oracle = build_neighbor_table_host(s.index, s.eps);
+  return s;
+}
+
+TEST(HostCsrBatch, GridWholeAndStridedBatchesEqualOracle) {
+  const HostScenario s = host_scenario();
+  const GridView view = GridView::of(s.index);
+  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
+    for (const std::uint32_t batches : {1u, 5u}) {
+      SCOPED_TRACE(std::to_string(batches) + " batches, " +
+                   (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
+      expect_identical(host_table(view, s.eps, batches, mode), s.oracle);
+    }
+  }
+}
+
+TEST(HostCsrBatch, BvhWholeAndStridedBatchesEqualOracle) {
+  const HostScenario s = host_scenario();
+  const BvhIndex bvh = build_bvh_index(s.index.points);
+  const BvhView view = BvhView::of(bvh);
+  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
+    for (const std::uint32_t batches : {1u, 5u}) {
+      SCOPED_TRACE(std::to_string(batches) + " batches, " +
+                   (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
+      expect_identical(host_table(view, s.eps, batches, mode), s.oracle);
+    }
+  }
+}
+
+TEST(HostCsrBatch, ShardSlabsEmitGlobalIdsAndMergeToOracle) {
+  // A slab's fill pass writes values through its emission map, so the
+  // translated shards merge (and, under kHalf, expand) into the whole
+  // index's table — the sharded build's host rung.
+  const HostScenario s = host_scenario();
+  const ShardPlan plan = plan_shards(s.index, 3);
+  ASSERT_GT(plan.shards.size(), 1u);
+  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
+    for (const std::uint32_t batches : {1u, 3u}) {
+      SCOPED_TRACE(std::to_string(batches) + " batches, " +
+                   (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
+      NeighborTable merged(s.index.size());
+      for (const GridShard& shard : plan.shards) {
+        const GridView view = GridView::of(shard.index);
+        for (std::uint32_t l = 0; l < batches; ++l) {
+          merged.absorb_shard(
+              gpu::host_csr_batch(view, s.eps, {l, batches}, mode)
+                  .translate(shard.to_global, shard.num_owned,
+                             s.index.size()));
+        }
+      }
+      if (mode == ScanMode::kHalf) merged.expand_half_table();
+      expect_identical(std::move(merged), s.oracle);
+    }
+  }
+}
+
+TEST(HostCsrBatch, SubsampledEqualsDeviceBuildWithSameSpec) {
+  const HostScenario s = host_scenario();
+  const QualitySpec quality{ClusterQuality::kSubsampled, 0.3f, 23};
+  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
+    SCOPED_TRACE(mode == ScanMode::kHalf ? "kHalf" : "kFull");
+    BatchPolicy policy;
+    policy.scan_mode = mode;
+    policy.quality = quality;
+    cudasim::Device device({}, fast_options());
+    const NeighborTable device_table =
+        NeighborTableBuilder(device, policy).build(s.index, s.eps);
+    NeighborTable host =
+        host_table(GridView::of(s.index), s.eps, 4, mode, quality);
+    EXPECT_LT(host.total_pairs(), s.oracle.total_pairs());
+    expect_identical(std::move(host), device_table);
+  }
+}
+
+TEST(HostFusedBatch, GivesOracleDegreesAndLabels) {
+  const HostScenario s = host_scenario();
+  const int minpts = 4;
+  const ClusterResult want = dbscan_neighbor_table(s.oracle, minpts);
+  const BvhIndex bvh = build_bvh_index(s.index.points);
+  for (const bool use_bvh : {false, true}) {
+    for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
+      SCOPED_TRACE(std::string(use_bvh ? "bvh, " : "grid, ") +
+                   (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
+      StreamingDbscan consumer(s.index.size(), minpts);
+      for (std::uint32_t l = 0; l < 3; ++l) {
+        if (use_bvh) {
+          gpu::host_fused_batch(BvhView::of(bvh), s.eps, {l, 3}, consumer,
+                                mode);
+        } else {
+          gpu::host_fused_batch(GridView::of(s.index), s.eps, {l, 3},
+                                consumer, mode);
+        }
+      }
+      for (PointId i = 0; i < s.index.size(); ++i) {
+        ASSERT_EQ(consumer.degree(i), s.oracle.neighbor_count(i))
+            << "degree mismatch at point " << i;
+      }
+      EXPECT_EQ(consumer.finalize().labels, want.labels);
     }
   }
 }

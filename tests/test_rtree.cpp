@@ -120,29 +120,8 @@ TEST(RTree, EmptyResultOutsideExtent) {
 }
 
 // ---------------------------------------------------------------------------
-// Build variants: parallel STR bit-identity, incremental query equivalence
+// Build variants: incremental query equivalence
 // ---------------------------------------------------------------------------
-
-/// The parallel STR build only distributes the slice sorts and the leaf
-/// packing; the packed layout must come out bit-identical to the serial
-/// build — node MBRs, entry order, everything structurally_equal checks.
-TEST(RTreeBuilds, ParallelStrIsBitIdenticalToSerial) {
-  // Sizes straddling slice boundaries (exact multiples, one-off remainders,
-  // fewer points than one leaf) and both dataset shapes.
-  for (const std::size_t n : {5u, 16u, 17u, 255u, 1024u, 3000u}) {
-    for (const unsigned capacity : {2u, 8u, 16u}) {
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   " capacity=" + std::to_string(capacity));
-      const auto points = data::generate_space_weather(
-          n, 93, {.width = 9.0f, .height = 9.0f});
-      const RTree serial(points, capacity, RTreeBuild::kStrSerial);
-      const RTree parallel(points, capacity, RTreeBuild::kStrParallel);
-      EXPECT_TRUE(serial.structurally_equal(parallel));
-      EXPECT_EQ(serial.node_count(), parallel.node_count());
-      EXPECT_EQ(serial.height(), parallel.height());
-    }
-  }
-}
 
 /// Guttman's incremental build packs a generally different — and worse —
 /// tree, but every circle query must return exactly the same id set.
@@ -193,8 +172,7 @@ TEST(RTreeBuilds, RectQueriesAgreeAcrossBuilds) {
   const Rect2 rect{1.5f, 2.5f, 6.0f, 7.0f};
   std::vector<std::vector<PointId>> results;
   for (const RTreeBuild build :
-       {RTreeBuild::kStrSerial, RTreeBuild::kStrParallel,
-        RTreeBuild::kIncremental}) {
+       {RTreeBuild::kStrSerial, RTreeBuild::kIncremental}) {
     const RTree tree(points, 16, build);
     std::vector<PointId> out;
     tree.query_rect(rect, out);
@@ -202,7 +180,6 @@ TEST(RTreeBuilds, RectQueriesAgreeAcrossBuilds) {
     results.push_back(std::move(out));
   }
   EXPECT_EQ(results[0], results[1]);
-  EXPECT_EQ(results[0], results[2]);
   EXPECT_FALSE(results[0].empty());
 }
 

@@ -532,6 +532,52 @@ TEST(ShardedBuildChaos, RandomizedFaultPlansKeepLabelsExact) {
   }
 }
 
+TEST(ShardedBuildChaos, TotalLossMidBuildFinishesSlabsOnHostExactly) {
+  // Both devices die mid-build with no survivor to re-partition onto, so
+  // every unbuilt slab finishes on the host rung; the materialized table
+  // must still be the oracle's.
+  const Scenario s = make_scenario(3000, 0.35f, 30);
+  for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
+    SCOPED_TRACE(scan == ScanMode::kHalf ? "kHalf" : "kFull");
+    ShardedBuildOptions options;
+    options.num_shards = 2;
+    options.policy = many_batch_policy(s, scan);
+    options.policy.num_streams = 1;
+    options.policy.resilience.host_fallback = true;
+
+    // Probe: device ops of a clean build, so each loss lands mid-shard.
+    std::vector<std::shared_ptr<cudasim::FaultInjector>> probes;
+    Fleet probe_fleet;
+    for (int d = 0; d < 2; ++d) {
+      probes.push_back(
+          std::make_shared<cudasim::FaultInjector>(cudasim::FaultPlan{}));
+      cudasim::SimulationOptions opt = fast_options();
+      opt.fault = probes.back();
+      probe_fleet.add(opt);
+    }
+    (void)build_sharded_neighbor_table(probe_fleet.ptrs, s.index, s.eps,
+                                       options);
+
+    Fleet fleet;
+    for (int d = 0; d < 2; ++d) {
+      cudasim::FaultPlan lost;
+      lost.lost_at_op = probes[d]->ops() / 2;
+      fleet.add(faulted_options(lost));
+    }
+    BuildReport report;
+    NeighborTable table = build_sharded_neighbor_table(
+        fleet.ptrs, s.index, s.eps, options, &report);
+
+    EXPECT_EQ(report.devices_lost, 2u);
+    EXPECT_TRUE(report.used_host_fallback);
+    EXPECT_GT(report.host_fallback_batches, 0u);
+    table.canonicalize();
+    NeighborTable oracle = s.oracle;
+    oracle.canonicalize();
+    EXPECT_TRUE(table.identical_to(oracle));
+  }
+}
+
 TEST(ShardedBuildChaos, AllDevicesLostThrowsWithoutHostFallback) {
   const Scenario s = make_scenario(1000, 0.3f, 28);
   cudasim::FaultPlan lost;

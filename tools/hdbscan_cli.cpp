@@ -472,7 +472,7 @@ int cmd_chaos(int argc, char** argv) {
       kind == "uniform" ? data::generate_uniform(n, seed, 35.0f, 35.0f)
                         : data::make_dataset(kind, n);
   const GridIndex index = build_grid_index(points, eps);
-  NeighborTable oracle = build_neighbor_table_host_parallel(index, eps);
+  NeighborTable oracle = build_neighbor_table_host(index, eps);
   oracle.canonicalize();
 
   cudasim::SimulationOptions sim;
@@ -600,7 +600,7 @@ int cmd_stream_smoke(int argc, char** argv) {
   const auto points = data::generate_space_weather(
       n, 9, {.width = 10.0f, .height = 10.0f});
   const GridIndex index = build_grid_index(points, eps);
-  const NeighborTable oracle = build_neighbor_table_host_parallel(index, eps);
+  const NeighborTable oracle = build_neighbor_table_host(index, eps);
 
   cudasim::SimulationOptions opt;
   opt.throttle_transfers = false;
@@ -692,7 +692,7 @@ int cmd_shard_smoke(int argc, char** argv) {
   const auto points = data::generate_space_weather(
       n, 13, {.width = 10.0f, .height = 10.0f});
   const GridIndex index = build_grid_index(points, eps);
-  NeighborTable oracle = build_neighbor_table_host_parallel(index, eps);
+  NeighborTable oracle = build_neighbor_table_host(index, eps);
 
   cudasim::SimulationOptions opt;
   opt.throttle_transfers = false;
