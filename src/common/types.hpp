@@ -132,8 +132,8 @@ struct NeighborPair {
 /// the forward stencil (linear cell id greater than its own). Each tested
 /// pair is then emitted in both directions — either device-side (the
 /// shared-tile kernel's dual-row staged push) or host-side (the batched
-/// pipelines emit forward rows and NeighborTable::expand_half_table
-/// transposes them after the shard merge).
+/// pipelines emit forward rows and NeighborTable::assemble transposes
+/// them as it merges the shards).
 enum class ScanMode {
   kFull,  ///< legacy bidirectional scan: every pair tested twice
   kHalf,  ///< unidirectional scan: every pair tested once, emitted twice

@@ -79,11 +79,11 @@ struct BatchPolicy {
   unsigned max_split_depth = 10;
   /// Fault-degradation behavior (see ResiliencePolicy).
   ResiliencePolicy resilience;
-  /// Under kHalf with a materialized table, expand the merged forward rows
-  /// into the full symmetric table at the end of build(). The sharded
+  /// Under kHalf with a materialized table, expand the forward rows into
+  /// the full symmetric table when build() assembles T. The sharded
   /// orchestrator turns this off: shard tables hold *local* ids whose
   /// ghost-key back rows would collide across shards, so expansion must
-  /// run once, globally, after every shard is translated and absorbed.
+  /// run once, globally, when the translated shards are assembled.
   bool expand_half = true;
   /// Extra metric labels ("key=value,key=value") for this builder's
   /// published build counters/gauges — the sharded orchestrator tags each

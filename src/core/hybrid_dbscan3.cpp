@@ -1,6 +1,7 @@
 #include "core/hybrid_dbscan3.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/timer.hpp"
 #include "core/cell_graph.hpp"
@@ -72,6 +73,7 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
   cudasim::PooledDeviceBuffer<PointId> d_values(
       device, std::max<std::uint64_t>(1, pairs));
   stats = gpu::run_fill_csr(device, view, eps, {}, d_counts.device_data(),
+                            static_cast<std::uint32_t>(pairs),
                             d_values.device_data(), mode,
                             gpu::kDefaultBlockSize, quality);
   local.modeled_table_seconds += stats.modeled_seconds;
@@ -103,7 +105,12 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
   local.modeled_table_seconds += append_timer.seconds();
 
   if (mode == ScanMode::kHalf) {
-    local.expand_seconds = table.expand_half_table(
+    // The single batch holds forward rows; assembling it restores the
+    // back rows.
+    std::vector<NeighborTable> parts;
+    parts.push_back(std::exchange(table, NeighborTable(index.size())));
+    local.expand_seconds = table.assemble(
+        std::move(parts), /*expand_half=*/true,
         static_cast<unsigned>(std::max(1, device.config().host_cores)));
     local.modeled_table_seconds += local.expand_seconds;
   }

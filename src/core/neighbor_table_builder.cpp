@@ -327,14 +327,15 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
     item.counts_delivered = true;
   }
 
+  const auto batch_total = static_cast<std::uint32_t>(total);
   const cudasim::KernelStats fill_stats =
       sc.backend == IndexBackend::kBvh
           ? gpu::run_fill_csr(sc.device, sc.bvh_view, eps, spec,
-                              sc.counts.device_data(),
+                              sc.counts.device_data(), batch_total,
                               sc.values.device_data(), scan, block_size,
                               sc.quality)
           : gpu::run_fill_csr(sc.device, sc.view, eps, spec,
-                              sc.counts.device_data(),
+                              sc.counts.device_data(), batch_total,
                               sc.values.device_data(), scan, block_size,
                               sc.quality);
   sc.kernel_modeled += fill_stats.modeled_seconds;
@@ -883,19 +884,19 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     if (materialize) host_shards.push_back(std::move(shard));
   }
 
-  // Merge the per-stream shards into T exactly once (deterministic
-  // order), and harvest the context-private tallies. The fan-in is
-  // parallel (absorb_shards: disjoint value regions + key ranges, one
-  // exact allocation) and skips the collision sweep — the strided
-  // batch assignment makes the contexts' and host shards' key sets
-  // disjoint by construction, splits and failover included, and the
-  // property tests compare the result against serial absorption. A
-  // streaming-only build (materialize_table=false) skips the merge
-  // entirely: the sink already consumed every row, so T is never
-  // assembled and the shard memory is simply dropped.
-  double merge_seconds = 0.0;
+  // Assemble T from the per-stream shards and host batches exactly once:
+  // one pass reads them in place and writes the final table in key order,
+  // expanding a half-scan build's forward rows to full rows on the way.
+  // The strided batch assignment makes their key sets disjoint (splits
+  // and failover included); the assembler's row-source sweep checks it.
+  // Like the streams' appends it parallelizes on the reference host, so
+  // the model charges its critical path over the reference host's cores,
+  // not its CPU sum. A streaming-only build (materialize_table=false)
+  // skips it: the sink already consumed every row (a half-scan sink
+  // unions both directions as rows arrive), so T is never assembled and
+  // the shard memory is simply dropped.
   if (materialize) {
-    TRACE_SPAN("build", "shard_merge");
+    TRACE_SPAN("build", "assemble");
     std::vector<NeighborTable> parts;
     parts.reserve(contexts.size() + host_shards.size());
     for (auto& sc : contexts) {
@@ -904,9 +905,10 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     for (auto& shard : host_shards) {
       parts.push_back(std::move(shard));
     }
-    merge_seconds = table.absorb_shards(
-        std::move(parts), static_cast<unsigned>(std::max(1, cfg.host_cores)),
-        /*check_collisions=*/false);
+    local_report.expand_seconds = table.assemble(
+        std::move(parts), scan == ScanMode::kHalf && policy_.expand_half,
+        static_cast<unsigned>(std::max(1, cfg.host_cores)));
+    modeled_fixed += local_report.expand_seconds;
   }
   double slowest_stream = 0.0;
   for (const auto& sc : contexts) {
@@ -927,25 +929,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     slowest_stream = std::max(slowest_stream,
                               sc->device_model + sc->append_seconds);
   }
-  // The final merge runs after the streams drain; like expand_half it
-  // parallelizes on the reference host, so the model charges its
-  // critical path (absorb_shards' slowest worker), not its CPU sum.
-  modeled_fixed += merge_seconds;
-
-  // Half-scan builds merged *forward* rows; one host transpose restores
-  // the back rows and makes the table identical to a full-scan build.
-  // Like the merge it runs after the streams drain, but it parallelizes
-  // across rows, so the model charges its critical path over the
-  // reference host's cores rather than this machine's. A streaming sink
-  // consumed forward rows directly (it unions both directions as rows
-  // arrive), so a non-materialized build never pays the transpose.
-  if (scan == ScanMode::kHalf && materialize && policy_.expand_half) {
-    TRACE_SPAN("build", "expand_half");
-    local_report.expand_seconds = table.expand_half_table(
-        static_cast<unsigned>(std::max(1, cfg.host_cores)));
-    modeled_fixed += local_report.expand_seconds;
-    local_report.total_pairs = table.total_pairs();
-  }
+  if (materialize) local_report.total_pairs = table.total_pairs();
 
   // Devices that died during batching (their setup losses were tallied
   // when their slots were dropped).

@@ -55,7 +55,9 @@ struct BuildReport {
   std::uint64_t d2h_bytes = 0;         ///< result bytes shipped to the host
   std::uint64_t kernel_flops = 0;      ///< distance-test FLOPs (batch kernels)
   std::uint64_t kernel_global_bytes = 0;  ///< global-memory traffic of same
-  double expand_seconds = 0.0;  ///< host transpose restoring back rows (kHalf)
+  /// Host assembly of T (NeighborTable::assemble): merging the stream
+  /// shards plus, under kHalf, the transpose restoring back rows.
+  double expand_seconds = 0.0;
 
   // --- streaming delivery (BatchSink) ---
   bool streamed = false;           ///< a sink consumed batches in-flight

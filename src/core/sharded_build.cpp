@@ -483,19 +483,6 @@ NeighborTable build_sharded_impl(
     }
   }
 
-  if (materialize_table && !merge_parts.empty()) {
-    // One parallel fan-in: exact-size allocation, then disjoint region
-    // copies and disjoint key rebases run concurrently — the model
-    // charges the slowest worker, the way the reference host (a core per
-    // shard) would experience the merge. The collision sweep is skipped:
-    // row-homogeneous slab ownership makes the translated key sets
-    // disjoint by construction (bit-identity to the one-device table is
-    // property-tested).
-    TRACE_SPAN("build", "sharded_merge parts=%zu", merge_parts.size());
-    modeled_fixed += table.absorb_shards(std::move(merge_parts), host_cores,
-                                         /*check_collisions=*/false);
-  }
-
   if (!pending.empty()) {
     if (!options.policy.resilience.host_fallback) {
       throw cudasim::DeviceLost(
@@ -535,22 +522,28 @@ NeighborTable build_sharded_impl(
             std::memory_order_relaxed);
       }
       if (!materialize_table) continue;
-      agg.total_pairs += local.total_pairs();
-      table.absorb_shard(std::move(local).translate(
+      merge_parts.push_back(std::move(local).translate(
           shard.to_global, shard.num_owned, index.size()));
     }
     pending.clear();
     modeled_fixed += host_timer.seconds();
   }
 
-  if (materialize_table && options.policy.scan_mode == ScanMode::kHalf) {
-    // Shard builds merged forward rows; one global transpose restores the
-    // back rows, making the table identical to a single-device build.
-    TRACE_SPAN("build", "sharded_expand_half");
-    agg.expand_seconds = table.expand_half_table(host_cores);
+  if (materialize_table) {
+    // One assembly of the device slabs and the host rung's slabs: the
+    // row-homogeneous slab ownership makes their translated key sets
+    // disjoint (bit-identity to the one-device table is property-tested),
+    // and under kHalf the same pass restores the back rows globally,
+    // making the table identical to a single-device build. The model
+    // charges its critical path, the way the reference host (a core per
+    // chunk) would experience it.
+    TRACE_SPAN("build", "sharded_assemble parts=%zu", merge_parts.size());
+    agg.expand_seconds = table.assemble(
+        std::move(merge_parts),
+        options.policy.scan_mode == ScanMode::kHalf, host_cores);
     modeled_fixed += agg.expand_seconds;
+    agg.total_pairs = table.total_pairs();
   }
-  if (materialize_table) agg.total_pairs = table.total_pairs();
 
   agg.devices_lost = devices_died;
   agg.cross_shard_pairs = cross_pairs.load(std::memory_order_relaxed);

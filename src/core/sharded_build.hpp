@@ -6,7 +6,7 @@
 // (core/shard_planner.hpp), each shard uploads only its slab plus the
 // eps-halo to one device, runs the ordinary single-device batch pipeline
 // over its owned points, and the shard tables are translated into the
-// global id space and merged through NeighborTable::absorb_shard. Each
+// global id space and assembled through NeighborTable::assemble. Each
 // device therefore holds ~1/k of the index and does ~1/k of the distance
 // tests — the scaling regime of a GPU-per-node deployment where the index
 // itself no longer fits (or no longer uploads cheaply) on one device.
@@ -22,10 +22,10 @@
 //
 // Half-scan expansion is deferred: shard builds run with
 // BatchPolicy::expand_half = false (a shard-local expansion would write
-// ghost-key rows that collide at the merge) and the orchestrator expands
-// the merged forward table once, globally — exactly the single-device
-// schedule, so the final table and any labels derived from it are
-// bit-identical to a one-device build.
+// ghost-key rows that collide at the merge) and the orchestrator's one
+// assembly merges and expands the forward rows once, globally — exactly
+// the single-device schedule, so the final table and any labels derived
+// from it are bit-identical to a one-device build.
 #pragma once
 
 #include <vector>

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
+#include <utility>
 
-#include "common/request_context.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 
 namespace hdbscan {
@@ -115,222 +115,153 @@ NeighborTable NeighborTable::translate(std::span<const PointId> to_global,
   return out;
 }
 
-double NeighborTable::absorb_shards(std::vector<NeighborTable>&& shards,
-                                    unsigned num_threads,
-                                    bool check_collisions) {
+double NeighborTable::assemble(std::vector<NeighborTable>&& parts,
+                               bool expand_half, unsigned chunks) {
   if (!values_.empty()) {
-    throw std::invalid_argument("NeighborTable: absorb_shards target not empty");
+    throw std::invalid_argument("NeighborTable: assemble target not empty");
   }
-  for (const NeighborTable& s : shards) {
-    if (s.num_points() != num_points()) {
-      throw std::invalid_argument("NeighborTable: shard size mismatch");
+  for (const NeighborTable& p : parts) {
+    if (p.num_points() != num_points()) {
+      throw std::invalid_argument("NeighborTable: part size mismatch");
     }
   }
-  if (shards.empty()) return 0.0;
-  if (shards.size() == 1) {  // steal the storage wholesale
+  const std::size_t n = begin_.size();
+  if (parts.empty() || n == 0) return 0.0;
+  if (parts.size() == 1 && !expand_half) {  // already final: take it
     ThreadCpuTimer timer;
-    begin_ = std::move(shards[0].begin_);
-    end_ = std::move(shards[0].end_);
-    values_ = std::move(shards[0].values_);
+    begin_ = std::move(parts[0].begin_);
+    end_ = std::move(parts[0].end_);
+    values_ = std::move(parts[0].values_);
+    parts.clear();
     return timer.seconds();
   }
 
-  // Region layout: shard s's values land at [region[s], region[s + 1]),
-  // same order a serial absorb loop would produce.
-  std::vector<std::size_t> region(shards.size() + 1, 0);
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    region[s + 1] = region[s] + shards[s].values_.size();
-  }
-  ValueVector merged(region.back());  // skips zero-fill; fully overwritten
-
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  const unsigned W = static_cast<unsigned>(
-      std::min<std::size_t>(num_threads, shards.size()));
-
-  // Key-collision detection needs cross-shard visibility, so it cannot
-  // ride the parallel pass without atomics on every row; one serial O(n·k)
-  // sweep over the range arrays (no pair data) keeps absorb_shard's strict
-  // contract. Internal callers whose disjointness is structural skip it
-  // (see the header) — the sweep would otherwise sit on the modeled
-  // critical path of every build.
-  double critical_seconds = 0.0;
-  const std::size_t n = begin_.size();
-  if (check_collisions) {
-    ThreadCpuTimer serial_timer;
-    for (std::size_t k = 0; k < n; ++k) {
-      bool taken = false;
-      for (const NeighborTable& s : shards) {
-        if (s.end_[k] == s.begin_[k]) continue;
-        if (taken) {
-          throw std::logic_error("NeighborTable: key appears in two shards");
-        }
-        taken = true;
-      }
-    }
-    critical_seconds = serial_timer.seconds();
-  }
-
-  // Parallel fan-in: worker w owns shards w, w + W, ... — each copies its
-  // shards' values into their disjoint regions and rebases their disjoint
-  // key ranges. Nothing is shared; the pass is bandwidth-bound.
-  std::vector<double> cpu(W, 0.0);
-  std::vector<std::thread> workers;
-  for (unsigned w = 0; w < W; ++w) {
-    workers.emplace_back([&, w, ctx = current_request_context()] {
-      RequestScope scope(ctx);
-      ThreadCpuTimer timer;
-      for (std::size_t s = w; s < shards.size(); s += W) {
-        NeighborTable& shard = shards[s];
-        std::copy(shard.values_.begin(), shard.values_.end(),
-                  merged.begin() + region[s]);
-        const auto base = static_cast<std::uint32_t>(region[s]);
-        for (std::size_t k = 0; k < n; ++k) {
-          if (shard.end_[k] == shard.begin_[k]) continue;
-          begin_[k] = base + shard.begin_[k];
-          end_[k] = base + shard.end_[k];
-        }
-      }
-      cpu[w] = timer.seconds();
-    });
-  }
-  for (auto& t : workers) t.join();
-  critical_seconds += *std::max_element(cpu.begin(), cpu.end());
-
-  values_ = std::move(merged);
-  shards.clear();
-  return critical_seconds;
-}
-
-double NeighborTable::expand_half_table(unsigned num_threads) {
-  const std::size_t n = begin_.size();
-  if (n == 0) return 0.0;
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  // Thread spawn overhead beats the work itself on small tables.
-  if (values_.size() < 1u << 15) num_threads = 1;
-  const unsigned W = num_threads;
-  const std::size_t chunk = (n + W - 1) / W;
-
-  // Worker boundaries. Pass 2a's work is uniform per row, but passes 1
-  // and 3 walk the values, so their chunks are balanced by *pair count* —
-  // on clustered data equal row counts leave one worker holding most of
-  // the values, and the critical path is the slowest worker.
-  std::vector<std::size_t> row_cuts(W + 1), pair_cuts(W + 1, n);
-  for (unsigned w = 0; w <= W; ++w) {
-    row_cuts[w] = std::min(n, static_cast<std::size_t>(w) * chunk);
-  }
-  pair_cuts[0] = 0;
-  {
-    const std::uint64_t total = values_.size();
-    std::uint64_t acc = 0;
-    unsigned w = 1;
-    for (std::size_t k = 0; k < n && w < W; ++k) {
-      acc += end_[k] - begin_[k];
-      while (w < W && acc * W >= total * w) pair_cuts[w++] = k + 1;
-    }
-  }
+  std::size_t total_in = 0;
+  for (const NeighborTable& p : parts) total_in += p.values_.size();
+  // Pool dispatch costs more than the work itself on small tables.
+  const std::size_t C = total_in < (1u << 15) ? 1 : std::max(1u, chunks);
 
   double critical_seconds = 0.0;
-  // Runs fn(w, cuts[w], cuts[w+1]) per worker and accumulates the slowest
-  // worker's CPU time — the pass's critical path on a host with a core
-  // per worker (this is what a performance model should charge; wall time
-  // here would measure this machine's core count, not the work).
-  auto parallel_rows = [&](const std::vector<std::size_t>& cuts, auto&& fn) {
-    if (W <= 1) {
-      ThreadCpuTimer timer;
-      fn(0u, std::size_t{0}, n);
-      critical_seconds += timer.seconds();
-      return;
-    }
-    std::vector<double> cpu(W, 0.0);
-    std::vector<std::thread> workers;
-    for (unsigned w = 0; w < W; ++w) {
-      const std::size_t lo = cuts[w];
-      const std::size_t hi = cuts[w + 1];
-      if (lo >= hi) continue;
-      workers.emplace_back([&fn, &cpu, w, lo, hi,
-                            ctx = current_request_context()] {
-        RequestScope scope(ctx);
-        ThreadCpuTimer timer;
-        fn(w, lo, hi);
-        cpu[w] = timer.seconds();
-      });
-    }
-    for (auto& t : workers) t.join();
+  // Runs fn(c, cuts[c], cuts[c + 1]) for every chunk on the pool and
+  // charges the slowest chunk's CPU time — the pass's critical path on a
+  // host with a core per chunk (what a performance model should charge;
+  // wall time here would measure this machine's core count, not the work).
+  auto parallel_pass = [&](const std::vector<std::size_t>& cuts, auto&& fn) {
+    std::vector<double> cpu(C, 0.0);
+    global_pool().parallel_for(
+        0, C,
+        [&](std::size_t c) {
+          ThreadCpuTimer timer;
+          fn(c, cuts[c], cuts[c + 1]);
+          cpu[c] = timer.seconds();
+        },
+        /*grain=*/1);
     critical_seconds += *std::max_element(cpu.begin(), cpu.end());
   };
+  std::vector<std::size_t> row_cuts(C + 1);
+  for (std::size_t c = 0; c <= C; ++c) row_cuts[c] = n * c / C;
 
-  // The expansion is a counting-sort transpose with per-worker histograms
-  // — no atomics anywhere, every cursor is thread-private.
-  //
-  // Pass 1: worker w histograms the back contributions of its row chunk
-  // into its private block back[w*n ...] (one entry per destination row).
-  std::vector<std::uint32_t> back(static_cast<std::size_t>(W) * n, 0);
-  parallel_rows(pair_cuts, [&](unsigned w, std::size_t lo, std::size_t hi) {
-    std::uint32_t* mine = back.data() + static_cast<std::size_t>(w) * n;
-    for (std::size_t k = lo; k < hi; ++k) {
-      for (std::uint32_t a = begin_[k]; a < end_[k]; ++a) {
-        const PointId v = values_[a];
-        if (v != static_cast<PointId>(k)) ++mine[v];
+  // Row-source sweep: which part holds each key's row. The parts are read
+  // in place from here on; a key found in two parts is a broken build.
+  std::vector<const PointId*> fwd(n, nullptr);
+  std::vector<std::uint32_t> fwd_len(n, 0);
+  parallel_pass(row_cuts, [&](std::size_t, std::size_t lo, std::size_t hi) {
+    for (const NeighborTable& p : parts) {
+      for (std::size_t k = lo; k < hi; ++k) {
+        const std::uint32_t len = p.end_[k] - p.begin_[k];
+        if (len == 0) continue;
+        if (fwd_len[k] != 0) {
+          throw std::logic_error("NeighborTable: key appears in two parts");
+        }
+        fwd[k] = p.values_.data() + p.begin_[k];
+        fwd_len[k] = len;
       }
     }
   });
 
-  // Pass 2a: per destination row, turn the worker histograms into
-  // exclusive per-worker offsets and total the row's back contributions.
-  std::vector<std::uint32_t> row_extra(n);
-  parallel_rows(row_cuts, [&](unsigned, std::size_t lo, std::size_t hi) {
-    for (std::size_t v = lo; v < hi; ++v) {
-      std::uint32_t running = 0;
-      for (unsigned w = 0; w < W; ++w) {
-        std::uint32_t& slot = back[static_cast<std::size_t>(w) * n + v];
-        const std::uint32_t c = slot;
-        slot = running;
-        running += c;
-      }
-      row_extra[v] = running;
-    }
-  });
-
-  // Pass 2b: serial prefix sum into the new layout; fwd_base[v] is where
-  // row v's back contributions start (right after its forward segment).
+  // Chunks that walk the values are balanced by pair count: on clustered
+  // data equal row counts leave one chunk holding most of the values.
   ThreadCpuTimer serial_timer;
-  std::vector<std::uint32_t> new_begin(n), new_end(n), fwd_base(n);
-  std::uint64_t running = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint32_t len = end_[k] - begin_[k];
-    new_begin[k] = static_cast<std::uint32_t>(running);
-    fwd_base[k] = static_cast<std::uint32_t>(running + len);
-    running += len + row_extra[k];
-    new_end[k] = static_cast<std::uint32_t>(running);
+  std::vector<std::size_t> pair_cuts(C + 1, n);
+  pair_cuts[0] = 0;
+  {
+    std::uint64_t acc = 0;
+    std::size_t c = 1;
+    for (std::size_t k = 0; k < n && c < C; ++k) {
+      acc += fwd_len[k];
+      while (c < C && acc * C >= total_in * c) pair_cuts[c++] = k + 1;
+    }
   }
-  // ValueVector skips zero-fill: every slot is written below (forward
-  // copies fill [new_begin, fwd_base), the scatter fills the rest).
-  ValueVector new_values(running);
   critical_seconds += serial_timer.seconds();
 
-  // Pass 3: copy each forward segment into place, and scatter the chunk's
-  // transposes through the worker's private cursors (back[w*n + v] now
-  // counts how many this worker has already placed for row v).
-  parallel_rows(pair_cuts, [&](unsigned w, std::size_t lo, std::size_t hi) {
-    std::uint32_t* mine = back.data() + static_cast<std::size_t>(w) * n;
+  // Under expand_half every part row is a *forward* row and each cross
+  // pair (k, v) sits in exactly one of rows k and v, so the full row v is
+  // its back contributions (the keys k whose forward rows hold v) followed
+  // by its forward row. A counting-sort transpose places them with no
+  // atomics: chunk c histograms its back contributions into its private
+  // block back[c * n ...], the blocks turn into per-chunk cursors, and the
+  // copy pass scatters through them.
+  std::vector<std::uint32_t> back;
+  std::vector<std::uint32_t> row_extra;
+  if (expand_half) {
+    back.assign(C * n, 0);
+    parallel_pass(pair_cuts, [&](std::size_t c, std::size_t lo,
+                                 std::size_t hi) {
+      std::uint32_t* mine = back.data() + c * n;
+      for (std::size_t k = lo; k < hi; ++k) {
+        for (std::uint32_t a = 0; a < fwd_len[k]; ++a) {
+          const PointId v = fwd[k][a];
+          if (v != static_cast<PointId>(k)) ++mine[v];
+        }
+      }
+    });
+    row_extra.resize(n);
+    parallel_pass(row_cuts, [&](std::size_t, std::size_t lo, std::size_t hi) {
+      for (std::size_t v = lo; v < hi; ++v) {
+        std::uint32_t running = 0;
+        for (std::size_t c = 0; c < C; ++c) {
+          std::uint32_t& slot = back[c * n + v];
+          running += std::exchange(slot, running);
+        }
+        row_extra[v] = running;
+      }
+    });
+  }
+
+  // Final layout in key order: row k starts with its back contributions
+  // at new_begin[k] and ends with its forward row.
+  serial_timer.reset();
+  std::vector<std::uint32_t> new_begin(n), new_end(n);
+  std::uint64_t running = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    new_begin[k] = static_cast<std::uint32_t>(running);
+    running += (expand_half ? row_extra[k] : 0) + fwd_len[k];
+    new_end[k] = static_cast<std::uint32_t>(running);
+  }
+  // ValueVector skips zero-fill: the copies fill every forward segment
+  // and the scatter every back segment.
+  ValueVector out(running);
+  critical_seconds += serial_timer.seconds();
+
+  parallel_pass(pair_cuts, [&](std::size_t c, std::size_t lo,
+                               std::size_t hi) {
+    std::uint32_t* mine = expand_half ? back.data() + c * n : nullptr;
     for (std::size_t k = lo; k < hi; ++k) {
-      std::copy(values_.begin() + begin_[k], values_.begin() + end_[k],
-                new_values.begin() + new_begin[k]);
-      for (std::uint32_t a = begin_[k]; a < end_[k]; ++a) {
-        const PointId v = values_[a];
+      std::copy(fwd[k], fwd[k] + fwd_len[k],
+                out.begin() + (new_end[k] - fwd_len[k]));
+      if (!expand_half) continue;
+      for (std::uint32_t a = 0; a < fwd_len[k]; ++a) {
+        const PointId v = fwd[k][a];
         if (v == static_cast<PointId>(k)) continue;
-        new_values[fwd_base[v] + mine[v]++] = static_cast<PointId>(k);
+        out[new_begin[v] + mine[v]++] = static_cast<PointId>(k);
       }
     }
   });
 
   begin_ = std::move(new_begin);
   end_ = std::move(new_end);
-  values_ = std::move(new_values);
+  values_ = std::move(out);
+  parts.clear();
   return critical_seconds;
 }
 

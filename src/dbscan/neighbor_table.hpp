@@ -66,9 +66,7 @@ class NeighborTable {
 
   /// Merges a per-stream shard built over a disjoint key set into this
   /// table: shard values are appended to B and the shard's ranges are
-  /// rebased. The shard is consumed. Replaces per-batch appends under a
-  /// shared mutex — each stream fills its own shard lock-free and the
-  /// merge happens once, at the end of the build.
+  /// rebased. The shard is consumed. The serial reference for assemble().
   void absorb_shard(NeighborTable&& shard);
 
   /// Rebases a shard-local table into the global key space. Local row l
@@ -76,56 +74,42 @@ class NeighborTable {
   /// global row to_global[l]; the VALUES move untouched — shard kernels
   /// emit them through the slab's emission map (GridIndex::emit_ids), so
   /// they are already global. O(num_owned) plus the storage handoff: no
-  /// per-pair work. The result has num_global rows and is
-  /// absorb_shard()-compatible — shards own disjoint global key sets, so
-  /// translated shards merge without collision. Consumes this table.
+  /// per-pair work. The result has num_global rows and is a valid
+  /// assemble() part — shards own disjoint global key sets, so translated
+  /// shards merge without collision. Consumes this table.
   [[nodiscard]] NeighborTable translate(std::span<const PointId> to_global,
                                         std::uint32_t num_owned,
                                         std::size_t num_global) &&;
 
-  /// Merges k translated shards with pairwise-disjoint key sets into this
-  /// (empty) table in one shot: one exact-size allocation, then each
-  /// shard's values are copied into its precomputed region and its rows
-  /// rebased concurrently — regions and key sets are disjoint, so the
-  /// workers share nothing. Layout equals absorbing the shards in their
-  /// given order. Throws std::logic_error if a key appears in two shards
-  /// and std::invalid_argument on size mismatch or a non-empty target.
+  /// Assembles this (empty) table from `parts` — tables of num_points()
+  /// rows over pairwise-disjoint key sets: the stream shards, host batches
+  /// and translated slabs of one build. The parts are read in place and
+  /// the final table is written once, in key order:
+  ///  * a row-source sweep records which part holds each key's row and
+  ///    throws std::logic_error for a key found in two parts;
+  ///  * without `expand_half` the rows are copied into key order (a single
+  ///    part is taken over whole instead);
+  ///  * with `expand_half` every part row is a *forward* row of a
+  ///    ScanMode::kHalf build (self, same-cell ids >= k, forward-stencil
+  ///    cells) and every cross pair (k, v) sits in exactly one of rows k
+  ///    and v, so a counting-sort transpose (histogram, per-row offsets,
+  ///    prefix, copy + scatter) writes each full row as its back
+  ///    contributions in ascending key order followed by its forward row.
+  /// Passes run in `chunks` pair-balanced chunks on global_pool() (one
+  /// chunk for small tables). Throws std::invalid_argument on a part size
+  /// mismatch or a non-empty target. The parts are consumed.
   ///
-  /// `check_collisions` controls the strictness sweep — a serial
-  /// O(n * k) pass over the shards' range arrays before any data moves.
-  /// Both builder merges pass false: their key disjointness is
-  /// structural (strided batch assignment / row-homogeneous slab
-  /// ownership) and property-tested, and the sweep would land on the
-  /// modeled critical path of every build. With the check off a
-  /// colliding key silently keeps the last shard's row — callers must
-  /// guarantee disjointness by construction.
-  ///
-  /// Returns the merge's critical-path CPU seconds (slowest worker), the
-  /// number a performance model should charge for the fan-in.
-  double absorb_shards(std::vector<NeighborTable>&& shards,
-                       unsigned num_threads = 0,
-                       bool check_collisions = true);
+  /// Returns the assembly's critical-path CPU seconds: the serial passes
+  /// plus, per parallel pass, the slowest chunk's thread CPU time. This
+  /// is the number a performance model should charge — it reflects the
+  /// work per core, not this machine's core count or scheduling noise.
+  double assemble(std::vector<NeighborTable>&& parts, bool expand_half,
+                  unsigned chunks);
 
   /// Reserve capacity for the expected total pair count.
   void reserve_values(std::size_t expected_pairs) {
     values_.reserve(expected_pairs);
   }
-
-  /// Expands a *forward half* table into the full symmetric table. The
-  /// batched ScanMode::kHalf pipelines ship only forward rows over PCIe —
-  /// row k holds the neighbors the kernel tested from k's side (self,
-  /// same-cell ids >= k, forward-stencil cells). Every cross pair (k, v)
-  /// appears in exactly one of the two rows, so the full table is the
-  /// forward rows plus the transpose of every cross pair: a count /
-  /// prefix-sum / copy / scatter pass, parallelized over rows with atomic
-  /// cursors. Call once, after all shards are merged. `num_threads` 0 =
-  /// hardware concurrency.
-  ///
-  /// Returns the expansion's critical-path CPU seconds: the serial passes
-  /// plus, per parallel pass, the slowest worker's thread CPU time. This
-  /// is the number a performance model should charge — it reflects the
-  /// work per core, not this machine's core count or scheduling noise.
-  double expand_half_table(unsigned num_threads = 0);
 
   /// Rewrites the table into its canonical form: values laid out in
   /// ascending key order with each neighbor list sorted. Any two tables

@@ -117,7 +117,7 @@ void StreamingDbscan::consume(const BatchDelivery& d) {
       if (d.scan_mode == ScanMode::kHalf) {
         // Forward rows carry each cross pair once; the back direction's
         // degree contribution lands here, value by value — the streaming
-        // equivalent of expand_half_table's counting pass.
+        // equivalent of the table assembler's back-row histogram.
         degree_[v].fetch_add(1, std::memory_order_relaxed);
       } else if (v < key) {
         // Full rows deliver each cross pair twice; keep the (key < v)

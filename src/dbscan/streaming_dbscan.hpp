@@ -16,7 +16,7 @@
 // edges that cannot be decided yet (either endpoint still below minpts)
 // are parked in a deferred buffer. Under kHalf every cross pair arrives
 // exactly once (forward rows) and is unioned in both directions, so the
-// clustering path never needs expand_half_table. finalize() settles the
+// clustering path never expands a half table. finalize() settles the
 // tail: final core flags, the remaining deferred unions, dense cluster
 // renumbering (id order, identical to dbscan_parallel) and the
 // deterministic smallest-root border rule. The result is

@@ -16,22 +16,25 @@ template <typename Point>
 inline constexpr unsigned kDims = sizeof(Point) / sizeof(float);
 
 /// Candidate traversal shared by the per-point kernel bodies over a grid,
-/// 2-D or 3-D. Calls `emit(candidate)` for every candidate within eps of
-/// `point`, charging the per-candidate reads (lookup id 4 B + the point)
-/// and the 3·D-op squared-distance test (6 ops in 2-D, 9 in 3-D).
+/// 2-D or 3-D. Calls `visit(candidate, hit)` for every candidate it tests,
+/// `hit` being whether the candidate lies within eps of `point`, and
+/// charges the per-candidate reads (lookup id 4 B + the point) and the
+/// 3·D-op squared-distance test (6 ops in 2-D, 9 in 3-D). Passing the hit
+/// bit instead of calling back only on hits lets a body consume it without
+/// a branch (the count adds it, the fill advances its cursor by it).
 ///
 /// kFull walks the whole 3^D-cell stencil — every qualifying pair (i, j)
 /// is tested from both sides. kHalf tests each pair exactly once: the own
 /// cell contributes only the suffix of candidates at/after the query's own
 /// lookup position (found by binary search over the cell's ascending slice
 /// of A — charged as log2 candidate-id reads), and only the forward half
-/// of the stencil is visited. Emissions are therefore forward rows only;
-/// symmetry is restored downstream (NeighborTable::expand_half_table).
-template <typename View, typename Point, typename Emit>
+/// of the stencil is visited. Hits are therefore forward rows only;
+/// symmetry is restored downstream (NeighborTable::assemble).
+template <typename View, typename Point, typename Visit>
 void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
                        const Point& point, float eps2,
                        const QualitySpec& quality, cudasim::ThreadCtx& ctx,
-                       Emit&& emit) {
+                       Visit&& visit) {
   constexpr std::uint64_t kTestFlops = 3 * kDims<Point>;
   const bool sampled = quality.sampled();
   auto scan_range = [&](std::uint32_t begin, std::uint32_t end) {
@@ -42,7 +45,7 @@ void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
       ctx.count_flops(static_cast<std::uint64_t>(candidates) * kTestFlops);
       for (std::uint32_t a = begin; a < end; ++a) {
         const PointId candidate = view.lookup[a];
-        if (dist2(point, view.points[candidate]) <= eps2) emit(candidate);
+        visit(candidate, dist2(point, view.points[candidate]) <= eps2);
       }
       return;
     }
@@ -55,7 +58,7 @@ void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
       const PointId candidate = view.lookup[a];
       if (!quality.keep_pair(pid, candidate)) continue;
       ++kept;
-      if (dist2(point, view.points[candidate]) <= eps2) emit(candidate);
+      visit(candidate, dist2(point, view.points[candidate]) <= eps2);
     }
     ctx.count_global_bytes(
         static_cast<std::uint64_t>(candidates) * sizeof(PointId) +
@@ -99,12 +102,13 @@ void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
 /// tile — candidate ids are read for the whole leaf (the kHalf id filter
 /// needs them), points and the 6-op distance test only for tested ones.
 /// Under kHalf subtrees whose max_id < pid hold nothing row pid owns and
-/// are pruned before their MBR is even tested.
-template <typename Emit>
+/// are pruned before their MBR is even tested. Like the grid overload it
+/// visits every tested candidate with its hit bit.
+template <typename Visit>
 void for_each_neighbor(const BvhView& view, ScanMode mode, PointId pid,
                        const Point2& point, float eps2,
                        const QualitySpec& quality, cudasim::ThreadCtx& ctx,
-                       Emit&& emit) {
+                       Visit&& visit) {
   const bool half = mode == ScanMode::kHalf;
   const bool sampled = quality.sampled();
   std::uint32_t stack[160];
@@ -130,7 +134,7 @@ void for_each_neighbor(const BvhView& view, ScanMode mode, PointId pid,
           if (!quality.keep_pair(pid, cand)) continue;
         }
         ++tested;
-        if (dist2(point, view.leaf_points[i]) <= eps2) emit(cand);
+        visit(cand, dist2(point, view.leaf_points[i]) <= eps2);
       }
       ctx.count_global_bytes(
           static_cast<std::uint64_t>(node.count) * sizeof(PointId) +
@@ -166,7 +170,8 @@ struct GlobalKernelBody {
 
     StagedSink staged(sink);
     for_each_neighbor(view, ScanMode::kFull, pid, point, eps2, QualitySpec{},
-                      ctx, [&](PointId candidate) {
+                      ctx, [&](PointId candidate, bool hit) {
+                        if (!hit) return;
                         staged.push(NeighborPair{pid, candidate}, ctx);
                       });
     staged.flush(ctx);
@@ -312,25 +317,33 @@ struct CountBatchKernelBody {
     ctx.count_global_bytes(sizeof(point));
     std::uint32_t neighbors = 0;
     // In kHalf the counts are *forward-row* lengths — no atomics on other
-    // rows; the host transpose restores the back rows after the merge.
+    // rows; the host table assembly restores the back rows.
     for_each_neighbor(view, mode, pid, point, eps2, quality, ctx,
-                      [&](PointId) { ++neighbors; });
+                      [&](PointId, bool hit) { neighbors += hit; });
     counts[gid] = neighbors;
     ctx.count_global_bytes(sizeof(std::uint32_t));
   }
 };
 
 /// Pass 2 of the two-pass CSR builder: thread g re-runs its neighborhood
-/// search and writes the neighbor ids directly into its pre-sized CSR slot
-/// [offsets[g], offsets[g] + counts[g]). The offsets are exact, so the
-/// pass needs no atomics, no sort, and ships bare PointId values (half the
+/// search and writes the neighbor ids directly into its pre-sized CSR row
+/// [offsets[g], row_end), where row_end is offsets[g + 1] or, for the
+/// batch's last row, the batch total. The offsets are exact, so the pass
+/// needs no atomics, no sort, and ships bare PointId values (half the
 /// bytes of a NeighborPair) over PCIe.
+///
+/// The write is branch-free: every tested candidate is stored in the row's
+/// next slot and the cursor advances only on a hit, so a miss is simply
+/// overwritten by the next hit. Once the row holds its count of hits, the
+/// remaining stores go to a thread-local slot — no thread ever writes
+/// outside its own row.
 template <typename View>
 struct FillCsrKernelBody {
   View view;
   float eps2;
   BatchSpec batch;
   const std::uint32_t* offsets;
+  std::uint32_t total;
   PointId* values;
   ScanMode mode;
   QualitySpec quality;
@@ -341,17 +354,27 @@ struct FillCsrKernelBody {
     if (i >= view.query_count()) return;
     const auto pid = static_cast<PointId>(i);
     const auto point = view.points[i];
+    // The row end is the next thread's offset, fetched in the same
+    // coalesced transaction as the thread's own.
     ctx.count_global_bytes(sizeof(point) + sizeof(std::uint32_t));
-    PointId* out = values + offsets[gid];
+    const std::uint32_t row_begin = offsets[gid];
+    const std::uint32_t row_end = i + batch.num_batches >= view.query_count()
+                                      ? total
+                                      : offsets[gid + 1];
+    PointId* row = values + row_begin;
+    const std::uint32_t len = row_end - row_begin;
+    PointId spill = 0;
+    std::uint32_t written = 0;
     // Values go out through the emission map (identity on a whole index;
     // local->global on shard slabs), which buys the shard merge freedom
     // from ever touching individual pairs.
-    const std::uint64_t write_bytes = value_write_bytes(view);
     for_each_neighbor(view, mode, pid, point, eps2, quality, ctx,
-                      [&](PointId candidate) {
-                        *out++ = view.emit(candidate);
-                        ctx.count_global_bytes(write_bytes);
+                      [&](PointId candidate, bool hit) {
+                        PointId* slot = written < len ? row + written : &spill;
+                        *slot = view.emit(candidate);
+                        written += hit;
                       });
+    ctx.count_global_bytes(written * value_write_bytes(view));
   }
 };
 
@@ -365,10 +388,10 @@ constexpr unsigned kFusedSpill = 256;
 /// candidate it tests) accumulate in a register and land as ONE fetch_add
 /// at thread end; under kHalf the back contribution to each cross
 /// partner's degree is a per-pair fetch_add (the streaming equivalent of
-/// expand_half_table's counting pass, done in-kernel). Core checks use the
-/// partner add's return value and the own-degree register as monotone
-/// lower bounds — a pair that looks undecidable now is parked and settled
-/// by compaction or finalize, never dropped.
+/// the table assembler's back-row histogram, done in-kernel). Core checks
+/// use the partner add's return value and the own-degree register as
+/// monotone lower bounds — a pair that looks undecidable now is parked and
+/// settled by compaction or finalize, never dropped.
 ///
 /// Exactly-once: launches fault before any block runs (cudasim contract),
 /// so a failed batch contributed nothing and is safe to requeue whole.
@@ -397,7 +420,8 @@ struct FusedKernelBody {
     std::uint64_t streamed = 0;
 
     for_each_neighbor(view, mode, pid, point, eps2, quality, ctx,
-                      [&](PointId cand) {
+                      [&](PointId cand, bool hit) {
+      if (!hit) return;
       ++own_degree;  // self pair included: degree counts the point itself
       if (cand == pid) return;
       std::uint32_t deg_v;
@@ -521,12 +545,13 @@ template <typename View>
 cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
                                   float eps, BatchSpec batch,
                                   const std::uint32_t* offsets,
-                                  PointId* values, ScanMode mode,
-                                  unsigned block_size, QualitySpec quality) {
+                                  std::uint32_t total, PointId* values,
+                                  ScanMode mode, unsigned block_size,
+                                  QualitySpec quality) {
   return cudasim::run_flat_kernel(
       device, batch_grid_dim(view, batch, block_size), block_size,
-      FillCsrKernelBody<View>{view, eps * eps, batch, offsets, values, mode,
-                              quality});
+      FillCsrKernelBody<View>{view, eps * eps, batch, offsets, total, values,
+                              mode, quality});
 }
 
 template <typename View>
@@ -559,8 +584,9 @@ NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
   std::vector<PointId> values(total);
   cudasim::run_flat_host(grid, kDefaultBlockSize,
                          FillCsrKernelBody<View>{view, eps * eps, batch,
-                                                 offsets.data(), values.data(),
-                                                 mode, quality});
+                                                 offsets.data(), total,
+                                                 values.data(), mode,
+                                                 quality});
   shard.append_csr_batch(batch.batch, batch.num_batches, offsets, values);
   return shard;
 }
@@ -582,7 +608,7 @@ void host_fused_batch(const View& view, float eps, BatchSpec batch,
       ScanMode, unsigned, QualitySpec);                                      \
   template cudasim::KernelStats run_fill_csr<View>(                          \
       cudasim::Device&, const View&, float, BatchSpec, const std::uint32_t*, \
-      PointId*, ScanMode, unsigned, QualitySpec);                            \
+      std::uint32_t, PointId*, ScanMode, unsigned, QualitySpec);             \
   template cudasim::KernelStats run_fused_batch<View>(                       \
       cudasim::Device&, const View&, float, BatchSpec, StreamingDbscan&,     \
       ScanMode, unsigned, QualitySpec);

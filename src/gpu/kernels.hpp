@@ -86,12 +86,12 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
 // Every entry point takes a `mode` and a trailing `quality`. Under
 // ScanMode::kHalf each candidate pair is tested once and only the
 // *forward* rows are emitted; the caller restores symmetry afterwards via
-// NeighborTable::expand_half_table. On a grid a forward row is the
+// NeighborTable::assemble. On a grid a forward row is the
 // same-cell candidates at/after the query's lookup position plus the
 // forward stencil; a tree has no forward stencil, so there row i owns
 // exactly the candidates with id >= i (self included) and subtrees whose
 // max_id < i are pruned outright. Either way every cross pair lands in
-// exactly one row — the cover expand_half_table and the streaming
+// exactly one row — the cover the assembler's expansion and the streaming
 // consumer require — so the expanded tables are identical across indexes.
 // Under ClusterQuality::kSubsampled each candidate pair is run through the
 // seeded Bernoulli filter *before* the candidate's point is read, so a
@@ -116,14 +116,16 @@ cudasim::KernelStats run_count_batch(cudasim::Device& device,
                                      QualitySpec quality = {});
 
 /// Two-pass CSR builder, pass 2: fills neighbor ids into exact CSR slots.
-/// `offsets` is the exclusive prefix scan of the pass-1 counts; thread g
-/// writes its neighbors at values[offsets[g]...]. No atomics, no sort
-/// needed afterwards. `mode` must match the count pass.
+/// `offsets` is the exclusive prefix scan of the pass-1 counts and `total`
+/// their sum; thread g writes its neighbors at values[offsets[g]...] and
+/// never past the next row's offset (the batch's last row ends at
+/// `total`). No atomics, no sort needed afterwards. `mode` must match the
+/// count pass.
 template <typename View>
 cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
                                   float eps, BatchSpec batch,
                                   const std::uint32_t* offsets,
-                                  PointId* values,
+                                  std::uint32_t total, PointId* values,
                                   ScanMode mode = ScanMode::kFull,
                                   unsigned block_size = kDefaultBlockSize,
                                   QualitySpec quality = {});
@@ -155,10 +157,10 @@ cudasim::KernelStats run_fused_batch(cudasim::Device& device,
 /// One CSR batch on the host: the count body, a host exclusive scan and
 /// the fill body, then an append_csr_batch into a fresh table of
 /// view.num_points rows. The result is the shard a device batch appends
-/// (absorb_shard-compatible; only the batch's keys are filled, as forward
-/// rows under kHalf, through the emission map on shard slabs), so it
-/// merges with device-built shards and expands like them. Grid and BVH
-/// views only.
+/// (only the batch's keys are filled, as forward rows under kHalf, through
+/// the emission map on shard slabs), so NeighborTable::assemble merges it
+/// with device-built shards and expands it like them. Grid and BVH views
+/// only.
 template <typename View>
 NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
                              ScanMode mode = ScanMode::kFull,

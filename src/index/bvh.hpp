@@ -17,7 +17,7 @@
 // half-traversal rule is id-based instead — row i owns exactly the
 // candidates with id >= i (self included). Every cross pair (i, j) then
 // appears in exactly one row (the smaller id's), which is precisely the
-// cover NeighborTable::expand_half_table and the streaming consumer
+// cover NeighborTable::assemble's expansion and the streaming consumer
 // require. Each node records the maximum resident id in its subtree so a
 // half-traversal can prune whole subtrees that hold only smaller ids.
 #pragma once
@@ -105,7 +105,7 @@ void bvh_query(const BvhIndex& index, const Point2& q, float eps,
 /// under the tree's id-ownership rule: all resident ids >= `query`
 /// (including query itself) within eps of point `query`. The union of
 /// forward results over all queries, transposed, is the full neighbor
-/// table — exactly the expand_half_table contract.
+/// table — exactly the contract of NeighborTable::assemble's expansion.
 void bvh_query_forward(const BvhIndex& index, PointId query, float eps,
                        std::vector<PointId>& out);
 

@@ -1,8 +1,10 @@
 // Grid index for epsilon-neighborhood searches (paper §IV, Figure 1).
 //
 // The index consists of:
-//   * D  — the database, re-ordered by unit-width spatial bins so points in
-//          similar locations are nearby in memory (locality optimization);
+//   * D  — the database, stored in eps-cell order: every cell's residents
+//          are one contiguous run, in input order, so points in similar
+//          locations are nearby in memory (the paper's locality
+//          optimization, §IV, sorts by unit-width bins instead);
 //   * G  — an array of eps x eps cells, each holding a range [Amin, Amax]
 //          into the lookup array;
 //   * A  — the lookup array of point ids, |A| == |D| (a point lives in
@@ -95,7 +97,7 @@ unsigned get_forward_neighbor_cells(const GridParams& params,
 /// 9-cell stencil lies inside the slab by construction.
 struct GridIndex {
   GridParams params;
-  std::vector<Point2> points;          ///< D, bin-sorted
+  std::vector<Point2> points;          ///< D, in cell order
   std::vector<PointId> original_ids;   ///< points[i] came from input[original_ids[i]]
   std::vector<CellRange> cells;        ///< G
   std::vector<PointId> lookup;         ///< A
@@ -158,19 +160,20 @@ struct GridView {
   }
 };
 
-/// Builds the grid index for database `input` and search radius `eps`.
-/// Throws std::invalid_argument for eps <= 0, an empty database, or a grid
-/// that would exceed `max_cells` (the same capacity concern a 5 GB GPU
-/// imposes on the cell array).
+/// Builds the grid index for database `input` and search radius `eps`:
+/// one counting sort stores D in cell order, so cells[h] is also the range
+/// of D holding cell h's points and lookup[a] == a. Throws
+/// std::invalid_argument for eps <= 0, an empty database, an extent that
+/// is not finite, or a grid that would exceed `max_cells` (the same
+/// capacity concern a 5 GB GPU imposes on the cell array).
 ///
 /// Ordering invariant (load-bearing for ScanMode::kHalf): within every
 /// cell's [begin, end) range the lookup array A stores point ids in
-/// strictly ascending order. The counting sort fills A by walking the
-/// (bin-sorted) database in index order with one cursor per cell, so ids
-/// land in each cell in increasing order by construction; the builder
-/// verifies this before returning. Half-comparison kernels rely on it to
-/// binary-search their own lookup position and scan only same-cell
-/// candidates with id >= their own.
+/// strictly ascending order. A whole index has it trivially (A is the
+/// identity); shard slabs keep it through their owned-first relabeling.
+/// The builder verifies it before returning. Half-comparison kernels rely
+/// on it to binary-search their own lookup position and scan only
+/// same-cell candidates with id >= their own.
 GridIndex build_grid_index(std::span<const Point2> input, float eps,
                            std::uint64_t max_cells = 1ull << 27);
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
-#include <tuple>
 #include <stdexcept>
+
+#include "index/cell_sort.hpp"
 
 namespace hdbscan {
 
@@ -103,71 +103,16 @@ GridIndex3 build_grid_index3(std::span<const Point3> input, float eps,
   params.min_y = min_y;
   params.min_z = min_z;
   params.eps = eps;
-  params.cells_x =
-      static_cast<std::uint32_t>(std::floor((max_x - min_x) / eps)) + 1;
-  params.cells_y =
-      static_cast<std::uint32_t>(std::floor((max_y - min_y) / eps)) + 1;
-  params.cells_z =
-      static_cast<std::uint32_t>(std::floor((max_z - min_z) / eps)) + 1;
-  if (params.num_cells() > max_cells) {
-    throw std::invalid_argument(
-        "grid index 3d: cell array would exceed the configured capacity");
-  }
+  const std::array<float, 3> spans{max_x - min_x, max_y - min_y,
+                                   max_z - min_z};
+  std::array<std::uint32_t, 3> dims{};
+  detail::eps_grid_dims(spans, eps, max_cells, dims, "grid index 3d");
+  params.cells_x = dims[0];
+  params.cells_y = dims[1];
+  params.cells_z = dims[2];
 
-  // Locality sort by unit-width bins (z, y, x), as in the 2-D builder.
-  std::vector<PointId> order(input.size());
-  std::iota(order.begin(), order.end(), PointId{0});
-  auto unit_bin = [&](PointId id) {
-    const Point3& p = input[id];
-    return std::tuple<std::int64_t, std::int64_t, std::int64_t>(
-        static_cast<std::int64_t>(std::floor(p.z - min_z)),
-        static_cast<std::int64_t>(std::floor(p.y - min_y)),
-        static_cast<std::int64_t>(std::floor(p.x - min_x)));
-  };
-  std::stable_sort(order.begin(), order.end(), [&](PointId a, PointId b) {
-    return unit_bin(a) < unit_bin(b);
-  });
-  index.points.reserve(input.size());
-  index.original_ids = std::move(order);
-  for (PointId id : index.original_ids) index.points.push_back(input[id]);
-
-  // Counting sort into cells.
-  const auto num_cells = static_cast<std::size_t>(params.num_cells());
-  std::vector<std::uint32_t> counts(num_cells, 0);
-  std::vector<std::uint32_t> cell_of(index.points.size());
-  for (std::size_t i = 0; i < index.points.size(); ++i) {
-    const std::uint32_t h = params.linear_cell(index.points[i]);
-    cell_of[i] = h;
-    ++counts[h];
-  }
-  index.cells.resize(num_cells);
-  std::uint32_t running = 0;
-  for (std::size_t h = 0; h < num_cells; ++h) {
-    index.cells[h].begin = running;
-    running += counts[h];
-    index.cells[h].end = running;
-    if (counts[h] > 0) {
-      index.nonempty_cells.push_back(static_cast<std::uint32_t>(h));
-      index.max_cell_occupancy = std::max(index.max_cell_occupancy, counts[h]);
-    }
-  }
-  index.lookup.resize(index.points.size());
-  std::vector<std::uint32_t> cursor(num_cells);
-  for (std::size_t h = 0; h < num_cells; ++h) cursor[h] = index.cells[h].begin;
-  for (std::size_t i = 0; i < index.points.size(); ++i) {
-    index.lookup[cursor[cell_of[i]]++] = static_cast<PointId>(i);
-  }
-
-  // Same ordering invariant as the 2-D builder: each cell's slice of A is
-  // strictly ascending. ScanMode::kHalf depends on it, so verify.
-  for (std::size_t a = 1; a < index.lookup.size(); ++a) {
-    if (cell_of[index.lookup[a - 1]] == cell_of[index.lookup[a]] &&
-        index.lookup[a - 1] >= index.lookup[a]) {
-      throw std::logic_error(
-          "grid index 3d: lookup ids not ascending within a cell (ordering "
-          "invariant violated)");
-    }
-  }
+  // D in cell order, exactly as in the 2-D builder.
+  detail::sort_into_cells(index, input, "grid index 3d");
   return index;
 }
 

@@ -1,7 +1,8 @@
 // 3-D grid index: the straightforward extension of the paper's 2-D scheme
-// (§IV) to spatial volumes — eps-cube cells, a lookup array A with
-// |A| = |D|, and neighborhoods guaranteed to lie within the 27-cell block
-// around a point's cell.
+// (§IV) to spatial volumes — eps-cube cells, D stored in cell order by the
+// same counting sort as the 2-D builder (so lookup[a] == a), a lookup
+// array A with |A| = |D|, and neighborhoods guaranteed to lie within the
+// 27-cell block around a point's cell.
 #pragma once
 
 #include <array>
@@ -94,6 +95,7 @@ struct GridView3 {
   }
 };
 
+/// Builds the 3-D index; the same contract and checks as build_grid_index.
 GridIndex3 build_grid_index3(std::span<const Point3> input, float eps,
                              std::uint64_t max_cells = 1ull << 27);
 

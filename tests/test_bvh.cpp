@@ -138,7 +138,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// The kHalf id-ownership rule: row i owns exactly the in-range candidates
 /// with id >= i. The union of forward rows, transposed, must reconstruct
 /// every full eps-neighborhood with each cross pair appearing exactly once
-/// — the expand_half_table contract the fused and CSR paths rely on.
+/// — the half-expansion contract the fused and CSR paths rely on.
 TEST(Bvh, ForwardQueryCoversEachPairExactlyOnce) {
   const float eps = 0.45f;
   const auto points = data::generate_space_weather(

@@ -79,6 +79,40 @@ TEST(GridIndex3, RejectsBadInput) {
   EXPECT_THROW(build_grid_index3(points, -0.5f), std::invalid_argument);
 }
 
+TEST(GridIndex3, RejectsGridBeyondCapacityBeforeNarrowing) {
+  const std::vector<Point3> wide{{0.0f, 0.0f, 0.0f}, {1e6f, 1e6f, 1e6f}};
+  EXPECT_THROW(build_grid_index3(wide, 1e-4f), std::invalid_argument);
+  const std::vector<Point3> huge{{-3e38f, 0.0f, 0.0f}, {3e38f, 1.0f, 1.0f}};
+  EXPECT_THROW(build_grid_index3(huge, 1.0f), std::invalid_argument);
+  const std::vector<Point3> huge_z{{0.0f, 0.0f, -3e38f}, {1.0f, 1.0f, 3e38f}};
+  EXPECT_THROW(build_grid_index3(huge_z, 1.0f), std::invalid_argument);
+  // Each axis fits, their product does not.
+  const std::vector<Point3> cube{{0.0f, 0.0f, 0.0f}, {600.0f, 600.0f, 600.0f}};
+  EXPECT_THROW(build_grid_index3(cube, 1.0f), std::invalid_argument);
+}
+
+TEST(GridIndex3, PointsAreStoredInCellOrder) {
+  const auto points = blobs3(3000, 2, 4, 0.3f, 5.0f, 0.3);
+  const GridIndex3 g = build_grid_index3(points, 0.35f);
+  ASSERT_EQ(g.lookup.size(), points.size());
+  for (std::uint32_t a = 0; a < g.lookup.size(); ++a) {
+    ASSERT_EQ(g.lookup[a], a);
+  }
+  for (std::uint32_t h = 0; h < g.cells.size(); ++h) {
+    const CellRange range = g.cells[h];
+    for (std::uint32_t a = range.begin; a < range.end; ++a) {
+      ASSERT_EQ(g.params.linear_cell(g.points[a]), h) << "slot " << a;
+      if (a > range.begin) {
+        ASSERT_LT(g.original_ids[a - 1], g.original_ids[a])
+            << "cell " << h << " not in input order";
+      }
+    }
+  }
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    ASSERT_EQ(g.points[i], points[g.original_ids[i]]);
+  }
+}
+
 TEST(GridIndex3, LookupIsPermutation) {
   const auto points = random_points3(3000, 1, 5.0f);
   const GridIndex3 g = build_grid_index3(points, 0.4f);

@@ -31,6 +31,17 @@ TEST(GridIndex, RejectsBadInput) {
                std::invalid_argument);
 }
 
+TEST(GridIndex, RejectsGridBeyondCapacityBeforeNarrowing) {
+  // extent / eps = 1e10 cells per axis: more than a 32-bit count holds.
+  const std::vector<Point2> wide{{0.0f, 0.0f}, {1e6f, 1e6f}};
+  EXPECT_THROW(build_grid_index(wide, 1e-4f), std::invalid_argument);
+  // A span that overflows float must not collapse to a one-column grid.
+  const std::vector<Point2> huge{{-3e38f, 0.0f}, {3e38f, 1.0f}};
+  EXPECT_THROW(build_grid_index(huge, 1.0f), std::invalid_argument);
+  const std::vector<Point2> huge_y{{0.0f, -3e38f}, {1.0f, 3e38f}};
+  EXPECT_THROW(build_grid_index(huge_y, 1.0f), std::invalid_argument);
+}
+
 TEST(GridIndex, SinglePointGrid) {
   const std::vector<Point2> points{{3.5f, -2.0f}};
   const GridIndex g = build_grid_index(points, 0.5f);
@@ -60,6 +71,32 @@ TEST(GridIndex, OriginalIdsArePermutation) {
   // Reordered points really are the originals.
   for (std::size_t i = 0; i < g.size(); ++i) {
     EXPECT_EQ(g.points[i], points[g.original_ids[i]]);
+  }
+}
+
+TEST(GridIndex, PointsAreStoredInCellOrder) {
+  // D is in cell order: each cell's residents are one contiguous run of D,
+  // in input order, so the lookup array is the identity.
+  for (const float eps : {0.15f, 0.4f}) {
+    const auto points = data::generate_space_weather(4000, 6);
+    const GridIndex g = build_grid_index(points, eps);
+    ASSERT_EQ(g.lookup.size(), points.size());
+    for (std::uint32_t a = 0; a < g.lookup.size(); ++a) {
+      ASSERT_EQ(g.lookup[a], a);
+    }
+    for (std::uint32_t h = 0; h < g.cells.size(); ++h) {
+      const CellRange range = g.cells[h];
+      for (std::uint32_t a = range.begin; a < range.end; ++a) {
+        ASSERT_EQ(g.params.linear_cell(g.points[a]), h) << "slot " << a;
+        if (a > range.begin) {
+          ASSERT_LT(g.original_ids[a - 1], g.original_ids[a])
+              << "cell " << h << " not in input order";
+        }
+      }
+    }
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      ASSERT_EQ(g.points[i], points[g.original_ids[i]]);
+    }
   }
 }
 

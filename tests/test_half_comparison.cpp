@@ -114,14 +114,15 @@ TEST(HalfComparison, HostStridedForwardShardsExpandToFullTable) {
   const auto points = data::generate_uniform(1500, 7, 6.0f, 6.0f);
   const float eps = 0.3f;
   const GridIndex index = build_grid_index(points, eps);
-  NeighborTable merged(index.size());
+  std::vector<NeighborTable> parts;
   const std::uint32_t stride = 3;
   for (std::uint32_t first = 0; first < stride; ++first) {
-    merged.absorb_shard(gpu::host_csr_batch(GridView::of(index), eps,
-                                            {first, stride},
-                                            ScanMode::kHalf));
+    parts.push_back(gpu::host_csr_batch(GridView::of(index), eps,
+                                        {first, stride}, ScanMode::kHalf));
   }
-  const double expand_seconds = merged.expand_half_table();
+  NeighborTable merged(index.size());
+  const double expand_seconds =
+      merged.assemble(std::move(parts), /*expand_half=*/true, 12);
   EXPECT_GE(expand_seconds, 0.0);
   expect_identical(std::move(merged), build_neighbor_table_host(index, eps));
 }

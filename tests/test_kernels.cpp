@@ -5,14 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/hybrid_dbscan3.hpp"
 #include "data/generators.hpp"
 #include "dbscan/neighbor_table.hpp"
 #include "gpu/result_sink.hpp"
+#include "index/bvh.hpp"
 #include "index/grid_index.hpp"
+#include "index/grid_index3.hpp"
 
 namespace hdbscan {
 namespace {
@@ -332,6 +338,140 @@ TEST(GlobalKernel, ModeledTimeBeatsSharedOnUniformData) {
       sink_b.view());
   EXPECT_LT(global_stats.modeled_seconds, shared_stats.modeled_seconds);
   EXPECT_GT(shared_stats.threads, global_stats.threads);
+}
+
+// ---------------------------------------------------------------------------
+// CSR fill bounds: the branch-free fill stores every tested candidate, so
+// it must redirect stores once a row is full and never leave its row.
+// ---------------------------------------------------------------------------
+
+constexpr PointId kPoison = 0xDEADBEEFu;
+constexpr PointId kSentinel = 0xFEEDFACEu;
+
+/// Runs the count pass, the scan and the fill pass of every batch of
+/// `num_batches` strided batches into a poisoned value buffer with a
+/// sentinel one slot past the batch total, checks that the sentinel
+/// survives and that every slot was overwritten, and returns the
+/// assembled table.
+template <typename View>
+NeighborTable fill_with_sentinel(cudasim::Device& dev, const View& view,
+                                 float eps, std::uint32_t num_batches,
+                                 ScanMode mode) {
+  std::vector<NeighborTable> parts;
+  for (std::uint32_t l = 0; l < num_batches; ++l) {
+    const gpu::BatchSpec batch{l, num_batches};
+    std::vector<std::uint32_t> offsets(
+        batch.points_in_batch(view.query_count()));
+    if (offsets.empty()) continue;
+    gpu::run_count_batch(dev, view, eps, batch, offsets.data(), mode);
+    std::uint32_t total = 0;
+    for (std::uint32_t& slot : offsets) total += std::exchange(slot, total);
+    std::vector<PointId> values(total + 1, kPoison);
+    values[total] = kSentinel;
+    gpu::run_fill_csr(dev, view, eps, batch, offsets.data(), total,
+                      values.data(), mode);
+    EXPECT_EQ(values[total], kSentinel) << "batch " << l << " wrote past "
+                                        << "its total";
+    EXPECT_EQ(std::count(values.begin(), values.end() - 1, kPoison), 0)
+        << "batch " << l << " left a slot unwritten";
+    NeighborTable part(view.num_points);
+    part.append_csr_batch(l, num_batches, offsets, {values.data(), total});
+    parts.push_back(std::move(part));
+  }
+  NeighborTable table(view.num_points);
+  (void)table.assemble(std::move(parts), mode == ScanMode::kHalf, 4);
+  table.canonicalize();
+  return table;
+}
+
+/// n_b = 1, 3, 7, and n_b = n, where every row is its batch's last row and
+/// so ends at the sentinel.
+std::vector<std::uint32_t> fill_batch_counts(std::uint32_t n) {
+  return {1u, 3u, 7u, n};
+}
+
+TEST(FillCsr, StaysInsideRowsOnGrid2d) {
+  const float eps = 0.3f;
+  const GridIndex index = build_grid_index(
+      data::generate_sky_survey(400, 41, {.width = 3.0f, .height = 3.0f}),
+      eps);
+  NeighborTable oracle = build_neighbor_table_host(index, eps);
+  oracle.canonicalize();
+  // Precondition on the input: some rows end in a miss (their last tested
+  // candidate lies beyond eps) and some end full (on a hit). The full
+  // stencil's last candidate is the last resident of the highest
+  // non-empty stencil cell.
+  std::size_t ends_in_miss = 0;
+  std::size_t ends_in_hit = 0;
+  for (PointId i = 0; i < index.size(); ++i) {
+    std::array<std::uint32_t, 9> cells{};
+    const unsigned nc = get_neighbor_cells(
+        index.params, index.params.linear_cell(index.points[i]), cells);
+    PointId last = i;
+    for (unsigned c = 0; c < nc; ++c) {
+      if (!index.cells[cells[c]].empty()) {
+        last = index.lookup[index.cells[cells[c]].end - 1];
+      }
+    }
+    ++(dist2(index.points[i], index.points[last]) <= eps * eps ? ends_in_hit
+                                                              : ends_in_miss);
+  }
+  ASSERT_GT(ends_in_miss, 0u);
+  ASSERT_GT(ends_in_hit, 0u);
+
+  cudasim::Device dev({}, fast_options());
+  const GridView view = GridView::of(index);
+  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
+    for (const std::uint32_t nb : fill_batch_counts(view.query_count())) {
+      SCOPED_TRACE(std::to_string(nb) + " batches, " +
+                   (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
+      EXPECT_TRUE(
+          fill_with_sentinel(dev, view, eps, nb, mode).identical_to(oracle));
+    }
+  }
+}
+
+TEST(FillCsr, StaysInsideRowsOnGrid3d) {
+  const float eps = 0.4f;
+  Xoshiro256 rng(43);
+  std::vector<Point3> points(350);
+  for (Point3& p : points) {
+    p = {rng.uniform(0.0f, 2.0f), rng.uniform(0.0f, 2.0f),
+         rng.uniform(0.0f, 2.0f)};
+  }
+  const GridIndex3 index = build_grid_index3(points, eps);
+  NeighborTable oracle = build_neighbor_table_host3(index, eps);
+  oracle.canonicalize();
+  cudasim::Device dev({}, fast_options());
+  const GridView3 view = GridView3::of(index);
+  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
+    for (const std::uint32_t nb : fill_batch_counts(view.query_count())) {
+      SCOPED_TRACE(std::to_string(nb) + " batches, " +
+                   (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
+      EXPECT_TRUE(
+          fill_with_sentinel(dev, view, eps, nb, mode).identical_to(oracle));
+    }
+  }
+}
+
+TEST(FillCsr, StaysInsideRowsOnBvh) {
+  const float eps = 0.3f;
+  const GridIndex index = build_grid_index(
+      data::generate_space_weather(400, 47, {.width = 3.0f, .height = 3.0f}),
+      eps);
+  NeighborTable oracle = build_neighbor_table_host(index, eps);
+  oracle.canonicalize();
+  const BvhIndex bvh = build_bvh_index(index.points);
+  cudasim::Device dev({}, fast_options());
+  const BvhView view = BvhView::of(bvh);
+  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
+    for (const std::uint32_t nb : fill_batch_counts(view.query_count())) {
+      SCOPED_TRACE(std::to_string(nb) + " batches, " +
+                   (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
+      EXPECT_TRUE(
+          fill_with_sentinel(dev, view, eps, nb, mode).identical_to(oracle));
+    }
+  }
 }
 
 }  // namespace

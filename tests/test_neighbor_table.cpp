@@ -135,19 +135,20 @@ void expect_identical(NeighborTable got, NeighborTable want) {
   EXPECT_TRUE(got.identical_to(want));
 }
 
-/// Absorbs the host shards of `num_batches` strided batches and, under
-/// kHalf, expands the merged forward rows — the shape of a degraded
-/// builder's merge.
+/// Assembles the host shards of `num_batches` strided batches, expanding
+/// the forward rows under kHalf — the shape of a degraded builder's
+/// assembly.
 template <typename View>
 NeighborTable host_table(const View& view, float eps,
                          std::uint32_t num_batches, ScanMode mode,
                          QualitySpec quality = {}) {
-  NeighborTable merged(view.num_points);
+  std::vector<NeighborTable> parts;
   for (std::uint32_t l = 0; l < num_batches; ++l) {
-    merged.absorb_shard(gpu::host_csr_batch(view, eps, {l, num_batches},
-                                            mode, quality));
+    parts.push_back(
+        gpu::host_csr_batch(view, eps, {l, num_batches}, mode, quality));
   }
-  if (mode == ScanMode::kHalf) merged.expand_half_table();
+  NeighborTable merged(view.num_points);
+  (void)merged.assemble(std::move(parts), mode == ScanMode::kHalf, 3);
   return merged;
 }
 
@@ -200,17 +201,18 @@ TEST(HostCsrBatch, ShardSlabsEmitGlobalIdsAndMergeToOracle) {
     for (const std::uint32_t batches : {1u, 3u}) {
       SCOPED_TRACE(std::to_string(batches) + " batches, " +
                    (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
-      NeighborTable merged(s.index.size());
+      std::vector<NeighborTable> parts;
       for (const GridShard& shard : plan.shards) {
         const GridView view = GridView::of(shard.index);
         for (std::uint32_t l = 0; l < batches; ++l) {
-          merged.absorb_shard(
+          parts.push_back(
               gpu::host_csr_batch(view, s.eps, {l, batches}, mode)
                   .translate(shard.to_global, shard.num_owned,
                              s.index.size()));
         }
       }
-      if (mode == ScanMode::kHalf) merged.expand_half_table();
+      NeighborTable merged(s.index.size());
+      (void)merged.assemble(std::move(parts), mode == ScanMode::kHalf, 4);
       expect_identical(std::move(merged), s.oracle);
     }
   }
@@ -232,6 +234,125 @@ TEST(HostCsrBatch, SubsampledEqualsDeviceBuildWithSameSpec) {
     EXPECT_LT(host.total_pairs(), s.oracle.total_pairs());
     expect_identical(std::move(host), device_table);
   }
+}
+
+// ---------------------------------------------------------------------------
+// NeighborTable::assemble: merge and half-table expansion in one pass
+// ---------------------------------------------------------------------------
+
+/// Row-by-row equality, within-row order included.
+void expect_same_rows(const NeighborTable& got, const NeighborTable& want) {
+  ASSERT_EQ(got.num_points(), want.num_points());
+  ASSERT_EQ(got.total_pairs(), want.total_pairs());
+  for (PointId k = 0; k < got.num_points(); ++k) {
+    const auto a = got.neighbors(k);
+    const auto b = want.neighbors(k);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "row " << k;
+  }
+}
+
+NeighborTable table_of(std::size_t n, std::vector<NeighborPair> pairs) {
+  NeighborTable t(n);
+  t.append_sorted_batch(pairs);
+  return t;
+}
+
+TEST(Assemble, ForwardPartsEqualHostOracleRowByRow) {
+  // Enough pairs that every pass runs in several chunks on the pool. On a
+  // cell-ordered index the oracle's rows ascend, and so do the assembled
+  // rows: a full row, or a half row's back contributions (keys < k) ahead
+  // of its forward row (ids >= k).
+  const float eps = 0.3f;
+  const GridIndex index = build_grid_index(
+      data::generate_space_weather(6000, 31, {.width = 10.0f, .height = 10.0f}),
+      eps);
+  const NeighborTable oracle = build_neighbor_table_host(index, eps);
+  ASSERT_GE(oracle.total_pairs(), 1u << 17);
+  const GridView view = GridView::of(index);
+  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
+    for (const std::uint32_t k : {1u, 2u, 3u, 5u}) {
+      for (const bool with_empty : {false, true}) {
+        SCOPED_TRACE(std::to_string(k) + " parts" +
+                     (with_empty ? " + an empty one, " : ", ") +
+                     (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
+        std::vector<NeighborTable> parts;
+        for (std::uint32_t l = 0; l < k; ++l) {
+          parts.push_back(gpu::host_csr_batch(view, eps, {l, k}, mode));
+          if (with_empty && l == k / 2) parts.emplace_back(index.size());
+        }
+        NeighborTable table(index.size());
+        EXPECT_GE(table.assemble(std::move(parts), mode == ScanMode::kHalf,
+                                 12),
+                  0.0);
+        EXPECT_TRUE(parts.empty());
+        expect_same_rows(table, oracle);
+        // Rows are laid out in key order.
+        std::size_t at = 0;
+        for (PointId i = 0; i < table.num_points(); ++i) {
+          ASSERT_EQ(table.neighbors(i).data(), table.values().data() + at);
+          at += table.neighbor_count(i);
+        }
+      }
+    }
+  }
+}
+
+TEST(Assemble, TableWithNoPairs) {
+  for (const bool expand_half : {false, true}) {
+    std::vector<NeighborTable> parts;
+    parts.emplace_back(7);
+    parts.emplace_back(7);
+    NeighborTable table(7);
+    (void)table.assemble(std::move(parts), expand_half, 4);
+    EXPECT_EQ(table.num_points(), 7u);
+    EXPECT_EQ(table.total_pairs(), 0u);
+    for (PointId i = 0; i < 7; ++i) EXPECT_EQ(table.neighbor_count(i), 0u);
+
+    NeighborTable none(0);
+    std::vector<NeighborTable> zero_rows;
+    zero_rows.emplace_back(0);
+    (void)none.assemble(std::move(zero_rows), expand_half, 4);
+    EXPECT_EQ(none.total_pairs(), 0u);
+  }
+}
+
+TEST(Assemble, RejectsKeyInTwoPartsSizeMismatchAndNonEmptyTarget) {
+  for (const bool expand_half : {false, true}) {
+    SCOPED_TRACE(expand_half ? "expand" : "merge");
+    std::vector<NeighborTable> dup;
+    dup.push_back(table_of(5, {{0, 0}, {0, 1}, {1, 1}}));
+    dup.push_back(table_of(5, {{1, 1}, {2, 2}}));  // key 1 again
+    NeighborTable target(5);
+    EXPECT_THROW((void)target.assemble(std::move(dup), expand_half, 2),
+                 std::logic_error);
+
+    std::vector<NeighborTable> wrong;
+    wrong.push_back(table_of(5, {{0, 0}}));
+    wrong.push_back(table_of(4, {{1, 1}}));
+    NeighborTable target2(5);
+    EXPECT_THROW((void)target2.assemble(std::move(wrong), expand_half, 2),
+                 std::invalid_argument);
+
+    NeighborTable nonempty = table_of(5, {{0, 0}});
+    std::vector<NeighborTable> more;
+    more.push_back(table_of(5, {{1, 1}}));
+    EXPECT_THROW((void)nonempty.assemble(std::move(more), expand_half, 2),
+                 std::invalid_argument);
+  }
+
+  // A collision is caught in the chunked sweep too.
+  const float eps = 0.3f;
+  const GridIndex index = build_grid_index(
+      data::generate_space_weather(6000, 31, {.width = 10.0f, .height = 10.0f}),
+      eps);
+  std::vector<NeighborTable> parts;
+  parts.push_back(gpu::host_csr_batch(GridView::of(index), eps, {0, 2}));
+  parts.push_back(gpu::host_csr_batch(GridView::of(index), eps, {1, 2}));
+  parts.push_back(gpu::host_csr_batch(GridView::of(index), eps, {1, 2}));
+  NeighborTable target(index.size());
+  EXPECT_THROW((void)target.assemble(std::move(parts), false, 12),
+               std::logic_error);
 }
 
 TEST(HostFusedBatch, GivesOracleDegreesAndLabels) {

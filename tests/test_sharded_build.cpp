@@ -1,5 +1,5 @@
 // Multi-device sharded table builds: spatial slab partitioning with an
-// eps-halo of ghost points per shard, merged through absorb_shard into a
+// eps-halo of ghost points per shard, assembled through assemble into a
 // table — and labels — bit-identical to the single-device batch build,
 // including under injected device loss (the shard re-partition rung). The
 // front doors treat one device as a fleet of one, which skips sharding.
@@ -275,37 +275,47 @@ TEST(AbsorbShard, ParallelFanInMatchesSerialAbsorb) {
   parts.push_back(table_with_rows(5, rows_b));
   parts.push_back(table_with_rows(5, rows_c));
   NeighborTable fanin(5);
-  (void)fanin.absorb_shards(std::move(parts), 3);
-  // Byte-identical layout, not just equal sets: the fan-in's region order
-  // must reproduce exactly what serial absorption would have built.
-  EXPECT_TRUE(fanin.identical_to(serial));
+  (void)fanin.assemble(std::move(parts), /*expand_half=*/false, 3);
+  // Per-row byte identity: every row holds serial absorption's values in
+  // the same order. The layout of B differs — the assembler writes rows
+  // in key order, serial absorption in part order.
+  ASSERT_EQ(fanin.total_pairs(), serial.total_pairs());
+  for (PointId k = 0; k < 5; ++k) {
+    const auto got = fanin.neighbors(k);
+    const auto want = serial.neighbors(k);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "row " << k;
+  }
+  const std::vector<PointId> key_order{0, 2, 1, 2, 3, 2, 3, 0, 3, 4};
+  EXPECT_TRUE(std::equal(fanin.values().begin(), fanin.values().end(),
+                         key_order.begin(), key_order.end()));
 
-  // A single part steals its storage wholesale.
+  // A single part is taken over whole.
   std::vector<NeighborTable> one;
   one.push_back(table_with_rows(5, rows_a));
   NeighborTable stolen(5);
-  (void)stolen.absorb_shards(std::move(one), 4);
+  (void)stolen.assemble(std::move(one), /*expand_half=*/false, 4);
   EXPECT_EQ(stolen.total_pairs(), 5u);
 
-  // Strictness survives the parallel path: duplicate keys, mismatched
-  // sizes, and a non-empty target are all rejected.
+  // Strictness: duplicate keys, mismatched sizes, and a non-empty target
+  // are all rejected.
   std::vector<NeighborTable> dup;
   dup.push_back(table_with_rows(5, rows_a));
   dup.push_back(table_with_rows(5, {{4}}));  // key 0 again
   NeighborTable target(5);
-  EXPECT_THROW((void)target.absorb_shards(std::move(dup), 2),
+  EXPECT_THROW((void)target.assemble(std::move(dup), false, 2),
                std::logic_error);
 
   std::vector<NeighborTable> wrong;
   wrong.push_back(table_with_rows(4, {{1}}));
   NeighborTable target2(5);
-  EXPECT_THROW((void)target2.absorb_shards(std::move(wrong), 2),
+  EXPECT_THROW((void)target2.assemble(std::move(wrong), false, 2),
                std::invalid_argument);
 
   NeighborTable nonempty = table_with_rows(5, {{1}});
   std::vector<NeighborTable> more;
   more.push_back(table_with_rows(5, {{}, {2}}));
-  EXPECT_THROW((void)nonempty.absorb_shards(std::move(more), 2),
+  EXPECT_THROW((void)nonempty.assemble(std::move(more), false, 2),
                std::invalid_argument);
 }
 
