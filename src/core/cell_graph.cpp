@@ -51,8 +51,12 @@ struct Cell {
   bool dense = false;
 };
 
-/// Packs per-axis cell coordinates (each fits 20 bits after offsetting by
-/// the minimum) into one sortable key.
+/// Bits of the packed key per axis: x and y take 21 bits, z the 22 above
+/// them. The binning rejects an extent whose cell count does not fit.
+constexpr std::array<int, 3> kKeyBits = {21, 21, 22};
+
+/// Packs per-axis cell coordinates (each in [0, 2^kKeyBits) after
+/// offsetting by the minimum) into one sortable key.
 std::uint64_t pack_key(const std::array<std::int32_t, 3>& c) noexcept {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c[2]))
           << 42) |
@@ -110,11 +114,30 @@ ClusterResult cell_graph_impl(std::span<const typename Traits::Point> points,
   const double side =
       static_cast<double>(eps) / std::sqrt(static_cast<double>(Traits::kDims));
   std::array<float, 3> mins{};
+  std::array<float, 3> maxs{};
   mins.fill(std::numeric_limits<float>::max());
+  maxs.fill(std::numeric_limits<float>::lowest());
   for (const Point& p : points) {
     for (int axis = 0; axis < Traits::kDims; ++axis) {
       mins[axis] = std::min(mins[axis], Traits::coord(p, axis));
+      maxs[axis] = std::max(maxs[axis], Traits::coord(p, axis));
     }
+  }
+  // Cells per axis, sized in double before anything narrows: the span must
+  // be finite and the count must fit the axis's key field.
+  std::array<std::int32_t, 3> count{1, 1, 1};
+  for (int axis = 0; axis < Traits::kDims; ++axis) {
+    const float span = maxs[axis] - mins[axis];
+    if (!std::isfinite(span)) {
+      throw std::invalid_argument("cell_graph_dbscan: extent is not finite");
+    }
+    const double cells = std::floor(span / side) + 1.0;
+    if (!(cells <= std::ldexp(1.0, kKeyBits[axis]))) {
+      throw std::invalid_argument(
+          "cell_graph_dbscan: more cells per axis than the cell key holds"
+          " (eps too small for this extent)");
+    }
+    count[axis] = static_cast<std::int32_t>(cells);
   }
   std::unordered_map<std::uint64_t, std::uint32_t> cell_of_key;
   std::vector<Cell> cells;
@@ -122,8 +145,12 @@ ClusterResult cell_graph_impl(std::span<const typename Traits::Point> points,
   for (std::size_t i = 0; i < n; ++i) {
     std::array<std::int32_t, 3> c{};
     for (int axis = 0; axis < Traits::kDims; ++axis) {
-      c[axis] = static_cast<std::int32_t>(
-          (Traits::coord(points[i], axis) - mins[axis]) / side);
+      const double cell = (Traits::coord(points[i], axis) - mins[axis]) / side;
+      if (!(cell >= 0.0 && cell < count[axis])) {  // NaN coordinates too
+        throw std::invalid_argument(
+            "cell_graph_dbscan: coordinate outside the binned extent");
+      }
+      c[axis] = static_cast<std::int32_t>(cell);
     }
     const std::uint64_t key = pack_key(c);
     auto [it, fresh] =
@@ -170,22 +197,23 @@ ClusterResult cell_graph_impl(std::span<const typename Traits::Point> points,
 
   // Stencil walk shared by every pass below: visits the occupied cells
   // within kStencilReach of `cell` (min-distance pruned), self excluded
-  // when `skip_self`.
+  // when `skip_self`. Coordinates outside [0, count) are skipped, never
+  // wrapped through the key's field masks.
   const double eps2 = static_cast<double>(eps) * eps;
   auto for_each_stencil_cell = [&](const Cell& cell, bool skip_self,
                                    auto&& fn) {
+    std::array<std::int32_t, 3> lo{};
+    std::array<std::int32_t, 3> hi{};
+    for (int axis = 0; axis < 3; ++axis) {
+      lo[axis] = std::max(0, cell.coords[axis] - kStencilReach);
+      hi[axis] = std::min(count[axis] - 1, cell.coords[axis] + kStencilReach);
+    }
     std::array<std::int32_t, 3> c{};
-    const std::int32_t z_lo =
-        Traits::kDims == 3 ? cell.coords[2] - kStencilReach : 0;
-    const std::int32_t z_hi =
-        Traits::kDims == 3 ? cell.coords[2] + kStencilReach : 0;
-    for (std::int32_t dz = z_lo; dz <= z_hi; ++dz) {
+    for (std::int32_t dz = lo[2]; dz <= hi[2]; ++dz) {
       c[2] = dz;
-      for (std::int32_t dy = cell.coords[1] - kStencilReach;
-           dy <= cell.coords[1] + kStencilReach; ++dy) {
+      for (std::int32_t dy = lo[1]; dy <= hi[1]; ++dy) {
         c[1] = dy;
-        for (std::int32_t dx = cell.coords[0] - kStencilReach;
-             dx <= cell.coords[0] + kStencilReach; ++dx) {
+        for (std::int32_t dx = lo[0]; dx <= hi[0]; ++dx) {
           c[0] = dx;
           const std::uint64_t key = pack_key(c);
           if (skip_self && key == cell.key) continue;

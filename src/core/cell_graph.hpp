@@ -44,6 +44,9 @@ struct CellGraphReport {
 
 /// 2-D cell-graph DBSCAN. Labels are in input order (no index reordering
 /// applies — the binning is internal). `config` prices the modeled time.
+/// Throws std::invalid_argument when the extent is not finite or needs
+/// more than 2^21 cells on an axis (the packed cell key's field; 2^22 on
+/// the 3-D z axis).
 ClusterResult cell_graph_dbscan(std::span<const Point2> points, float eps,
                                 int minpts,
                                 const cudasim::DeviceConfig& config,

@@ -1,16 +1,15 @@
 #include "core/reuse.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "core/hybrid_dbscan.hpp"
 #include "core/neighbor_table_builder.hpp"
-#include "dbscan/dbscan.hpp"
+#include "dbscan/dbscan_parallel.hpp"
 #include "obs/trace.hpp"
 
 namespace hdbscan {
@@ -31,6 +30,23 @@ ReuseReport cluster_minpts_sweep(cudasim::Device& device,
 
   WallTimer total_timer;
 
+  // An invalid minpts among valid ones is recorded in its outcome and
+  // left out; its siblings still run. A sweep with no valid value throws.
+  std::vector<int> valid;
+  std::vector<std::size_t> slot;
+  for (std::size_t i = 0; i < minpts_values.size(); ++i) {
+    if (minpts_values[i] < 1) {
+      report.outcomes[i].ok = false;
+      report.outcomes[i].error = "cluster_minpts_sweep: minpts must be >= 1";
+    } else {
+      valid.push_back(minpts_values[i]);
+      slot.push_back(i);
+    }
+  }
+  if (!minpts_values.empty() && valid.empty()) {
+    throw std::invalid_argument(report.outcomes.front().error);
+  }
+
   const bool streaming = mode == ClusterMode::kStreaming;
 
   // Phase 1: one neighbor table build for this eps. In streaming mode a
@@ -50,19 +66,11 @@ ReuseReport cluster_minpts_sweep(cudasim::Device& device,
   std::vector<std::unique_ptr<StreamingDbscan>> consumers;
   NeighborTable table(0);
   if (streaming) {
-    consumers.resize(minpts_values.size());
     FanoutSink fanout;
-    for (std::size_t i = 0; i < minpts_values.size(); ++i) {
-      try {
-        consumers[i] =
-            std::make_unique<StreamingDbscan>(index.size(), minpts_values[i]);
-        fanout.add(consumers[i].get());
-      } catch (const std::exception& e) {
-        // An invalid minpts among valid ones is excluded from the fanout
-        // and recorded; its siblings still stream.
-        report.outcomes[i].ok = false;
-        report.outcomes[i].error = e.what();
-      }
+    for (const int minpts : valid) {
+      consumers.push_back(
+          std::make_unique<StreamingDbscan>(index.size(), minpts));
+      fanout.add(consumers.back().get());
     }
     builder.build(index, eps, &build_report,
                   fanout.empty() ? nullptr : &fanout,
@@ -75,79 +83,40 @@ ReuseReport cluster_minpts_sweep(cudasim::Device& device,
   report.modeled_table_seconds =
       index_s + build_report.modeled_table_seconds;
 
-  // Phase 2: concurrent minpts sweep — over the shared (read-only) table
-  // in batch mode, or each consumer's resolution tail in streaming mode.
+  // Phase 2: every valid minpts from the one build — one banded union-find
+  // pass over the shared table in batch mode, or each consumer's
+  // resolution tail in streaming mode.
   WallTimer dbscan_timer;
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::size_t failed = 0;  // guarded by error_mutex
-  for (const VariantOutcome& o : report.outcomes) {
-    if (!o.ok) {
-      ++failed;  // minpts rejected before the fanout
-      if (!first_error) {
-        first_error =
-            std::make_exception_ptr(std::invalid_argument(o.error));
-      }
-    }
-  }
-
-  // One failing minpts value (say, an invalid 0 in the middle of a sweep)
-  // is recorded in its outcome slot and the worker moves on; the shared
-  // table is read-only so the siblings are unaffected.
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= minpts_values.size()) return;
-      if (!report.outcomes[i].ok) continue;  // rejected pre-fanout
-      try {
-        WallTimer t;
-        ClusterResult indexed =
-            streaming ? consumers[i]->finalize()
-                      : dbscan_neighbor_table(table, minpts_values[i]);
-        report.variant_seconds[i] = t.seconds();
-        report.variant_clusters[i] = indexed.num_clusters;
-        if (results != nullptr) {
-          (*results)[i] = unmap_labels(indexed, index.original_ids);
-        }
-      } catch (const std::exception& e) {
-        std::lock_guard lock(error_mutex);
-        report.outcomes[i].ok = false;
-        report.outcomes[i].error = e.what();
-        ++failed;
-        if (!first_error) first_error = std::current_exception();
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        report.outcomes[i].ok = false;
-        report.outcomes[i].error = "unknown error";
-        ++failed;
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-
-  if (num_threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    for (unsigned t = 0; t < num_threads; ++t) threads.emplace_back(worker);
-    for (auto& t : threads) t.join();
-  }
-  if (!minpts_values.empty() && failed == minpts_values.size()) {
-    std::rethrow_exception(first_error);
-  }
-
+  std::vector<double> seconds(valid.size(), 0.0);
+  std::vector<ClusterResult> clustered;
   if (streaming) {
+    clustered.resize(valid.size());
+    std::atomic<std::size_t> next{0};
+    const std::size_t lanes =
+        std::min<std::size_t>(std::max(1u, num_threads), valid.size());
+    global_pool().parallel_for(
+        0, lanes,
+        [&](std::size_t) {
+          for (std::size_t j = next.fetch_add(1); j < valid.size();
+               j = next.fetch_add(1)) {
+            WallTimer t;
+            clustered[j] = unmap_labels(consumers[j]->finalize(),
+                                        index.original_ids);
+            seconds[j] = t.seconds();
+          }
+        },
+        /*grain=*/1);
     double sum = 0.0;
-    std::size_t counted = 0;
-    for (const auto& c : consumers) {
-      if (c) {
-        sum += c->stats().overlap_fraction();
-        ++counted;
-      }
-    }
-    if (counted > 0) report.overlap_fraction = sum / counted;
+    for (const auto& c : consumers) sum += c->stats().overlap_fraction();
+    if (!consumers.empty()) report.overlap_fraction = sum / consumers.size();
+  } else {
+    clustered = dbscan_parallel(table, valid, std::max(1u, num_threads),
+                                index.original_ids, seconds);
+  }
+  for (std::size_t j = 0; j < valid.size(); ++j) {
+    report.variant_seconds[slot[j]] = seconds[j];
+    report.variant_clusters[slot[j]] = clustered[j].num_clusters;
+    if (results != nullptr) (*results)[slot[j]] = std::move(clustered[j]);
   }
 
   report.dbscan_wall_seconds = dbscan_timer.seconds();

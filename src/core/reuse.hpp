@@ -1,9 +1,12 @@
 // Data-reuse scheme (paper §VII-F / scenario S3).
 //
 // The neighbor table depends only on eps, so for a fixed eps and a sweep
-// over minpts, T is computed once and consumed concurrently by up to 16
-// threads, one DBSCAN run per minpts value. (This is the opposite knob to
-// OPTICS, which fixes minpts and sweeps eps.)
+// over minpts, T is computed once and serves every value. The paper runs
+// one DBSCAN per minpts, each on its own thread; here core sets nest
+// across minpts, so one banded union-find pass over T (dbscan_parallel)
+// answers the whole list on the shared pool, walking each row of T once.
+// (This is the opposite knob to OPTICS, which fixes minpts and sweeps
+// eps.)
 #pragma once
 
 #include <span>
@@ -21,15 +24,19 @@ struct ReuseReport {
   double table_seconds = 0.0;   ///< index build + T construction (once)
   /// Index build + modeled T construction (reference-hardware GPU model).
   double modeled_table_seconds = 0.0;
-  double dbscan_wall_seconds = 0.0;  ///< concurrent clustering phase
+  double dbscan_wall_seconds = 0.0;  ///< clustering phase, wall time
   double total_seconds = 0.0;
   /// Streaming mode: all minpts consumers ingested the build's batches
   /// concurrently; phase 2 only ran their resolution tails.
   bool streamed = false;
   /// Mean per-consumer consume / (consume + finalize) in streaming mode.
   double overlap_fraction = 0.0;
-  /// Measured per-variant sequential durations (indexed like the minpts
-  /// input); feed these to makespan_seconds() to model k-core scaling.
+  /// Worker seconds per minpts value (indexed like the input; 0 for an
+  /// invalid value). Batch mode: the seconds spent on the value's band of
+  /// the banded pass, summed over workers, plus an even share of the
+  /// pass's shared work, so sum / (threads x dbscan_wall_seconds) is the
+  /// phase's parallel efficiency. The bands are steps of one pass, not
+  /// independent tasks. Streaming mode: the value's resolution tail.
   std::vector<double> variant_seconds;
   std::vector<std::int32_t> variant_clusters;
   /// Per-minpts outcome: a failing variant (e.g. an invalid minpts among
@@ -38,12 +45,13 @@ struct ReuseReport {
   std::vector<VariantOutcome> outcomes;
 };
 
-/// Builds T once for `eps`, then clusters every minpts value using
-/// `num_threads` concurrent workers. Labels (input order) are written to
-/// `results` when non-null. ClusterMode::kStreaming fans every CSR batch
-/// out to one union-find consumer per minpts value during the single
-/// build (T itself is never materialized); phase 2 then only runs each
-/// consumer's resolution tail. Any other mode builds and shares T.
+/// Builds T once for `eps`, then clusters every minpts value with at most
+/// `num_threads` workers of the shared pool. Labels (input order) are
+/// written to `results` when non-null. ClusterMode::kStreaming fans every
+/// CSR batch out to one union-find consumer per minpts value during the
+/// single build (T itself is never materialized); phase 2 then only runs
+/// each consumer's resolution tail. Any other mode builds T and runs one
+/// banded dbscan_parallel pass over it for the whole list.
 ReuseReport cluster_minpts_sweep(cudasim::Device& device,
                                  std::span<const Point2> points, float eps,
                                  std::span<const int> minpts_values,

@@ -1,11 +1,11 @@
 #include "dbscan/streaming_dbscan.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <thread>
 
 #include "common/timer.hpp"
+#include "dbscan/dbscan_parallel.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
@@ -36,9 +36,9 @@ void run_partitioned(std::size_t n, unsigned workers, F&& body) {
   for (auto& t : threads) t.join();
 }
 
-void atomic_min(std::atomic<std::uint32_t>& slot, std::uint32_t v) noexcept {
-  std::uint32_t cur = slot.load(std::memory_order_relaxed);
-  while (v < cur && !slot.compare_exchange_weak(cur, v,
+void atomic_max(std::atomic<std::uint64_t>& slot, std::uint64_t v) noexcept {
+  std::uint64_t cur = slot.load(std::memory_order_relaxed);
+  while (v > cur && !slot.compare_exchange_weak(cur, v,
                                                 std::memory_order_relaxed)) {
   }
 }
@@ -229,28 +229,26 @@ ClusterResult StreamingDbscan::finalize(unsigned num_threads) {
                     }
                   });
 
-  // Dense renumbering of core roots in ascending id order — identical to
-  // dbscan_parallel phase 3a, so cluster numbering is deterministic.
+  // Clusters numbered by root in one id-order scan, as dbscan_parallel
+  // does: the union-find keeps every root its component's smallest core
+  // id, so a root is met before the rest of its component.
   ClusterResult result;
   result.labels.assign(n_, kNoise);
-  std::vector<std::int32_t> root_label(n_, -1);
   std::int32_t next_cluster = 0;
   for (std::size_t i = 0; i < n_; ++i) {
     if (!core[i]) continue;
     const std::uint32_t root = uf_.find(static_cast<std::uint32_t>(i));
-    if (root_label[root] < 0) root_label[root] = next_cluster++;
-    result.labels[i] = root_label[root];
+    result.labels[i] = root == i ? next_cluster++ : result.labels[root];
   }
   result.num_clusters = next_cluster;
 
-  // Borders — the deterministic smallest-root rule of dbscan_parallel,
-  // evaluated over the parked edges. The adjacency needed here is
-  // complete: only both-core edges were ever removed from the buffer, so
-  // every core/non-core pair is still present.
-  auto best_root = std::make_unique<std::atomic<std::uint32_t>[]>(n_);
+  // Borders — dbscan_parallel's rule: the core neighbor with the largest
+  // degree, ties to the smaller id, evaluated over the parked edges. The
+  // adjacency needed here is complete: only both-core edges were ever
+  // removed from the buffer, so every core/non-core pair is still present.
+  auto best = std::make_unique<std::atomic<std::uint64_t>[]>(n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    best_root[i].store(std::numeric_limits<std::uint32_t>::max(),
-                       std::memory_order_relaxed);
+    best[i].store(0, std::memory_order_relaxed);
   }
   run_partitioned(deferred_.size(), num_threads,
                   [&](std::size_t begin, std::size_t end) {
@@ -261,17 +259,15 @@ ClusterResult StreamingDbscan::finalize(unsigned num_threads) {
                       if (ck == cv) continue;
                       const std::uint32_t border = ck ? edge.value : edge.key;
                       const std::uint32_t c = ck ? edge.key : edge.value;
-                      atomic_min(best_root[border], uf_.find(c));
+                      atomic_max(best[border],
+                                 border_target_key(degree(c), c));
                     }
                   });
   run_partitioned(n_, num_threads, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       if (core[i]) continue;
-      const std::uint32_t best =
-          best_root[i].load(std::memory_order_relaxed);
-      if (best != std::numeric_limits<std::uint32_t>::max()) {
-        result.labels[i] = root_label[best];
-      }
+      const std::uint64_t key = best[i].load(std::memory_order_relaxed);
+      if (key != 0) result.labels[i] = result.labels[border_target_id(key)];
     }
   });
   result.finalize_noise_count();
@@ -282,7 +278,7 @@ ClusterResult StreamingDbscan::finalize(unsigned num_threads) {
       2 * sizeof(std::uint32_t) * n_ +
           deferred_.capacity() * sizeof(NeighborPair) +
           n_ * (sizeof(std::uint8_t) + sizeof(std::int32_t) +
-                sizeof(std::uint32_t) + sizeof(std::int32_t)));
+                sizeof(std::uint64_t)));
 
   obs::Registry& reg = obs::Registry::global();
   reg.counter("stream_row_batches").add(stats_.row_batches);

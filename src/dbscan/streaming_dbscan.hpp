@@ -17,10 +17,10 @@
 // are parked in a deferred buffer. Under kHalf every cross pair arrives
 // exactly once (forward rows) and is unioned in both directions, so the
 // clustering path never expands a half table. finalize() settles the
-// tail: final core flags, the remaining deferred unions, dense cluster
-// renumbering (id order, identical to dbscan_parallel) and the
-// deterministic smallest-root border rule. The result is
-// compare_clusterings-equivalent to dbscan_parallel over the full table.
+// tail: final core flags, the remaining deferred unions, cluster numbering
+// by root in id order, and dbscan_parallel's border rule (the core
+// neighbor with the largest degree, ties to the smaller id). The labels
+// equal dbscan_parallel's over the full table, vector for vector.
 #pragma once
 
 #include <atomic>

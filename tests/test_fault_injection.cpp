@@ -17,7 +17,7 @@
 #include "cudasim/kernel.hpp"
 #include "cudasim/stream.hpp"
 #include "data/generators.hpp"
-#include "dbscan/dbscan.hpp"
+#include "dbscan/dbscan_parallel.hpp"
 #include "dbscan/streaming_dbscan.hpp"
 #include "gpu/device_index.hpp"
 #include "index/grid_index.hpp"
@@ -276,7 +276,8 @@ std::uint64_t clean_build_ops(const Scenario& s, const BatchPolicy& policy) {
 }
 
 /// A streaming build of `policy` on one device with `plan` must hand the
-/// consumer exactly the oracle's degrees and labels.
+/// consumer exactly the oracle's degrees, and the banded pass's labels
+/// over the oracle table.
 void expect_streaming_exact(const Scenario& s, const BatchPolicy& policy,
                             const cudasim::FaultPlan& plan,
                             BuildReport* report) {
@@ -290,7 +291,7 @@ void expect_streaming_exact(const Scenario& s, const BatchPolicy& policy,
         << "degree mismatch at point " << i;
   }
   EXPECT_EQ(consumer.finalize().labels,
-            dbscan_neighbor_table(s.oracle, minpts).labels);
+            dbscan_parallel(s.oracle, minpts).labels);
 }
 
 TEST(ResilientBuild, BvhHostFallbackAfterDeviceBatchesStaysExact) {

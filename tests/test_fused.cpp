@@ -1,9 +1,10 @@
 // Fused no-table clustering (ClusterMode::kFused): label bit-identity
-// against batch and streaming DBSCAN across backends, scan modes,
-// degenerate inputs and dimensions, the zero-table contract, and the
-// degradation ladder — scripted device loss fails over to survivors and
-// randomized fault plans (including total fleet loss with host fallback)
-// never change a single label.
+// against streaming DBSCAN and the banded union-find pass
+// (dbscan_parallel) across backends, scan modes, degenerate inputs and
+// dimensions, equivalence with batch (BFS) DBSCAN, the zero-table
+// contract, and the degradation ladder — scripted device loss fails over
+// to survivors and randomized fault plans (including total fleet loss with
+// host fallback) never change a single label.
 #include "core/fused_clustering.hpp"
 
 #include <gtest/gtest.h>
@@ -19,7 +20,9 @@
 #include "cudasim/buffer_pool.hpp"
 #include "cudasim/fault.hpp"
 #include "data/generators.hpp"
+#include "dbscan/cluster_compare.hpp"
 #include "dbscan/dbscan.hpp"
+#include "dbscan/dbscan_parallel.hpp"
 #include "dbscan/neighbor_table.hpp"
 #include "dbscan/streaming_dbscan.hpp"
 #include "index/grid_index.hpp"
@@ -53,15 +56,60 @@ struct Fleet {
   }
 };
 
+/// The union-find paths' labels in input order: the banded pass over the
+/// host table, with ids (cluster numbering, border ties) in the grid
+/// index's point order, as hybrid_dbscan numbers them.
+ClusterResult union_find_clustering(std::span<const Point2> points, float eps,
+                                    int minpts) {
+  const GridIndex index = build_grid_index(points, eps);
+  const int values[] = {minpts};
+  return dbscan_parallel(build_neighbor_table_host(index, eps), values, 0,
+                         index.original_ids)
+      .front();
+}
+
+std::vector<std::int32_t> union_find_labels(std::span<const Point2> points,
+                                            float eps, int minpts) {
+  return union_find_clustering(points, eps, minpts).labels;
+}
+
+std::vector<std::int32_t> union_find_labels3(std::span<const Point3> points,
+                                             float eps, int minpts) {
+  const GridIndex3 index = build_grid_index3(points, eps);
+  const int values[] = {minpts};
+  return dbscan_parallel(build_neighbor_table_host3(index, eps), values, 0,
+                         index.original_ids)
+      .front()
+      .labels;
+}
+
+/// Full eps-table in input order, for comparisons with batch DBSCAN.
+NeighborTable input_order_table(std::span<const Point2> points, float eps) {
+  const GridIndex index = build_grid_index(points, eps);
+  NeighborTable table(points.size());
+  std::vector<PointId> neighbors;
+  std::vector<NeighborPair> pairs;
+  for (PointId i = 0; i < points.size(); ++i) {
+    grid_query(index, points[i], eps, neighbors);
+    pairs.clear();
+    for (const PointId v : neighbors) {
+      pairs.push_back({i, index.original_ids[v]});
+    }
+    table.append_sorted_batch(pairs);
+  }
+  return table;
+}
+
 // ---------------------------------------------------------------------------
-// 2-D equivalence: fused == streaming == batch, both backends
+// 2-D equivalence: fused == streaming == banded pass, both backends;
+// batch (BFS) DBSCAN agrees on cores, noise and clusters
 // ---------------------------------------------------------------------------
 
 class FusedEquivalence
     : public ::testing::TestWithParam<
           std::tuple<int, float, int, IndexBackend>> {};
 
-TEST_P(FusedEquivalence, LabelsBitIdenticalToBatchAndStreaming) {
+TEST_P(FusedEquivalence, LabelsBitIdenticalToStreamingAndBandedPass) {
   const auto [family, eps, minpts, backend] = GetParam();
   const std::size_t n = 2500;
   const std::vector<Point2> points =
@@ -72,11 +120,17 @@ TEST_P(FusedEquivalence, LabelsBitIdenticalToBatchAndStreaming) {
   cudasim::Device batch_dev({}, fast_options());
   const ClusterResult batch = hybrid_dbscan(batch_dev, points, eps, minpts);
 
+  const ClusterResult banded = union_find_clustering(points, eps, minpts);
+  const std::vector<std::int32_t>& want = banded.labels;
+  const auto outcome = compare_clusterings(
+      banded, batch, input_order_table(points, eps), minpts);
+  EXPECT_TRUE(outcome.equivalent) << outcome.diagnostic;
+
   cudasim::Device stream_dev({}, fast_options());
   const ClusterResult streamed =
       hybrid_dbscan(stream_dev, points, eps, minpts, nullptr, {},
                     ClusterMode::kStreaming);
-  EXPECT_EQ(streamed.labels, batch.labels);
+  EXPECT_EQ(streamed.labels, want);
 
   BatchPolicy policy;
   policy.index_backend = backend;
@@ -85,7 +139,7 @@ TEST_P(FusedEquivalence, LabelsBitIdenticalToBatchAndStreaming) {
   const ClusterResult fused =
       hybrid_dbscan(fused_dev, points, eps, minpts, &timings, policy,
                     ClusterMode::kFused);
-  EXPECT_EQ(fused.labels, batch.labels);
+  EXPECT_EQ(fused.labels, want);
   EXPECT_EQ(fused.num_clusters, batch.num_clusters);
 
   // The no-table contract: nothing materialized, only parked edges
@@ -105,11 +159,10 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(IndexBackend::kGrid,
                                          IndexBackend::kBvh)));
 
-TEST(FusedDbscan, FullScanModeMatchesBatch) {
+TEST(FusedDbscan, FullScanModeMatchesBandedPass) {
   const auto points = data::generate_space_weather(
       2000, 73, {.width = 10.0f, .height = 10.0f});
-  cudasim::Device batch_dev({}, fast_options());
-  const ClusterResult batch = hybrid_dbscan(batch_dev, points, 0.4f, 4);
+  const std::vector<std::int32_t> want = union_find_labels(points, 0.4f, 4);
   for (const IndexBackend backend :
        {IndexBackend::kGrid, IndexBackend::kBvh}) {
     SCOPED_TRACE(to_string(backend));
@@ -119,7 +172,7 @@ TEST(FusedDbscan, FullScanModeMatchesBatch) {
     cudasim::Device dev({}, fast_options());
     const ClusterResult fused = hybrid_dbscan(
         dev, points, 0.4f, 4, nullptr, policy, ClusterMode::kFused);
-    EXPECT_EQ(fused.labels, batch.labels);
+    EXPECT_EQ(fused.labels, want);
   }
 }
 
@@ -131,6 +184,7 @@ TEST(FusedDbscan, DuplicatePointsCluster) {
   for (int i = 0; i < 200; ++i) {
     points.push_back({rng.uniform(0.0f, 10.0f), rng.uniform(0.0f, 10.0f)});
   }
+  const std::vector<std::int32_t> want = union_find_labels(points, 0.3f, 8);
   cudasim::Device batch_dev({}, fast_options());
   const ClusterResult batch = hybrid_dbscan(batch_dev, points, 0.3f, 8);
   for (const IndexBackend backend :
@@ -141,7 +195,9 @@ TEST(FusedDbscan, DuplicatePointsCluster) {
     cudasim::Device dev({}, fast_options());
     const ClusterResult fused = hybrid_dbscan(
         dev, points, 0.3f, 8, nullptr, policy, ClusterMode::kFused);
-    EXPECT_EQ(fused.labels, batch.labels);
+    EXPECT_EQ(fused.labels, want);
+    EXPECT_EQ(fused.num_clusters, batch.num_clusters);
+    EXPECT_EQ(fused.noise_count(), batch.noise_count());
   }
   EXPECT_GE(batch.num_clusters, 1);
 }
@@ -174,7 +230,7 @@ TEST(FusedDbscan, ExactEpsBoundaryPairsAreNeighbors) {
 }
 
 // ---------------------------------------------------------------------------
-// 3-D: fused_dbscan3 == hybrid_dbscan3
+// 3-D: fused_dbscan3 == the banded pass; hybrid_dbscan3 agrees on counts
 // ---------------------------------------------------------------------------
 
 std::vector<Point3> random_points3(std::size_t n, std::uint64_t seed,
@@ -192,14 +248,16 @@ TEST(FusedDbscan3, MatchesBatchAcrossScanModes) {
   const auto points = random_points3(2000, 75, 5.0f);
   cudasim::Device batch_dev({}, fast_options());
   const ClusterResult batch = hybrid_dbscan3(batch_dev, points, 0.4f, 4);
+  const std::vector<std::int32_t> want = union_find_labels3(points, 0.4f, 4);
   for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
     SCOPED_TRACE(scan == ScanMode::kHalf ? "kHalf" : "kFull");
     cudasim::Device dev({}, fast_options());
     Build3Report report;
     const ClusterResult fused =
         fused_dbscan3(dev, points, 0.4f, 4, &report, scan);
-    EXPECT_EQ(fused.labels, batch.labels);
+    EXPECT_EQ(fused.labels, want);
     EXPECT_EQ(fused.num_clusters, batch.num_clusters);
+    EXPECT_EQ(fused.noise_count(), batch.noise_count());
     EXPECT_GT(report.total_pairs, 0u);
     EXPECT_GT(report.kernel_flops, 0u);
     // Nothing to transpose: no forward rows ever became a table.
@@ -231,7 +289,9 @@ TEST(FusedDbscan3, DenseClumpsAndMinptsSweep) {
         hybrid_dbscan3(batch_dev, points, 0.3f, minpts);
     cudasim::Device dev({}, fast_options());
     const ClusterResult fused = fused_dbscan3(dev, points, 0.3f, minpts);
-    EXPECT_EQ(fused.labels, batch.labels);
+    EXPECT_EQ(fused.labels, union_find_labels3(points, 0.3f, minpts));
+    EXPECT_EQ(fused.num_clusters, batch.num_clusters);
+    EXPECT_EQ(fused.noise_count(), batch.noise_count());
   }
 }
 
@@ -243,7 +303,7 @@ struct Scenario {
   std::vector<Point2> points;
   GridIndex index;
   NeighborTable oracle;  ///< full table, index point order
-  std::vector<std::int32_t> want;  ///< batch labels, index point order
+  std::vector<std::int32_t> want;  ///< banded-pass labels, index order
   float eps = 0.0f;
   int minpts = 4;
 };
@@ -257,7 +317,7 @@ Scenario make_scenario(std::size_t n, float eps, int minpts,
       n, seed, {.width = 10.0f, .height = 10.0f});
   s.index = build_grid_index(s.points, eps);
   s.oracle = build_neighbor_table_host(s.index, eps);
-  s.want = dbscan_neighbor_table(s.oracle, minpts).labels;
+  s.want = dbscan_parallel(s.oracle, minpts).labels;
   return s;
 }
 
@@ -275,6 +335,30 @@ void expect_exact(const Scenario& s, StreamingDbscan& consumer) {
         << "degree mismatch at point " << i;
   }
   EXPECT_EQ(consumer.finalize().labels, s.want);
+}
+
+TEST(FusedDbscan, LabelsEqualBandedPassOverOracleTable) {
+  // One banded pass over the oracle table answers the whole minpts list;
+  // a fused clustering per value gives the same label vector, on both
+  // backends: the two share one border rule and one cluster numbering.
+  const Scenario s = make_scenario(2500, 0.35f, 4, 78);
+  const std::vector<int> minpts{64, 2, 16, 4};
+  const std::vector<ClusterResult> banded =
+      dbscan_parallel(s.oracle, minpts, 2);
+  for (const IndexBackend backend :
+       {IndexBackend::kGrid, IndexBackend::kBvh}) {
+    SCOPED_TRACE(to_string(backend));
+    for (std::size_t i = 0; i < minpts.size(); ++i) {
+      SCOPED_TRACE("minpts " + std::to_string(minpts[i]));
+      cudasim::Device dev({}, fast_options());
+      StreamingDbscan consumer(s.index.size(), minpts[i]);
+      (void)fused_cluster(dev, s.index, s.eps, consumer,
+                          chaos_policy(backend));
+      const ClusterResult fused = consumer.finalize();
+      EXPECT_EQ(fused.labels, banded[i].labels);
+      EXPECT_EQ(fused.num_clusters, banded[i].num_clusters);
+    }
+  }
 }
 
 TEST(FusedChaos, DeviceLossFailsOverToSurvivorExactly) {

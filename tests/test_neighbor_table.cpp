@@ -10,7 +10,7 @@
 #include "core/neighbor_table_builder.hpp"
 #include "core/shard_planner.hpp"
 #include "data/generators.hpp"
-#include "dbscan/dbscan.hpp"
+#include "dbscan/dbscan_parallel.hpp"
 #include "dbscan/streaming_dbscan.hpp"
 #include "gpu/kernels.hpp"
 #include "index/bvh.hpp"
@@ -358,7 +358,7 @@ TEST(Assemble, RejectsKeyInTwoPartsSizeMismatchAndNonEmptyTarget) {
 TEST(HostFusedBatch, GivesOracleDegreesAndLabels) {
   const HostScenario s = host_scenario();
   const int minpts = 4;
-  const ClusterResult want = dbscan_neighbor_table(s.oracle, minpts);
+  const ClusterResult want = dbscan_parallel(s.oracle, minpts);
   const BvhIndex bvh = build_bvh_index(s.index.points);
   for (const bool use_bvh : {false, true}) {
     for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {

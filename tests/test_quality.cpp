@@ -239,6 +239,83 @@ TEST(CellGraphMode, ValidatesInputsAndHandlesEmpty) {
                std::invalid_argument);
 }
 
+// Wide extents: cell coordinates are packed into 21-bit key fields (22 on
+// z). An extent that needs more cells per axis used to wrap far cells onto
+// near ones and merge them; it is now rejected. A count that fits exactly
+// is served, and stencil cells past either end are skipped instead of
+// wrapping through the field masks onto the other end.
+TEST(CellGraphMode, RejectsExtentsPastTheKeyField2d) {
+  const cudasim::DeviceConfig config;
+  // The far pair's cell index is 2^21 at eps 1 (side 1/sqrt(2)).
+  const std::vector<Point2> wrap{{0.1f, 0.1f},
+                                 {0.2f, 0.1f},
+                                 {1482910.875f, 0.1f},
+                                 {1482911.0f, 0.1f}};
+  EXPECT_THROW((void)cell_graph_dbscan(wrap, 1.0f, 4, config),
+               std::invalid_argument);
+  // About 4.2e9 cells: past the field and past int32.
+  const std::vector<Point2> huge{{0.0f, 0.0f}, {3e9f, 0.0f}};
+  EXPECT_THROW((void)cell_graph_dbscan(huge, 1.0f, 2, config),
+               std::invalid_argument);
+  const std::vector<Point2> tall{{0.0f, 0.0f}, {0.0f, 3e9f}};
+  EXPECT_THROW((void)cell_graph_dbscan(tall, 1.0f, 2, config),
+               std::invalid_argument);
+  const std::vector<Point2> infinite{{-3e38f, 0.0f}, {3e38f, 0.0f}};
+  EXPECT_THROW((void)cell_graph_dbscan(infinite, 1.0f, 2, config),
+               std::invalid_argument);
+}
+
+TEST(CellGraphMode, RejectsExtentsPastTheKeyField3d) {
+  const cudasim::DeviceConfig config;
+  // The far pair's x cell index is 2^21 at eps 1 (side 1/sqrt(3)).
+  const std::vector<Point3> wrap{{0.1f, 0.1f, 0.1f},
+                                 {0.2f, 0.1f, 0.1f},
+                                 {1210791.75f, 0.1f, 0.1f},
+                                 {1210791.875f, 0.1f, 0.1f}};
+  EXPECT_THROW((void)cell_graph_dbscan3(wrap, 1.0f, 4, config),
+               std::invalid_argument);
+  const std::vector<Point3> huge{{0.0f, 0.0f, 0.0f}, {3e9f, 0.0f, 0.0f}};
+  EXPECT_THROW((void)cell_graph_dbscan3(huge, 1.0f, 2, config),
+               std::invalid_argument);
+  const std::vector<Point3> deep{{0.0f, 0.0f, 0.0f}, {0.0f, 0.0f, 3e9f}};
+  EXPECT_THROW((void)cell_graph_dbscan3(deep, 1.0f, 2, config),
+               std::invalid_argument);
+}
+
+TEST(CellGraphMode, ServesAnExtentThatFillsTheKeyField) {
+  const cudasim::DeviceConfig config;
+  // The far pair sits in x cell 2^21 - 1, the last one the field holds.
+  const std::vector<Point2> edge2{{0.1f, 0.1f},
+                                  {0.2f, 0.1f},
+                                  {1482910.0f, 0.1f},
+                                  {1482910.375f, 0.1f}};
+  const std::vector<Point3> edge3{{0.1f, 0.1f, 0.1f},
+                                  {0.2f, 0.1f, 0.1f},
+                                  {1210790.875f, 0.1f, 0.1f},
+                                  {1210791.0f, 0.1f, 0.1f}};
+  CellGraphReport r2;
+  CellGraphReport r3;
+  const ClusterResult noise2 = cell_graph_dbscan(edge2, 1.0f, 4, config, &r2);
+  const ClusterResult noise3 =
+      cell_graph_dbscan3(edge3, 1.0f, 4, config, &r3);
+  EXPECT_EQ(noise2.noise_count(), 4u);
+  EXPECT_EQ(noise3.noise_count(), 4u);
+  // Two cells of two points, each testing only its own residents: no
+  // stencil cell wrapped onto the other end of the axis.
+  EXPECT_EQ(r2.num_cells, 2u);
+  EXPECT_EQ(r2.distance_tests, 8u);
+  EXPECT_EQ(r3.num_cells, 2u);
+  EXPECT_EQ(r3.distance_tests, 8u);
+  const ClusterResult pairs2 = cell_graph_dbscan(edge2, 1.0f, 2, config);
+  const ClusterResult pairs3 = cell_graph_dbscan3(edge3, 1.0f, 2, config);
+  for (const ClusterResult* r : {&pairs2, &pairs3}) {
+    EXPECT_EQ(r->num_clusters, 2);
+    EXPECT_EQ(r->labels[0], r->labels[1]);
+    EXPECT_EQ(r->labels[2], r->labels[3]);
+    EXPECT_NE(r->labels[0], r->labels[2]);
+  }
+}
+
 TEST(CellGraphMode, RecoversSeparated3dClusters) {
   std::vector<Point3> pts;
   std::uint64_t s = 77;

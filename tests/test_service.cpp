@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -16,6 +17,8 @@
 #include "cudasim/buffer_pool.hpp"
 #include "cudasim/error.hpp"
 #include "data/generators.hpp"
+#include "dbscan/dbscan_parallel.hpp"
+#include "index/grid_index.hpp"
 #include "obs/registry.hpp"
 #include "service/circuit_breaker.hpp"
 #include "service/table_cache.hpp"
@@ -314,6 +317,18 @@ struct ServiceFixture {
   }
 };
 
+/// The union-find paths' labels (fused, streaming, the banded pass) in
+/// input order: the banded pass over the host table of the grid index.
+std::vector<std::int32_t> union_find_labels(std::span<const Point2> points,
+                                            float eps, int minpts) {
+  const GridIndex index = build_grid_index(points, eps);
+  const int values[] = {minpts};
+  return dbscan_parallel(build_neighbor_table_host(index, eps), values, 0,
+                         index.original_ids)
+      .front()
+      .labels;
+}
+
 JobSpec job(float eps, int minpts = 4, Priority prio = Priority::kNormal,
             const std::string& tenant = "t0") {
   JobSpec j;
@@ -534,10 +549,14 @@ TEST(ClusterServiceTest, FusedJobsCoalesceByMinptsAndSkipTableJobs) {
   // Fused builds never populate the cache; the plain job's build did.
   EXPECT_EQ(s.cache_hits, 0u);
   EXPECT_EQ(svc->cache().size(), 1u);
-  // The fused labels are bit-identical to the table path's for the same
-  // (eps, minpts) — the service-level echo of the kernel equivalence.
-  EXPECT_EQ(results[0].labels, results[3].labels);
+  // The fused labels are the union-find paths' (the banded pass over the
+  // host table, label for label) and agree with the table path's on
+  // clusters and noise: its Alg. 4 BFS may give a border point touching
+  // two clusters to the other one.
+  EXPECT_EQ(results[0].labels, union_find_labels(f.points, 0.5f, 4));
   EXPECT_EQ(results[0].labels, results[1].labels);
+  EXPECT_EQ(results[0].num_clusters, results[3].num_clusters);
+  EXPECT_EQ(results[0].noise_count, results[3].noise_count);
 }
 
 /// A fused job must bypass the cache even when a matching-key table is
@@ -561,7 +580,9 @@ TEST(ClusterServiceTest, FusedJobsBypassAResidentCacheEntry) {
   EXPECT_FALSE(results[2].cache_hit);  // fused: bypassed the entry
   EXPECT_TRUE(results[2].fused);
   EXPECT_EQ(svc->stats().cache_hits, 1u);
-  EXPECT_EQ(results[2].labels, results[0].labels);
+  EXPECT_EQ(results[2].labels, union_find_labels(f.points, 0.5f, 4));
+  EXPECT_EQ(results[2].num_clusters, results[0].num_clusters);
+  EXPECT_EQ(results[2].noise_count, results[0].noise_count);
 }
 
 // ---------------------------------------------------------------------------

@@ -91,6 +91,8 @@ void expect_streaming_equivalent(NeighborTableBuilder& builder,
   const ClusterResult want = dbscan_parallel(s.oracle, minpts);
   const auto outcome = compare_clusterings(got, want, s.oracle, minpts);
   EXPECT_TRUE(outcome.equivalent) << outcome.diagnostic;
+  // One border rule and one numbering: the very same label vector.
+  EXPECT_EQ(got.labels, want.labels);
   EXPECT_EQ(got.noise_count(), want.noise_count());
   EXPECT_EQ(consumer.stats().edges_seen,
             consumer.stats().edges_streamed + consumer.stats().edges_deferred);
@@ -172,9 +174,10 @@ TEST(StreamingDbscan, SinkAndMaterializedTableCanCoexist) {
   want.canonicalize();
   EXPECT_TRUE(table.identical_to(want));
   const ClusterResult got = consumer.finalize();
-  const auto outcome = compare_clusterings(
-      got, dbscan_parallel(s.oracle, 4), s.oracle, 4);
+  const ClusterResult banded = dbscan_parallel(s.oracle, 4);
+  const auto outcome = compare_clusterings(got, banded, s.oracle, 4);
   EXPECT_TRUE(outcome.equivalent) << outcome.diagnostic;
+  EXPECT_EQ(got.labels, banded.labels);
 }
 
 TEST(StreamingDbscan, RejectsBadArgs) {
@@ -270,6 +273,10 @@ TEST(StreamingDbscan, ReuseSweepStreamsAllMinpts) {
         stream_results[i], batch_results[i], oracle, minpts[i]);
     EXPECT_TRUE(outcome.equivalent)
         << "minpts " << minpts[i] << ": " << outcome.diagnostic;
+    // The batch sweep's banded pass and the streaming consumers share one
+    // border rule: identical label vectors.
+    EXPECT_EQ(stream_results[i].labels, batch_results[i].labels)
+        << "minpts " << minpts[i];
   }
 }
 
@@ -342,14 +349,16 @@ TEST(StreamingDbscan, FanoutSinkReplicatesDeliveries) {
     ASSERT_EQ(a.degree(i), s.oracle.neighbor_count(i));
     ASSERT_EQ(b.degree(i), s.oracle.neighbor_count(i));
   }
-  const auto out_a = compare_clusterings(a.finalize(),
-                                         dbscan_parallel(s.oracle, 2),
-                                         s.oracle, 2);
-  const auto out_b = compare_clusterings(b.finalize(),
-                                         dbscan_parallel(s.oracle, 10),
-                                         s.oracle, 10);
+  const ClusterResult got_a = a.finalize();
+  const ClusterResult got_b = b.finalize();
+  const std::vector<int> minpts{2, 10};
+  const std::vector<ClusterResult> want = dbscan_parallel(s.oracle, minpts);
+  const auto out_a = compare_clusterings(got_a, want[0], s.oracle, 2);
+  const auto out_b = compare_clusterings(got_b, want[1], s.oracle, 10);
   EXPECT_TRUE(out_a.equivalent) << out_a.diagnostic;
   EXPECT_TRUE(out_b.equivalent) << out_b.diagnostic;
+  EXPECT_EQ(got_a.labels, want[0].labels);
+  EXPECT_EQ(got_b.labels, want[1].labels);
 }
 
 }  // namespace

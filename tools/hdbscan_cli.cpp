@@ -397,8 +397,8 @@ int cmd_reuse(int argc, char** argv) {
   std::vector<ClusterResult> results;
   const ReuseReport report =
       cluster_minpts_sweep(device, points, eps, minpts, threads, {}, &results);
-  std::printf("T built once (%.3f s); %zu minpts variants on %u threads"
-              " (%.3f s):\n",
+  std::printf("T built once (%.3f s); %zu minpts variants from one banded"
+              " pass on up to %u workers (%.3f s):\n",
               report.table_seconds, minpts.size(), threads,
               report.dbscan_wall_seconds);
   for (std::size_t i = 0; i < minpts.size(); ++i) {
@@ -587,8 +587,8 @@ int cmd_chaos(int argc, char** argv) {
 // Streaming overlap gate (the stream_smoke CTest target): builds one
 // variant in ClusterMode::kStreaming and checks (1) per-point degrees
 // match the host oracle — any dropped or doubled batch delivery on the
-// retry/split/failover ladder skews one — (2) the streamed labels are
-// DBSCAN-equivalent to batch DBSCAN over the oracle table, and (3) a
+// retry/split/failover ladder skews one — (2) the streamed labels equal
+// the banded union-find pass's over the oracle table, and (3) a
 // nonzero share of the union work actually overlapped the build. Also run
 // under the thread-sanitizer config: consume() executes concurrently on
 // the builder's stream threads.
@@ -634,11 +634,17 @@ int cmd_stream_smoke(int argc, char** argv) {
   }
 
   const ClusterResult streamed = consumer.finalize();
-  const ClusterResult batch = dbscan_parallel(oracle, minpts);
-  const auto outcome = compare_clusterings(streamed, batch, oracle, minpts);
+  const ClusterResult banded = dbscan_parallel(oracle, minpts);
+  const auto outcome = compare_clusterings(streamed, banded, oracle, minpts);
   if (!outcome.equivalent) {
     std::fprintf(stderr, "stream_smoke FAILED: %s\n",
                  outcome.diagnostic.c_str());
+    ++violations;
+  }
+  if (streamed.labels != banded.labels) {
+    std::fprintf(stderr,
+                 "stream_smoke FAILED: streamed labels differ from the banded"
+                 " union-find pass over the oracle table\n");
     ++violations;
   }
 
@@ -755,11 +761,17 @@ int cmd_shard_smoke(int argc, char** argv) {
     }
   }
   const ClusterResult streamed = consumer.finalize();
-  const ClusterResult batch = dbscan_parallel(oracle, minpts);
-  const auto outcome = compare_clusterings(streamed, batch, oracle, minpts);
+  const ClusterResult banded = dbscan_parallel(oracle, minpts);
+  const auto outcome = compare_clusterings(streamed, banded, oracle, minpts);
   if (!outcome.equivalent) {
     std::fprintf(stderr, "shard_smoke FAILED: %s\n",
                  outcome.diagnostic.c_str());
+    ++violations;
+  }
+  if (streamed.labels != banded.labels) {
+    std::fprintf(stderr,
+                 "shard_smoke FAILED: streamed labels differ from the banded"
+                 " union-find pass over the oracle table\n");
     ++violations;
   }
   if (report.devices_lost != 1) {
@@ -863,8 +875,10 @@ int cmd_perf_smoke(int argc, char** argv) {
 // dataset four ways — batch table (the oracle), streaming-grid, fused on
 // the grid backend, and fused on the BVH backend (the latter across two
 // devices, so the fused pump threads and the shared union-find run
-// concurrently — the thread-sanitizer surface). Exits nonzero unless both
-// fused label vectors are bit-identical to batch DBSCAN, no table was
+// concurrently — the thread-sanitizer surface). Exits nonzero unless the
+// streaming and fused label vectors are bit-identical to the banded
+// union-find pass over the host table and agree with batch DBSCAN on
+// clusters and noise, no table was
 // materialized, fused D2H traffic (parked edges only) undercuts the batch
 // build's, fused-BVH beats streaming-grid on modeled time, and no device
 // leaks.
@@ -941,12 +955,30 @@ int cmd_fused_smoke(int argc, char** argv) {
       static_cast<unsigned long long>(fb_t.build_report.d2h_bytes),
       static_cast<unsigned long long>(fb_t.build_report.total_pairs));
 
+  // The union-find paths' exact labels: the banded pass over the host
+  // table, in input order. Batch DBSCAN (Alg. 4's BFS) assigns borders in
+  // visit order, so it must agree on clusters and noise, not on borders.
+  const GridIndex index = build_grid_index(points, eps);
+  const int minpts_list[] = {minpts};
+  const ClusterResult banded =
+      dbscan_parallel(build_neighbor_table_host(index, eps), minpts_list, 0,
+                      index.original_ids)
+          .front();
+
   int violations = 0;
   auto expect_identical = [&](const ClusterResult& got, const char* what) {
-    if (got.labels != batch.labels) {
+    if (got.labels != banded.labels) {
       std::fprintf(stderr,
                    "fused_smoke FAILED: %s labels are not bit-identical to"
-                   " batch DBSCAN (%d vs %d clusters, %zu vs %zu noise)\n",
+                   " the banded union-find pass\n",
+                   what);
+      ++violations;
+    }
+    if (got.num_clusters != batch.num_clusters ||
+        got.noise_count() != batch.noise_count()) {
+      std::fprintf(stderr,
+                   "fused_smoke FAILED: %s disagrees with batch DBSCAN"
+                   " (%d vs %d clusters, %zu vs %zu noise)\n",
                    what, got.num_clusters, batch.num_clusters,
                    got.noise_count(), batch.noise_count());
       ++violations;
