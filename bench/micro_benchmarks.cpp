@@ -1,14 +1,16 @@
 // google-benchmark microbenchmarks for the core primitives: index build,
-// point queries (grid vs R-tree), on-device sort, kernels, and DBSCAN
-// over a neighbor table.
+// point queries (grid vs R-tree), on-device sort, kernels, DBSCAN over a
+// neighbor table, and the cell-graph pass.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/cell_graph.hpp"
 #include "cudasim/buffer.hpp"
 #include "cudasim/device.hpp"
 #include "cudasim/sort.hpp"
+#include "data/datasets.hpp"
 #include "data/generators.hpp"
 #include "dbscan/dbscan.hpp"
 #include "dbscan/neighbor_table.hpp"
@@ -150,6 +152,27 @@ void BM_UnionFind(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_UnionFind)->Arg(100000)->Arg(1000000);
+
+/// One cell-graph call on sky-survey points at the service_mix scale
+/// (SDSS2's size and domain); args are eps in hundredths and minpts.
+void BM_CellGraph(benchmark::State& state) {
+  static const auto points = [] {
+    const data::DatasetInfo& info = data::dataset_info("SDSS2");
+    return data::generate_sky_survey(
+        info.default_size, 13, {.width = info.domain, .height = info.domain});
+  }();
+  const float eps = static_cast<float>(state.range(0)) / 100.0f;
+  const int minpts = static_cast<int>(state.range(1));
+  const cudasim::DeviceConfig config;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cell_graph_dbscan(points, eps, minpts, config));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(points.size()));
+}
+BENCHMARK(BM_CellGraph)
+    ->ArgsProduct({{15, 30}, {4, 8}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

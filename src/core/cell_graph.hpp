@@ -10,10 +10,12 @@
 //     ever need distance tests, so the distance work collapses from
 //     O(neighbor pairs) to O(cells + boundary pairs) on clustered data.
 //
+// Points are counting-sorted into cell order next to a sorted array of
+// occupied-cell keys, so each row of the 5^d stencil is one contiguous
+// run of points, its x reach set by the cells' min-distance prune.
 // Dense-dense cell adjacency resolves with an early-exit bichromatic
-// "any pair within eps?" probe; sparse points compute exact degrees
-// against the 5^d-cell stencil (cells farther than eps are pruned by
-// min-distance before any point is read). Core status and core-core
+// "any pair within eps?" probe; sparse points count neighbors over the
+// stencil until they reach minpts. Core status and core-core
 // connectivity are therefore *exact*; only border assignment — which is
 // visit-order dependent in DBSCAN's own definition — uses a deterministic
 // smallest-core-id rule, so labels are stable across runs.
@@ -39,7 +41,6 @@ struct CellGraphReport {
   std::uint64_t distance_tests = 0;   ///< boundary + sparse-degree tests
   std::uint64_t unions = 0;           ///< union-find unites performed
   double modeled_seconds = 0.0;       ///< reference-device execution model
-  double cpu_seconds = 0.0;           ///< measured host wall time
 };
 
 /// 2-D cell-graph DBSCAN. Labels are in input order (no index reordering

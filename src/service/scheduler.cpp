@@ -629,9 +629,24 @@ void ClusterService::process_group(PendingPtr leader,
     const cudasim::DeviceConfig reference{};  // modeled costs only
     WallTimer t;
     CellGraphReport cg;
-    const ClusterResult labels = cell_graph_dbscan(
-        ds.points, lead.eps, lead.minpts, cfg != nullptr ? *cfg : reference,
-        &cg);
+    ClusterResult labels;
+    try {
+      labels = cell_graph_dbscan(ds.points, lead.eps, lead.minpts,
+                                 cfg != nullptr ? *cfg : reference, &cg);
+    } catch (...) {
+      // The input is the fault (an extent past the cell key, say), so a
+      // retry would throw again and no device is to blame: the group
+      // fails at once, with no retry and no breaker strike.
+      const FailureReason fr = classify_current_exception();
+      for (auto& job : runnable) {
+        JobResult r;
+        r.failure = fr;
+        r.modeled_start_seconds = clock;
+        r.modeled_finish_seconds = clock;
+        record_terminal(*job, rs, JobState::kFailed, std::move(r));
+      }
+      return;
+    }
     const double wall = t.seconds();
     {
       std::lock_guard slock(stats_mutex_);

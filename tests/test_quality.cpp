@@ -1,21 +1,29 @@
 // The quality knob (DESIGN.md §16): QualitySpec's seeded per-pair
 // Bernoulli sampling, the SNG-rescaled core threshold, subsampled-mode
 // determinism across backends and cluster modes, and cell-graph DBSCAN's
-// agreement with the exact pipelines on separable data.
+// agreement with the exact pipelines on separable data and with a
+// brute-force reference of its own definition on adversarial inputs.
 #include "common/types.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/cell_graph.hpp"
 #include "core/hybrid_dbscan.hpp"
 #include "cudasim/device.hpp"
 #include "data/generators.hpp"
 #include "dbscan/cluster_compare.hpp"
 #include "dbscan/dbscan.hpp"
+#include "dbscan/union_find.hpp"
 #include "index/grid_index.hpp"
 
 namespace hdbscan {
@@ -341,6 +349,178 @@ TEST(CellGraphMode, RecoversSeparated3dClusters) {
   }
   EXPECT_NE(r.labels[0], r.labels[200]);
   EXPECT_GT(report.dense_points, 0u);
+}
+
+std::array<float, 3> axes(const Point2& p) { return {p.x, p.y, 0.0f}; }
+std::array<float, 3> axes(const Point3& p) { return {p.x, p.y, p.z}; }
+
+/// The cell-graph definition, brute force in O(n^2). Cells have side
+/// eps/sqrt(d), binned from the float offset to the axis minimum. Two
+/// points are neighbors when their cells are within 2 on every axis, the
+/// cells' min-distance (in double) is within eps, and dist2 <=
+/// float(eps^2). A point is core when its cell holds minpts points or it
+/// has minpts neighbors, itself included. Cores connect through a shared
+/// dense cell or a neighbor pair. A border point joins the cluster of its
+/// smallest-id core neighbor, and clusters are numbered by their first
+/// core in input order.
+template <typename Point>
+ClusterResult cell_graph_definition(const std::vector<Point>& pts, float eps,
+                                    int minpts) {
+  constexpr int kDims = std::is_same_v<Point, Point3> ? 3 : 2;
+  const std::size_t n = pts.size();
+  const double side =
+      static_cast<double>(eps) / std::sqrt(static_cast<double>(kDims));
+  std::array<float, 3> lo{};
+  lo.fill(std::numeric_limits<float>::max());
+  for (const Point& p : pts) {
+    for (int a = 0; a < kDims; ++a) lo[a] = std::min(lo[a], axes(p)[a]);
+  }
+  std::vector<std::array<std::int64_t, 3>> cell(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int a = 0; a < kDims; ++a) {
+      const float offset = axes(pts[i])[a] - lo[a];
+      cell[i][a] = static_cast<std::int64_t>(std::floor(offset / side));
+    }
+  }
+  const double eps2 = static_cast<double>(eps) * eps;
+  const auto neighbors = [&](std::size_t i, std::size_t j) {
+    double d2 = 0.0;
+    for (int a = 0; a < kDims; ++a) {
+      const std::int64_t gap = std::abs(cell[i][a] - cell[j][a]);
+      if (gap > 2) return false;
+      if (gap > 1) {
+        const double g = static_cast<double>(gap - 1) * side;
+        d2 += g * g;
+      }
+    }
+    return d2 <= eps2 && dist2(pts[i], pts[j]) <= static_cast<float>(eps2);
+  };
+
+  std::vector<char> dense(n, 0);
+  std::vector<char> core(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    int residents = 0;
+    int degree = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      residents += cell[i] == cell[j] ? 1 : 0;
+      degree += neighbors(i, j) ? 1 : 0;
+    }
+    dense[i] = residents >= minpts ? 1 : 0;
+    core[i] = dense[i] || degree >= minpts ? 1 : 0;
+  }
+  UnionFind uf(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (!core[i] || !core[j]) continue;
+      if ((dense[i] && cell[i] == cell[j]) || neighbors(i, j)) {
+        uf.unite(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j));
+      }
+    }
+  }
+  ClusterResult out;
+  out.labels.assign(n, kNoise);
+  std::vector<std::int32_t> label_of_root(n, kNoise);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!core[i]) continue;
+    std::int32_t& label = label_of_root[uf.find(static_cast<std::uint32_t>(i))];
+    if (label == kNoise) label = out.num_clusters++;
+    out.labels[i] = label;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (core[i]) continue;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (core[j] && neighbors(i, j)) {
+        out.labels[i] = out.labels[j];
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+/// A seeded adversarial cloud a few eps across, so stencils overlap:
+/// coordinates on multiples of the cell side (cell boundaries and
+/// corners), duplicates, one overfull cell, partners exactly eps away on
+/// one axis or across a cell diagonal, and uniform jitter.
+template <typename Point>
+std::vector<Point> adversarial_cloud(std::size_t n, float eps,
+                                     std::uint64_t seed) {
+  constexpr int kDims = std::is_same_v<Point, Point3> ? 3 : 2;
+  const double side =
+      static_cast<double>(eps) / std::sqrt(static_cast<double>(kDims));
+  Xoshiro256 rng(seed);
+  std::vector<Point> pts;
+  const auto make = [](const std::array<float, 3>& c) {
+    if constexpr (kDims == 3) {
+      return Point{c[0], c[1], c[2]};
+    } else {
+      return Point{c[0], c[1]};
+    }
+  };
+  while (pts.size() < n) {
+    std::array<float, 3> c{};
+    const std::uint64_t kind = pts.empty() ? 0 : rng.below(7);
+    for (int a = 0; a < kDims; ++a) {
+      switch (kind) {
+        case 0:  // a cell boundary or corner
+          c[a] = static_cast<float>(static_cast<double>(rng.below(9)) * side);
+          break;
+        case 1:  // the overfull cell
+          c[a] = static_cast<float>((2.5 + rng.uniform(-0.45f, 0.45f)) * side);
+          break;
+        default:
+          c[a] = rng.uniform(0.0f, static_cast<float>(8.0 * side));
+          break;
+      }
+    }
+    if (kind == 4) {  // a duplicate
+      c = axes(pts[rng.below(pts.size())]);
+    } else if (kind == 5) {  // a partner exactly eps away on one axis
+      c = axes(pts[rng.below(pts.size())]);
+      c[rng.below(kDims)] += eps;
+    } else if (kind == 6) {  // a partner one cell diagonal (eps) away
+      c = axes(pts[rng.below(pts.size())]);
+      for (int a = 0; a < kDims; ++a) {
+        c[a] += static_cast<float>(rng.below(2) != 0 ? side : -side);
+      }
+    }
+    pts.push_back(make(c));
+  }
+  return pts;
+}
+
+template <typename Point>
+void expect_labels_equal_the_definition(std::uint64_t seed_base) {
+  const cudasim::DeviceConfig config;
+  const float eps_choices[] = {0.25f, 0.3f, 0.5f, 1.0f};
+  for (std::uint64_t trial = 0; trial < 400; ++trial) {
+    Xoshiro256 rng(seed_base + trial);
+    const std::size_t n =
+        trial % 10 == 0 ? 1 : trial % 10 == 1 ? 2 : 3 + rng.below(118);
+    const float eps = eps_choices[rng.below(4)];
+    const int minpts_choices[] = {1, 2, 3, 4, 6, 10, static_cast<int>(n) + 1};
+    const int minpts = minpts_choices[rng.below(7)];
+    const auto pts = adversarial_cloud<Point>(n, eps, rng());
+    const ClusterResult want = cell_graph_definition(pts, eps, minpts);
+    ClusterResult got;
+    if constexpr (std::is_same_v<Point, Point3>) {
+      got = cell_graph_dbscan3(pts, eps, minpts, config);
+    } else {
+      got = cell_graph_dbscan(pts, eps, minpts, config);
+    }
+    ASSERT_EQ(got.labels, want.labels)
+        << "trial " << trial << " n=" << n << " eps=" << eps
+        << " minpts=" << minpts;
+    ASSERT_EQ(got.num_clusters, want.num_clusters) << "trial " << trial;
+  }
+}
+
+TEST(CellGraphMode, LabelsEqualTheDefinition2d) {
+  expect_labels_equal_the_definition<Point2>(0x2d00);
+}
+
+TEST(CellGraphMode, LabelsEqualTheDefinition3d) {
+  expect_labels_equal_the_definition<Point3>(0x3d00);
 }
 
 }  // namespace

@@ -700,6 +700,38 @@ TEST(ClusterServiceTest, CellGraphJobCompletesWithoutTableOrDevice) {
   EXPECT_GT(results[0].num_clusters, 0);
 }
 
+/// One far point puts the extent past the cell key's 2^21 cells per axis
+/// at eps 1, so the cell graph throws. The group fails with the classified
+/// cause (no retry, no breaker strike: the input will not change) instead
+/// of taking the worker thread and the process down, and the table job on
+/// the same dataset still completes.
+TEST(ClusterServiceTest, CellGraphJobPastTheCellKeyFailsAndTheServiceServesOn) {
+  ServiceFixture f;
+  f.points = data::generate_uniform(200, 5, 12.0f, 0.9f);
+  f.points.push_back({2e6f, 0.0f});
+  ServiceOptions opt;
+  opt.num_workers = 2;
+  opt.keep_labels = true;
+  auto svc = f.make(opt);
+  JobSpec cg = job(1.0f, 4);
+  cg.quality.mode = ClusterQuality::kCellGraph;
+  const auto results = svc->replay({cg, job(1.0f, 4)});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].state, JobState::kFailed);
+  EXPECT_EQ(results[0].failure, FailureReason::kOther);
+  EXPECT_EQ(results[0].retries, 0u);
+  EXPECT_EQ(results[1].state, JobState::kCompleted);
+  EXPECT_EQ(results[1].noise_count, 1u);
+  EXPECT_EQ(svc->stats().retries, 0u);
+  EXPECT_EQ(svc->stats().breaker_opens, 0u);
+  EXPECT_EQ(svc->stats().cell_graph_jobs, 0u);
+
+  const auto again = svc->replay({job(1.0f, 8), cg});
+  EXPECT_EQ(again[0].state, JobState::kCompleted);
+  EXPECT_EQ(again[1].state, JobState::kFailed);
+  EXPECT_EQ(svc->stats().failed, 2u);
+}
+
 TEST(ClusterServiceTest, FusedCellGraphIsRejectedWithReason) {
   ServiceFixture f;
   auto svc = f.make({});
