@@ -31,15 +31,14 @@
 // response time while materializing zero table bytes and producing labels
 // bit-identical to batch DBSCAN.
 //
-// The quality frontier (schema 8) prices the approximate clustering modes
+// The quality frontier (schema 8) prices the cell-graph clustering mode
 // at 10x the fused-matrix sizes, where the exact build's quadratic
 // neighbor search is the bottleneck the quality knob exists to break:
-// exact vs subsampled SNG at s = 0.1 / 0.3 vs the cell graph on a skewed,
-// a uniform, and a well-separated workload. Its gates: each approximate
-// mode reaches >= 5x modeled speedup over exact on at least one workload,
-// every approximate mode scores rand index >= 0.99 on the separated
-// workload, and subsampled labels are bit-identical across two runs with
-// the same seed.
+// exact vs the cell graph on a skewed, a uniform, and a well-separated
+// workload. Its gates: the cell graph reaches >= 5x modeled speedup over
+// exact on at least one workload, scores rand index >= 0.99 on the
+// separated workload, materializes no table, and gives bit-identical
+// labels across two runs.
 //
 // The run ends with the disabled-tracing overhead guard: it counts the
 // TRACE sites one build executes, microbenchmarks the disabled fast path
@@ -51,6 +50,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -422,29 +422,29 @@ int main() {
         stream_grid.modeled_seconds / fused_bvh.modeled_seconds);
   }
 
-  // --- quality frontier: approximate modes at 10x n (schema 8) -------
-  // Exact vs subsampled SNG (s = 0.1 / 0.3, fixed seed) vs the cell
-  // graph, each end-to-end through hybrid_dbscan, at 10x the fused-matrix
-  // point counts in the same areas — the density regime where the exact
-  // build's quadratic neighbor search dominates and the quality knob
-  // earns its keep. The skewed and uniform workloads show the throughput
+  // --- quality frontier: the cell graph at 10x n (schema 8) ----------
+  // Exact vs the cell graph, each end-to-end through hybrid_dbscan, at
+  // 10x the fused-matrix point counts in the same areas — the density
+  // regime where the exact build's quadratic neighbor search dominates
+  // and the quality knob earns its keep. The skewed and uniform workloads show the throughput
   // frontier; the well-separated cluster grid (clusters of ~1500 points
   // on a 20-unit pitch, no inter-cluster edge possible at its eps) is
   // where any correct clustering recovers the exact partition, so its
-  // rand-index gate is sharp rather than statistical. Each config runs
-  // once: the gates read modeled seconds, which are deterministic, and
-  // the subsampled determinism check needs a second run of s = 0.3 only.
+  // rand-index gate is sharp rather than statistical. Exact runs once;
+  // the cell graph runs twice so its labels can be checked for a
+  // bit-identical replay.
   // Modeled seconds exclude the grid-index build — it is a function of
   // (dataset, eps) only, identical across every quality config, and the
   // single-device rows above exclude it as setup for the same reason.
   struct QualityCell {
     std::string config;
-    float sample_rate = 1.0f;
     double wall_seconds = 0.0;
     double modeled_seconds = 0.0;
     double speedup = 1.0;          ///< exact modeled / this modeled
     double rand_vs_exact = 1.0;
-    bool deterministic = true;     ///< same seed, two runs, same labels
+    /// Whether two runs gave the same labels; empty for a config that
+    /// ran once (exact).
+    std::optional<bool> deterministic;
     bool table_materialized = true;
     std::uint64_t pairs = 0;  ///< kernel pairs, or cell-graph distance tests
   };
@@ -501,7 +501,6 @@ int main() {
                                   std::vector<std::int32_t>* labels_out) {
         QualityCell cell;
         cell.config = name;
-        cell.sample_rate = q.sampled() ? q.sample_rate : 1.0f;
         BatchPolicy policy;
         policy.quality = q;
         cudasim::Device device = bench::make_device();
@@ -522,23 +521,15 @@ int main() {
       std::vector<std::int32_t> exact_labels;
       row.cells.push_back(run_config("exact", {}, &exact_labels));
 
-      const QualitySpec sub01{ClusterQuality::kSubsampled, 0.1f, 42};
-      const QualitySpec sub03{ClusterQuality::kSubsampled, 0.3f, 42};
+      const QualitySpec cell_graph{ClusterQuality::kCellGraph};
       std::vector<std::int32_t> labels;
-      row.cells.push_back(run_config("subsampled-0.1", sub01, &labels));
-      row.cells.back().rand_vs_exact = rand_index(labels, exact_labels);
-
-      row.cells.push_back(run_config("subsampled-0.3", sub03, &labels));
+      row.cells.push_back(run_config("cellgraph", cell_graph, &labels));
       row.cells.back().rand_vs_exact = rand_index(labels, exact_labels);
       {
         std::vector<std::int32_t> replay;
-        (void)run_config("subsampled-0.3", sub03, &replay);
+        (void)run_config("cellgraph", cell_graph, &replay);
         row.cells.back().deterministic = replay == labels;
       }
-
-      row.cells.push_back(
-          run_config("cellgraph", {ClusterQuality::kCellGraph}, &labels));
-      row.cells.back().rand_vs_exact = rand_index(labels, exact_labels);
 
       const double exact_modeled = row.cells.front().modeled_seconds;
       for (QualityCell& cell : row.cells) {
@@ -555,40 +546,35 @@ int main() {
         std::printf(
             "  %-15s %9.3f %10.4f %7.2fx %10.6f %6s %6s %14llu\n",
             c.config.c_str(), c.wall_seconds, c.modeled_seconds, c.speedup,
-            c.rand_vs_exact, c.deterministic ? "yes" : "NO",
+            c.rand_vs_exact,
+            !c.deterministic ? "-" : *c.deterministic ? "yes" : "NO",
             c.table_materialized ? "yes" : "no",
             static_cast<unsigned long long>(c.pairs));
       }
       quality_rows.push_back(std::move(row));
     }
 
-    // The gates: each approximate mode must justify itself at 10x n with
-    // >= 5x modeled speedup on at least one workload; on the separated
-    // workload every approximate mode must stay within rand index 0.99 of
-    // exact; subsampled labels must replay bit-identically per seed; and
-    // the cell graph must never materialize a table.
-    bool sub_5x = false;
+    // The gates: the cell graph must justify itself at 10x n with >= 5x
+    // modeled speedup on at least one workload, stay within rand index
+    // 0.99 of exact on the separated workload, replay bit-identically, and
+    // never materialize a table.
     bool cg_5x = false;
     for (const QualityRow& row : quality_rows) {
       for (const QualityCell& c : row.cells) {
         if (c.config == "exact") continue;
-        quality_ok = quality_ok && c.deterministic;
-        if (std::string_view(c.config).starts_with("subsampled")) {
-          sub_5x = sub_5x || c.speedup >= 5.0;
-        }
-        if (c.config == "cellgraph") {
-          cg_5x = cg_5x || c.speedup >= 5.0;
-          quality_ok = quality_ok && !c.table_materialized;
-        }
+        cg_5x = cg_5x || c.speedup >= 5.0;
+        quality_ok = quality_ok && c.deterministic.value_or(false) &&
+                     !c.table_materialized;
         if (row.scenario == "separated") {
           quality_ok = quality_ok && c.rand_vs_exact >= 0.99;
         }
       }
     }
-    quality_ok = quality_ok && sub_5x && cg_5x;
+    quality_ok = quality_ok && cg_5x;
     std::printf(
-        "  approximate modes reach >= 5x modeled speedup at 10x n with"
-        " rand index >= 0.99 on the separated workload: %s\n",
+        "  cell graph reaches >= 5x modeled speedup at 10x n with rand"
+        " index >= 0.99 on the separated workload, no table and a"
+        " bit-identical replay: %s\n",
         quality_ok ? "PASS" : "FAIL");
   }
   // Spatial slab sharding (one grid-row slab + eps-halo per device): each
@@ -1001,14 +987,14 @@ int main() {
       const QualityCell& cell = row.cells[c];
       std::fprintf(
           out,
-          "        {\"config\": \"%s\", \"sample_rate\": %.2f, "
+          "        {\"config\": \"%s\", "
           "\"wall_seconds\": %.6f, \"modeled_seconds\": %.6f, "
           "\"modeled_speedup_vs_exact\": %.4f, "
           "\"rand_index_vs_exact\": %.6f, \"deterministic\": %s, "
           "\"table_materialized\": %s, \"pairs\": %llu}%s\n",
-          cell.config.c_str(), cell.sample_rate, cell.wall_seconds,
+          cell.config.c_str(), cell.wall_seconds,
           cell.modeled_seconds, cell.speedup, cell.rand_vs_exact,
-          cell.deterministic ? "true" : "false",
+          !cell.deterministic ? "null" : *cell.deterministic ? "true" : "false",
           cell.table_materialized ? "true" : "false",
           static_cast<unsigned long long>(cell.pairs),
           c + 1 < row.cells.size() ? "," : "");

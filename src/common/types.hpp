@@ -2,7 +2,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <compare>
 #include <cstddef>
@@ -140,90 +139,29 @@ enum class ScanMode {
 };
 
 /// How much exactness a clustering run trades for throughput. Every exact
-/// pipeline does work proportional to the eps-pair count; the approximate
-/// modes break that ceiling two grounded ways (see DESIGN.md §16):
-/// subsampled similarity queries (SNG-DBSCAN) and eps/sqrt(d) cell-graph
-/// unions (theoretically-efficient parallel DBSCAN).
+/// pipeline does work proportional to the eps-pair count; the cell graph
+/// breaks that ceiling by unioning whole eps/sqrt(d) cells (theoretically
+/// efficient parallel DBSCAN; see DESIGN.md §16). The traversal kernels
+/// never see this knob: it only routes a run to the cell graph.
 enum class ClusterQuality {
-  kExact,       ///< every eps-pair evaluated (the paper's pipelines)
-  kSubsampled,  ///< seeded per-pair Bernoulli sampling of similarity queries
-  kCellGraph,   ///< union whole eps/sqrt(d) cells; pairs -> cells + boundary
+  kExact,      ///< every eps-pair evaluated (the paper's pipelines)
+  kCellGraph,  ///< union whole eps/sqrt(d) cells; pairs -> cells + boundary
 };
-
-[[nodiscard]] constexpr std::string_view to_string(ClusterQuality q) noexcept {
-  switch (q) {
-    case ClusterQuality::kSubsampled: return "subsampled";
-    case ClusterQuality::kCellGraph: return "cellgraph";
-    case ClusterQuality::kExact: break;
-  }
-  return "exact";
-}
 
 [[nodiscard]] inline std::optional<ClusterQuality> parse_cluster_quality(
     std::string_view name) noexcept {
   if (name == "exact") return ClusterQuality::kExact;
-  if (name == "subsampled") return ClusterQuality::kSubsampled;
   if (name == "cellgraph" || name == "cell-graph") {
     return ClusterQuality::kCellGraph;
   }
   return std::nullopt;
 }
 
-/// The quality knob an entire run is parameterized by: the mode plus the
-/// Bernoulli sample rate and seed the subsampled kernels hash with.
-///
-/// Sampling is a pure function of (seed, unordered point-id pair), so the
-/// kFull scan's two sides, the kHalf scan's single side, retries, batch
-/// splits, device failover, and the host-fallback rungs all make the same
-/// keep/drop decision — labels stay bit-identical for a fixed seed no
-/// matter which ladder served the pair. Self-pairs are always kept (a
-/// point is trivially its own neighbor; dropping them would skew degrees).
+/// The quality knob an entire run (or one service job) is parameterized by.
 struct QualitySpec {
   ClusterQuality mode = ClusterQuality::kExact;
-  float sample_rate = 1.0f;   ///< Bernoulli keep probability (kSubsampled)
-  std::uint64_t seed = 0x5107u;  ///< hash seed for the per-pair decision
 
   friend bool operator==(const QualitySpec&, const QualitySpec&) = default;
-
-  /// True when the kernels must actually filter candidate pairs.
-  [[nodiscard]] bool sampled() const noexcept {
-    return mode == ClusterQuality::kSubsampled && sample_rate < 1.0f;
-  }
-
-  /// keep iff mix(pair) < threshold; rate 1 maps to "keep everything".
-  [[nodiscard]] std::uint64_t threshold() const noexcept {
-    const float r = std::clamp(sample_rate, 0.0f, 1.0f);
-    if (r >= 1.0f) return ~0ull;
-    return static_cast<std::uint64_t>(
-        static_cast<double>(r) * 18446744073709551616.0);
-  }
-
-  /// Deterministic symmetric per-pair Bernoulli trial (SplitMix64 mix of
-  /// the canonicalized id pair). Both directions of a pair agree.
-  [[nodiscard]] bool keep_pair(PointId a, PointId b) const noexcept {
-    if (a == b || !sampled()) return true;
-    const std::uint64_t lo = a < b ? a : b;
-    const std::uint64_t hi = a < b ? b : a;
-    std::uint64_t z = seed + (lo << 32 | hi) + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    return z < threshold();
-  }
-
-  /// The SNG-rescaled core threshold: a point that would see `minpts`
-  /// neighbors exactly sees ~`minpts * s` of them after sampling.
-  [[nodiscard]] int scaled_minpts(int minpts) const noexcept {
-    if (mode != ClusterQuality::kSubsampled) return minpts;
-    const float r = std::clamp(sample_rate, 0.0f, 1.0f);
-    return std::max(1, static_cast<int>(
-                           std::lround(r * static_cast<float>(minpts))));
-  }
-
-  /// Bit pattern of the sample rate, for hashable cache/coalescing keys.
-  [[nodiscard]] std::uint32_t sample_rate_bits() const noexcept {
-    return std::bit_cast<std::uint32_t>(sample_rate);
-  }
 };
 
 }  // namespace hdbscan

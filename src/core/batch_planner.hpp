@@ -101,12 +101,10 @@ struct BatchPolicy {
   /// spans carry the request id the service minted (DESIGN.md §14).
   /// Default-constructed = unattributed.
   RequestContext trace;
-  /// The quality knob (DESIGN.md §16). kSubsampled makes every traversal
-  /// kernel — grid and BVH, batched and fused — apply the seeded per-pair
-  /// Bernoulli filter before the candidate's point read and distance test;
-  /// the orchestrators rescale minpts by the sample rate. kCellGraph is
-  /// handled above the builder (core/cell_graph) and never reaches the
-  /// batch kernels.
+  /// The quality knob (DESIGN.md §16). hybrid_dbscan and
+  /// run_multi_clustering route kCellGraph to the host cell graph
+  /// (core/cell_graph); the builder, the fused path and the traversal
+  /// kernels never read it.
   QualitySpec quality;
 };
 

@@ -136,9 +136,8 @@ struct FusedSharedState {
 /// orphan pool for the survivors.
 void fused_pump(FusedContext& fc, FusedWorkQueue& queue,
                 FusedSharedState& state, float eps, ScanMode scan,
-                unsigned block_size, QualitySpec quality,
-                StreamingDbscan& consumer, const ResiliencePolicy& res,
-                const CancelToken* cancel) {
+                unsigned block_size, StreamingDbscan& consumer,
+                const ResiliencePolicy& res, const CancelToken* cancel) {
   const std::size_t ctx = fc.timeline_id;
   FusedWorkItem item;
   while (queue.pop(ctx, item)) {
@@ -160,9 +159,9 @@ void fused_pump(FusedContext& fc, FusedWorkQueue& queue,
       const cudasim::KernelStats stats =
           fc.backend == IndexBackend::kBvh
               ? gpu::run_fused_batch(fc.device, fc.bvh_view, eps, spec,
-                                     consumer, scan, block_size, quality)
+                                     consumer, scan, block_size)
               : gpu::run_fused_batch(fc.device, fc.view, eps, spec,
-                                     consumer, scan, block_size, quality);
+                                     consumer, scan, block_size);
       ++fc.batches_run;
       fc.kernel_modeled += stats.modeled_seconds;
       fc.device_model += stats.modeled_seconds;
@@ -267,10 +266,10 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
     const std::uint64_t parked_before = consumer.stats().fused_parked;
     if (use_bvh) {
       gpu::host_fused_batch(BvhView::of(*host_bvh), eps, item.spec, consumer,
-                            scan, policy.quality);
+                            scan);
     } else {
       gpu::host_fused_batch(GridView::of(index), eps, item.spec, consumer,
-                            scan, policy.quality);
+                            scan);
     }
     host_parked += consumer.stats().fused_parked - parked_before;
     ++report.host_fallback_batches;
@@ -363,12 +362,11 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
         any_live = true;
         FusedContext* fcp = fc.get();
         fc->stream.host_fn([fcp, &queue, &state, eps, scan,
-                            block = policy.block_size,
-                            quality = policy.quality, &consumer, &res,
+                            block = policy.block_size, &consumer, &res,
                             cancel = policy.cancel, ctx = policy.trace] {
           RequestScope scope(ctx);
-          fused_pump(*fcp, queue, state, eps, scan, block, quality, consumer,
-                     res, cancel);
+          fused_pump(*fcp, queue, state, eps, scan, block, consumer, res,
+                     cancel);
         });
       }
       if (!any_live) break;

@@ -116,10 +116,6 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
     if (timings != nullptr) *timings = local;
     return out;
   }
-  // Under kSubsampled every kernel keeps an expected `sample_rate`
-  // fraction of each neighborhood, so the density threshold rescales to
-  // minpts * s (the SNG estimator) wherever degrees are thresholded.
-  const int run_minpts = policy.quality.scaled_minpts(minpts);
 
   WallTimer phase_timer;
   const GridIndex index = [&] {
@@ -135,7 +131,7 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
     local.gpu_table_seconds = phase_timer.seconds();
 
     phase_timer.reset();
-    const ClusterResult indexed = dbscan_neighbor_table(table, run_minpts);
+    const ClusterResult indexed = dbscan_neighbor_table(table, minpts);
     local.dbscan_seconds = phase_timer.seconds();
 
     local.total_seconds = total_timer.seconds();
@@ -147,7 +143,7 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
     return unmap_labels(indexed, index.original_ids);
   }
 
-  StreamingDbscan consumer(index.size(), run_minpts);
+  StreamingDbscan consumer(index.size(), minpts);
   if (mode == ClusterMode::kFused) {
     // Fused mode replicates the (whole) index across the devices and
     // interleaves the strided batches — no slab sharding applies, since

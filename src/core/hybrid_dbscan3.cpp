@@ -1,10 +1,8 @@
 #include "core/hybrid_dbscan3.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "common/timer.hpp"
-#include "core/cell_graph.hpp"
 #include "cudasim/buffer.hpp"
 #include "cudasim/buffer_pool.hpp"
 #include "cudasim/sort.hpp"
@@ -31,8 +29,7 @@ NeighborTable build_neighbor_table_host3(const GridIndex3& index, float eps) {
 NeighborTable build_neighbor_table_device3(cudasim::Device& device,
                                            const GridIndex3& index, float eps,
                                            Build3Report* report,
-                                           ScanMode mode,
-                                           QualitySpec quality) {
+                                           ScanMode mode) {
   WallTimer total_timer;
   Build3Report local;
 
@@ -61,8 +58,7 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
   cudasim::PooledDeviceBuffer<std::uint32_t> d_counts(
       device, std::max<std::uint32_t>(1, npts));
   cudasim::KernelStats stats = gpu::run_count_batch(
-      device, view, eps, {}, d_counts.device_data(), mode,
-      gpu::kDefaultBlockSize, quality);
+      device, view, eps, {}, d_counts.device_data(), mode);
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 
@@ -74,8 +70,7 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
       device, std::max<std::uint64_t>(1, pairs));
   stats = gpu::run_fill_csr(device, view, eps, {}, d_counts.device_data(),
                             static_cast<std::uint32_t>(pairs),
-                            d_values.device_data(), mode,
-                            gpu::kDefaultBlockSize, quality);
+                            d_values.device_data(), mode);
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 
@@ -123,27 +118,12 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
 
 ClusterResult hybrid_dbscan3(cudasim::Device& device,
                              std::span<const Point3> points, float eps,
-                             int minpts, Build3Report* report, ScanMode mode,
-                             QualitySpec quality) {
-  if (quality.mode == ClusterQuality::kCellGraph) {
-    WallTimer total_timer;
-    CellGraphReport cg;
-    ClusterResult out =
-        cell_graph_dbscan3(points, eps, minpts, device.config(), &cg);
-    if (report != nullptr) {
-      Build3Report local;
-      local.total_pairs = cg.distance_tests;
-      local.table_seconds = total_timer.seconds();
-      local.modeled_table_seconds = cg.modeled_seconds;
-      *report = local;
-    }
-    return out;
-  }
+                             int minpts, Build3Report* report,
+                             ScanMode mode) {
   const GridIndex3 index = build_grid_index3(points, eps);
   const NeighborTable table =
-      build_neighbor_table_device3(device, index, eps, report, mode, quality);
-  const ClusterResult indexed =
-      dbscan_neighbor_table(table, quality.scaled_minpts(minpts));
+      build_neighbor_table_device3(device, index, eps, report, mode);
+  const ClusterResult indexed = dbscan_neighbor_table(table, minpts);
   ClusterResult out;
   out.num_clusters = indexed.num_clusters;
   out.labels.resize(indexed.labels.size());
@@ -156,13 +136,8 @@ ClusterResult hybrid_dbscan3(cudasim::Device& device,
 
 ClusterResult fused_dbscan3(cudasim::Device& device,
                             std::span<const Point3> points, float eps,
-                            int minpts, Build3Report* report, ScanMode mode,
-                            QualitySpec quality) {
-  if (quality.mode == ClusterQuality::kCellGraph) {
-    throw std::invalid_argument(
-        "fused_dbscan3: ClusterQuality::kCellGraph replaces the traversal "
-        "kernel — use hybrid_dbscan3");
-  }
+                            int minpts, Build3Report* report,
+                            ScanMode mode) {
   WallTimer total_timer;
   Build3Report local;
   const GridIndex3 index = build_grid_index3(points, eps);
@@ -184,10 +159,9 @@ ClusterResult fused_dbscan3(cudasim::Device& device,
       device.config(),
       d_points.bytes() + d_cells.bytes() + d_lookup.bytes(), false);
 
-  StreamingDbscan consumer(index.size(), quality.scaled_minpts(minpts));
+  StreamingDbscan consumer(index.size(), minpts);
   const cudasim::KernelStats stats =
-      gpu::run_fused_batch(device, view, eps, {}, consumer, mode,
-                           gpu::kDefaultBlockSize, quality);
+      gpu::run_fused_batch(device, view, eps, {}, consumer, mode);
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 

@@ -29,19 +29,14 @@ struct Build3Report {
 NeighborTable build_neighbor_table_device3(cudasim::Device& device,
                                            const GridIndex3& index, float eps,
                                            Build3Report* report = nullptr,
-                                           ScanMode mode = ScanMode::kHalf,
-                                           QualitySpec quality = {});
+                                           ScanMode mode = ScanMode::kHalf);
 
 /// End-to-end 3-D HYBRID-DBSCAN; labels are returned in input order.
-/// `quality` selects the exact pipeline (default), the subsampled build
-/// (kernels keep a seeded Bernoulli fraction of each neighborhood and the
-/// density threshold rescales to minpts * s), or the cell-graph mode
-/// (eps/sqrt(3) re-binning in core/cell_graph; no device work at all).
+/// (The 3-D cell graph is core/cell_graph's cell_graph_dbscan3.)
 ClusterResult hybrid_dbscan3(cudasim::Device& device,
                              std::span<const Point3> points, float eps,
                              int minpts, Build3Report* report = nullptr,
-                             ScanMode mode = ScanMode::kHalf,
-                             QualitySpec quality = {});
+                             ScanMode mode = ScanMode::kHalf);
 
 /// Fused no-table 3-D clustering (see core/fused_clustering for the 2-D
 /// orchestrated version): one traversal kernel counts degrees and unions
@@ -55,8 +50,7 @@ ClusterResult hybrid_dbscan3(cudasim::Device& device,
 ClusterResult fused_dbscan3(cudasim::Device& device,
                             std::span<const Point3> points, float eps,
                             int minpts, Build3Report* report = nullptr,
-                            ScanMode mode = ScanMode::kHalf,
-                            QualitySpec quality = {});
+                            ScanMode mode = ScanMode::kHalf);
 
 /// Host oracle (tests): T built by direct 3-D grid queries.
 NeighborTable build_neighbor_table_host3(const GridIndex3& index, float eps);

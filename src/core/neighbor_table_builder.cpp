@@ -64,10 +64,6 @@ struct StreamContext {
   /// arithmetic (query_count) and the estimation kernel.
   IndexBackend backend = IndexBackend::kGrid;
   BvhView bvh_view{};
-  /// Per-pair Bernoulli filter the traversal kernels apply (exact builds
-  /// carry the default no-op spec). Copied from the policy when the
-  /// context is created so retries and failover re-run the same sample.
-  QualitySpec quality{};
   unsigned timeline_id;  ///< index into the per-context model timelines
   cudasim::Stream stream;
 
@@ -264,11 +260,9 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   const cudasim::KernelStats count_stats =
       sc.backend == IndexBackend::kBvh
           ? gpu::run_count_batch(sc.device, sc.bvh_view, eps, spec,
-                                 sc.counts.device_data(), scan, block_size,
-                                 sc.quality)
+                                 sc.counts.device_data(), scan, block_size)
           : gpu::run_count_batch(sc.device, sc.view, eps, spec,
-                                 sc.counts.device_data(), scan, block_size,
-                                 sc.quality);
+                                 sc.counts.device_data(), scan, block_size);
   ++sc.batches_run;
   sc.kernel_modeled += count_stats.modeled_seconds;
   sc.device_model += count_stats.modeled_seconds;
@@ -332,12 +326,10 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
       sc.backend == IndexBackend::kBvh
           ? gpu::run_fill_csr(sc.device, sc.bvh_view, eps, spec,
                               sc.counts.device_data(), batch_total,
-                              sc.values.device_data(), scan, block_size,
-                              sc.quality)
+                              sc.values.device_data(), scan, block_size)
           : gpu::run_fill_csr(sc.device, sc.view, eps, spec,
                               sc.counts.device_data(), batch_total,
-                              sc.values.device_data(), scan, block_size,
-                              sc.quality);
+                              sc.values.device_data(), scan, block_size);
   sc.kernel_modeled += fill_stats.modeled_seconds;
   sc.device_model += fill_stats.modeled_seconds;
   sc.atomic_ops += fill_stats.work.atomic_ops;
@@ -654,19 +646,6 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
       local_report.atomic_ops +=
           local_report.estimate.kernel_stats.work.atomic_ops;
     }
-    // The estimation kernel always counts the exact neighborhood — e_b is a
-    // property of the data, not of the quality mode — so a subsampled build
-    // plans its buffers for the expected kept fraction instead. The
-    // planner's alpha slack absorbs the Bernoulli variance on top.
-    if (policy_.quality.sampled()) {
-      const double r = std::clamp(policy_.quality.sample_rate, 0.0f, 1.0f);
-      local_report.estimate.estimated_total = std::max<std::uint64_t>(
-          index.size(),
-          static_cast<std::uint64_t>(
-              static_cast<double>(local_report.estimate.estimated_total) *
-              r));
-    }
-
     // Drop slots whose device died since the last check, tallying each
     // loss exactly once (later phases only ever see surviving slots).
     auto drop_lost_slots = [&] {
@@ -759,7 +738,6 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
                 local_report.plan.buffer_pairs,
                 std::max(1u, max_batch_points), id));
             contexts.back()->backend = policy_.index_backend;
-            contexts.back()->quality = policy_.quality;
             if (slot.bvh_index) {
               contexts.back()->bvh_view = slot.bvh_index->view();
             }
@@ -871,9 +849,9 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
                item.spec.num_batches);
     NeighborTable shard =
         use_bvh ? gpu::host_csr_batch(BvhView::of(*host_bvh), eps, item.spec,
-                                      scan, policy_.quality)
+                                      scan)
                 : gpu::host_csr_batch(GridView::of(index), eps, item.spec,
-                                      scan, policy_.quality);
+                                      scan);
     ++local_report.host_fallback_batches;
     local_report.total_pairs += shard.total_pairs();
     if (sink != nullptr) {

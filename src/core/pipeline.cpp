@@ -179,12 +179,6 @@ PipelineReport run_multi_clustering(
     return run_cell_graph_variants(fleet.front()->config(), points, variants,
                                    options);
   }
-  // Subsampled variants threshold their degrees at minpts * s (the
-  // kernels keep that expected fraction of each neighborhood).
-  const auto run_minpts = [&](std::size_t i) {
-    return options.policy.quality.scaled_minpts(variants[i].minpts);
-  };
-
   PipelineReport report;
   report.variants.resize(variants.size());
   if (options.keep_results) report.results.resize(variants.size());
@@ -235,8 +229,7 @@ PipelineReport run_multi_clustering(
     double modeled_s = 0.0;
     if (host) {
       item.table = gpu::host_csr_batch(GridView::of(index), variants[i].eps,
-                                       gpu::BatchSpec{0, 1}, ScanMode::kFull,
-                                       options.policy.quality);
+                                       gpu::BatchSpec{0, 1}, ScanMode::kFull);
       item.payload_bytes = table_payload_bytes(item.table);
     } else if (options.cluster_mode == ClusterMode::kBatchTable) {
       BuildReport build_report;
@@ -249,8 +242,8 @@ PipelineReport run_multi_clustering(
       // their own build — intra-variant overlap on top of the
       // inter-variant producer/consumer overlap. The consumers only run
       // the resolution tail.
-      auto clusterer = std::make_unique<StreamingDbscan>(index.size(),
-                                                         run_minpts(i));
+      auto clusterer = std::make_unique<StreamingDbscan>(
+          index.size(), variants[i].minpts);
       clusterer->set_cancel_token(options.policy.cancel);
       BuildReport build_report;
       if (options.cluster_mode == ClusterMode::kFused) {
@@ -283,8 +276,9 @@ PipelineReport run_multi_clustering(
     const std::size_t i = item.variant_index;
     WallTimer t;
     ClusterResult indexed =
-        item.streaming ? item.streaming->finalize()
-                       : dbscan_neighbor_table(item.table, run_minpts(i));
+        item.streaming
+            ? item.streaming->finalize()
+            : dbscan_neighbor_table(item.table, variants[i].minpts);
     const double dbscan_s = t.seconds();
     ClusterResult result = options.keep_results
                                ? unmap_labels(indexed, item.original_ids)

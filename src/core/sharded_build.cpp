@@ -499,7 +499,7 @@ NeighborTable build_sharded_impl(
       check_cancel(options.policy.cancel);
       NeighborTable local = gpu::host_csr_batch(
           GridView::of(shard.index), eps, gpu::BatchSpec{0, 1},
-          options.policy.scan_mode, options.policy.quality);
+          options.policy.scan_mode);
       ++agg.host_fallback_batches;
       agg.halo_ghost_points += shard.num_ghosts();
       if (sink != nullptr) {

@@ -36,8 +36,8 @@ CompareOutcome compare_clusterings(const ClusterResult& a,
 /// DBSCAN semantics where noise is unclustered rather than one cluster.
 /// Invariant under label permutation. Returns 1.0 for n <= 1 (no pairs to
 /// disagree on). Throws std::invalid_argument on size mismatch.
-/// This is how the approximate quality modes (ClusterQuality::kSubsampled
-/// / kCellGraph) report their agreement with the exact labels.
+/// This is how the cell-graph quality mode (ClusterQuality::kCellGraph)
+/// reports its agreement with the exact labels.
 double rand_index(std::span<const std::int32_t> a,
                   std::span<const std::int32_t> b);
 

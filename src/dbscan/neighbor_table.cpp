@@ -283,8 +283,7 @@ void NeighborTable::canonicalize() {
   values_ = std::move(new_values);
 }
 
-NeighborTable build_neighbor_table_host(const GridIndex& index, float eps,
-                                        QualitySpec quality) {
+NeighborTable build_neighbor_table_host(const GridIndex& index, float eps) {
   NeighborTable table(index.size());
   std::vector<PointId> neighbors;
   std::vector<NeighborPair> pairs;
@@ -292,10 +291,7 @@ NeighborTable build_neighbor_table_host(const GridIndex& index, float eps,
     grid_query(index, index.points[i], eps, neighbors);
     pairs.clear();
     pairs.reserve(neighbors.size());
-    for (const PointId v : neighbors) {
-      if (!quality.keep_pair(i, v)) continue;
-      pairs.push_back({i, v});
-    }
+    for (const PointId v : neighbors) pairs.push_back({i, v});
     table.append_sorted_batch(pairs);
   }
   return table;

@@ -145,11 +145,7 @@ class NeighborTable {
 /// It shares no code with the kernels' traversal on purpose: the host
 /// fallback the paper mentions ("a CPU-only implementation could also
 /// compute and reuse T") runs the kernel bodies themselves on the host
-/// (gpu::host_csr_batch), and this builder is what checks it. Under
-/// ClusterQuality::kSubsampled the same seeded per-pair Bernoulli filter
-/// the kernels apply runs on each returned neighbor, so it samples exactly
-/// the pair set a subsampled build keeps.
-NeighborTable build_neighbor_table_host(const GridIndex& index, float eps,
-                                        QualitySpec quality = {});
+/// (gpu::host_csr_batch), and this builder is what checks it.
+NeighborTable build_neighbor_table_host(const GridIndex& index, float eps);
 
 }  // namespace hdbscan

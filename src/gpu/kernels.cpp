@@ -32,39 +32,18 @@ inline constexpr unsigned kDims = sizeof(Point) / sizeof(float);
 /// symmetry is restored downstream (NeighborTable::assemble).
 template <typename View, typename Point, typename Visit>
 void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
-                       const Point& point, float eps2,
-                       const QualitySpec& quality, cudasim::ThreadCtx& ctx,
+                       const Point& point, float eps2, cudasim::ThreadCtx& ctx,
                        Visit&& visit) {
   constexpr std::uint64_t kTestFlops = 3 * kDims<Point>;
-  const bool sampled = quality.sampled();
   auto scan_range = [&](std::uint32_t begin, std::uint32_t end) {
     const std::uint32_t candidates = end - begin;
-    if (!sampled) {
-      ctx.count_global_bytes(static_cast<std::uint64_t>(candidates) *
-                             (sizeof(PointId) + sizeof(point)));
-      ctx.count_flops(static_cast<std::uint64_t>(candidates) * kTestFlops);
-      for (std::uint32_t a = begin; a < end; ++a) {
-        const PointId candidate = view.lookup[a];
-        visit(candidate, dist2(point, view.points[candidate]) <= eps2);
-      }
-      return;
-    }
-    // Subsampled: the Bernoulli trial runs on the id pair *before* the
-    // candidate's point is read, so a dropped candidate costs only its
-    // 4 B id read plus the ~4-op hash; kept candidates pay the usual point
-    // fetch and distance test.
-    std::uint64_t kept = 0;
+    ctx.count_global_bytes(static_cast<std::uint64_t>(candidates) *
+                           (sizeof(PointId) + sizeof(point)));
+    ctx.count_flops(static_cast<std::uint64_t>(candidates) * kTestFlops);
     for (std::uint32_t a = begin; a < end; ++a) {
       const PointId candidate = view.lookup[a];
-      if (!quality.keep_pair(pid, candidate)) continue;
-      ++kept;
       visit(candidate, dist2(point, view.points[candidate]) <= eps2);
     }
-    ctx.count_global_bytes(
-        static_cast<std::uint64_t>(candidates) * sizeof(PointId) +
-        kept * sizeof(point));
-    ctx.count_flops(static_cast<std::uint64_t>(candidates) * 4 +
-                    kept * kTestFlops);
   };
 
   // `params` keeps the global geometry even on a shard slab, so cell ids
@@ -106,11 +85,9 @@ void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
 /// visits every tested candidate with its hit bit.
 template <typename Visit>
 void for_each_neighbor(const BvhView& view, ScanMode mode, PointId pid,
-                       const Point2& point, float eps2,
-                       const QualitySpec& quality, cudasim::ThreadCtx& ctx,
+                       const Point2& point, float eps2, cudasim::ThreadCtx& ctx,
                        Visit&& visit) {
   const bool half = mode == ScanMode::kHalf;
-  const bool sampled = quality.sampled();
   std::uint32_t stack[160];
   unsigned depth = 0;
   stack[depth++] = view.root;
@@ -122,24 +99,16 @@ void for_each_neighbor(const BvhView& view, ScanMode mode, PointId pid,
     if (node.mbr.min_dist2(point) > eps2) continue;
     if (node.leaf != 0) {
       std::uint64_t tested = 0;
-      std::uint64_t hashed = 0;
       for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
         const PointId cand = view.leaf_ids[i];
         if (half && cand < pid) continue;  // id-ownership rule
-        if (sampled) {
-          // Same pre-point-read Bernoulli trial as the grid stencil: the
-          // MBR prune only ever discards non-neighbors, so both backends
-          // sample the identical pair set.
-          ++hashed;
-          if (!quality.keep_pair(pid, cand)) continue;
-        }
         ++tested;
         visit(cand, dist2(point, view.leaf_points[i]) <= eps2);
       }
       ctx.count_global_bytes(
           static_cast<std::uint64_t>(node.count) * sizeof(PointId) +
           tested * sizeof(Point2));
-      ctx.count_flops(hashed * 4 + tested * 6);
+      ctx.count_flops(tested * 6);
     } else {
       for (std::uint32_t c = node.first; c < node.first + node.count; ++c) {
         stack[depth++] = c;
@@ -169,8 +138,8 @@ struct GlobalKernelBody {
     ctx.count_global_bytes(sizeof(Point2));
 
     StagedSink staged(sink);
-    for_each_neighbor(view, ScanMode::kFull, pid, point, eps2, QualitySpec{},
-                      ctx, [&](PointId candidate, bool hit) {
+    for_each_neighbor(view, ScanMode::kFull, pid, point, eps2, ctx,
+                      [&](PointId candidate, bool hit) {
                         if (!hit) return;
                         staged.push(NeighborPair{pid, candidate}, ctx);
                       });
@@ -306,7 +275,6 @@ struct CountBatchKernelBody {
   BatchSpec batch;
   std::uint32_t* counts;
   ScanMode mode;
-  QualitySpec quality;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -318,7 +286,7 @@ struct CountBatchKernelBody {
     std::uint32_t neighbors = 0;
     // In kHalf the counts are *forward-row* lengths — no atomics on other
     // rows; the host table assembly restores the back rows.
-    for_each_neighbor(view, mode, pid, point, eps2, quality, ctx,
+    for_each_neighbor(view, mode, pid, point, eps2, ctx,
                       [&](PointId, bool hit) { neighbors += hit; });
     counts[gid] = neighbors;
     ctx.count_global_bytes(sizeof(std::uint32_t));
@@ -346,7 +314,6 @@ struct FillCsrKernelBody {
   std::uint32_t total;
   PointId* values;
   ScanMode mode;
-  QualitySpec quality;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -368,7 +335,7 @@ struct FillCsrKernelBody {
     // Values go out through the emission map (identity on a whole index;
     // local->global on shard slabs), which buys the shard merge freedom
     // from ever touching individual pairs.
-    for_each_neighbor(view, mode, pid, point, eps2, quality, ctx,
+    for_each_neighbor(view, mode, pid, point, eps2, ctx,
                       [&](PointId candidate, bool hit) {
                         PointId* slot = written < len ? row + written : &spill;
                         *slot = view.emit(candidate);
@@ -401,7 +368,6 @@ struct FusedKernelBody {
   float eps2;
   BatchSpec batch;
   ScanMode mode;
-  QualitySpec quality;
   StreamingDbscan::FusedView fu;
   StreamingDbscan* sink;
 
@@ -419,7 +385,7 @@ struct FusedKernelBody {
     std::uint64_t seen = 0;
     std::uint64_t streamed = 0;
 
-    for_each_neighbor(view, mode, pid, point, eps2, quality, ctx,
+    for_each_neighbor(view, mode, pid, point, eps2, ctx,
                       [&](PointId cand, bool hit) {
       if (!hit) return;
       ++own_degree;  // self pair included: degree counts the point itself
@@ -472,7 +438,8 @@ struct FusedKernelBody {
 };
 
 /// Per-thread body of the estimation kernel: thread t counts the neighbors
-/// of sample point t * stride and contributes one atomic add.
+/// of sample point t * stride over the full stencil and contributes one
+/// atomic add.
 struct CountKernelBody {
   GridView view;
   float eps2;
@@ -486,20 +453,9 @@ struct CountKernelBody {
     const Point2 point = view.points[i];
     ctx.count_global_bytes(sizeof(Point2));
     std::uint64_t neighbors = 0;
-    std::array<std::uint32_t, 9> cell_ids{};
-    const unsigned ncells = get_neighbor_cells(
-        view.params, view.params.linear_cell(point), cell_ids);
-    for (unsigned c = 0; c < ncells; ++c) {
-      const CellRange range = view.cells[cell_ids[c] - view.cell_base];
-      ctx.count_global_bytes(sizeof(CellRange));
-      const std::uint32_t candidates = range.count();
-      ctx.count_global_bytes(static_cast<std::uint64_t>(candidates) *
-                             (sizeof(PointId) + sizeof(Point2)));
-      ctx.count_flops(static_cast<std::uint64_t>(candidates) * 6);
-      for (std::uint32_t a = range.begin; a < range.end; ++a) {
-        if (dist2(point, view.points[view.lookup[a]]) <= eps2) ++neighbors;
-      }
-    }
+    for_each_neighbor(view, ScanMode::kFull, static_cast<PointId>(i), point,
+                      eps2, ctx,
+                      [&](PointId, bool hit) { neighbors += hit; });
     total->fetch_add(neighbors, std::memory_order_relaxed);
     ctx.count_atomic();
   }
@@ -533,12 +489,10 @@ template <typename View>
 cudasim::KernelStats run_count_batch(cudasim::Device& device,
                                      const View& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
-                                     ScanMode mode, unsigned block_size,
-                                     QualitySpec quality) {
+                                     ScanMode mode, unsigned block_size) {
   return cudasim::run_flat_kernel(
       device, batch_grid_dim(view, batch, block_size), block_size,
-      CountBatchKernelBody<View>{view, eps * eps, batch, counts, mode,
-                                 quality});
+      CountBatchKernelBody<View>{view, eps * eps, batch, counts, mode});
 }
 
 template <typename View>
@@ -546,29 +500,27 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
                                   float eps, BatchSpec batch,
                                   const std::uint32_t* offsets,
                                   std::uint32_t total, PointId* values,
-                                  ScanMode mode, unsigned block_size,
-                                  QualitySpec quality) {
+                                  ScanMode mode, unsigned block_size) {
   return cudasim::run_flat_kernel(
       device, batch_grid_dim(view, batch, block_size), block_size,
       FillCsrKernelBody<View>{view, eps * eps, batch, offsets, total, values,
-                              mode, quality});
+                              mode});
 }
 
 template <typename View>
 cudasim::KernelStats run_fused_batch(cudasim::Device& device,
                                      const View& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
-                                     ScanMode mode, unsigned block_size,
-                                     QualitySpec quality) {
+                                     ScanMode mode, unsigned block_size) {
   return cudasim::run_flat_kernel(
       device, batch_grid_dim(view, batch, block_size), block_size,
-      FusedKernelBody<View>{view, eps * eps, batch, mode, quality,
-                            sink.fused_view(), &sink});
+      FusedKernelBody<View>{view, eps * eps, batch, mode, sink.fused_view(),
+                            &sink});
 }
 
 template <typename View>
 NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
-                             ScanMode mode, QualitySpec quality) {
+                             ScanMode mode) {
   NeighborTable shard(view.num_points);
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   if (points == 0) return shard;
@@ -576,8 +528,7 @@ NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
   std::vector<std::uint32_t> offsets(points);
   cudasim::run_flat_host(grid, kDefaultBlockSize,
                          CountBatchKernelBody<View>{view, eps * eps, batch,
-                                                    offsets.data(), mode,
-                                                    quality});
+                                                    offsets.data(), mode});
   // Counts become exclusive CSR offsets in place, as on the device.
   std::uint32_t total = 0;
   for (std::uint32_t& slot : offsets) total += std::exchange(slot, total);
@@ -585,50 +536,43 @@ NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
   cudasim::run_flat_host(grid, kDefaultBlockSize,
                          FillCsrKernelBody<View>{view, eps * eps, batch,
                                                  offsets.data(), total,
-                                                 values.data(), mode,
-                                                 quality});
+                                                 values.data(), mode});
   shard.append_csr_batch(batch.batch, batch.num_batches, offsets, values);
   return shard;
 }
 
 template <typename View>
 void host_fused_batch(const View& view, float eps, BatchSpec batch,
-                      StreamingDbscan& sink, ScanMode mode,
-                      QualitySpec quality) {
+                      StreamingDbscan& sink, ScanMode mode) {
   cudasim::run_flat_host(batch_grid_dim(view, batch, kDefaultBlockSize),
                          kDefaultBlockSize,
                          FusedKernelBody<View>{view, eps * eps, batch, mode,
-                                               quality, sink.fused_view(),
-                                               &sink});
+                                               sink.fused_view(), &sink});
 }
 
 #define HDBSCAN_TRAVERSAL_KERNELS(View)                                      \
   template cudasim::KernelStats run_count_batch<View>(                       \
       cudasim::Device&, const View&, float, BatchSpec, std::uint32_t*,       \
-      ScanMode, unsigned, QualitySpec);                                      \
+      ScanMode, unsigned);                                                   \
   template cudasim::KernelStats run_fill_csr<View>(                          \
       cudasim::Device&, const View&, float, BatchSpec, const std::uint32_t*, \
-      std::uint32_t, PointId*, ScanMode, unsigned, QualitySpec);             \
+      std::uint32_t, PointId*, ScanMode, unsigned);                          \
   template cudasim::KernelStats run_fused_batch<View>(                       \
       cudasim::Device&, const View&, float, BatchSpec, StreamingDbscan&,     \
-      ScanMode, unsigned, QualitySpec);
+      ScanMode, unsigned);
 HDBSCAN_TRAVERSAL_KERNELS(GridView)
 HDBSCAN_TRAVERSAL_KERNELS(GridView3)
 HDBSCAN_TRAVERSAL_KERNELS(BvhView)
 #undef HDBSCAN_TRAVERSAL_KERNELS
 
 template NeighborTable host_csr_batch<GridView>(const GridView&, float,
-                                                BatchSpec, ScanMode,
-                                                QualitySpec);
+                                                BatchSpec, ScanMode);
 template NeighborTable host_csr_batch<BvhView>(const BvhView&, float,
-                                               BatchSpec, ScanMode,
-                                               QualitySpec);
+                                               BatchSpec, ScanMode);
 template void host_fused_batch<GridView>(const GridView&, float, BatchSpec,
-                                         StreamingDbscan&, ScanMode,
-                                         QualitySpec);
+                                         StreamingDbscan&, ScanMode);
 template void host_fused_batch<BvhView>(const BvhView&, float, BatchSpec,
-                                        StreamingDbscan&, ScanMode,
-                                        QualitySpec);
+                                        StreamingDbscan&, ScanMode);
 
 std::size_t shared_kernel_smem_bytes(unsigned block_size) {
   return kSmemHeader +

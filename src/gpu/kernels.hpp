@@ -83,8 +83,7 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
 // pair-ownership rule by construction — that is what lets the degradation
 // ladder finish a device build's batches on the host.
 //
-// Every entry point takes a `mode` and a trailing `quality`. Under
-// ScanMode::kHalf each candidate pair is tested once and only the
+// Every entry point takes a `mode`. Under ScanMode::kHalf each candidate pair is tested once and only the
 // *forward* rows are emitted; the caller restores symmetry afterwards via
 // NeighborTable::assemble. On a grid a forward row is the
 // same-cell candidates at/after the query's lookup position plus the
@@ -93,12 +92,8 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
 // max_id < i are pruned outright. Either way every cross pair lands in
 // exactly one row — the cover the assembler's expansion and the streaming
 // consumer require — so the expanded tables are identical across indexes.
-// Under ClusterQuality::kSubsampled each candidate pair is run through the
-// seeded Bernoulli filter *before* the candidate's point is read, so a
-// dropped pair costs only the 4-byte id read plus the hash — the point
-// fetch and distance test are skipped. Self-pairs always pass. The
-// estimation kernel stays exact (the estimate is a property of the data);
-// the planner scales it by the sample rate instead.
+// Every tested candidate pays its point fetch and distance test; the
+// traversal has no per-pair filter, so every path that runs it is exact.
 //
 // `View` is GridView, GridView3 or BvhView (instantiated in kernels.cpp).
 
@@ -112,8 +107,7 @@ cudasim::KernelStats run_count_batch(cudasim::Device& device,
                                      const View& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
                                      ScanMode mode = ScanMode::kFull,
-                                     unsigned block_size = kDefaultBlockSize,
-                                     QualitySpec quality = {});
+                                     unsigned block_size = kDefaultBlockSize);
 
 /// Two-pass CSR builder, pass 2: fills neighbor ids into exact CSR slots.
 /// `offsets` is the exclusive prefix scan of the pass-1 counts and `total`
@@ -127,8 +121,7 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
                                   const std::uint32_t* offsets,
                                   std::uint32_t total, PointId* values,
                                   ScanMode mode = ScanMode::kFull,
-                                  unsigned block_size = kDefaultBlockSize,
-                                  QualitySpec quality = {});
+                                  unsigned block_size = kDefaultBlockSize);
 
 // --- Fused no-table clustering traversal (ClusterMode::kFused) -----------
 //
@@ -149,8 +142,7 @@ cudasim::KernelStats run_fused_batch(cudasim::Device& device,
                                      const View& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
                                      ScanMode mode = ScanMode::kHalf,
-                                     unsigned block_size = kDefaultBlockSize,
-                                     QualitySpec quality = {});
+                                     unsigned block_size = kDefaultBlockSize);
 
 // --- Host execution of the same bodies -----------------------------------
 
@@ -163,24 +155,23 @@ cudasim::KernelStats run_fused_batch(cudasim::Device& device,
 /// only.
 template <typename View>
 NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
-                             ScanMode mode = ScanMode::kFull,
-                             QualitySpec quality = {});
+                             ScanMode mode = ScanMode::kFull);
 
 /// One fused batch on the host: the fused body's degrees, unions and
 /// parked edges land in `sink` exactly as from run_fused_batch. Grid and
 /// BVH views only.
 template <typename View>
 void host_fused_batch(const View& view, float eps, BatchSpec batch,
-                      StreamingDbscan& sink, ScanMode mode = ScanMode::kHalf,
-                      QualitySpec quality = {});
+                      StreamingDbscan& sink, ScanMode mode = ScanMode::kHalf);
 
 /// Shared-memory bytes GPUCalcShared needs for a given block size (origin
 /// and comparison tiles plus the neighbor-cell-id scratch).
 [[nodiscard]] std::size_t shared_kernel_smem_bytes(unsigned block_size);
 
 /// Result-size estimation kernel: counts |N_eps(p_i)| for points
-/// i = 0, stride, 2*stride, ... and returns the raw sampled count e_b.
-/// Runs synchronously; negligible cost by design (no result set).
+/// i = 0, stride, 2*stride, ... over the shared kFull grid traversal and
+/// returns the raw sampled count e_b. Runs synchronously; negligible cost
+/// by design (no result set).
 std::uint64_t run_count_kernel(cudasim::Device& device, const GridView& view,
                                float eps, std::uint32_t sample_stride,
                                cudasim::KernelStats* stats_out = nullptr,

@@ -57,14 +57,12 @@ struct JobSpec {
   /// the union-find threshold is baked into the traversal. The index
   /// backend comes from the service's BatchPolicy (--index=).
   bool fused = false;
-  /// Quality knob for this request (DESIGN.md §16). kExact (the default)
-  /// inherits the service policy's quality; a non-exact spec overrides it
-  /// for this job only. Quality is part of the coalescing identity and of
-  /// the TableCache key, so an exact job can never adopt a subsampled
-  /// table (and vice versa), and two subsampled jobs share a build only
-  /// when mode, rate, and seed all match. kCellGraph is incompatible with
-  /// `fused` (the cell graph replaces the traversal the fused path would
-  /// fuse into) and such jobs are rejected at admission with a reason.
+  /// Quality knob for this request (DESIGN.md §16); the job is served
+  /// under this spec alone. Quality is part of the coalescing identity, so
+  /// exact and cell-graph jobs never share a run, and a cell-graph job
+  /// never reaches the TableCache. kCellGraph is incompatible with `fused`
+  /// (the cell graph replaces the traversal the fused path would fuse
+  /// into) and such jobs are rejected at admission with a reason.
   QualitySpec quality{};
 };
 

@@ -32,31 +32,6 @@ std::uint32_t eps_bits(float eps) noexcept {
   return bits;
 }
 
-/// The quality a job is actually served under: an exact (default) spec
-/// inherits the service policy's quality, so an operator can flip the
-/// whole service to a cheaper mode without touching clients; a non-exact
-/// spec overrides the policy for that job alone.
-QualitySpec effective_quality(const JobSpec& spec,
-                              const BatchPolicy& policy) noexcept {
-  return spec.quality.mode == ClusterQuality::kExact ? policy.quality
-                                                     : spec.quality;
-}
-
-/// Cache key for a group's build. Rate/seed only discriminate subsampled
-/// entries; for exact (and the never-cached cell-graph) they stay at the
-/// Key defaults so exact keys are unchanged from before the quality knob.
-TableCache::Key make_key(const JobSpec& lead, const QualitySpec& q,
-                         const BatchPolicy& policy) {
-  TableCache::Key key{lead.dataset, eps_bits(lead.eps), policy.index_backend,
-                      policy.scan_mode};
-  key.quality = q.mode;
-  if (q.mode == ClusterQuality::kSubsampled) {
-    key.sample_rate_bits = q.sample_rate_bits();
-    key.sample_seed = q.seed;
-  }
-  return key;
-}
-
 void publish_outcome(JobState state) {
   obs::Registry::global()
       .counter("service_requests",
@@ -254,8 +229,8 @@ void ClusterService::submit_locked(PendingPtr job, ReplayState& rs) {
     record_terminal(*job, rs, JobState::kRejected, std::move(r));
     return;
   }
-  const QualitySpec jq = effective_quality(job->spec, options_.policy);
-  if (job->spec.fused && jq.mode == ClusterQuality::kCellGraph) {
+  if (job->spec.fused &&
+      job->spec.quality.mode == ClusterQuality::kCellGraph) {
     JobResult r;
     r.reject_reason =
         "fused is incompatible with cellgraph quality: the cell graph "
@@ -264,26 +239,7 @@ void ClusterService::submit_locked(PendingPtr job, ReplayState& rs) {
     record_terminal(*job, rs, JobState::kRejected, std::move(r));
     return;
   }
-  if (jq.mode == ClusterQuality::kSubsampled &&
-      (jq.sample_rate <= 0.0f || jq.sample_rate > 1.0f)) {
-    JobResult r;
-    r.reject_reason = "subsampled quality requires sample_rate in (0, 1], got " +
-                      std::to_string(jq.sample_rate);
-    job->admission_seconds = admission_timer.seconds();
-    record_terminal(*job, rs, JobState::kRejected, std::move(r));
-    return;
-  }
-  auto [pairs, bytes] = price(job->spec.dataset, job->spec.eps);
-  if (jq.sampled()) {
-    // Admission prices what the build will actually emit: a subsampled
-    // build keeps ~rate of the pairs, so charging the exact price would
-    // reject the very jobs the knob exists to admit.
-    pairs = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(static_cast<double>(pairs) *
-                                      jq.sample_rate));
-    bytes = pairs * sizeof(PointId) +
-            ds->second.points.size() * 2 * sizeof(std::uint32_t);
-  }
+  const auto [pairs, bytes] = price(job->spec.dataset, job->spec.eps);
   job->priced_pairs = pairs;
   job->priced_bytes = bytes;
   rs.results[job->index].priced_pairs = pairs;
@@ -368,21 +324,21 @@ ClusterService::PendingPtr ClusterService::pop_group(
     // Fused jobs only coalesce with fused jobs of the same minpts: the
     // union-find threshold is baked into the fused traversal, and a
     // table job cannot share a build that produces no table.
-    // Quality is part of the build's identity too: an exact job must
-    // never ride a subsampled build (it would silently get approximate
-    // labels), and subsampled jobs only share when rate and seed match.
+    // Quality is part of the build's identity too: an exact job never
+    // rides a cell-graph run (it would get no table) and vice versa.
     // Cell-graph "builds" are the whole clustering, so like fused they
     // additionally require equal minpts.
-    const QualitySpec lead_q = effective_quality(leader->spec, options_.policy);
+    const bool needs_equal_minpts =
+        leader->spec.fused ||
+        leader->spec.quality.mode == ClusterQuality::kCellGraph;
     for (auto& per_class : queues_) {
       for (auto& [tenant, q] : per_class) {
         for (auto it = q.begin(); it != q.end();) {
           if ((*it)->spec.dataset == leader->spec.dataset &&
               eps_bits((*it)->spec.eps) == eps_bits(leader->spec.eps) &&
               (*it)->spec.fused == leader->spec.fused &&
-              effective_quality((*it)->spec, options_.policy) == lead_q &&
-              (!(leader->spec.fused ||
-                 lead_q.mode == ClusterQuality::kCellGraph) ||
+              (*it)->spec.quality == leader->spec.quality &&
+              (!needs_equal_minpts ||
                (*it)->spec.minpts == leader->spec.minpts)) {
             remove_queued_locked(**it);
             // The member's work happens under the leader's request id;
@@ -600,8 +556,9 @@ void ClusterService::process_group(PendingPtr leader,
 
   const JobSpec& lead = runnable.front()->spec;
   const Dataset& ds = datasets_.at(lead.dataset);
-  const QualitySpec quality = effective_quality(lead, options_.policy);
-  const TableCache::Key key = make_key(lead, quality, options_.policy);
+  const TableCache::Key key{lead.dataset, eps_bits(lead.eps),
+                            options_.policy.index_backend,
+                            options_.policy.scan_mode};
   const bool coalesced_build = runnable.size() > 1;
   if (coalesced_build) {
     std::lock_guard slock(stats_mutex_);
@@ -618,7 +575,7 @@ void ClusterService::process_group(PendingPtr leader,
   // the eps/sqrt(d) cell grid — no neighbor table, no cache entry, no
   // device occupancy. Coalescing guaranteed equal minpts, so one run
   // serves the group; labels come back in input order (no unmap). ---
-  if (quality.mode == ClusterQuality::kCellGraph) {
+  if (lead.quality.mode == ClusterQuality::kCellGraph) {
     const cudasim::DeviceConfig* cfg = nullptr;
     for (cudasim::Device* d : devices_) {
       if (!d->lost()) {
@@ -685,10 +642,8 @@ void ClusterService::process_group(PendingPtr leader,
     RequestScope scope(job.trace);
     const double start = std::max(clock, job.spec.arrival_seconds);
     WallTimer t;
-    // Subsampled tables carry ~rate of each row; the SNG-rescaled
-    // threshold keeps the same points core in expectation.
-    const ClusterResult labels = dbscan_neighbor_table(
-        entry.table, quality.scaled_minpts(job.spec.minpts));
+    const ClusterResult labels =
+        dbscan_neighbor_table(entry.table, job.spec.minpts);
     clock = start + device_share + t.seconds();
     JobResult r;
     r.cache_hit = cache_hit;
@@ -748,8 +703,7 @@ void ClusterService::process_group(PendingPtr leader,
     GridIndex index = build_grid_index(ds.points, lead.eps);
     CachedTable entry;
     entry.table = gpu::host_csr_batch(GridView::of(index), lead.eps,
-                                      gpu::BatchSpec{0, 1}, ScanMode::kFull,
-                                      quality);
+                                      gpu::BatchSpec{0, 1}, ScanMode::kFull);
     entry.table.canonicalize();
     entry.original_ids = std::move(index.original_ids);
     entry.bytes = CachedTable::payload_bytes(entry.table);
@@ -775,9 +729,6 @@ void ClusterService::process_group(PendingPtr leader,
   cudasim::Device& device = *devices_[static_cast<std::size_t>(dev)];
   BatchPolicy bp = options_.policy;
   bp.metrics_labels = "service=1";
-  // The group's effective quality governs the kernels: subsampled jobs
-  // Bernoulli-filter candidate pairs at traversal time on the device.
-  bp.quality = quality;
   // Belt and braces: the builder re-installs this context on its pump
   // thread even if a future caller launches builds from an unscoped
   // thread.
@@ -804,8 +755,7 @@ void ClusterService::process_group(PendingPtr leader,
       // unions both-core edges for the whole group (coalescing guaranteed
       // equal minpts), nothing is materialized or cached. Hard failures
       // fall through to the breaker + retry ladder like any build.
-      StreamingDbscan consumer(index.size(),
-                               quality.scaled_minpts(lead.minpts));
+      StreamingDbscan consumer(index.size(), lead.minpts);
       if (token != nullptr) consumer.set_cancel_token(token);
       const BuildReport report =
           fused_cluster(device, index, lead.eps, consumer, bp);
@@ -877,8 +827,8 @@ void ClusterService::process_group(PendingPtr leader,
     std::vector<std::unique_ptr<StreamingDbscan>> clusterers;
     FanoutSink fanout;
     for (auto& job : runnable) {
-      clusterers.push_back(std::make_unique<StreamingDbscan>(
-          index.size(), quality.scaled_minpts(job->spec.minpts)));
+      clusterers.push_back(
+          std::make_unique<StreamingDbscan>(index.size(), job->spec.minpts));
       if (token != nullptr) clusterers.back()->set_cancel_token(token);
       fanout.add(clusterers.back().get());
     }

@@ -54,20 +54,12 @@ class TableCache {
     /// hit) its own entries.
     IndexBackend backend = IndexBackend::kGrid;
     ScanMode scan_mode = ScanMode::kHalf;
-    /// Quality identity of the build (DESIGN.md §16). A subsampled table
-    /// is missing an adversarially-chosen subset of every row, so it must
-    /// never serve an exact request — and two subsampled builds only
-    /// share rows when mode, rate bit-pattern, and seed all agree. Keying
-    /// on all three partitions the cache per quality configuration.
-    ClusterQuality quality = ClusterQuality::kExact;
-    std::uint32_t sample_rate_bits = 0;
-    std::uint64_t sample_seed = 0;
+    // Every cached table is exact: cell-graph and fused groups return
+    // before the cache, so the key carries no quality.
 
     bool operator==(const Key& o) const noexcept {
       return eps_bits == o.eps_bits && backend == o.backend &&
-             scan_mode == o.scan_mode && quality == o.quality &&
-             sample_rate_bits == o.sample_rate_bits &&
-             sample_seed == o.sample_seed && dataset == o.dataset;
+             scan_mode == o.scan_mode && dataset == o.dataset;
     }
   };
 
@@ -160,10 +152,7 @@ class TableCache {
     std::size_t operator()(const Key& k) const noexcept {
       return std::hash<std::string>{}(k.dataset) * 1000003u ^ k.eps_bits ^
              (static_cast<std::size_t>(k.backend) * 0x9e3779b9u) ^
-             (static_cast<std::size_t>(k.scan_mode) * 0x85ebca6bu) ^
-             (static_cast<std::size_t>(k.quality) * 0xc2b2ae35u) ^
-             (static_cast<std::size_t>(k.sample_rate_bits) * 0x27d4eb2fu) ^
-             static_cast<std::size_t>(k.sample_seed * 0x9e3779b97f4a7c15ull);
+             (static_cast<std::size_t>(k.scan_mode) * 0x85ebca6bu);
     }
   };
 

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/neighbor_table_builder.hpp"
 #include "core/shard_planner.hpp"
 #include "data/generators.hpp"
 #include "dbscan/dbscan_parallel.hpp"
@@ -119,14 +118,6 @@ TEST(NeighborTable, SymmetricNeighborhoods) {
 // gpu::host_fused_batch) against the independent grid_query oracle.
 // ---------------------------------------------------------------------------
 
-cudasim::SimulationOptions fast_options() {
-  cudasim::SimulationOptions opt;
-  opt.throttle_transfers = false;
-  opt.throttle_pinned_alloc = false;
-  opt.executor_threads = 2;
-  return opt;
-}
-
 void expect_identical(NeighborTable got, NeighborTable want) {
   got.canonicalize();
   want.canonicalize();
@@ -140,12 +131,10 @@ void expect_identical(NeighborTable got, NeighborTable want) {
 /// assembly.
 template <typename View>
 NeighborTable host_table(const View& view, float eps,
-                         std::uint32_t num_batches, ScanMode mode,
-                         QualitySpec quality = {}) {
+                         std::uint32_t num_batches, ScanMode mode) {
   std::vector<NeighborTable> parts;
   for (std::uint32_t l = 0; l < num_batches; ++l) {
-    parts.push_back(
-        gpu::host_csr_batch(view, eps, {l, num_batches}, mode, quality));
+    parts.push_back(gpu::host_csr_batch(view, eps, {l, num_batches}, mode));
   }
   NeighborTable merged(view.num_points);
   (void)merged.assemble(std::move(parts), mode == ScanMode::kHalf, 3);
@@ -215,24 +204,6 @@ TEST(HostCsrBatch, ShardSlabsEmitGlobalIdsAndMergeToOracle) {
       (void)merged.assemble(std::move(parts), mode == ScanMode::kHalf, 4);
       expect_identical(std::move(merged), s.oracle);
     }
-  }
-}
-
-TEST(HostCsrBatch, SubsampledEqualsDeviceBuildWithSameSpec) {
-  const HostScenario s = host_scenario();
-  const QualitySpec quality{ClusterQuality::kSubsampled, 0.3f, 23};
-  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
-    SCOPED_TRACE(mode == ScanMode::kHalf ? "kHalf" : "kFull");
-    BatchPolicy policy;
-    policy.scan_mode = mode;
-    policy.quality = quality;
-    cudasim::Device device({}, fast_options());
-    const NeighborTable device_table =
-        NeighborTableBuilder(device, policy).build(s.index, s.eps);
-    NeighborTable host =
-        host_table(GridView::of(s.index), s.eps, 4, mode, quality);
-    EXPECT_LT(host.total_pairs(), s.oracle.total_pairs());
-    expect_identical(std::move(host), device_table);
   }
 }
 

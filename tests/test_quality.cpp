@@ -1,8 +1,7 @@
-// The quality knob (DESIGN.md §16): QualitySpec's seeded per-pair
-// Bernoulli sampling, the SNG-rescaled core threshold, subsampled-mode
-// determinism across backends and cluster modes, and cell-graph DBSCAN's
-// agreement with the exact pipelines on separable data and with a
-// brute-force reference of its own definition on adversarial inputs.
+// The quality knob (DESIGN.md §16): cell-graph DBSCAN's routing through
+// hybrid_dbscan, its agreement with the exact pipelines on separable data
+// and with a brute-force reference of its own definition on adversarial
+// inputs.
 #include "common/types.hpp"
 
 #include <gtest/gtest.h>
@@ -39,8 +38,8 @@ cudasim::SimulationOptions fast_options() {
 
 /// Four dense clusters on a 20-unit grid pitch, ~1 unit across each: at
 /// eps = 0.5 every cluster is internally dense and the gaps are > 19
-/// units, so exact, subsampled, and cell-graph runs must all recover the
-/// same four-way partition (rand index 1 up to stray border points).
+/// units, so exact and cell-graph runs must both recover the same
+/// four-way partition (rand index 1 up to stray border points).
 std::vector<Point2> separated_clusters(std::size_t per_cluster) {
   const float cx[4] = {5.0f, 25.0f, 5.0f, 25.0f};
   const float cy[4] = {5.0f, 5.0f, 25.0f, 25.0f};
@@ -57,124 +56,6 @@ std::vector<Point2> separated_clusters(std::size_t per_cluster) {
     }
   }
   return pts;
-}
-
-// ---------------------------------------------------------------------------
-// QualitySpec
-// ---------------------------------------------------------------------------
-
-TEST(QualitySpec, SelfPairsAndRateOneAlwaysKept) {
-  QualitySpec exact;
-  EXPECT_FALSE(exact.sampled());
-  EXPECT_TRUE(exact.keep_pair(3, 99));
-
-  QualitySpec full{ClusterQuality::kSubsampled, 1.0f, 42};
-  EXPECT_FALSE(full.sampled());
-  for (PointId i = 0; i < 100; ++i) EXPECT_TRUE(full.keep_pair(i, i + 1));
-
-  QualitySpec tiny{ClusterQuality::kSubsampled, 0.01f, 42};
-  EXPECT_TRUE(tiny.sampled());
-  for (PointId i = 0; i < 100; ++i) EXPECT_TRUE(tiny.keep_pair(i, i));
-}
-
-TEST(QualitySpec, KeepPairIsSymmetricAndSeedDeterministic) {
-  QualitySpec q{ClusterQuality::kSubsampled, 0.5f, 1234};
-  QualitySpec same{ClusterQuality::kSubsampled, 0.5f, 1234};
-  QualitySpec other{ClusterQuality::kSubsampled, 0.5f, 1235};
-  bool any_disagreement_across_seeds = false;
-  for (PointId a = 0; a < 200; ++a) {
-    for (PointId b = a + 1; b < a + 20; ++b) {
-      EXPECT_EQ(q.keep_pair(a, b), q.keep_pair(b, a));
-      EXPECT_EQ(q.keep_pair(a, b), same.keep_pair(a, b));
-      if (q.keep_pair(a, b) != other.keep_pair(a, b)) {
-        any_disagreement_across_seeds = true;
-      }
-    }
-  }
-  EXPECT_TRUE(any_disagreement_across_seeds);
-}
-
-TEST(QualitySpec, KeepRateTracksSampleRate) {
-  QualitySpec q{ClusterQuality::kSubsampled, 0.3f, 7};
-  std::uint64_t kept = 0;
-  const std::uint64_t trials = 100000;
-  for (std::uint64_t i = 0; i < trials; ++i) {
-    if (q.keep_pair(static_cast<PointId>(i), static_cast<PointId>(i + 1))) {
-      ++kept;
-    }
-  }
-  const double rate = static_cast<double>(kept) / static_cast<double>(trials);
-  EXPECT_NEAR(rate, 0.3, 0.02);
-}
-
-TEST(QualitySpec, ScaledMinptsFollowsSngRescaling) {
-  QualitySpec exact;
-  EXPECT_EQ(exact.scaled_minpts(8), 8);
-  QualitySpec half{ClusterQuality::kSubsampled, 0.5f, 0};
-  EXPECT_EQ(half.scaled_minpts(8), 4);
-  QualitySpec tiny{ClusterQuality::kSubsampled, 0.01f, 0};
-  EXPECT_EQ(tiny.scaled_minpts(8), 1);  // floor at 1, never 0
-  QualitySpec cg{ClusterQuality::kCellGraph, 0.5f, 0};
-  EXPECT_EQ(cg.scaled_minpts(8), 8);  // rescaling is a sampling concept
-}
-
-// ---------------------------------------------------------------------------
-// Subsampled mode, end to end
-// ---------------------------------------------------------------------------
-
-TEST(SubsampledMode, DeterministicForFixedSeedAndNearExactOnSeparatedData) {
-  cudasim::Device device{cudasim::DeviceConfig{}, fast_options()};
-  const auto points = separated_clusters(200);
-  const float eps = 0.5f;
-  const int minpts = 8;
-
-  const ClusterResult exact = hybrid_dbscan(device, points, eps, minpts);
-  ASSERT_EQ(exact.num_clusters, 4);
-
-  BatchPolicy sampled;
-  sampled.quality = {ClusterQuality::kSubsampled, 0.3f, 99};
-  const ClusterResult a =
-      hybrid_dbscan(device, points, eps, minpts, nullptr, sampled);
-  const ClusterResult b =
-      hybrid_dbscan(device, points, eps, minpts, nullptr, sampled);
-  // Bit-identical labels across runs for a fixed seed: sampling is a pure
-  // function of (seed, pair), independent of batching or retry history.
-  EXPECT_EQ(a.labels, b.labels);
-  EXPECT_GE(rand_index(a.labels, exact.labels), 0.99);
-  EXPECT_EQ(a.num_clusters, 4);
-}
-
-TEST(SubsampledMode, GridAndBvhBackendsSampleTheSamePairSet) {
-  cudasim::Device device{cudasim::DeviceConfig{}, fast_options()};
-  const auto points = separated_clusters(150);
-  BatchPolicy grid;
-  grid.quality = {ClusterQuality::kSubsampled, 0.4f, 17};
-  BatchPolicy bvh = grid;
-  bvh.index_backend = IndexBackend::kBvh;
-  const ClusterResult g =
-      hybrid_dbscan(device, points, 0.5f, 8, nullptr, grid);
-  const ClusterResult t =
-      hybrid_dbscan(device, points, 0.5f, 8, nullptr, bvh);
-  // The Bernoulli decision hashes resident point ids, not traversal
-  // order, so both backends drop exactly the same pairs.
-  EXPECT_EQ(g.labels, t.labels);
-}
-
-TEST(SubsampledMode, StreamingAndFusedAgreeWithTheBatchTable) {
-  cudasim::Device device{cudasim::DeviceConfig{}, fast_options()};
-  const auto points = separated_clusters(150);
-  BatchPolicy policy;
-  policy.quality = {ClusterQuality::kSubsampled, 0.35f, 5};
-  const ClusterResult batch = hybrid_dbscan(device, points, 0.5f, 8, nullptr,
-                                            policy, ClusterMode::kBatchTable);
-  const ClusterResult stream = hybrid_dbscan(device, points, 0.5f, 8, nullptr,
-                                             policy, ClusterMode::kStreaming);
-  const ClusterResult fused = hybrid_dbscan(device, points, 0.5f, 8, nullptr,
-                                            policy, ClusterMode::kFused);
-  EXPECT_EQ(batch.num_clusters, stream.num_clusters);
-  EXPECT_EQ(batch.num_clusters, fused.num_clusters);
-  EXPECT_DOUBLE_EQ(rand_index(batch.labels, stream.labels), 1.0);
-  EXPECT_DOUBLE_EQ(rand_index(batch.labels, fused.labels), 1.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -589,91 +589,43 @@ TEST(ClusterServiceTest, FusedJobsBypassAResidentCacheEntry) {
 // Quality knob (DESIGN.md §16)
 // ---------------------------------------------------------------------------
 
-/// Regression: the cache key must include the quality mode, sample rate,
-/// and seed. A subsampled table is missing a seeded subset of every row;
-/// serving it to an exact job (or to a subsampled job with a different
-/// rate/seed) would silently return approximate labels for an exact
-/// request.
-TEST(TableCacheTest, KeyIncludesQualityModeRateAndSeed) {
-  TableCache cache(1000);
-  const TableCache::Key exact{"d", 1, IndexBackend::kGrid, ScanMode::kHalf};
-  TableCache::Key sub = exact;
-  sub.quality = ClusterQuality::kSubsampled;
-  sub.sample_rate_bits = 0x3e99999a;  // 0.3f
-  sub.sample_seed = 7;
-  { auto h = cache.insert(exact, make_entry(4, 100)); }
-  EXPECT_TRUE(cache.contains(exact));
-  EXPECT_FALSE(cache.find(sub));
-  { auto h = cache.insert(sub, make_entry(4, 100)); }
-  EXPECT_EQ(cache.size(), 2u);
-  // Different seed or rate: yet another entry.
-  TableCache::Key other_seed = sub;
-  other_seed.sample_seed = 8;
-  EXPECT_FALSE(cache.find(other_seed));
-  TableCache::Key other_rate = sub;
-  other_rate.sample_rate_bits = 0x3f000000;  // 0.5f
-  EXPECT_FALSE(cache.find(other_rate));
-}
-
-/// The end-to-end version of the same regression: with the cache hot from
-/// a subsampled build, an exact job with the same (dataset, eps) must
-/// miss, build its own table, and insert a second entry — and vice versa
-/// a later subsampled job with the same spec must hit its own entry.
-TEST(ClusterServiceTest, ExactJobNeverAdoptsASubsampledTable) {
+/// Exact and cell-graph jobs on one (dataset, eps) never share work: the
+/// cache key carries no quality, so this rests on the coalescing equality
+/// and on the cell-graph branch returning before the cache.
+TEST(ClusterServiceTest,
+     ExactAndCellGraphJobsOnOneEpsNeverShareABuildOrCacheEntry) {
   ServiceFixture f;
   ServiceOptions opt;
   opt.num_workers = 1;
   opt.cache_bytes_budget = 256ull << 20;
   opt.keep_labels = true;
   auto svc = f.make(opt);
-  JobSpec sub = job(0.5f, 8);
-  sub.quality = {ClusterQuality::kSubsampled, 0.3f, 7};
-  const auto first = svc->replay({sub, job(0.5f, 8)});
+  JobSpec cg = job(0.5f, 8);
+  cg.quality.mode = ClusterQuality::kCellGraph;
+  const JobSpec exact = job(0.5f, 8);
+  const auto first = svc->replay({cg, exact});
   ASSERT_EQ(first.size(), 2u);
   ASSERT_EQ(first[0].state, JobState::kCompleted);
   ASSERT_EQ(first[1].state, JobState::kCompleted);
-  // Quality differs, so no coalescing and no cache sharing: two builds,
-  // two entries.
   EXPECT_FALSE(first[0].coalesced);
   EXPECT_FALSE(first[1].coalesced);
-  EXPECT_FALSE(first[0].cache_hit);
-  EXPECT_FALSE(first[1].cache_hit);
-  EXPECT_EQ(svc->cache().size(), 2u);
   EXPECT_EQ(svc->stats().coalesced_builds, 0u);
+  EXPECT_EQ(svc->stats().cell_graph_jobs, 1u);
+  EXPECT_EQ(svc->cache().size(), 1u);  // the exact table only
 
-  // Replays against the hot cache: each quality hits its own entry.
-  const auto exact_again = svc->replay({job(0.5f, 8)});
+  // The cell-graph job runs its own pass again, even with the exact
+  // table for its (dataset, eps) resident.
+  const auto cg_again = svc->replay({cg});
+  ASSERT_EQ(cg_again[0].state, JobState::kCompleted);
+  EXPECT_FALSE(cg_again[0].cache_hit);
+  EXPECT_EQ(svc->stats().cell_graph_jobs, 2u);
+  EXPECT_EQ(cg_again[0].labels, first[0].labels);
+
+  const auto exact_again = svc->replay({exact});
   ASSERT_EQ(exact_again[0].state, JobState::kCompleted);
   EXPECT_TRUE(exact_again[0].cache_hit);
   EXPECT_EQ(exact_again[0].labels, first[1].labels);
-  const auto sub_again = svc->replay({sub});
-  ASSERT_EQ(sub_again[0].state, JobState::kCompleted);
-  EXPECT_TRUE(sub_again[0].cache_hit);
-  EXPECT_EQ(sub_again[0].labels, first[0].labels);
-}
-
-TEST(ClusterServiceTest, SubsampledJobsCoalesceOnlyOnMatchingRateAndSeed) {
-  ServiceFixture f;
-  ServiceOptions opt;
-  opt.num_workers = 1;
-  opt.cache_bytes_budget = 256ull << 20;
-  opt.keep_labels = true;
-  auto svc = f.make(opt);
-  JobSpec a = job(0.5f, 8, Priority::kNormal, "t0");
-  JobSpec b = job(0.5f, 8, Priority::kNormal, "t1");
-  JobSpec c = job(0.5f, 8, Priority::kNormal, "t2");
-  a.quality = {ClusterQuality::kSubsampled, 0.3f, 7};
-  b.quality = a.quality;
-  c.quality = {ClusterQuality::kSubsampled, 0.3f, 8};  // different seed
-  const auto results = svc->replay({a, b, c});
-  ASSERT_EQ(results.size(), 3u);
-  for (const JobResult& r : results) {
-    ASSERT_EQ(r.state, JobState::kCompleted);
-  }
-  const service::ServiceStats s = svc->stats();
-  EXPECT_EQ(s.coalesced_builds, 1u);
-  EXPECT_EQ(s.coalesced_jobs, 1u);
-  EXPECT_EQ(results[0].labels, results[1].labels);
+  EXPECT_EQ(svc->cache().size(), 1u);
 }
 
 TEST(ClusterServiceTest, CellGraphJobCompletesWithoutTableOrDevice) {
@@ -742,34 +694,6 @@ TEST(ClusterServiceTest, FusedCellGraphIsRejectedWithReason) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].state, JobState::kRejected);
   EXPECT_NE(results[0].reject_reason.find("cellgraph"), std::string::npos);
-}
-
-TEST(ClusterServiceTest, InvalidSampleRateIsRejectedWithReason) {
-  ServiceFixture f;
-  auto svc = f.make({});
-  JobSpec bad = job(0.5f, 4);
-  bad.quality = {ClusterQuality::kSubsampled, 1.5f, 0};
-  const auto results = svc->replay({bad});
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].state, JobState::kRejected);
-  EXPECT_NE(results[0].reject_reason.find("sample_rate"), std::string::npos);
-}
-
-/// Admission prices what a subsampled build will actually emit: ~rate of
-/// the exact pair count — charging the exact price would reject the very
-/// jobs the quality knob exists to admit.
-TEST(ClusterServiceTest, SubsampledJobsArePricedAtTheSampledRate) {
-  ServiceFixture f;
-  ServiceOptions opt;
-  opt.num_workers = 1;
-  auto svc = f.make(opt);
-  JobSpec sub = job(0.5f, 8);
-  sub.quality = {ClusterQuality::kSubsampled, 0.25f, 7};
-  const auto results = svc->replay({job(0.5f, 8), sub});
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_GT(results[0].priced_pairs, 0u);
-  EXPECT_GT(results[1].priced_pairs, 0u);
-  EXPECT_LT(results[1].priced_pairs, results[0].priced_pairs / 2);
 }
 
 TEST(ClusterServiceTest, PublishesRequestOutcomeCounters) {

@@ -127,8 +127,7 @@ int usage() {
       "  hdbscan_cli gen <SW1|SW4|SDSS1|SDSS2|SDSS3|uniform> <n> <out>\n"
       "  hdbscan_cli cluster <in> <eps> <minpts> [labels_out] [--map]"
       " [--streaming] [--fused] [--index=grid|bvh] [--shards k]\n"
-      "               [--quality=exact|subsampled|cellgraph]"
-      " [--sample-rate=S] [--quality-seed=SEED]\n"
+      "               [--quality=exact|cellgraph]\n"
       "  hdbscan_cli sweep <in> <eps_lo> <eps_hi> <step> <minpts>\n"
       "  hdbscan_cli reuse <in> <eps> <minpts,minpts,...> [threads]\n"
       "  hdbscan_cli table <in> <eps> <table_out.bin>\n"
@@ -187,14 +186,13 @@ int cmd_gen(int argc, char** argv) {
 }
 
 int cmd_cluster(int argc, char** argv) {
-  // Strip --streaming/--fused/--index/--shards wherever they appear so the
-  // positional args keep their places.
+  // Strip --streaming/--fused/--quality/--index/--shards wherever they
+  // appear so the positional args keep their places.
   bool streaming = false;
   bool fused = false;
   IndexBackend backend = IndexBackend::kGrid;
   unsigned shards = 0;
   QualitySpec quality;
-  bool sample_rate_set = false;
   for (int i = 2; i < argc;) {
     int consumed = 0;
     if (std::strcmp(argv[i], "--streaming") == 0) {
@@ -207,17 +205,15 @@ int cmd_cluster(int argc, char** argv) {
       const auto parsed = parse_cluster_quality(argv[i] + 10);
       if (!parsed) {
         std::fprintf(stderr, "cluster: unknown quality '%s'"
-                     " (exact|subsampled|cellgraph)\n", argv[i] + 10);
+                     " (exact|cellgraph)%s\n", argv[i] + 10,
+                     std::strcmp(argv[i] + 10, "subsampled") == 0
+                         ? "; subsampled was retired: the cell graph beat"
+                           " it on every quality_frontier row of"
+                           " bench_table_build"
+                         : "");
         return 2;
       }
       quality.mode = *parsed;
-      consumed = 1;
-    } else if (std::strncmp(argv[i], "--sample-rate=", 14) == 0) {
-      quality.sample_rate = std::strtof(argv[i] + 14, nullptr);
-      sample_rate_set = true;
-      consumed = 1;
-    } else if (std::strncmp(argv[i], "--quality-seed=", 15) == 0) {
-      quality.seed = std::strtoull(argv[i] + 15, nullptr, 10);
       consumed = 1;
     } else if (std::strncmp(argv[i], "--index=", 8) == 0) {
       const auto parsed = parse_index_backend(argv[i] + 8);
@@ -242,23 +238,22 @@ int cmd_cluster(int argc, char** argv) {
     for (int j = i; j + consumed < argc; ++j) argv[j] = argv[j + consumed];
     argc -= consumed;
   }
+  // Whatever flag is left is one this command does not know; it must not
+  // be taken for the labels path.
+  for (int i = 2; i < argc; ++i) {
+    const bool map = std::strcmp(argv[i], "--map") == 0;
+    if (std::strncmp(argv[i], "--", 2) == 0 && !(map && i == argc - 1)) {
+      std::fprintf(stderr, "cluster: unknown flag '%s'%s\n", argv[i],
+                   map ? " (--map goes last)" : "");
+      return 2;
+    }
+  }
   if (argc < 5) return usage();
   if (quality.mode == ClusterQuality::kCellGraph && fused) {
     std::fprintf(stderr,
                  "cluster: --quality=cellgraph is incompatible with --fused:"
                  " the cell graph replaces the traversal kernel the fused"
                  " path would fuse into\n");
-    return 2;
-  }
-  if (sample_rate_set && quality.mode != ClusterQuality::kSubsampled) {
-    std::fprintf(stderr,
-                 "cluster: --sample-rate requires --quality=subsampled\n");
-    return 2;
-  }
-  if (quality.mode == ClusterQuality::kSubsampled &&
-      !(quality.sample_rate > 0.0f && quality.sample_rate <= 1.0f)) {
-    std::fprintf(stderr, "cluster: --sample-rate must be in (0, 1], got %g\n",
-                 static_cast<double>(quality.sample_rate));
     return 2;
   }
   const auto points = load_points(argv[2]);
@@ -301,13 +296,7 @@ int cmd_cluster(int argc, char** argv) {
               points.size(), eps, minpts, result.num_clusters,
               result.noise_count(), timings.total_seconds,
               timings.modeled_total_seconds);
-  if (quality.mode == ClusterQuality::kSubsampled) {
-    std::printf("quality=subsampled rate=%g seed=%llu: core threshold"
-                " rescaled %d -> %d (SNG), labels seed-deterministic\n",
-                static_cast<double>(quality.sample_rate),
-                static_cast<unsigned long long>(quality.seed), minpts,
-                quality.scaled_minpts(minpts));
-  } else if (quality.mode == ClusterQuality::kCellGraph) {
+  if (quality.mode == ClusterQuality::kCellGraph) {
     std::printf("quality=cellgraph: no table materialized, %llu boundary"
                 " distance tests\n",
                 static_cast<unsigned long long>(
@@ -1037,10 +1026,10 @@ int cmd_fused_smoke(int argc, char** argv) {
 }
 
 /// approx-smoke: the quality-knob gate. On a well-separated scenario the
-/// approximate modes must agree with exact DBSCAN (rand index >= 0.99),
-/// subsampled labels must be bit-identical across runs for a fixed seed,
-/// the cell graph must materialize no table and test far fewer pairs than
-/// the exact build, and cellgraph + fused must be rejected.
+/// cell graph must agree with exact DBSCAN (rand index >= 0.99), route
+/// through hybrid_dbscan unchanged, materialize no table and test far
+/// fewer pairs than the exact build, and cellgraph + fused must be
+/// rejected.
 int cmd_approx_smoke(int argc, char** argv) {
   const std::size_t n =
       argc >= 3 ? static_cast<std::size_t>(std::atoll(argv[2])) : 8000;
@@ -1073,15 +1062,6 @@ int cmd_approx_smoke(int argc, char** argv) {
   const ClusterResult exact =
       hybrid_dbscan(exact_dev, points, eps, minpts, &exact_t);
 
-  BatchPolicy sub_policy;
-  sub_policy.quality = {ClusterQuality::kSubsampled, 0.3f, 1234};
-  HybridTimings sub_t;
-  cudasim::Device sub_dev({}, opt);
-  const ClusterResult sub1 =
-      hybrid_dbscan(sub_dev, points, eps, minpts, &sub_t, sub_policy);
-  const ClusterResult sub2 =
-      hybrid_dbscan(sub_dev, points, eps, minpts, nullptr, sub_policy);
-
   BatchPolicy cg_policy;
   cg_policy.quality.mode = ClusterQuality::kCellGraph;
   HybridTimings cg_t;
@@ -1092,34 +1072,19 @@ int cmd_approx_smoke(int argc, char** argv) {
   const ClusterResult cg_direct =
       cell_graph_dbscan(points, eps, minpts, cg_dev.config(), &cg_report);
 
-  const double sub_ri = rand_index(sub1.labels, exact.labels);
   const double cg_ri = rand_index(cg.labels, exact.labels);
   std::printf(
-      "approx_smoke: n=%zu exact modeled=%.6fs subsampled(0.3) modeled=%.6fs"
-      " cellgraph modeled=%.6fs\n",
+      "approx_smoke: n=%zu exact modeled=%.6fs cellgraph modeled=%.6fs\n",
       points.size(), exact_t.modeled_total_seconds,
-      sub_t.modeled_total_seconds, cg_t.modeled_total_seconds);
+      cg_t.modeled_total_seconds);
   std::printf(
-      "approx_smoke: rand index subsampled=%.6f cellgraph=%.6f;"
+      "approx_smoke: rand index cellgraph=%.6f;"
       " cell graph ran %llu distance tests vs %llu exact pairs\n",
-      sub_ri, cg_ri,
+      cg_ri,
       static_cast<unsigned long long>(cg_report.distance_tests),
       static_cast<unsigned long long>(exact_t.build_report.total_pairs));
 
   int violations = 0;
-  if (sub1.labels != sub2.labels) {
-    std::fprintf(stderr,
-                 "approx_smoke FAILED: subsampled labels differ across two"
-                 " runs with the same seed\n");
-    ++violations;
-  }
-  if (sub_ri < 0.99) {
-    std::fprintf(stderr,
-                 "approx_smoke FAILED: subsampled rand index %.6f < 0.99 on"
-                 " the separated scenario\n",
-                 sub_ri);
-    ++violations;
-  }
   if (cg_ri < 0.99) {
     std::fprintf(stderr,
                  "approx_smoke FAILED: cellgraph rand index %.6f < 0.99 on"
@@ -1163,9 +1128,8 @@ int cmd_approx_smoke(int argc, char** argv) {
 
   if (violations == 0) {
     std::printf(
-        "approx_smoke: all invariants held (seed-deterministic labels, rand"
-        " index >= 0.99 both modes, no table, cellgraph %.1fx fewer"
-        " distance tests)\n",
+        "approx_smoke: all invariants held (rand index >= 0.99, no table,"
+        " cellgraph %.1fx fewer distance tests)\n",
         static_cast<double>(exact_t.build_report.total_pairs) /
             std::max<double>(1.0,
                              static_cast<double>(cg_report.distance_tests)));
