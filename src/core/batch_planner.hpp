@@ -32,20 +32,18 @@ namespace hdbscan {
 /// How the builder reacts to injected (or, on real hardware, actual)
 /// device faults — the degradation ladder: retry transient kernel faults,
 /// shrink the buffers on allocation failure, fail work over from a lost
-/// device to the survivors, and finally finish on the host — the kernel
-/// bodies run on the host pool — when no device remains.
+/// device to the survivors (always on: strided batches cover disjoint key
+/// sets and a batch becomes visible only after every device op for it
+/// succeeded), and finally finish on the host — the kernel bodies run on
+/// the host pool — when no device remains.
 struct ResiliencePolicy {
   /// Retries of one batch after TransientKernelFault before it becomes a
   /// hard error (the launch did no work, so a retry is always safe).
   unsigned max_transient_retries = 2;
-  /// Times the context setup may halve its buffer cap (replanning n_b)
+  /// Times the lane setup may halve its buffer cap (replanning n_b)
   /// after DeviceOutOfMemory before the allocation failure becomes a hard
-  /// error. Batches allocate nothing once the contexts exist.
+  /// error. Batches allocate nothing once the lanes exist.
   unsigned max_alloc_retries = 3;
-  /// Requeue a lost device's unfinished batches onto surviving devices.
-  /// Safe because strided batches cover disjoint key sets and a batch's
-  /// shard append happens only after every device op for it succeeded.
-  bool failover = true;
   /// When every device is lost, finish the remaining batches on the host
   /// instead of throwing. Off by default so a single-device out-of-memory
   /// condition still surfaces as DeviceOutOfMemory.

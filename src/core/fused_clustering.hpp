@@ -14,9 +14,11 @@
 // final, and the labels are bit-identical to batch DBSCAN over the full
 // table.
 //
-// The degradation ladder matches the table builder's: transient faults
-// retry the launch (injected faults fire before any block runs, so a
-// faulted launch mutated nothing and the retry is exactly-once), a lost
+// The batches run on the table builder's batch engine
+// (core/batch_engine.hpp), under its degradation ladder: transient faults
+// retry the launch up to max_transient_retries times (injected faults
+// fire before any block runs, so a faulted launch mutated nothing and the
+// retry is exactly-once), a cancelled token stops every stream, a lost
 // device's batches fail over to the survivors, and when no device remains
 // the unfinished batches complete on the host by running the fused kernel
 // body itself on the host pool (gpu::host_fused_batch) over the same grid

@@ -8,6 +8,10 @@
 //   4. execute the batches round-robin across three CUDA-style streams.
 //      Streams overlap kernel execution, transfers and host-side table
 //      construction, exactly as described in §VI.
+// The upload, the streams and the degradation ladder are the batch engine
+// (core/batch_engine.hpp) the fused path runs on too; this builder adds
+// the estimation, the plan, each lane's buffers, the CSR step and the
+// host rung.
 //
 // Each batch runs the two-pass CSR pipeline: the count kernel writes
 // per-point neighbor counts, an exclusive scan turns them into exact CSR
@@ -15,7 +19,7 @@
 // This replaces the paper's atomic append + device sort_by_key + (key,
 // value) transfer of Alg. 4: no device sort, no atomics in either pass,
 // and only bare PointId values + per-point offsets cross PCIe (about half
-// the bytes). Each (device, stream) context appends into its own private
+// the bytes). Each (device, stream) lane appends into its own private
 // NeighborTable shard; shards are merged once after all streams
 // synchronize, so no host mutex serializes the per-batch appends.
 //

@@ -363,9 +363,9 @@ NeighborTable build_sharded_impl(
           BatchPolicy sp = options.policy;
           // Deferred expansion: a shard-local one would emit ghost-key
           // rows that collide at the global merge. Device loss is
-          // recovered here (re-partition), not inside the shard build.
+          // recovered here (re-partition): a one-device shard build has
+          // no survivor to fail over to, so it throws DeviceLost.
           sp.expand_half = false;
-          sp.resilience.failover = false;
           sp.resilience.host_fallback = false;
           sp.metrics_labels = "shard=" + std::to_string(shard.shard_id);
           TranslatingSink tsink(sink, &shard, ledger.get(), &cross_pairs,

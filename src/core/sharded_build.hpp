@@ -47,10 +47,10 @@ struct ShardedBuildOptions {
   unsigned num_shards = 0;
   /// Per-shard batch policy template. The orchestrator overrides
   /// expand_half (always deferred), metrics_labels (each shard publishes
-  /// under "shard=<uid>"), and the failover/host_fallback rungs (device
-  /// loss is handled here, by re-partitioning; resilience.host_fallback
-  /// still decides whether a fully dead fleet finishes on the host or
-  /// throws DeviceLost).
+  /// under "shard=<uid>"), and the host_fallback rung (device loss is
+  /// handled here, by re-partitioning; resilience.host_fallback still
+  /// decides whether a fully dead fleet finishes on the host or throws
+  /// DeviceLost).
   BatchPolicy policy;
   /// Reusable partition. The plan for a given (index, eps-geometry) is
   /// deterministic, so callers building the same index repeatedly — an

@@ -72,6 +72,13 @@ class GridDeviceIndex {
     return num_points_;
   }
 
+  /// Bytes shipped over PCIe by the constructor's uploads (the fixed
+  /// modeled cost the planner attributes to the index).
+  [[nodiscard]] std::size_t upload_bytes() const noexcept {
+    return points_.bytes() + cells_.bytes() + lookup_.bytes() +
+           schedule_.bytes() + emit_.bytes();
+  }
+
  private:
   GridParams params_;
   std::uint32_t num_points_;

@@ -162,13 +162,8 @@ ClusterResult gpu_dbscan(cudasim::Device& device, const GridIndex& index,
   const unsigned grid_dim = (n + kBlock - 1) / kBlock;
   const float eps2 = eps * eps;
 
-  const std::uint64_t upload_bytes =
-      index.points.size() * sizeof(Point2) +
-      index.cells.size() * sizeof(CellRange) +
-      index.lookup.size() * sizeof(PointId) +
-      index.nonempty_cells.size() * sizeof(std::uint32_t);
-  local.modeled_seconds +=
-      cudasim::modeled_transfer_seconds(device.config(), upload_bytes, false);
+  local.modeled_seconds += cudasim::modeled_transfer_seconds(
+      device.config(), device_index.upload_bytes(), false);
 
   cudasim::DeviceBuffer<std::uint8_t> core(device, n);
   cudasim::DeviceBuffer<std::uint32_t> labels(device, n);

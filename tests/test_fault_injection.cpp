@@ -12,6 +12,7 @@
 #include "core/pipeline.hpp"
 #include "core/reuse.hpp"
 #include "cudasim/buffer.hpp"
+#include "cudasim/buffer_pool.hpp"
 #include "cudasim/error.hpp"
 #include "cudasim/fault.hpp"
 #include "cudasim/kernel.hpp"
@@ -386,6 +387,36 @@ TEST(ResilientBuild, DeviceLostBetweenUploadAndEstimationIsReported) {
     EXPECT_EQ(report.batches_run, 0u);
     EXPECT_EQ(report.host_fallback_batches, 1u);
     expect_identical(table, s.oracle);
+  }
+}
+
+TEST(ResilientBuild, FailedBvhUploadDrainsQueuedGridTransfers) {
+  // A kBvh build queues a device's grid uploads, then allocates its BVH
+  // copy. Device 0's first BVH allocation (its fifth: the grid takes
+  // four) runs out of memory while its grid transfers still wait behind a
+  // slow link. The device may be dropped only after those transfers
+  // drained — one into a freed grid buffer is a heap-use-after-free under
+  // ASan — and device 1 builds the exact table.
+  const Scenario s = make_scenario(3000, 0.35f);
+  BatchPolicy policy = many_batch_policy(s);
+  policy.index_backend = IndexBackend::kBvh;
+  cudasim::FaultPlan plan;
+  plan.oom_allocs = {5};
+  cudasim::DeviceConfig slow_link;
+  slow_link.pcie_latency_us = 20'000.0;
+  cudasim::SimulationOptions slow = faulted_options(plan);
+  slow.throttle_transfers = true;
+  cudasim::Device dev0(slow_link, slow);
+  cudasim::Device dev1({}, fast_options());
+  NeighborTableBuilder builder({&dev0, &dev1}, policy);
+  BuildReport report;
+  const NeighborTable table = builder.build(s.index, s.eps, &report);
+  EXPECT_EQ(dev0.metrics().injected_oom_faults, 1u);
+  EXPECT_EQ(report.devices_lost, 1u);
+  expect_identical(table, s.oracle);
+  for (cudasim::Device* dev : {&dev0, &dev1}) {
+    dev->pool().trim();
+    EXPECT_EQ(dev->used_global_bytes(), 0u);
   }
 }
 

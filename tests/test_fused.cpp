@@ -3,8 +3,10 @@
 // (dbscan_parallel) across backends, scan modes, degenerate inputs and
 // dimensions, equivalence with batch (BFS) DBSCAN, the zero-table
 // contract, and the degradation ladder — scripted device loss fails over
-// to survivors and randomized fault plans (including total fleet loss with
-// host fallback) never change a single label.
+// to survivors, transient launch faults retry within their budget, a
+// cancelled build winds down and returns its device memory, and randomized
+// fault plans (including total fleet loss with host fallback) never change
+// a single label.
 #include "core/fused_clustering.hpp"
 
 #include <gtest/gtest.h>
@@ -14,10 +16,12 @@
 #include <tuple>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "common/rng.hpp"
 #include "core/hybrid_dbscan.hpp"
 #include "core/hybrid_dbscan3.hpp"
 #include "cudasim/buffer_pool.hpp"
+#include "cudasim/error.hpp"
 #include "cudasim/fault.hpp"
 #include "data/generators.hpp"
 #include "dbscan/cluster_compare.hpp"
@@ -445,6 +449,79 @@ TEST(FusedChaos, HostParkedEdgesAreNotChargedAsTransfers) {
     EXPECT_GT(consumer.stats().fused_parked, 0u);
     EXPECT_EQ(report.d2h_bytes, 0u);
     expect_exact(s, consumer);
+  }
+}
+
+TEST(FusedChaos, TransientFaultsRetryWithinBudgetAndSurfacePastIt) {
+  // One device with one stream is one lane with two strided batches, and a
+  // retried batch goes to the back of the lane's queue: consecutive
+  // launches alternate between the two batches, so faulting launches
+  // 1..2*budget faults each batch exactly `budget` times. A faulted launch
+  // did no work (faults fire before any block runs), so the retried build
+  // is exact; one more fault exhausts a batch's budget.
+  const Scenario s = make_scenario(1500, 0.35f, 4, 82);
+  for (const IndexBackend backend :
+       {IndexBackend::kGrid, IndexBackend::kBvh}) {
+    SCOPED_TRACE(to_string(backend));
+    BatchPolicy policy = chaos_policy(backend);
+    policy.num_streams = 1;
+    const unsigned budget = policy.resilience.max_transient_retries;
+    cudasim::FaultPlan within;
+    for (std::uint64_t launch = 1; launch <= 2 * budget; ++launch) {
+      within.transient_launches.push_back(launch);
+    }
+    {
+      cudasim::Device dev({}, faulted_options(within));
+      StreamingDbscan consumer(s.index.size(), s.minpts);
+      const BuildReport report =
+          fused_cluster(dev, s.index, s.eps, consumer, policy);
+      EXPECT_EQ(report.plan.num_batches, 2u);
+      EXPECT_EQ(report.transient_retries, 2 * budget);
+      EXPECT_EQ(report.transient_retries,
+                dev.metrics().injected_transient_faults);
+      EXPECT_FALSE(report.used_host_fallback);
+      expect_exact(s, consumer);
+    }
+    cudasim::FaultPlan past = within;
+    past.transient_launches.push_back(2 * budget + 1);
+    cudasim::Device dev({}, faulted_options(past));
+    StreamingDbscan consumer(s.index.size(), s.minpts);
+    EXPECT_THROW((void)fused_cluster(dev, s.index, s.eps, consumer, policy),
+                 cudasim::TransientKernelFault);
+    dev.pool().trim();
+    EXPECT_EQ(dev.used_global_bytes(), 0u);
+  }
+}
+
+TEST(FusedChaos, CancelMidBuildDrainsStreamsAndReturnsDeviceMemory) {
+  // The deadline expires while the index uploads over a throttled link
+  // (four transfers of at least 80 ms each), after the build's entry
+  // check passed: the lanes' pumps see it at their first batch and wind
+  // down, and fused_cluster rethrows only once every stream drained.
+  const Scenario s = make_scenario(1500, 0.35f, 4, 81);
+  for (const IndexBackend backend :
+       {IndexBackend::kGrid, IndexBackend::kBvh}) {
+    SCOPED_TRACE(to_string(backend));
+    cudasim::DeviceConfig slow_link;
+    slow_link.pcie_latency_us = 80'000.0;
+    cudasim::SimulationOptions opt = fast_options();
+    opt.throttle_transfers = true;
+    cudasim::Device dev(slow_link, opt);
+    StreamingDbscan consumer(s.index.size(), s.minpts);
+    CancelToken token;
+    BatchPolicy policy = chaos_policy(backend);
+    policy.cancel = &token;
+    token.set_deadline_after(0.1);
+    try {
+      (void)fused_cluster(dev, s.index, s.eps, consumer, policy);
+      ADD_FAILURE() << "the build finished past its deadline";
+    } catch (const OperationCancelled& e) {
+      EXPECT_EQ(e.reason(), CancelReason::kDeadline);
+    }
+    EXPECT_GT(dev.metrics().h2d_bytes, 0u);          // the upload ran
+    EXPECT_EQ(dev.metrics().kernel_launches, 0u);    // no batch did
+    dev.pool().trim();
+    EXPECT_EQ(dev.used_global_bytes(), 0u);
   }
 }
 
