@@ -302,11 +302,12 @@ int main() {
   // --- fused no-table clustering: backends x modes (schema 7) --------
   // End-to-end DBSCAN (index + neighbor search + labels) four ways on one
   // device: the batch table build (the paper's pipeline), streaming over
-  // grid CSR batches, and the fused traversal on both index backends. The
-  // skewed scenario is where the BVH earns its keep — overflowing hot
-  // grid cells make the eps-cell stencil scan far more candidates than
-  // the leaf-pruned tree descent — while the uniform scenario shows the
-  // regime where the grid's O(1) cell lookup stays competitive.
+  // grid CSR batches, and the fused core and union passes on both index
+  // backends. The skewed scenario is where the BVH earns its keep —
+  // overflowing hot grid cells make the eps-cell stencil scan far more
+  // candidates than the leaf-pruned tree descent — while the uniform
+  // scenario shows the regime where the grid's O(1) cell lookup stays
+  // competitive.
   struct FusedCell {
     const char* config = "";
     double wall_seconds = 1e30;

@@ -96,6 +96,14 @@ std::vector<WorkItem> BatchEngine::run(std::uint32_t num_batches,
                                        const Step& step,
                                        BuildReport& report) {
   if (lanes_.empty()) return fleet_gone(setup_error_);
+  // A later list (the fused union pass) starts when the last one ended on
+  // every lane: timelines level to the slowest; queue and tallies reset.
+  double start = 0.0;
+  for (const auto& lane : lanes_) start = std::max(start, lane->timeline);
+  for (const auto& lane : lanes_) lane->timeline = start;
+  orphans_.clear();
+  transient_retries_ = 0;
+  failover_batches_ = 0;
   owned_.assign(lanes_.size(), {});
   for (std::uint32_t l = 0; l < num_batches; ++l) {
     owned_[l % lanes_.size()].push_back(

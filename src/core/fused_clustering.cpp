@@ -1,12 +1,12 @@
 #include "core/fused_clustering.hpp"
 
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "common/timer.hpp"
 #include "core/batch_engine.hpp"
 #include "core/report_metrics.hpp"
-#include "cudasim/sort.hpp"
 #include "gpu/kernels.hpp"
 #include "obs/trace.hpp"
 
@@ -17,9 +17,7 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
                           StreamingDbscan& consumer,
                           const BatchPolicy& policy) {
   TRACE_SPAN("fused", "fused_cluster n=%zu", index.size());
-  if (devices.empty()) {
-    throw std::invalid_argument("fused_cluster: no devices");
-  }
+  if (devices.empty()) throw std::invalid_argument("fused_cluster: no devices");
   for (const cudasim::Device* d : devices) {
     if (d == nullptr) throw std::invalid_argument("fused_cluster: null device");
   }
@@ -40,7 +38,6 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   report.table_materialized = false;
   report.scan_mode = policy.scan_mode;
   report.index_backend = policy.index_backend;
-  const ScanMode scan = policy.scan_mode;
 
   // Upload only what the backend traverses. There is no estimation kernel
   // — with no result buffers there is nothing to size — which is also why
@@ -48,65 +45,92 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   BatchEngine engine(devices, index, policy, "fused", /*upload_grid=*/false);
   engine.open_lanes();
 
-  // Enough strided batches that every lane gets two waves — failover
-  // granularity and stream overlap without per-batch buffer planning. A
-  // fused launch allocates nothing and cannot overflow, so the step has
-  // no split and the ladder has no shrink rung.
+  // Two waves per lane and pass — failover granularity and stream overlap
+  // without buffer planning. A launch allocates no device memory and
+  // cannot overflow, so no step splits and the ladder has no shrink rung.
   const auto num_batches =
       static_cast<std::uint32_t>(engine.lanes().size() * 2);
   report.plan.num_batches = num_batches;
-  const std::vector<WorkItem> unfinished = engine.run(
-      num_batches,
+
+  // One pass: its batches on the lanes under the engine's ladder, then
+  // what no device finished through `host`, the pass's body on the host
+  // pool over the index the devices traversed (one ownership rule). An
+  // item whose degrees landed already has nothing left to do.
+  auto run_pass = [&](const char* pass, auto&& launch, auto&& host) {
+    std::vector<WorkItem> unfinished = engine.run(
+        num_batches,
+        [&](Lane& lane, WorkItem& item) {
+          if (item.counts_delivered ||
+              item.spec.points_in_batch(lane.views.grid.query_count()) == 0) {
+            return;
+          }
+          TRACE_SPAN("fused", "%s_batch %u/%u d%u", pass, item.spec.batch,
+                     item.spec.num_batches, lane.device.id());
+          launch(lane, item);
+          ++lane.batches_run;
+        },
+        report);
+    report.used_host_fallback |= !unfinished.empty();
+    for (WorkItem& item : unfinished) {
+      check_cancel(policy.cancel);
+      if (item.counts_delivered) continue;
+      TRACE_SPAN("host", "fused_host_%s %u/%u", pass, item.spec.batch,
+                 item.spec.num_batches);
+      engine.host_views().visit([&](const auto& view) { host(view, item); });
+      ++report.host_fallback_batches;
+    }
+  };
+
+  // The core pass: exact degrees under kFull, self included — not
+  // FDBSCAN's early exit at minpts, since a border joins its
+  // highest-degree core neighbor. Marking the item delivered makes a
+  // lineage land its degrees once, whatever the ladder does.
+  auto deliver = [&](WorkItem& item, std::span<const std::uint32_t> counts) {
+    consumer.consume_counts(CountDelivery{
+        item.spec.batch, item.spec.num_batches, ScanMode::kFull, counts, {}});
+    item.counts_delivered = true;
+  };
+  run_pass(
+      "core",
       [&](Lane& lane, WorkItem& item) {
-        const gpu::BatchSpec spec = item.spec;
-        if (spec.points_in_batch(lane.views.grid.query_count()) == 0) return;
-        TRACE_SPAN("fused", "fused_batch %u/%u d%u", spec.batch,
-                   spec.num_batches, lane.device.id());
+        std::vector<std::uint32_t> counts(
+            item.spec.points_in_batch(lane.views.grid.query_count()));
         lane.launch([&](const auto& view) {
-          return gpu::run_fused_batch(lane.device, view, eps, spec, consumer,
-                                      scan, policy.block_size);
+          return gpu::run_count_batch(lane.device, view, eps, item.spec,
+                                      counts.data(), ScanMode::kFull,
+                                      policy.block_size);
         });
-        ++lane.batches_run;
+        deliver(item, counts);
       },
-      report);
+      [&](const auto& view, WorkItem& item) {
+        deliver(item, gpu::host_count_batch(view, eps, item.spec,
+                                            ScanMode::kFull));
+      });
 
-  // The host rung: unfinished strided batches run the fused body itself
-  // on the host, over the same index the devices traversed, so the
-  // pair-ownership rule is the kernels' by construction. Edges it parks
-  // never crossed PCIe, so they are kept out of the transfer charge.
-  std::uint64_t host_parked = 0;
-  report.used_host_fallback = !unfinished.empty();
-  for (const WorkItem& item : unfinished) {
-    check_cancel(policy.cancel);
-    TRACE_SPAN("host", "fused_host_fallback %u/%u", item.spec.batch,
-               item.spec.num_batches);
-    const std::uint64_t parked_before = consumer.stats().fused_parked;
-    engine.host_views().visit([&](const auto& view) {
-      gpu::host_fused_batch(view, eps, item.spec, consumer, scan);
-    });
-    host_parked += consumer.stats().fused_parked - parked_before;
-    ++report.host_fallback_batches;
-  }
+  // The barrier: every degree is in, on a device or on the host, so core
+  // status is final for the whole union pass.
+  check_cancel(policy.cancel);
+  run_pass(
+      "union",
+      [&](Lane& lane, WorkItem& item) {
+        lane.launch([&](const auto& view) {
+          return gpu::run_union_batch(lane.device, view, eps, item.spec,
+                                      consumer, policy.scan_mode,
+                                      policy.block_size);
+        });
+      },
+      [&](const auto& view, WorkItem& item) {
+        gpu::host_union_batch(view, eps, item.spec, consumer,
+                              policy.scan_mode);
+      });
+
+  // Every modeled term is counted: the index upload and the lanes' kernel
+  // timelines. No result byte crosses the bus (d2h_bytes stays 0).
   const double slowest_stream = engine.harvest(report);
-
-  // The only result bytes that cross PCIe are the parked (undecided)
-  // edges; they ride the pinned staging path like every other result
-  // transfer and are charged to the serial share — each flush is tiny and
-  // asynchronous on real hardware, so billing them once at the end is the
-  // conservative bound.
-  double modeled_fixed = engine.upload_seconds();
-  const StreamingDbscan::Stats& st = consumer.stats();
-  const std::uint64_t parked_bytes =
-      (st.fused_parked - host_parked) * sizeof(NeighborPair);
-  report.d2h_bytes = parked_bytes;
-  if (parked_bytes != 0 && !engine.lanes().empty()) {
-    modeled_fixed += cudasim::modeled_transfer_seconds(
-        engine.config(), parked_bytes, /*pinned=*/true);
-  }
-  report.total_pairs = st.edges_seen;
-  report.shard_fixed_seconds = modeled_fixed;
+  report.total_pairs = consumer.cross_pairs();
+  report.shard_fixed_seconds = engine.upload_seconds();
   report.shard_stream_seconds = slowest_stream;
-  report.modeled_table_seconds = modeled_fixed + slowest_stream;
+  report.modeled_table_seconds = report.shard_fixed_seconds + slowest_stream;
   report.table_seconds = total_timer.seconds();
   publish_build_report(report, policy.metrics_labels);
   return report;

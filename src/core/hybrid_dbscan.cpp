@@ -56,13 +56,12 @@ ClusterResult finish_streamed(StreamingDbscan& consumer,
   local.consume_seconds = st.consume_seconds;
   local.finalize_seconds = st.finalize_seconds;
   local.overlap_fraction = st.overlap_fraction();
-  local.streamed_edge_fraction = st.streamed_fraction();
   local.peak_consumer_bytes = consumer.peak_memory_bytes();
   local.total_seconds = total_timer.seconds();
   local.modeled_gpu_table_seconds = local.build_report.modeled_table_seconds;
   // On the reference host the consumers drain completed staging buffers
-  // (or, fused, union inside the kernel) on their own cores, so the union
-  // work adds its slowest thread — not the summed CPU time — to the
+  // (or, fused, scatter the core pass's degrees) on their own cores, so
+  // that work adds its slowest thread — not the summed CPU time — to the
   // critical path: response time is max(build, slowest union thread) +
   // tail.
   local.modeled_total_seconds =

@@ -40,7 +40,6 @@ struct HybridTimings {
   double consume_seconds = 0.0;   ///< union work hidden under the build
   double finalize_seconds = 0.0;  ///< post-build resolution tail
   double overlap_fraction = 0.0;  ///< consume / (consume + finalize)
-  double streamed_edge_fraction = 0.0;  ///< edges settled mid-build
   std::size_t peak_consumer_bytes = 0;  ///< replaces the table footprint
 };
 
@@ -55,11 +54,11 @@ struct HybridTimings {
 /// them and never materializes T; on a sharded build the cross-shard
 /// core-core unions reach the same StreamingDbscan consumer, fed global
 /// keys by the shard translation layer. ClusterMode::kFused goes further:
-/// the traversal kernel itself counts degrees and unions both-core edges
-/// (core/fused_clustering) over the whole index replicated on every
-/// device, so even the CSR passes and value transfers disappear — combine
-/// with policy.index_backend = IndexBackend::kBvh for the tree-traversal
-/// variant.
+/// a core pass counts exact degrees and a union pass unions core-core
+/// pairs and folds border keys (core/fused_clustering) over the whole
+/// index replicated on every device, so even the fill pass and every
+/// result transfer disappear — combine with policy.index_backend =
+/// IndexBackend::kBvh for the tree-traversal variant.
 ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
                             std::span<const Point2> points, float eps,
                             int minpts, HybridTimings* timings = nullptr,

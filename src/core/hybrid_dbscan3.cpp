@@ -1,8 +1,10 @@
 #include "core/hybrid_dbscan3.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "common/timer.hpp"
+#include "core/hybrid_dbscan.hpp"
 #include "cudasim/buffer.hpp"
 #include "cudasim/buffer_pool.hpp"
 #include "cudasim/sort.hpp"
@@ -12,6 +14,39 @@
 #include "gpu/result_sink.hpp"
 
 namespace hdbscan {
+
+namespace {
+
+/// D, G and A on the device, uploaded by the constructor (pageable host
+/// memory); the stream drains before a failed upload frees a buffer.
+struct DeviceGrid3 {
+  DeviceGrid3(cudasim::Device& device, const GridIndex3& index)
+      : points(device, index.points.size()),
+        cells(device, index.cells.size()),
+        lookup(device, index.lookup.size()),
+        view{index.params, points.device_data(),
+             static_cast<std::uint32_t>(index.points.size()),
+             cells.device_data(), lookup.device_data()} {
+    cudasim::Stream stream(device);
+    stream.memcpy_to_device(points, index.points.data(), index.points.size());
+    stream.memcpy_to_device(cells, index.cells.data(), index.cells.size());
+    stream.memcpy_to_device(lookup, index.lookup.data(), index.lookup.size());
+    stream.synchronize();
+  }
+
+  [[nodiscard]] double upload_seconds(const cudasim::Device& device) const {
+    return cudasim::modeled_transfer_seconds(
+        device.config(), points.bytes() + cells.bytes() + lookup.bytes(),
+        /*pinned=*/false);
+  }
+
+  cudasim::DeviceBuffer<Point3> points;
+  cudasim::DeviceBuffer<CellRange> cells;
+  cudasim::DeviceBuffer<PointId> lookup;
+  const GridView3 view;
+};
+
+}  // namespace
 
 NeighborTable build_neighbor_table_host3(const GridIndex3& index, float eps) {
   NeighborTable table(index.size());
@@ -33,23 +68,8 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
   WallTimer total_timer;
   Build3Report local;
 
-  // Upload D, G, A.
-  cudasim::Stream stream(device);
-  cudasim::DeviceBuffer<Point3> d_points(device, index.points.size());
-  cudasim::DeviceBuffer<CellRange> d_cells(device, index.cells.size());
-  cudasim::DeviceBuffer<PointId> d_lookup(device, index.lookup.size());
-  stream.memcpy_to_device(d_points, index.points.data(), index.points.size());
-  stream.memcpy_to_device(d_cells, index.cells.data(), index.cells.size());
-  stream.memcpy_to_device(d_lookup, index.lookup.data(), index.lookup.size());
-  stream.synchronize();
-  const GridView3 view{index.params, d_points.device_data(),
-                       static_cast<std::uint32_t>(index.points.size()),
-                       d_cells.device_data(), d_lookup.device_data()};
-
-  const std::uint64_t upload_bytes = d_points.bytes() + d_cells.bytes() +
-                                     d_lookup.bytes();
-  local.modeled_table_seconds +=
-      cudasim::modeled_transfer_seconds(device.config(), upload_bytes, false);
+  const DeviceGrid3 grid(device, index);
+  local.modeled_table_seconds += grid.upload_seconds(device);
 
   // Two-pass CSR build, single batch: count per point, scan to exact
   // offsets, fill straight into the slots. No device sort, no pair keys on
@@ -58,7 +78,7 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
   cudasim::PooledDeviceBuffer<std::uint32_t> d_counts(
       device, std::max<std::uint32_t>(1, npts));
   cudasim::KernelStats stats = gpu::run_count_batch(
-      device, view, eps, {}, d_counts.device_data(), mode);
+      device, grid.view, eps, {}, d_counts.device_data(), mode);
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 
@@ -68,9 +88,9 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
 
   cudasim::PooledDeviceBuffer<PointId> d_values(
       device, std::max<std::uint64_t>(1, pairs));
-  stats = gpu::run_fill_csr(device, view, eps, {}, d_counts.device_data(),
-                            static_cast<std::uint32_t>(pairs),
-                            d_values.device_data(), mode);
+  stats = gpu::run_fill_csr(
+      device, grid.view, eps, {}, d_counts.device_data(),
+      static_cast<std::uint32_t>(pairs), d_values.device_data(), mode);
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 
@@ -123,15 +143,8 @@ ClusterResult hybrid_dbscan3(cudasim::Device& device,
   const GridIndex3 index = build_grid_index3(points, eps);
   const NeighborTable table =
       build_neighbor_table_device3(device, index, eps, report, mode);
-  const ClusterResult indexed = dbscan_neighbor_table(table, minpts);
-  ClusterResult out;
-  out.num_clusters = indexed.num_clusters;
-  out.labels.resize(indexed.labels.size());
-  for (std::size_t i = 0; i < indexed.labels.size(); ++i) {
-    out.labels[index.original_ids[i]] = indexed.labels[i];
-  }
-  out.finalize_noise_count();
-  return out;
+  return unmap_labels(dbscan_neighbor_table(table, minpts),
+                      index.original_ids);
 }
 
 ClusterResult fused_dbscan3(cudasim::Device& device,
@@ -142,47 +155,29 @@ ClusterResult fused_dbscan3(cudasim::Device& device,
   Build3Report local;
   const GridIndex3 index = build_grid_index3(points, eps);
 
-  // Upload D, G, A — the only device-resident state the fused kernel
-  // needs; no counts buffer, no CSR values, no staging.
-  cudasim::Stream stream(device);
-  cudasim::DeviceBuffer<Point3> d_points(device, index.points.size());
-  cudasim::DeviceBuffer<CellRange> d_cells(device, index.cells.size());
-  cudasim::DeviceBuffer<PointId> d_lookup(device, index.lookup.size());
-  stream.memcpy_to_device(d_points, index.points.data(), index.points.size());
-  stream.memcpy_to_device(d_cells, index.cells.data(), index.cells.size());
-  stream.memcpy_to_device(d_lookup, index.lookup.data(), index.lookup.size());
-  stream.synchronize();
-  const GridView3 view{index.params, d_points.device_data(),
-                       static_cast<std::uint32_t>(index.points.size()),
-                       d_cells.device_data(), d_lookup.device_data()};
-  local.modeled_table_seconds += cudasim::modeled_transfer_seconds(
-      device.config(),
-      d_points.bytes() + d_cells.bytes() + d_lookup.bytes(), false);
+  // D, G, A are the only device-resident state the fused passes need;
+  // no CSR values, no staging.
+  const DeviceGrid3 grid(device, index);
+  local.modeled_table_seconds += grid.upload_seconds(device);
 
+  // The 2-D path's two passes as one batch: exact degrees under kFull,
+  // then unions and border keys under `mode`. Nothing crosses the bus.
   StreamingDbscan consumer(index.size(), minpts);
-  const cudasim::KernelStats stats =
-      gpu::run_fused_batch(device, view, eps, {}, consumer, mode);
+  std::vector<std::uint32_t> counts(index.size());
+  cudasim::KernelStats stats = gpu::run_count_batch(
+      device, grid.view, eps, {}, counts.data(), ScanMode::kFull);
+  consumer.consume_counts(CountDelivery{0, 1, ScanMode::kFull, counts, {}});
+  local.modeled_table_seconds += stats.modeled_seconds;
+  local.kernel_flops += stats.work.flops;
+  stats = gpu::run_union_batch(device, grid.view, eps, {}, consumer, mode);
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 
   const ClusterResult indexed = consumer.finalize();
-  const StreamingDbscan::Stats& st = consumer.stats();
-  // Parked edges are the only result traffic; charge their D2H at the
-  // pinned rate, as the 2-D orchestrator does.
-  local.modeled_table_seconds += cudasim::modeled_transfer_seconds(
-      device.config(), st.fused_parked * sizeof(NeighborPair), true);
-  local.total_pairs = st.edges_seen;
+  local.total_pairs = consumer.cross_pairs();
   local.table_seconds = total_timer.seconds();
   if (report != nullptr) *report = local;
-
-  ClusterResult out;
-  out.num_clusters = indexed.num_clusters;
-  out.labels.resize(indexed.labels.size());
-  for (std::size_t i = 0; i < indexed.labels.size(); ++i) {
-    out.labels[index.original_ids[i]] = indexed.labels[i];
-  }
-  out.finalize_noise_count();
-  return out;
+  return unmap_labels(indexed, index.original_ids);
 }
 
 }  // namespace hdbscan

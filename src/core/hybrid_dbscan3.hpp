@@ -39,14 +39,14 @@ ClusterResult hybrid_dbscan3(cudasim::Device& device,
                              ScanMode mode = ScanMode::kHalf);
 
 /// Fused no-table 3-D clustering (see core/fused_clustering for the 2-D
-/// orchestrated version): one traversal kernel counts degrees and unions
-/// both-core edges straight into the union-find, so neither the CSR
-/// passes nor the value transfer run and T is never materialized. 3-D has
-/// no streaming/ladder infrastructure, so this is a one-shot synchronous
-/// launch; labels are bit-identical to hybrid_dbscan3. `report` fields:
-/// total_pairs counts tested cross pairs (edges seen), kernel_flops the
-/// traversal's distance tests; expand_seconds stays 0 (nothing to
-/// transpose).
+/// orchestrated version): a core pass counts exact degrees under kFull,
+/// then a union pass under `mode` unions core-core pairs and folds border
+/// keys straight into the consumer, so neither the fill pass nor any
+/// result transfer runs and T is never materialized. 3-D has no
+/// streaming/ladder infrastructure, so each pass is one synchronous
+/// launch; labels are bit-identical to the banded pass. `report` fields:
+/// total_pairs counts cross pairs, kernel_flops both passes' distance
+/// tests; expand_seconds stays 0 (nothing to transpose).
 ClusterResult fused_dbscan3(cudasim::Device& device,
                             std::span<const Point3> points, float eps,
                             int minpts, Build3Report* report = nullptr,

@@ -67,9 +67,9 @@ struct BuildReport {
   bool streamed = false;           ///< a sink consumed batches in-flight
   bool table_materialized = true;  ///< false: labels-only build, T skipped
   /// True when the report came from the fused no-table path
-  /// (core/fused_clustering): degrees and both-core unions happened inside
-  /// the traversal kernel, so there are no CSR passes, no value transfers
-  /// and no sink hop — d2h_bytes counts only the parked-edge traffic.
+  /// (core/fused_clustering): a core pass counted degrees and a union pass
+  /// unioned core-core pairs on the devices, so there is no fill pass, no
+  /// transfer and no sink hop — d2h_bytes is 0.
   bool fused = false;
   std::uint64_t sink_batches = 0;        ///< exactly-once CSR row deliveries
   std::uint64_t sink_count_batches = 0;  ///< pass-1 degree deliveries

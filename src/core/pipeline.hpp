@@ -72,9 +72,9 @@ struct PipelineOptions {
   /// kStreaming: each variant's core-core unions run on the builder's
   /// stream threads during its own build and T is never materialized —
   /// intra-variant overlap on top of the paper's inter-variant pipeline.
-  /// kFused: the traversal kernel itself counts degrees and unions
-  /// both-core edges (core/fused_clustering) — not even the CSR passes
-  /// run; honors policy.index_backend for grid-vs-BVH traversal.
+  /// kFused: a core pass counts degrees and a union pass unions core-core
+  /// pairs (core/fused_clustering) — not even the fill pass runs; honors
+  /// policy.index_backend for grid-vs-BVH traversal.
   ClusterMode cluster_mode = ClusterMode::kBatchTable;
   /// Shards per variant's table build (0 = one shard per live device, the
   /// sharded orchestrator's default). A fleet of one device with

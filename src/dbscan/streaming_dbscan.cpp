@@ -36,29 +36,29 @@ void run_partitioned(std::size_t n, unsigned workers, F&& body) {
   for (auto& t : threads) t.join();
 }
 
-void atomic_max(std::atomic<std::uint64_t>& slot, std::uint64_t v) noexcept {
-  std::uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (v > cur && !slot.compare_exchange_weak(cur, v,
-                                                std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 StreamingDbscan::StreamingDbscan(std::size_t num_points, int minpts)
     : n_(num_points),
       required_(0),
       degree_(std::make_unique<std::atomic<std::uint32_t>[]>(num_points)),
-      uf_(num_points) {
+      uf_(num_points),
+      border_(std::make_unique<std::atomic<std::uint64_t>[]>(num_points)) {
   if (minpts < 1) {
     throw std::invalid_argument("StreamingDbscan: minpts must be >= 1");
   }
   required_ = static_cast<std::uint32_t>(minpts);
   for (std::size_t i = 0; i < n_; ++i) {
     degree_[i].store(0, std::memory_order_relaxed);
+    border_[i].store(0, std::memory_order_relaxed);
   }
-  // Degrees + union-find parents are the fixed footprint.
-  peak_memory_bytes_ = 2 * sizeof(std::uint32_t) * n_;
+  peak_memory_bytes_ = fixed_bytes();
+}
+
+std::uint64_t StreamingDbscan::cross_pairs() const noexcept {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < n_; ++i) sum += degree(static_cast<PointId>(i));
+  return (sum - n_) / 2;
 }
 
 void StreamingDbscan::consume_counts(const CountDelivery& d) {
@@ -143,30 +143,13 @@ void StreamingDbscan::consume(const BatchDelivery& d) {
   stats_.deferred_peak =
       std::max<std::uint64_t>(stats_.deferred_peak, deferred_.size());
   peak_memory_bytes_ = std::max(
-      peak_memory_bytes_, 2 * sizeof(std::uint32_t) * n_ +
-                              deferred_.capacity() * sizeof(NeighborPair));
+      peak_memory_bytes_,
+      fixed_bytes() + deferred_.capacity() * sizeof(NeighborPair));
   ++stats_.row_batches;
   stats_.edges_seen += edges;
   stats_.edges_streamed += streamed;
   stats_.consume_seconds += seconds;
   add_thread_seconds_locked(seconds);
-}
-
-void StreamingDbscan::ingest_fused(std::span<const NeighborPair> undecided,
-                                   std::uint64_t edges_seen,
-                                   std::uint64_t edges_streamed) {
-  check_cancel(cancel_);
-  std::lock_guard lock(deferred_mutex_);
-  deferred_.insert(deferred_.end(), undecided.begin(), undecided.end());
-  if (deferred_.size() >= compact_threshold_) compact_deferred_locked();
-  stats_.deferred_peak =
-      std::max<std::uint64_t>(stats_.deferred_peak, deferred_.size());
-  peak_memory_bytes_ = std::max(
-      peak_memory_bytes_, 2 * sizeof(std::uint32_t) * n_ +
-                              deferred_.capacity() * sizeof(NeighborPair));
-  stats_.edges_seen += edges_seen;
-  stats_.edges_streamed += edges_streamed;
-  stats_.fused_parked += undecided.size();
 }
 
 void StreamingDbscan::compact_deferred_locked() {
@@ -188,8 +171,7 @@ void StreamingDbscan::compact_deferred_locked() {
 
 std::size_t StreamingDbscan::memory_bytes() const {
   std::lock_guard lock(deferred_mutex_);
-  return 2 * sizeof(std::uint32_t) * n_ +
-         deferred_.capacity() * sizeof(NeighborPair);
+  return fixed_bytes() + deferred_.capacity() * sizeof(NeighborPair);
 }
 
 ClusterResult StreamingDbscan::finalize(unsigned num_threads) {
@@ -208,23 +190,24 @@ ClusterResult StreamingDbscan::finalize(unsigned num_threads) {
   stats_.deferred_peak =
       std::max<std::uint64_t>(stats_.deferred_peak, deferred_.size());
 
-  // Degrees are exact now — the build delivered every contribution
-  // exactly once — so the core mask is final.
-  std::vector<std::uint8_t> core(n_);
-  run_partitioned(n_, num_threads, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      core[i] = is_core(static_cast<std::uint32_t>(i));
-    }
-  });
-
-  // Settle the parked edges that turned out core-core (their endpoints
-  // resolved after the edge was parked).
+  // Degrees are exact now, so is_core() is final. Settle the parked
+  // edges: core-core ones (resolved after parking) are unioned, each
+  // core/non-core one folds into the border keys. Only both-core edges
+  // ever left the buffer, so the adjacency is complete. A fused build
+  // parks nothing; its union pass folded the keys.
+  const UnionView view = union_view();
   run_partitioned(deferred_.size(), num_threads,
                   [&](std::size_t begin, std::size_t end) {
                     for (std::size_t e = begin; e < end; ++e) {
                       const NeighborPair& edge = deferred_[e];
-                      if (core[edge.key] && core[edge.value]) {
+                      const bool ck = is_core(edge.key);
+                      const bool cv = is_core(edge.value);
+                      if (ck && cv) {
                         uf_.unite(edge.key, edge.value);
+                      } else if (ck != cv) {
+                        const std::uint32_t c = ck ? edge.key : edge.value;
+                        view.fold_border(ck ? edge.value : edge.key,
+                                         border_target_key(degree(c), c));
                       }
                     }
                   });
@@ -236,49 +219,29 @@ ClusterResult StreamingDbscan::finalize(unsigned num_threads) {
   result.labels.assign(n_, kNoise);
   std::int32_t next_cluster = 0;
   for (std::size_t i = 0; i < n_; ++i) {
-    if (!core[i]) continue;
+    if (!is_core(static_cast<std::uint32_t>(i))) continue;
     const std::uint32_t root = uf_.find(static_cast<std::uint32_t>(i));
     result.labels[i] = root == i ? next_cluster++ : result.labels[root];
   }
   result.num_clusters = next_cluster;
 
   // Borders — dbscan_parallel's rule: the core neighbor with the largest
-  // degree, ties to the smaller id, evaluated over the parked edges. The
-  // adjacency needed here is complete: only both-core edges were ever
-  // removed from the buffer, so every core/non-core pair is still present.
-  auto best = std::make_unique<std::atomic<std::uint64_t>[]>(n_);
+  // degree, ties to the smaller id, read from the border keys. A second
+  // scan, since a border's core may follow it in id order; one load per
+  // point, too light to pay for worker threads.
   for (std::size_t i = 0; i < n_; ++i) {
-    best[i].store(0, std::memory_order_relaxed);
-  }
-  run_partitioned(deferred_.size(), num_threads,
-                  [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t e = begin; e < end; ++e) {
-                      const NeighborPair& edge = deferred_[e];
-                      const bool ck = core[edge.key];
-                      const bool cv = core[edge.value];
-                      if (ck == cv) continue;
-                      const std::uint32_t border = ck ? edge.value : edge.key;
-                      const std::uint32_t c = ck ? edge.key : edge.value;
-                      atomic_max(best[border],
-                                 border_target_key(degree(c), c));
-                    }
-                  });
-  run_partitioned(n_, num_threads, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      if (core[i]) continue;
-      const std::uint64_t key = best[i].load(std::memory_order_relaxed);
-      if (key != 0) result.labels[i] = result.labels[border_target_id(key)];
+    const std::uint64_t key = border_[i].load(std::memory_order_relaxed);
+    if (key != 0 && !is_core(static_cast<std::uint32_t>(i))) {
+      result.labels[i] = result.labels[border_target_id(key)];
     }
-  });
+  }
   result.finalize_noise_count();
 
   stats_.finalize_seconds = tail_timer.seconds();
   peak_memory_bytes_ = std::max(
       peak_memory_bytes_,
-      2 * sizeof(std::uint32_t) * n_ +
-          deferred_.capacity() * sizeof(NeighborPair) +
-          n_ * (sizeof(std::uint8_t) + sizeof(std::int32_t) +
-                sizeof(std::uint64_t)));
+      fixed_bytes() + deferred_.capacity() * sizeof(NeighborPair) +
+          n_ * sizeof(std::int32_t));
 
   obs::Registry& reg = obs::Registry::global();
   reg.counter("stream_row_batches").add(stats_.row_batches);

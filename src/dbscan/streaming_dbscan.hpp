@@ -21,13 +21,16 @@
 // by root in id order, and dbscan_parallel's border rule (the core
 // neighbor with the largest degree, ties to the smaller id). The labels
 // equal dbscan_parallel's over the full table, vector for vector.
+//
+// The fused mode (core/fused_clustering) lands exact degrees through
+// consume_counts() and writes unions and border keys through union_view().
+// Both modes keep borders in one key array that finalize() reads once.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -50,11 +53,11 @@ enum class ClusterMode {
   /// only — single-variant wall time approaches max(GPU build, host
   /// union) plus a short resolution tail.
   kStreaming,
-  /// No table, no sink: the traversal kernel itself counts degrees and
-  /// unions both-core edges straight into the consumer's union-find
-  /// (core/fused_clustering). The CSR count/fill passes, the value
-  /// transfers, and the delivery hop all disappear; only undecided edges
-  /// cross the kernel boundary. Labels only; zero table bytes.
+  /// No table, no rows: a core pass counts exact degrees, then a union
+  /// pass unions core-core pairs and folds border keys straight into the
+  /// consumer (core/fused_clustering). The fill pass, the value transfers
+  /// and the delivery hop all disappear, and no result byte crosses the
+  /// bus. Labels only; zero table bytes.
   kFused,
 };
 
@@ -70,8 +73,9 @@ class StreamingDbscan final : public BatchSink {
   /// Settles everything the stream could not decide: final core flags,
   /// deferred unions, dense renumbering, borders, noise. Call exactly
   /// once, after the build returned (no concurrent consume calls).
-  /// `num_threads` 0 = hardware concurrency. Labels are in the id order
-  /// the deliveries used (the grid index's order).
+  /// `num_threads` workers (0 = hardware concurrency) settle the parked
+  /// edges. Labels are in the id order the deliveries used (the grid
+  /// index's order).
   ClusterResult finalize(unsigned num_threads = 0);
 
   struct Stats {
@@ -81,10 +85,6 @@ class StreamingDbscan final : public BatchSink {
     std::uint64_t edges_streamed = 0; ///< unioned during the build
     std::uint64_t edges_deferred = 0; ///< parked for finalize
     std::uint64_t deferred_peak = 0;  ///< high-water of parked edges
-    /// Edges ever parked by fused kernels (including ones a later
-    /// compaction settled) — the fused path's total kernel-to-host edge
-    /// traffic, which its modeled time charges at PCIe rate.
-    std::uint64_t fused_parked = 0;
     double consume_seconds = 0.0;     ///< host CPU inside consume*(), summed
                                       ///< across all delivering threads
     /// Largest per-thread share of consume_seconds. Deliveries run
@@ -120,29 +120,26 @@ class StreamingDbscan final : public BatchSink {
     cancel_ = token;
   }
 
-  /// Direct-ingestion surface for the fused traversal kernel
-  /// (ClusterMode::kFused): the kernel mutates the same degree array and
-  /// union-find the consume() path uses, so finalize() — and therefore the
-  /// labels — is shared verbatim with the streaming mode. Both-core
-  /// decisions are safe in-kernel for the same reason they are safe
-  /// in-stream: core status is monotone, and union-find accepts edges in
-  /// any order from any thread.
-  struct FusedView {
-    std::atomic<std::uint32_t>* degree = nullptr;
+  /// The fused union pass's surface (ClusterMode::kFused): final degrees,
+  /// the union-find and the border keys finalize() reads.
+  struct UnionView {
+    const std::atomic<std::uint32_t>* degree = nullptr;
     AtomicUnionFind* uf = nullptr;
-    std::uint32_t required = 0;  ///< minpts as the kernel's core threshold
-  };
-  [[nodiscard]] FusedView fused_view() noexcept {
-    return FusedView{degree_.get(), &uf_, required_};
-  }
+    std::atomic<std::uint64_t>* border = nullptr;
+    std::uint32_t required = 0;  ///< minpts as the core threshold
 
-  /// Thread-safe landing zone for a fused kernel's per-thread residue:
-  /// parks the edges it could not settle (an endpoint still below minpts
-  /// at test time) and folds its edge tallies into the stats. Parked
-  /// edges are compacted against the live core mask exactly like the
-  /// streaming path's deferred buffer.
-  void ingest_fused(std::span<const NeighborPair> undecided,
-                    std::uint64_t edges_seen, std::uint64_t edges_streamed);
+    /// Raises `point`'s border key to `key` (a border_target_key of one
+    /// of its core neighbors) when `key` is larger.
+    void fold_border(PointId point, std::uint64_t key) const noexcept {
+      std::uint64_t cur = border[point].load(std::memory_order_relaxed);
+      while (key > cur && !border[point].compare_exchange_weak(
+                              cur, key, std::memory_order_relaxed)) {
+      }
+    }
+  };
+  [[nodiscard]] UnionView union_view() noexcept {
+    return UnionView{degree_.get(), &uf_, border_.get(), required_};
+  }
 
   /// Final degree of point i (self included; full degree, both directions
   /// under kHalf). Exact once the build has returned — the exactly-once
@@ -151,13 +148,17 @@ class StreamingDbscan final : public BatchSink {
     return degree_[i].load(std::memory_order_relaxed);
   }
 
+  /// Distinct cross pairs the final degrees count: (sum of degrees - n)/2.
+  [[nodiscard]] std::uint64_t cross_pairs() const noexcept;
+
   [[nodiscard]] std::size_t num_points() const noexcept { return n_; }
   [[nodiscard]] int minpts() const noexcept {
     return static_cast<int>(required_);
   }
 
   /// Current resident bytes of the consumer (degrees + union-find parents
-  /// + parked edges). The streaming replacement for holding T in memory.
+  /// + border keys + parked edges). The streaming replacement for holding
+  /// T in memory.
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// High-water bytes across the whole run, including finalize's
@@ -172,6 +173,11 @@ class StreamingDbscan final : public BatchSink {
     return degree_[i].load(std::memory_order_relaxed) >= required_;
   }
 
+  /// Degrees, union-find parents and border keys: the fixed footprint.
+  [[nodiscard]] std::size_t fixed_bytes() const noexcept {
+    return n_ * (2 * sizeof(std::uint32_t) + sizeof(std::uint64_t));
+  }
+
   /// Unites parked both-core edges and drops them; keeps the rest. Called
   /// under deferred_mutex_ when the buffer doubles, bounding its
   /// high-water to roughly the undecidable edges of the moment.
@@ -181,6 +187,9 @@ class StreamingDbscan final : public BatchSink {
   std::uint32_t required_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> degree_;
   AtomicUnionFind uf_;
+  /// Per point, the border_target_key of its best core neighbor (0 =
+  /// none seen); read for non-core points only.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> border_;
 
   /// Accumulates consume CPU time per delivering thread (a handful of
   /// builder stream threads); guarded by deferred_mutex_.

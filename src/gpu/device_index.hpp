@@ -38,8 +38,18 @@ class GridDeviceIndex {
     // No allocation at all without a map — a zero-byte buffer would still
     // consume a fault-injection op and shift scripted plans.
     if (!host_index.emit_ids.empty()) {
-      emit_ = cudasim::DeviceBuffer<PointId>(device,
-                                             host_index.emit_ids.size());
+      try {
+        emit_ = cudasim::DeviceBuffer<PointId>(device,
+                                               host_index.emit_ids.size());
+      } catch (...) {
+        // Drain the queued uploads before the unwind frees their buffers;
+        // the allocation's error is the one reported.
+        try {
+          stream.synchronize();
+        } catch (...) {
+        }
+        throw;
+      }
       stream.memcpy_to_device(emit_, host_index.emit_ids.data(),
                               host_index.emit_ids.size());
     }

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <span>
 #include <utility>
 #include <vector>
+
+#include "dbscan/dbscan_parallel.hpp"
 
 namespace hdbscan::gpu {
 
@@ -345,94 +346,74 @@ struct FillCsrKernelBody {
   }
 };
 
-/// Thread-local parking buffer size of the fused kernels (spilled to
-/// StreamingDbscan::ingest_fused when full and at thread end).
-constexpr unsigned kFusedSpill = 256;
-
-/// Per-thread body of the fused no-table clustering kernel.
-///
-/// Degree handling: the thread's own contributions (self pair + every
-/// candidate it tests) accumulate in a register and land as ONE fetch_add
-/// at thread end; under kHalf the back contribution to each cross
-/// partner's degree is a per-pair fetch_add (the streaming equivalent of
-/// the table assembler's back-row histogram, done in-kernel). Core checks
-/// use the partner add's return value and the own-degree register as
-/// monotone lower bounds — a pair that looks undecidable now is parked and
-/// settled by compaction or finalize, never dropped.
-///
-/// Exactly-once: launches fault before any block runs (cudasim contract),
-/// so a failed batch contributed nothing and is safe to requeue whole.
+/// Per-thread body of the fused union pass. Every degree is exact, so core
+/// status is final: thread i unions each core-core pair it owns and folds
+/// each core/non-core pair into the non-core point's border key by atomic
+/// max. Under kHalf each cross pair is handled in its owning row; under
+/// kFull the smaller id unions a core-core pair and a non-core point folds
+/// its own best core neighbor, so a core point skips non-core neighbors.
+/// Like the fill body the traversal is branch-free: each candidate goes to
+/// a thread-local stage whose cursor advances on a hit, and the hits are
+/// judged in stage-sized runs. An atomic is charged per union or fold
+/// issued, never per CAS that won, so every charge depends on the input.
 template <typename View>
-struct FusedKernelBody {
+struct UnionKernelBody {
+  static constexpr unsigned kStage = 64;
+
   View view;
   float eps2;
   BatchSpec batch;
   ScanMode mode;
-  StreamingDbscan::FusedView fu;
-  StreamingDbscan* sink;
+  StreamingDbscan::UnionView u;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
     const std::uint64_t i = gid * batch.num_batches + batch.batch;
     if (i >= view.query_count()) return;
     const auto pid = static_cast<PointId>(i);
+    const std::uint32_t degree = u.degree[pid].load(std::memory_order_relaxed);
+    ctx.count_global_bytes(sizeof(std::uint32_t));
+    if (degree <= 1) return;  // alone in its eps-ball: no pair to visit
+    const bool core = degree >= u.required;
+    const bool half = mode == ScanMode::kHalf;
     const auto point = view.points[i];
     ctx.count_global_bytes(sizeof(point));
 
-    NeighborPair local[kFusedSpill];
-    unsigned nlocal = 0;
-    std::uint32_t own_degree = 0;
-    std::uint64_t seen = 0;
-    std::uint64_t streamed = 0;
-
-    for_each_neighbor(view, mode, pid, point, eps2, ctx,
-                      [&](PointId cand, bool hit) {
-      if (!hit) return;
-      ++own_degree;  // self pair included: degree counts the point itself
-      if (cand == pid) return;
-      std::uint32_t deg_v;
-      if (mode == ScanMode::kHalf) {
-        // Forward traversals see each cross pair once; the partner's
-        // degree gains the back contribution here. The returned value is
-        // a monotone lower bound on the partner's final degree.
-        deg_v = fu.degree[cand].fetch_add(1, std::memory_order_relaxed) + 1;
-        ctx.count_atomic();
-      } else {
-        // Full traversals see each pair twice; the smaller-id side owns
-        // the edge work and partners count their own rows.
-        if (pid > cand) return;
-        deg_v = fu.degree[cand].load(std::memory_order_relaxed);
+    std::uint32_t root = pid;  // union-find hint for this point's set
+    std::uint64_t best = 0;    // a non-core point's best core neighbor
+    PointId stage[kStage];
+    unsigned staged = 0;
+    auto judge = [&] {
+      for (unsigned h = 0; h < staged; ++h) {
+        const PointId cand = stage[h];
+        if (cand == pid || (!half && core && cand < pid)) continue;
+        const std::uint32_t cand_degree =
+            u.degree[cand].load(std::memory_order_relaxed);
         ctx.count_global_bytes(sizeof(std::uint32_t));
-      }
-      ++seen;
-      const std::uint32_t deg_p =
-          fu.degree[pid].load(std::memory_order_relaxed) + own_degree;
-      ctx.count_global_bytes(sizeof(std::uint32_t));
-      if (deg_p >= fu.required && deg_v >= fu.required) {
-        // Both endpoints already core: union on the spot (monotonicity
-        // makes this final). One CAS plus the find chain's reads.
-        fu.uf->unite(pid, cand);
-        ctx.count_atomic();
-        ctx.count_global_bytes(2 * sizeof(std::uint32_t));
-        ++streamed;
-      } else {
-        local[nlocal++] = NeighborPair{pid, cand};
-        ctx.count_global_bytes(sizeof(NeighborPair));  // parked-edge write
-        if (nlocal == kFusedSpill) {
-          sink->ingest_fused(std::span<const NeighborPair>(local, nlocal), 0,
-                             0);
-          nlocal = 0;
+        const bool cand_core = cand_degree >= u.required;
+        if (core && cand_core) {
+          root = u.uf->unite_root(root, cand);
+          ctx.count_atomic();
+          ctx.count_global_bytes(2 * sizeof(std::uint32_t));
+        } else if (core && half) {
+          u.fold_border(cand, border_target_key(degree, pid));
+          ctx.count_atomic();
+        } else if (!core && cand_core) {
+          best = std::max(best, border_target_key(cand_degree, cand));
         }
       }
-    });
-
-    if (own_degree != 0) {
-      fu.degree[pid].fetch_add(own_degree, std::memory_order_relaxed);
+      staged = 0;
+    };
+    for_each_neighbor(view, mode, pid, point, eps2, ctx,
+                      [&](PointId cand, bool hit) {
+                        stage[staged] = cand;
+                        staged += hit;
+                        if (staged == kStage) judge();
+                      });
+    judge();
+    if (best != 0) {
+      u.fold_border(pid, best);
       ctx.count_atomic();
-    }
-    if (nlocal != 0 || seen != 0) {
-      sink->ingest_fused(std::span<const NeighborPair>(local, nlocal), seen,
-                         streamed);
     }
   }
 };
@@ -508,32 +489,40 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
 }
 
 template <typename View>
-cudasim::KernelStats run_fused_batch(cudasim::Device& device,
+cudasim::KernelStats run_union_batch(cudasim::Device& device,
                                      const View& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
                                      ScanMode mode, unsigned block_size) {
   return cudasim::run_flat_kernel(
       device, batch_grid_dim(view, batch, block_size), block_size,
-      FusedKernelBody<View>{view, eps * eps, batch, mode, sink.fused_view(),
-                            &sink});
+      UnionKernelBody<View>{view, eps * eps, batch, mode, sink.union_view()});
+}
+
+template <typename View>
+std::vector<std::uint32_t> host_count_batch(const View& view, float eps,
+                                            BatchSpec batch, ScanMode mode) {
+  std::vector<std::uint32_t> counts(
+      batch.points_in_batch(view.query_count()));
+  cudasim::run_flat_host(batch_grid_dim(view, batch, kDefaultBlockSize),
+                         kDefaultBlockSize,
+                         CountBatchKernelBody<View>{view, eps * eps, batch,
+                                                    counts.data(), mode});
+  return counts;
 }
 
 template <typename View>
 NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
                              ScanMode mode) {
   NeighborTable shard(view.num_points);
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  if (points == 0) return shard;
-  const unsigned grid = batch_grid_dim(view, batch, kDefaultBlockSize);
-  std::vector<std::uint32_t> offsets(points);
-  cudasim::run_flat_host(grid, kDefaultBlockSize,
-                         CountBatchKernelBody<View>{view, eps * eps, batch,
-                                                    offsets.data(), mode});
   // Counts become exclusive CSR offsets in place, as on the device.
+  std::vector<std::uint32_t> offsets =
+      host_count_batch(view, eps, batch, mode);
+  if (offsets.empty()) return shard;
   std::uint32_t total = 0;
   for (std::uint32_t& slot : offsets) total += std::exchange(slot, total);
   std::vector<PointId> values(total);
-  cudasim::run_flat_host(grid, kDefaultBlockSize,
+  cudasim::run_flat_host(batch_grid_dim(view, batch, kDefaultBlockSize),
+                         kDefaultBlockSize,
                          FillCsrKernelBody<View>{view, eps * eps, batch,
                                                  offsets.data(), total,
                                                  values.data(), mode});
@@ -542,12 +531,11 @@ NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
 }
 
 template <typename View>
-void host_fused_batch(const View& view, float eps, BatchSpec batch,
+void host_union_batch(const View& view, float eps, BatchSpec batch,
                       StreamingDbscan& sink, ScanMode mode) {
-  cudasim::run_flat_host(batch_grid_dim(view, batch, kDefaultBlockSize),
-                         kDefaultBlockSize,
-                         FusedKernelBody<View>{view, eps * eps, batch, mode,
-                                               sink.fused_view(), &sink});
+  cudasim::run_flat_host(
+      batch_grid_dim(view, batch, kDefaultBlockSize), kDefaultBlockSize,
+      UnionKernelBody<View>{view, eps * eps, batch, mode, sink.union_view()});
 }
 
 #define HDBSCAN_TRAVERSAL_KERNELS(View)                                      \
@@ -557,7 +545,7 @@ void host_fused_batch(const View& view, float eps, BatchSpec batch,
   template cudasim::KernelStats run_fill_csr<View>(                          \
       cudasim::Device&, const View&, float, BatchSpec, const std::uint32_t*, \
       std::uint32_t, PointId*, ScanMode, unsigned);                          \
-  template cudasim::KernelStats run_fused_batch<View>(                       \
+  template cudasim::KernelStats run_union_batch<View>(                       \
       cudasim::Device&, const View&, float, BatchSpec, StreamingDbscan&,     \
       ScanMode, unsigned);
 HDBSCAN_TRAVERSAL_KERNELS(GridView)
@@ -565,14 +553,16 @@ HDBSCAN_TRAVERSAL_KERNELS(GridView3)
 HDBSCAN_TRAVERSAL_KERNELS(BvhView)
 #undef HDBSCAN_TRAVERSAL_KERNELS
 
-template NeighborTable host_csr_batch<GridView>(const GridView&, float,
-                                                BatchSpec, ScanMode);
-template NeighborTable host_csr_batch<BvhView>(const BvhView&, float,
-                                               BatchSpec, ScanMode);
-template void host_fused_batch<GridView>(const GridView&, float, BatchSpec,
-                                         StreamingDbscan&, ScanMode);
-template void host_fused_batch<BvhView>(const BvhView&, float, BatchSpec,
-                                        StreamingDbscan&, ScanMode);
+#define HDBSCAN_HOST_BODIES(View)                                            \
+  template std::vector<std::uint32_t> host_count_batch<View>(                \
+      const View&, float, BatchSpec, ScanMode);                              \
+  template NeighborTable host_csr_batch<View>(const View&, float, BatchSpec, \
+                                              ScanMode);                     \
+  template void host_union_batch<View>(const View&, float, BatchSpec,        \
+                                       StreamingDbscan&, ScanMode);
+HDBSCAN_HOST_BODIES(GridView)
+HDBSCAN_HOST_BODIES(BvhView)
+#undef HDBSCAN_HOST_BODIES
 
 std::size_t shared_kernel_smem_bytes(unsigned block_size) {
   return kSmemHeader +

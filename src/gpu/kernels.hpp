@@ -11,9 +11,9 @@
 //    mentions kicks in.
 //  * Count kernel (§VI): counts neighbors of a uniform sample of points to
 //    produce the result-size estimate e_b without materializing results.
-//  * CSR count/fill and fused kernels: one body each, templated over the
-//    index view (2-D grid, 3-D grid, BVH) and run either on a simulated
-//    device or on the host pool — see the section below.
+//  * CSR count/fill and fused union kernels: one body each, templated
+//    over the index view (2-D grid, 3-D grid, BVH) and run either on a
+//    simulated device or on the host pool — see the section below.
 //
 // Batched execution (§VI, Fig. 2): batch l of n_b processes points
 // i = gid * n_b + l, so every batch samples the (spatially sorted) database
@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/types.hpp"
 #include "cudasim/device.hpp"
@@ -70,7 +71,7 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
 
 // --- Per-point traversal kernels: one body per kernel, any index --------
 //
-// The count, fill and fused bodies are each written once, as templates
+// The count, fill and union bodies are each written once, as templates
 // over the index view they traverse:
 //  * GridView  — the paper's 2-D grid: the 9-cell stencil (shard slabs
 //    included: values go out through the slab's emission map);
@@ -123,28 +124,32 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
                                   ScanMode mode = ScanMode::kFull,
                                   unsigned block_size = kDefaultBlockSize);
 
-// --- Fused no-table clustering traversal (ClusterMode::kFused) -----------
+// --- Fused no-table clustering: the union pass (ClusterMode::kFused) ------
 //
-// One launch does everything the count pass, scan, fill pass, transfers
-// and sink hop did: thread i traverses its neighborhood once, accumulates
-// its own degree locally (one fetch_add at thread end), adds the back
-// contribution to degree[j] per cross pair (kHalf), and — because core
-// status is monotone — unions both-core pairs into the consumer's
-// AtomicUnionFind on the spot. Pairs that cannot be decided yet are
-// buffered thread-locally and parked through StreamingDbscan::ingest_fused
-// for the compaction/finalize machinery to settle. The neighbor table is
-// never materialized: the only per-pair bytes are the parked-edge writes.
+// FDBSCAN's two passes (core/fused_clustering). The core pass is the
+// count body under ScanMode::kFull: counts[g] is point g's exact degree,
+// self included. Once every degree is in, the union pass unions each
+// core-core pair into the consumer's AtomicUnionFind and folds each
+// core/non-core pair into the non-core point's border key by atomic max.
+// Nothing is parked, and every counter depends on the input alone.
 
-/// Fused traversal launch. Returns the launch's stats; degrees, unions
-/// and parked edges land in `sink`.
+/// Union-pass launch over one batch. The core pass must have landed every
+/// exact degree in `sink` first; unions and border keys land in `sink`.
 template <typename View>
-cudasim::KernelStats run_fused_batch(cudasim::Device& device,
+cudasim::KernelStats run_union_batch(cudasim::Device& device,
                                      const View& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
                                      ScanMode mode = ScanMode::kHalf,
                                      unsigned block_size = kDefaultBlockSize);
 
 // --- Host execution of the same bodies -----------------------------------
+
+/// The count body over one batch on the host: entry g is the count
+/// run_count_batch writes to counts[g]. Grid and BVH views only.
+template <typename View>
+std::vector<std::uint32_t> host_count_batch(const View& view, float eps,
+                                            BatchSpec batch,
+                                            ScanMode mode = ScanMode::kFull);
 
 /// One CSR batch on the host: the count body, a host exclusive scan and
 /// the fill body, then an append_csr_batch into a fresh table of
@@ -157,11 +162,10 @@ template <typename View>
 NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
                              ScanMode mode = ScanMode::kFull);
 
-/// One fused batch on the host: the fused body's degrees, unions and
-/// parked edges land in `sink` exactly as from run_fused_batch. Grid and
-/// BVH views only.
+/// One union-pass batch on the host: unions and border keys land in
+/// `sink` exactly as from run_union_batch. Grid and BVH views only.
 template <typename View>
-void host_fused_batch(const View& view, float eps, BatchSpec batch,
+void host_union_batch(const View& view, float eps, BatchSpec batch,
                       StreamingDbscan& sink, ScanMode mode = ScanMode::kHalf);
 
 /// Shared-memory bytes GPUCalcShared needs for a given block size (origin

@@ -49,9 +49,9 @@ struct JobSpec {
   /// Client hung up before serving began: the job's token is cancelled at
   /// submit, so dispatch terminates it without device work.
   bool abandoned = false;
-  /// Serve via the fused no-table fast path (core/fused_clustering): the
-  /// traversal kernel counts degrees and unions both-core edges in place,
-  /// so no neighbor table is built, transferred, or cached. Fused jobs
+  /// Serve via the fused no-table fast path (core/fused_clustering): a
+  /// core pass counts degrees and a union pass unions core-core pairs in
+  /// place, so no neighbor table is built, transferred, or cached. Fused jobs
   /// bypass the TableCache (there is nothing to reuse) but still coalesce
   /// — with other fused jobs of the same (dataset, eps, minpts), since
   /// the union-find threshold is baked into the traversal. The index

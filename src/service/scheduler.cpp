@@ -751,8 +751,8 @@ void ClusterService::process_group(PendingPtr leader,
     const double index_wall = build_wall_timer.seconds();
 
     if (lead.fused) {
-      // Fused no-table path: one traversal kernel counts degrees and
-      // unions both-core edges for the whole group (coalescing guaranteed
+      // Fused no-table path: a core pass counts degrees and a union pass
+      // unions core-core pairs for the whole group (coalescing guaranteed
       // equal minpts), nothing is materialized or cached. Hard failures
       // fall through to the breaker + retry ladder like any build.
       StreamingDbscan consumer(index.size(), lead.minpts);

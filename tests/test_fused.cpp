@@ -2,11 +2,12 @@
 // against streaming DBSCAN and the banded union-find pass
 // (dbscan_parallel) across backends, scan modes, degenerate inputs and
 // dimensions, equivalence with batch (BFS) DBSCAN, the zero-table
-// contract, and the degradation ladder — scripted device loss fails over
-// to survivors, transient launch faults retry within their budget, a
-// cancelled build winds down and returns its device memory, and randomized
-// fault plans (including total fleet loss with host fallback) never change
-// a single label.
+// contract, counted fields that repeat exactly run after run, and the
+// degradation ladder — scripted device loss fails over to survivors,
+// transient launch faults retry within their budget, a cancelled build
+// winds down and returns its device memory, and randomized fault plans
+// (including total fleet loss with host fallback) never change a single
+// label.
 #include "core/fused_clustering.hpp"
 
 #include <gtest/gtest.h>
@@ -146,8 +147,8 @@ TEST_P(FusedEquivalence, LabelsBitIdenticalToStreamingAndBandedPass) {
   EXPECT_EQ(fused.labels, want);
   EXPECT_EQ(fused.num_clusters, batch.num_clusters);
 
-  // The no-table contract: nothing materialized, only parked edges
-  // crossed the bus, and the report owns up to the backend that ran.
+  // The no-table contract: nothing materialized, and the report owns up
+  // to the backend that ran.
   EXPECT_TRUE(timings.fused);
   EXPECT_TRUE(timings.build_report.fused);
   EXPECT_FALSE(timings.build_report.table_materialized);
@@ -230,6 +231,61 @@ TEST(FusedDbscan, ExactEpsBoundaryPairsAreNeighbors) {
     const ClusterResult fused = hybrid_dbscan(
         dev, points, eps, 2, nullptr, policy, ClusterMode::kFused);
     EXPECT_EQ(fused.labels, batch.labels);
+  }
+}
+
+TEST(FusedDbscan, DegenerateInputsMatchBandedPass) {
+  // The union pass's corners: tiny inputs, every point core (minpts 1, no
+  // noise), no point core (minpts > n, all noise) and coincident points
+  // that are all core.
+  Xoshiro256 rng(84);
+  std::vector<Point2> spread(60);
+  for (Point2& p : spread) {
+    p = {rng.uniform(0.0f, 2.0f), rng.uniform(0.0f, 2.0f)};
+  }
+  std::vector<Point2> piles(40, Point2{1.0f, 1.0f});
+  piles.insert(piles.end(), 25, Point2{3.0f, 1.0f});
+  piles.push_back({5.0f, 5.0f});
+  struct Case {
+    const char* name;
+    std::vector<Point2> points;
+    int minpts;
+  };
+  const std::vector<Case> cases = {
+      {"n = 1", {{0.5f, 0.5f}}, 1},
+      {"n = 1, minpts 2", {{0.5f, 0.5f}}, 2},
+      {"n = 2, neighbors", {{0.5f, 0.5f}, {0.6f, 0.5f}}, 2},
+      {"n = 2, apart", {{0.5f, 0.5f}, {1.5f, 0.5f}}, 1},
+      {"minpts 1", spread, 1},
+      {"minpts > n", spread, 61},
+      {"duplicates at minpts 1", piles, 1},
+  };
+  const float eps = 0.3f;
+  for (const Case& c : cases) {
+    const std::vector<std::int32_t> want =
+        union_find_labels(c.points, eps, c.minpts);
+    for (const IndexBackend backend :
+         {IndexBackend::kGrid, IndexBackend::kBvh}) {
+      for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
+        SCOPED_TRACE(std::string(c.name) + ", " +
+                     std::string(to_string(backend)) +
+                     (scan == ScanMode::kHalf ? ", kHalf" : ", kFull"));
+        BatchPolicy policy;
+        policy.index_backend = backend;
+        policy.scan_mode = scan;
+        cudasim::Device dev({}, fast_options());
+        const ClusterResult fused = hybrid_dbscan(
+            dev, c.points, eps, c.minpts, nullptr, policy,
+            ClusterMode::kFused);
+        EXPECT_EQ(fused.labels, want);
+        if (c.minpts == 1) {
+          EXPECT_EQ(fused.noise_count(), 0u);
+        }
+        if (static_cast<std::size_t>(c.minpts) > c.points.size()) {
+          EXPECT_EQ(fused.noise_count(), c.points.size());
+        }
+      }
+    }
   }
 }
 
@@ -365,6 +421,77 @@ TEST(FusedDbscan, LabelsEqualBandedPassOverOracleTable) {
   }
 }
 
+// Counted fields repeat exactly: the same input, policy and fault plan
+// give the same counters, modeled seconds and labels, run after run.
+struct FusedRun {
+  BuildReport report;
+  std::vector<std::int32_t> labels;
+};
+
+FusedRun run_fused(const Scenario& s, unsigned num_devices,
+                   const BatchPolicy& policy,
+                   const cudasim::FaultPlan& plan = {}) {
+  Fleet fleet;
+  fleet.add(faulted_options(plan));
+  for (unsigned d = 1; d < num_devices; ++d) fleet.add(fast_options());
+  StreamingDbscan consumer(s.index.size(), s.minpts);
+  FusedRun run;
+  run.report = fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
+  run.labels = consumer.finalize().labels;
+  return run;
+}
+
+void expect_repeats(const FusedRun& a, const FusedRun& b) {
+  EXPECT_EQ(a.report.batches_run, b.report.batches_run);
+  EXPECT_EQ(a.report.total_pairs, b.report.total_pairs);
+  EXPECT_EQ(a.report.atomic_ops, b.report.atomic_ops);
+  EXPECT_EQ(a.report.d2h_bytes, b.report.d2h_bytes);
+  EXPECT_EQ(a.report.kernel_flops, b.report.kernel_flops);
+  EXPECT_EQ(a.report.kernel_global_bytes, b.report.kernel_global_bytes);
+  EXPECT_EQ(a.report.transient_retries, b.report.transient_retries);
+  // Bit-equal: sums of counted terms, added in the same order.
+  EXPECT_EQ(a.report.kernel_modeled_seconds, b.report.kernel_modeled_seconds);
+  EXPECT_EQ(a.report.modeled_table_seconds, b.report.modeled_table_seconds);
+  EXPECT_EQ(a.labels, b.labels);
+}
+
+TEST(FusedDeterminism, CountedFieldsRepeatExactly) {
+  // fused_smoke's input: 6000 skewed points, eps 0.35, minpts 4.
+  const Scenario s = make_scenario(6000, 0.35f, 4, 21);
+  const std::uint64_t cross_pairs =
+      (s.oracle.total_pairs() - s.index.size()) / 2;
+  for (const IndexBackend backend :
+       {IndexBackend::kGrid, IndexBackend::kBvh}) {
+    for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
+      for (const unsigned devices : {1u, 2u}) {
+        SCOPED_TRACE(std::string(to_string(backend)) +
+                     (scan == ScanMode::kHalf ? ", kHalf, " : ", kFull, ") +
+                     std::to_string(devices) + " device(s)");
+        BatchPolicy policy = chaos_policy(backend);
+        policy.scan_mode = scan;
+        const FusedRun first = run_fused(s, devices, policy);
+        expect_repeats(first, run_fused(s, devices, policy));
+        EXPECT_EQ(first.report.total_pairs, cross_pairs);
+        EXPECT_EQ(first.report.d2h_bytes, 0u);
+        EXPECT_EQ(first.labels, s.want);
+      }
+    }
+  }
+  // A scripted transient fault in each pass. One lane (one device, one
+  // stream) fixes which batch each launch ordinal hits, and so the order
+  // in which the lane adds up its modeled seconds: launches 1-3 are the
+  // core pass (batch 1 faults once), 4-6 the union pass (batch 0 faults
+  // once and re-runs after batch 1).
+  cudasim::FaultPlan transient;
+  transient.transient_launches = {2, 4};
+  BatchPolicy policy = chaos_policy(IndexBackend::kGrid);
+  policy.num_streams = 1;
+  const FusedRun first = run_fused(s, 1, policy, transient);
+  EXPECT_EQ(first.report.transient_retries, 2u);
+  expect_repeats(first, run_fused(s, 1, policy, transient));
+  EXPECT_EQ(first.labels, s.want);
+}
+
 TEST(FusedChaos, DeviceLossFailsOverToSurvivorExactly) {
   const Scenario s = make_scenario(2500, 0.35f, 4, 77);
   for (const IndexBackend backend :
@@ -372,8 +499,9 @@ TEST(FusedChaos, DeviceLossFailsOverToSurvivorExactly) {
     SCOPED_TRACE(to_string(backend));
     cudasim::FaultPlan lost;
     // The index upload is 4 allocations + 4 transfers = 8 ops; each fused
-    // batch is one launch after that. Op 11 is that device's third batch:
-    // a loss mid-traversal with work left to orphan.
+    // batch is one launch after that, the core pass's six before the union
+    // pass's six. Op 11 is that device's third core-pass batch: a loss
+    // mid-traversal with work left to orphan in both passes.
     lost.lost_at_op = 11;
     Fleet fleet;
     fleet.add(fast_options());
@@ -408,7 +536,7 @@ TEST(FusedChaos, TotalFleetLossCompletesOnHostExactly) {
        {IndexBackend::kGrid, IndexBackend::kBvh}) {
     SCOPED_TRACE(to_string(backend));
     cudasim::FaultPlan lost;
-    lost.lost_at_op = 10;  // second batch launch of the only device
+    lost.lost_at_op = 10;  // second core-pass launch of the only device
     Fleet fleet;
     fleet.add(faulted_options(lost));
 
@@ -426,9 +554,9 @@ TEST(FusedChaos, TotalFleetLossCompletesOnHostExactly) {
 }
 
 TEST(FusedChaos, HostParkedEdgesAreNotChargedAsTransfers) {
-  // The only device dies during the index upload, so the host runs the
-  // whole fused traversal: the edges it parks never cross PCIe, so the
-  // run ships zero result bytes while the labels stay exact.
+  // The only device dies during the index upload, so the host runs both
+  // fused passes: nothing is parked and nothing crosses PCIe, so the run
+  // ships zero result bytes while the labels stay exact.
   const Scenario s = make_scenario(1500, 0.35f, 4, 80);
   for (const IndexBackend backend :
        {IndexBackend::kGrid, IndexBackend::kBvh}) {
@@ -446,19 +574,19 @@ TEST(FusedChaos, HostParkedEdgesAreNotChargedAsTransfers) {
 
     EXPECT_TRUE(report.used_host_fallback);
     EXPECT_EQ(report.batches_run, 0u);
-    EXPECT_GT(consumer.stats().fused_parked, 0u);
     EXPECT_EQ(report.d2h_bytes, 0u);
     expect_exact(s, consumer);
   }
 }
 
 TEST(FusedChaos, TransientFaultsRetryWithinBudgetAndSurfacePastIt) {
-  // One device with one stream is one lane with two strided batches, and a
-  // retried batch goes to the back of the lane's queue: consecutive
-  // launches alternate between the two batches, so faulting launches
-  // 1..2*budget faults each batch exactly `budget` times. A faulted launch
-  // did no work (faults fire before any block runs), so the retried build
-  // is exact; one more fault exhausts a batch's budget.
+  // One device with one stream is one lane with two strided batches per
+  // pass, and a retried batch goes to the back of the lane's queue:
+  // consecutive launches alternate between the two core-pass batches, so
+  // faulting launches 1..2*budget faults each batch exactly `budget`
+  // times. A faulted launch did no work (faults fire before any block
+  // runs), so the retried build is exact; one more fault exhausts a
+  // batch's budget.
   const Scenario s = make_scenario(1500, 0.35f, 4, 82);
   for (const IndexBackend backend :
        {IndexBackend::kGrid, IndexBackend::kBvh}) {

@@ -114,8 +114,9 @@ TEST(NeighborTable, SymmetricNeighborhoods) {
 }
 
 // ---------------------------------------------------------------------------
-// Host execution of the kernel bodies (gpu::host_csr_batch and
-// gpu::host_fused_batch) against the independent grid_query oracle.
+// Host execution of the kernel bodies (gpu::host_csr_batch, and the fused
+// passes' gpu::host_count_batch and gpu::host_union_batch) against the
+// independent grid_query oracle.
 // ---------------------------------------------------------------------------
 
 void expect_identical(NeighborTable got, NeighborTable want) {
@@ -336,15 +337,25 @@ TEST(HostFusedBatch, GivesOracleDegreesAndLabels) {
       SCOPED_TRACE(std::string(use_bvh ? "bvh, " : "grid, ") +
                    (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
       StreamingDbscan consumer(s.index.size(), minpts);
-      for (std::uint32_t l = 0; l < 3; ++l) {
-        if (use_bvh) {
-          gpu::host_fused_batch(BvhView::of(bvh), s.eps, {l, 3}, consumer,
-                                mode);
-        } else {
-          gpu::host_fused_batch(GridView::of(s.index), s.eps, {l, 3},
-                                consumer, mode);
+      // The core pass lands every exact degree before the union pass runs.
+      const auto pass = [&](auto&& body) {
+        for (std::uint32_t l = 0; l < 3; ++l) {
+          if (use_bvh) {
+            body(BvhView::of(bvh), gpu::BatchSpec{l, 3});
+          } else {
+            body(GridView::of(s.index), gpu::BatchSpec{l, 3});
+          }
         }
-      }
+      };
+      pass([&](const auto& view, gpu::BatchSpec batch) {
+        const std::vector<std::uint32_t> counts =
+            gpu::host_count_batch(view, s.eps, batch, ScanMode::kFull);
+        consumer.consume_counts(CountDelivery{
+            batch.batch, batch.num_batches, ScanMode::kFull, counts, {}});
+      });
+      pass([&](const auto& view, gpu::BatchSpec batch) {
+        gpu::host_union_batch(view, s.eps, batch, consumer, mode);
+      });
       for (PointId i = 0; i < s.index.size(); ++i) {
         ASSERT_EQ(consumer.degree(i), s.oracle.neighbor_count(i))
             << "degree mismatch at point " << i;

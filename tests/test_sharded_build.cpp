@@ -18,11 +18,14 @@
 
 #include "core/shard_planner.hpp"
 #include "cudasim/buffer_pool.hpp"
+#include "cudasim/error.hpp"
 #include "cudasim/fault.hpp"
+#include "cudasim/stream.hpp"
 #include "data/generators.hpp"
 #include "dbscan/cluster_compare.hpp"
 #include "dbscan/dbscan_parallel.hpp"
 #include "dbscan/streaming_dbscan.hpp"
+#include "gpu/device_index.hpp"
 #include "index/grid_index.hpp"
 #include "obs/registry.hpp"
 
@@ -453,6 +456,29 @@ TEST(ShardedBuildFleet, RejectsEmptyDeviceList) {
 // ---------------------------------------------------------------------------
 // Chaos: device loss mid-build re-partitions the dead shard
 // ---------------------------------------------------------------------------
+
+TEST(ShardedBuildChaos, FailedEmissionMapAllocationDrainsQueuedUploads) {
+  // A slab's device index queues four uploads, then allocates its
+  // emission map. When that fifth allocation runs out of memory on a slow
+  // link, the uploads are still queued: the constructor must let them
+  // land before its unwind frees the buffers they write.
+  const Scenario s = make_scenario(3000, 0.5f, 30);
+  const ShardPlan plan = plan_shards(s.index, 2);
+  const GridShard& shard = plan.shards.front();
+  ASSERT_FALSE(shard.index.emit_ids.empty());
+  cudasim::FaultPlan oom;
+  oom.oom_allocs = {5};
+  cudasim::SimulationOptions opt = faulted_options(oom);
+  opt.throttle_transfers = true;
+  cudasim::DeviceConfig slow_link;
+  slow_link.pcie_latency_us = 50'000.0;
+  cudasim::Device device(slow_link, opt);
+  cudasim::Stream stream(device);
+  EXPECT_THROW((void)std::make_unique<gpu::GridDeviceIndex>(device, stream,
+                                                            shard.index),
+               cudasim::DeviceOutOfMemory);
+  EXPECT_EQ(device.used_global_bytes(), 0u);
+}
 
 TEST(ShardedBuildChaos, DeviceLossRepartitionsOntoSurvivorsExactly) {
   const Scenario s = make_scenario(3000, 0.35f, 26);

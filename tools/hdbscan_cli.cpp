@@ -303,18 +303,16 @@ int cmd_cluster(int argc, char** argv) {
                     timings.build_report.total_pairs));
   }
   if (timings.fused) {
-    // The unions run inside the traversal kernel, so there is no separate
-    // union phase to overlap; report how many edges the kernel settled.
-    std::printf("fused [%s index]: no table materialized, %llu pairs"
-                " traversed, %.0f%% of edges settled inside the kernel"
-                " (%.3f s tail), %llu parked-edge bytes D2H, consumer peak"
-                " %zu bytes\n",
+    // The core pass counted every degree and the union pass visited every
+    // cross pair on the devices; report that counted work.
+    std::printf("fused [%s index]: no table materialized, core + union"
+                " passes: %u batches, %llu cross pairs, %llu atomics"
+                " (%.3f s tail), consumer peak %zu bytes\n",
                 std::string(to_string(br.index_backend)).c_str(),
+                br.batches_run,
                 static_cast<unsigned long long>(br.total_pairs),
-                100.0 * timings.streamed_edge_fraction,
-                timings.finalize_seconds,
-                static_cast<unsigned long long>(br.d2h_bytes),
-                timings.peak_consumer_bytes);
+                static_cast<unsigned long long>(br.atomic_ops),
+                timings.finalize_seconds, timings.peak_consumer_bytes);
   } else if (timings.streamed) {
     std::printf("streaming: %.0f%% of the union work overlapped the build"
                 " (%.3f s hidden, %.3f s tail), consumer peak %zu bytes\n",
@@ -867,8 +865,8 @@ int cmd_perf_smoke(int argc, char** argv) {
 // concurrently — the thread-sanitizer surface). Exits nonzero unless the
 // streaming and fused label vectors are bit-identical to the banded
 // union-find pass over the host table and agree with batch DBSCAN on
-// clusters and noise, no table was
-// materialized, fused D2H traffic (parked edges only) undercuts the batch
+// clusters and noise, no table was materialized, fused D2H traffic (none:
+// the core and union passes ship no result bytes) undercuts the batch
 // build's, fused-BVH beats streaming-grid on modeled time, and no device
 // leaks.
 int cmd_fused_smoke(int argc, char** argv) {
@@ -938,8 +936,8 @@ int cmd_fused_smoke(int argc, char** argv) {
       stream_t.modeled_total_seconds, fg_t.modeled_total_seconds,
       fb_t.modeled_total_seconds, fleet_t.modeled_total_seconds);
   std::printf(
-      "fused_smoke: d2h batch=%llu fused-bvh=%llu (parked edges only),"
-      " pairs traversed=%llu\n",
+      "fused_smoke: d2h batch=%llu fused-bvh=%llu (no result bytes),"
+      " cross pairs=%llu\n",
       static_cast<unsigned long long>(batch_t.build_report.d2h_bytes),
       static_cast<unsigned long long>(fb_t.build_report.d2h_bytes),
       static_cast<unsigned long long>(fb_t.build_report.total_pairs));
