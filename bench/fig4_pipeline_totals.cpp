@@ -52,6 +52,7 @@ int main() {
     // cost model, host-side DBSCAN is the measured time.
     PipelineOptions pipe_opts;
     pipe_opts.pipelined = true;
+    pipe_opts.cluster_mode = ClusterMode::kBatchTable;  // the paper's T
     const PipelineReport pipe =
         run_multi_clustering(device, points, variants, pipe_opts);
 

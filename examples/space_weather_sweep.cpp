@@ -26,13 +26,18 @@ int main() {
     variants.push_back({eps, 4});
   }
 
+  // The default path: each variant's fused core and union passes, then a
+  // consumer's finalize tail. No neighbor table is built, since a sweep
+  // never reads one twice.
   PipelineOptions options;
-  options.pipelined = true;  // T of v_{i+1} builds while v_i clusters
+  options.pipelined = true;
   const PipelineReport report =
       run_multi_clustering(device, points, variants, options);
 
+  const bool fused = options.cluster_mode == ClusterMode::kFused;
   std::printf("%6s %10s %12s %12s %12s\n", "eps", "clusters", "noise",
-              "T time (s)", "DBSCAN (s)");
+              fused ? "passes (s)" : "T time (s)",
+              fused ? "finalize (s)" : "DBSCAN (s)");
   for (const VariantTiming& t : report.variants) {
     std::printf("%6.2f %10d %12zu %12.3f %12.3f\n", t.variant.eps,
                 t.num_clusters, t.noise_count, t.table_seconds,

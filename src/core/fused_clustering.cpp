@@ -2,6 +2,7 @@
 
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -141,6 +142,16 @@ BuildReport fused_cluster(cudasim::Device& device, const GridIndex& index,
                           const BatchPolicy& policy) {
   return fused_cluster(std::vector<cudasim::Device*>{&device}, index, eps,
                        consumer, policy);
+}
+
+void reject_sharded_fused(const char* caller, unsigned num_shards) {
+  if (num_shards <= 1) return;
+  throw std::invalid_argument(
+      std::string(caller) +
+      ": ClusterMode::kFused replicates the whole index on every device "
+      "and cannot shard it (num_shards = " +
+      std::to_string(num_shards) +
+      "); use ClusterMode::kBatchTable for a sharded build");
 }
 
 }  // namespace hdbscan

@@ -49,4 +49,10 @@ BuildReport fused_cluster(cudasim::Device& device, const GridIndex& index,
                           float eps, StreamingDbscan& consumer,
                           const BatchPolicy& policy = {});
 
+/// The front doors' guard for a fused run: the passes replicate the whole
+/// index on every device, so a request for num_shards > 1 cannot be
+/// honored. Throws std::invalid_argument, prefixed with `caller`, that
+/// names ClusterMode::kBatchTable; returns for num_shards <= 1.
+void reject_sharded_fused(const char* caller, unsigned num_shards);
+
 }  // namespace hdbscan

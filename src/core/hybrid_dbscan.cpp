@@ -116,6 +116,10 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
     return out;
   }
 
+  if (mode == ClusterMode::kFused) {
+    reject_sharded_fused("hybrid_dbscan", options.num_shards);
+  }
+
   WallTimer phase_timer;
   const GridIndex index = [&] {
     TRACE_SPAN("index", "grid_index n=%zu", points.size());

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "common/timer.hpp"
@@ -15,6 +16,7 @@
 #include "core/hybrid_dbscan.hpp"
 #include "core/neighbor_table_builder.hpp"
 #include "dbscan/dbscan.hpp"
+#include "dbscan/dbscan_parallel.hpp"
 #include "gpu/kernels.hpp"
 #include "obs/trace.hpp"
 
@@ -22,18 +24,19 @@ namespace hdbscan {
 
 namespace {
 
-/// Work item flowing from the table producer to the DBSCAN consumers:
-/// either a materialized table (batch mode) or an already-streamed
-/// clusterer awaiting its resolution tail (streaming mode).
+/// Work item flowing from the producer to the DBSCAN consumers: either a
+/// materialized table (batch mode, or any mode's host rung) or a filled
+/// clusterer awaiting its resolution tail (fused and streaming modes).
 struct TableItem {
   std::size_t variant_index = 0;
   NeighborTable table;
   std::vector<PointId> original_ids;
-  /// Streaming mode: the consumer that ingested this variant's batches
-  /// during its build; the pipeline consumer only runs finalize().
+  /// Fused and streaming modes: the clusterer this variant's passes (or
+  /// batches) filled during its build; the pipeline consumer only runs
+  /// finalize().
   std::unique_ptr<StreamingDbscan> streaming;
   /// Host bytes this item holds in flight (table payload, or the
-  /// streaming consumer's resident footprint).
+  /// clusterer's resident footprint).
   std::uint64_t payload_bytes = 0;
 };
 
@@ -109,16 +112,12 @@ std::string describe_current_exception() {
 /// variant is one fused host pass (bin, degree, union, label), so there is
 /// no table to hand off and nothing for a consumer to overlap with. Both
 /// run_multi_clustering overloads branch here when the policy selects
-/// ClusterQuality::kCellGraph.
+/// ClusterQuality::kCellGraph, whatever the cluster mode: kFused is the
+/// pipeline's default, not an explicit ask for the traversal kernels.
 PipelineReport run_cell_graph_variants(const cudasim::DeviceConfig& config,
                                        std::span<const Point2> points,
                                        std::span<const Variant> variants,
                                        const PipelineOptions& options) {
-  if (options.cluster_mode == ClusterMode::kFused) {
-    throw std::invalid_argument(
-        "run_multi_clustering: ClusterQuality::kCellGraph is incompatible "
-        "with ClusterMode::kFused");
-  }
   PipelineReport report;
   report.variants.resize(variants.size());
   if (options.keep_results) report.results.resize(variants.size());
@@ -179,6 +178,9 @@ PipelineReport run_multi_clustering(
     return run_cell_graph_variants(fleet.front()->config(), points, variants,
                                    options);
   }
+  if (options.cluster_mode == ClusterMode::kFused) {
+    reject_sharded_fused("run_multi_clustering", options.num_shards);
+  }
   PipelineReport report;
   report.variants.resize(variants.size());
   if (options.keep_results) report.results.resize(variants.size());
@@ -213,10 +215,10 @@ PipelineReport run_multi_clustering(
     if (!first_error) first_error = std::current_exception();
   };
 
-  // Builds one variant's index and table (or streams its unions),
-  // records its build times and packages it for the consumers. Once every
-  // device is lost the remaining variants' tables are built host-side
-  // instead.
+  // Builds one variant's index and table (or runs its fused passes, or
+  // streams its unions), records its build times and packages it for the
+  // consumers. Once every device is lost the remaining variants' tables
+  // are built host-side instead.
   auto produce_item = [&](std::size_t i) -> TableItem {
     WallTimer t;
     WallTimer index_timer;
@@ -238,10 +240,8 @@ PipelineReport run_multi_clustering(
       modeled_s = index_s + build_report.modeled_table_seconds;
       item.payload_bytes = table_payload_bytes(item.table);
     } else {
-      // Streaming and fused variants run their core-core unions during
-      // their own build — intra-variant overlap on top of the
-      // inter-variant producer/consumer overlap. The consumers only run
-      // the resolution tail.
+      // Fused and streaming variants run their core-core unions during
+      // their own build. The consumers only run the resolution tail.
       auto clusterer = std::make_unique<StreamingDbscan>(
           index.size(), variants[i].minpts);
       clusterer->set_cancel_token(options.policy.cancel);
@@ -271,14 +271,17 @@ PipelineReport run_multi_clustering(
     return item;
   };
 
-  // DBSCAN over a materialized table, or a streamed clusterer's tail.
+  // A streamed clusterer's tail, or DBSCAN over a materialized table: BFS
+  // on the paper's table path, the one-value banded pass for a host-built
+  // table in any other mode — the labels a device run of that mode gives.
   auto consume_item = [&](TableItem& item) {
     const std::size_t i = item.variant_index;
     WallTimer t;
     ClusterResult indexed =
-        item.streaming
-            ? item.streaming->finalize()
-            : dbscan_neighbor_table(item.table, variants[i].minpts);
+        item.streaming ? item.streaming->finalize()
+        : options.cluster_mode == ClusterMode::kBatchTable
+            ? dbscan_neighbor_table(item.table, variants[i].minpts)
+            : dbscan_parallel(item.table, variants[i].minpts);
     const double dbscan_s = t.seconds();
     ClusterResult result = options.keep_results
                                ? unmap_labels(indexed, item.original_ids)
@@ -288,9 +291,13 @@ PipelineReport run_multi_clustering(
     report.variants[i].num_clusters = result.num_clusters;
     report.variants[i].noise_count = result.noise_count();
     if (item.streaming) {
-      report.variants[i].streamed = true;
-      report.variants[i].overlap_fraction =
-          item.streaming->stats().overlap_fraction();
+      if (options.cluster_mode == ClusterMode::kFused) {
+        report.variants[i].fused = true;
+      } else {
+        report.variants[i].streamed = true;
+        report.variants[i].overlap_fraction =
+            item.streaming->stats().overlap_fraction();
+      }
     }
     if (options.keep_results) report.results[i] = std::move(result);
   };
@@ -307,8 +314,8 @@ PipelineReport run_multi_clustering(
       }
     }
   } else {
-    // Producer: builds the grid index and T for v_{i+1} while the
-    // consumers are still clustering v_i.
+    // Producer: builds the grid index and T (or runs the fused passes) for
+    // v_{i+1} while the consumers are still clustering v_i.
     BoundedQueue queue(std::max(1u, options.queue_capacity),
                        options.queue_bytes_budget);
     std::thread producer([&] {

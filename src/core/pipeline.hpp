@@ -6,6 +6,12 @@
 // neighbor tables; a small pool of consumer threads runs the modified
 // DBSCAN on them, connected by a bounded queue. The non-pipelined mode
 // runs the same variants back-to-back for comparison (Figure 4).
+//
+// T pays for itself when it is reused across minpts (§VII-F); a sweep of
+// one-off variants never reads a table twice. So the pipeline's default
+// is ClusterMode::kFused: the producer runs each variant's fused core and
+// union passes and the consumers run only their finalize tails. The
+// paper's table pipeline stays one option away (ClusterMode::kBatchTable).
 #pragma once
 
 #include <cstdint>
@@ -51,9 +57,14 @@ struct VariantTiming {
   double modeled_table_seconds = 0.0;
   std::int32_t num_clusters = 0;
   std::size_t noise_count = 0;
+  /// The fused core and union passes produced the labels: table_seconds
+  /// is the passes, dbscan_seconds the finalize tail.
+  bool fused = false;
   /// Streaming mode: this variant's unions ran during its own build.
   bool streamed = false;
-  double overlap_fraction = 0.0;  ///< consume / (consume + finalize)
+  /// Streaming mode's consume / (consume + finalize): the share of the
+  /// row ingest that overlapped the build. 0 on every other path.
+  double overlap_fraction = 0.0;
   VariantOutcome outcome;
 };
 
@@ -69,17 +80,22 @@ struct PipelineOptions {
   std::uint64_t queue_bytes_budget = 0;
   BatchPolicy policy;
   bool keep_results = false;     ///< retain labels (costs memory)
-  /// kStreaming: each variant's core-core unions run on the builder's
-  /// stream threads during its own build and T is never materialized —
-  /// intra-variant overlap on top of the paper's inter-variant pipeline.
-  /// kFused: a core pass counts degrees and a union pass unions core-core
-  /// pairs (core/fused_clustering) — not even the fill pass runs; honors
+  /// kFused (the default): a core pass counts degrees and a union pass
+  /// unions core-core pairs (core/fused_clustering) — no table, no fill
+  /// pass, no BFS. A sweep of one-off (eps, minpts) variants never reads a
+  /// table twice, so nothing is lost by skipping it. Honors
   /// policy.index_backend for grid-vs-BVH traversal.
-  ClusterMode cluster_mode = ClusterMode::kBatchTable;
+  /// kBatchTable: the paper's pipeline — T of v_{i+1} builds while v_i
+  /// clusters over it (Alg. 4's BFS). Ask for it to reproduce the paper's
+  /// figures or to shard the build.
+  /// kStreaming: each variant's core-core unions run on the builder's
+  /// stream threads during its own build and T is never materialized.
+  ClusterMode cluster_mode = ClusterMode::kFused;
   /// Shards per variant's table build (0 = one shard per live device, the
   /// sharded orchestrator's default). A fleet of one device with
   /// num_shards <= 1 builds the whole index unsharded (see
-  /// build_fleet_neighbor_table).
+  /// build_fleet_neighbor_table). kFused replicates the whole index on
+  /// every device, so it rejects num_shards > 1.
   unsigned num_shards = 0;
 };
 
@@ -92,12 +108,19 @@ struct PipelineReport {
 /// Clusters `points` for every variant on a fleet of devices. With
 /// options.pipelined the producer/consumer overlap (bounded queue: count +
 /// byte budget, one-item minimum) is on; otherwise variants run
-/// sequentially. Each variant's table is built by
+/// sequentially. By default each variant runs the fused passes on the
+/// live devices and a consumer runs its finalize tail; the labels equal
+/// the one-value banded pass (dbscan_parallel) over the variant's table.
+/// Under kBatchTable and kStreaming each variant's table is built by
 /// build_fleet_neighbor_table: a fleet of one device with num_shards <= 1
 /// builds the whole index, any other fleet goes through the sharded
 /// orchestrator — eps-halo row slabs, re-partitioning on device loss, the
 /// whole §12 ladder. Once every device is lost, later variants build their
-/// tables host-side.
+/// tables host-side and cluster them with the banded pass (BFS under
+/// kBatchTable). policy.quality = kCellGraph runs the host cell graph per
+/// variant under every mode.
+///
+/// Throws std::invalid_argument for kFused with num_shards > 1.
 PipelineReport run_multi_clustering(
     const std::vector<cudasim::Device*>& devices,
     std::span<const Point2> points, std::span<const Variant> variants,

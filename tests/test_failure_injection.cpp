@@ -89,9 +89,12 @@ TEST(FailureInjection, OverflowBeyondSplitDepthThrowsNotCorrupts) {
 TEST(FailureInjection, PipelineSurfacesConsumerVisibleErrors) {
   const auto points = data::generate_uniform(500, 2, 5.0f, 5.0f);
   cudasim::Device device({}, fast_options());
-  // minpts < 1 blows up inside the consumers, not the producer.
+  // minpts < 1 blows up inside the consumers, not the producer: on the
+  // table path the producer builds T without reading minpts.
   const std::vector<Variant> bad{{0.3f, 0}};
-  EXPECT_THROW(run_multi_clustering(device, points, bad, {}),
+  PipelineOptions options;
+  options.cluster_mode = ClusterMode::kBatchTable;
+  EXPECT_THROW(run_multi_clustering(device, points, bad, options),
                std::invalid_argument);
 }
 

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/neighbor_table_builder.hpp"
@@ -440,6 +441,7 @@ TEST(PipelineResilience, ContinuesAfterDeviceLossMidVariant) {
   const auto points = data::generate_space_weather(
       2000, 33, {.width = 10.0f, .height = 10.0f});
   PipelineOptions options;
+  options.cluster_mode = ClusterMode::kBatchTable;
   options.policy.num_streams = 1;
 
   // Probe run: measure how many device ops one variant consumes, so the
@@ -475,6 +477,64 @@ TEST(PipelineResilience, ContinuesAfterDeviceLossMidVariant) {
               report.variants[0].num_clusters);
     EXPECT_EQ(report.variants[i].noise_count,
               report.variants[0].noise_count);
+  }
+}
+
+// The default (fused) pipeline's host rung: once the device is gone, a
+// variant's table is built host-side and labelled by the one-value banded
+// pass — the labels the fused passes give — so identical parameters keep
+// producing bit-identical label vectors across the loss, border points
+// included (BFS would give some borders to another cluster).
+TEST(PipelineResilience, FusedHostFallbackLabelsMatchTheDeviceRun) {
+  for (const std::uint64_t seed : {33ull, 34ull, 35ull}) {
+    SCOPED_TRACE("points seed " + std::to_string(seed));
+    const auto points = data::generate_space_weather(
+        2000, seed, {.width = 10.0f, .height = 10.0f});
+    PipelineOptions options;
+    options.keep_results = true;
+    options.policy.num_streams = 1;
+    ASSERT_EQ(options.cluster_mode, ClusterMode::kFused);
+
+    // Probe run: the device ops of one fused variant, so the loss lands
+    // inside variant 1 of 5.
+    std::shared_ptr<cudasim::FaultInjector> probe;
+    {
+      cudasim::Device probe_device(
+          {}, faulted_options(cudasim::FaultPlan{}, &probe));
+      const std::vector<Variant> one{{0.3f, 4}};
+      (void)run_multi_clustering(probe_device, points, one, options);
+    }
+    const std::uint64_t ops_per_variant = probe->ops();
+    ASSERT_GT(ops_per_variant, 0u);
+
+    cudasim::FaultPlan plan;
+    plan.lost_at_op = ops_per_variant + 3;
+    cudasim::Device device({}, faulted_options(plan));
+    const std::vector<Variant> variants(5, Variant{0.3f, 4});
+    const PipelineReport report =
+        run_multi_clustering(device, points, variants, options);
+
+    // The one-value banded pass in input order, ids in grid order.
+    const GridIndex index = build_grid_index(points, 0.3f);
+    const int values[] = {4};
+    const ClusterResult want =
+        dbscan_parallel(build_neighbor_table_host(index, 0.3f), values, 0,
+                        index.original_ids)
+            .front();
+
+    ASSERT_EQ(report.variants.size(), 5u);
+    ASSERT_TRUE(report.variants[0].outcome.ok);
+    EXPECT_TRUE(report.variants[0].fused);
+    EXPECT_EQ(report.results[0].labels, want.labels);
+    EXPECT_FALSE(report.variants[1].outcome.ok);  // the device died here
+    for (std::size_t i = 2; i < 5; ++i) {
+      ASSERT_TRUE(report.variants[i].outcome.ok) << "variant " << i;
+      EXPECT_TRUE(report.variants[i].outcome.host_fallback)
+          << "variant " << i;
+      EXPECT_FALSE(report.variants[i].fused) << "variant " << i;
+      EXPECT_EQ(report.results[i].labels, want.labels) << "variant " << i;
+      EXPECT_EQ(report.results[i].num_clusters, want.num_clusters);
+    }
   }
 }
 

@@ -4,8 +4,13 @@
 
 #include <vector>
 
+#include "core/cell_graph.hpp"
+#include "core/hybrid_dbscan.hpp"
+#include "core/neighbor_table_builder.hpp"
 #include "data/generators.hpp"
 #include "dbscan/cluster_compare.hpp"
+#include "dbscan/dbscan.hpp"
+#include "dbscan/dbscan_parallel.hpp"
 #include "dbscan/neighbor_table.hpp"
 #include "index/grid_index.hpp"
 
@@ -38,6 +43,97 @@ NeighborTable input_order_table(std::span<const Point2> points, float eps) {
     table.append_sorted_batch(pairs);
   }
   return table;
+}
+
+/// A skewed sweep: dense hot spots and sparse background, so borders that
+/// touch two clusters occur and the border rule decides them.
+std::vector<Point2> skewed_points() {
+  return data::generate_space_weather(2500, 80,
+                                      {.width = 10.0f, .height = 10.0f});
+}
+
+/// The one-value banded pass in input order, with ids (cluster numbering,
+/// border ties) in the grid index's point order as the pipeline uses them.
+std::vector<std::int32_t> banded_labels(std::span<const Point2> points,
+                                        float eps, int minpts) {
+  const GridIndex index = build_grid_index(points, eps);
+  const int values[] = {minpts};
+  return dbscan_parallel(build_neighbor_table_host(index, eps), values, 0,
+                         index.original_ids)
+      .front()
+      .labels;
+}
+
+TEST(Pipeline, DefaultVariantsRunFusedAndMatchBandedPass) {
+  const auto points = skewed_points();
+  const auto variants = test_variants();
+  cudasim::Device dev({}, fast_options());
+  for (const bool pipelined : {false, true}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "sequential");
+    PipelineOptions opts;
+    opts.pipelined = pipelined;
+    opts.keep_results = true;
+    const PipelineReport report =
+        run_multi_clustering(dev, points, variants, opts);
+    ASSERT_EQ(report.results.size(), variants.size());
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+      const VariantTiming& t = report.variants[i];
+      ASSERT_TRUE(t.outcome.ok) << t.outcome.error;
+      EXPECT_TRUE(t.fused) << "variant " << i;
+      EXPECT_FALSE(t.streamed) << "variant " << i;
+      // overlap_fraction describes streaming's row ingest.
+      EXPECT_EQ(t.overlap_fraction, 0.0) << "variant " << i;
+      EXPECT_FALSE(t.outcome.host_fallback) << "variant " << i;
+      EXPECT_EQ(report.results[i].labels,
+                banded_labels(points, variants[i].eps, variants[i].minpts))
+          << "variant " << i;
+    }
+  }
+}
+
+TEST(Pipeline, BatchTableVariantsMatchBfsOverTheirTable) {
+  const auto points = skewed_points();
+  const auto variants = test_variants();
+  cudasim::Device dev({}, fast_options());
+  PipelineOptions opts;
+  opts.keep_results = true;
+  opts.cluster_mode = ClusterMode::kBatchTable;
+  const PipelineReport report =
+      run_multi_clustering(dev, points, variants, opts);
+  ASSERT_EQ(report.results.size(), variants.size());
+  cudasim::Device ref_dev({}, fast_options());
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const VariantTiming& t = report.variants[i];
+    ASSERT_TRUE(t.outcome.ok) << t.outcome.error;
+    EXPECT_FALSE(t.fused) << "variant " << i;
+    EXPECT_FALSE(t.streamed) << "variant " << i;
+    const GridIndex index = build_grid_index(points, variants[i].eps);
+    NeighborTableBuilder builder(ref_dev, opts.policy);
+    const NeighborTable table = builder.build(index, variants[i].eps);
+    const ClusterResult want = unmap_labels(
+        dbscan_neighbor_table(table, variants[i].minpts), index.original_ids);
+    EXPECT_EQ(report.results[i].labels, want.labels) << "variant " << i;
+  }
+}
+
+TEST(Pipeline, CellGraphQualityServedUnderTheDefaultMode) {
+  const auto points = skewed_points();
+  const auto variants = test_variants();
+  cudasim::Device dev({}, fast_options());
+  PipelineOptions opts;
+  opts.keep_results = true;
+  opts.policy.quality.mode = ClusterQuality::kCellGraph;
+  const PipelineReport report =
+      run_multi_clustering(dev, points, variants, opts);
+  ASSERT_EQ(report.results.size(), variants.size());
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    ASSERT_TRUE(report.variants[i].outcome.ok)
+        << report.variants[i].outcome.error;
+    EXPECT_FALSE(report.variants[i].fused) << "variant " << i;
+    const ClusterResult want = cell_graph_dbscan(
+        points, variants[i].eps, variants[i].minpts, dev.config());
+    EXPECT_EQ(report.results[i].labels, want.labels) << "variant " << i;
+  }
 }
 
 TEST(Pipeline, PipelinedMatchesNonPipelined) {
@@ -135,13 +231,16 @@ TEST(Pipeline, ByteBudgetAdmitsAsymmetricTables) {
   cudasim::Device dev_a({}, fast_options());
   cudasim::Device dev_b({}, fast_options());
 
+  // The byte budget bounds in-flight tables: the paper's table path.
   PipelineOptions unbudgeted;
   unbudgeted.keep_results = true;
+  unbudgeted.cluster_mode = ClusterMode::kBatchTable;
   const PipelineReport want =
       run_multi_clustering(dev_a, points, variants, unbudgeted);
 
   PipelineOptions budgeted;
   budgeted.keep_results = true;
+  budgeted.cluster_mode = ClusterMode::kBatchTable;
   budgeted.queue_capacity = 4;
   budgeted.queue_bytes_budget = 1024;  // below either table's payload
   const PipelineReport got =
@@ -161,6 +260,7 @@ TEST(Pipeline, ByteBudgetZeroIsLegacyCountOnly) {
   const auto points = data::generate_uniform(1200, 79, 8.0f, 8.0f);
   cudasim::Device dev({}, fast_options());
   PipelineOptions opts;
+  opts.cluster_mode = ClusterMode::kBatchTable;
   opts.queue_bytes_budget = 0;  // legacy: only queue_capacity bounds
   const PipelineReport report =
       run_multi_clustering(dev, points, test_variants(), opts);

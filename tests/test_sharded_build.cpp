@@ -14,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/shard_planner.hpp"
@@ -687,6 +688,7 @@ TEST(ShardedBuildPipeline, ByteBudgetOneItemMinimumDrainsShardedBuilds) {
   PipelineOptions want_opts;
   want_opts.pipelined = false;
   want_opts.keep_results = true;
+  want_opts.cluster_mode = ClusterMode::kBatchTable;
   want_opts.policy = many_batch_policy(s, ScanMode::kHalf);
   cudasim::Device single({}, fast_options());
   const PipelineReport want =
@@ -696,6 +698,7 @@ TEST(ShardedBuildPipeline, ByteBudgetOneItemMinimumDrainsShardedBuilds) {
   PipelineOptions opts;
   opts.pipelined = true;
   opts.keep_results = true;
+  opts.cluster_mode = ClusterMode::kBatchTable;  // sharded tables
   opts.num_shards = 2;
   opts.queue_capacity = 3;
   opts.queue_bytes_budget = 1;  // every table is over budget
@@ -715,6 +718,58 @@ TEST(ShardedBuildPipeline, ByteBudgetOneItemMinimumDrainsShardedBuilds) {
   for (const auto& dev : fleet.owned) {
     dev->pool().trim();
     EXPECT_EQ(dev->used_global_bytes(), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Front doors: the fused path replicates the index, so it refuses shards
+// ---------------------------------------------------------------------------
+
+/// Runs `call`, expecting std::invalid_argument whose message names
+/// ClusterMode::kBatchTable — the mode that shards.
+template <typename Call>
+void expect_sharded_fused_rejected(Call&& call) {
+  try {
+    call();
+    ADD_FAILURE() << "a fused run with num_shards = 2 was not rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("kBatchTable"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ShardedFusedFrontDoors, HybridDbscanRejectsShardedFusedRuns) {
+  const Scenario s = make_scenario(1000, 0.35f, 34);
+  Fleet fleet = make_fleet(2);
+  ShardedBuildOptions options;
+  options.num_shards = 2;
+  expect_sharded_fused_rejected([&] {
+    (void)hybrid_dbscan(fleet.ptrs, s.points, s.eps, 4, nullptr, options,
+                        ClusterMode::kFused);
+  });
+  // One shard per live device (num_shards = 0) is no request to shard:
+  // the fused passes still stripe the replicated index across the fleet.
+  options.num_shards = 0;
+  const ClusterResult fused = hybrid_dbscan(
+      fleet.ptrs, s.points, s.eps, 4, nullptr, options, ClusterMode::kFused);
+  EXPECT_EQ(fused.labels.size(), s.points.size());
+}
+
+TEST(ShardedFusedFrontDoors, RunMultiClusteringRejectsShardedFusedRuns) {
+  const Scenario s = make_scenario(1000, 0.35f, 35);
+  const std::vector<Variant> variants = {{0.3f, 4}, {0.35f, 4}};
+  Fleet fleet = make_fleet(2);
+  PipelineOptions opts;  // the default mode: kFused
+  opts.num_shards = 2;
+  expect_sharded_fused_rejected([&] {
+    (void)run_multi_clustering(fleet.ptrs, s.points, variants, opts);
+  });
+  // The same request on the table path builds sharded tables.
+  opts.cluster_mode = ClusterMode::kBatchTable;
+  const PipelineReport report =
+      run_multi_clustering(fleet.ptrs, s.points, variants, opts);
+  for (const VariantTiming& t : report.variants) {
+    EXPECT_TRUE(t.outcome.ok) << t.outcome.error;
   }
 }
 

@@ -302,6 +302,7 @@ TEST(StreamingDbscan, PipelineStreamingModeMatchesBatchMode) {
 
   PipelineOptions batch_opts;
   batch_opts.keep_results = true;
+  batch_opts.cluster_mode = ClusterMode::kBatchTable;
   const PipelineReport batch =
       run_multi_clustering(dev_a, points, variants, batch_opts);
   PipelineOptions stream_opts;

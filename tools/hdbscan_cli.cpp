@@ -2,7 +2,7 @@
 //
 //   hdbscan_cli gen <SW1|SW4|SDSS1|SDSS2|SDSS3|uniform> <n> <out.{csv,bin}>
 //   hdbscan_cli cluster <in.{csv,bin}> <eps> <minpts> [labels_out] [--map]
-//                       [--streaming] [--shards k]
+//                       [--streaming] [--fused] [--shards k]
 //   hdbscan_cli sweep <in> <eps_lo> <eps_hi> <step> <minpts>
 //   hdbscan_cli reuse <in> <eps> <minpts,minpts,...> [threads]
 //   hdbscan_cli table <in> <eps> <table_out.bin>
@@ -128,6 +128,8 @@ int usage() {
       "  hdbscan_cli cluster <in> <eps> <minpts> [labels_out] [--map]"
       " [--streaming] [--fused] [--index=grid|bvh] [--shards k]\n"
       "               [--quality=exact|cellgraph]\n"
+      "               (--shards k > 1 builds a sharded table, so not with"
+      " --fused)\n"
       "  hdbscan_cli sweep <in> <eps_lo> <eps_hi> <step> <minpts>\n"
       "  hdbscan_cli reuse <in> <eps> <minpts,minpts,...> [threads]\n"
       "  hdbscan_cli table <in> <eps> <table_out.bin>\n"
@@ -256,6 +258,13 @@ int cmd_cluster(int argc, char** argv) {
                  " path would fuse into\n");
     return 2;
   }
+  if (fused && shards > 1) {
+    std::fprintf(stderr,
+                 "cluster: --fused replicates the whole index on every"
+                 " device and cannot shard it (--shards %u); drop --fused"
+                 " for a sharded table build\n", shards);
+    return 2;
+  }
   const auto points = load_points(argv[2]);
   const float eps = std::strtof(argv[3], nullptr);
   const int minpts = std::atoi(argv[4]);
@@ -357,10 +366,13 @@ int cmd_sweep(int argc, char** argv) {
   for (float e = lo; e <= hi + 1e-6f; e += step) variants.push_back({e, minpts});
 
   cudasim::Device device;
+  const PipelineOptions options;
   const PipelineReport report =
-      run_multi_clustering(device, points, variants, {});
+      run_multi_clustering(device, points, variants, options);
+  const bool fused = options.cluster_mode == ClusterMode::kFused;
   std::printf("%6s %10s %10s %12s %12s\n", "eps", "clusters", "noise",
-              "T (s)", "DBSCAN (s)");
+              fused ? "passes (s)" : "T (s)",
+              fused ? "finalize (s)" : "DBSCAN (s)");
   for (const VariantTiming& t : report.variants) {
     std::printf("%6.3f %10d %10zu %12.3f %12.3f\n", t.variant.eps,
                 t.num_clusters, t.noise_count, t.table_seconds,
@@ -1185,8 +1197,10 @@ int cmd_profile(int argc, char** argv, const ObsOptions& obs_opts) {
   if (!tracer.enabled()) tracer.enable();
   obs::set_thread_track(obs::kHostPid, "main");
 
+  // The paper's table pipeline, whose overlap the profile measures.
   PipelineOptions options;
   options.pipelined = true;
+  options.cluster_mode = ClusterMode::kBatchTable;
   const PipelineReport report =
       run_multi_clustering(device, points, variants, options);
   publish_device_metrics(device.id(), device.metrics());
