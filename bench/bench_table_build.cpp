@@ -740,6 +740,7 @@ int main() {
     double throughput = 0.0;
     std::uint64_t cache_hits = 0;
     std::uint64_t coalesced_jobs = 0;
+    std::uint64_t clusterings_run = 0;
   };
   std::vector<ServeResult> serve_results;
   bool serve_ok = false;
@@ -802,6 +803,7 @@ int main() {
                          : 0.0;
       r.cache_hits = stats.cache_hits;
       r.coalesced_jobs = stats.coalesced_jobs;
+      r.clusterings_run = stats.clusterings_run;
       serve_results.push_back(std::move(r));
     }
     // The reuse gate compares the untraced cache+coalesce row to naive;
@@ -811,10 +813,12 @@ int main() {
                 " devices):\n", wl.num_jobs);
     for (const ServeResult& r : serve_results) {
       std::printf("    %-21s makespan %.4fs  p50 %.4fs  p99 %.4fs  %6.1f"
-                  " jobs/s  (%llu cache hits, %llu coalesced)\n",
+                  " jobs/s  (%llu cache hits, %llu coalesced, %llu"
+                  " clusterings run)\n",
                   r.config.c_str(), r.makespan, r.p50, r.p99, r.throughput,
                   static_cast<unsigned long long>(r.cache_hits),
-                  static_cast<unsigned long long>(r.coalesced_jobs));
+                  static_cast<unsigned long long>(r.coalesced_jobs),
+                  static_cast<unsigned long long>(r.clusterings_run));
     }
     std::printf("  cache+coalescing beats naive on modeled makespan: %s\n",
                 serve_ok ? "PASS" : "FAIL");

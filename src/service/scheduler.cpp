@@ -14,6 +14,7 @@
 #include "core/neighbor_table_builder.hpp"
 #include "dbscan/batch_sink.hpp"
 #include "dbscan/dbscan.hpp"
+#include "dbscan/dbscan_parallel.hpp"
 #include "dbscan/streaming_dbscan.hpp"
 #include "gpu/kernels.hpp"
 #include "index/grid_index.hpp"
@@ -79,6 +80,14 @@ std::vector<std::int32_t> unmap(const std::vector<std::int32_t>& indexed,
   }
   return out;
 }
+
+/// One clustering a group ran, kept for every job of the group that asked
+/// for its minpts.
+struct GroupClustering {
+  std::int32_t num_clusters = 0;
+  std::size_t noise_count = 0;
+  std::vector<std::int32_t> labels;  ///< input order; only with keep_labels
+};
 
 }  // namespace
 
@@ -608,6 +617,7 @@ void ClusterService::process_group(PendingPtr leader,
     {
       std::lock_guard slock(stats_mutex_);
       stats_.cell_graph_jobs += runnable.size();
+      ++stats_.clusterings_run;
     }
     bool first = true;
     for (auto& job : runnable) {
@@ -630,39 +640,59 @@ void ClusterService::process_group(PendingPtr leader,
     return;
   }
 
-  // Completes one job from a table (cache hit or freshly built+shared):
-  // host DBSCAN over the table, measured wall time advancing the modeled
-  // clock (host work is real work on this machine). `build_wall` is the
-  // wall time this request spent waiting on the group's table build (0
-  // for cache hits).
-  auto finish_from_table = [&](Pending& job, const CachedTable& entry,
-                               bool cache_hit, double device_share,
-                               int device_id, bool host_fb,
-                               double build_wall) {
+  // Completes one job of a table or labels-only group. Labels are a pure
+  // function of what the group shares (its table, or its build's stream)
+  // and minpts, so the group clusters once per distinct minpts: the first
+  // job that asks runs `cluster(minpts)` and unmaps the labels to input
+  // order, and later jobs with that minpts copy them. The job's wall time
+  // here (the pass, or only the copy) lands in `pass_stage` and advances
+  // the modeled clock (host work is real work on this machine), so the
+  // ledger and the makespan count only work that ran. The leader also
+  // carries the group's `build_model` seconds; `build_wall` is the wall
+  // time every job waited on the group's build (both 0 for cache hits).
+  // The memo lives for this dispatch only: a requeued group clusters again
+  // from its next build.
+  std::map<int, GroupClustering> clusterings;
+  auto finish = [&](Pending& job, JobResult r, double build_model,
+                    double build_wall, Stage pass_stage,
+                    const std::vector<PointId>& original_ids,
+                    const auto& cluster) {
     RequestScope scope(job.trace);
     const double start = std::max(clock, job.spec.arrival_seconds);
+    const double device_share =
+        &job == runnable.front().get() ? build_model : 0.0;
     WallTimer t;
-    const ClusterResult labels =
-        dbscan_neighbor_table(entry.table, job.spec.minpts);
-    clock = start + device_share + t.seconds();
-    JobResult r;
-    r.cache_hit = cache_hit;
+    auto it = clusterings.find(job.spec.minpts);
+    if (it == clusterings.end()) {
+      const ClusterResult labels = cluster(job.spec.minpts);
+      GroupClustering c;
+      c.num_clusters = labels.num_clusters;
+      c.noise_count = labels.noise_count();
+      if (options_.keep_labels) c.labels = unmap(labels.labels, original_ids);
+      it = clusterings.emplace(job.spec.minpts, std::move(c)).first;
+      std::lock_guard slock(stats_mutex_);
+      ++stats_.clusterings_run;
+    }
+    const GroupClustering& c = it->second;
+    if (options_.keep_labels) r.labels = c.labels;
+    const double pass_wall = t.seconds();
+    clock = start + device_share + pass_wall;
     r.coalesced = coalesced_build;
-    r.host_fallback = host_fb;
-    r.device_id = device_id;
     r.modeled_start_seconds = start;
     r.modeled_finish_seconds = clock;
     r.modeled_device_seconds = device_share;
-    r.num_clusters = labels.num_clusters;
-    r.noise_count = labels.noise_count();
-    if (build_wall > 0.0 || device_share > 0.0) {
-      r.stages.add(Stage::kBuild, build_wall, device_share);
-    }
-    r.stages.add(Stage::kCache, t.seconds());
-    if (options_.keep_labels) {
-      r.labels = unmap(labels.labels, entry.original_ids);
-    }
+    r.num_clusters = c.num_clusters;
+    r.noise_count = c.noise_count;
+    r.stages.add(Stage::kBuild, build_wall, device_share);
+    r.stages.add(pass_stage, pass_wall);
     record_terminal(job, rs, JobState::kCompleted, std::move(r));
+  };
+  // Alg. 4's BFS over a shared table: cache hits and fresh builds label
+  // through it alike, so their labels are bit-identical.
+  auto bfs_over = [](const NeighborTable& table) {
+    return [&table](int minpts) {
+      return dbscan_neighbor_table(table, minpts);
+    };
   };
 
   // --- Cache hit: no device at all. Fused jobs never probe: the cache
@@ -670,6 +700,8 @@ void ClusterService::process_group(PendingPtr leader,
   // silently undo its no-table contract (and skew A/B measurements). ---
   if (TableCache::Handle hit = lead.fused ? TableCache::Handle{}
                                           : cache_.find(key)) {
+    JobResult served;
+    served.cache_hit = true;
     for (auto& job : runnable) {
       // Link each hit back to the request whose build populated the
       // entry, so `explain` can chase a suspiciously fast request into
@@ -680,9 +712,8 @@ void ClusterService::process_group(PendingPtr leader,
         obs::link("cache_hit", job->trace.request_id, job->trace.tenant,
                   hit->built_by_request);
       }
-      finish_from_table(*job, *hit.get(), /*cache_hit=*/true,
-                        /*device_share=*/0.0, /*device_id=*/-1,
-                        /*host_fb=*/false, /*build_wall=*/0.0);
+      finish(*job, served, /*build_model=*/0.0, /*build_wall=*/0.0,
+             Stage::kCache, hit->original_ids, bfs_over(hit->table));
     }
     return;
   }
@@ -712,13 +743,22 @@ void ClusterService::process_group(PendingPtr leader,
     {
       std::lock_guard slock(stats_mutex_);
       stats_.host_fallback_jobs += runnable.size();
+      if (lead.fused) stats_.fused_jobs += runnable.size();
     }
-    bool first = true;
+    // A fused group gets the labels its device run gives: the one-value
+    // banded pass over the host table.
+    auto host_pass = [&](int minpts) {
+      return lead.fused ? dbscan_parallel(entry.table, minpts,
+                                          options_.dbscan_threads)
+                        : dbscan_neighbor_table(entry.table, minpts);
+    };
+    JobResult served;
+    served.fused = lead.fused;
+    served.host_fallback = true;
     for (auto& job : runnable) {
-      finish_from_table(*job, entry, /*cache_hit=*/false,
-                        first ? host_build : 0.0, /*device_id=*/-1,
-                        /*host_fb=*/true, host_build);
-      first = false;
+      finish(*job, served, host_build, host_build,
+             lead.fused ? Stage::kStreamUnion : Stage::kCache,
+             entry.original_ids, host_pass);
     }
     // Fused jobs bypass the cache in both directions: the emergency host
     // table above is a fallback artifact, not a reusable build product.
@@ -749,61 +789,18 @@ void ClusterService::process_group(PendingPtr leader,
     WallTimer build_wall_timer;
     GridIndex index = build_grid_index(ds.points, lead.eps);
     const double index_wall = build_wall_timer.seconds();
-
-    if (lead.fused) {
-      // Fused no-table path: a core pass counts degrees and a union pass
-      // unions core-core pairs for the whole group (coalescing guaranteed
-      // equal minpts), nothing is materialized or cached. Hard failures
-      // fall through to the breaker + retry ladder like any build.
-      StreamingDbscan consumer(index.size(), lead.minpts);
-      if (token != nullptr) consumer.set_cancel_token(token);
-      const BuildReport report =
-          fused_cluster(device, index, lead.eps, consumer, bp);
-      breaker_.record_success(static_cast<std::size_t>(dev));
-      const double build_wall = build_wall_timer.seconds();
-      const double build_model = index_wall + report.modeled_table_seconds;
-      WallTimer fin;
-      const ClusterResult labels = consumer.finalize(options_.dbscan_threads);
-      const double finalize_wall = fin.seconds();
-      {
-        std::lock_guard slock(stats_mutex_);
-        stats_.fused_jobs += runnable.size();
-      }
-      bool first = true;
-      for (auto& job : runnable) {
-        RequestScope scope(job->trace);
-        const double start = std::max(clock, job->spec.arrival_seconds);
-        clock = start + (first ? build_model + finalize_wall : 0.0);
-        JobResult r;
-        r.fused = true;
-        r.coalesced = coalesced_build;
-        r.host_fallback = report.used_host_fallback;
-        r.device_id = dev;
-        r.modeled_start_seconds = start;
-        r.modeled_finish_seconds = clock;
-        r.modeled_device_seconds = first ? build_model : 0.0;
-        r.num_clusters = labels.num_clusters;
-        r.noise_count = labels.noise_count();
-        r.stages.add(Stage::kBuild, build_wall, first ? build_model : 0.0);
-        r.stages.add(Stage::kStreamUnion, finalize_wall);
-        if (options_.keep_labels) {
-          r.labels = unmap(labels.labels, index.original_ids);
-        }
-        record_terminal(*job, rs, JobState::kCompleted, std::move(r));
-        first = false;
-      }
-      return;
-    }
-
-    NeighborTableBuilder builder(device, bp);
     BuildReport report;
+    JobResult served;
+    served.fused = lead.fused;
+    served.device_id = dev;
 
-    if (cache_.enabled()) {
+    if (cache_.enabled() && !lead.fused) {
       // Materialized path: one build, labels for every group job via the
       // same dbscan_neighbor_table a later cache hit will use — so
       // cache-hit labels are bit-identical to fresh-build labels.
       CachedTable entry;
-      entry.table = builder.build(index, lead.eps, &report);
+      entry.table = NeighborTableBuilder(device, bp).build(index, lead.eps,
+                                                           &report);
       entry.table.canonicalize();
       entry.original_ids = std::move(index.original_ids);
       entry.bytes = CachedTable::payload_bytes(entry.table);
@@ -812,55 +809,50 @@ void ClusterService::process_group(PendingPtr leader,
       TableCache::Handle pinned = cache_.insert(key, std::move(entry));
       breaker_.record_success(static_cast<std::size_t>(dev));
       const double build_model = index_wall + report.modeled_table_seconds;
-      bool first = true;
+      served.host_fallback = report.used_host_fallback;
       for (auto& job : runnable) {
-        finish_from_table(*job, *pinned.get(), /*cache_hit=*/false,
-                          first ? build_model : 0.0, dev,
-                          report.used_host_fallback, build_wall);
-        first = false;
+        finish(*job, served, build_model, build_wall, Stage::kCache,
+               pinned->original_ids, bfs_over(pinned->table));
       }
       return;
     }
 
-    // Cache off: labels-only streaming build — one StreamingDbscan per
-    // group job fed through a FanoutSink, T never materialized.
-    std::vector<std::unique_ptr<StreamingDbscan>> clusterers;
+    // Labels-only paths, T never materialized: one StreamingDbscan per
+    // distinct minpts of the group. A fused group (coalescing guaranteed
+    // one minpts) runs the core and union passes straight into its
+    // consumer; with the cache off, a streaming build feeds every
+    // consumer through a FanoutSink. Hard failures fall through to the
+    // breaker + retry ladder like any build.
+    std::map<int, std::unique_ptr<StreamingDbscan>> clusterers;
     FanoutSink fanout;
     for (auto& job : runnable) {
-      clusterers.push_back(
-          std::make_unique<StreamingDbscan>(index.size(), job->spec.minpts));
-      if (token != nullptr) clusterers.back()->set_cancel_token(token);
-      fanout.add(clusterers.back().get());
+      std::unique_ptr<StreamingDbscan>& c = clusterers[job->spec.minpts];
+      if (c != nullptr) continue;
+      c = std::make_unique<StreamingDbscan>(index.size(), job->spec.minpts);
+      if (token != nullptr) c->set_cancel_token(token);
+      fanout.add(c.get());
     }
-    builder.build(index, lead.eps, &report, &fanout,
-                  /*materialize_table=*/false);
+    if (lead.fused) {
+      report = fused_cluster(device, index, lead.eps,
+                             *clusterers.begin()->second, bp);
+    } else {
+      NeighborTableBuilder(device, bp).build(index, lead.eps, &report,
+                                             &fanout,
+                                             /*materialize_table=*/false);
+    }
     breaker_.record_success(static_cast<std::size_t>(dev));
     const double build_wall = build_wall_timer.seconds();
     const double build_model = index_wall + report.modeled_table_seconds;
-    for (std::size_t j = 0; j < runnable.size(); ++j) {
-      Pending& job = *runnable[j];
-      RequestScope scope(job.trace);
-      const double start = std::max(clock, job.spec.arrival_seconds);
-      WallTimer t;
-      const ClusterResult labels =
-          clusterers[j]->finalize(options_.dbscan_threads);
-      clock = start + (j == 0 ? build_model : 0.0) + t.seconds();
-      JobResult r;
-      r.coalesced = coalesced_build;
-      r.host_fallback = report.used_host_fallback;
-      r.device_id = dev;
-      r.modeled_start_seconds = start;
-      r.modeled_finish_seconds = clock;
-      r.modeled_device_seconds = j == 0 ? build_model : 0.0;
-      r.num_clusters = labels.num_clusters;
-      r.noise_count = labels.noise_count();
-      r.stages.add(Stage::kBuild, build_wall,
-                   j == 0 ? build_model : 0.0);
-      r.stages.add(Stage::kStreamUnion, t.seconds());
-      if (options_.keep_labels) {
-        r.labels = unmap(labels.labels, index.original_ids);
-      }
-      record_terminal(job, rs, JobState::kCompleted, std::move(r));
+    if (lead.fused) {
+      std::lock_guard slock(stats_mutex_);
+      stats_.fused_jobs += runnable.size();
+    }
+    served.host_fallback = report.used_host_fallback;
+    for (auto& job : runnable) {
+      finish(*job, served, build_model, build_wall, Stage::kStreamUnion,
+             index.original_ids, [&](int minpts) {
+               return clusterers.at(minpts)->finalize(options_.dbscan_threads);
+             });
     }
     return;
   } catch (...) {

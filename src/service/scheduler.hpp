@@ -60,7 +60,9 @@ struct ServiceOptions {
   /// of failing them.
   bool host_fallback = true;
   bool keep_labels = false;
-  /// Threads for the host-side DBSCAN over (cached) tables; 0 = one.
+  /// Threads for the host-side union-find tails (a streaming or fused
+  /// finalize, the banded pass of a fused job on a lost fleet); 0 =
+  /// hardware concurrency. Alg. 4's BFS over a table runs on one thread.
   unsigned dbscan_threads = 0;
   /// Per-tenant p99 wall-latency target for slo_report() (seconds; 0 = no
   /// target — the report still lists quantiles, target_met stays true).
@@ -115,6 +117,10 @@ struct ServiceStats {
   std::uint64_t cache_evictions = 0;
   std::uint64_t coalesced_jobs = 0;    ///< jobs that shared another's build
   std::uint64_t coalesced_builds = 0;  ///< builds serving > 1 job
+  /// Label computations the service ran: one per distinct minpts of a
+  /// table or cache-off group, one per fused or cell-graph group. At most
+  /// `completed`, and equal to it when nothing coalesces.
+  std::uint64_t clusterings_run = 0;
   std::uint64_t fused_jobs = 0;        ///< jobs served by the fused path
   std::uint64_t cell_graph_jobs = 0;   ///< jobs served by the cell graph
   std::uint64_t retries = 0;

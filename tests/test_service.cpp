@@ -16,6 +16,7 @@
 #include "core/failure.hpp"
 #include "cudasim/buffer_pool.hpp"
 #include "cudasim/error.hpp"
+#include "cudasim/fault.hpp"
 #include "data/generators.hpp"
 #include "dbscan/dbscan_parallel.hpp"
 #include "index/grid_index.hpp"
@@ -510,12 +511,125 @@ TEST(ClusterServiceTest, CoalescedGroupSharesOneBuild) {
   EXPECT_EQ(s.completed, 3u);
   EXPECT_EQ(s.coalesced_builds, 1u);
   EXPECT_EQ(s.coalesced_jobs, 2u);
+  // One consumer per distinct minpts (4 and 8) behind the fanout.
+  EXPECT_EQ(s.clusterings_run, 2u);
   for (const JobResult& r : results) {
     EXPECT_EQ(r.state, JobState::kCompleted);
     EXPECT_TRUE(r.coalesced);
   }
   // Same minpts across the fanout: identical labels from one build.
   EXPECT_EQ(results[0].labels, results[2].labels);
+}
+
+/// A coalesced group clusters once per distinct minpts, and each job gets
+/// the labels an uncoalesced run gives for its own minpts, bit for bit:
+/// served from a fresh build, as a cache hit, and with the cache off.
+TEST(ClusterServiceTest, CoalescedGroupClustersOncePerDistinctMinpts) {
+  ServiceFixture f;
+  const std::vector<JobSpec> jobs = {
+      job(0.5f, 4, Priority::kNormal, "t0"),
+      job(0.5f, 8, Priority::kBatch, "t1"),
+      job(0.5f, 4, Priority::kInteractive, "t2"),
+      job(0.5f, 12, Priority::kNormal, "t3"),
+      job(0.5f, 8, Priority::kInteractive, "t1"),
+  };
+  for (const std::uint64_t cache_bytes : {256ull << 20, 0ull}) {
+    SCOPED_TRACE(cache_bytes == 0 ? "cache off" : "cache on");
+    ServiceOptions opt;
+    opt.num_workers = 1;
+    opt.cache_bytes_budget = cache_bytes;
+    opt.keep_labels = true;
+
+    // Reference: every job served on its own.
+    ServiceOptions alone = opt;
+    alone.coalesce = false;
+    auto ref_svc = f.make(alone);
+    const auto reference = ref_svc->replay(jobs);
+    ASSERT_EQ(reference.size(), jobs.size());
+    for (const JobResult& r : reference) {
+      ASSERT_EQ(r.state, JobState::kCompleted);
+      EXPECT_FALSE(r.coalesced);
+    }
+    EXPECT_EQ(ref_svc->stats().clusterings_run, ref_svc->stats().completed);
+    // The three minpts give three different clusterings here, so a job
+    // handed another minpts' labels cannot match its reference.
+    EXPECT_NE(reference[0].labels, reference[1].labels);
+    EXPECT_NE(reference[0].labels, reference[3].labels);
+    EXPECT_NE(reference[1].labels, reference[3].labels);
+
+    auto svc = f.make(opt);
+    // With the cache on, the second replay is served from the first's
+    // table.
+    const int replays = cache_bytes == 0 ? 1 : 2;
+    for (int rep = 0; rep < replays; ++rep) {
+      SCOPED_TRACE(rep == 0 ? "fresh build" : "cache hit");
+      const service::ServiceStats before = svc->stats();
+      const auto results = svc->replay(jobs);
+      const service::ServiceStats after = svc->stats();
+      ASSERT_EQ(results.size(), jobs.size());
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ASSERT_EQ(results[i].state, JobState::kCompleted);
+        EXPECT_TRUE(results[i].coalesced);
+        EXPECT_EQ(results[i].cache_hit, rep == 1);
+        EXPECT_EQ(results[i].labels, reference[i].labels) << "job " << i;
+        EXPECT_EQ(results[i].num_clusters, reference[i].num_clusters);
+        EXPECT_EQ(results[i].noise_count, reference[i].noise_count);
+      }
+      EXPECT_EQ(after.clusterings_run - before.clusterings_run, 3u);
+      EXPECT_EQ(after.coalesced_jobs - before.coalesced_jobs, 4u);
+      EXPECT_EQ(after.coalesced_builds - before.coalesced_builds, 1u);
+    }
+  }
+}
+
+/// With no device left, a fused group is served from the host table by
+/// the one-value banded pass, the labels its device run gives, and still
+/// counts as fused; a table group on the same rung labels with BFS, as a
+/// healthy device's build would.
+TEST(ClusterServiceTest, FusedJobOnALostFleetMatchesTheFusedPath) {
+  ServiceFixture f;
+  cudasim::FaultPlan lost;
+  lost.lost_at_op = 1;  // dies at calibration, before any job dispatches
+  cudasim::SimulationOptions sim = fast_options();
+  sim.fault = std::make_shared<cudasim::FaultInjector>(lost);
+  f.device = std::make_unique<cudasim::Device>(cudasim::DeviceConfig{}, sim);
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.cache_bytes_budget = 256ull << 20;  // table jobs take the BFS path
+  opt.keep_labels = true;
+  ASSERT_TRUE(opt.host_fallback);
+  auto svc = f.make(opt);
+  ASSERT_TRUE(f.device->lost());
+
+  JobSpec f1 = job(0.5f, 8, Priority::kNormal, "t0");
+  JobSpec f2 = job(0.5f, 8, Priority::kNormal, "t1");
+  f1.fused = f2.fused = true;
+  const auto results =
+      svc->replay({f1, f2, job(0.5f, 8, Priority::kNormal, "t2")});
+  ASSERT_EQ(results.size(), 3u);
+  for (const JobResult& r : results) {
+    ASSERT_EQ(r.state, JobState::kCompleted);
+    EXPECT_TRUE(r.host_fallback);
+    EXPECT_EQ(r.device_id, -1);
+  }
+  EXPECT_TRUE(results[0].fused);
+  EXPECT_TRUE(results[1].fused);
+  EXPECT_FALSE(results[2].fused);
+  const std::vector<std::int32_t> banded =
+      union_find_labels(f.points, 0.5f, 8);
+  EXPECT_EQ(results[0].labels, banded);
+  EXPECT_EQ(results[1].labels, banded);
+  const service::ServiceStats s = svc->stats();
+  EXPECT_EQ(s.host_fallback_jobs, 3u);
+  EXPECT_EQ(s.fused_jobs, 2u);
+  EXPECT_EQ(s.coalesced_jobs, 1u);
+  EXPECT_EQ(s.clusterings_run, 2u);  // one banded pass, one BFS
+
+  ServiceFixture healthy;
+  const auto want = healthy.make(opt)->replay({job(0.5f, 8)});
+  ASSERT_EQ(want[0].state, JobState::kCompleted);
+  EXPECT_FALSE(want[0].host_fallback);
+  EXPECT_EQ(results[2].labels, want[0].labels);
 }
 
 /// Fused jobs coalesce only with fused jobs of the same (eps, minpts) —
@@ -546,6 +660,8 @@ TEST(ClusterServiceTest, FusedJobsCoalesceByMinptsAndSkipTableJobs) {
   // Only the matched (eps, minpts) fused pair shared a build.
   EXPECT_EQ(s.coalesced_builds, 1u);
   EXPECT_EQ(s.coalesced_jobs, 1u);
+  // One clustering per fused group, one for the table job.
+  EXPECT_EQ(s.clusterings_run, 3u);
   // Fused builds never populate the cache; the plain job's build did.
   EXPECT_EQ(s.cache_hits, 0u);
   EXPECT_EQ(svc->cache().size(), 1u);
@@ -649,6 +765,7 @@ TEST(ClusterServiceTest, CellGraphJobCompletesWithoutTableOrDevice) {
   EXPECT_EQ(results[0].labels, results[1].labels);
   EXPECT_EQ(svc->cache().size(), 0u);
   EXPECT_EQ(svc->stats().cell_graph_jobs, 2u);
+  EXPECT_EQ(svc->stats().clusterings_run, 1u);
   EXPECT_GT(results[0].num_clusters, 0);
 }
 
