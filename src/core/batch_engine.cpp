@@ -13,7 +13,8 @@ namespace hdbscan {
 
 BatchEngine::BatchEngine(const std::vector<cudasim::Device*>& devices,
                          const GridIndex& index, const BatchPolicy& policy,
-                         const char* category, bool upload_grid)
+                         const char* category, bool upload_grid,
+                         const SubCells* sub_cells)
     : index_(index), policy_(policy), category_(category) {
   const bool use_bvh = policy.index_backend == IndexBackend::kBvh;
   if (use_bvh) {
@@ -22,6 +23,10 @@ BatchEngine::BatchEngine(const std::vector<cudasim::Device*>& devices,
   }
   host_views_ = {policy.index_backend, GridView::of(index),
                  use_bvh ? BvhView::of(*host_bvh_) : BvhView{}};
+  if (sub_cells != nullptr && !sub_cells->order.empty()) {
+    host_views_.grid.sub_order = sub_cells->order.data();
+    host_views_.grid.sub_bounds = sub_cells->bounds.data();
+  }
   upload_grid = upload_grid || !use_bvh;
   for (cudasim::Device* device : devices) {
     try {
@@ -32,7 +37,7 @@ BatchEngine::BatchEngine(const std::vector<cudasim::Device*>& devices,
       cudasim::Stream upload_stream(*device);
       if (upload_grid) {
         slot.grid = std::make_unique<gpu::GridDeviceIndex>(
-            *device, upload_stream, index);
+            *device, upload_stream, index, sub_cells);
       }
       if (use_bvh) {
         slot.bvh = std::make_unique<gpu::BvhDeviceIndex>(

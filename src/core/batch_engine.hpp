@@ -109,14 +109,16 @@ class BatchEngine {
   /// Uploads the index once per device (pageable host memory, as in the
   /// paper; several devices each hold a replica, like a GPU-per-node
   /// deployment). The grid goes up when the lanes traverse it or
-  /// `upload_grid` asks for it; a kBvh policy builds the host BVH over the
-  /// index's point order (so ids agree with the grid's) and uploads it
-  /// too. A device that runs out of memory or dies during its upload is
-  /// dropped and counted in devices_lost. `category` names the trace
-  /// spans and error messages.
+  /// `upload_grid` asks for it, with `sub_cells` when given (the fused
+  /// union pass reads them; the host views carry them too); a kBvh policy
+  /// builds the host BVH over the index's point order (so ids agree with
+  /// the grid's) and uploads it too. A device that runs out of memory or
+  /// dies during its upload is dropped and counted in devices_lost.
+  /// `category` names the trace spans and error messages.
   BatchEngine(const std::vector<cudasim::Device*>& devices,
               const GridIndex& index, const BatchPolicy& policy,
-              const char* category, bool upload_grid);
+              const char* category, bool upload_grid,
+              const SubCells* sub_cells = nullptr);
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
 

@@ -1,5 +1,6 @@
 #include "core/fused_clustering.hpp"
 
+#include <atomic>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -43,7 +44,14 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   // Upload only what the backend traverses. There is no estimation kernel
   // — with no result buffers there is nothing to size — which is also why
   // the BVH backend skips the grid upload here, unlike the table builder.
-  BatchEngine engine(devices, index, policy, "fused", /*upload_grid=*/false);
+  // The grid's union pass walks its sub-cell runs, which go up with it.
+  SubCells sub_cells;
+  if (policy.index_backend == IndexBackend::kGrid) {
+    TRACE_SPAN("fused", "sub_cells n=%zu", index.size());
+    sub_cells = build_sub_cells(index);
+  }
+  BatchEngine engine(devices, index, policy, "fused", /*upload_grid=*/false,
+                     &sub_cells);
   engine.open_lanes();
 
   // Two waves per lane and pass — failover granularity and stream overlap
@@ -109,21 +117,27 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
       });
 
   // The barrier: every degree is in, on a device or on the host, so core
-  // status is final for the whole union pass.
+  // status is final for the whole union pass. A launch either ran all its
+  // blocks or none (faults fire first), so each batch adds its dense runs
+  // once.
   check_cancel(policy.cancel);
+  std::atomic<std::uint64_t> dense_runs{0};
   run_pass(
       "union",
       [&](Lane& lane, WorkItem& item) {
-        lane.launch([&](const auto& view) {
-          return gpu::run_union_batch(lane.device, view, eps, item.spec,
-                                      consumer, policy.scan_mode,
-                                      policy.block_size);
-        });
+        dense_runs += lane.launch([&](const auto& view) {
+                            return gpu::run_union_batch(
+                                lane.device, view, eps, item.spec, consumer,
+                                policy.scan_mode, policy.block_size);
+                          })
+                          .work.events;
       },
       [&](const auto& view, WorkItem& item) {
-        gpu::host_union_batch(view, eps, item.spec, consumer,
-                              policy.scan_mode);
+        dense_runs += gpu::host_union_batch(view, eps, item.spec, consumer,
+                                            policy.scan_mode)
+                          .events;
       });
+  report.dense_runs = dense_runs;
 
   // Every modeled term is counted: the index upload and the lanes' kernel
   // timelines. No result byte crosses the bus (d2h_bytes stays 0).

@@ -6,7 +6,10 @@
 //    batch lineage (consume_counts, WorkItem::counts_delivered);
 //  * the union pass starts once every degree is in, so core status is
 //    final: it unions core-core pairs and folds each core/non-core pair
-//    into the non-core point's border key.
+//    into the non-core point's border key. On the grid a core point links
+//    each dense eps/2 sub-cell (minpts or more residents, all mutual
+//    neighbors) of a well-filled cell with one union and skips the rest
+//    of it (DESIGN.md §15).
 // T is never allocated on either side of the bus and nothing is parked:
 // no fill pass, no result transfer, no delivery hop. Every counter
 // depends on the input alone, and the labels are bit-identical to
@@ -33,12 +36,13 @@ namespace hdbscan {
 /// the grid index fixes the id order exactly as for the table pipelines)
 /// and fills `consumer`'s degrees, union-find and border keys in place.
 /// The caller owns finalize(): labels come from consumer.finalize() after
-/// this returns. The report's total_pairs is the cross-pair count and its
-/// d2h_bytes is 0. Honors policy.index_backend (grid stencil vs
-/// packed-BVH traversal), policy.scan_mode (the union pass's; kHalf tests
-/// each pair once), the resilience ladder, cancellation and metrics
-/// labels; the buffer and estimation fields are ignored — there is
-/// nothing to size or estimate.
+/// this returns. The report's total_pairs is the cross-pair count, its
+/// d2h_bytes is 0 and its dense_runs counts the dense sub-cells the union
+/// pass linked. Honors policy.index_backend (grid stencil vs packed-BVH
+/// traversal), policy.scan_mode (the union pass's; kHalf walks the
+/// forward half of the stencil), the resilience ladder, cancellation and
+/// metrics labels; the buffer and estimation fields are ignored — there
+/// is nothing to size or estimate.
 BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
                           const GridIndex& index, float eps,
                           StreamingDbscan& consumer,

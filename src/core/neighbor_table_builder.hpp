@@ -71,6 +71,11 @@ struct BuildReport {
   /// unioned core-core pairs on the devices, so there is no fill pass, no
   /// transfer and no sink hop — d2h_bytes is 0.
   bool fused = false;
+  /// Fused union pass on a grid with sub-cell runs: how many times a core
+  /// point met a dense run (minpts or more residents of one eps/2
+  /// sub-cell) and linked it with one union instead of a union per
+  /// resident. Counted on the devices and the host rung alike.
+  std::uint64_t dense_runs = 0;
   std::uint64_t sink_batches = 0;        ///< exactly-once CSR row deliveries
   std::uint64_t sink_count_batches = 0;  ///< pass-1 degree deliveries
   /// Host CPU spent inside sink callbacks across all stream threads — the

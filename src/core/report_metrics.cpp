@@ -123,6 +123,9 @@ void publish_build_report(const BuildReport& report,
   if (!report.table_materialized) {
     r.counter("build_tables_skipped", labels).add(1);
   }
+  if (report.fused) {
+    r.counter("build_dense_runs", labels).add(report.dense_runs);
+  }
   if (report.shards != 0) {
     r.counter("build_sharded_builds", labels).add(1);
     r.counter("build_shards", labels).add(report.shards);

@@ -64,6 +64,7 @@ class ThreadCtx {
   void count_atomic(std::uint64_t n = 1) noexcept {
     counters_->atomic_ops += n;
   }
+  void count_event(std::uint64_t n = 1) noexcept { counters_->events += n; }
 
   BlockCounters* counters_ = nullptr;  // set by the launcher
 };

@@ -15,6 +15,9 @@ struct BlockCounters {
   std::uint64_t shared_bytes = 0;
   std::uint64_t atomic_ops = 0;
   std::uint64_t barriers = 0;
+  /// What a body tallies for its caller's report, not priced by the cost
+  /// model (the fused union pass counts its dense runs here).
+  std::uint64_t events = 0;
 
   void merge(const BlockCounters& o) noexcept {
     flops += o.flops;
@@ -22,6 +25,7 @@ struct BlockCounters {
     shared_bytes += o.shared_bytes;
     atomic_ops += o.atomic_ops;
     barriers += o.barriers;
+    events += o.events;
   }
 };
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "cudasim/buffer.hpp"
 #include "cudasim/stream.hpp"
@@ -14,8 +15,11 @@ class GridDeviceIndex {
  public:
   /// Allocates device buffers and enqueues the H2D uploads on `stream`
   /// (pageable host memory — the index is uploaded once per epsilon).
+  /// `sub_cells`, the index's sub-cell runs (the fused union pass reads
+  /// them), go up with it when given and not empty.
   GridDeviceIndex(cudasim::Device& device, cudasim::Stream& stream,
-                  const GridIndex& host_index)
+                  const GridIndex& host_index,
+                  const SubCells* sub_cells = nullptr)
       : params_(host_index.params),
         num_points_(static_cast<std::uint32_t>(host_index.points.size())),
         cell_base_(host_index.cell_base),
@@ -35,23 +39,12 @@ class GridDeviceIndex {
                             host_index.lookup.size());
     stream.memcpy_to_device(schedule_, host_index.nonempty_cells.data(),
                             host_index.nonempty_cells.size());
-    // No allocation at all without a map — a zero-byte buffer would still
-    // consume a fault-injection op and shift scripted plans.
-    if (!host_index.emit_ids.empty()) {
-      try {
-        emit_ = cudasim::DeviceBuffer<PointId>(device,
-                                               host_index.emit_ids.size());
-      } catch (...) {
-        // Drain the queued uploads before the unwind frees their buffers;
-        // the allocation's error is the one reported.
-        try {
-          stream.synchronize();
-        } catch (...) {
-        }
-        throw;
-      }
-      stream.memcpy_to_device(emit_, host_index.emit_ids.data(),
-                              host_index.emit_ids.size());
+    // No allocation at all without a map or runs — a zero-byte buffer
+    // would still consume a fault-injection op and shift scripted plans.
+    upload_optional(device, stream, emit_, host_index.emit_ids);
+    if (sub_cells != nullptr) {
+      upload_optional(device, stream, sub_order_, sub_cells->order);
+      upload_optional(device, stream, sub_bounds_, sub_cells->bounds);
     }
   }
 
@@ -63,7 +56,9 @@ class GridDeviceIndex {
                     lookup_.device_data(),
                     cell_base_,
                     num_query_,
-                    emit_.empty() ? nullptr : emit_.device_data()};
+                    emit_.empty() ? nullptr : emit_.device_data(),
+                    sub_order_.empty() ? nullptr : sub_order_.device_data(),
+                    sub_bounds_.empty() ? nullptr : sub_bounds_.device_data()};
   }
 
   [[nodiscard]] const std::uint32_t* schedule() const noexcept {
@@ -86,10 +81,32 @@ class GridDeviceIndex {
   /// modeled cost the planner attributes to the index).
   [[nodiscard]] std::size_t upload_bytes() const noexcept {
     return points_.bytes() + cells_.bytes() + lookup_.bytes() +
-           schedule_.bytes() + emit_.bytes();
+           schedule_.bytes() + emit_.bytes() + sub_order_.bytes() +
+           sub_bounds_.bytes();
   }
 
  private:
+  /// Allocates and uploads `host` into `buffer` unless it is empty.
+  template <typename T>
+  static void upload_optional(cudasim::Device& device,
+                              cudasim::Stream& stream,
+                              cudasim::DeviceBuffer<T>& buffer,
+                              const std::vector<T>& host) {
+    if (host.empty()) return;
+    try {
+      buffer = cudasim::DeviceBuffer<T>(device, host.size());
+    } catch (...) {
+      // Drain the queued uploads before the unwind frees their buffers;
+      // the allocation's error is the one reported.
+      try {
+        stream.synchronize();
+      } catch (...) {
+      }
+      throw;
+    }
+    stream.memcpy_to_device(buffer, host.data(), host.size());
+  }
+
   GridParams params_;
   std::uint32_t num_points_;
   std::uint32_t cell_base_;
@@ -101,6 +118,8 @@ class GridDeviceIndex {
   cudasim::DeviceBuffer<PointId> lookup_;
   cudasim::DeviceBuffer<std::uint32_t> schedule_;
   cudasim::DeviceBuffer<PointId> emit_;  ///< value-emission map (may be empty)
+  cudasim::DeviceBuffer<PointId> sub_order_;          ///< may be empty
+  cudasim::DeviceBuffer<std::uint32_t> sub_bounds_;   ///< may be empty
 };
 
 }  // namespace hdbscan::gpu

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,10 +32,19 @@ inline constexpr unsigned kDims = sizeof(Point) / sizeof(float);
 /// of A — charged as log2 candidate-id reads), and only the forward half
 /// of the stencil is visited. Hits are therefore forward rows only;
 /// symmetry is restored downstream (NeighborTable::assemble).
-template <typename View, typename Point, typename Visit>
+///
+/// `walk(range, own)` sees each stencil cell before it is scanned, `own`
+/// marking the point's own cell, and may take the cell over by returning
+/// true (the fused union pass walks dense sub-cell runs that way); the
+/// default scans every cell.
+struct ScanEveryCell {
+  constexpr bool operator()(CellRange, bool) const noexcept { return false; }
+};
+template <typename View, typename Point, typename Visit,
+          typename Walk = ScanEveryCell>
 void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
                        const Point& point, float eps2, cudasim::ThreadCtx& ctx,
-                       Visit&& visit) {
+                       Visit&& visit, Walk&& walk = {}) {
   constexpr std::uint64_t kTestFlops = 3 * kDims<Point>;
   auto scan_range = [&](std::uint32_t begin, std::uint32_t end) {
     const std::uint32_t candidates = end - begin;
@@ -57,14 +67,16 @@ void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
   if (mode == ScanMode::kHalf) {
     const CellRange own = view.cells[cell - view.cell_base];
     ctx.count_global_bytes(sizeof(CellRange));
-    const PointId* first = view.lookup + own.begin;
-    const PointId* last = view.lookup + own.end;
-    const PointId* lo = std::lower_bound(first, last, pid);
-    unsigned probes = 0;
-    while ((1u << probes) < own.count()) ++probes;
-    ctx.count_global_bytes(static_cast<std::uint64_t>(probes) *
-                           sizeof(PointId));
-    scan_range(static_cast<std::uint32_t>(lo - view.lookup), own.end);
+    if (!walk(own, true)) {
+      const PointId* first = view.lookup + own.begin;
+      const PointId* last = view.lookup + own.end;
+      const PointId* lo = std::lower_bound(first, last, pid);
+      unsigned probes = 0;
+      while ((1u << probes) < own.count()) ++probes;
+      ctx.count_global_bytes(static_cast<std::uint64_t>(probes) *
+                             sizeof(PointId));
+      scan_range(static_cast<std::uint32_t>(lo - view.lookup), own.end);
+    }
     ncells = get_forward_neighbor_cells(view.params, cell, cell_ids);
   } else {
     ncells = get_neighbor_cells(view.params, cell, cell_ids);
@@ -72,7 +84,7 @@ void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
   for (unsigned c = 0; c < ncells; ++c) {
     const CellRange range = view.cells[cell_ids[c] - view.cell_base];
     ctx.count_global_bytes(sizeof(CellRange));
-    scan_range(range.begin, range.end);
+    if (!walk(range, cell_ids[c] == cell)) scan_range(range.begin, range.end);
   }
 }
 
@@ -356,6 +368,10 @@ struct FillCsrKernelBody {
 /// a thread-local stage whose cursor advances on a hit, and the hits are
 /// judged in stage-sized runs. An atomic is charged per union or fold
 /// issued, never per CAS that won, so every charge depends on the input.
+///
+/// With sub-cell runs (`runs`), a core point walks the cells that hold
+/// big enough runs (walk_cell): a dense run costs it one union, not a
+/// test per resident.
 template <typename View>
 struct UnionKernelBody {
   static constexpr unsigned kStage = 64;
@@ -365,6 +381,7 @@ struct UnionKernelBody {
   BatchSpec batch;
   ScanMode mode;
   StreamingDbscan::UnionView u;
+  bool runs;  ///< the view's sub-cell runs hold only mutual neighbors
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -392,9 +409,7 @@ struct UnionKernelBody {
         ctx.count_global_bytes(sizeof(std::uint32_t));
         const bool cand_core = cand_degree >= u.required;
         if (core && cand_core) {
-          root = u.uf->unite_root(root, cand);
-          ctx.count_atomic();
-          ctx.count_global_bytes(2 * sizeof(std::uint32_t));
+          root = link(root, cand, ctx);
         } else if (core && half) {
           u.fold_border(cand, border_target_key(degree, pid));
           ctx.count_atomic();
@@ -404,19 +419,116 @@ struct UnionKernelBody {
       }
       staged = 0;
     };
-    for_each_neighbor(view, mode, pid, point, eps2, ctx,
-                      [&](PointId cand, bool hit) {
-                        stage[staged] = cand;
-                        staged += hit;
-                        if (staged == kStage) judge();
-                      });
+    auto visit = [&](PointId cand, bool hit) {
+      stage[staged] = cand;
+      staged += hit;
+      if (staged == kStage) judge();
+    };
+    if constexpr (std::is_same_v<View, GridView>) {
+      if (core && runs) {
+        for_each_neighbor(view, mode, pid, point, eps2, ctx, visit,
+                          [&](CellRange range, bool own) {
+                            return walk_cell(range, own, pid, point, root,
+                                             visit, ctx);
+                          });
+        judge();
+        return;  // a core point has no best core neighbor to fold
+      }
+    }
+    for_each_neighbor(view, mode, pid, point, eps2, ctx, visit);
     judge();
     if (best != 0) {
       u.fold_border(pid, best);
       ctx.count_atomic();
     }
   }
+
+  /// Unions `cand` into the set `root` leads; returns the merged root.
+  std::uint32_t link(std::uint32_t root, PointId cand,
+                     cudasim::ThreadCtx& ctx) const {
+    ctx.count_atomic();
+    ctx.count_global_bytes(2 * sizeof(std::uint32_t));
+    return u.uf->unite_root(root, cand);
+  }
+
+  /// A core point's for_each_neighbor hook: walks one stencil cell run by
+  /// run when one of its sub-cell runs holds at least max(minpts,
+  /// kSubCellMinResidents) residents, and otherwise returns false to have
+  /// the cell scanned. A run of at least minpts residents is dense: they
+  /// are mutual neighbors, so all core by their exact degrees and one
+  /// component, and it holds no border to fold. The point's own dense run
+  /// is linked with one union to its first resident and no test; any other
+  /// dense run is tested until its first hit, which is linked. Sparse runs
+  /// are scanned in full — in the own cell under kHalf only ids at or above
+  /// pid, the ownership of the suffix scan — and their hits go to `visit`.
+  /// Each dense run met counts one event.
+  template <typename Visit>
+  bool walk_cell(CellRange range, bool own, PointId pid, const Point2& point,
+                 std::uint32_t& root, Visit& visit,
+                 cudasim::ThreadCtx& ctx) const {
+    constexpr std::uint64_t kTestFlops = 3 * kDims<Point2>;
+    const std::uint32_t walked = std::max(u.required, kSubCellMinResidents);
+    if (range.count() < walked) return false;
+    // Run s is [bounds[s], bounds[s + 1]).
+    const std::array<std::uint32_t, 5> bounds{
+        range.begin, view.sub_bounds[range.begin],
+        view.sub_bounds[range.begin + 1], view.sub_bounds[range.begin + 2],
+        range.end};
+    ctx.count_global_bytes(3 * sizeof(std::uint32_t));
+    bool walk = false;
+    for (unsigned s = 0; s < 4; ++s) {
+      walk |= bounds[s + 1] - bounds[s] >= walked;
+    }
+    if (!walk) return false;
+
+    const bool half = mode == ScanMode::kHalf;
+    const unsigned own_sub = own ? view.params.sub_cell_of(point) : 4u;
+    std::uint64_t ids_read = 0;  // candidate ids read one by one
+    std::uint64_t tested = 0;    // ... and the ones tested
+    for (unsigned s = 0; s < 4; ++s) {
+      const std::uint32_t begin = bounds[s];
+      const std::uint32_t end = bounds[s + 1];
+      if (end - begin < u.required) {
+        ids_read += end - begin;
+        for (std::uint32_t a = begin; a < end; ++a) {
+          const PointId cand = view.sub_order[a];
+          if (own && half && cand < pid) continue;
+          ++tested;
+          visit(cand, dist2(point, view.points[cand]) <= eps2);
+        }
+        continue;
+      }
+      ctx.count_event();
+      if (s == own_sub) {
+        const PointId first = view.sub_order[begin];
+        ++ids_read;
+        if (first != pid) root = link(root, first, ctx);
+        continue;
+      }
+      for (std::uint32_t a = begin; a < end; ++a) {
+        const PointId cand = view.sub_order[a];
+        ++ids_read;
+        ++tested;
+        if (dist2(point, view.points[cand]) <= eps2) {
+          root = link(root, cand, ctx);
+          break;
+        }
+      }
+    }
+    ctx.count_global_bytes(ids_read * sizeof(PointId) +
+                           tested * sizeof(point));
+    ctx.count_flops(tested * kTestFlops);
+    return true;
+  }
 };
+
+/// Whether the union body may walk a view's sub-cell runs at this eps: the
+/// view carries them, and their side (half the index's eps) keeps their
+/// diagonal inside eps. Only the 2-D grid has them.
+bool walks_runs(const GridView& view, float eps) {
+  return view.sub_order != nullptr && view.params.eps <= eps;
+}
+bool walks_runs(const auto&, float) { return false; }
 
 /// Per-thread body of the estimation kernel: thread t counts the neighbors
 /// of sample point t * stride over the full stencil and contributes one
@@ -495,7 +607,8 @@ cudasim::KernelStats run_union_batch(cudasim::Device& device,
                                      ScanMode mode, unsigned block_size) {
   return cudasim::run_flat_kernel(
       device, batch_grid_dim(view, batch, block_size), block_size,
-      UnionKernelBody<View>{view, eps * eps, batch, mode, sink.union_view()});
+      UnionKernelBody<View>{view, eps * eps, batch, mode, sink.union_view(),
+                            walks_runs(view, eps)});
 }
 
 template <typename View>
@@ -531,11 +644,13 @@ NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
 }
 
 template <typename View>
-void host_union_batch(const View& view, float eps, BatchSpec batch,
-                      StreamingDbscan& sink, ScanMode mode) {
-  cudasim::run_flat_host(
+cudasim::BlockCounters host_union_batch(const View& view, float eps,
+                                        BatchSpec batch, StreamingDbscan& sink,
+                                        ScanMode mode) {
+  return cudasim::run_flat_host(
       batch_grid_dim(view, batch, kDefaultBlockSize), kDefaultBlockSize,
-      UnionKernelBody<View>{view, eps * eps, batch, mode, sink.union_view()});
+      UnionKernelBody<View>{view, eps * eps, batch, mode, sink.union_view(),
+                            walks_runs(view, eps)});
 }
 
 #define HDBSCAN_TRAVERSAL_KERNELS(View)                                      \
@@ -558,8 +673,8 @@ HDBSCAN_TRAVERSAL_KERNELS(BvhView)
       const View&, float, BatchSpec, ScanMode);                              \
   template NeighborTable host_csr_batch<View>(const View&, float, BatchSpec, \
                                               ScanMode);                     \
-  template void host_union_batch<View>(const View&, float, BatchSpec,        \
-                                       StreamingDbscan&, ScanMode);
+  template cudasim::BlockCounters host_union_batch<View>(                     \
+      const View&, float, BatchSpec, StreamingDbscan&, ScanMode);
 HDBSCAN_HOST_BODIES(GridView)
 HDBSCAN_HOST_BODIES(BvhView)
 #undef HDBSCAN_HOST_BODIES

@@ -131,7 +131,12 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
 // self included. Once every degree is in, the union pass unions each
 // core-core pair into the consumer's AtomicUnionFind and folds each
 // core/non-core pair into the non-core point's border key by atomic max.
-// Nothing is parked, and every counter depends on the input alone.
+// On a 2-D grid view that carries sub-cell runs (SubCells), a core point
+// links each dense run — minpts or more residents of one eps/2 sub-cell,
+// mutual neighbors — in a cell with a sub-cell of kSubCellMinResidents or
+// more with one union instead of testing every resident, and counts it in
+// KernelStats::work.events. Nothing is parked,
+// and every counter depends on the input alone.
 
 /// Union-pass launch over one batch. The core pass must have landed every
 /// exact degree in `sink` first; unions and border keys land in `sink`.
@@ -163,10 +168,12 @@ NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
                              ScanMode mode = ScanMode::kFull);
 
 /// One union-pass batch on the host: unions and border keys land in
-/// `sink` exactly as from run_union_batch. Grid and BVH views only.
+/// `sink` exactly as from run_union_batch. Returns the work the body
+/// charged, dense runs included (`events`). Grid and BVH views only.
 template <typename View>
-void host_union_batch(const View& view, float eps, BatchSpec batch,
-                      StreamingDbscan& sink, ScanMode mode = ScanMode::kHalf);
+cudasim::BlockCounters host_union_batch(const View& view, float eps,
+                                        BatchSpec batch, StreamingDbscan& sink,
+                                        ScanMode mode = ScanMode::kHalf);
 
 /// Shared-memory bytes GPUCalcShared needs for a given block size (origin
 /// and comparison tiles plus the neighbor-cell-id scratch).

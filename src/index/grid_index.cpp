@@ -1,7 +1,9 @@
 #include "index/grid_index.hpp"
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "index/cell_sort.hpp"
 
@@ -69,6 +71,43 @@ GridIndex build_grid_index(std::span<const Point2> input, float eps,
   // the unit-bin pre-sort of §IV is replaced, see DESIGN.md §2).
   detail::sort_into_cells(index, input, "grid index");
   return index;
+}
+
+SubCells build_sub_cells(const GridIndex& index) {
+  const GridParams& params = index.params;
+  SubCells sub_cells;
+  if (index.max_cell_occupancy < kSubCellMinResidents ||
+      params.cells_x > kMaxSubCellAxis || params.cells_y > kMaxSubCellAxis) {
+    return sub_cells;
+  }
+  const std::size_t n = index.points.size();
+  std::vector<std::uint8_t> sub(n);
+  sub_cells.order.resize(n);
+  sub_cells.bounds.resize(n);
+  // A whole index has lookup[a] == a: position and id coincide.
+  for (const std::uint32_t h : index.nonempty_cells) {
+    const CellRange range = index.cells[h];
+    if (range.count() < kSubCellMinResidents) {
+      for (std::uint32_t a = range.begin; a < range.end; ++a) {
+        sub_cells.order[a] = a;
+      }
+      continue;
+    }
+    std::array<std::uint32_t, 4> cursor{};  // counts, then cursors
+    for (std::uint32_t a = range.begin; a < range.end; ++a) {
+      sub[a] = static_cast<std::uint8_t>(params.sub_cell_of(index.points[a]));
+      ++cursor[sub[a]];
+    }
+    std::uint32_t start = range.begin;
+    for (unsigned s = 0; s < 4; ++s) {
+      if (s > 0) sub_cells.bounds[range.begin + s - 1] = start;
+      start += std::exchange(cursor[s], start);
+    }
+    for (std::uint32_t a = range.begin; a < range.end; ++a) {
+      sub_cells.order[cursor[sub[a]]++] = a;
+    }
+  }
+  return sub_cells;
 }
 
 void grid_query(const GridIndex& index, const Point2& q, float eps,

@@ -64,6 +64,16 @@ struct GridParams {
   [[nodiscard]] std::uint32_t linear_cell(const Point2& p) const noexcept {
     return cell_y_of(p.y) * cells_x + cell_x_of(p.x);
   }
+
+  /// Which of its cell's 2 x 2 sub-cells of side eps/2 holds p: bit 0 is
+  /// set in the cell's upper half along x, bit 1 along y. It splits the
+  /// quotient cell_x_of/cell_y_of bin, so a sub-cell never straddles two
+  /// cells.
+  [[nodiscard]] unsigned sub_cell_of(const Point2& p) const noexcept {
+    const float tx = (p.x - min_x) / eps - static_cast<float>(cell_x_of(p.x));
+    const float ty = (p.y - min_y) / eps - static_cast<float>(cell_y_of(p.y));
+    return (tx >= 0.5f ? 1u : 0u) | (ty >= 0.5f ? 2u : 0u);
+  }
 };
 
 /// Fills `out` with the linear ids of the (at most 9) cells that can
@@ -138,6 +148,10 @@ struct GridView {
   std::uint32_t num_query = 0;  ///< owned prefix; 0 = num_points
   /// Optional value-emission map (GridIndex::emit_ids); null = identity.
   const PointId* emit_ids = nullptr;
+  /// The index's sub-cell runs (SubCells::order, bounds); null when the
+  /// traversal has none.
+  const PointId* sub_order = nullptr;
+  const std::uint32_t* sub_bounds = nullptr;
 
   /// The batch/query domain: kernels iterate points [0, query_count()).
   [[nodiscard]] std::uint32_t query_count() const noexcept {
@@ -159,6 +173,39 @@ struct GridView {
                     g.emit_ids.empty() ? nullptr : g.emit_ids.data()};
   }
 };
+
+/// The eps/2 sub-cells of a whole grid index, which the fused union pass
+/// reads (DESIGN.md §15). Any two residents of one sub-cell are within eps
+/// of each other: its diagonal is eps/√2. order[a], for a in cells[h],
+/// lists cell h's residents again, grouped into one run per sub-cell in
+/// sub_cell_of order — a per-cell permutation of the same ids. For a cell
+/// of at least kSubCellMinResidents residents starting at position b,
+/// bounds[b + k] is where the run of sub-cell k + 1 starts (k = 0, 1, 2);
+/// sub-cell 0's run starts at b and sub-cell 3's ends at the cell's end. A
+/// smaller cell keeps its order and has no bounds.
+struct SubCells {
+  std::vector<PointId> order;
+  std::vector<std::uint32_t> bounds;
+};
+
+/// Fewest residents a cell needs for its sub-cell runs to be built and
+/// walked. Walking a cell costs a bounds read and a scan per run; on SDSS2
+/// samples, whose runs are mostly under 16 residents, walking them made
+/// the union pass slower than scanning the cell.
+inline constexpr std::uint32_t kSubCellMinResidents = 16;
+
+/// Widest grid, in cells per axis, that gets sub-cells. Binning divides in
+/// float, so a point's quotient is off by up to about 2^-23 of itself: at
+/// 2^19 cells two residents of one sub-cell are at most 0.625 eps apart
+/// per axis (0.78 eps² squared, inside the kernels' float test). Wider
+/// grids go without, and the fused union pass scans them as before.
+inline constexpr std::uint32_t kMaxSubCellAxis = 1u << 19;
+
+/// Groups each cell of a whole `index` (not a shard slab) by sub-cell: a
+/// four-bucket counting sort per cell of at least kSubCellMinResidents
+/// residents, O(n) — nothing is sized by the number of (sub-)cells. Empty
+/// when no cell is that full, or the grid is wider than kMaxSubCellAxis.
+SubCells build_sub_cells(const GridIndex& index);
 
 /// Builds the grid index for database `input` and search radius `eps`:
 /// one counting sort stores D in cell order, so cells[h] is also the range

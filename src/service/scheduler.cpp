@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -230,25 +231,36 @@ void ClusterService::submit_locked(PendingPtr job, ReplayState& rs) {
     ++stats_.submitted;
     ++tenant_counts_locked(job->spec.tenant).submitted;
   }
-  const auto ds = datasets_.find(job->spec.dataset);
-  if (ds == datasets_.end()) {
+  auto reject = [&](std::string reason) {
     JobResult r;
-    r.reject_reason = "unknown dataset '" + job->spec.dataset + "'";
+    r.reject_reason = std::move(reason);
     job->admission_seconds = admission_timer.seconds();
     record_terminal(*job, rs, JobState::kRejected, std::move(r));
+  };
+  const JobSpec& spec = job->spec;
+  if (datasets_.find(spec.dataset) == datasets_.end()) {
+    reject("unknown dataset '" + spec.dataset + "'");
     return;
   }
-  if (job->spec.fused &&
-      job->spec.quality.mode == ClusterQuality::kCellGraph) {
-    JobResult r;
-    r.reject_reason =
+  // Checked here, not at dispatch: a bad value would throw inside a
+  // worker, for the whole coalesced group, and every retry would again.
+  if (spec.minpts < 1) {
+    reject("minpts must be >= 1 (got " + std::to_string(spec.minpts) + ")");
+    return;
+  }
+  if (!(spec.eps > 0.0f) || !std::isfinite(spec.eps)) {
+    char got[32];
+    std::snprintf(got, sizeof got, "%g", static_cast<double>(spec.eps));
+    reject(std::string("eps must be positive and finite (got ") + got + ")");
+    return;
+  }
+  if (spec.fused && spec.quality.mode == ClusterQuality::kCellGraph) {
+    reject(
         "fused is incompatible with cellgraph quality: the cell graph "
-        "replaces the traversal kernel the fused path would fuse into";
-    job->admission_seconds = admission_timer.seconds();
-    record_terminal(*job, rs, JobState::kRejected, std::move(r));
+        "replaces the traversal kernel the fused path would fuse into");
     return;
   }
-  const auto [pairs, bytes] = price(job->spec.dataset, job->spec.eps);
+  const auto [pairs, bytes] = price(spec.dataset, spec.eps);
   job->priced_pairs = pairs;
   job->priced_bytes = bytes;
   rs.results[job->index].priced_pairs = pairs;
@@ -258,27 +270,19 @@ void ClusterService::submit_locked(PendingPtr job, ReplayState& rs) {
   // over-budget job must stall admission behind it, never deadlock it.
   if (queued_count_ != 0) {
     while (queued_count_ + 1 > options_.queue_depth_limit) {
-      if (!shed_for_locked(job->spec.priority, 0, rs)) {
-        JobResult r;
-        r.reject_reason =
-            "queue depth limit (" +
-            std::to_string(options_.queue_depth_limit) + ") reached";
-        job->admission_seconds = admission_timer.seconds();
-        record_terminal(*job, rs, JobState::kRejected, std::move(r));
+      if (!shed_for_locked(spec.priority, 0, rs)) {
+        reject("queue depth limit (" +
+               std::to_string(options_.queue_depth_limit) + ") reached");
         return;
       }
     }
     while (options_.queue_bytes_budget != 0 &&
            queued_bytes_ + bytes > options_.queue_bytes_budget) {
-      if (!shed_for_locked(job->spec.priority, bytes, rs)) {
-        JobResult r;
-        r.reject_reason =
-            "queue byte budget (" +
-            std::to_string(options_.queue_bytes_budget) +
-            " B) would be exceeded by priced " + std::to_string(bytes) +
-            " B";
-        job->admission_seconds = admission_timer.seconds();
-        record_terminal(*job, rs, JobState::kRejected, std::move(r));
+      if (!shed_for_locked(spec.priority, bytes, rs)) {
+        reject("queue byte budget (" +
+               std::to_string(options_.queue_bytes_budget) +
+               " B) would be exceeded by priced " + std::to_string(bytes) +
+               " B");
         return;
       }
     }
@@ -569,11 +573,14 @@ void ClusterService::process_group(PendingPtr leader,
                             options_.policy.index_backend,
                             options_.policy.scan_mode};
   const bool coalesced_build = runnable.size() > 1;
-  if (coalesced_build) {
+  // Counted once, when the group is served: a dispatch that fails and
+  // requeues its jobs shared nothing.
+  auto count_coalesced = [&] {
+    if (!coalesced_build) return;
     std::lock_guard slock(stats_mutex_);
     ++stats_.coalesced_builds;
     stats_.coalesced_jobs += runnable.size() - 1;
-  }
+  };
 
   // Shared work (index build, device build, calibration retries) runs
   // under the leader's request; per-job sections re-scope below, so every
@@ -614,6 +621,7 @@ void ClusterService::process_group(PendingPtr leader,
       return;
     }
     const double wall = t.seconds();
+    count_coalesced();
     {
       std::lock_guard slock(stats_mutex_);
       stats_.cell_graph_jobs += runnable.size();
@@ -651,7 +659,8 @@ void ClusterService::process_group(PendingPtr leader,
   // carries the group's `build_model` seconds; `build_wall` is the wall
   // time every job waited on the group's build (both 0 for cache hits).
   // The memo lives for this dispatch only: a requeued group clusters again
-  // from its next build.
+  // from its next build. The leader's completion counts the group's
+  // sharing.
   std::map<int, GroupClustering> clusterings;
   auto finish = [&](Pending& job, JobResult r, double build_model,
                     double build_wall, Stage pass_stage,
@@ -659,8 +668,9 @@ void ClusterService::process_group(PendingPtr leader,
                     const auto& cluster) {
     RequestScope scope(job.trace);
     const double start = std::max(clock, job.spec.arrival_seconds);
-    const double device_share =
-        &job == runnable.front().get() ? build_model : 0.0;
+    const bool is_leader = &job == runnable.front().get();
+    if (is_leader) count_coalesced();
+    const double device_share = is_leader ? build_model : 0.0;
     WallTimer t;
     auto it = clusterings.find(job.spec.minpts);
     if (it == clusterings.end()) {
@@ -745,19 +755,22 @@ void ClusterService::process_group(PendingPtr leader,
       stats_.host_fallback_jobs += runnable.size();
       if (lead.fused) stats_.fused_jobs += runnable.size();
     }
-    // A fused group gets the labels its device run gives: the one-value
-    // banded pass over the host table.
+    // Each group gets the labels a live device gives it: BFS when its
+    // table would be cached, and the one-value banded pass over the host
+    // table for a fused group or with the cache off (the labels-only
+    // paths' union-find labels).
+    const bool labels_only = lead.fused || !cache_.enabled();
     auto host_pass = [&](int minpts) {
-      return lead.fused ? dbscan_parallel(entry.table, minpts,
-                                          options_.dbscan_threads)
-                        : dbscan_neighbor_table(entry.table, minpts);
+      return labels_only ? dbscan_parallel(entry.table, minpts,
+                                           options_.dbscan_threads)
+                         : dbscan_neighbor_table(entry.table, minpts);
     };
     JobResult served;
     served.fused = lead.fused;
     served.host_fallback = true;
     for (auto& job : runnable) {
       finish(*job, served, host_build, host_build,
-             lead.fused ? Stage::kStreamUnion : Stage::kCache,
+             labels_only ? Stage::kStreamUnion : Stage::kCache,
              entry.original_ids, host_pass);
     }
     // Fused jobs bypass the cache in both directions: the emergency host

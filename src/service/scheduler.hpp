@@ -115,8 +115,12 @@ struct ServiceStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
-  std::uint64_t coalesced_jobs = 0;    ///< jobs that shared another's build
-  std::uint64_t coalesced_builds = 0;  ///< builds serving > 1 job
+  /// Jobs served by a build, cache hit or pass their group's leader
+  /// shared, and the groups of more than one job so served. Counted once
+  /// per group when it is served, not per dispatch: a failed dispatch
+  /// that requeues its jobs adds nothing.
+  std::uint64_t coalesced_jobs = 0;
+  std::uint64_t coalesced_builds = 0;
   /// Label computations the service ran: one per distinct minpts of a
   /// table or cache-off group, one per fused or cell-graph group. At most
   /// `completed`, and equal to it when nothing coalesces.

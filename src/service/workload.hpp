@@ -9,7 +9,9 @@
 //
 // priority is batch|normal|interactive (default normal); deadline_s is a
 // modeled-clock deadline (0/absent = none); wall_deadline_s arms the
-// job's CancelToken (0/absent = none).
+// job's CancelToken (0/absent = none). The parser checks the syntax only:
+// a minpts below 1 or an eps that is not positive reads fine, and
+// admission rejects that one job with a reason.
 #pragma once
 
 #include <cstdint>

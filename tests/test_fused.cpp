@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -290,6 +291,189 @@ TEST(FusedDbscan, DegenerateInputsMatchBandedPass) {
 }
 
 // ---------------------------------------------------------------------------
+// Dense eps/2 sub-cells in the union pass: exact at their float edges
+// ---------------------------------------------------------------------------
+
+/// Runs `points` through the fused passes on the grid backend under both
+/// scan modes, on one and two devices and on the host rung (the only
+/// device lost at its first op), and checks every run's degrees and labels
+/// against the host oracle table. Each scan mode reports the same count
+/// of dense runs everywhere; returns the kHalf count.
+std::uint64_t expect_dense_runs_exact(const std::vector<Point2>& points,
+                                      float eps, int minpts) {
+  const GridIndex index = build_grid_index(points, eps);
+  EXPECT_FALSE(build_sub_cells(index).order.empty());
+  const NeighborTable oracle = build_neighbor_table_host(index, eps);
+  const std::vector<std::int32_t> want =
+      dbscan_parallel(oracle, minpts).labels;
+  std::uint64_t half_dense = 0;
+  for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
+    std::vector<std::uint64_t> dense;
+    for (const unsigned devices : {1u, 2u, 0u}) {
+      SCOPED_TRACE(
+          std::string(scan == ScanMode::kHalf ? "kHalf, " : "kFull, ") +
+          (devices == 0 ? std::string("host rung")
+                        : std::to_string(devices) + " device(s)"));
+      Fleet fleet;
+      BatchPolicy policy;
+      policy.scan_mode = scan;
+      if (devices == 0) {
+        cudasim::FaultPlan lost;
+        lost.lost_at_op = 1;
+        fleet.add(faulted_options(lost));
+        policy.resilience.host_fallback = true;
+      }
+      for (unsigned d = 0; d < devices; ++d) fleet.add(fast_options());
+      StreamingDbscan consumer(index.size(), minpts);
+      const BuildReport report =
+          fused_cluster(fleet.ptrs, index, eps, consumer, policy);
+      EXPECT_EQ(report.used_host_fallback, devices == 0);
+      std::size_t wrong_degrees = 0;
+      for (PointId i = 0; i < index.size(); ++i) {
+        wrong_degrees += consumer.degree(i) != oracle.neighbor_count(i);
+      }
+      EXPECT_EQ(wrong_degrees, 0u);
+      EXPECT_EQ(consumer.finalize().labels, want);
+      dense.push_back(report.dense_runs);
+    }
+    EXPECT_EQ(dense[0], dense[1]);
+    EXPECT_EQ(dense[0], dense[2]);
+    if (scan == ScanMode::kHalf) half_dense = dense[0];
+  }
+  return half_dense;
+}
+
+TEST(FusedDenseRuns, AllDuplicateInputs) {
+  // One point repeated: one cell, one sub-cell, one run of n. At minpts
+  // 1, 2 and n it is dense and one cluster; at n + 1 nothing is core.
+  constexpr int n = 40;
+  static_assert(n >= kSubCellMinResidents);
+  const std::vector<Point2> points(n, Point2{2.5f, -1.0f});
+  for (const int minpts : {1, 2, n, n + 1}) {
+    SCOPED_TRACE("minpts " + std::to_string(minpts));
+    const std::uint64_t dense = expect_dense_runs_exact(points, 0.3f, minpts);
+    EXPECT_EQ(dense, minpts <= n ? static_cast<std::uint64_t>(n) : 0u);
+  }
+}
+
+TEST(FusedDenseRuns, CoordinatesOnSubCellBoundaries) {
+  // A lattice at min + k·eps/2 on both axes, 16 copies per site: every
+  // coordinate sits exactly on a sub-cell boundary, where the binning's
+  // float quotient decides the side. eps 0.5 makes the boundaries exact
+  // in float; eps 0.3 rounds them either way. A run holds one site when
+  // the float quotient splits the lattice evenly; at minpts 17 none is
+  // dense.
+  for (const float eps : {0.5f, 0.3f}) {
+    const float step = eps / 2.0f;
+    std::vector<Point2> points;
+    for (int k = 0; k < 9; ++k) {
+      for (int j = 0; j < 7; ++j) {
+        const Point2 site{1.0f + static_cast<float>(k) * step,
+                          -2.0f + static_cast<float>(j) * step};
+        points.insert(points.end(), 16, site);
+      }
+    }
+    for (const int minpts : {2, 4, 16, 17}) {
+      SCOPED_TRACE("eps " + std::to_string(eps) + ", minpts " +
+                   std::to_string(minpts));
+      const std::uint64_t dense =
+          expect_dense_runs_exact(points, eps, minpts);
+      if (minpts <= 16) {
+        EXPECT_GT(dense, 0u);
+      }
+    }
+  }
+}
+
+TEST(FusedDenseRuns, ExactEpsPairsAcrossADenseSparseBorder) {
+  // A pile of 20 and two chains leaving it in steps of exactly eps: the
+  // first chain points are cores in sparse runs, the next borders, the
+  // last noise. The pile's union with the chains rests on exactly-eps
+  // pairs. At minpts 21 the pile is all core but not a dense run.
+  for (const float eps : {0.5f, 0.3f}) {
+    SCOPED_TRACE("eps " + std::to_string(eps));
+    std::vector<Point2> points(20, Point2{1.0f, 1.0f});
+    for (int k = 1; k <= 3; ++k) {
+      points.push_back({1.0f + static_cast<float>(k) * eps, 1.0f});
+      points.push_back({1.0f, 1.0f - static_cast<float>(k) * eps});
+    }
+    for (const int minpts : {3, 4, 21}) {
+      SCOPED_TRACE("minpts " + std::to_string(minpts));
+      const std::uint64_t dense =
+          expect_dense_runs_exact(points, eps, minpts);
+      EXPECT_EQ(dense > 0, minpts <= 20);
+    }
+  }
+}
+
+TEST(FusedDenseRuns, SparseRunBorderInADenseCell) {
+  // One cell holds a dense pile, a core point in a sparse sub-cell and,
+  // after it in id order, a border whose only core neighbor is that point:
+  // under kHalf the border's fold comes from the core point's own-cell
+  // scan of its sparse runs, and nowhere else.
+  std::vector<Point2> points(16, Point2{0.1f, 0.1f});
+  points.push_back({0.75f, 0.15f});  // core: the pile, itself, the border
+  points.push_back({0.95f, 0.95f});  // border: more than eps from the pile
+  EXPECT_GT(expect_dense_runs_exact(points, 1.0f, 4), 0u);
+  const ClusterResult labels = union_find_clustering(points, 1.0f, 4);
+  EXPECT_EQ(labels.num_clusters, 1);
+  EXPECT_EQ(labels.noise_count(), 0u);
+}
+
+TEST(FusedDenseRuns, DenseSubCellsJustBeyondEpsStayApart) {
+  // Two dense sub-cells whose closest pair is the smallest float gap past
+  // eps: every first-hit scan between them must miss, and they stay two
+  // clusters; one float step closer, they join. The sub-cells sit side by
+  // side in two cells, or in opposite corners of one cell, both in the
+  // cell's upper three quarters on each axis (a point at the origin fixes
+  // the grid there).
+  struct Layout {
+    const char* name;
+    float eps;
+    Point2 near;  ///< the near pile's closest resident
+    Point2 dir;   ///< unit vector from the near pile to the far one
+  };
+  const Layout layouts[] = {
+      {"two cells", 0.5f, {1.2f, 1.0f}, {1.0f, 0.0f}},
+      {"one cell", 1.0f, {0.28f, 0.28f}, {0.70710677f, 0.70710677f}},
+  };
+  for (const Layout& l : layouts) {
+    SCOPED_TRACE(l.name);
+    auto along = [&](float t) {
+      return Point2{l.near.x + t * l.dir.x, l.near.y + t * l.dir.y};
+    };
+    float inside = 0.99f * l.eps;  // the last step still within eps
+    float beyond = inside;
+    while (dist2(l.near, along(beyond)) <= l.eps * l.eps) {
+      inside = beyond;
+      beyond = std::nextafter(beyond, 2.0f * l.eps);
+    }
+    for (const bool apart : {true, false}) {
+      SCOPED_TRACE(apart ? "just beyond eps" : "one step closer");
+      const Point2 far = along(apart ? beyond : inside);
+      // The near pile fans back along -dir, the far one across it, so the
+      // two closest residents are `near` and `far`.
+      std::vector<Point2> points;
+      if (l.near.x < 1.0f) points.push_back({0.0f, 0.0f});
+      for (int i = 0; i < 16; ++i) {
+        const float k = static_cast<float>(i);
+        points.push_back({l.near.x - 0.0008f * k * l.dir.x,
+                          l.near.y - 0.0008f * k * l.dir.y});
+        points.push_back({far.x - 0.0008f * k * l.dir.y,
+                          far.y + 0.0008f * k * l.dir.x});
+      }
+      for (const int minpts : {3, 16}) {
+        SCOPED_TRACE("minpts " + std::to_string(minpts));
+        EXPECT_GT(expect_dense_runs_exact(points, l.eps, minpts), 0u);
+        const ClusterResult labels =
+            union_find_clustering(points, l.eps, minpts);
+        EXPECT_EQ(labels.num_clusters, apart ? 2 : 1);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // 3-D: fused_dbscan3 == the banded pass; hybrid_dbscan3 agrees on counts
 // ---------------------------------------------------------------------------
 
@@ -492,17 +676,25 @@ TEST(FusedDeterminism, CountedFieldsRepeatExactly) {
   EXPECT_EQ(first.labels, s.want);
 }
 
+/// Device ops of a fused run's index upload, one allocation and one
+/// transfer per buffer: the grid's points, cells, lookup and schedule plus
+/// its sub-cell order and bounds (12), or the BVH's four arrays (8).
+/// Each fused batch is one launch after that.
+std::uint64_t fused_upload_ops(const Scenario& s, IndexBackend backend) {
+  EXPECT_FALSE(build_sub_cells(s.index).order.empty());
+  return backend == IndexBackend::kGrid ? 12 : 8;
+}
+
 TEST(FusedChaos, DeviceLossFailsOverToSurvivorExactly) {
   const Scenario s = make_scenario(2500, 0.35f, 4, 77);
   for (const IndexBackend backend :
        {IndexBackend::kGrid, IndexBackend::kBvh}) {
     SCOPED_TRACE(to_string(backend));
     cudasim::FaultPlan lost;
-    // The index upload is 4 allocations + 4 transfers = 8 ops; each fused
-    // batch is one launch after that, the core pass's six before the union
-    // pass's six. Op 11 is that device's third core-pass batch: a loss
+    // The core pass's six batches launch before the union pass's six. The
+    // upload plus three ops is that device's third core-pass batch: a loss
     // mid-traversal with work left to orphan in both passes.
-    lost.lost_at_op = 11;
+    lost.lost_at_op = fused_upload_ops(s, backend) + 3;
     Fleet fleet;
     fleet.add(fast_options());
     fleet.add(faulted_options(lost));
@@ -536,7 +728,8 @@ TEST(FusedChaos, TotalFleetLossCompletesOnHostExactly) {
        {IndexBackend::kGrid, IndexBackend::kBvh}) {
     SCOPED_TRACE(to_string(backend));
     cudasim::FaultPlan lost;
-    lost.lost_at_op = 10;  // second core-pass launch of the only device
+    // The second core-pass launch of the only device.
+    lost.lost_at_op = fused_upload_ops(s, backend) + 2;
     Fleet fleet;
     fleet.add(faulted_options(lost));
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -353,6 +354,52 @@ TEST(ClusterServiceTest, UnknownDatasetIsRejectedWithReason) {
   EXPECT_EQ(svc->stats().rejected, 1u);
 }
 
+/// A minpts below 1, or an eps that is not positive and finite, is
+/// refused at admission with a reason — before it can throw inside a
+/// worker for its whole coalesced group, or burn retries and trip the
+/// breaker on a healthy device — and the valid job beside it completes.
+TEST(ClusterServiceTest, BadMinptsOrEpsIsRejectedWithReason) {
+  JobSpec zero_minpts = job(0.5f, 0, Priority::kNormal, "t1");
+  JobSpec negative_minpts = job(0.5f, -3, Priority::kNormal, "t2");
+  JobSpec zero_eps = job(0.0f, 4, Priority::kNormal, "t3");
+  JobSpec negative_eps = job(-1.0f, 4, Priority::kNormal, "t4");
+  JobSpec nan_eps = job(std::numeric_limits<float>::quiet_NaN());
+  JobSpec inf_eps = job(std::numeric_limits<float>::infinity());
+  JobSpec fused_zero_minpts = job(0.5f, 0, Priority::kNormal, "t5");
+  fused_zero_minpts.fused = true;
+  const std::vector<JobSpec> jobs = {job(0.5f, 4),   zero_minpts,
+                                     negative_minpts, zero_eps,
+                                     negative_eps,    nan_eps,
+                                     inf_eps,         fused_zero_minpts};
+  for (const std::uint64_t cache_bytes : {256ull << 20, 0ull}) {
+    SCOPED_TRACE(cache_bytes == 0 ? "cache off" : "cache on");
+    ServiceFixture f;
+    ServiceOptions opt;
+    opt.num_workers = 1;
+    opt.cache_bytes_budget = cache_bytes;
+    auto svc = f.make(opt);
+    const auto results = svc->replay(jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+    EXPECT_EQ(results[0].state, JobState::kCompleted);
+    EXPECT_GT(results[0].num_clusters, 0);
+    for (std::size_t i = 1; i < jobs.size(); ++i) {
+      SCOPED_TRACE("job " + std::to_string(i));
+      EXPECT_EQ(results[i].state, JobState::kRejected);
+      const char* named = jobs[i].minpts < 1 ? "minpts" : "eps";
+      EXPECT_NE(results[i].reject_reason.find(named), std::string::npos)
+          << results[i].reject_reason;
+    }
+    EXPECT_NE(results[1].reject_reason.find("got 0"), std::string::npos);
+    EXPECT_NE(results[4].reject_reason.find("got -1"), std::string::npos);
+    const service::ServiceStats s = svc->stats();
+    EXPECT_EQ(s.completed, 1u);
+    EXPECT_EQ(s.rejected, jobs.size() - 1);
+    EXPECT_EQ(s.failed, 0u);
+    EXPECT_EQ(s.retries, 0u);
+    EXPECT_EQ(s.breaker_opens, 0u);
+  }
+}
+
 TEST(ClusterServiceTest, PricingScalesQuadraticallyWithEps) {
   ServiceFixture f;
   auto svc = f.make({});
@@ -630,6 +677,83 @@ TEST(ClusterServiceTest, FusedJobOnALostFleetMatchesTheFusedPath) {
   ASSERT_EQ(want[0].state, JobState::kCompleted);
   EXPECT_FALSE(want[0].host_fallback);
   EXPECT_EQ(results[2].labels, want[0].labels);
+}
+
+/// With the cache off, a live device labels a table group through the
+/// labels-only path's union-find consumer; with no device left, the host
+/// rung gives the same labels with the one-value banded pass (BFS would
+/// give some borders to another cluster).
+TEST(ClusterServiceTest, CacheOffJobOnALostFleetMatchesTheLiveDevice) {
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.cache_bytes_budget = 0;
+  opt.keep_labels = true;
+  const std::vector<JobSpec> jobs = {job(0.5f, 8),
+                                     job(0.5f, 4, Priority::kNormal, "t1")};
+  ServiceFixture healthy;
+  const auto want = healthy.make(opt)->replay(jobs);
+
+  ServiceFixture f;
+  cudasim::FaultPlan lost;
+  lost.lost_at_op = 1;  // dies at calibration, before any job dispatches
+  cudasim::SimulationOptions sim = fast_options();
+  sim.fault = std::make_shared<cudasim::FaultInjector>(lost);
+  f.device = std::make_unique<cudasim::Device>(cudasim::DeviceConfig{}, sim);
+  auto svc = f.make(opt);
+  ASSERT_TRUE(f.device->lost());
+  const auto results = svc->replay(jobs);
+  ASSERT_EQ(results.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE("minpts " + std::to_string(jobs[i].minpts));
+    ASSERT_EQ(want[i].state, JobState::kCompleted);
+    ASSERT_EQ(results[i].state, JobState::kCompleted);
+    EXPECT_FALSE(want[i].host_fallback);
+    EXPECT_TRUE(results[i].host_fallback);
+    EXPECT_FALSE(results[i].fused);
+    EXPECT_EQ(results[i].labels, want[i].labels);
+    EXPECT_EQ(results[i].labels,
+              union_find_labels(f.points, 0.5f, jobs[i].minpts));
+  }
+  const service::ServiceStats s = svc->stats();
+  EXPECT_EQ(s.host_fallback_jobs, 2u);
+  EXPECT_EQ(s.coalesced_builds, 1u);
+  EXPECT_EQ(s.clusterings_run, 2u);  // one banded pass per minpts
+}
+
+/// A coalesced group whose build fails and is requeued shares one build
+/// when it is finally served: the failed dispatch adds nothing to the
+/// coalescing counters.
+TEST(ClusterServiceTest, RequeuedGroupCountsItsCoalescingOnce) {
+  ServiceFixture f;
+  // Launch 1 is the dataset's calibration. On one lane the fused core
+  // pass alternates its two batches, so launches 2-6 fault batch 0 three
+  // times: past its retry budget (2), which fails the first dispatch.
+  cudasim::FaultPlan plan;
+  plan.transient_launches = {2, 3, 4, 5, 6};
+  cudasim::SimulationOptions sim = fast_options();
+  sim.fault = std::make_shared<cudasim::FaultInjector>(plan);
+  f.device = std::make_unique<cudasim::Device>(cudasim::DeviceConfig{}, sim);
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.policy.num_streams = 1;
+  opt.keep_labels = true;
+  auto svc = f.make(opt);
+  JobSpec f1 = job(0.5f, 4);
+  JobSpec f2 = job(0.5f, 4, Priority::kNormal, "t1");
+  f1.fused = f2.fused = true;
+  const auto results = svc->replay({f1, f2});
+  ASSERT_EQ(results.size(), 2u);
+  for (const JobResult& r : results) {
+    ASSERT_EQ(r.state, JobState::kCompleted);
+    EXPECT_TRUE(r.coalesced);
+    EXPECT_EQ(r.labels, union_find_labels(f.points, 0.5f, 4));
+  }
+  const service::ServiceStats s = svc->stats();
+  EXPECT_EQ(s.retries, 1u);
+  EXPECT_EQ(f.device->metrics().injected_transient_faults, 5u);
+  EXPECT_EQ(s.coalesced_builds, 1u);
+  EXPECT_EQ(s.coalesced_jobs, 1u);
+  EXPECT_EQ(s.clusterings_run, 1u);
 }
 
 /// Fused jobs coalesce only with fused jobs of the same (eps, minpts) —

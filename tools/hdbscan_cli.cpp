@@ -313,14 +313,16 @@ int cmd_cluster(int argc, char** argv) {
   }
   if (timings.fused) {
     // The core pass counted every degree and the union pass visited every
-    // cross pair on the devices; report that counted work.
+    // cross pair on the devices; report that counted work. A dense run
+    // cost one union where each of its residents would have cost one.
     std::printf("fused [%s index]: no table materialized, core + union"
-                " passes: %u batches, %llu cross pairs, %llu atomics"
-                " (%.3f s tail), consumer peak %zu bytes\n",
+                " passes: %u batches, %llu cross pairs, %llu atomics,"
+                " %llu dense runs (%.3f s tail), consumer peak %zu bytes\n",
                 std::string(to_string(br.index_backend)).c_str(),
                 br.batches_run,
                 static_cast<unsigned long long>(br.total_pairs),
                 static_cast<unsigned long long>(br.atomic_ops),
+                static_cast<unsigned long long>(br.dense_runs),
                 timings.finalize_seconds, timings.peak_consumer_bytes);
   } else if (timings.streamed) {
     std::printf("streaming: %.0f%% of the union work overlapped the build"
@@ -953,6 +955,12 @@ int cmd_fused_smoke(int argc, char** argv) {
       static_cast<unsigned long long>(batch_t.build_report.d2h_bytes),
       static_cast<unsigned long long>(fb_t.build_report.d2h_bytes),
       static_cast<unsigned long long>(fb_t.build_report.total_pairs));
+  std::printf(
+      "fused_smoke: atomics fused-grid=%llu (%llu dense runs)"
+      " fused-bvh=%llu\n",
+      static_cast<unsigned long long>(fg_t.build_report.atomic_ops),
+      static_cast<unsigned long long>(fg_t.build_report.dense_runs),
+      static_cast<unsigned long long>(fb_t.build_report.atomic_ops));
 
   // The union-find paths' exact labels: the banded pass over the host
   // table, in input order. Batch DBSCAN (Alg. 4's BFS) assigns borders in
