@@ -1,20 +1,25 @@
 // google-benchmark microbenchmarks for the core primitives: index build,
 // point queries (grid vs R-tree), on-device sort, kernels, DBSCAN over a
-// neighbor table, and the cell-graph pass.
+// neighbor table, the cell-graph pass and the fused passes one by one.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/timer.hpp"
 #include "core/cell_graph.hpp"
 #include "cudasim/buffer.hpp"
 #include "cudasim/device.hpp"
 #include "cudasim/sort.hpp"
+#include "cudasim/stream.hpp"
 #include "data/datasets.hpp"
 #include "data/generators.hpp"
 #include "dbscan/dbscan.hpp"
 #include "dbscan/neighbor_table.hpp"
+#include "dbscan/streaming_dbscan.hpp"
 #include "dbscan/union_find.hpp"
+#include "gpu/device_index.hpp"
 #include "gpu/kernels.hpp"
 #include "gpu/result_sink.hpp"
 #include "index/grid_index.hpp"
@@ -172,6 +177,82 @@ void BM_CellGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_CellGraph)
     ->ArgsProduct({{15, 30}, {4, 8}})
+    ->Unit(benchmark::kMillisecond);
+
+/// The fused passes of one clustering, each as the single batch {0, 1} on
+/// one device over the uploaded grid and its sub-cells: the capped core,
+/// mark, recount and union (kHalf) passes — each run once, whatever
+/// fused_cluster would skip — and, for comparison, the exact count (the
+/// count body under kFull: the core pass without the cap) and the union
+/// pass over the grid without its sub-cells (`union_scan`, on a second
+/// consumer). Counters are per clustering: each pass's wall milliseconds
+/// and the candidates it tested (kernel flops / 6, the 2-D distance
+/// test). Args: SW4 (0) or SDSS2 (1) sample at its default size, eps in
+/// hundredths, minpts. Not a gate.
+void BM_FusedPasses(benchmark::State& state) {
+  static const auto sw = data::make_dataset("SW4");
+  static const auto sdss = data::make_dataset("SDSS2");
+  const std::vector<Point2>& points = state.range(0) == 0 ? sw : sdss;
+  const float eps = static_cast<float>(state.range(1)) / 100.0f;
+  const int minpts = static_cast<int>(state.range(2));
+  const GridIndex index = build_grid_index(points, eps);
+  const SubCells sub_cells = build_sub_cells(index);
+  cudasim::Device device({}, fast_options());
+  cudasim::Stream stream(device);
+  const gpu::GridDeviceIndex device_index(device, stream, index, &sub_cells);
+  stream.synchronize();
+  const GridView view = device_index.view();
+  GridView scan_view = view;
+  scan_view.sub_order = nullptr;
+  scan_view.sub_bounds = nullptr;
+
+  struct Pass {
+    const char* name;
+    double seconds = 0.0;
+    double tested = 0.0;
+  };
+  Pass passes[] = {{"exact"}, {"core"},  {"mark"},
+                   {"recount"}, {"union"}, {"union_scan"}};
+  auto add = [](Pass& pass, const WallTimer& timer,
+                const cudasim::KernelStats& stats) {
+    pass.seconds += timer.seconds();
+    pass.tested += static_cast<double>(stats.work.flops / 6);
+  };
+  std::vector<std::uint32_t> counts(index.size());
+  for (auto _ : state) {
+    WallTimer exact_timer;
+    const cudasim::KernelStats exact = gpu::run_count_batch(
+        device, view, eps, {}, counts.data(), ScanMode::kFull);
+    add(passes[0], exact_timer, exact);
+    StreamingDbscan consumer(index.size(), minpts);
+    StreamingDbscan scan_consumer(index.size(), minpts);
+    for (const gpu::FusedPass pass :
+         {gpu::FusedPass::kCore, gpu::FusedPass::kMark,
+          gpu::FusedPass::kRecount, gpu::FusedPass::kUnion}) {
+      WallTimer timer;
+      const cudasim::KernelStats stats =
+          gpu::run_fused_batch(device, view, eps, {}, pass, consumer);
+      add(passes[1 + static_cast<unsigned>(pass)], timer, stats);
+      if (pass != gpu::FusedPass::kUnion) {
+        (void)gpu::run_fused_batch(device, view, eps, {}, pass,
+                                   scan_consumer);
+      }
+    }
+    WallTimer scan_timer;
+    const cudasim::KernelStats scan = gpu::run_fused_batch(
+        device, scan_view, eps, {}, gpu::FusedPass::kUnion, scan_consumer);
+    add(passes[5], scan_timer, scan);
+    benchmark::DoNotOptimize(consumer.degree(0));
+  }
+  const auto runs = static_cast<double>(state.iterations());
+  for (const Pass& pass : passes) {
+    state.counters[std::string(pass.name) + "_ms"] =
+        1e3 * pass.seconds / runs;
+    state.counters[std::string(pass.name) + "_tested"] = pass.tested / runs;
+  }
+}
+BENCHMARK(BM_FusedPasses)
+    ->ArgsProduct({{0, 1}, {15, 20, 30, 40, 50}, {4, 8}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

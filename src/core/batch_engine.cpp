@@ -101,7 +101,7 @@ std::vector<WorkItem> BatchEngine::run(std::uint32_t num_batches,
                                        const Step& step,
                                        BuildReport& report) {
   if (lanes_.empty()) return fleet_gone(setup_error_);
-  // A later list (the fused union pass) starts when the last one ended on
+  // A later list (the next fused pass) starts when the last one ended on
   // every lane: timelines level to the slowest; queue and tallies reset.
   double start = 0.0;
   for (const auto& lane : lanes_) start = std::max(start, lane->timeline);

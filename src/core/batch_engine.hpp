@@ -166,10 +166,10 @@ class BatchEngine {
   ///     pump winds down, and it is rethrown after every stream drained.
   /// Adds the retry and failover tallies to `report` and returns what no
   /// lane finished (every device was lost) for the host rung; without it,
-  /// throws DeviceLost. With no lane open, this is fleet_gone. A second
-  /// call runs a second list on the same lanes (the fused union pass): it
-  /// starts with an empty queue and tallies, and on every lane at the
-  /// slowest lane's timeline, as after a barrier.
+  /// throws DeviceLost. With no lane open, this is fleet_gone. A later
+  /// call runs the next list on the same lanes (each fused pass after the
+  /// first): it starts with an empty queue and tallies, and on every lane
+  /// at the slowest lane's timeline, as after a barrier.
   std::vector<WorkItem> run(std::uint32_t num_batches, const Step& step,
                             BuildReport& report);
 

@@ -1,7 +1,7 @@
 #include "core/fused_clustering.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -62,93 +62,94 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   report.plan.num_batches = num_batches;
 
   // One pass: its batches on the lanes under the engine's ladder, then
-  // what no device finished through `host`, the pass's body on the host
-  // pool over the index the devices traversed (one ownership rule). An
-  // item whose degrees landed already has nothing left to do.
-  auto run_pass = [&](const char* pass, auto&& launch, auto&& host) {
+  // what no device finished through the pass's body on the host pool over
+  // the index the devices traversed (one ownership rule). A pass starts
+  // once the one before it finished on every batch, on a device or on the
+  // host. A launch either ran all its blocks or none (faults fire first),
+  // so each batch adds its events once. Returns the pass's events.
+  auto run_pass = [&](gpu::FusedPass pass) {
+    static constexpr const char* kNames[] = {"core", "mark", "recount",
+                                             "union"};
+    const char* name = kNames[static_cast<unsigned>(pass)];
+    std::atomic<std::uint64_t> events{0};
     std::vector<WorkItem> unfinished = engine.run(
         num_batches,
         [&](Lane& lane, WorkItem& item) {
-          if (item.counts_delivered ||
-              item.spec.points_in_batch(lane.views.grid.query_count()) == 0) {
+          if (item.spec.points_in_batch(lane.views.grid.query_count()) == 0) {
             return;
           }
-          TRACE_SPAN("fused", "%s_batch %u/%u d%u", pass, item.spec.batch,
+          TRACE_SPAN("fused", "%s_batch %u/%u d%u", name, item.spec.batch,
                      item.spec.num_batches, lane.device.id());
-          launch(lane, item);
+          events += lane.launch([&](const auto& view) {
+                          return gpu::run_fused_batch(
+                              lane.device, view, eps, item.spec, pass,
+                              consumer, policy.scan_mode, policy.block_size);
+                        })
+                        .work.events;
           ++lane.batches_run;
         },
         report);
     report.used_host_fallback |= !unfinished.empty();
     for (WorkItem& item : unfinished) {
       check_cancel(policy.cancel);
-      if (item.counts_delivered) continue;
-      TRACE_SPAN("host", "fused_host_%s %u/%u", pass, item.spec.batch,
+      TRACE_SPAN("host", "fused_host_%s %u/%u", name, item.spec.batch,
                  item.spec.num_batches);
-      engine.host_views().visit([&](const auto& view) { host(view, item); });
+      engine.host_views().visit([&](const auto& view) {
+        events += gpu::host_fused_batch(view, eps, item.spec, pass, consumer,
+                                        policy.scan_mode)
+                      .events;
+      });
       ++report.host_fallback_batches;
     }
+    return events.load();
   };
 
-  // The core pass: exact degrees under kFull, self included — not
-  // FDBSCAN's early exit at minpts, since a border joins its
-  // highest-degree core neighbor. Marking the item delivered makes a
-  // lineage land its degrees once, whatever the ladder does.
-  auto deliver = [&](WorkItem& item, std::span<const std::uint32_t> counts) {
-    consumer.consume_counts(CountDelivery{
-        item.spec.batch, item.spec.num_batches, ScanMode::kFull, counts, {}});
-    item.counts_delivered = true;
-  };
-  run_pass(
-      "core",
-      [&](Lane& lane, WorkItem& item) {
-        std::vector<std::uint32_t> counts(
-            item.spec.points_in_batch(lane.views.grid.query_count()));
-        lane.launch([&](const auto& view) {
-          return gpu::run_count_batch(lane.device, view, eps, item.spec,
-                                      counts.data(), ScanMode::kFull,
-                                      policy.block_size);
-        });
-        deliver(item, counts);
-      },
-      [&](const auto& view, WorkItem& item) {
-        deliver(item, gpu::host_count_batch(view, eps, item.spec,
-                                            ScanMode::kFull));
-      });
-
-  // The barrier: every degree is in, on a device or on the host, so core
-  // status is final for the whole union pass. A launch either ran all its
-  // blocks or none (faults fire first), so each batch adds its dense runs
-  // once.
-  check_cancel(policy.cancel);
-  std::atomic<std::uint64_t> dense_runs{0};
-  run_pass(
-      "union",
-      [&](Lane& lane, WorkItem& item) {
-        dense_runs += lane.launch([&](const auto& view) {
-                            return gpu::run_union_batch(
-                                lane.device, view, eps, item.spec, consumer,
-                                policy.scan_mode, policy.block_size);
-                          })
-                          .work.events;
-      },
-      [&](const auto& view, WorkItem& item) {
-        dense_runs += gpu::host_union_batch(view, eps, item.spec, consumer,
-                                            policy.scan_mode)
-                          .events;
-      });
-  report.dense_runs = dense_runs;
+  // The capped core pass, then exact degrees for exactly the cores the
+  // border rule reads: the mark pass has work only when some point may be
+  // a border (2 <= degree < minpts, below the cap, so exact), and the
+  // recount pass only when the mark pass flagged a core.
+  report.capped_points = run_pass(gpu::FusedPass::kCore);
+  const auto minpts = static_cast<std::uint32_t>(consumer.minpts());
+  bool may_border = false;
+  for (PointId i = 0; i < index.size() && !may_border; ++i) {
+    const std::uint32_t degree = consumer.degree(i);
+    may_border = degree >= 2 && degree < minpts;
+  }
+  if (may_border && run_pass(gpu::FusedPass::kMark) > 0) {
+    report.recounted_points = run_pass(gpu::FusedPass::kRecount);
+  }
+  report.dense_runs = run_pass(gpu::FusedPass::kUnion);
 
   // Every modeled term is counted: the index upload and the lanes' kernel
   // timelines. No result byte crosses the bus (d2h_bytes stays 0).
   const double slowest_stream = engine.harvest(report);
-  report.total_pairs = consumer.cross_pairs();
   report.shard_fixed_seconds = engine.upload_seconds();
   report.shard_stream_seconds = slowest_stream;
   report.modeled_table_seconds = report.shard_fixed_seconds + slowest_stream;
   report.table_seconds = total_timer.seconds();
   publish_build_report(report, policy.metrics_labels);
   return report;
+}
+
+FusedDegrees expected_fused_degrees(const NeighborTable& table,
+                                    int minpts) {
+  const auto required = static_cast<std::uint32_t>(minpts);
+  const std::uint32_t cap = std::max(required, 2u);
+  FusedDegrees out;
+  out.degree.resize(table.num_points());
+  for (PointId i = 0; i < table.num_points(); ++i) {
+    const std::uint32_t degree = table.neighbor_count(i);
+    bool flagged = false;
+    if (degree >= required) {
+      for (const PointId j : table.neighbors(i)) {
+        flagged = flagged || table.neighbor_count(j) < required;
+      }
+    }
+    out.degree[i] = degree < cap || flagged ? degree : cap;
+    out.capped_points += degree >= cap;
+    out.recounted_points += flagged;
+  }
+  return out;
 }
 
 BuildReport fused_cluster(cudasim::Device& device, const GridIndex& index,

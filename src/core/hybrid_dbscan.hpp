@@ -54,8 +54,9 @@ struct HybridTimings {
 /// them and never materializes T; on a sharded build the cross-shard
 /// core-core unions reach the same StreamingDbscan consumer, fed global
 /// keys by the shard translation layer. ClusterMode::kFused goes further:
-/// a core pass counts exact degrees and a union pass unions core-core
-/// pairs and folds border keys (core/fused_clustering) over the whole
+/// a capped core pass counts degrees, the cores next to non-core points
+/// are recounted, and a union pass unions core-core pairs and folds
+/// border keys (core/fused_clustering) over the whole
 /// index replicated on every device, so even the fill pass and every
 /// result transfer disappear — combine with policy.index_backend =
 /// IndexBackend::kBvh for the tree-traversal variant. Since the fused

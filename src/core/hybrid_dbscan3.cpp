@@ -160,8 +160,9 @@ ClusterResult fused_dbscan3(cudasim::Device& device,
   const DeviceGrid3 grid(device, index);
   local.modeled_table_seconds += grid.upload_seconds(device);
 
-  // The 2-D path's two passes as one batch: exact degrees under kFull,
-  // then unions and border keys under `mode`. Nothing crosses the bus.
+  // Two passes as one batch: exact degrees under kFull (the 2-D path
+  // caps them), then unions and border keys under `mode`. Nothing crosses
+  // the bus.
   StreamingDbscan consumer(index.size(), minpts);
   std::vector<std::uint32_t> counts(index.size());
   cudasim::KernelStats stats = gpu::run_count_batch(
@@ -169,7 +170,8 @@ ClusterResult fused_dbscan3(cudasim::Device& device,
   consumer.consume_counts(CountDelivery{0, 1, ScanMode::kFull, counts, {}});
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
-  stats = gpu::run_union_batch(device, grid.view, eps, {}, consumer, mode);
+  stats = gpu::run_fused_batch(device, grid.view, eps, {},
+                               gpu::FusedPass::kUnion, consumer, mode);
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 

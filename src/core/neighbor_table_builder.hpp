@@ -49,7 +49,7 @@ struct BuildReport {
   ResultSizeEstimate estimate;
   std::uint32_t batches_run = 0;       ///< kernel invocations incl. splits
   std::uint32_t overflow_splits = 0;   ///< batches that had to be split
-  std::uint64_t total_pairs = 0;       ///< |R| over all batches
+  std::uint64_t total_pairs = 0;  ///< |R| over all batches; 0 when fused
   std::uint64_t max_batch_pairs = 0;
   double estimate_seconds = 0.0;
   double table_seconds = 0.0;          ///< total wall time of build()
@@ -67,10 +67,17 @@ struct BuildReport {
   bool streamed = false;           ///< a sink consumed batches in-flight
   bool table_materialized = true;  ///< false: labels-only build, T skipped
   /// True when the report came from the fused no-table path
-  /// (core/fused_clustering): a core pass counted degrees and a union pass
-  /// unioned core-core pairs on the devices, so there is no fill pass, no
-  /// transfer and no sink hop — d2h_bytes is 0.
+  /// (core/fused_clustering): a capped core pass counted degrees, the cores
+  /// next to non-core points were recounted, and a union pass unioned
+  /// core-core pairs on the devices, so there is no fill pass, no transfer
+  /// and no sink hop — d2h_bytes is 0.
   bool fused = false;
+  /// Fused core pass: points whose count stopped at the cap, max(minpts,
+  /// 2) — every point of degree at least the cap.
+  std::uint64_t capped_points = 0;
+  /// Fused recount pass: core points with a non-core neighbor, whose
+  /// exact degree the border rule reads and the recount pass stored.
+  std::uint64_t recounted_points = 0;
   /// Fused union pass on a grid with sub-cell runs: how many times a core
   /// point met a dense run (minpts or more residents of one eps/2
   /// sub-cell) and linked it with one union instead of a union per

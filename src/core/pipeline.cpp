@@ -249,8 +249,8 @@ PipelineReport run_multi_clustering(
       if (options.cluster_mode == ClusterMode::kFused) {
         // Fused variants never touch the table builder: the whole index is
         // replicated across the live devices (no slab sharding; the
-        // kernels union global ids) and the core and union passes write
-        // straight into the clusterer.
+        // kernels union global ids) and the fused passes write straight
+        // into the clusterer.
         build_report = fused_cluster(live, index, variants[i].eps,
                                      *clusterer, options.policy);
       } else {

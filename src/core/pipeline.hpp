@@ -9,8 +9,8 @@
 //
 // T pays for itself when it is reused across minpts (§VII-F); a sweep of
 // one-off variants never reads a table twice. So the pipeline's default
-// is ClusterMode::kFused: the producer runs each variant's fused core and
-// union passes and the consumers run only their finalize tails. The
+// is ClusterMode::kFused: the producer runs each variant's fused passes
+// and the consumers run only their finalize tails. The
 // paper's table pipeline stays one option away (ClusterMode::kBatchTable).
 #pragma once
 
@@ -57,8 +57,8 @@ struct VariantTiming {
   double modeled_table_seconds = 0.0;
   std::int32_t num_clusters = 0;
   std::size_t noise_count = 0;
-  /// The fused core and union passes produced the labels: table_seconds
-  /// is the passes, dbscan_seconds the finalize tail.
+  /// The fused passes produced the labels: table_seconds is the passes,
+  /// dbscan_seconds the finalize tail.
   bool fused = false;
   /// Streaming mode: this variant's unions ran during its own build.
   bool streamed = false;
@@ -80,8 +80,8 @@ struct PipelineOptions {
   std::uint64_t queue_bytes_budget = 0;
   BatchPolicy policy;
   bool keep_results = false;     ///< retain labels (costs memory)
-  /// kFused (the default): a core pass counts degrees and a union pass
-  /// unions core-core pairs (core/fused_clustering) — no table, no fill
+  /// kFused (the default): a capped core pass counts degrees and a union
+  /// pass unions core-core pairs (core/fused_clustering) — no table, no fill
   /// pass, no BFS. A sweep of one-off (eps, minpts) variants never reads a
   /// table twice, so nothing is lost by skipping it. Honors
   /// policy.index_backend for grid-vs-BVH traversal.

@@ -124,6 +124,8 @@ void publish_build_report(const BuildReport& report,
     r.counter("build_tables_skipped", labels).add(1);
   }
   if (report.fused) {
+    r.counter("build_capped_points", labels).add(report.capped_points);
+    r.counter("build_recounted_points", labels).add(report.recounted_points);
     r.counter("build_dense_runs", labels).add(report.dense_runs);
   }
   if (report.shards != 0) {

@@ -43,7 +43,8 @@ StreamingDbscan::StreamingDbscan(std::size_t num_points, int minpts)
       required_(0),
       degree_(std::make_unique<std::atomic<std::uint32_t>[]>(num_points)),
       uf_(num_points),
-      border_(std::make_unique<std::atomic<std::uint64_t>[]>(num_points)) {
+      border_(std::make_unique<std::atomic<std::uint64_t>[]>(num_points)),
+      flag_(std::make_unique<std::atomic<std::uint8_t>[]>(num_points)) {
   if (minpts < 1) {
     throw std::invalid_argument("StreamingDbscan: minpts must be >= 1");
   }
@@ -51,6 +52,7 @@ StreamingDbscan::StreamingDbscan(std::size_t num_points, int minpts)
   for (std::size_t i = 0; i < n_; ++i) {
     degree_[i].store(0, std::memory_order_relaxed);
     border_[i].store(0, std::memory_order_relaxed);
+    flag_[i].store(0, std::memory_order_relaxed);
   }
   peak_memory_bytes_ = fixed_bytes();
 }
@@ -190,12 +192,13 @@ ClusterResult StreamingDbscan::finalize(unsigned num_threads) {
   stats_.deferred_peak =
       std::max<std::uint64_t>(stats_.deferred_peak, deferred_.size());
 
-  // Degrees are exact now, so is_core() is final. Settle the parked
+  // Degrees are final now, so is_core() is final. Settle the parked
   // edges: core-core ones (resolved after parking) are unioned, each
   // core/non-core one folds into the border keys. Only both-core edges
   // ever left the buffer, so the adjacency is complete. A fused build
-  // parks nothing; its union pass folded the keys.
-  const UnionView view = union_view();
+  // parks nothing; its union pass folded the keys, and below only core
+  // status and those keys are read, which its capped degrees keep exact.
+  const FusedView view = fused_view();
   run_partitioned(deferred_.size(), num_threads,
                   [&](std::size_t begin, std::size_t end) {
                     for (std::size_t e = begin; e < end; ++e) {

@@ -22,9 +22,10 @@
 // neighbor with the largest degree, ties to the smaller id). The labels
 // equal dbscan_parallel's over the full table, vector for vector.
 //
-// The fused mode (core/fused_clustering) lands exact degrees through
-// consume_counts() and writes unions and border keys through union_view().
-// Both modes keep borders in one key array that finalize() reads once.
+// The fused mode (core/fused_clustering) writes degrees, core flags,
+// unions and border keys in place through fused_view(); its degrees keep
+// a weaker contract (degree()). Both modes keep borders in one key array
+// that finalize() reads once.
 #pragma once
 
 #include <atomic>
@@ -53,7 +54,8 @@ enum class ClusterMode {
   /// only — single-variant wall time approaches max(GPU build, host
   /// union) plus a short resolution tail.
   kStreaming,
-  /// No table, no rows: a core pass counts exact degrees, then a union
+  /// No table, no rows: a core pass counts degrees up to minpts, the
+  /// cores that touch a non-core point get exact degrees, then a union
   /// pass unions core-core pairs and folds border keys straight into the
   /// consumer (core/fused_clustering). The fill pass, the value transfers
   /// and the delivery hop all disappear, and no result byte crosses the
@@ -120,13 +122,30 @@ class StreamingDbscan final : public BatchSink {
     cancel_ = token;
   }
 
-  /// The fused union pass's surface (ClusterMode::kFused): final degrees,
-  /// the union-find and the border keys finalize() reads.
-  struct UnionView {
-    const std::atomic<std::uint32_t>* degree = nullptr;
+  /// The fused passes' surface (ClusterMode::kFused): the degrees the
+  /// core and recount passes store, the flags the mark pass sets, and the
+  /// union-find and border keys the union pass writes and finalize()
+  /// reads.
+  struct FusedView {
+    std::atomic<std::uint32_t>* degree = nullptr;
+    std::atomic<std::uint8_t>* flag = nullptr;
     AtomicUnionFind* uf = nullptr;
     std::atomic<std::uint64_t>* border = nullptr;
     std::uint32_t required = 0;  ///< minpts as the core threshold
+
+    /// Where the core pass stops counting: minpts, but at least 2, so a
+    /// point alone in its eps-ball (degree 1) stays told apart.
+    [[nodiscard]] std::uint32_t cap() const noexcept {
+      return required > 2 ? required : 2;
+    }
+
+    /// Flags `point` (a core neighbor of a non-core point) for the
+    /// recount pass; the byte is written only while unset.
+    void mark(PointId point) const noexcept {
+      if (flag[point].load(std::memory_order_relaxed) == 0) {
+        flag[point].store(1, std::memory_order_relaxed);
+      }
+    }
 
     /// Raises `point`'s border key to `key` (a border_target_key of one
     /// of its core neighbors) when `key` is larger.
@@ -137,18 +156,24 @@ class StreamingDbscan final : public BatchSink {
       }
     }
   };
-  [[nodiscard]] UnionView union_view() noexcept {
-    return UnionView{degree_.get(), &uf_, border_.get(), required_};
+  [[nodiscard]] FusedView fused_view() noexcept {
+    return FusedView{degree_.get(), flag_.get(), &uf_, border_.get(),
+                     required_};
   }
 
   /// Final degree of point i (self included; full degree, both directions
-  /// under kHalf). Exact once the build has returned — the exactly-once
-  /// test hook: any dropped or doubled delivery shows up here.
+  /// under kHalf) once the build has returned — the exactly-once test
+  /// hook: any dropped or doubled delivery shows up here. Exact after a
+  /// table, streaming or 3-D fused build. After fused_cluster it follows
+  /// the capped contract, with T = max(minpts, 2): exact when below T or
+  /// when the mark pass flagged i (a core point with a non-core
+  /// neighbor), and exactly T otherwise (expected_fused_degrees).
   [[nodiscard]] std::uint32_t degree(PointId i) const noexcept {
     return degree_[i].load(std::memory_order_relaxed);
   }
 
   /// Distinct cross pairs the final degrees count: (sum of degrees - n)/2.
+  /// Meaningful only when every degree is exact (not after fused_cluster).
   [[nodiscard]] std::uint64_t cross_pairs() const noexcept;
 
   [[nodiscard]] std::size_t num_points() const noexcept { return n_; }
@@ -173,9 +198,11 @@ class StreamingDbscan final : public BatchSink {
     return degree_[i].load(std::memory_order_relaxed) >= required_;
   }
 
-  /// Degrees, union-find parents and border keys: the fixed footprint.
+  /// Degrees, union-find parents, border keys and core flags: the fixed
+  /// footprint.
   [[nodiscard]] std::size_t fixed_bytes() const noexcept {
-    return n_ * (2 * sizeof(std::uint32_t) + sizeof(std::uint64_t));
+    return n_ * (2 * sizeof(std::uint32_t) + sizeof(std::uint64_t) +
+                 sizeof(std::uint8_t));
   }
 
   /// Unites parked both-core edges and drops them; keeps the rest. Called
@@ -190,6 +217,9 @@ class StreamingDbscan final : public BatchSink {
   /// Per point, the border_target_key of its best core neighbor (0 =
   /// none seen); read for non-core points only.
   std::unique_ptr<std::atomic<std::uint64_t>[]> border_;
+  /// Per point, set by the fused mark pass on a core point with a
+  /// non-core neighbor: its degree is recounted exactly.
+  std::unique_ptr<std::atomic<std::uint8_t>[]> flag_;
 
   /// Accumulates consume CPU time per delivering thread (a handful of
   /// builder stream threads); guarded by deferred_mutex_.

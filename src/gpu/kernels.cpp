@@ -132,6 +132,87 @@ void for_each_neighbor(const BvhView& view, ScanMode mode, PointId pid,
   ctx.count_flops(nodes_read * 8);
 }
 
+/// The early-exit traversal of the fused core and mark passes: visits the
+/// hits of a kFull traversal, self included, until `limit` of them were
+/// visited, and returns how many were. On a grid the point's own cell is
+/// scanned first — where a dense point finds its first neighbors — then
+/// the rest of the stencil in order. Each tested candidate is charged like
+/// for_each_neighbor's, and where the scan stops depends only on the
+/// geometry, so the charges depend on the input alone.
+template <typename View, typename Point, typename Hit>
+std::uint32_t for_each_hit_until(const View& view, const Point& point,
+                                 float eps2, std::uint32_t limit,
+                                 cudasim::ThreadCtx& ctx, Hit&& hit) {
+  constexpr std::uint64_t kTestFlops = 3 * kDims<Point>;
+  std::uint32_t found = 0;
+  std::uint64_t tested = 0;
+  unsigned scanned = 0;
+  auto scan = [&](std::uint32_t cell) {
+    const CellRange range = view.cells[cell - view.cell_base];
+    ++scanned;
+    std::uint32_t a = range.begin;
+    for (; a < range.end && found < limit; ++a) {
+      const PointId candidate = view.lookup[a];
+      if (dist2(point, view.points[candidate]) <= eps2) {
+        hit(candidate);
+        ++found;
+      }
+    }
+    tested += a - range.begin;
+  };
+  const std::uint32_t cell = view.params.linear_cell(point);
+  scan(cell);
+  if (found < limit) {
+    std::array<std::uint32_t, kDims<Point> == 2 ? 9 : 27> cell_ids{};
+    const unsigned ncells = get_neighbor_cells(view.params, cell, cell_ids);
+    for (unsigned c = 0; c < ncells && found < limit; ++c) {
+      if (cell_ids[c] != cell) scan(cell_ids[c]);
+    }
+  }
+  ctx.count_global_bytes(scanned * sizeof(CellRange) +
+                         tested * (sizeof(PointId) + sizeof(point)));
+  ctx.count_flops(tested * kTestFlops);
+  return found;
+}
+
+/// BVH overload of for_each_hit_until: for_each_neighbor's kFull stack
+/// traversal, left as soon as `limit` hits were visited. A tested
+/// candidate's id and point are charged, and nothing of an untested one.
+template <typename Hit>
+std::uint32_t for_each_hit_until(const BvhView& view, const Point2& point,
+                                 float eps2, std::uint32_t limit,
+                                 cudasim::ThreadCtx& ctx, Hit&& hit) {
+  std::uint32_t stack[160];
+  unsigned depth = 0;
+  stack[depth++] = view.root;
+  std::uint64_t nodes_read = 0;
+  std::uint64_t tested = 0;
+  std::uint32_t found = 0;
+  while (depth > 0 && found < limit) {
+    const BvhNode& node = view.nodes[stack[--depth]];
+    ++nodes_read;
+    if (node.mbr.min_dist2(point) > eps2) continue;
+    if (node.leaf != 0) {
+      std::uint32_t i = node.first;
+      for (; i < node.first + node.count && found < limit; ++i) {
+        if (dist2(point, view.leaf_points[i]) <= eps2) {
+          hit(view.leaf_ids[i]);
+          ++found;
+        }
+      }
+      tested += i - node.first;
+    } else {
+      for (std::uint32_t c = node.first; c < node.first + node.count; ++c) {
+        stack[depth++] = c;
+      }
+    }
+  }
+  ctx.count_global_bytes(nodes_read * sizeof(BvhNode) +
+                         tested * (sizeof(PointId) + sizeof(Point2)));
+  ctx.count_flops(nodes_read * 8 + tested * 6);
+  return found;
+}
+
 /// Per-thread body of GPUCalcGlobal (paper Alg. 2, with the batching
 /// transformation of §VI: the processed point is gid * n_b + l).
 struct GlobalKernelBody {
@@ -358,10 +439,101 @@ struct FillCsrKernelBody {
   }
 };
 
-/// Per-thread body of the fused union pass. Every degree is exact, so core
-/// status is final: thread i unions each core-core pair it owns and folds
-/// each core/non-core pair into the non-core point's border key by atomic
-/// max. Under kHalf each cross pair is handled in its owning row; under
+/// Per-thread body of the fused core pass: thread g stores its point's
+/// degree capped at T = max(minpts, 2), FDBSCAN's early exit, and counts
+/// an event when the count reached T. No atomics: each point is stored by
+/// its own thread, and a re-run stores the same value.
+template <typename View>
+struct CoreKernelBody {
+  View view;
+  float eps2;
+  BatchSpec batch;
+  StreamingDbscan::FusedView u;
+
+  void operator()(cudasim::ThreadCtx& ctx) const {
+    const std::uint64_t gid = ctx.global_id();
+    const std::uint64_t i = gid * batch.num_batches + batch.batch;
+    if (i >= view.query_count()) return;
+    const auto point = view.points[i];
+    ctx.count_global_bytes(sizeof(point));
+    const std::uint32_t cap = u.cap();
+    const std::uint32_t degree =
+        for_each_hit_until(view, point, eps2, cap, ctx, [](PointId) {});
+    u.degree[i].store(degree, std::memory_order_relaxed);
+    ctx.count_global_bytes(sizeof(std::uint32_t));
+    if (degree == cap) ctx.count_event();
+  }
+};
+
+/// Per-thread body of the fused mark pass. A point with 2 <= degree <
+/// minpts has its exact degree (it is below the cap), so it may stop once
+/// it met that many hits; it flags each core neighbor it meets, whose
+/// degree the border rule will read. One flag byte and one event are
+/// charged per flag issued, whether or not another thread set it first.
+template <typename View>
+struct MarkKernelBody {
+  View view;
+  float eps2;
+  BatchSpec batch;
+  StreamingDbscan::FusedView u;
+
+  void operator()(cudasim::ThreadCtx& ctx) const {
+    const std::uint64_t gid = ctx.global_id();
+    const std::uint64_t i = gid * batch.num_batches + batch.batch;
+    if (i >= view.query_count()) return;
+    const auto pid = static_cast<PointId>(i);
+    const std::uint32_t degree = u.degree[pid].load(std::memory_order_relaxed);
+    ctx.count_global_bytes(sizeof(std::uint32_t));
+    if (degree < 2 || degree >= u.required) return;  // alone, or core
+    const auto point = view.points[i];
+    ctx.count_global_bytes(sizeof(point));
+    std::uint64_t marks = 0;
+    for_each_hit_until(view, point, eps2, degree, ctx, [&](PointId cand) {
+      if (cand == pid) return;
+      if (u.degree[cand].load(std::memory_order_relaxed) >= u.required) {
+        u.mark(cand);
+        ++marks;
+      }
+    });
+    ctx.count_global_bytes((degree - 1) * sizeof(std::uint32_t) +
+                           marks * sizeof(std::uint8_t));
+    ctx.count_event(marks);
+  }
+};
+
+/// Per-thread body of the fused recount pass: a flagged point stores its
+/// exact degree, the count body's kFull traversal, and counts an event.
+template <typename View>
+struct RecountKernelBody {
+  View view;
+  float eps2;
+  BatchSpec batch;
+  StreamingDbscan::FusedView u;
+
+  void operator()(cudasim::ThreadCtx& ctx) const {
+    const std::uint64_t gid = ctx.global_id();
+    const std::uint64_t i = gid * batch.num_batches + batch.batch;
+    if (i >= view.query_count()) return;
+    const auto pid = static_cast<PointId>(i);
+    ctx.count_global_bytes(sizeof(std::uint8_t));
+    if (u.flag[pid].load(std::memory_order_relaxed) == 0) return;
+    const auto point = view.points[i];
+    ctx.count_global_bytes(sizeof(point));
+    std::uint32_t degree = 0;
+    for_each_neighbor(view, ScanMode::kFull, pid, point, eps2, ctx,
+                      [&](PointId, bool hit) { degree += hit; });
+    u.degree[pid].store(degree, std::memory_order_relaxed);
+    ctx.count_global_bytes(sizeof(std::uint32_t));
+    ctx.count_event();
+  }
+};
+
+/// Per-thread body of the fused union pass. Core status is final (a
+/// capped degree is at least minpts exactly when the degree is), and the
+/// degree of every core that meets a non-core point is exact (the mark
+/// pass flagged it), so thread i unions each core-core pair it owns and
+/// folds each core/non-core pair into the non-core point's border key by
+/// atomic max. Under kHalf each cross pair is handled in its owning row; under
 /// kFull the smaller id unions a core-core pair and a non-core point folds
 /// its own best core neighbor, so a core point skips non-core neighbors.
 /// Like the fill body the traversal is branch-free: each candidate goes to
@@ -380,7 +552,7 @@ struct UnionKernelBody {
   float eps2;
   BatchSpec batch;
   ScanMode mode;
-  StreamingDbscan::UnionView u;
+  StreamingDbscan::FusedView u;
   bool runs;  ///< the view's sub-cell runs hold only mutual neighbors
 
   void operator()(cudasim::ThreadCtx& ctx) const {
@@ -455,7 +627,7 @@ struct UnionKernelBody {
   /// run when one of its sub-cell runs holds at least max(minpts,
   /// kSubCellMinResidents) residents, and otherwise returns false to have
   /// the cell scanned. A run of at least minpts residents is dense: they
-  /// are mutual neighbors, so all core by their exact degrees and one
+  /// are mutual neighbors, so all core by their degrees and one
   /// component, and it holds no border to fold. The point's own dense run
   /// is linked with one union to its first resident and no test; any other
   /// dense run is tested until its first hit, which is linked. Sparse runs
@@ -530,6 +702,27 @@ bool walks_runs(const GridView& view, float eps) {
 }
 bool walks_runs(const auto&, float) { return false; }
 
+/// Hands `launch` the body of fused pass `pass` over `view`.
+template <typename View, typename Launch>
+decltype(auto) with_fused_body(const View& view, float eps, BatchSpec batch,
+                               FusedPass pass, StreamingDbscan& sink,
+                               ScanMode mode, Launch&& launch) {
+  const float eps2 = eps * eps;
+  const StreamingDbscan::FusedView u = sink.fused_view();
+  switch (pass) {
+    case FusedPass::kCore:
+      return launch(CoreKernelBody<View>{view, eps2, batch, u});
+    case FusedPass::kMark:
+      return launch(MarkKernelBody<View>{view, eps2, batch, u});
+    case FusedPass::kRecount:
+      return launch(RecountKernelBody<View>{view, eps2, batch, u});
+    case FusedPass::kUnion:
+      break;
+  }
+  return launch(UnionKernelBody<View>{view, eps2, batch, mode, u,
+                                      walks_runs(view, eps)});
+}
+
 /// Per-thread body of the estimation kernel: thread t counts the neighbors
 /// of sample point t * stride over the full stencil and contributes one
 /// atomic add.
@@ -601,14 +794,15 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
 }
 
 template <typename View>
-cudasim::KernelStats run_union_batch(cudasim::Device& device,
+cudasim::KernelStats run_fused_batch(cudasim::Device& device,
                                      const View& view, float eps,
-                                     BatchSpec batch, StreamingDbscan& sink,
-                                     ScanMode mode, unsigned block_size) {
-  return cudasim::run_flat_kernel(
-      device, batch_grid_dim(view, batch, block_size), block_size,
-      UnionKernelBody<View>{view, eps * eps, batch, mode, sink.union_view(),
-                            walks_runs(view, eps)});
+                                     BatchSpec batch, FusedPass pass,
+                                     StreamingDbscan& sink, ScanMode mode,
+                                     unsigned block_size) {
+  return with_fused_body(view, eps, batch, pass, sink, mode, [&](auto body) {
+    return cudasim::run_flat_kernel(
+        device, batch_grid_dim(view, batch, block_size), block_size, body);
+  });
 }
 
 template <typename View>
@@ -644,13 +838,14 @@ NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
 }
 
 template <typename View>
-cudasim::BlockCounters host_union_batch(const View& view, float eps,
-                                        BatchSpec batch, StreamingDbscan& sink,
-                                        ScanMode mode) {
-  return cudasim::run_flat_host(
-      batch_grid_dim(view, batch, kDefaultBlockSize), kDefaultBlockSize,
-      UnionKernelBody<View>{view, eps * eps, batch, mode, sink.union_view(),
-                            walks_runs(view, eps)});
+cudasim::BlockCounters host_fused_batch(const View& view, float eps,
+                                        BatchSpec batch, FusedPass pass,
+                                        StreamingDbscan& sink, ScanMode mode) {
+  return with_fused_body(view, eps, batch, pass, sink, mode, [&](auto body) {
+    return cudasim::run_flat_host(
+        batch_grid_dim(view, batch, kDefaultBlockSize), kDefaultBlockSize,
+        body);
+  });
 }
 
 #define HDBSCAN_TRAVERSAL_KERNELS(View)                                      \
@@ -660,9 +855,9 @@ cudasim::BlockCounters host_union_batch(const View& view, float eps,
   template cudasim::KernelStats run_fill_csr<View>(                          \
       cudasim::Device&, const View&, float, BatchSpec, const std::uint32_t*, \
       std::uint32_t, PointId*, ScanMode, unsigned);                          \
-  template cudasim::KernelStats run_union_batch<View>(                       \
-      cudasim::Device&, const View&, float, BatchSpec, StreamingDbscan&,     \
-      ScanMode, unsigned);
+  template cudasim::KernelStats run_fused_batch<View>(                       \
+      cudasim::Device&, const View&, float, BatchSpec, FusedPass,            \
+      StreamingDbscan&, ScanMode, unsigned);
 HDBSCAN_TRAVERSAL_KERNELS(GridView)
 HDBSCAN_TRAVERSAL_KERNELS(GridView3)
 HDBSCAN_TRAVERSAL_KERNELS(BvhView)
@@ -673,8 +868,8 @@ HDBSCAN_TRAVERSAL_KERNELS(BvhView)
       const View&, float, BatchSpec, ScanMode);                              \
   template NeighborTable host_csr_batch<View>(const View&, float, BatchSpec, \
                                               ScanMode);                     \
-  template cudasim::BlockCounters host_union_batch<View>(                     \
-      const View&, float, BatchSpec, StreamingDbscan&, ScanMode);
+  template cudasim::BlockCounters host_fused_batch<View>(                     \
+      const View&, float, BatchSpec, FusedPass, StreamingDbscan&, ScanMode);
 HDBSCAN_HOST_BODIES(GridView)
 HDBSCAN_HOST_BODIES(BvhView)
 #undef HDBSCAN_HOST_BODIES

@@ -11,9 +11,9 @@
 //    mentions kicks in.
 //  * Count kernel (§VI): counts neighbors of a uniform sample of points to
 //    produce the result-size estimate e_b without materializing results.
-//  * CSR count/fill and fused union kernels: one body each, templated
-//    over the index view (2-D grid, 3-D grid, BVH) and run either on a
-//    simulated device or on the host pool — see the section below.
+//  * CSR count/fill and the fused passes' kernels: one body each,
+//    templated over the index view (2-D grid, 3-D grid, BVH) and run
+//    either on a simulated device or on the host pool — see below.
 //
 // Batched execution (§VI, Fig. 2): batch l of n_b processes points
 // i = gid * n_b + l, so every batch samples the (spatially sorted) database
@@ -71,8 +71,8 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
 
 // --- Per-point traversal kernels: one body per kernel, any index --------
 //
-// The count, fill and union bodies are each written once, as templates
-// over the index view they traverse:
+// The count, fill and fused-pass bodies are each written once, as
+// templates over the index view they traverse:
 //  * GridView  — the paper's 2-D grid: the 9-cell stencil (shard slabs
 //    included: values go out through the slab's emission map);
 //  * GridView3 — the 3-D grid: the same traversal over the 27-cell stencil;
@@ -84,11 +84,11 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
 // pair-ownership rule by construction — that is what lets the degradation
 // ladder finish a device build's batches on the host.
 //
-// Every entry point takes a `mode`. Under ScanMode::kHalf each candidate pair is tested once and only the
-// *forward* rows are emitted; the caller restores symmetry afterwards via
-// NeighborTable::assemble. On a grid a forward row is the
-// same-cell candidates at/after the query's lookup position plus the
-// forward stencil; a tree has no forward stencil, so there row i owns
+// The table entry points take a `mode`. Under ScanMode::kHalf each
+// candidate pair is tested once and only the *forward* rows are emitted;
+// the caller restores symmetry afterwards via NeighborTable::assemble. On
+// a grid a forward row is the same-cell candidates at/after the query's
+// lookup position plus the forward stencil; a tree has no forward stencil, so there row i owns
 // exactly the candidates with id >= i (self included) and subtrees whose
 // max_id < i are pruned outright. Either way every cross pair lands in
 // exactly one row — the cover the assembler's expansion and the streaming
@@ -124,26 +124,41 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
                                   ScanMode mode = ScanMode::kFull,
                                   unsigned block_size = kDefaultBlockSize);
 
-// --- Fused no-table clustering: the union pass (ClusterMode::kFused) ------
+// --- Fused no-table clustering (ClusterMode::kFused) ---------------------
 //
-// FDBSCAN's two passes (core/fused_clustering). The core pass is the
-// count body under ScanMode::kFull: counts[g] is point g's exact degree,
-// self included. Once every degree is in, the union pass unions each
-// core-core pair into the consumer's AtomicUnionFind and folds each
-// core/non-core pair into the non-core point's border key by atomic max.
-// On a 2-D grid view that carries sub-cell runs (SubCells), a core point
-// links each dense run — minpts or more residents of one eps/2 sub-cell,
-// mutual neighbors — in a cell with a sub-cell of kSubCellMinResidents or
-// more with one union instead of testing every resident, and counts it in
-// KernelStats::work.events. Nothing is parked,
-// and every counter depends on the input alone.
+// FDBSCAN's passes (core/fused_clustering), each a per-point body that
+// writes into the consumer's FusedView in place. With T = max(minpts, 2):
+//  * kCore: thread g stores min(degree, T) of its point, self included —
+//    FDBSCAN's early exit, the own grid cell scanned first — and counts an
+//    event when it stopped at T;
+//  * kMark: a point with 2 <= degree < minpts (exact: below T) walks its
+//    kFull neighbors until it met all of them and flags each core one,
+//    an event per flag issued;
+//  * kRecount: a flagged point stores its exact kFull degree, an event
+//    each;
+//  * kUnion: core status is final, so each core-core pair is unioned into
+//    the consumer's AtomicUnionFind and each core/non-core pair folds into
+//    the non-core point's border key by atomic max — reading only the
+//    degrees of flagged cores, which are exact. On a 2-D grid view that
+//    carries sub-cell runs (SubCells), a core point links each dense run —
+//    minpts or more residents of one eps/2 sub-cell, mutual neighbors —
+//    in a cell with a sub-cell of kSubCellMinResidents or more with one
+//    union instead of testing every resident, an event each.
+// Each pass starts once the one before it finished on every batch. A
+// store, a flag or a union repeats harmlessly, so every pass may re-run a
+// batch. Nothing is parked, and every counter depends on the input alone.
+// `mode` is the union pass's scan mode; the other passes walk kFull.
 
-/// Union-pass launch over one batch. The core pass must have landed every
-/// exact degree in `sink` first; unions and border keys land in `sink`.
+enum class FusedPass : std::uint8_t { kCore, kMark, kRecount, kUnion };
+
+/// One fused pass over one batch on a device. The passes before `pass`
+/// must have finished on every batch; the pass's writes land in `sink`
+/// and its events in the returned KernelStats::work.events.
 template <typename View>
-cudasim::KernelStats run_union_batch(cudasim::Device& device,
+cudasim::KernelStats run_fused_batch(cudasim::Device& device,
                                      const View& view, float eps,
-                                     BatchSpec batch, StreamingDbscan& sink,
+                                     BatchSpec batch, FusedPass pass,
+                                     StreamingDbscan& sink,
                                      ScanMode mode = ScanMode::kHalf,
                                      unsigned block_size = kDefaultBlockSize);
 
@@ -167,12 +182,13 @@ template <typename View>
 NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
                              ScanMode mode = ScanMode::kFull);
 
-/// One union-pass batch on the host: unions and border keys land in
-/// `sink` exactly as from run_union_batch. Returns the work the body
-/// charged, dense runs included (`events`). Grid and BVH views only.
+/// One fused pass over one batch on the host: its writes land in `sink`
+/// exactly as from run_fused_batch. Returns the work the body charged,
+/// events included. Grid and BVH views only.
 template <typename View>
-cudasim::BlockCounters host_union_batch(const View& view, float eps,
-                                        BatchSpec batch, StreamingDbscan& sink,
+cudasim::BlockCounters host_fused_batch(const View& view, float eps,
+                                        BatchSpec batch, FusedPass pass,
+                                        StreamingDbscan& sink,
                                         ScanMode mode = ScanMode::kHalf);
 
 /// Shared-memory bytes GPUCalcShared needs for a given block size (origin

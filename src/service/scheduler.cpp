@@ -832,7 +832,7 @@ void ClusterService::process_group(PendingPtr leader,
 
     // Labels-only paths, T never materialized: one StreamingDbscan per
     // distinct minpts of the group. A fused group (coalescing guaranteed
-    // one minpts) runs the core and union passes straight into its
+    // one minpts) runs the fused passes straight into its
     // consumer; with the cache off, a streaming build feeds every
     // consumer through a FanoutSink. Hard failures fall through to the
     // breaker + retry ladder like any build.

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -61,6 +63,12 @@ struct Fleet {
     ptrs.push_back(owned.back().get());
   }
 };
+
+/// The passes a fused run launches when some point may be a border and
+/// some core touches one — core, mark, recount, union — each as
+/// 2 batches per lane.
+constexpr unsigned kFusedPasses = 4;
+constexpr unsigned kBatchesPerLane = 2;
 
 /// The union-find paths' labels in input order: the banded pass over the
 /// host table, with ids (cluster numbering, border ties) in the grid
@@ -128,8 +136,8 @@ TEST_P(FusedEquivalence, LabelsBitIdenticalToStreamingAndBandedPass) {
 
   const ClusterResult banded = union_find_clustering(points, eps, minpts);
   const std::vector<std::int32_t>& want = banded.labels;
-  const auto outcome = compare_clusterings(
-      banded, batch, input_order_table(points, eps), minpts);
+  const NeighborTable oracle = input_order_table(points, eps);
+  const auto outcome = compare_clusterings(banded, batch, oracle, minpts);
   EXPECT_TRUE(outcome.equivalent) << outcome.diagnostic;
 
   cudasim::Device stream_dev({}, fast_options());
@@ -154,7 +162,11 @@ TEST_P(FusedEquivalence, LabelsBitIdenticalToStreamingAndBandedPass) {
   EXPECT_TRUE(timings.build_report.fused);
   EXPECT_FALSE(timings.build_report.table_materialized);
   EXPECT_EQ(timings.build_report.index_backend, backend);
-  EXPECT_GT(timings.build_report.total_pairs, 0u);
+  // The capped core pass and the recount: the oracle's counts exactly
+  // (degrees, and so the counts, do not depend on the id order).
+  const FusedDegrees contract = expected_fused_degrees(oracle, minpts);
+  EXPECT_EQ(timings.build_report.capped_points, contract.capped_points);
+  EXPECT_EQ(timings.build_report.recounted_points, contract.recounted_points);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -291,14 +303,216 @@ TEST(FusedDbscan, DegenerateInputsMatchBandedPass) {
 }
 
 // ---------------------------------------------------------------------------
+// The capped core pass: degrees stop at T = max(minpts, 2), and exactly the
+// cores that touch a non-core point are recounted
+// ---------------------------------------------------------------------------
+
+/// Runs `points` through fused_cluster on both backends, under both union
+/// scan modes, on one and two devices and on the host rung (the only
+/// device lost at its first op), and checks each run against the oracle
+/// table: every degree and the capped and recounted counts follow the
+/// contract, and the labels are the banded pass's. Returns how many passes
+/// the runs launched, checked to be the same everywhere.
+unsigned expect_contract_exact(const std::vector<Point2>& points, float eps,
+                               int minpts) {
+  const GridIndex index = build_grid_index(points, eps);
+  const NeighborTable oracle = build_neighbor_table_host(index, eps);
+  const std::vector<std::int32_t> want =
+      dbscan_parallel(oracle, minpts).labels;
+  const FusedDegrees contract = expected_fused_degrees(oracle, minpts);
+  std::vector<unsigned> passes;
+  for (const IndexBackend backend :
+       {IndexBackend::kGrid, IndexBackend::kBvh}) {
+    for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
+      for (const unsigned devices : {1u, 2u, 0u}) {
+        SCOPED_TRACE(
+            std::string(to_string(backend)) +
+            (scan == ScanMode::kHalf ? ", kHalf, " : ", kFull, ") +
+            (devices == 0 ? std::string("host rung")
+                          : std::to_string(devices) + " device(s)"));
+        Fleet fleet;
+        BatchPolicy policy;
+        policy.index_backend = backend;
+        policy.scan_mode = scan;
+        if (devices == 0) {
+          cudasim::FaultPlan lost;
+          lost.lost_at_op = 1;
+          fleet.add(faulted_options(lost));
+          policy.resilience.host_fallback = true;
+        }
+        for (unsigned d = 0; d < devices; ++d) fleet.add(fast_options());
+        StreamingDbscan consumer(index.size(), minpts);
+        const BuildReport report =
+            fused_cluster(fleet.ptrs, index, eps, consumer, policy);
+        EXPECT_EQ(report.used_host_fallback, devices == 0);
+        for (PointId i = 0; i < index.size(); ++i) {
+          EXPECT_EQ(consumer.degree(i), contract.degree[i])
+              << "point " << i << ", exact degree "
+              << oracle.neighbor_count(i);
+        }
+        EXPECT_EQ(report.capped_points, contract.capped_points);
+        EXPECT_EQ(report.recounted_points, contract.recounted_points);
+        EXPECT_EQ(consumer.finalize().labels, want);
+        // A device run launches one batch per point up to the plan's
+        // batches in each pass; the host rung runs each pass whole.
+        const auto per_pass = std::min<std::uint32_t>(
+            static_cast<std::uint32_t>(index.size()),
+            report.plan.num_batches);
+        passes.push_back(devices == 0 ? report.host_fallback_batches
+                                      : report.batches_run / per_pass);
+      }
+    }
+  }
+  for (const unsigned p : passes) EXPECT_EQ(p, passes.front());
+  return passes.front();
+}
+
+/// The index id of input point `input` (the grid reorders points).
+PointId index_id(const std::vector<Point2>& points, float eps,
+                 PointId input) {
+  const GridIndex index = build_grid_index(points, eps);
+  for (PointId i = 0; i < index.size(); ++i) {
+    if (index.original_ids[i] == input) return i;
+  }
+  ADD_FAILURE() << "no point " << input;
+  return 0;
+}
+
+TEST(FusedCappedDegrees, MinptsOneAndTwoCapAtTwo) {
+  // T = 2: a lone point keeps degree 1 and stays apart from the rest, a
+  // pair lands 2, and a triple stops at 2. No point can be a border, so
+  // the mark and recount passes are skipped.
+  const std::vector<Point2> lone{{0.5f, 0.5f}};
+  const std::vector<Point2> pair{{0.5f, 0.5f}, {0.6f, 0.5f}};
+  const std::vector<Point2> mixed{{0.5f, 0.5f},                  // lone
+                                  {3.0f, 3.0f}, {3.1f, 3.0f},    // pair
+                                  {6.0f, 6.0f}, {6.1f, 6.0f},    // triple
+                                  {6.0f, 6.1f}};
+  for (const int minpts : {1, 2}) {
+    for (const auto* points : {&lone, &pair, &mixed}) {
+      SCOPED_TRACE("minpts " + std::to_string(minpts) + ", n = " +
+                   std::to_string(points->size()));
+      EXPECT_EQ(expect_contract_exact(*points, 0.3f, minpts), 2u);
+    }
+  }
+  const NeighborTable table =
+      build_neighbor_table_host(build_grid_index(mixed, 0.3f), 0.3f);
+  const FusedDegrees contract = expected_fused_degrees(table, 2);
+  EXPECT_EQ(contract.capped_points, 5u);
+  EXPECT_EQ(contract.recounted_points, 0u);
+}
+
+TEST(FusedCappedDegrees, DegreesJustBelowAtAndAboveTheCap) {
+  // Stars far apart: a center with k satellites on a circle of radius
+  // 0.9 eps (more than eps apart from each other), k = 1..5, so centers
+  // have degrees 2..6 and satellites 2. At minpts 3, 4 and 5 a center
+  // lands exactly T - 1 (a degree one short of the cap, counted in full),
+  // exactly T (stopped at the cap on its last neighbor) or is capped
+  // above it, and every core center is a satellite's only core neighbor.
+  const float eps = 1.0f;
+  std::vector<Point2> points;
+  for (int k = 1; k <= 5; ++k) {
+    const Point2 center{10.0f * static_cast<float>(k), 0.0f};
+    points.push_back(center);
+    for (int j = 0; j < k; ++j) {
+      const float a = 6.2831853f * static_cast<float>(j) /
+                      static_cast<float>(k);
+      points.push_back({center.x + 0.9f * std::cos(a),
+                        center.y + 0.9f * std::sin(a)});
+    }
+  }
+  for (const int minpts : {3, 4, 5}) {
+    SCOPED_TRACE("minpts " + std::to_string(minpts));
+    EXPECT_EQ(expect_contract_exact(points, eps, minpts), kFusedPasses);
+  }
+}
+
+/// A border at the origin with a core neighbor at (±0.9 eps, 0) on each
+/// side; each core holds a pile of `left` / `right` residents beyond it,
+/// more than eps from the border. Appended in that order after `points`;
+/// returns the input ids of the border, the left and the right core.
+std::array<PointId, 3> add_border_between_piles(std::vector<Point2>& points,
+                                                int left, int right) {
+  const auto border = static_cast<PointId>(points.size());
+  points.push_back({0.0f, 0.0f});
+  points.push_back({-0.9f, 0.0f});
+  points.push_back({0.9f, 0.0f});
+  for (int i = 0; i < left; ++i) {
+    points.push_back({-1.5f, 0.01f * static_cast<float>(i)});
+  }
+  for (int i = 0; i < right; ++i) {
+    points.push_back({1.5f, 0.01f * static_cast<float>(i)});
+  }
+  return {border, border + 1, border + 2};
+}
+
+TEST(FusedCappedDegrees, BorderWhoseCoresStoppedAtTheCap) {
+  // minpts 4: both cores' counts stop at T = 4, though their degrees are
+  // 8 and 12. The border joins the right core, the larger degree — but the
+  // right core has the larger id, so degrees left at the cap would tie and
+  // hand the border to the left one. Only the recount gets it right.
+  const float eps = 1.0f;
+  std::vector<Point2> points;
+  const auto [border, left, right] = add_border_between_piles(points, 6, 10);
+  ASSERT_LT(index_id(points, eps, left), index_id(points, eps, right));
+  EXPECT_EQ(expect_contract_exact(points, eps, 4), kFusedPasses);
+  const ClusterResult labels = union_find_clustering(points, eps, 4);
+  EXPECT_EQ(labels.num_clusters, 2);
+  EXPECT_EQ(labels.labels[border], labels.labels[right]);
+  EXPECT_NE(labels.labels[border], labels.labels[left]);
+  const GridIndex index = build_grid_index(points, eps);
+  const FusedDegrees contract =
+      expected_fused_degrees(build_neighbor_table_host(index, eps), 4);
+  EXPECT_EQ(contract.recounted_points, 2u);
+  EXPECT_EQ(contract.degree[index_id(points, eps, right)], 12u);
+}
+
+TEST(FusedCappedDegrees, TiedCoresBreakByIdOnlyAfterTheRecount) {
+  // minpts 5: the border's left and right cores tie on degree 9, and a
+  // third core below it has degree exactly T = 5 and the smallest id (its
+  // cell row comes first). Left at the cap, all three would tie and the
+  // third would win; recounted, the tie is between left and right, and
+  // the smaller id — the left core — wins.
+  const float eps = 1.0f;
+  std::vector<Point2> points;
+  const auto [border, left, right] = add_border_between_piles(points, 7, 7);
+  const auto third = static_cast<PointId>(points.size());
+  points.push_back({0.0f, -0.9f});
+  for (int i = 0; i < 3; ++i) {
+    points.push_back({0.01f * static_cast<float>(i), -1.6f});
+  }
+  ASSERT_LT(index_id(points, eps, third), index_id(points, eps, left));
+  ASSERT_LT(index_id(points, eps, left), index_id(points, eps, right));
+  EXPECT_EQ(expect_contract_exact(points, eps, 5), kFusedPasses);
+  const ClusterResult labels = union_find_clustering(points, eps, 5);
+  EXPECT_EQ(labels.num_clusters, 3);
+  EXPECT_EQ(labels.labels[border], labels.labels[left]);
+  EXPECT_NE(labels.labels[border], labels.labels[third]);
+}
+
+TEST(FusedCappedDegrees, AllDuplicatesSkipTheMarkAndRecountPasses) {
+  // 40 copies of one point: degree 40 everywhere. Up to minpts 40 all are
+  // core, no point can be a border, and only the core and union passes
+  // run. At minpts 41 none is core: the mark pass runs, flags nothing,
+  // and the recount pass is skipped.
+  const std::vector<Point2> points(40, Point2{2.5f, -1.0f});
+  for (const int minpts : {1, 2, 4, 40, 41}) {
+    SCOPED_TRACE("minpts " + std::to_string(minpts));
+    EXPECT_EQ(expect_contract_exact(points, 0.3f, minpts),
+              minpts <= 40 ? 2u : 3u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Dense eps/2 sub-cells in the union pass: exact at their float edges
 // ---------------------------------------------------------------------------
 
 /// Runs `points` through the fused passes on the grid backend under both
 /// scan modes, on one and two devices and on the host rung (the only
-/// device lost at its first op), and checks every run's degrees and labels
-/// against the host oracle table. Each scan mode reports the same count
-/// of dense runs everywhere; returns the kHalf count.
+/// device lost at its first op), and checks every run's degrees (the
+/// capped contract) and labels against the host oracle table. Each scan
+/// mode reports the same count of dense runs everywhere; returns the kHalf
+/// count.
 std::uint64_t expect_dense_runs_exact(const std::vector<Point2>& points,
                                       float eps, int minpts) {
   const GridIndex index = build_grid_index(points, eps);
@@ -306,6 +520,7 @@ std::uint64_t expect_dense_runs_exact(const std::vector<Point2>& points,
   const NeighborTable oracle = build_neighbor_table_host(index, eps);
   const std::vector<std::int32_t> want =
       dbscan_parallel(oracle, minpts).labels;
+  const FusedDegrees contract = expected_fused_degrees(oracle, minpts);
   std::uint64_t half_dense = 0;
   for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
     std::vector<std::uint64_t> dense;
@@ -330,9 +545,11 @@ std::uint64_t expect_dense_runs_exact(const std::vector<Point2>& points,
       EXPECT_EQ(report.used_host_fallback, devices == 0);
       std::size_t wrong_degrees = 0;
       for (PointId i = 0; i < index.size(); ++i) {
-        wrong_degrees += consumer.degree(i) != oracle.neighbor_count(i);
+        wrong_degrees += consumer.degree(i) != contract.degree[i];
       }
       EXPECT_EQ(wrong_degrees, 0u);
+      EXPECT_EQ(report.capped_points, contract.capped_points);
+      EXPECT_EQ(report.recounted_points, contract.recounted_points);
       EXPECT_EQ(consumer.finalize().labels, want);
       dense.push_back(report.dense_runs);
     }
@@ -548,6 +765,7 @@ struct Scenario {
   GridIndex index;
   NeighborTable oracle;  ///< full table, index point order
   std::vector<std::int32_t> want;  ///< banded-pass labels, index order
+  FusedDegrees contract;           ///< what the fused passes leave
   float eps = 0.0f;
   int minpts = 4;
 };
@@ -562,6 +780,7 @@ Scenario make_scenario(std::size_t n, float eps, int minpts,
   s.index = build_grid_index(s.points, eps);
   s.oracle = build_neighbor_table_host(s.index, eps);
   s.want = dbscan_parallel(s.oracle, minpts).labels;
+  s.contract = expected_fused_degrees(s.oracle, minpts);
   return s;
 }
 
@@ -573,11 +792,20 @@ BatchPolicy chaos_policy(IndexBackend backend) {
   return policy;
 }
 
-void expect_exact(const Scenario& s, StreamingDbscan& consumer) {
+/// Every degree follows the capped contract on the oracle table: a
+/// dropped, doubled or uncapped degree fails here.
+void expect_contract_degrees(const Scenario& s,
+                             const StreamingDbscan& consumer) {
   for (PointId i = 0; i < s.index.size(); ++i) {
-    ASSERT_EQ(consumer.degree(i), s.oracle.neighbor_count(i))
-        << "degree mismatch at point " << i;
+    ASSERT_EQ(consumer.degree(i), s.contract.degree[i])
+        << "degree mismatch at point " << i << " (exact degree "
+        << s.oracle.neighbor_count(i) << ")";
   }
+}
+
+/// The contract's degrees, and the banded pass's labels.
+void expect_exact(const Scenario& s, StreamingDbscan& consumer) {
+  expect_contract_degrees(s, consumer);
   EXPECT_EQ(consumer.finalize().labels, s.want);
 }
 
@@ -625,25 +853,32 @@ FusedRun run_fused(const Scenario& s, unsigned num_devices,
   return run;
 }
 
-void expect_repeats(const FusedRun& a, const FusedRun& b) {
+/// The counted fields of two runs of the same work: equal whichever lane
+/// or executor ran each batch.
+void expect_counts_repeat(const FusedRun& a, const FusedRun& b) {
   EXPECT_EQ(a.report.batches_run, b.report.batches_run);
-  EXPECT_EQ(a.report.total_pairs, b.report.total_pairs);
+  EXPECT_EQ(a.report.capped_points, b.report.capped_points);
+  EXPECT_EQ(a.report.recounted_points, b.report.recounted_points);
+  EXPECT_EQ(a.report.dense_runs, b.report.dense_runs);
   EXPECT_EQ(a.report.atomic_ops, b.report.atomic_ops);
   EXPECT_EQ(a.report.d2h_bytes, b.report.d2h_bytes);
   EXPECT_EQ(a.report.kernel_flops, b.report.kernel_flops);
   EXPECT_EQ(a.report.kernel_global_bytes, b.report.kernel_global_bytes);
+  EXPECT_EQ(a.labels, b.labels);
+}
+
+void expect_repeats(const FusedRun& a, const FusedRun& b) {
+  expect_counts_repeat(a, b);
   EXPECT_EQ(a.report.transient_retries, b.report.transient_retries);
   // Bit-equal: sums of counted terms, added in the same order.
   EXPECT_EQ(a.report.kernel_modeled_seconds, b.report.kernel_modeled_seconds);
   EXPECT_EQ(a.report.modeled_table_seconds, b.report.modeled_table_seconds);
-  EXPECT_EQ(a.labels, b.labels);
 }
 
 TEST(FusedDeterminism, CountedFieldsRepeatExactly) {
   // fused_smoke's input: 6000 skewed points, eps 0.35, minpts 4.
   const Scenario s = make_scenario(6000, 0.35f, 4, 21);
-  const std::uint64_t cross_pairs =
-      (s.oracle.total_pairs() - s.index.size()) / 2;
+  ASSERT_GT(s.contract.recounted_points, 0u);  // every pass has work
   for (const IndexBackend backend :
        {IndexBackend::kGrid, IndexBackend::kBvh}) {
     for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
@@ -655,25 +890,40 @@ TEST(FusedDeterminism, CountedFieldsRepeatExactly) {
         policy.scan_mode = scan;
         const FusedRun first = run_fused(s, devices, policy);
         expect_repeats(first, run_fused(s, devices, policy));
-        EXPECT_EQ(first.report.total_pairs, cross_pairs);
+        EXPECT_EQ(first.report.capped_points, s.contract.capped_points);
+        EXPECT_EQ(first.report.recounted_points,
+                  s.contract.recounted_points);
+        EXPECT_EQ(first.report.total_pairs, 0u);  // capped: not a pair count
         EXPECT_EQ(first.report.d2h_bytes, 0u);
         EXPECT_EQ(first.labels, s.want);
       }
     }
   }
   // A scripted transient fault in each pass. One lane (one device, one
-  // stream) fixes which batch each launch ordinal hits, and so the order
-  // in which the lane adds up its modeled seconds: launches 1-3 are the
-  // core pass (batch 1 faults once), 4-6 the union pass (batch 0 faults
-  // once and re-runs after batch 1).
-  cudasim::FaultPlan transient;
-  transient.transient_launches = {2, 4};
-  BatchPolicy policy = chaos_policy(IndexBackend::kGrid);
-  policy.num_streams = 1;
-  const FusedRun first = run_fused(s, 1, policy, transient);
-  EXPECT_EQ(first.report.transient_retries, 2u);
-  expect_repeats(first, run_fused(s, 1, policy, transient));
-  EXPECT_EQ(first.labels, s.want);
+  // stream) runs a pass's batches in order and re-queues a faulted one
+  // behind the rest, so with one fault a pass takes kBatchesPerLane + 1
+  // launches; that fixes which batch each launch ordinal hits, and so the
+  // order in which the lane adds up its modeled seconds. Pass p faults
+  // its batch p % 2.
+  for (const IndexBackend backend :
+       {IndexBackend::kGrid, IndexBackend::kBvh}) {
+    SCOPED_TRACE(to_string(backend));
+    cudasim::FaultPlan transient;
+    for (unsigned pass = 0; pass < kFusedPasses; ++pass) {
+      transient.transient_launches.push_back(
+          pass * (kBatchesPerLane + 1) + 1 + pass % 2);
+    }
+    BatchPolicy policy = chaos_policy(backend);
+    policy.num_streams = 1;
+    const FusedRun first = run_fused(s, 1, policy, transient);
+    EXPECT_EQ(first.report.transient_retries, kFusedPasses);
+    EXPECT_EQ(first.report.batches_run, kFusedPasses * kBatchesPerLane);
+    expect_repeats(first, run_fused(s, 1, policy, transient));
+    // The faults changed nothing: the counts of a clean one-lane run.
+    expect_counts_repeat(first, run_fused(s, 1, policy));
+    EXPECT_EQ(first.report.recounted_points, s.contract.recounted_points);
+    EXPECT_EQ(first.labels, s.want);
+  }
 }
 
 /// Device ops of a fused run's index upload, one allocation and one
@@ -685,23 +935,33 @@ std::uint64_t fused_upload_ops(const Scenario& s, IndexBackend backend) {
   return backend == IndexBackend::kGrid ? 12 : 8;
 }
 
+/// The device op of one device's `launch`-th launch (from 1) in fused
+/// pass `pass` (0 = core ... 3 = union), when no fault came first and
+/// every pass runs: the upload, then kBatchesPerLane launches per lane of
+/// the device for each earlier pass.
+std::uint64_t fused_launch_op(const Scenario& s, const BatchPolicy& policy,
+                              unsigned pass, unsigned launch) {
+  return fused_upload_ops(s, policy.index_backend) +
+         std::uint64_t{pass} * kBatchesPerLane * policy.num_streams + launch;
+}
+
 TEST(FusedChaos, DeviceLossFailsOverToSurvivorExactly) {
   const Scenario s = make_scenario(2500, 0.35f, 4, 77);
   for (const IndexBackend backend :
        {IndexBackend::kGrid, IndexBackend::kBvh}) {
     SCOPED_TRACE(to_string(backend));
     cudasim::FaultPlan lost;
-    // The core pass's six batches launch before the union pass's six. The
-    // upload plus three ops is that device's third core-pass batch: a loss
-    // mid-traversal with work left to orphan in both passes.
-    lost.lost_at_op = fused_upload_ops(s, backend) + 3;
+    // That device's third core-pass batch: a loss mid-traversal with work
+    // left to orphan in every pass.
+    const BatchPolicy policy = chaos_policy(backend);
+    lost.lost_at_op = fused_launch_op(s, policy, 0, 3);
     Fleet fleet;
     fleet.add(fast_options());
     fleet.add(faulted_options(lost));
 
     StreamingDbscan consumer(s.index.size(), s.minpts);
-    const BuildReport report = fused_cluster(fleet.ptrs, s.index, s.eps,
-                                             consumer, chaos_policy(backend));
+    const BuildReport report =
+        fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
 
     EXPECT_EQ(report.devices_lost, 1u);
     EXPECT_GT(report.failover_batches, 0u);
@@ -727,15 +987,15 @@ TEST(FusedChaos, TotalFleetLossCompletesOnHostExactly) {
   for (const IndexBackend backend :
        {IndexBackend::kGrid, IndexBackend::kBvh}) {
     SCOPED_TRACE(to_string(backend));
+    BatchPolicy policy = chaos_policy(backend);
+    policy.resilience.host_fallback = true;
     cudasim::FaultPlan lost;
     // The second core-pass launch of the only device.
-    lost.lost_at_op = fused_upload_ops(s, backend) + 2;
+    lost.lost_at_op = fused_launch_op(s, policy, 0, 2);
     Fleet fleet;
     fleet.add(faulted_options(lost));
 
     StreamingDbscan consumer(s.index.size(), s.minpts);
-    BatchPolicy policy = chaos_policy(backend);
-    policy.resilience.host_fallback = true;
     const BuildReport report =
         fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
 
@@ -743,6 +1003,48 @@ TEST(FusedChaos, TotalFleetLossCompletesOnHostExactly) {
     EXPECT_GT(report.host_fallback_batches, 0u);
     EXPECT_EQ(report.devices_lost, 1u);
     expect_exact(s, consumer);
+  }
+}
+
+TEST(FusedChaos, DeviceLostBetweenPassesFailsOver) {
+  // The second device dies at its first launch of the mark, recount or
+  // union pass, having finished the pass before: the pass's batches fail
+  // over to the survivor, and the run counts exactly what a healthy
+  // two-device run counts.
+  const Scenario s = make_scenario(2500, 0.35f, 4, 77);
+  ASSERT_GT(s.contract.recounted_points, 0u);  // every pass has work
+  for (const IndexBackend backend :
+       {IndexBackend::kGrid, IndexBackend::kBvh}) {
+    const BatchPolicy policy = chaos_policy(backend);
+    Fleet healthy_fleet;
+    healthy_fleet.add(fast_options());
+    healthy_fleet.add(fast_options());
+    FusedRun healthy;
+    {
+      StreamingDbscan consumer(s.index.size(), s.minpts);
+      healthy.report =
+          fused_cluster(healthy_fleet.ptrs, s.index, s.eps, consumer, policy);
+      healthy.labels = consumer.finalize().labels;
+    }
+    for (unsigned pass = 1; pass < kFusedPasses; ++pass) {
+      SCOPED_TRACE(std::string(to_string(backend)) + ", lost before pass " +
+                   std::to_string(pass));
+      cudasim::FaultPlan lost;
+      lost.lost_at_op = fused_launch_op(s, policy, pass, 1);
+      Fleet fleet;
+      fleet.add(fast_options());
+      fleet.add(faulted_options(lost));
+      StreamingDbscan consumer(s.index.size(), s.minpts);
+      FusedRun run;
+      run.report = fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
+      EXPECT_EQ(run.report.devices_lost, 1u);
+      EXPECT_GT(run.report.failover_batches, 0u);
+      EXPECT_FALSE(run.report.used_host_fallback);
+      expect_contract_degrees(s, consumer);
+      run.labels = consumer.finalize().labels;
+      EXPECT_EQ(run.labels, s.want);
+      expect_counts_repeat(run, healthy);
+    }
   }
 }
 

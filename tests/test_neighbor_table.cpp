@@ -114,9 +114,9 @@ TEST(NeighborTable, SymmetricNeighborhoods) {
 }
 
 // ---------------------------------------------------------------------------
-// Host execution of the kernel bodies (gpu::host_csr_batch, and the fused
-// passes' gpu::host_count_batch and gpu::host_union_batch) against the
-// independent grid_query oracle.
+// Host execution of the kernel bodies (gpu::host_csr_batch, and
+// gpu::host_count_batch with the fused union pass's gpu::host_fused_batch)
+// against the independent grid_query oracle.
 // ---------------------------------------------------------------------------
 
 void expect_identical(NeighborTable got, NeighborTable want) {
@@ -354,7 +354,8 @@ TEST(HostFusedBatch, GivesOracleDegreesAndLabels) {
             batch.batch, batch.num_batches, ScanMode::kFull, counts, {}});
       });
       pass([&](const auto& view, gpu::BatchSpec batch) {
-        gpu::host_union_batch(view, s.eps, batch, consumer, mode);
+        gpu::host_fused_batch(view, s.eps, batch, gpu::FusedPass::kUnion,
+                              consumer, mode);
       });
       for (PointId i = 0; i < s.index.size(); ++i) {
         ASSERT_EQ(consumer.degree(i), s.oracle.neighbor_count(i))

@@ -48,6 +48,7 @@
 #include "analysis/cluster_analysis.hpp"
 #include "common/timer.hpp"
 #include "core/cell_graph.hpp"
+#include "core/fused_clustering.hpp"
 #include "core/hybrid_dbscan.hpp"
 #include "core/pipeline.hpp"
 #include "core/report_metrics.hpp"
@@ -312,15 +313,18 @@ int cmd_cluster(int argc, char** argv) {
                     timings.build_report.total_pairs));
   }
   if (timings.fused) {
-    // The core pass counted every degree and the union pass visited every
-    // cross pair on the devices; report that counted work. A dense run
-    // cost one union where each of its residents would have cost one.
-    std::printf("fused [%s index]: no table materialized, core + union"
-                " passes: %u batches, %llu cross pairs, %llu atomics,"
-                " %llu dense runs (%.3f s tail), consumer peak %zu bytes\n",
+    // The core pass stopped counting at minpts on the capped points, only
+    // the recounted cores got exact degrees, and the union pass visited
+    // the cross pairs on the devices; report that counted work. A dense
+    // run cost one union where each of its residents would have cost one.
+    std::printf("fused [%s index]: no table materialized, core + mark +"
+                " recount + union passes: %u batches, %llu capped points,"
+                " %llu recounted, %llu atomics, %llu dense runs (%.3f s"
+                " tail), consumer peak %zu bytes\n",
                 std::string(to_string(br.index_backend)).c_str(),
                 br.batches_run,
-                static_cast<unsigned long long>(br.total_pairs),
+                static_cast<unsigned long long>(br.capped_points),
+                static_cast<unsigned long long>(br.recounted_points),
                 static_cast<unsigned long long>(br.atomic_ops),
                 static_cast<unsigned long long>(br.dense_runs),
                 timings.finalize_seconds, timings.peak_consumer_bytes);
@@ -879,8 +883,10 @@ int cmd_perf_smoke(int argc, char** argv) {
 // concurrently — the thread-sanitizer surface). Exits nonzero unless the
 // streaming and fused label vectors are bit-identical to the banded
 // union-find pass over the host table and agree with batch DBSCAN on
-// clusters and noise, no table was materialized, fused D2H traffic (none:
-// the core and union passes ship no result bytes) undercuts the batch
+// clusters and noise, every fused degree and the capped and recounted
+// counts match the degree contract on the oracle table
+// (expected_fused_degrees), no table was materialized, fused D2H traffic
+// (none: the fused passes ship no result bytes) undercuts the batch
 // build's, fused-BVH beats streaming-grid on modeled time, and no device
 // leaks.
 int cmd_fused_smoke(int argc, char** argv) {
@@ -951,10 +957,11 @@ int cmd_fused_smoke(int argc, char** argv) {
       fb_t.modeled_total_seconds, fleet_t.modeled_total_seconds);
   std::printf(
       "fused_smoke: d2h batch=%llu fused-bvh=%llu (no result bytes),"
-      " cross pairs=%llu\n",
+      " capped points=%llu recounted=%llu\n",
       static_cast<unsigned long long>(batch_t.build_report.d2h_bytes),
       static_cast<unsigned long long>(fb_t.build_report.d2h_bytes),
-      static_cast<unsigned long long>(fb_t.build_report.total_pairs));
+      static_cast<unsigned long long>(fb_t.build_report.capped_points),
+      static_cast<unsigned long long>(fb_t.build_report.recounted_points));
   std::printf(
       "fused_smoke: atomics fused-grid=%llu (%llu dense runs)"
       " fused-bvh=%llu\n",
@@ -966,13 +973,47 @@ int cmd_fused_smoke(int argc, char** argv) {
   // table, in input order. Batch DBSCAN (Alg. 4's BFS) assigns borders in
   // visit order, so it must agree on clusters and noise, not on borders.
   const GridIndex index = build_grid_index(points, eps);
+  const NeighborTable oracle = build_neighbor_table_host(index, eps);
   const int minpts_list[] = {minpts};
   const ClusterResult banded =
-      dbscan_parallel(build_neighbor_table_host(index, eps), minpts_list, 0,
-                      index.original_ids)
-          .front();
+      dbscan_parallel(oracle, minpts_list, 0, index.original_ids).front();
 
   int violations = 0;
+  // The degree contract: each backend's fused passes leave exactly the
+  // degrees and counts the oracle table predicts — a dropped, doubled or
+  // uncapped degree shows here.
+  const FusedDegrees contract = expected_fused_degrees(oracle, minpts);
+  for (const BatchPolicy* policy : {&grid_policy, &bvh_policy}) {
+    const std::string backend(to_string(policy->index_backend));
+    cudasim::Device dev({}, opt);
+    StreamingDbscan consumer(index.size(), minpts);
+    const BuildReport report =
+        fused_cluster(dev, index, eps, consumer, *policy);
+    for (PointId i = 0; i < index.size(); ++i) {
+      if (consumer.degree(i) != contract.degree[i]) {
+        std::fprintf(stderr,
+                     "fused_smoke FAILED: fused-%s degree %u at point %u,"
+                     " the contract says %u\n",
+                     backend.c_str(), consumer.degree(i), i,
+                     contract.degree[i]);
+        ++violations;
+        break;
+      }
+    }
+    if (report.capped_points != contract.capped_points ||
+        report.recounted_points != contract.recounted_points) {
+      std::fprintf(stderr,
+                   "fused_smoke FAILED: fused-%s capped %llu and recounted"
+                   " %llu points, the contract says %llu and %llu\n",
+                   backend.c_str(),
+                   static_cast<unsigned long long>(report.capped_points),
+                   static_cast<unsigned long long>(report.recounted_points),
+                   static_cast<unsigned long long>(contract.capped_points),
+                   static_cast<unsigned long long>(
+                       contract.recounted_points));
+      ++violations;
+    }
+  }
   auto expect_identical = [&](const ClusterResult& got, const char* what) {
     if (got.labels != banded.labels) {
       std::fprintf(stderr,
