@@ -12,11 +12,11 @@
 // A sharded-scaling sweep (schema v4) then builds the same workloads
 // spatially partitioned across k = 1..4 simulated devices (a grid-row slab
 // plus its eps-halo per device; see core/sharded_build.hpp) and reports
-// the modeled speedup, the halo-duplication overhead, and the cross-shard
-// edge count; the bench fails unless k=4 reaches >= 3.2x modeled speedup
-// on at least one workload.
+// the modeled speedup of the materialized build, the halo-duplication
+// overhead, and the cross-shard edge count; the bench fails unless k=4
+// reaches >= 3.2x modeled speedup on at least one workload.
 //
-// Emits BENCH_table_build.json (schema_version 8) alongside the
+// Emits BENCH_table_build.json (schema_version 9) alongside the
 // human-readable table. The JSON is self-describing: a `scenario` block
 // records the scale factor, trial count, and the exact generator seed and
 // size of every dataset, so a stored result can be reproduced bit-for-bit.
@@ -24,15 +24,15 @@
 // cache-only / cache+coalesce, plus (schema 6) the same reuse config with
 // request tracing fully enabled.
 //
-// The fused-clustering matrix (schema 7) runs batch / streaming / fused
-// end-to-end DBSCAN across the grid and BVH index backends on a skewed
-// and a uniform scenario. Its gate is the fused path's reason to exist:
-// on the skewed workload, fused-BVH must beat streaming-grid on modeled
-// response time while materializing zero table bytes, and every cell's
-// labels must be exact: streaming and fused bit-identical to the banded
-// union-find pass (dbscan_parallel), whose border rule they share, and
-// batch BFS, whose borders follow its visit order, equivalent to it under
-// compare_clusterings (`labels_exact` in the JSON).
+// The fused-clustering matrix (schema 7) runs batch / fused end-to-end
+// DBSCAN across the grid and BVH index backends on a skewed and a uniform
+// scenario. Its gate is the fused path's contract: no fused cell
+// materializes a table, and every cell's labels are exact: fused
+// bit-identical to the banded union-find pass (dbscan_parallel), whose
+// border rule it shares, and batch BFS, whose borders follow its visit
+// order, equivalent to it under compare_clusterings (`labels_exact` in
+// the JSON). Schema 9 retired the streaming cells and the streaming
+// single-variant comparison with the streaming mode itself.
 //
 // The quality frontier (schema 8) prices the cell-graph clustering mode
 // at 10x the fused-matrix sizes, where the exact build's quadratic
@@ -49,7 +49,6 @@
 // adds the per-thread-hop context capture/install cost, and fails the
 // bench if the projected total exceeds 2% of the build's wall time.
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -67,7 +66,6 @@
 #include "dbscan/cluster_compare.hpp"
 #include "dbscan/dbscan.hpp"
 #include "dbscan/dbscan_parallel.hpp"
-#include "dbscan/streaming_dbscan.hpp"
 #include "index/grid_index.hpp"
 #include "obs/trace.hpp"
 #include "scenarios.hpp"
@@ -212,102 +210,10 @@ int main() {
     }
   }
 
-  // --- intra-variant streaming overlap (single variant) ---------------
-  // Serial: build T, then cluster it (build + DBSCAN, back to back).
-  // Streaming: a StreamingDbscan consumer unions core-core edges on the
-  // builder's stream threads while the GPU is still filling later
-  // batches; T is never materialized. The streamed wall time should land
-  // near max(build, union) plus a short resolution tail, with the
-  // consumer's peak footprint far below the table's.
-  struct StreamingCompare {
-    double serial_wall = 1e30;    ///< build + DBSCAN-over-T, min-of-N
-    double serial_modeled = 1e30; ///< modeled build + measured DBSCAN
-    double stream_wall = 1e30;
-    double stream_modeled = 1e30; ///< max(modeled build, union) + tail
-    double overlap_fraction = 0.0;
-    double streamed_fraction = 0.0;
-    std::uint64_t table_bytes = 0;        ///< serial high-water (T resident)
-    std::uint64_t consumer_peak_bytes = 0;  ///< streaming high-water
-  } scomp;
-  {
-    const auto points = bench::load("SW1");
-    const float eps = 0.3f;
-    const int minpts = 4;
-    const GridIndex index = build_grid_index(points, eps);
-    // The wall gap between the two modes is a few ms on a ~20 ms run;
-    // min-of-N needs more samples here than the build-only sections.
-    const int repeats = std::max(7, env_trials());
-
-    cudasim::Device serial_dev = bench::make_device();
-    NeighborTableBuilder serial_builder(serial_dev, {});
-    for (int t = 0; t < repeats; ++t) {
-      WallTimer timer;
-      BuildReport report;
-      const NeighborTable table = serial_builder.build(index, eps, &report);
-      const ClusterResult r = dbscan_neighbor_table(table, minpts);
-      (void)r;
-      WallTimer dbscan_timer;  // re-measure clustering alone for the model
-      (void)dbscan_neighbor_table(table, minpts);
-      const double dbscan_s = dbscan_timer.seconds();
-      scomp.serial_wall = std::min(scomp.serial_wall, timer.seconds());
-      scomp.serial_modeled = std::min(
-          scomp.serial_modeled, report.modeled_table_seconds + dbscan_s);
-      scomp.table_bytes =
-          table.total_pairs() * sizeof(PointId) +
-          table.num_points() * 2 * sizeof(std::uint32_t);
-    }
-
-    cudasim::Device stream_dev = bench::make_device();
-    NeighborTableBuilder stream_builder(stream_dev, {});
-    for (int t = 0; t < repeats; ++t) {
-      WallTimer timer;
-      StreamingDbscan consumer(index.size(), minpts);
-      BuildReport report;
-      stream_builder.build(index, eps, &report, &consumer,
-                           /*materialize_table=*/false);
-      const ClusterResult r = consumer.finalize();
-      (void)r;
-      const StreamingDbscan::Stats& st = consumer.stats();
-      const double wall = timer.seconds();
-      const double modeled =
-          std::max(report.modeled_table_seconds,
-                   st.max_thread_consume_seconds) +
-          st.finalize_seconds;
-      if (wall < scomp.stream_wall) {
-        scomp.stream_wall = wall;
-        scomp.stream_modeled = modeled;
-        scomp.overlap_fraction = st.overlap_fraction();
-        scomp.streamed_fraction = st.streamed_fraction();
-        scomp.consumer_peak_bytes = consumer.peak_memory_bytes();
-      }
-    }
-
-    std::printf("\n  single-variant streaming overlap (SW1, eps=%.2f,"
-                " minpts=%d):\n", eps, minpts);
-    std::printf("    serial (build + cluster): %.3f s wall, %.4f s modeled,"
-                " %llu B table\n",
-                scomp.serial_wall, scomp.serial_modeled,
-                static_cast<unsigned long long>(scomp.table_bytes));
-    std::printf("    streaming:                %.3f s wall, %.4f s modeled,"
-                " %llu B consumer peak\n",
-                scomp.stream_wall, scomp.stream_modeled,
-                static_cast<unsigned long long>(scomp.consumer_peak_bytes));
-    std::printf("    -> %.2fx wall, %.2fx modeled; overlap %.2f,"
-                " streamed %.2f, memory %.1fx smaller\n",
-                scomp.serial_wall / scomp.stream_wall,
-                scomp.serial_modeled / scomp.stream_modeled,
-                scomp.overlap_fraction, scomp.streamed_fraction,
-                static_cast<double>(scomp.table_bytes) /
-                    static_cast<double>(
-                        std::max<std::uint64_t>(1,
-                                                scomp.consumer_peak_bytes)));
-  }
-
   // --- fused no-table clustering: backends x modes (schema 7) --------
-  // End-to-end DBSCAN (index + neighbor search + labels) four ways on one
-  // device: the batch table build (the paper's pipeline), streaming over
-  // grid CSR batches, and the fused core and union passes on both index
-  // backends. The skewed scenario is where the BVH earns its keep —
+  // End-to-end DBSCAN (index + neighbor search + labels) three ways on
+  // one device: the batch table build (the paper's pipeline) and the
+  // fused core and union passes on both index backends. The skewed scenario is where the BVH earns its keep —
   // overflowing hot grid cells make the eps-cell stencil scan far more
   // candidates than the leaf-pruned tree descent — while the uniform
   // scenario shows the regime where the grid's O(1) cell lookup stays
@@ -319,8 +225,8 @@ int main() {
     std::uint64_t d2h_bytes = 0;
     std::uint64_t peak_bytes = 0;  ///< resident table, or consumer peak
     bool table_materialized = true;
-    /// Streaming and fused: bit-identical to the row's banded pass. Batch
-    /// (BFS): compare_clusterings-equivalent to it.
+    /// Fused: bit-identical to the row's banded pass. Batch (BFS):
+    /// compare_clusterings-equivalent to it.
     bool labels_exact = true;
   };
   struct FusedRow {
@@ -331,7 +237,7 @@ int main() {
     std::vector<FusedCell> cells;
   };
   std::vector<FusedRow> fused_rows;
-  bool fused_ok = true;  // the skewed-workload gate, see below
+  bool fused_ok = true;  // no fused table, exact labels; see below
   {
     const auto skewed_points = bench::load("SW1");
     const std::vector<Point2> uniform_points =
@@ -366,7 +272,6 @@ int main() {
       };
       for (const Config cfg :
            {Config{"batch-grid", ClusterMode::kBatchTable, IndexBackend::kGrid},
-            Config{"stream-grid", ClusterMode::kStreaming, IndexBackend::kGrid},
             Config{"fused-grid", ClusterMode::kFused, IndexBackend::kGrid},
             Config{"fused-bvh", ClusterMode::kFused, IndexBackend::kBvh}}) {
         FusedCell cell;
@@ -419,13 +324,9 @@ int main() {
       fused_rows.push_back(std::move(row));
     }
 
-    // The gate: on the skewed workload the fused-BVH run must (a) beat
-    // streaming-grid on modeled response time, (b) materialize no table,
-    // and (c) every cell on both scenarios must have exact labels (see
+    // The gate reads two columns: no fused cell materializes a table, and
+    // every cell on both scenarios has exact labels (see
     // FusedCell::labels_exact).
-    const FusedRow& skewed = fused_rows.front();
-    const FusedCell& stream_grid = skewed.cells[1];
-    const FusedCell& fused_bvh = skewed.cells[3];
     for (const FusedRow& row : fused_rows) {
       for (const FusedCell& c : row.cells) {
         fused_ok = fused_ok && c.labels_exact;
@@ -434,14 +335,9 @@ int main() {
         }
       }
     }
-    fused_ok =
-        fused_ok && fused_bvh.modeled_seconds < stream_grid.modeled_seconds;
-    std::printf(
-        "  fused-BVH beats streaming-grid on the skewed workload with no"
-        " table and exact labels: %s (%.4fs vs %.4fs, %.2fx)\n",
-        fused_ok ? "PASS" : "FAIL", fused_bvh.modeled_seconds,
-        stream_grid.modeled_seconds,
-        stream_grid.modeled_seconds / fused_bvh.modeled_seconds);
+    std::printf("  every fused cell runs with no table, every cell's labels"
+                " exact: %s\n",
+                fused_ok ? "PASS" : "FAIL");
   }
 
   // --- quality frontier: the cell graph at 10x n (schema 8) ----------
@@ -603,11 +499,9 @@ int main() {
   // device holds ~1/k of the index and does ~1/k of the distance tests,
   // and the modeled critical path charges the slowest shard per round —
   // never the sum — so k devices should approach k-fold modeled speedup.
-  // Two modes per k: the materialized build (the merged global CSR table,
-  // eroded by the serial fan-in merge and half-table expansion) and the
-  // streaming labels-only build (deliveries flow to a sink with global
-  // keys; no merge, no expansion — the deployment mode a multi-GPU
-  // pipeline actually runs, cf. the streaming comparison above). The
+  // A sharded build always materializes the merged global CSR table, and
+  // the serial fan-in merge and half-table expansion erode the scaling
+  // (fixed_seconds is that serial share). The
   // sweep runs at 200k points rather than the 1/32-scale defaults:
   // sharding targets large workloads, and at a few-ms total build the
   // per-build fixed costs swamp the device phases being scaled.
@@ -615,11 +509,9 @@ int main() {
     unsigned k = 1;
     std::uint32_t shards = 0;
     double wall_seconds = 1e30;
-    double modeled_seconds = 1e30;    ///< materialized build
-    double streamed_seconds = 1e30;   ///< labels-only (sink) build
-    double speedup = 1.0;             ///< materialized modeled, vs k=1
-    double streamed_speedup = 1.0;    ///< streamed modeled, vs k=1
-    double fixed_seconds = 0.0;       ///< serial host share (materialized)
+    double modeled_seconds = 1e30;
+    double speedup = 1.0;             ///< modeled, vs k=1
+    double fixed_seconds = 0.0;       ///< serial host share
     double partition_seconds = 0.0;   ///< one-time plan_shards critical path
     double halo_fraction = 0.0;       ///< ghost residents / owned points
     std::uint64_t halo_ghosts = 0;
@@ -631,18 +523,10 @@ int main() {
     std::size_t size = 0;
     std::vector<ShardPoint> points;
   };
-  // Pair-count sink standing in for a label consumer: the build's cost is
-  // what is measured, so the sink does the least work that still drains
-  // every delivery.
-  struct PairCountSink final : hdbscan::BatchSink {
-    std::atomic<std::uint64_t> pairs{0};
-    void consume(const hdbscan::BatchDelivery& d) override {
-      pairs.fetch_add(d.values.size(), std::memory_order_relaxed);
-    }
-  };
   constexpr std::size_t kShardSweepSize = 200000;
   std::vector<ShardScalingRow> shard_rows;
-  bool shard_ok = false;  // >= 3.2x modeled at k=4 on some workload
+  double shard_k4_best = 0.0;  // the gate reads this: best k=4 speedup
+  bool shard_ok = false;       // >= 3.2x modeled at k=4 on some workload
   for (const auto& [dataset, eps] :
        std::vector<std::pair<std::string, float>>{{"SW1", 0.3f},
                                                   {"SDSS1", 0.5f}}) {
@@ -660,8 +544,8 @@ int main() {
             cudasim::DeviceConfig{}, cudasim::SimulationOptions{}));
         fleet_ptrs.push_back(fleet.back().get());
       }
-      // Partition once per (workload, k) and reuse it across trials and
-      // modes — the plan is a function of the index and eps only, so a
+      // Partition once per (workload, k) and reuse it across trials —
+      // the plan is a function of the index and eps only, so a
       // deployment computes it at setup time, exactly like the grid index
       // (whose construction the single-device numbers above exclude too).
       // Its one-time critical path is reported alongside the build times.
@@ -687,13 +571,6 @@ int main() {
           pt.halo_ghosts = report.halo_ghost_points;
           pt.cross_pairs = report.cross_shard_pairs;
         }
-        PairCountSink sink;
-        BuildReport streamed;
-        (void)build_sharded_neighbor_table(fleet_ptrs, index, eps, options,
-                                           &streamed, &sink,
-                                           /*materialize_table=*/false);
-        pt.streamed_seconds =
-            std::min(pt.streamed_seconds, streamed.modeled_table_seconds);
       }
       pt.halo_fraction = static_cast<double>(pt.halo_ghosts) /
                          static_cast<double>(points.size());
@@ -701,30 +578,26 @@ int main() {
     }
     for (ShardPoint& pt : row.points) {
       pt.speedup = row.points.front().modeled_seconds / pt.modeled_seconds;
-      pt.streamed_speedup =
-          row.points.front().streamed_seconds / pt.streamed_seconds;
     }
     std::printf("\n  sharded scaling [%s, eps=%.2f, n=%zu]:\n",
                 dataset.c_str(), eps, row.size);
-    std::printf("  %3s %7s %10s %9s %10s %9s %8s %12s %12s\n", "k",
-                "shards", "table (s)", "speedup", "stream(s)", "speedup",
-                "halo", "ghosts", "cross pairs");
+    std::printf("  %3s %7s %10s %9s %10s %8s %12s %12s\n", "k", "shards",
+                "table (s)", "speedup", "fixed (s)", "halo", "ghosts",
+                "cross pairs");
     for (const ShardPoint& pt : row.points) {
-      std::printf(
-          "  %3u %7u %10.4f %8.2fx %10.4f %8.2fx %7.1f%% %12llu %12llu\n",
-          pt.k, pt.shards, pt.modeled_seconds, pt.speedup,
-          pt.streamed_seconds, pt.streamed_speedup,
-          100.0 * pt.halo_fraction,
-          static_cast<unsigned long long>(pt.halo_ghosts),
-          static_cast<unsigned long long>(pt.cross_pairs));
+      std::printf("  %3u %7u %10.4f %8.2fx %10.4f %7.1f%% %12llu %12llu\n",
+                  pt.k, pt.shards, pt.modeled_seconds, pt.speedup,
+                  pt.fixed_seconds, 100.0 * pt.halo_fraction,
+                  static_cast<unsigned long long>(pt.halo_ghosts),
+                  static_cast<unsigned long long>(pt.cross_pairs));
     }
-    shard_ok = shard_ok || row.points.back().speedup >= 3.2 ||
-               row.points.back().streamed_speedup >= 3.2;
+    shard_k4_best = std::max(shard_k4_best, row.points.back().speedup);
     shard_rows.push_back(std::move(row));
   }
+  shard_ok = shard_k4_best >= 3.2;
   std::printf(
-      "  k=4 modeled speedup >= 3.2x on some workload (either mode): %s\n",
-      shard_ok ? "PASS" : "FAIL");
+      "  k=4 modeled speedup >= 3.2x on some workload: %s (best %.2fx)\n",
+      shard_ok ? "PASS" : "FAIL", shard_k4_best);
 
   // --- service front-end: skewed workload vs naive baseline ----------
   // The same Zipf-over-eps multi-tenant workload served three ways on a
@@ -904,7 +777,7 @@ int main() {
   }
   std::fprintf(out,
                "{\n  \"benchmark\": \"table_build\",\n"
-               "  \"schema_version\": 8,\n"
+               "  \"schema_version\": 9,\n"
                "  \"scenario\": {\n"
                "    \"scale\": %.4f,\n"
                "    \"trials\": %d,\n"
@@ -957,21 +830,7 @@ int main() {
                  static_cast<unsigned long long>(sweep[v].pinned_misses),
                  v + 1 < sweep.size() ? "," : "");
   }
-  std::fprintf(
-      out,
-      "  ],\n  \"streaming_single_variant\": {\"dataset\": \"SW1\", "
-      "\"eps\": 0.300, \"minpts\": 4,\n"
-      "    \"serial_wall_seconds\": %.6f, "
-      "\"serial_modeled_seconds\": %.6f,\n"
-      "    \"streaming_wall_seconds\": %.6f, "
-      "\"streaming_modeled_seconds\": %.6f,\n"
-      "    \"overlap_fraction\": %.4f, \"streamed_fraction\": %.4f,\n"
-      "    \"serial_table_bytes\": %llu, "
-      "\"streaming_peak_bytes\": %llu},\n",
-      scomp.serial_wall, scomp.serial_modeled, scomp.stream_wall,
-      scomp.stream_modeled, scomp.overlap_fraction, scomp.streamed_fraction,
-      static_cast<unsigned long long>(scomp.table_bytes),
-      static_cast<unsigned long long>(scomp.consumer_peak_bytes));
+  std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"fused_clustering\": {\n    \"rows\": [\n");
   for (std::size_t i = 0; i < fused_rows.size(); ++i) {
     const FusedRow& row = fused_rows[i];
@@ -997,9 +856,9 @@ int main() {
     std::fprintf(out, "      ]}%s\n", i + 1 < fused_rows.size() ? "," : "");
   }
   std::fprintf(out,
-               "    ],\n    \"fused_bvh_gate\": {\"scenario\": \"skewed\", "
-               "\"beats\": \"stream-grid\", \"metric\": "
-               "\"modeled_seconds\", \"requires_no_table\": true, "
+               "    ],\n    \"fused_gate\": {\"reads\": "
+               "[\"table_materialized\", \"labels_exact\"], "
+               "\"requires_no_table\": true, "
                "\"requires_identical_labels\": true, \"pass\": %s}},\n",
                fused_ok ? "true" : "false");
   std::fprintf(out, "  \"quality_frontier\": {\n    \"rows\": [\n");
@@ -1047,13 +906,11 @@ int main() {
           out,
           "      {\"k\": %u, \"shards\": %u, \"wall_seconds\": %.6f, "
           "\"modeled_seconds\": %.6f, \"modeled_speedup\": %.4f, "
-          "\"modeled_streamed_seconds\": %.6f, \"streamed_speedup\": %.4f, "
           "\"fixed_seconds\": %.6f, \"partition_seconds\": %.6f, "
           "\"halo_ghost_points\": %llu, \"halo_overhead_fraction\": %.4f, "
           "\"cross_shard_pairs\": %llu}%s\n",
           pt.k, pt.shards, pt.wall_seconds, pt.modeled_seconds, pt.speedup,
-          pt.streamed_seconds, pt.streamed_speedup, pt.fixed_seconds,
-          pt.partition_seconds,
+          pt.fixed_seconds, pt.partition_seconds,
           static_cast<unsigned long long>(pt.halo_ghosts), pt.halo_fraction,
           static_cast<unsigned long long>(pt.cross_pairs),
           p + 1 < row.points.size() ? "," : "");
@@ -1062,10 +919,10 @@ int main() {
   }
   std::fprintf(out,
                "  ],\n  \"sharded_speedup_gate\": {\"k\": 4, "
+               "\"reads\": \"modeled_speedup\", "
                "\"min_modeled_speedup\": 3.2, "
-               "\"modes\": [\"materialized\", \"streamed\"], "
-               "\"pass\": %s},\n",
-               shard_ok ? "true" : "false");
+               "\"best_modeled_speedup\": %.4f, \"pass\": %s},\n",
+               shard_k4_best, shard_ok ? "true" : "false");
   std::fprintf(out,
                "  \"service\": {\"dataset\": \"SW1\", \"jobs\": 32, "
                "\"tenants\": 4, \"zipf_s\": 1.2, \"devices\": 2,\n"

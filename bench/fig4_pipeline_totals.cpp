@@ -12,7 +12,6 @@
 
 #include "bench_common.hpp"
 #include "common/makespan.hpp"
-#include "core/hybrid_dbscan.hpp"
 #include "core/pipeline.hpp"
 #include "dbscan/dbscan.hpp"
 #include "index/rtree.hpp"
@@ -76,56 +75,5 @@ int main() {
       " DBSCAN of v_i (3 consumers), as in\nthe paper. 'wall' is the"
       " single-core simulator wall time. Expected shape:\npipe < non-pipe <"
       " ref (paper: 1.42-1.66x and 3.36-5.13x), gap widest on SDSS3.\n");
-
-  // --- intra-variant streaming overlap --------------------------------
-  // The paper's pipeline only overlaps *across* variants; a single
-  // variant still pays build + cluster serially. Streaming mode unions
-  // core-core edges on the builder's stream threads while the GPU fills
-  // later batches, so one variant's wall time approaches
-  // max(build, union) + a short resolution tail and T is never held in
-  // memory. One representative (mid-sweep) variant per dataset.
-  std::printf("\n%-8s %6s | %10s %10s %7s | %10s %10s %8s %8s\n", "Dataset",
-              "eps", "serial (s)", "stream (s)", "ratio", "model ser",
-              "model str", "overlap", "mem x");
-  for (const auto& scenario : bench::scenario_s2()) {
-    const auto points = bench::load(scenario.dataset);
-    const float eps =
-        scenario.eps_values[scenario.eps_values.size() / 2];
-    const int minpts = scenario.minpts;
-
-    cudasim::Device serial_dev = bench::make_device();
-    HybridTimings serial_t;
-    (void)hybrid_dbscan(serial_dev, points, eps, minpts, &serial_t, {},
-                        ClusterMode::kBatchTable);
-    const double serial_wall =
-        serial_t.gpu_table_seconds + serial_t.dbscan_seconds;
-    const std::uint64_t table_bytes =
-        serial_t.build_report.total_pairs * sizeof(PointId) +
-        points.size() * 2 * sizeof(std::uint32_t);
-
-    cudasim::Device stream_dev = bench::make_device();
-    HybridTimings stream_t;
-    (void)hybrid_dbscan(stream_dev, points, eps, minpts, &stream_t, {},
-                        ClusterMode::kStreaming);
-    const double stream_wall =
-        stream_t.gpu_table_seconds + stream_t.dbscan_seconds;
-
-    std::printf(
-        "%-8s %6.2f | %10.3f %10.3f %6.2fx | %10.4f %10.4f %8.2f %7.1fx\n",
-        scenario.dataset.c_str(), eps, serial_wall, stream_wall,
-        serial_wall / stream_wall,
-        serial_t.index_seconds + serial_t.modeled_gpu_table_seconds +
-            serial_t.dbscan_seconds,
-        stream_t.modeled_total_seconds, stream_t.overlap_fraction,
-        static_cast<double>(table_bytes) /
-            static_cast<double>(
-                std::max<std::size_t>(1, stream_t.peak_consumer_bytes)));
-  }
-  std::printf(
-      "\n'serial' is one variant's build + cluster back to back; 'stream'"
-      " unions CSR\nbatches on the builder's stream threads as they arrive"
-      " (T never materialized).\n'overlap' is the share of union work"
-      " hidden under the build; 'mem x' is the\nresident table footprint"
-      " over the streaming consumer's high-water.\n");
   return 0;
 }

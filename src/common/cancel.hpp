@@ -2,11 +2,12 @@
 //
 // A CancelToken is a small shared flag a request front-end hands to the
 // long-running build layers (NeighborTableBuilder, sharded_build,
-// StreamingDbscan). The workers poll it at batch granularity — one relaxed
-// atomic load on the happy path — and abandon the build by throwing
-// OperationCancelled, which rides the existing hard-error unwind: streams
-// drain, pooled buffers return to the device's BufferPool, and the caller
-// sees a classified failure instead of a completed-but-unwanted result.
+// fused_cluster, StreamingDbscan::finalize). The workers poll it at batch
+// granularity — one relaxed atomic load on the happy path — and abandon
+// the build by throwing OperationCancelled, which rides the existing
+// hard-error unwind: streams drain, pooled buffers return to the device's
+// BufferPool, and the caller sees a classified failure instead of a
+// completed-but-unwanted result.
 //
 // Deadlines are just self-arming cancellation: set_deadline stores a
 // steady_clock instant and the first poll past it latches the token into

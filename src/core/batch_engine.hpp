@@ -38,12 +38,6 @@ struct WorkItem {
   gpu::BatchSpec spec;
   unsigned depth = 0;              ///< overflow splits applied
   unsigned transient_retries = 0;  ///< TransientKernelFault retries so far
-  /// The sink already received this lineage's pass-1 counts. The flag
-  /// rides through retries, splits and failover (split halves and the
-  /// orphan pool copy the item), which is what makes count delivery
-  /// exactly-once: a split half or a retried launch re-runs its kernels
-  /// but never re-adds degrees the parent item already delivered.
-  bool counts_delivered = false;
 };
 
 /// The views of one copy of the index, and the one place a traversal

@@ -36,7 +36,6 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   WallTimer total_timer;
   BuildReport report;
   report.fused = true;
-  report.streamed = true;
   report.table_materialized = false;
   report.scan_mode = policy.scan_mode;
   report.index_backend = policy.index_backend;

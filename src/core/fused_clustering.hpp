@@ -19,8 +19,8 @@
 // (expected_fused_degrees), and the union pass and finalize() read only
 // core status and flagged degrees: the labels are bit-identical to
 // dbscan_parallel over the full table. T is never allocated on either
-// side of the bus and nothing is parked: no fill pass, no result
-// transfer, no delivery hop. Every counter depends on the input alone.
+// side of the bus: no fill pass and no result transfer. Every counter
+// depends on the input alone.
 //
 // Each pass runs under the engine's ladder: transient faults retry (a
 // faulted launch changed nothing, and a pass's stores, flags and unions

@@ -1,6 +1,5 @@
 #include "core/hybrid_dbscan.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "common/timer.hpp"
@@ -38,38 +37,6 @@ ClusterResult run_cell_graph_mode(const cudasim::DeviceConfig& config,
   local.build_report.total_pairs = cg.distance_tests;
   local.build_report.table_materialized = false;
   return out;
-}
-
-/// Tail of the streaming and fused modes: finalize the consumer that
-/// ingested the build and fill the streaming timing fields.
-/// `local.index_seconds`, `local.gpu_table_seconds` and
-/// `local.build_report` must already be set.
-ClusterResult finish_streamed(StreamingDbscan& consumer,
-                              const GridIndex& index, HybridTimings& local,
-                              WallTimer& total_timer) {
-  WallTimer phase_timer;
-  const ClusterResult indexed = consumer.finalize();
-  local.dbscan_seconds = phase_timer.seconds();
-
-  const StreamingDbscan::Stats& st = consumer.stats();
-  local.streamed = true;
-  local.consume_seconds = st.consume_seconds;
-  local.finalize_seconds = st.finalize_seconds;
-  local.overlap_fraction = st.overlap_fraction();
-  local.peak_consumer_bytes = consumer.peak_memory_bytes();
-  local.total_seconds = total_timer.seconds();
-  local.modeled_gpu_table_seconds = local.build_report.modeled_table_seconds;
-  // On the reference host the consumers drain completed staging buffers
-  // (or, fused, scatter the core pass's degrees) on their own cores, so
-  // that work adds its slowest thread — not the summed CPU time — to the
-  // critical path: response time is max(build, slowest union thread) +
-  // tail.
-  local.modeled_total_seconds =
-      local.index_seconds +
-      std::max(local.modeled_gpu_table_seconds,
-               st.max_thread_consume_seconds) +
-      st.finalize_seconds;
-  return unmap_labels(indexed, index.original_ids);
 }
 
 }  // namespace
@@ -128,46 +95,37 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
   local.index_seconds = phase_timer.seconds();
 
   phase_timer.reset();
+  ClusterResult indexed;
   if (mode == ClusterMode::kBatchTable) {
     const NeighborTable table = build_fleet_neighbor_table(
         devices, index, eps, options, &local.build_report);
     local.gpu_table_seconds = phase_timer.seconds();
 
     phase_timer.reset();
-    const ClusterResult indexed = dbscan_neighbor_table(table, minpts);
+    indexed = dbscan_neighbor_table(table, minpts);
     local.dbscan_seconds = phase_timer.seconds();
-
-    local.total_seconds = total_timer.seconds();
-    local.modeled_gpu_table_seconds = local.build_report.modeled_table_seconds;
-    local.modeled_total_seconds = local.index_seconds +
-                                  local.modeled_gpu_table_seconds +
-                                  local.dbscan_seconds;
-    if (timings != nullptr) *timings = local;
-    return unmap_labels(indexed, index.original_ids);
-  }
-
-  StreamingDbscan consumer(index.size(), minpts);
-  if (mode == ClusterMode::kFused) {
-    // Fused mode replicates the (whole) index across the devices and
-    // interleaves the strided batches — no slab sharding applies, since
-    // the kernels union global ids directly.
+  } else {
+    // Fused: the index is replicated across the devices and the strided
+    // batches interleave — no slab sharding applies, since the kernels
+    // union global ids directly.
+    StreamingDbscan consumer(index.size(), minpts);
     consumer.set_cancel_token(policy.cancel);
     local.build_report = fused_cluster(devices, index, eps, consumer, policy);
     local.fused = true;
-  } else {
-    // Streaming: the union-find consumer ingests every CSR batch on the
-    // builder's stream threads, so the host clustering work runs while the
-    // GPU is still filling later batches — and T is never materialized (no
-    // shard merge, no half-table expansion, no table memory).
-    build_fleet_neighbor_table(devices, index, eps, options,
-                               &local.build_report, &consumer,
-                               /*materialize_table=*/false);
+    local.gpu_table_seconds = phase_timer.seconds();
+
+    phase_timer.reset();
+    indexed = consumer.finalize();
+    local.dbscan_seconds = phase_timer.seconds();
+    local.peak_consumer_bytes = consumer.peak_memory_bytes();
   }
-  local.gpu_table_seconds = phase_timer.seconds();
-  const ClusterResult out =
-      finish_streamed(consumer, index, local, total_timer);
+  local.total_seconds = total_timer.seconds();
+  local.modeled_gpu_table_seconds = local.build_report.modeled_table_seconds;
+  local.modeled_total_seconds = local.index_seconds +
+                                local.modeled_gpu_table_seconds +
+                                local.dbscan_seconds;
   if (timings != nullptr) *timings = local;
-  return out;
+  return unmap_labels(indexed, index.original_ids);
 }
 
 }  // namespace hdbscan

@@ -21,25 +21,21 @@ namespace hdbscan {
 struct HybridTimings {
   double index_seconds = 0.0;
   double gpu_table_seconds = 0.0;  ///< simulator wall time of the T build
-  double dbscan_seconds = 0.0;
+  double dbscan_seconds = 0.0;     ///< BFS, or the fused finalize tail
   double total_seconds = 0.0;      ///< simulator wall total
   /// Modeled T-construction time on the reference hardware (K20c) — the
   /// simulator executes kernels on the host CPU, so gpu_table_seconds is
   /// CPU time, not GPU time. See BuildReport::modeled_table_seconds.
   double modeled_gpu_table_seconds = 0.0;
   /// index build + modeled T construction + host DBSCAN: the response
-  /// time a machine with the paper's GPU would see. In streaming mode the
-  /// union work overlaps the build on the reference host, so this is
-  /// index + max(modeled build, host union) + the resolution tail.
+  /// time a machine with the paper's GPU would see. In fused mode the
+  /// modeled passes stand in for the build and the finalize tail for
+  /// DBSCAN.
   double modeled_total_seconds = 0.0;
   BuildReport build_report;
 
-  // --- streaming mode (ClusterMode::kStreaming / kFused) ---
+  // --- fused mode (ClusterMode::kFused) ---
   bool fused = false;  ///< the fused no-table traversal produced the labels
-  bool streamed = false;
-  double consume_seconds = 0.0;   ///< union work hidden under the build
-  double finalize_seconds = 0.0;  ///< post-build resolution tail
-  double overlap_fraction = 0.0;  ///< consume / (consume + finalize)
   std::size_t peak_consumer_bytes = 0;  ///< replaces the table footprint
 };
 
@@ -50,15 +46,11 @@ struct HybridTimings {
 /// builds the whole index; any other fleet builds it sharded (one grid
 /// slab plus its eps-halo per shard; see core/sharded_build.hpp), with
 /// labels bit-identical to the one-device run.
-/// ClusterMode::kStreaming clusters the CSR batches as the GPU produces
-/// them and never materializes T; on a sharded build the cross-shard
-/// core-core unions reach the same StreamingDbscan consumer, fed global
-/// keys by the shard translation layer. ClusterMode::kFused goes further:
-/// a capped core pass counts degrees, the cores next to non-core points
-/// are recounted, and a union pass unions core-core pairs and folds
-/// border keys (core/fused_clustering) over the whole
-/// index replicated on every device, so even the fill pass and every
-/// result transfer disappear — combine with policy.index_backend =
+/// ClusterMode::kFused never materializes T: a capped core pass counts
+/// degrees, the cores next to non-core points are recounted, and a union
+/// pass unions core-core pairs and folds border keys (core/fused_clustering)
+/// over the whole index replicated on every device, so the fill pass and
+/// every result transfer disappear — combine with policy.index_backend =
 /// IndexBackend::kBvh for the tree-traversal variant. Since the fused
 /// path never shards, kFused with options.num_shards > 1 throws
 /// std::invalid_argument.

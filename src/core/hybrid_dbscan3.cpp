@@ -161,13 +161,16 @@ ClusterResult fused_dbscan3(cudasim::Device& device,
   local.modeled_table_seconds += grid.upload_seconds(device);
 
   // Two passes as one batch: exact degrees under kFull (the 2-D path
-  // caps them), then unions and border keys under `mode`. Nothing crosses
-  // the bus.
+  // caps them), stored straight into the consumer, then unions and
+  // border keys under `mode`. Nothing crosses the bus.
   StreamingDbscan consumer(index.size(), minpts);
   std::vector<std::uint32_t> counts(index.size());
   cudasim::KernelStats stats = gpu::run_count_batch(
       device, grid.view, eps, {}, counts.data(), ScanMode::kFull);
-  consumer.consume_counts(CountDelivery{0, 1, ScanMode::kFull, counts, {}});
+  const StreamingDbscan::FusedView view = consumer.fused_view();
+  for (PointId i = 0; i < index.size(); ++i) {
+    view.degree[i].store(counts[i], std::memory_order_relaxed);
+  }
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
   stats = gpu::run_fused_batch(device, grid.view, eps, {},

@@ -42,9 +42,9 @@ ClusterResult hybrid_dbscan3(cudasim::Device& device,
 /// orchestrated version): a core pass counts exact degrees under kFull,
 /// then a union pass under `mode` unions core-core pairs and folds border
 /// keys straight into the consumer, so neither the fill pass nor any
-/// result transfer runs and T is never materialized. 3-D has no
-/// streaming/ladder infrastructure, so each pass is one synchronous
-/// launch; labels are bit-identical to the banded pass. `report` fields:
+/// result transfer runs and T is never materialized. 3-D has no batch
+/// engine or ladder, so each pass is one synchronous launch; labels are
+/// bit-identical to the banded pass. `report` fields:
 /// total_pairs counts cross pairs, kernel_flops both passes' distance
 /// tests; expand_seconds stays 0 (nothing to transpose).
 ClusterResult fused_dbscan3(cudasim::Device& device,

@@ -56,16 +56,8 @@ struct CsrLane {
   cudasim::PooledPinnedBuffer<std::uint32_t> offsets_staging;
   cudasim::PooledPinnedBuffer<PointId> values_staging;
 
-  /// Host scratch for reconstructing pass-1 counts from the scanned
-  /// offsets (counts[g] = offsets[g+1] - offsets[g]); reused per batch.
-  std::vector<std::uint32_t> counts_scratch;
-
   // --- lane-private tallies (harvested after synchronize) ---
-  double consume_seconds = 0.0; ///< measured host CPU inside sink callbacks
-  std::uint64_t sink_batches = 0;
-  std::uint64_t sink_count_batches = 0;
   double scan_modeled = 0.0;
-  std::uint64_t total_pairs = 0;
   std::uint64_t max_batch_pairs = 0;
   std::uint64_t d2h_bytes = 0;
   std::uint32_t overflow_splits = 0;
@@ -95,16 +87,14 @@ void push_halves(BatchEngine& engine, const Lane& lane, const WorkItem& item) {
 }
 
 /// The table step. Two-pass CSR pipeline: count kernel -> exclusive scan
-/// (exact batch size) -> D2H offsets (+ count delivery to the sink) -> fill
-/// kernel into exact slots -> D2H values -> shard append -> row delivery to
-/// the sink. A batch whose exact size exceeds the value buffer splits
-/// *before* any fill work runs — and before anything is delivered, so
-/// split halves deliver themselves. Under ScanMode::kHalf both passes walk
-/// only the forward half of the stencil (counts stay atomic-free) and the
-/// CSR rows that cross PCIe are forward rows.
+/// (exact batch size) -> D2H offsets -> fill kernel into exact slots ->
+/// D2H values -> shard append. A batch whose exact size exceeds the value
+/// buffer splits *before* any fill work runs. Under ScanMode::kHalf both
+/// passes walk only the forward half of the stencil (counts stay
+/// atomic-free) and the CSR rows that cross PCIe are forward rows.
 void process_batch_csr(BatchEngine& engine, Lane& lane, CsrLane& cl,
-                       WorkItem& item, const BatchPolicy& policy, float eps,
-                       BatchSink* sink, bool materialize) {
+                       const WorkItem& item, const BatchPolicy& policy,
+                       float eps) {
   const gpu::BatchSpec spec = item.spec;
   const ScanMode scan = policy.scan_mode;
   // Query domain, not resident count: on a shard slab the ghost points
@@ -140,11 +130,8 @@ void process_batch_csr(BatchEngine& engine, Lane& lane, CsrLane& cl,
     return;
   }
 
-  // Ship the scanned offsets now — they are final before the fill pass
-  // runs (the fill kernel reads them as const), and shipping them early
-  // lets a streaming sink resolve per-key degrees (hence core flags)
-  // while the fill kernel is still distance-testing. Same bytes as the
-  // old post-fill offsets transfer, just earlier on the timeline.
+  // Ship the scanned offsets now: they are final before the fill pass
+  // runs (the fill kernel reads them as const).
   const std::uint64_t offset_bytes = pts * sizeof(std::uint32_t);
   lane.device.blocking_transfer(cl.offsets_staging.data(),
                                 cl.counts.device_data(), offset_bytes,
@@ -152,25 +139,6 @@ void process_batch_csr(BatchEngine& engine, Lane& lane, CsrLane& cl,
   lane.timeline += cudasim::modeled_transfer_seconds(
       lane.device.config(), offset_bytes, /*pinned=*/true);
   cl.d2h_bytes += offset_bytes;
-
-  if (sink != nullptr && !item.counts_delivered) {
-    // Exclusive offsets + the exact total reconstruct the pass-1 counts
-    // without a second transfer: counts[g] = offsets[g+1] - offsets[g].
-    cl.counts_scratch.resize(pts);
-    const std::uint32_t* offs = cl.offsets_staging.data();
-    for (std::uint32_t g = 0; g + 1 < pts; ++g) {
-      cl.counts_scratch[g] = offs[g + 1] - offs[g];
-    }
-    cl.counts_scratch[pts - 1] =
-        static_cast<std::uint32_t>(total) - offs[pts - 1];
-    hdbscan::ThreadCpuTimer consume_timer;
-    sink->consume_counts(CountDelivery{
-        spec.batch, spec.num_batches, scan,
-        {cl.counts_scratch.data(), pts}, {}});
-    cl.consume_seconds += consume_timer.seconds();
-    ++cl.sink_count_batches;
-    item.counts_delivered = true;
-  }
 
   const auto batch_total = static_cast<std::uint32_t>(total);
   lane.launch([&](const auto& view) {
@@ -190,61 +158,15 @@ void process_batch_csr(BatchEngine& engine, Lane& lane, CsrLane& cl,
       lane.device.config(), value_bytes, /*pinned=*/true);
   cl.d2h_bytes += value_bytes;
 
-  if (materialize) {
-    // The append runs on this lane's own core on the reference host, so
-    // it extends the lane's timeline.
-    hdbscan::ThreadCpuTimer append_timer;
-    cl.shard.append_csr_batch(spec.batch, spec.num_batches,
-                              {cl.offsets_staging.data(), pts},
-                              {cl.values_staging.data(), total});
-    lane.timeline += append_timer.seconds();
-  }
-  if (sink != nullptr) {
-    // Row delivery is the batch's last step: any fault before this point
-    // re-runs the item without the sink ever having seen these rows.
-    hdbscan::ThreadCpuTimer consume_timer;
-    sink->consume(BatchDelivery{spec.batch, spec.num_batches, scan,
-                                item.counts_delivered,
-                                {cl.offsets_staging.data(), pts},
-                                {cl.values_staging.data(), total}, {}});
-    cl.consume_seconds += consume_timer.seconds();
-    ++cl.sink_batches;
-  }
-  cl.total_pairs += total;
+  // The append runs on this lane's own core on the reference host, so it
+  // extends the lane's timeline. It is the batch's last step: any fault
+  // before it re-runs the item without the shard ever having seen its rows.
+  hdbscan::ThreadCpuTimer append_timer;
+  cl.shard.append_csr_batch(spec.batch, spec.num_batches,
+                            {cl.offsets_staging.data(), pts},
+                            {cl.values_staging.data(), total});
+  lane.timeline += append_timer.seconds();
   cl.max_batch_pairs = std::max(cl.max_batch_pairs, total);
-}
-
-/// Hands a host-finished batch to the sink the way process_batch_csr
-/// hands a device batch: the pass-1 counts (unless this lineage already
-/// delivered them from a device that died later), then the CSR rows.
-/// `shard` holds only this batch, so its value array is the batch's CSR
-/// values in key order.
-void deliver_host_batch(BatchSink& sink, WorkItem& item, ScanMode scan,
-                        const NeighborTable& shard, std::uint32_t query_count,
-                        BuildReport& report) {
-  const gpu::BatchSpec spec = item.spec;
-  const std::uint32_t pts = spec.points_in_batch(query_count);
-  if (pts == 0) return;
-  std::vector<std::uint32_t> counts(pts);
-  std::vector<std::uint32_t> offsets(pts);
-  std::uint32_t run = 0;
-  for (std::uint32_t g = 0; g < pts; ++g) {
-    counts[g] = shard.neighbor_count(spec.batch + g * spec.num_batches);
-    offsets[g] = run;
-    run += counts[g];
-  }
-  hdbscan::ThreadCpuTimer consume_timer;
-  if (!item.counts_delivered) {
-    sink.consume_counts(
-        CountDelivery{spec.batch, spec.num_batches, scan, counts, {}});
-    ++report.sink_count_batches;
-    item.counts_delivered = true;
-  }
-  sink.consume(BatchDelivery{spec.batch, spec.num_batches, scan,
-                             item.counts_delivered, offsets, shard.values(),
-                             {}});
-  ++report.sink_batches;
-  report.sink_consume_seconds += consume_timer.seconds();
 }
 
 }  // namespace
@@ -263,11 +185,9 @@ NeighborTableBuilder::NeighborTableBuilder(
 }
 
 NeighborTable NeighborTableBuilder::build(const GridIndex& index, float eps,
-                                          BuildReport* report,
-                                          BatchSink* sink,
-                                          bool materialize_table) {
+                                          BuildReport* report) {
   try {
-    return build_impl(index, eps, report, sink, materialize_table);
+    return build_impl(index, eps, report);
   } catch (...) {
     // Stamp the structured cause for callers that isolate the failure
     // (pipeline variants, the chaos CLI, the service) before they lose the
@@ -278,29 +198,20 @@ NeighborTable NeighborTableBuilder::build(const GridIndex& index, float eps,
 }
 
 NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
-                                               float eps, BuildReport* report,
-                                               BatchSink* sink,
-                                               bool materialize_table) {
+                                               float eps,
+                                               BuildReport* report) {
   TRACE_SPAN("build", "table_build n=%zu", index.size());
-  if (!materialize_table && sink == nullptr) {
-    throw std::invalid_argument(
-        "NeighborTableBuilder: materialize_table=false without a sink "
-        "would discard the build");
-  }
   if (policy_.index_backend == IndexBackend::kBvh &&
       (!index.emit_ids.empty() || index.query_count() != index.size())) {
     throw std::invalid_argument(
         "NeighborTableBuilder: IndexBackend::kBvh supports whole-index "
         "builds only; sharded slabs keep the grid backend");
   }
-  const bool materialize = materialize_table;
   check_cancel(policy_.cancel);  // cheapest point to abandon: no device work yet
   WallTimer total_timer;
   BuildReport local_report;
   local_report.scan_mode = policy_.scan_mode;
   local_report.index_backend = policy_.index_backend;
-  local_report.streamed = sink != nullptr;
-  local_report.table_materialized = materialize;
   const ResiliencePolicy& res = policy_.resilience;
   const ScanMode scan = policy_.scan_mode;
 
@@ -459,8 +370,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     return engine.run(
         local_report.plan.num_batches,
         [&](Lane& lane, WorkItem& item) {
-          process_batch_csr(engine, lane, *csr[lane.id], item, policy_, eps,
-                            sink, materialize);
+          process_batch_csr(engine, lane, *csr[lane.id], item, policy_, eps);
         },
         local_report);
   };
@@ -470,25 +380,17 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
   // count and fill bodies under the policy's scan mode, over the index the
   // devices traversed, so its rows follow the kernels' pair-ownership rule
   // by construction. Their key sets are disjoint from everything the
-  // devices completed, so the shards absorb like any other, and a sink
-  // gets the deliveries a device batch sends.
+  // devices completed, so the shards absorb like any other.
   std::vector<NeighborTable> host_shards;
   local_report.used_host_fallback = !host_items.empty();
-  for (WorkItem& item : host_items) {
+  for (const WorkItem& item : host_items) {
     check_cancel(policy_.cancel);  // host batches are slow; poll each one
     TRACE_SPAN("host", "host_fallback %u/%u", item.spec.batch,
                item.spec.num_batches);
-    NeighborTable shard = engine.host_views().visit([&](const auto& view) {
+    host_shards.push_back(engine.host_views().visit([&](const auto& view) {
       return gpu::host_csr_batch(view, eps, item.spec, scan);
-    });
+    }));
     ++local_report.host_fallback_batches;
-    local_report.total_pairs += shard.total_pairs();
-    if (sink != nullptr) {
-      deliver_host_batch(*sink, item, scan, shard,
-                         static_cast<std::uint32_t>(index.query_count()),
-                         local_report);
-    }
-    if (materialize) host_shards.push_back(std::move(shard));
   }
 
   // Assemble T from the per-lane shards and host batches exactly once:
@@ -498,11 +400,8 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
   // and failover included); the assembler's row-source sweep checks it.
   // Like the lanes' appends it parallelizes on the reference host, so
   // the model charges its critical path over the reference host's cores,
-  // not its CPU sum. A streaming-only build (materialize_table=false)
-  // skips it: the sink already consumed every row (a half-scan sink
-  // unions both directions as rows arrive), so T is never assembled and
-  // the shard memory is simply dropped.
-  if (materialize) {
+  // not its CPU sum.
+  {
     TRACE_SPAN("build", "assemble");
     std::vector<NeighborTable> parts;
     parts.reserve(csr.size() + host_shards.size());
@@ -521,17 +420,13 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
   // which run on its own core on the reference host.
   const double slowest_stream = engine.harvest(local_report);
   for (const auto& lane : csr) {
-    local_report.total_pairs += lane->total_pairs;
     local_report.max_batch_pairs =
         std::max(local_report.max_batch_pairs, lane->max_batch_pairs);
     local_report.overflow_splits += lane->overflow_splits;
     local_report.scan_modeled_seconds += lane->scan_modeled;
     local_report.d2h_bytes += lane->d2h_bytes;
-    local_report.sink_batches += lane->sink_batches;
-    local_report.sink_count_batches += lane->sink_count_batches;
-    local_report.sink_consume_seconds += lane->consume_seconds;
   }
-  if (materialize) local_report.total_pairs = table.total_pairs();
+  local_report.total_pairs = table.total_pairs();
 
   local_report.shard_fixed_seconds = modeled_fixed;
   local_report.shard_stream_seconds = slowest_stream;

@@ -38,7 +38,6 @@
 #include "core/estimator.hpp"
 #include "core/failure.hpp"
 #include "cudasim/device.hpp"
-#include "dbscan/batch_sink.hpp"
 #include "dbscan/neighbor_table.hpp"
 #include "index/grid_index.hpp"
 
@@ -63,14 +62,12 @@ struct BuildReport {
   /// shards plus, under kHalf, the transpose restoring back rows.
   double expand_seconds = 0.0;
 
-  // --- streaming delivery (BatchSink) ---
-  bool streamed = false;           ///< a sink consumed batches in-flight
-  bool table_materialized = true;  ///< false: labels-only build, T skipped
+  bool table_materialized = true;  ///< false: labels-only run, no T
   /// True when the report came from the fused no-table path
   /// (core/fused_clustering): a capped core pass counted degrees, the cores
   /// next to non-core points were recounted, and a union pass unioned
-  /// core-core pairs on the devices, so there is no fill pass, no transfer
-  /// and no sink hop — d2h_bytes is 0.
+  /// core-core pairs on the devices, so there is no fill pass and no
+  /// transfer — d2h_bytes is 0.
   bool fused = false;
   /// Fused core pass: points whose count stopped at the cap, max(minpts,
   /// 2) — every point of degree at least the cap.
@@ -83,13 +80,6 @@ struct BuildReport {
   /// sub-cell) and linked it with one union instead of a union per
   /// resident. Counted on the devices and the host rung alike.
   std::uint64_t dense_runs = 0;
-  std::uint64_t sink_batches = 0;        ///< exactly-once CSR row deliveries
-  std::uint64_t sink_count_batches = 0;  ///< pass-1 degree deliveries
-  /// Host CPU spent inside sink callbacks across all stream threads — the
-  /// clustering work that overlapped the device build instead of running
-  /// after it. Not part of modeled_table_seconds: on the reference host the
-  /// consumer drains completed staging buffers on its own cores.
-  double sink_consume_seconds = 0.0;
 
   ScanMode scan_mode = ScanMode::kHalf;  ///< pair-evaluation mode that ran
   /// Spatial index the traversal kernels ran against (grid stencil vs
@@ -159,20 +149,7 @@ class NeighborTableBuilder {
   /// Thread-safe for concurrent calls with distinct indexes (each call
   /// creates its own streams and buffers).
   NeighborTable build(const GridIndex& index, float eps,
-                      BuildReport* report = nullptr) {
-    return build(index, eps, report, /*sink=*/nullptr,
-                 /*materialize_table=*/true);
-  }
-
-  /// Streaming build: every batch's pass-1 counts and CSR rows are handed
-  /// to `sink` the moment they land (see dbscan/batch_sink.hpp for the
-  /// exactly-once contract under the degradation ladder). With
-  /// `materialize_table` false the shard appends, final merge and
-  /// half-table expansion are all skipped and the returned table is empty
-  /// — labels-only callers save the transpose and the host table memory
-  /// entirely.
-  NeighborTable build(const GridIndex& index, float eps, BuildReport* report,
-                      BatchSink* sink, bool materialize_table);
+                      BuildReport* report = nullptr);
 
   [[nodiscard]] const BatchPolicy& policy() const noexcept { return policy_; }
   [[nodiscard]] std::size_t num_devices() const noexcept {
@@ -183,8 +160,7 @@ class NeighborTableBuilder {
   /// The actual build; the public build() wraps it to stamp
   /// report->failure with the classified cause when it throws.
   NeighborTable build_impl(const GridIndex& index, float eps,
-                           BuildReport* report, BatchSink* sink,
-                           bool materialize_table);
+                           BuildReport* report);
 
   std::vector<cudasim::Device*> devices_;
   BatchPolicy policy_;

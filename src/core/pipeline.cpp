@@ -25,16 +25,15 @@ namespace hdbscan {
 namespace {
 
 /// Work item flowing from the producer to the DBSCAN consumers: either a
-/// materialized table (batch mode, or any mode's host rung) or a filled
-/// clusterer awaiting its resolution tail (fused and streaming modes).
+/// materialized table (batch mode, or either mode's host rung) or a filled
+/// clusterer awaiting its resolution tail (fused mode).
 struct TableItem {
   std::size_t variant_index = 0;
   NeighborTable table;
   std::vector<PointId> original_ids;
-  /// Fused and streaming modes: the clusterer this variant's passes (or
-  /// batches) filled during its build; the pipeline consumer only runs
-  /// finalize().
-  std::unique_ptr<StreamingDbscan> streaming;
+  /// Fused mode: the clusterer this variant's passes filled; the pipeline
+  /// consumer only runs finalize().
+  std::unique_ptr<StreamingDbscan> clusterer;
   /// Host bytes this item holds in flight (table payload, or the
   /// clusterer's resident footprint).
   std::uint64_t payload_bytes = 0;
@@ -215,9 +214,8 @@ PipelineReport run_multi_clustering(
     if (!first_error) first_error = std::current_exception();
   };
 
-  // Builds one variant's index and table (or runs its fused passes, or
-  // streams its unions), records its build times and packages it for the
-  // consumers. Once every device is lost the remaining variants' tables
+  // Builds one variant's index and table (or runs its fused passes),
+  // records its build times and packages it for the consumers. Once every device is lost the remaining variants' tables
   // are built host-side instead.
   auto produce_item = [&](std::size_t i) -> TableItem {
     WallTimer t;
@@ -240,27 +238,18 @@ PipelineReport run_multi_clustering(
       modeled_s = index_s + build_report.modeled_table_seconds;
       item.payload_bytes = table_payload_bytes(item.table);
     } else {
-      // Fused and streaming variants run their core-core unions during
-      // their own build. The consumers only run the resolution tail.
+      // Fused variants never touch the table builder: the whole index is
+      // replicated across the live devices (no slab sharding; the kernels
+      // union global ids) and the fused passes write straight into the
+      // clusterer. The consumers only run the resolution tail.
       auto clusterer = std::make_unique<StreamingDbscan>(
           index.size(), variants[i].minpts);
       clusterer->set_cancel_token(options.policy.cancel);
-      BuildReport build_report;
-      if (options.cluster_mode == ClusterMode::kFused) {
-        // Fused variants never touch the table builder: the whole index is
-        // replicated across the live devices (no slab sharding; the
-        // kernels union global ids) and the fused passes write straight
-        // into the clusterer.
-        build_report = fused_cluster(live, index, variants[i].eps,
-                                     *clusterer, options.policy);
-      } else {
-        build_fleet_neighbor_table(fleet, index, variants[i].eps, sopts,
-                                   &build_report, clusterer.get(),
-                                   /*materialize_table=*/false);
-      }
+      const BuildReport build_report = fused_cluster(
+          live, index, variants[i].eps, *clusterer, options.policy);
       modeled_s = index_s + build_report.modeled_table_seconds;
       item.payload_bytes = clusterer->memory_bytes();
-      item.streaming = std::move(clusterer);
+      item.clusterer = std::move(clusterer);
     }
     item.original_ids = std::move(index.original_ids);
     const double wall_s = t.seconds();
@@ -271,14 +260,15 @@ PipelineReport run_multi_clustering(
     return item;
   };
 
-  // A streamed clusterer's tail, or DBSCAN over a materialized table: BFS
-  // on the paper's table path, the one-value banded pass for a host-built
-  // table in any other mode — the labels a device run of that mode gives.
+  // A fused clusterer's tail, or DBSCAN over a materialized table: BFS on
+  // the paper's table path, the one-value banded pass for a fused
+  // variant's host-built table — the labels a device run of that mode
+  // gives.
   auto consume_item = [&](TableItem& item) {
     const std::size_t i = item.variant_index;
     WallTimer t;
     ClusterResult indexed =
-        item.streaming ? item.streaming->finalize()
+        item.clusterer ? item.clusterer->finalize()
         : options.cluster_mode == ClusterMode::kBatchTable
             ? dbscan_neighbor_table(item.table, variants[i].minpts)
             : dbscan_parallel(item.table, variants[i].minpts);
@@ -290,15 +280,7 @@ PipelineReport run_multi_clustering(
     report.variants[i].dbscan_seconds = dbscan_s;
     report.variants[i].num_clusters = result.num_clusters;
     report.variants[i].noise_count = result.noise_count();
-    if (item.streaming) {
-      if (options.cluster_mode == ClusterMode::kFused) {
-        report.variants[i].fused = true;
-      } else {
-        report.variants[i].streamed = true;
-        report.variants[i].overlap_fraction =
-            item.streaming->stats().overlap_fraction();
-      }
-    }
+    report.variants[i].fused = item.clusterer != nullptr;
     if (options.keep_results) report.results[i] = std::move(result);
   };
 

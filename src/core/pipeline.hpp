@@ -60,11 +60,6 @@ struct VariantTiming {
   /// The fused passes produced the labels: table_seconds is the passes,
   /// dbscan_seconds the finalize tail.
   bool fused = false;
-  /// Streaming mode: this variant's unions ran during its own build.
-  bool streamed = false;
-  /// Streaming mode's consume / (consume + finalize): the share of the
-  /// row ingest that overlapped the build. 0 on every other path.
-  double overlap_fraction = 0.0;
   VariantOutcome outcome;
 };
 
@@ -88,8 +83,6 @@ struct PipelineOptions {
   /// kBatchTable: the paper's pipeline — T of v_{i+1} builds while v_i
   /// clusters over it (Alg. 4's BFS). Ask for it to reproduce the paper's
   /// figures or to shard the build.
-  /// kStreaming: each variant's core-core unions run on the builder's
-  /// stream threads during its own build and T is never materialized.
   ClusterMode cluster_mode = ClusterMode::kFused;
   /// Shards per variant's table build (0 = one shard per live device, the
   /// sharded orchestrator's default). A fleet of one device with
@@ -111,7 +104,7 @@ struct PipelineReport {
 /// sequentially. By default each variant runs the fused passes on the
 /// live devices and a consumer runs its finalize tail; the labels equal
 /// the one-value banded pass (dbscan_parallel) over the variant's table.
-/// Under kBatchTable and kStreaming each variant's table is built by
+/// Under kBatchTable each variant's table is built by
 /// build_fleet_neighbor_table: a fleet of one device with num_shards <= 1
 /// builds the whole index, any other fleet goes through the sharded
 /// orchestrator — eps-halo row slabs, re-partitioning on device loss, the

@@ -112,14 +112,6 @@ void publish_build_report(const BuildReport& report,
   if (report.used_host_fallback) {
     r.counter("build_host_fallbacks", labels).add(1);
   }
-  if (report.streamed) {
-    r.counter("build_streamed_builds", labels).add(1);
-    r.counter("build_sink_batches", labels).add(report.sink_batches);
-    r.counter("build_sink_count_batches", labels)
-        .add(report.sink_count_batches);
-    r.histogram("build_sink_consume_seconds", labels)
-        .observe(report.sink_consume_seconds);
-  }
   if (!report.table_materialized) {
     r.counter("build_tables_skipped", labels).add(1);
   }

@@ -1,13 +1,9 @@
 #include "core/reuse.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
-#include "core/hybrid_dbscan.hpp"
 #include "core/neighbor_table_builder.hpp"
 #include "dbscan/dbscan_parallel.hpp"
 #include "obs/trace.hpp"
@@ -19,8 +15,7 @@ ReuseReport cluster_minpts_sweep(cudasim::Device& device,
                                  std::span<const int> minpts_values,
                                  unsigned num_threads,
                                  const BatchPolicy& policy,
-                                 std::vector<ClusterResult>* results,
-                                 ClusterMode mode) {
+                                 std::vector<ClusterResult>* results) {
   ReuseReport report;
   report.eps = eps;
   report.variant_seconds.assign(minpts_values.size(), 0.0);
@@ -47,13 +42,7 @@ ReuseReport cluster_minpts_sweep(cudasim::Device& device,
     throw std::invalid_argument(report.outcomes.front().error);
   }
 
-  const bool streaming = mode == ClusterMode::kStreaming;
-
-  // Phase 1: one neighbor table build for this eps. In streaming mode a
-  // FanoutSink replicates each CSR batch to one union-find consumer per
-  // minpts value — k clusterings ride a single build, and T itself is
-  // never materialized (the reuse scheme's memory win compounds: one
-  // build, zero tables).
+  // Phase 1: one neighbor table build for this eps.
   TRACE_SPAN("reuse", "minpts_sweep eps=%.3f k=%zu",
              static_cast<double>(eps), minpts_values.size());
   WallTimer table_timer;
@@ -62,57 +51,18 @@ ReuseReport cluster_minpts_sweep(cudasim::Device& device,
   const double index_s = index_timer.seconds();
   NeighborTableBuilder builder(device, policy);
   BuildReport build_report;
-
-  std::vector<std::unique_ptr<StreamingDbscan>> consumers;
-  NeighborTable table(0);
-  if (streaming) {
-    FanoutSink fanout;
-    for (const int minpts : valid) {
-      consumers.push_back(
-          std::make_unique<StreamingDbscan>(index.size(), minpts));
-      fanout.add(consumers.back().get());
-    }
-    builder.build(index, eps, &build_report,
-                  fanout.empty() ? nullptr : &fanout,
-                  /*materialize_table=*/fanout.empty());
-    report.streamed = true;
-  } else {
-    table = builder.build(index, eps, &build_report);
-  }
+  const NeighborTable table = builder.build(index, eps, &build_report);
   report.table_seconds = table_timer.seconds();
   report.modeled_table_seconds =
       index_s + build_report.modeled_table_seconds;
 
-  // Phase 2: every valid minpts from the one build — one banded union-find
-  // pass over the shared table in batch mode, or each consumer's
-  // resolution tail in streaming mode.
+  // Phase 2: every valid minpts from the one build — one banded
+  // union-find pass over the shared table.
   WallTimer dbscan_timer;
   std::vector<double> seconds(valid.size(), 0.0);
-  std::vector<ClusterResult> clustered;
-  if (streaming) {
-    clustered.resize(valid.size());
-    std::atomic<std::size_t> next{0};
-    const std::size_t lanes =
-        std::min<std::size_t>(std::max(1u, num_threads), valid.size());
-    global_pool().parallel_for(
-        0, lanes,
-        [&](std::size_t) {
-          for (std::size_t j = next.fetch_add(1); j < valid.size();
-               j = next.fetch_add(1)) {
-            WallTimer t;
-            clustered[j] = unmap_labels(consumers[j]->finalize(),
-                                        index.original_ids);
-            seconds[j] = t.seconds();
-          }
-        },
-        /*grain=*/1);
-    double sum = 0.0;
-    for (const auto& c : consumers) sum += c->stats().overlap_fraction();
-    if (!consumers.empty()) report.overlap_fraction = sum / consumers.size();
-  } else {
-    clustered = dbscan_parallel(table, valid, std::max(1u, num_threads),
-                                index.original_ids, seconds);
-  }
+  std::vector<ClusterResult> clustered =
+      dbscan_parallel(table, valid, std::max(1u, num_threads),
+                      index.original_ids, seconds);
   for (std::size_t j = 0; j < valid.size(); ++j) {
     report.variant_seconds[slot[j]] = seconds[j];
     report.variant_clusters[slot[j]] = clustered[j].num_clusters;

@@ -26,17 +26,12 @@ struct ReuseReport {
   double modeled_table_seconds = 0.0;
   double dbscan_wall_seconds = 0.0;  ///< clustering phase, wall time
   double total_seconds = 0.0;
-  /// Streaming mode: all minpts consumers ingested the build's batches
-  /// concurrently; phase 2 only ran their resolution tails.
-  bool streamed = false;
-  /// Mean per-consumer consume / (consume + finalize) in streaming mode.
-  double overlap_fraction = 0.0;
   /// Worker seconds per minpts value (indexed like the input; 0 for an
-  /// invalid value). Batch mode: the seconds spent on the value's band of
-  /// the banded pass, summed over workers, plus an even share of the
-  /// pass's shared work, so sum / (threads x dbscan_wall_seconds) is the
-  /// phase's parallel efficiency. The bands are steps of one pass, not
-  /// independent tasks. Streaming mode: the value's resolution tail.
+  /// invalid value): the seconds spent on the value's band of the banded
+  /// pass, summed over workers, plus an even share of the pass's shared
+  /// work, so sum / (threads x dbscan_wall_seconds) is the phase's
+  /// parallel efficiency. The bands are steps of one pass, not
+  /// independent tasks.
   std::vector<double> variant_seconds;
   std::vector<std::int32_t> variant_clusters;
   /// Per-minpts outcome: a failing variant (e.g. an invalid minpts among
@@ -45,19 +40,15 @@ struct ReuseReport {
   std::vector<VariantOutcome> outcomes;
 };
 
-/// Builds T once for `eps`, then clusters every minpts value with at most
-/// `num_threads` workers of the shared pool. Labels (input order) are
-/// written to `results` when non-null. ClusterMode::kStreaming fans every
-/// CSR batch out to one union-find consumer per minpts value during the
-/// single build (T itself is never materialized); phase 2 then only runs
-/// each consumer's resolution tail. Any other mode builds T and runs one
-/// banded dbscan_parallel pass over it for the whole list.
+/// Builds T once for `eps`, then clusters every minpts value with one
+/// banded dbscan_parallel pass over it, on at most `num_threads` workers
+/// of the shared pool. Labels (input order) are written to `results` when
+/// non-null.
 ReuseReport cluster_minpts_sweep(cudasim::Device& device,
                                  std::span<const Point2> points, float eps,
                                  std::span<const int> minpts_values,
                                  unsigned num_threads,
                                  const BatchPolicy& policy = {},
-                                 std::vector<ClusterResult>* results = nullptr,
-                                 ClusterMode mode = ClusterMode::kBatchTable);
+                                 std::vector<ClusterResult>* results = nullptr);
 
 }  // namespace hdbscan

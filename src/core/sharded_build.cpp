@@ -1,12 +1,9 @@
 #include "core/sharded_build.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,161 +23,6 @@
 namespace hdbscan {
 
 namespace {
-
-/// Per-global-key delivery ledger shared by every shard's TranslatingSink.
-/// On the fault-free path it is write-once bookkeeping (shards own disjoint
-/// keys, so concurrent sinks touch disjoint bytes); its purpose is the
-/// resilience ladder — a shard re-partitioned off a dead device must not
-/// re-deliver counts or rows a previous attempt already pushed into the
-/// caller's sink. Cross-round visibility comes from the thread joins
-/// between rounds.
-struct DedupLedger {
-  std::vector<std::uint8_t> counts_sent;
-  std::vector<std::uint8_t> row_sent;
-  explicit DedupLedger(std::size_t n) : counts_sent(n, 0), row_sent(n, 0) {}
-};
-
-/// Rewrites one shard's deliveries into the global key space before
-/// handing them to the caller's sink: keys are shard-local resident ids,
-/// the consumer speaks global ids. VALUES arrive already global — the
-/// slab kernels emit through the shard's emission map — so on the
-/// fault-free path the value and offset spans pass through untouched and
-/// the per-delivery work is O(keys), not O(pairs). Ghost-key rows never
-/// occur (the slab kernels only run over owned points). Serialized per
-/// shard; distinct shards deliver concurrently, which is the same
-/// contract the builder's stream threads already impose on the
-/// downstream sink.
-class TranslatingSink final : public BatchSink {
- public:
-  TranslatingSink(BatchSink* downstream, const GridShard* shard,
-                  DedupLedger* ledger,
-                  std::atomic<std::uint64_t>* cross_pairs,
-                  const std::uint32_t* row_of)
-      : downstream_(downstream),
-        shard_(shard),
-        ledger_(ledger),
-        cross_pairs_(cross_pairs),
-        row_of_(row_of) {}
-
-  void consume_counts(const CountDelivery& d) override {
-    std::lock_guard lock(mutex_);
-    keys_.clear();
-    counts_.clear();
-    for (std::size_t g = 0; g < d.counts.size(); ++g) {
-      const PointId local = d.key_at(g);
-      if (local >= shard_->num_owned) continue;
-      const PointId global = shard_->to_global[local];
-      // A prior attempt on a lost device may already have delivered this
-      // key's degree, via its counts or via a counts-less row.
-      if (ledger_->counts_sent[global] != 0 ||
-          ledger_->row_sent[global] != 0) {
-        continue;
-      }
-      ledger_->counts_sent[global] = 1;
-      keys_.push_back(global);
-      counts_.push_back(d.counts[g]);
-    }
-    if (keys_.empty()) return;
-    CountDelivery out;
-    out.scan_mode = d.scan_mode;
-    out.counts = counts_;
-    out.keys = keys_;
-    downstream_->consume_counts(out);
-  }
-
-  void consume(const BatchDelivery& d) override {
-    std::lock_guard lock(mutex_);
-    const std::size_t nkeys = d.offsets.size();
-    // Fast path: every key is owned, fresh, and counted — true on every
-    // delivery of a fault-free build. Keys are translated (O(keys)); the
-    // offset and value spans alias the builder's staging untouched.
-    bool fresh = true;
-    for (std::size_t g = 0; g < nkeys && fresh; ++g) {
-      const PointId local = d.key_at(g);
-      fresh = local < shard_->num_owned &&
-              ledger_->row_sent[shard_->to_global[local]] == 0 &&
-              ledger_->counts_sent[shard_->to_global[local]] != 0;
-    }
-    if (fresh) {
-      keys_.clear();
-      for (std::size_t g = 0; g < nkeys; ++g) {
-        const PointId global = shard_->to_global[d.key_at(g)];
-        ledger_->row_sent[global] = 1;
-        keys_.push_back(global);
-      }
-      BatchDelivery out = d;
-      out.counts_delivered = true;
-      out.keys = keys_;
-      downstream_->consume(out);
-      cross_pairs_->fetch_add(count_ghost_values(d.values),
-                              std::memory_order_relaxed);
-      return;
-    }
-    // One outgoing batch carries a single counts_delivered flag, but after
-    // a device loss the surviving keys can be in mixed states (a dead
-    // attempt delivered some counts but not the rows); emit one batch per
-    // state.
-    for (const bool counted : {true, false}) {
-      keys_.clear();
-      offsets_.clear();
-      values_.clear();
-      std::uint64_t cross = 0;
-      for (std::size_t g = 0; g < nkeys; ++g) {
-        const PointId local = d.key_at(g);
-        if (local >= shard_->num_owned) continue;
-        const PointId global = shard_->to_global[local];
-        if (ledger_->row_sent[global] != 0) continue;
-        if ((ledger_->counts_sent[global] != 0) != counted) continue;
-        ledger_->row_sent[global] = 1;
-        if (!counted) ledger_->counts_sent[global] = 1;  // degree from row
-        offsets_.push_back(static_cast<std::uint32_t>(values_.size()));
-        keys_.push_back(global);
-        const std::size_t row_begin = d.offsets[g];
-        const std::size_t row_end =
-            g + 1 < nkeys ? d.offsets[g + 1] : d.values.size();
-        for (std::size_t a = row_begin; a < row_end; ++a) {
-          const PointId v = d.values[a];  // already global (emission map)
-          if (row_of_[v] < shard_->row_begin || row_of_[v] >= shard_->row_end) {
-            ++cross;  // ghost endpoint: another shard owns it
-          }
-          values_.push_back(v);
-        }
-      }
-      if (keys_.empty()) continue;
-      BatchDelivery out;
-      out.scan_mode = d.scan_mode;
-      out.counts_delivered = counted;
-      out.offsets = offsets_;
-      out.values = values_;
-      out.keys = keys_;
-      downstream_->consume(out);
-      cross_pairs_->fetch_add(cross, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  [[nodiscard]] std::uint64_t count_ghost_values(
-      std::span<const PointId> values) const noexcept {
-    std::uint64_t cross = 0;
-    for (const PointId v : values) {
-      if (row_of_[v] < shard_->row_begin || row_of_[v] >= shard_->row_end) {
-        ++cross;
-      }
-    }
-    return cross;
-  }
-
-  BatchSink* downstream_;
-  const GridShard* shard_;
-  DedupLedger* ledger_;
-  std::atomic<std::uint64_t>* cross_pairs_;
-  const std::uint32_t* row_of_;  ///< global id -> cell row (cross tally)
-  std::mutex mutex_;
-  std::vector<PointId> keys_;
-  std::vector<std::uint32_t> counts_;
-  std::vector<std::uint32_t> offsets_;
-  std::vector<PointId> values_;
-};
 
 /// Sums one shard's per-build counters into the fleet report. Timings that
 /// the orchestrator re-derives (modeled_table_seconds, table_seconds,
@@ -202,9 +44,6 @@ void accumulate_report(BuildReport& agg, const BuildReport& r) {
   agg.d2h_bytes += r.d2h_bytes;
   agg.kernel_flops += r.kernel_flops;
   agg.kernel_global_bytes += r.kernel_global_bytes;
-  agg.sink_batches += r.sink_batches;
-  agg.sink_count_batches += r.sink_count_batches;
-  agg.sink_consume_seconds += r.sink_consume_seconds;
   agg.transient_retries += r.transient_retries;
   agg.alloc_retries += r.alloc_retries;
   agg.failover_batches += r.failover_batches;
@@ -232,11 +71,11 @@ std::uint64_t count_cross_pairs(const NeighborTable& local,
 /// One shard's outcome, produced on the owning device's host thread.
 struct ShardOutcome {
   std::uint32_t row_begin = 0;
-  NeighborTable translated;  ///< global-sized table (materialized builds)
+  NeighborTable translated;  ///< global-sized table
   BuildReport report;
   double timeline_seconds = 0.0;  ///< modeled device time + host translate
   std::uint64_t ghosts = 0;
-  std::uint64_t cross = 0;  ///< table-derived cross pairs (no-sink path)
+  std::uint64_t cross = 0;  ///< forward pairs to another shard's points
   bool ok = false;
   std::uint32_t fail_row_begin = 0;  ///< owned range to re-partition
   std::uint32_t fail_row_end = 0;
@@ -244,8 +83,7 @@ struct ShardOutcome {
 
 NeighborTable build_sharded_impl(
     const std::vector<cudasim::Device*>& devices, const GridIndex& index,
-    float eps, const ShardedBuildOptions& options, BuildReport* report,
-    BatchSink* sink, bool materialize_table) {
+    float eps, const ShardedBuildOptions& options, BuildReport* report) {
   if (devices.empty()) {
     throw std::invalid_argument("build_sharded_neighbor_table: no devices");
   }
@@ -254,8 +92,6 @@ NeighborTable build_sharded_impl(
 
   BuildReport agg;
   agg.scan_mode = options.policy.scan_mode;
-  agg.streamed = sink != nullptr;
-  agg.table_materialized = materialize_table;
 
   std::vector<cudasim::Device*> live;
   for (cudasim::Device* d : devices) {
@@ -297,9 +133,7 @@ NeighborTable build_sharded_impl(
     modeled_fixed += plan.critical_seconds;
   }
 
-  std::unique_ptr<DedupLedger> ledger;
-  if (sink != nullptr) ledger = std::make_unique<DedupLedger>(index.size());
-  std::atomic<std::uint64_t> cross_pairs{0};
+  std::uint64_t cross_pairs = 0;
 
   // Global id -> cell row, for the O(1)-per-value cross-pair tally.
   // Bookkeeping, not pipeline work: on the reference hardware the fill
@@ -368,28 +202,17 @@ NeighborTable build_sharded_impl(
           sp.expand_half = false;
           sp.resilience.host_fallback = false;
           sp.metrics_labels = "shard=" + std::to_string(shard.shard_id);
-          TranslatingSink tsink(sink, &shard, ledger.get(), &cross_pairs,
-                                row_of.data());
           try {
             NeighborTableBuilder builder(*live[d], sp);
-            NeighborTable local =
-                builder.build(shard.index, eps, &out.report,
-                              sink != nullptr ? &tsink : nullptr,
-                              materialize_table);
-            double translate_seconds = 0.0;
-            if (materialize_table) {
-              if (sink == nullptr) {
-                out.cross = count_cross_pairs(local, shard.num_owned,
-                                              row_of.data(), shard.row_begin,
-                                              shard.row_end);
-              }
-              ThreadCpuTimer translate_timer;
-              out.translated = std::move(local).translate(
-                  shard.to_global, shard.num_owned, index.size());
-              translate_seconds = translate_timer.seconds();
-            }
+            NeighborTable local = builder.build(shard.index, eps, &out.report);
+            out.cross = count_cross_pairs(local, shard.num_owned,
+                                          row_of.data(), shard.row_begin,
+                                          shard.row_end);
+            ThreadCpuTimer translate_timer;
+            out.translated = std::move(local).translate(
+                shard.to_global, shard.num_owned, index.size());
             out.timeline_seconds =
-                out.report.modeled_table_seconds + translate_seconds;
+                out.report.modeled_table_seconds + translate_timer.seconds();
             out.ok = true;
             results[d].push_back(std::move(out));
           } catch (const cudasim::DeviceLost&) {
@@ -406,9 +229,7 @@ NeighborTable build_sharded_impl(
             return;
           } catch (const cudasim::DeviceOutOfMemory&) {
             // The device survives an OOM; the shard goes back for
-            // re-partitioning into smaller slabs. Dead-attempt sink
-            // deliveries are filtered by the ledger exactly as after a
-            // device loss.
+            // re-partitioning into smaller slabs.
             ++dev_oom[d];
             results[d].push_back(std::move(out));
           } catch (...) {
@@ -433,7 +254,7 @@ NeighborTable build_sharded_impl(
           timeline += o.timeline_seconds;
           accumulate_report(agg, o.report);
           agg.halo_ghost_points += o.ghosts;
-          cross_pairs.fetch_add(o.cross, std::memory_order_relaxed);
+          cross_pairs += o.cross;
           successes.push_back(&o);
         } else {
           failed_ranges.emplace_back(o.fail_row_begin, o.fail_row_end);
@@ -443,16 +264,14 @@ NeighborTable build_sharded_impl(
     }
     modeled_stream += round_max;
 
-    if (materialize_table) {
-      // Stash the round's tables; the fan-in happens once, in parallel,
-      // after every shard (including repartitioned ones) has built.
-      std::sort(successes.begin(), successes.end(),
-                [](const ShardOutcome* a, const ShardOutcome* b) {
-                  return a->row_begin < b->row_begin;
-                });
-      for (ShardOutcome* o : successes) {
-        merge_parts.push_back(std::move(o->translated));
-      }
+    // Stash the round's tables; the fan-in happens once, in parallel,
+    // after every shard (including repartitioned ones) has built.
+    std::sort(successes.begin(), successes.end(),
+              [](const ShardOutcome* a, const ShardOutcome* b) {
+                return a->row_begin < b->row_begin;
+              });
+    for (ShardOutcome* o : successes) {
+      merge_parts.push_back(std::move(o->translated));
     }
 
     std::vector<cudasim::Device*> survivors;
@@ -490,38 +309,19 @@ NeighborTable build_sharded_impl(
     }
     // Final rung: finish the unbuilt slabs on the host with the kernels'
     // own count and fill bodies (one batch per slab, emitting through the
-    // slab's map), through the same translation/dedup path, keeping
-    // everything the devices completed.
+    // slab's map), through the same translation, keeping everything the
+    // devices completed.
     agg.used_host_fallback = true;
     ThreadCpuTimer host_timer;
-    const std::uint32_t zero = 0;
-    for (GridShard& shard : pending) {
+    for (const GridShard& shard : pending) {
       check_cancel(options.policy.cancel);
       NeighborTable local = gpu::host_csr_batch(
           GridView::of(shard.index), eps, gpu::BatchSpec{0, 1},
           options.policy.scan_mode);
       ++agg.host_fallback_batches;
       agg.halo_ghost_points += shard.num_ghosts();
-      if (sink != nullptr) {
-        TranslatingSink tsink(sink, &shard, ledger.get(), &cross_pairs,
-                              row_of.data());
-        for (std::uint32_t k = 0; k < shard.num_owned; ++k) {
-          BatchDelivery d;
-          d.first_key = k;
-          d.key_stride = 1;
-          d.scan_mode = options.policy.scan_mode;
-          d.counts_delivered = false;
-          d.offsets = {&zero, 1};
-          d.values = local.neighbors(k);
-          tsink.consume(d);
-        }
-      } else if (materialize_table) {
-        cross_pairs.fetch_add(
-            count_cross_pairs(local, shard.num_owned, row_of.data(),
-                              shard.row_begin, shard.row_end),
-            std::memory_order_relaxed);
-      }
-      if (!materialize_table) continue;
+      cross_pairs += count_cross_pairs(local, shard.num_owned, row_of.data(),
+                                       shard.row_begin, shard.row_end);
       merge_parts.push_back(std::move(local).translate(
           shard.to_global, shard.num_owned, index.size()));
     }
@@ -529,7 +329,7 @@ NeighborTable build_sharded_impl(
     modeled_fixed += host_timer.seconds();
   }
 
-  if (materialize_table) {
+  {
     // One assembly of the device slabs and the host rung's slabs: the
     // row-homogeneous slab ownership makes their translated key sets
     // disjoint (bit-identity to the one-device table is property-tested),
@@ -546,7 +346,7 @@ NeighborTable build_sharded_impl(
   }
 
   agg.devices_lost = devices_died;
-  agg.cross_shard_pairs = cross_pairs.load(std::memory_order_relaxed);
+  agg.cross_shard_pairs = cross_pairs;
   agg.shard_fixed_seconds = modeled_fixed;
   agg.shard_stream_seconds = modeled_stream;
   agg.modeled_table_seconds = modeled_fixed + modeled_stream;
@@ -564,7 +364,6 @@ NeighborTable build_sharded_impl(
   publish_build_report(agg, options.policy.metrics_labels);
 
   if (report != nullptr) *report = agg;
-  if (!materialize_table) return NeighborTable(index.size());
   return table;
 }
 
@@ -572,11 +371,9 @@ NeighborTable build_sharded_impl(
 
 NeighborTable build_sharded_neighbor_table(
     const std::vector<cudasim::Device*>& devices, const GridIndex& index,
-    float eps, const ShardedBuildOptions& options, BuildReport* report,
-    BatchSink* sink, bool materialize_table) {
+    float eps, const ShardedBuildOptions& options, BuildReport* report) {
   try {
-    return build_sharded_impl(devices, index, eps, options, report, sink,
-                              materialize_table);
+    return build_sharded_impl(devices, index, eps, options, report);
   } catch (...) {
     if (report != nullptr) report->failure = classify_current_exception();
     throw;
@@ -585,15 +382,13 @@ NeighborTable build_sharded_neighbor_table(
 
 NeighborTable build_fleet_neighbor_table(
     const std::vector<cudasim::Device*>& devices, const GridIndex& index,
-    float eps, const ShardedBuildOptions& options, BuildReport* report,
-    BatchSink* sink, bool materialize_table) {
+    float eps, const ShardedBuildOptions& options, BuildReport* report) {
   if (devices.size() == 1 && devices.front() != nullptr &&
       options.num_shards <= 1 && options.plan == nullptr) {
     NeighborTableBuilder builder(*devices.front(), options.policy);
-    return builder.build(index, eps, report, sink, materialize_table);
+    return builder.build(index, eps, report);
   }
-  return build_sharded_neighbor_table(devices, index, eps, options, report,
-                                      sink, materialize_table);
+  return build_sharded_neighbor_table(devices, index, eps, options, report);
 }
 
 }  // namespace hdbscan

@@ -14,11 +14,10 @@
 // Exactly-once cross-shard edges: ownership is row-homogeneous and the
 // shard-local point order is a monotone relabeling of the global order, so
 // under ScanMode::kHalf a cross pair (a, b) is forward in exactly one
-// owner's rows — no dedup structure is needed on the fault-free path. The
-// per-key dedup ledger below exists only for the resilience ladder: when a
-// device dies mid-build its shard is re-partitioned onto the survivors,
-// and keys whose counts/rows already reached the caller's sink must not be
-// delivered again.
+// owner's rows — no dedup structure is needed. When a device dies
+// mid-build its shard is re-partitioned onto the survivors; a shard's
+// table reaches the merge only once its build succeeded, so a dead
+// attempt leaves nothing behind.
 //
 // Half-scan expansion is deferred: shard builds run with
 // BatchPolicy::expand_half = false (a shard-local expansion would write
@@ -33,7 +32,6 @@
 #include "core/neighbor_table_builder.hpp"
 #include "core/shard_planner.hpp"
 #include "cudasim/device.hpp"
-#include "dbscan/batch_sink.hpp"
 #include "dbscan/neighbor_table.hpp"
 #include "index/grid_index.hpp"
 
@@ -54,7 +52,7 @@ struct ShardedBuildOptions {
   BatchPolicy policy;
   /// Reusable partition. The plan for a given (index, eps-geometry) is
   /// deterministic, so callers building the same index repeatedly — an
-  /// eps-reuse sweep, repeated label streams, benchmark trials — compute
+  /// eps-reuse sweep, repeated clusterings, benchmark trials — compute
   /// it once with plan_shards and point here; `num_shards` is then
   /// ignored and the plan's shards are built (the orchestrator works on
   /// copies; the plan stays reusable). Null means plan internally, with
@@ -66,16 +64,14 @@ struct ShardedBuildOptions {
   const ShardPlan* plan = nullptr;
 };
 
-/// Builds T for `index` and `eps` sharded across `devices`. Labels-stream
-/// consumers pass `sink` (deliveries carry *global* keys via the explicit
-/// key span) and may skip materialization, exactly as with
-/// NeighborTableBuilder::build. Throws cudasim::DeviceLost when every
+/// Builds T for `index` and `eps` sharded across `devices`. A sharded
+/// build always materializes T: the fused passes replicate the whole index
+/// instead (core/fused_clustering). Throws cudasim::DeviceLost when every
 /// device dies and host fallback is off; propagates other hard errors.
 NeighborTable build_sharded_neighbor_table(
     const std::vector<cudasim::Device*>& devices, const GridIndex& index,
     float eps, const ShardedBuildOptions& options,
-    BuildReport* report = nullptr, BatchSink* sink = nullptr,
-    bool materialize_table = true);
+    BuildReport* report = nullptr);
 
 /// The build-path choice of the fleet front doors (hybrid_dbscan,
 /// run_multi_clustering): a fleet of one device with num_shards <= 1 and
@@ -86,7 +82,6 @@ NeighborTable build_sharded_neighbor_table(
 NeighborTable build_fleet_neighbor_table(
     const std::vector<cudasim::Device*>& devices, const GridIndex& index,
     float eps, const ShardedBuildOptions& options,
-    BuildReport* report = nullptr, BatchSink* sink = nullptr,
-    bool materialize_table = true);
+    BuildReport* report = nullptr);
 
 }  // namespace hdbscan

@@ -23,7 +23,7 @@
 // >= m_i, else it is noise. If any neighbor is core at m_i, the target is
 // too, so no border is missed. Each row of T is walked once for the whole
 // list. StreamingDbscan::finalize applies the same border rule, so the
-// streaming, fused and banded paths give identical label vectors.
+// fused and banded paths give identical label vectors.
 #pragma once
 
 #include <cstdint>

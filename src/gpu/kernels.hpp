@@ -91,8 +91,9 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
 // lookup position plus the forward stencil; a tree has no forward stencil, so there row i owns
 // exactly the candidates with id >= i (self included) and subtrees whose
 // max_id < i are pruned outright. Either way every cross pair lands in
-// exactly one row — the cover the assembler's expansion and the streaming
-// consumer require — so the expanded tables are identical across indexes.
+// exactly one row — the cover the assembler's expansion and the fused
+// union pass require — so the expanded tables are identical across
+// indexes.
 // Every tested candidate pays its point fetch and distance test; the
 // traversal has no per-pair filter, so every path that runs it is exact.
 //

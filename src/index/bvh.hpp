@@ -17,7 +17,7 @@
 // half-traversal rule is id-based instead — row i owns exactly the
 // candidates with id >= i (self included). Every cross pair (i, j) then
 // appears in exactly one row (the smaller id's), which is precisely the
-// cover NeighborTable::assemble's expansion and the streaming consumer
+// cover NeighborTable::assemble's expansion and the fused union pass
 // require. Each node records the maximum resident id in its subtree so a
 // half-traversal can prune whole subtrees that hold only smaller ids.
 #pragma once

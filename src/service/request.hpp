@@ -94,8 +94,8 @@ enum class Stage : int {
   kAdmission,      ///< pricing + admission control at submit
   kCache,          ///< TableCache probe + clustering from a cached table
   kBuild,          ///< neighbor-table build (device or host fallback)
-  kStreamUnion,    ///< streaming consume + finalize (when not folded into
-                   ///< the build's overlap window)
+  kStreamUnion,    ///< union-find labels without a cached table: a fused
+                   ///< finalize, or the cache-off group's banded pass
   kFinalize,       ///< result assembly + terminal bookkeeping
 };
 
@@ -138,8 +138,8 @@ struct JobResult {
 
   bool cache_hit = false;   ///< served from the eps-keyed table cache
   bool fused = false;       ///< served by the fused no-table traversal
-  bool coalesced = false;   ///< shared another job's build (FanoutSink or
-                            ///< shared materialized table)
+  bool coalesced = false;   ///< shared its group's build: a table, or
+                            ///< the fused passes
   bool host_fallback = false;  ///< clustered host-side (no live device)
   unsigned retries = 0;        ///< service-level re-dispatches
   int device_id = -1;          ///< device that ran the build; -1 = none

@@ -13,7 +13,6 @@
 #include "core/estimator.hpp"
 #include "core/fused_clustering.hpp"
 #include "core/neighbor_table_builder.hpp"
-#include "dbscan/batch_sink.hpp"
 #include "dbscan/dbscan.hpp"
 #include "dbscan/dbscan_parallel.hpp"
 #include "dbscan/streaming_dbscan.hpp"
@@ -649,7 +648,7 @@ void ClusterService::process_group(PendingPtr leader,
   }
 
   // Completes one job of a table or labels-only group. Labels are a pure
-  // function of what the group shares (its table, or its build's stream)
+  // function of what the group shares (its table, or its fused passes)
   // and minpts, so the group clusters once per distinct minpts: the first
   // job that asks runs `cluster(minpts)` and unmaps the labels to input
   // order, and later jobs with that minpts copy them. The job's wall time
@@ -704,6 +703,30 @@ void ClusterService::process_group(PendingPtr leader,
       return dbscan_neighbor_table(table, minpts);
     };
   };
+  // The union-find labels of the labels-only groups (cache off, or a
+  // fused group's host rung): one banded pass over a table answers every
+  // distinct minpts of the group (dbscan_parallel). The first job that
+  // asks runs it; `finish` asks once per distinct minpts, so each result
+  // is handed over once.
+  std::vector<int> group_minpts;
+  for (const auto& job : runnable) {
+    if (std::find(group_minpts.begin(), group_minpts.end(),
+                  job->spec.minpts) == group_minpts.end()) {
+      group_minpts.push_back(job->spec.minpts);
+    }
+  }
+  std::vector<ClusterResult> banded;
+  auto banded_over = [&](const NeighborTable& table) {
+    return [this, &banded, &group_minpts, &table](int minpts) {
+      if (banded.empty()) {
+        banded = dbscan_parallel(table, group_minpts, options_.dbscan_threads);
+      }
+      const auto at = std::find(group_minpts.begin(), group_minpts.end(),
+                                minpts) -
+                      group_minpts.begin();
+      return std::move(banded[static_cast<std::size_t>(at)]);
+    };
+  };
 
   // --- Cache hit: no device at all. Fused jobs never probe: the cache
   // holds materialized tables, and serving a fused request from one would
@@ -756,22 +779,21 @@ void ClusterService::process_group(PendingPtr leader,
       if (lead.fused) stats_.fused_jobs += runnable.size();
     }
     // Each group gets the labels a live device gives it: BFS when its
-    // table would be cached, and the one-value banded pass over the host
-    // table for a fused group or with the cache off (the labels-only
-    // paths' union-find labels).
+    // table would be cached, and the banded pass over the host table for
+    // a fused group or with the cache off (the labels-only paths'
+    // union-find labels).
     const bool labels_only = lead.fused || !cache_.enabled();
-    auto host_pass = [&](int minpts) {
-      return labels_only ? dbscan_parallel(entry.table, minpts,
-                                           options_.dbscan_threads)
-                         : dbscan_neighbor_table(entry.table, minpts);
-    };
     JobResult served;
     served.fused = lead.fused;
     served.host_fallback = true;
     for (auto& job : runnable) {
-      finish(*job, served, host_build, host_build,
-             labels_only ? Stage::kStreamUnion : Stage::kCache,
-             entry.original_ids, host_pass);
+      if (labels_only) {
+        finish(*job, served, host_build, host_build, Stage::kStreamUnion,
+               entry.original_ids, banded_over(entry.table));
+      } else {
+        finish(*job, served, host_build, host_build, Stage::kCache,
+               entry.original_ids, bfs_over(entry.table));
+      }
     }
     // Fused jobs bypass the cache in both directions: the emergency host
     // table above is a fallback artifact, not a reusable build product.
@@ -830,42 +852,41 @@ void ClusterService::process_group(PendingPtr leader,
       return;
     }
 
-    // Labels-only paths, T never materialized: one StreamingDbscan per
-    // distinct minpts of the group. A fused group (coalescing guaranteed
-    // one minpts) runs the fused passes straight into its
-    // consumer; with the cache off, a streaming build feeds every
-    // consumer through a FanoutSink. Hard failures fall through to the
-    // breaker + retry ladder like any build.
-    std::map<int, std::unique_ptr<StreamingDbscan>> clusterers;
-    FanoutSink fanout;
-    for (auto& job : runnable) {
-      std::unique_ptr<StreamingDbscan>& c = clusterers[job->spec.minpts];
-      if (c != nullptr) continue;
-      c = std::make_unique<StreamingDbscan>(index.size(), job->spec.minpts);
-      if (token != nullptr) c->set_cancel_token(token);
-      fanout.add(c.get());
-    }
     if (lead.fused) {
-      report = fused_cluster(device, index, lead.eps,
-                             *clusterers.begin()->second, bp);
-    } else {
-      NeighborTableBuilder(device, bp).build(index, lead.eps, &report,
-                                             &fanout,
-                                             /*materialize_table=*/false);
+      // The fused passes run straight into one consumer: coalescing gave
+      // a fused group one minpts. T is never materialized.
+      StreamingDbscan consumer(index.size(), lead.minpts);
+      if (token != nullptr) consumer.set_cancel_token(token);
+      report = fused_cluster(device, index, lead.eps, consumer, bp);
+      breaker_.record_success(static_cast<std::size_t>(dev));
+      const double build_wall = build_wall_timer.seconds();
+      const double build_model = index_wall + report.modeled_table_seconds;
+      {
+        std::lock_guard slock(stats_mutex_);
+        stats_.fused_jobs += runnable.size();
+      }
+      served.host_fallback = report.used_host_fallback;
+      for (auto& job : runnable) {
+        finish(*job, served, build_model, build_wall, Stage::kStreamUnion,
+               index.original_ids, [&](int) {
+                 return consumer.finalize(options_.dbscan_threads);
+               });
+      }
+      return;
     }
+
+    // Cache off: one table for the group, held only while one banded pass
+    // answers every distinct minpts. Hard failures fall through to the
+    // breaker + retry ladder like any build.
+    const NeighborTable table =
+        NeighborTableBuilder(device, bp).build(index, lead.eps, &report);
     breaker_.record_success(static_cast<std::size_t>(dev));
     const double build_wall = build_wall_timer.seconds();
     const double build_model = index_wall + report.modeled_table_seconds;
-    if (lead.fused) {
-      std::lock_guard slock(stats_mutex_);
-      stats_.fused_jobs += runnable.size();
-    }
     served.host_fallback = report.used_host_fallback;
     for (auto& job : runnable) {
       finish(*job, served, build_model, build_wall, Stage::kStreamUnion,
-             index.original_ids, [&](int minpts) {
-               return clusterers.at(minpts)->finalize(options_.dbscan_threads);
-             });
+             index.original_ids, banded_over(table));
     }
     return;
   } catch (...) {

@@ -60,9 +60,10 @@ struct ServiceOptions {
   /// of failing them.
   bool host_fallback = true;
   bool keep_labels = false;
-  /// Threads for the host-side union-find tails (a streaming or fused
-  /// finalize, the banded pass of a fused job on a lost fleet); 0 =
-  /// hardware concurrency. Alg. 4's BFS over a table runs on one thread.
+  /// Threads for the host-side union-find labels (a fused finalize, the
+  /// banded pass of a cache-off group or of a fused job on a lost fleet);
+  /// 0 = hardware concurrency. Alg. 4's BFS over a table runs on one
+  /// thread.
   unsigned dbscan_threads = 0;
   /// Per-tenant p99 wall-latency target for slo_report() (seconds; 0 = no
   /// target — the report still lists quantiles, target_met stays true).

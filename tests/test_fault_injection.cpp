@@ -20,7 +20,6 @@
 #include "cudasim/stream.hpp"
 #include "data/generators.hpp"
 #include "dbscan/dbscan_parallel.hpp"
-#include "dbscan/streaming_dbscan.hpp"
 #include "gpu/device_index.hpp"
 #include "index/grid_index.hpp"
 
@@ -61,11 +60,11 @@ struct Scenario {
   float eps = 0.0f;
 };
 
-Scenario make_scenario(std::size_t n, float eps) {
+Scenario make_scenario(std::size_t n, float eps, std::uint64_t seed = 77) {
   Scenario s;
   s.eps = eps;
   s.points = data::generate_space_weather(
-      n, 77, {.width = 10.0f, .height = 10.0f});
+      n, seed, {.width = 10.0f, .height = 10.0f});
   s.index = build_grid_index(s.points, eps);
   s.oracle = build_neighbor_table_host(s.index, eps);
   return s;
@@ -277,30 +276,11 @@ std::uint64_t clean_build_ops(const Scenario& s, const BatchPolicy& policy) {
   return probe->ops();
 }
 
-/// A streaming build of `policy` on one device with `plan` must hand the
-/// consumer exactly the oracle's degrees, and the banded pass's labels
-/// over the oracle table.
-void expect_streaming_exact(const Scenario& s, const BatchPolicy& policy,
-                            const cudasim::FaultPlan& plan,
-                            BuildReport* report) {
-  const int minpts = 4;
-  cudasim::Device device({}, faulted_options(plan));
-  StreamingDbscan consumer(s.index.size(), minpts);
-  (void)NeighborTableBuilder(device, policy)
-      .build(s.index, s.eps, report, &consumer, /*materialize_table=*/false);
-  for (PointId i = 0; i < s.index.size(); ++i) {
-    ASSERT_EQ(consumer.degree(i), s.oracle.neighbor_count(i))
-        << "degree mismatch at point " << i;
-  }
-  EXPECT_EQ(consumer.finalize().labels,
-            dbscan_parallel(s.oracle, minpts).labels);
-}
-
 TEST(ResilientBuild, BvhHostFallbackAfterDeviceBatchesStaysExact) {
   // A BVH build that loses its only device mid-build finishes the rest of
   // its batches on the host; the merged (and, under kHalf, expanded) table
-  // and the streamed degrees must match the oracle, so the host rows
-  // follow the tree kernels' id-ownership rule.
+  // must match the oracle, so the host rows follow the tree kernels'
+  // id-ownership rule.
   const Scenario s = make_scenario(3000, 0.35f);
   for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
     SCOPED_TRACE(scan == ScanMode::kHalf ? "kHalf" : "kFull");
@@ -320,11 +300,6 @@ TEST(ResilientBuild, BvhHostFallbackAfterDeviceBatchesStaysExact) {
     EXPECT_TRUE(report.used_host_fallback);
     EXPECT_EQ(report.devices_lost, 1u);
     expect_identical(table, s.oracle);
-
-    BuildReport stream_report;
-    expect_streaming_exact(s, policy, plan, &stream_report);
-    EXPECT_GT(stream_report.batches_run, 0u);
-    EXPECT_GT(stream_report.host_fallback_batches, 0u);
   }
 }
 
@@ -349,11 +324,6 @@ TEST(ResilientBuild, LossBeforeBatchingReportsHostBatchAndScanMode) {
   EXPECT_EQ(report.scan_mode, ScanMode::kHalf);
   EXPECT_EQ(report.devices_lost, 1u);
   expect_identical(table, s.oracle);
-
-  BuildReport stream_report;
-  expect_streaming_exact(s, policy, plan, &stream_report);
-  EXPECT_GE(stream_report.host_fallback_batches, 1u);
-  EXPECT_EQ(stream_report.scan_mode, ScanMode::kHalf);
 }
 
 TEST(ResilientBuild, DeviceLostBetweenUploadAndEstimationIsReported) {
@@ -432,6 +402,81 @@ TEST(ResilientBuild, HostFallbackDisabledSurfacesDeviceLoss) {
   // Loss never leaks device memory: every buffer was released.
   EXPECT_EQ(device.used_global_bytes(), 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Faulted builds striped over every stream, under both scan modes: each
+// must assemble exactly the oracle's table — a batch dropped or doubled on
+// the retry / split / failover / host ladder shows as a missing or
+// repeated row.
+// ---------------------------------------------------------------------------
+
+/// Many small batches on the default stream count, so batches interleave
+/// across streams and faults land mid-build.
+BatchPolicy striped_policy(const Scenario& s, ScanMode scan) {
+  BatchPolicy policy = many_batch_policy(s);
+  policy.num_streams = BatchPolicy{}.num_streams;
+  policy.scan_mode = scan;
+  return policy;
+}
+
+class ResilientBuild : public ::testing::TestWithParam<ScanMode> {};
+
+TEST_P(ResilientBuild, RandomizedPlansOnTwoDevicesKeepTableExact) {
+  const Scenario s = make_scenario(2000, 0.35f, 93);
+  BatchPolicy policy = striped_policy(s, GetParam());
+  policy.resilience.host_fallback = true;  // survive whatever the plan stacks
+  for (const std::uint64_t seed : {11ull, 23ull, 37ull, 58ull}) {
+    SCOPED_TRACE("fault seed " + std::to_string(seed));
+    cudasim::Device dev0(
+        {}, faulted_options(cudasim::FaultPlan::randomized(seed)));
+    cudasim::Device dev1(
+        {}, faulted_options(cudasim::FaultPlan::randomized(seed + 1000)));
+    NeighborTableBuilder builder({&dev0, &dev1}, policy);
+    expect_identical(builder.build(s.index, s.eps), s.oracle);
+  }
+}
+
+TEST_P(ResilientBuild, MidBuildLossFailsOverWithTableExact) {
+  const Scenario s = make_scenario(2500, 0.35f, 94);
+  cudasim::FaultPlan lost;
+  lost.lost_at_op = 25;
+  cudasim::Device dev0({}, fast_options());
+  cudasim::Device dev1({}, faulted_options(lost));
+  NeighborTableBuilder builder({&dev0, &dev1},
+                               striped_policy(s, GetParam()));
+  BuildReport report;
+  const NeighborTable table = builder.build(s.index, s.eps, &report);
+  EXPECT_EQ(report.devices_lost, 1u);
+  EXPECT_GE(report.failover_batches, 1u);
+  EXPECT_FALSE(report.used_host_fallback);
+  expect_identical(table, s.oracle);
+}
+
+TEST_P(ResilientBuild, SoleDeviceLostFinishesOnHostWithTableExact) {
+  const Scenario s = make_scenario(1500, 0.3f, 95);
+  BatchPolicy policy = striped_policy(s, GetParam());
+  policy.resilience.host_fallback = true;
+  // Op 20 falls before the first batch, so the host builds the whole
+  // index; half a clean build's ops falls mid-batching, so the host
+  // drains the lost lanes' batches.
+  for (const std::uint64_t op : {std::uint64_t{20},
+                                 clean_build_ops(s, policy) / 2}) {
+    SCOPED_TRACE("lost at op " + std::to_string(op));
+    cudasim::FaultPlan lost;
+    lost.lost_at_op = op;
+    cudasim::Device device({}, faulted_options(lost));
+    BuildReport report;
+    const NeighborTable table =
+        NeighborTableBuilder(device, policy).build(s.index, s.eps, &report);
+    EXPECT_EQ(report.devices_lost, 1u);
+    EXPECT_TRUE(report.used_host_fallback);
+    EXPECT_GT(report.host_fallback_batches, 0u);
+    expect_identical(table, s.oracle);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ScanModes, ResilientBuild,
+                         ::testing::Values(ScanMode::kHalf, ScanMode::kFull));
 
 // ---------------------------------------------------------------------------
 // Pipelines keep going when one variant fails.

@@ -1,8 +1,8 @@
 // Fused no-table clustering (ClusterMode::kFused): label bit-identity
-// against streaming DBSCAN and the banded union-find pass
-// (dbscan_parallel) across backends, scan modes, degenerate inputs and
-// dimensions, equivalence with batch (BFS) DBSCAN, the zero-table
-// contract, counted fields that repeat exactly run after run, and the
+// against the banded union-find pass (dbscan_parallel) across backends,
+// scan modes, degenerate inputs and dimensions, equivalence with batch
+// (BFS) DBSCAN, the zero-table contract, counted fields that repeat
+// exactly run after run, the metrics a fused build publishes, and the
 // degradation ladder — scripted device loss fails over to survivors,
 // transient launch faults retry within their budget, a cancelled build
 // winds down and returns its device memory, and randomized fault plans
@@ -35,6 +35,7 @@
 #include "dbscan/streaming_dbscan.hpp"
 #include "index/grid_index.hpp"
 #include "index/index_backend.hpp"
+#include "obs/registry.hpp"
 
 namespace hdbscan {
 namespace {
@@ -115,7 +116,7 @@ NeighborTable input_order_table(std::span<const Point2> points, float eps) {
 }
 
 // ---------------------------------------------------------------------------
-// 2-D equivalence: fused == streaming == banded pass, both backends;
+// 2-D equivalence: fused == banded pass, both backends;
 // batch (BFS) DBSCAN agrees on cores, noise and clusters
 // ---------------------------------------------------------------------------
 
@@ -123,7 +124,7 @@ class FusedEquivalence
     : public ::testing::TestWithParam<
           std::tuple<int, float, int, IndexBackend>> {};
 
-TEST_P(FusedEquivalence, LabelsBitIdenticalToStreamingAndBandedPass) {
+TEST_P(FusedEquivalence, LabelsBitIdenticalToBandedPass) {
   const auto [family, eps, minpts, backend] = GetParam();
   const std::size_t n = 2500;
   const std::vector<Point2> points =
@@ -139,12 +140,6 @@ TEST_P(FusedEquivalence, LabelsBitIdenticalToStreamingAndBandedPass) {
   const NeighborTable oracle = input_order_table(points, eps);
   const auto outcome = compare_clusterings(banded, batch, oracle, minpts);
   EXPECT_TRUE(outcome.equivalent) << outcome.diagnostic;
-
-  cudasim::Device stream_dev({}, fast_options());
-  const ClusterResult streamed =
-      hybrid_dbscan(stream_dev, points, eps, minpts, nullptr, {},
-                    ClusterMode::kStreaming);
-  EXPECT_EQ(streamed.labels, want);
 
   BatchPolicy policy;
   policy.index_backend = backend;
@@ -923,6 +918,26 @@ TEST(FusedDeterminism, CountedFieldsRepeatExactly) {
     expect_counts_repeat(first, run_fused(s, 1, policy));
     EXPECT_EQ(first.report.recounted_points, s.contract.recounted_points);
     EXPECT_EQ(first.labels, s.want);
+  }
+}
+
+// Metrics: a fused build publishes its own counters and none of the
+// row-delivery series of the retired streaming mode.
+TEST(FusedMetrics, PublishesFusedCountersAndNoRowDeliverySeries) {
+  obs::Registry& reg = obs::Registry::global();
+  reg.reset_values();
+  const Scenario s = make_scenario(1500, 0.35f, 4, 81);
+  const FusedRun run = run_fused(s, 1, BatchPolicy{});
+  EXPECT_EQ(run.labels, s.want);
+  EXPECT_EQ(reg.counter("build_capped_points").value(),
+            s.contract.capped_points);
+  const std::string text = reg.text();
+  EXPECT_NE(text.find("build_capped_points"), std::string::npos);
+  // build_sink_ covers the row, count and consume-time series.
+  for (const char* retired :
+       {"build_streamed_builds", "build_sink_", "stream_overlap_fraction",
+        "stream_streamed_fraction"}) {
+    EXPECT_EQ(text.find(retired), std::string::npos) << retired;
   }
 }
 

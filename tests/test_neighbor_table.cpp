@@ -347,11 +347,14 @@ TEST(HostFusedBatch, GivesOracleDegreesAndLabels) {
           }
         }
       };
+      const StreamingDbscan::FusedView fused = consumer.fused_view();
       pass([&](const auto& view, gpu::BatchSpec batch) {
         const std::vector<std::uint32_t> counts =
             gpu::host_count_batch(view, s.eps, batch, ScanMode::kFull);
-        consumer.consume_counts(CountDelivery{
-            batch.batch, batch.num_batches, ScanMode::kFull, counts, {}});
+        for (std::uint32_t g = 0; g < counts.size(); ++g) {
+          fused.degree[batch.batch + g * batch.num_batches].store(
+              counts[g], std::memory_order_relaxed);
+        }
       });
       pass([&](const auto& view, gpu::BatchSpec batch) {
         gpu::host_fused_batch(view, s.eps, batch, gpu::FusedPass::kUnion,

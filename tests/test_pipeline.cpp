@@ -80,9 +80,6 @@ TEST(Pipeline, DefaultVariantsRunFusedAndMatchBandedPass) {
       const VariantTiming& t = report.variants[i];
       ASSERT_TRUE(t.outcome.ok) << t.outcome.error;
       EXPECT_TRUE(t.fused) << "variant " << i;
-      EXPECT_FALSE(t.streamed) << "variant " << i;
-      // overlap_fraction describes streaming's row ingest.
-      EXPECT_EQ(t.overlap_fraction, 0.0) << "variant " << i;
       EXPECT_FALSE(t.outcome.host_fallback) << "variant " << i;
       EXPECT_EQ(report.results[i].labels,
                 banded_labels(points, variants[i].eps, variants[i].minpts))
@@ -106,7 +103,6 @@ TEST(Pipeline, BatchTableVariantsMatchBfsOverTheirTable) {
     const VariantTiming& t = report.variants[i];
     ASSERT_TRUE(t.outcome.ok) << t.outcome.error;
     EXPECT_FALSE(t.fused) << "variant " << i;
-    EXPECT_FALSE(t.streamed) << "variant " << i;
     const GridIndex index = build_grid_index(points, variants[i].eps);
     NeighborTableBuilder builder(ref_dev, opts.policy);
     const NeighborTable table = builder.build(index, variants[i].eps);

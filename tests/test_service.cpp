@@ -319,7 +319,7 @@ struct ServiceFixture {
   }
 };
 
-/// The union-find paths' labels (fused, streaming, the banded pass) in
+/// The union-find paths' labels (fused, the banded pass) in
 /// input order: the banded pass over the host table of the grid index.
 std::vector<std::int32_t> union_find_labels(std::span<const Point2> points,
                                             float eps, int minpts) {
@@ -545,7 +545,7 @@ TEST(ClusterServiceTest, CoalescedGroupSharesOneBuild) {
   ServiceFixture f;
   ServiceOptions opt;
   opt.num_workers = 1;
-  opt.cache_bytes_budget = 0;  // FanoutSink streaming path
+  opt.cache_bytes_budget = 0;  // cache off: one table, one banded pass
   opt.keep_labels = true;
   auto svc = f.make(opt);
   const auto results = svc->replay({
@@ -558,13 +558,13 @@ TEST(ClusterServiceTest, CoalescedGroupSharesOneBuild) {
   EXPECT_EQ(s.completed, 3u);
   EXPECT_EQ(s.coalesced_builds, 1u);
   EXPECT_EQ(s.coalesced_jobs, 2u);
-  // One consumer per distinct minpts (4 and 8) behind the fanout.
+  // One clustering per distinct minpts (4 and 8) from the banded pass.
   EXPECT_EQ(s.clusterings_run, 2u);
   for (const JobResult& r : results) {
     EXPECT_EQ(r.state, JobState::kCompleted);
     EXPECT_TRUE(r.coalesced);
   }
-  // Same minpts across the fanout: identical labels from one build.
+  // Same minpts in one group: identical labels from one build.
   EXPECT_EQ(results[0].labels, results[2].labels);
 }
 

@@ -25,7 +25,6 @@
 #include "data/generators.hpp"
 #include "dbscan/cluster_compare.hpp"
 #include "dbscan/dbscan_parallel.hpp"
-#include "dbscan/streaming_dbscan.hpp"
 #include "gpu/device_index.hpp"
 #include "index/grid_index.hpp"
 #include "obs/registry.hpp"
@@ -363,45 +362,6 @@ TEST_P(ShardedBuild, TableBitIdenticalToSingleDeviceBuild) {
   }
 }
 
-TEST_P(ShardedBuild, StreamingLabelsBitIdenticalToSingleDevice) {
-  const ShardedCase param = GetParam();
-  const Scenario s = make_scenario(3000, 0.35f, 22);
-  const int minpts = 4;
-
-  cudasim::Device single({}, fast_options());
-  NeighborTableBuilder baseline(single, many_batch_policy(s, param.scan));
-  StreamingDbscan want_consumer(s.index.size(), minpts);
-  baseline.build(s.index, s.eps, nullptr, &want_consumer,
-                 /*materialize_table=*/false);
-  const ClusterResult want = want_consumer.finalize();
-
-  Fleet fleet = make_fleet(static_cast<int>(param.shards));
-  ShardedBuildOptions options;
-  options.num_shards = param.shards;
-  options.policy = many_batch_policy(s, param.scan);
-  StreamingDbscan consumer(s.index.size(), minpts);
-  BuildReport report;
-  (void)build_sharded_neighbor_table(fleet.ptrs, s.index, s.eps, options,
-                                     &report, &consumer,
-                                     /*materialize_table=*/false);
-  EXPECT_TRUE(report.streamed);
-  EXPECT_FALSE(report.table_materialized);
-
-  // Exactly-once delivery: every degree matches the oracle even though
-  // each cross-shard pair was producible by two shards.
-  for (PointId i = 0; i < s.index.size(); ++i) {
-    ASSERT_EQ(consumer.degree(i), s.oracle.neighbor_count(i))
-        << "degree mismatch at point " << i;
-  }
-
-  const ClusterResult got = consumer.finalize();
-  // Bit-identical, not merely equivalent: the streaming consumer's
-  // finalize is deterministic in point-id order, so identical edge sets
-  // and degrees must produce identical label vectors.
-  EXPECT_EQ(got.labels, want.labels);
-  EXPECT_EQ(got.num_clusters, want.num_clusters);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     ScanModesAndShardCounts, ShardedBuild,
     ::testing::Values(ShardedCase{ScanMode::kHalf, 1},
@@ -483,14 +443,6 @@ TEST(ShardedBuildChaos, FailedEmissionMapAllocationDrainsQueuedUploads) {
 
 TEST(ShardedBuildChaos, DeviceLossRepartitionsOntoSurvivorsExactly) {
   const Scenario s = make_scenario(3000, 0.35f, 26);
-  const int minpts = 4;
-
-  // Fault-free reference labels (streaming consumer, single device).
-  cudasim::Device single({}, fast_options());
-  NeighborTableBuilder baseline(single, many_batch_policy(s, ScanMode::kHalf));
-  StreamingDbscan want_consumer(s.index.size(), minpts);
-  baseline.build(s.index, s.eps, nullptr, &want_consumer, false);
-  const ClusterResult want = want_consumer.finalize();
 
   cudasim::FaultPlan lost;
   lost.lost_at_op = 30;  // one shard's device dies mid-build
@@ -502,25 +454,16 @@ TEST(ShardedBuildChaos, DeviceLossRepartitionsOntoSurvivorsExactly) {
   ShardedBuildOptions options;
   options.num_shards = 3;
   options.policy = many_batch_policy(s, ScanMode::kHalf);
-  StreamingDbscan consumer(s.index.size(), minpts);
   BuildReport report;
   NeighborTable table = build_sharded_neighbor_table(
-      fleet.ptrs, s.index, s.eps, options, &report, &consumer,
-      /*materialize_table=*/true);
+      fleet.ptrs, s.index, s.eps, options, &report);
 
   EXPECT_EQ(report.devices_lost, 1u);
   EXPECT_GE(report.shard_repartitions, 1u);
   EXPECT_GT(report.shards, 3u);  // dead slab re-planned onto survivors
   EXPECT_FALSE(report.used_host_fallback);
 
-  // Exact labels despite the mid-build loss.
-  for (PointId i = 0; i < s.index.size(); ++i) {
-    ASSERT_EQ(consumer.degree(i), s.oracle.neighbor_count(i))
-        << "degree mismatch at point " << i;
-  }
-  EXPECT_EQ(consumer.finalize().labels, want.labels);
-
-  // And the materialized table lost nothing either.
+  // The materialized table lost nothing despite the mid-build loss.
   table.canonicalize();
   NeighborTable oracle = s.oracle;
   oracle.canonicalize();
@@ -538,12 +481,9 @@ TEST(ShardedBuildChaos, DeviceLossRepartitionsOntoSurvivorsExactly) {
 TEST(ShardedBuildChaos, RandomizedFaultPlansKeepLabelsExact) {
   const Scenario s = make_scenario(2000, 0.35f, 27);
   const int minpts = 4;
-
-  cudasim::Device single({}, fast_options());
-  NeighborTableBuilder baseline(single, many_batch_policy(s, ScanMode::kHalf));
-  StreamingDbscan want_consumer(s.index.size(), minpts);
-  baseline.build(s.index, s.eps, nullptr, &want_consumer, false);
-  const ClusterResult want = want_consumer.finalize();
+  NeighborTable oracle = s.oracle;
+  oracle.canonicalize();
+  const ClusterResult want = dbscan_parallel(oracle, minpts);
 
   for (const std::uint64_t seed : {5ull, 17ull, 42ull, 71ull}) {
     SCOPED_TRACE("fault seed " + std::to_string(seed));
@@ -556,16 +496,12 @@ TEST(ShardedBuildChaos, RandomizedFaultPlansKeepLabelsExact) {
     options.num_shards = 3;
     options.policy = many_batch_policy(s, ScanMode::kHalf);
     options.policy.resilience.host_fallback = true;  // survive total loss
-    StreamingDbscan consumer(s.index.size(), minpts);
-    BuildReport report;
-    (void)build_sharded_neighbor_table(fleet.ptrs, s.index, s.eps, options,
-                                       &report, &consumer,
-                                       /*materialize_table=*/false);
-    for (PointId i = 0; i < s.index.size(); ++i) {
-      ASSERT_EQ(consumer.degree(i), s.oracle.neighbor_count(i))
-          << "degree mismatch at point " << i;
-    }
-    EXPECT_EQ(consumer.finalize().labels, want.labels);
+    NeighborTable table =
+        build_sharded_neighbor_table(fleet.ptrs, s.index, s.eps, options);
+    table.canonicalize();
+    EXPECT_TRUE(table.identical_to(oracle));
+    // An identical table gives identical degrees, hence identical labels.
+    EXPECT_EQ(dbscan_parallel(table, minpts).labels, want.labels);
   }
 }
 
@@ -804,7 +740,6 @@ TEST_P(FleetOfOne, HybridDbscanOverloadsAgreeWithoutSharding) {
 
 INSTANTIATE_TEST_SUITE_P(Modes, FleetOfOne,
                          ::testing::Values(ClusterMode::kBatchTable,
-                                           ClusterMode::kStreaming,
                                            ClusterMode::kFused));
 
 TEST(FleetOfOne, RunMultiClusteringOverloadsAgree) {

@@ -2,13 +2,12 @@
 //
 //   hdbscan_cli gen <SW1|SW4|SDSS1|SDSS2|SDSS3|uniform> <n> <out.{csv,bin}>
 //   hdbscan_cli cluster <in.{csv,bin}> <eps> <minpts> [labels_out] [--map]
-//                       [--streaming] [--fused] [--shards k]
+//                       [--fused] [--shards k]
 //   hdbscan_cli sweep <in> <eps_lo> <eps_hi> <step> <minpts>
 //   hdbscan_cli reuse <in> <eps> <minpts,minpts,...> [threads]
 //   hdbscan_cli table <in> <eps> <table_out.bin>
 //   hdbscan_cli optics <in> <eps> <minpts> <eps',eps',...>
 //   hdbscan_cli chaos <SW1|...|uniform> <n> <seed> [devices]
-//   hdbscan_cli stream-smoke [n]
 //   hdbscan_cli shard-smoke [n]
 //   hdbscan_cli profile <SW1|...|uniform> <n> <variants> [--faults=SEED]
 //                       [--selftest]
@@ -127,7 +126,7 @@ int usage() {
       "usage:\n"
       "  hdbscan_cli gen <SW1|SW4|SDSS1|SDSS2|SDSS3|uniform> <n> <out>\n"
       "  hdbscan_cli cluster <in> <eps> <minpts> [labels_out] [--map]"
-      " [--streaming] [--fused] [--index=grid|bvh] [--shards k]\n"
+      " [--fused] [--index=grid|bvh] [--shards k]\n"
       "               [--quality=exact|cellgraph]\n"
       "               (--shards k > 1 builds a sharded table, so not with"
       " --fused)\n"
@@ -140,7 +139,6 @@ int usage() {
       "  hdbscan_cli perf-smoke [n]\n"
       "  hdbscan_cli fused-smoke [n]\n"
       "  hdbscan_cli approx-smoke [n]\n"
-      "  hdbscan_cli stream-smoke [n]\n"
       "  hdbscan_cli shard-smoke [n]\n"
       "  hdbscan_cli profile <SW1|SW4|SDSS1|SDSS2|SDSS3|uniform> <n>"
       " <variants> [--faults=SEED] [--selftest]\n"
@@ -189,9 +187,8 @@ int cmd_gen(int argc, char** argv) {
 }
 
 int cmd_cluster(int argc, char** argv) {
-  // Strip --streaming/--fused/--quality/--index/--shards wherever they
-  // appear so the positional args keep their places.
-  bool streaming = false;
+  // Strip --fused/--quality/--index/--shards wherever they appear so the
+  // positional args keep their places.
   bool fused = false;
   IndexBackend backend = IndexBackend::kGrid;
   unsigned shards = 0;
@@ -199,8 +196,10 @@ int cmd_cluster(int argc, char** argv) {
   for (int i = 2; i < argc;) {
     int consumed = 0;
     if (std::strcmp(argv[i], "--streaming") == 0) {
-      streaming = true;
-      consumed = 1;
+      std::fprintf(stderr, "cluster: --streaming was retired; use --fused:"
+                   " the fused passes cluster without a table and beat"
+                   " streaming on every cluster row\n");
+      return 2;
     } else if (std::strcmp(argv[i], "--fused") == 0) {
       fused = true;
       consumed = 1;
@@ -270,9 +269,8 @@ int cmd_cluster(int argc, char** argv) {
   const float eps = std::strtof(argv[3], nullptr);
   const int minpts = std::atoi(argv[4]);
   const bool want_map = argc > 5 && std::string(argv[argc - 1]) == "--map";
-  const ClusterMode mode = fused       ? ClusterMode::kFused
-                           : streaming ? ClusterMode::kStreaming
-                                       : ClusterMode::kBatchTable;
+  const ClusterMode mode =
+      fused ? ClusterMode::kFused : ClusterMode::kBatchTable;
   // One simulated device per shard; without --shards a fleet of one builds
   // the whole index unsharded.
   const unsigned num_devices = std::max(1u, shards);
@@ -327,12 +325,7 @@ int cmd_cluster(int argc, char** argv) {
                 static_cast<unsigned long long>(br.recounted_points),
                 static_cast<unsigned long long>(br.atomic_ops),
                 static_cast<unsigned long long>(br.dense_runs),
-                timings.finalize_seconds, timings.peak_consumer_bytes);
-  } else if (timings.streamed) {
-    std::printf("streaming: %.0f%% of the union work overlapped the build"
-                " (%.3f s hidden, %.3f s tail), consumer peak %zu bytes\n",
-                100.0 * timings.overlap_fraction, timings.consume_seconds,
-                timings.finalize_seconds, timings.peak_consumer_bytes);
+                timings.dbscan_seconds, timings.peak_consumer_bytes);
   }
 
   const auto stats = analysis::compute_cluster_stats(points, result);
@@ -589,112 +582,13 @@ int cmd_chaos(int argc, char** argv) {
   return 0;
 }
 
-// Streaming overlap gate (the stream_smoke CTest target): builds one
-// variant in ClusterMode::kStreaming and checks (1) per-point degrees
-// match the host oracle — any dropped or doubled batch delivery on the
-// retry/split/failover ladder skews one — (2) the streamed labels equal
-// the banded union-find pass's over the oracle table, and (3) a
-// nonzero share of the union work actually overlapped the build. Also run
-// under the thread-sanitizer config: consume() executes concurrently on
-// the builder's stream threads.
-int cmd_stream_smoke(int argc, char** argv) {
-  const std::size_t n =
-      argc >= 3 ? static_cast<std::size_t>(std::atoll(argv[2])) : 8000;
-  const float eps = 0.35f;
-  const int minpts = 4;
-  const auto points = data::generate_space_weather(
-      n, 9, {.width = 10.0f, .height = 10.0f});
-  const GridIndex index = build_grid_index(points, eps);
-  const NeighborTable oracle = build_neighbor_table_host(index, eps);
-
-  cudasim::SimulationOptions opt;
-  opt.throttle_transfers = false;
-  opt.throttle_pinned_alloc = false;
-
-  // Many small batches so deliveries genuinely interleave with the fill.
-  BatchPolicy policy;
-  policy.estimated_total_override =
-      std::max<std::uint64_t>(1, oracle.total_pairs());
-  policy.static_threshold_pairs = 1;
-  policy.static_buffer_pairs =
-      std::max<std::uint64_t>(1, oracle.total_pairs() / 16);
-
-  cudasim::Device device({}, opt);
-  StreamingDbscan consumer(index.size(), minpts);
-  NeighborTableBuilder builder(device, policy);
-  BuildReport report;
-  builder.build(index, eps, &report, &consumer,
-                /*materialize_table=*/false);
-
-  int violations = 0;
-  for (PointId i = 0; i < index.size(); ++i) {
-    if (consumer.degree(i) != oracle.neighbor_count(i)) {
-      std::fprintf(stderr,
-                   "stream_smoke FAILED: degree mismatch at point %u"
-                   " (%u vs oracle %u) — batch delivered twice or lost\n",
-                   i, consumer.degree(i), oracle.neighbor_count(i));
-      ++violations;
-      break;
-    }
-  }
-
-  const ClusterResult streamed = consumer.finalize();
-  const ClusterResult banded = dbscan_parallel(oracle, minpts);
-  const auto outcome = compare_clusterings(streamed, banded, oracle, minpts);
-  if (!outcome.equivalent) {
-    std::fprintf(stderr, "stream_smoke FAILED: %s\n",
-                 outcome.diagnostic.c_str());
-    ++violations;
-  }
-  if (streamed.labels != banded.labels) {
-    std::fprintf(stderr,
-                 "stream_smoke FAILED: streamed labels differ from the banded"
-                 " union-find pass over the oracle table\n");
-    ++violations;
-  }
-
-  const StreamingDbscan::Stats& st = consumer.stats();
-  const std::uint64_t table_bytes =
-      oracle.total_pairs() * sizeof(PointId) +
-      oracle.num_points() * 2 * sizeof(std::uint32_t);
-  std::printf("stream_smoke: n=%zu batches=%llu edges=%llu streamed=%.3f"
-              " overlap=%.3f consume=%.6fs tail=%.6fs peak=%zuB"
-              " (table would be %lluB)\n",
-              points.size(),
-              static_cast<unsigned long long>(report.sink_batches),
-              static_cast<unsigned long long>(st.edges_seen),
-              st.streamed_fraction(), st.overlap_fraction(),
-              st.consume_seconds, st.finalize_seconds,
-              consumer.peak_memory_bytes(),
-              static_cast<unsigned long long>(table_bytes));
-  if (report.sink_batches == 0) {
-    std::fprintf(stderr, "stream_smoke FAILED: no batch was delivered\n");
-    ++violations;
-  }
-  if (!(st.overlap_fraction() > 0.0)) {
-    std::fprintf(stderr,
-                 "stream_smoke FAILED: no union work overlapped the build"
-                 " (overlap fraction %.3f)\n",
-                 st.overlap_fraction());
-    ++violations;
-  }
-  if (report.table_materialized) {
-    std::fprintf(stderr,
-                 "stream_smoke FAILED: the table was materialized anyway\n");
-    ++violations;
-  }
-  return violations == 0 ? 0 : 1;
-}
-
 // Sharded-build gate (the shard_smoke CTest target): k=3 spatial shards on
-// three devices, one of which is scripted to die mid-build, with a
-// streaming consumer attached AND the table materialized. Checks that the
-// re-partition rung put every slab somewhere (exact table vs the host
-// oracle, exact per-point degrees through the dedup ledger), that the
-// report accounts the loss, and that no survivor leaks device memory.
-// Also run under the thread-sanitizer config: shard builds run
-// concurrently on their own host threads and share the ledger and the
-// downstream consumer.
+// three devices, one of which is scripted to die mid-build. Checks that
+// the re-partition rung put every slab somewhere (exact table vs the host
+// oracle, and the banded labels over it equal to the banded labels over
+// the oracle), that the report accounts the loss, and that no survivor
+// leaks device memory. Also run under the thread-sanitizer config: shard
+// builds run concurrently on their own host threads.
 int cmd_shard_smoke(int argc, char** argv) {
   const std::size_t n =
       argc >= 3 ? static_cast<std::size_t>(std::atoll(argv[2])) : 6000;
@@ -730,11 +624,9 @@ int cmd_shard_smoke(int argc, char** argv) {
   options.policy.static_buffer_pairs =
       std::max<std::uint64_t>(1, oracle.total_pairs() / 24);
 
-  StreamingDbscan consumer(index.size(), minpts);
   BuildReport report;
-  NeighborTable table = build_sharded_neighbor_table(
-      device_ptrs, index, eps, options, &report, &consumer,
-      /*materialize_table=*/true);
+  NeighborTable table =
+      build_sharded_neighbor_table(device_ptrs, index, eps, options, &report);
 
   std::printf("shard_smoke: n=%zu shards=%u repartitions=%u lost=%u"
               " ghosts=%llu cross=%llu modeled=%.6fs\n",
@@ -754,29 +646,15 @@ int cmd_shard_smoke(int argc, char** argv) {
                  table.total_pairs(), oracle.total_pairs());
     ++violations;
   }
-  for (PointId i = 0; i < index.size(); ++i) {
-    if (consumer.degree(i) != oracle.neighbor_count(i)) {
-      std::fprintf(stderr,
-                   "shard_smoke FAILED: degree mismatch at point %u"
-                   " (%u vs oracle %u) — cross-shard edge delivered twice"
-                   " or lost\n",
-                   i, consumer.degree(i), oracle.neighbor_count(i));
-      ++violations;
-      break;
-    }
-  }
-  const ClusterResult streamed = consumer.finalize();
-  const ClusterResult banded = dbscan_parallel(oracle, minpts);
-  const auto outcome = compare_clusterings(streamed, banded, oracle, minpts);
-  if (!outcome.equivalent) {
-    std::fprintf(stderr, "shard_smoke FAILED: %s\n",
-                 outcome.diagnostic.c_str());
-    ++violations;
-  }
-  if (streamed.labels != banded.labels) {
+  // The labels a caller gets from the sharded table: the banded pass over
+  // it must give the banded pass's labels over the oracle, vector for
+  // vector — a dropped or doubled cross-shard pair shifts a degree, and
+  // with it a core flag or a border's target.
+  if (dbscan_parallel(table, minpts).labels !=
+      dbscan_parallel(oracle, minpts).labels) {
     std::fprintf(stderr,
-                 "shard_smoke FAILED: streamed labels differ from the banded"
-                 " union-find pass over the oracle table\n");
+                 "shard_smoke FAILED: banded labels over the sharded table"
+                 " differ from the banded labels over the host oracle\n");
     ++violations;
   }
   if (report.devices_lost != 1) {
@@ -877,18 +755,16 @@ int cmd_perf_smoke(int argc, char** argv) {
 }
 
 // Fused no-table gate (the fused_smoke CTest target): clusters a skewed
-// dataset four ways — batch table (the oracle), streaming-grid, fused on
-// the grid backend, and fused on the BVH backend (the latter across two
+// dataset three ways — batch table (the oracle), fused on the grid
+// backend, and fused on the BVH backend (the latter also across two
 // devices, so the fused pump threads and the shared union-find run
 // concurrently — the thread-sanitizer surface). Exits nonzero unless the
-// streaming and fused label vectors are bit-identical to the banded
-// union-find pass over the host table and agree with batch DBSCAN on
-// clusters and noise, every fused degree and the capped and recounted
-// counts match the degree contract on the oracle table
-// (expected_fused_degrees), no table was materialized, fused D2H traffic
-// (none: the fused passes ship no result bytes) undercuts the batch
-// build's, fused-BVH beats streaming-grid on modeled time, and no device
-// leaks.
+// fused label vectors are bit-identical to the banded union-find pass
+// over the host table and agree with batch DBSCAN on clusters and noise,
+// every fused degree and the capped and recounted counts match the degree
+// contract on the oracle table (expected_fused_degrees), no table was
+// materialized, fused D2H traffic (none: the fused passes ship no result
+// bytes) undercuts the batch build's, and no device leaks.
 int cmd_fused_smoke(int argc, char** argv) {
   const std::size_t n =
       argc >= 3 ? static_cast<std::size_t>(std::atoll(argv[2])) : 6000;
@@ -909,13 +785,6 @@ int cmd_fused_smoke(int argc, char** argv) {
   const ClusterResult batch =
       hybrid_dbscan(batch_dev, points, eps, minpts, &batch_t);
 
-  // Streaming-grid: the fastest pre-existing mode, the bar to beat.
-  HybridTimings stream_t;
-  cudasim::Device stream_dev({}, opt);
-  const ClusterResult streamed =
-      hybrid_dbscan(stream_dev, points, eps, minpts, &stream_t, {},
-                    ClusterMode::kStreaming);
-
   // Fused on the grid backend, single device.
   BatchPolicy grid_policy;
   HybridTimings fg_t;
@@ -924,7 +793,7 @@ int cmd_fused_smoke(int argc, char** argv) {
       hybrid_dbscan(fused_grid_dev, points, eps, minpts, &fg_t, grid_policy,
                     ClusterMode::kFused);
 
-  // Fused on the BVH backend, single device (the modeled-time contender).
+  // Fused on the BVH backend, single device.
   BatchPolicy bvh_policy;
   bvh_policy.index_backend = IndexBackend::kBvh;
   HybridTimings fb_t;
@@ -950,11 +819,11 @@ int cmd_fused_smoke(int argc, char** argv) {
       ClusterMode::kFused);
 
   std::printf(
-      "fused_smoke: n=%zu modeled batch=%.6fs stream-grid=%.6fs"
-      " fused-grid=%.6fs fused-bvh=%.6fs fused-bvh-x2=%.6fs\n",
+      "fused_smoke: n=%zu modeled batch=%.6fs fused-grid=%.6fs"
+      " fused-bvh=%.6fs fused-bvh-x2=%.6fs\n",
       points.size(), batch_t.modeled_total_seconds,
-      stream_t.modeled_total_seconds, fg_t.modeled_total_seconds,
-      fb_t.modeled_total_seconds, fleet_t.modeled_total_seconds);
+      fg_t.modeled_total_seconds, fb_t.modeled_total_seconds,
+      fleet_t.modeled_total_seconds);
   std::printf(
       "fused_smoke: d2h batch=%llu fused-bvh=%llu (no result bytes),"
       " capped points=%llu recounted=%llu\n",
@@ -1032,7 +901,6 @@ int cmd_fused_smoke(int argc, char** argv) {
       ++violations;
     }
   };
-  expect_identical(streamed, "streaming-grid");
   expect_identical(fused_grid, "fused-grid");
   expect_identical(fused_bvh, "fused-bvh");
   expect_identical(fused_fleet, "fused-bvh two-device");
@@ -1055,13 +923,6 @@ int cmd_fused_smoke(int argc, char** argv) {
                      batch_t.build_report.d2h_bytes));
     ++violations;
   }
-  if (!(fb_t.modeled_total_seconds < stream_t.modeled_total_seconds)) {
-    std::fprintf(stderr,
-                 "fused_smoke FAILED: fused-BVH modeled %.6fs does not beat"
-                 " streaming-grid %.6fs on the skewed workload\n",
-                 fb_t.modeled_total_seconds, stream_t.modeled_total_seconds);
-    ++violations;
-  }
   auto expect_leak_free = [&](cudasim::Device& d, const char* what) {
     d.pool().trim();
     if (d.used_global_bytes() != 0) {
@@ -1076,10 +937,7 @@ int cmd_fused_smoke(int argc, char** argv) {
 
   if (violations == 0) {
     std::printf("fused_smoke: all invariants held (labels bit-identical,"
-                " no table, fused-BVH %.2fx faster than streaming-grid"
-                " modeled)\n",
-                stream_t.modeled_total_seconds /
-                    std::max(1e-12, fb_t.modeled_total_seconds));
+                " no table, no result bytes)\n");
   }
   return violations == 0 ? 0 : 1;
 }
@@ -2051,7 +1909,6 @@ int main(int argc, char** argv) {
     else if (cmd == "perf-smoke") rc = cmd_perf_smoke(argc, argv);
     else if (cmd == "fused-smoke") rc = cmd_fused_smoke(argc, argv);
     else if (cmd == "approx-smoke") rc = cmd_approx_smoke(argc, argv);
-    else if (cmd == "stream-smoke") rc = cmd_stream_smoke(argc, argv);
     else if (cmd == "shard-smoke") rc = cmd_shard_smoke(argc, argv);
     else if (cmd == "serve") rc = cmd_serve(argc, argv);
     else if (cmd == "replay") rc = cmd_replay(argc, argv);
