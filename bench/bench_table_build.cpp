@@ -25,14 +25,14 @@
 // request tracing fully enabled.
 //
 // The fused-clustering matrix (schema 7) runs batch / fused end-to-end
-// DBSCAN across the grid and BVH index backends on a skewed and a uniform
-// scenario. Its gate is the fused path's contract: no fused cell
-// materializes a table, and every cell's labels are exact: fused
-// bit-identical to the banded union-find pass (dbscan_parallel), whose
-// border rule it shares, and batch BFS, whose borders follow its visit
-// order, equivalent to it under compare_clusterings (`labels_exact` in
-// the JSON). Schema 9 retired the streaming cells and the streaming
-// single-variant comparison with the streaming mode itself.
+// DBSCAN over the grid index on a skewed and a uniform scenario. Its gate
+// is the fused path's contract: no fused cell materializes a table, and
+// every cell's labels are exact: fused bit-identical to the banded
+// union-find pass (dbscan_parallel), whose border rule it shares, and
+// batch BFS, whose borders follow its visit order, equivalent to it under
+// compare_clusterings (`labels_exact` in the JSON). Schema 9 retired the streaming cells and the streaming
+// single-variant comparison with the streaming mode itself; the fused-bvh
+// cell left with the BVH index, with no field of the JSON changed.
 //
 // The quality frontier (schema 8) prices the cell-graph clustering mode
 // at 10x the fused-matrix sizes, where the exact build's quadratic
@@ -210,14 +210,10 @@ int main() {
     }
   }
 
-  // --- fused no-table clustering: backends x modes (schema 7) --------
-  // End-to-end DBSCAN (index + neighbor search + labels) three ways on
-  // one device: the batch table build (the paper's pipeline) and the
-  // fused core and union passes on both index backends. The skewed scenario is where the BVH earns its keep —
-  // overflowing hot grid cells make the eps-cell stencil scan far more
-  // candidates than the leaf-pruned tree descent — while the uniform
-  // scenario shows the regime where the grid's O(1) cell lookup stays
-  // competitive.
+  // --- fused no-table clustering: batch vs fused (schema 7) ----------
+  // End-to-end DBSCAN (index + neighbor search + labels) two ways on one
+  // device: the batch table build (the paper's pipeline) and the fused
+  // passes, on a skewed and a uniform scenario of the same size.
   struct FusedCell {
     const char* config = "";
     double wall_seconds = 1e30;
@@ -268,16 +264,13 @@ int main() {
       struct Config {
         const char* name;
         ClusterMode mode;
-        IndexBackend backend;
       };
       for (const Config cfg :
-           {Config{"batch-grid", ClusterMode::kBatchTable, IndexBackend::kGrid},
-            Config{"fused-grid", ClusterMode::kFused, IndexBackend::kGrid},
-            Config{"fused-bvh", ClusterMode::kFused, IndexBackend::kBvh}}) {
+           {Config{"batch-grid", ClusterMode::kBatchTable},
+            Config{"fused-grid", ClusterMode::kFused}}) {
         FusedCell cell;
         cell.config = cfg.name;
-        BatchPolicy policy;
-        policy.index_backend = cfg.backend;
+        const BatchPolicy policy;
         cudasim::Device device = bench::make_device();
         for (int t = 0; t < repeats; ++t) {
           HybridTimings timings;

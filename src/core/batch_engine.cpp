@@ -13,41 +13,25 @@ namespace hdbscan {
 
 BatchEngine::BatchEngine(const std::vector<cudasim::Device*>& devices,
                          const GridIndex& index, const BatchPolicy& policy,
-                         const char* category, bool upload_grid,
-                         const SubCells* sub_cells)
-    : index_(index), policy_(policy), category_(category) {
-  const bool use_bvh = policy.index_backend == IndexBackend::kBvh;
-  if (use_bvh) {
-    TRACE_SPAN(category, "bvh_build n=%zu", index.size());
-    host_bvh_.emplace(build_bvh_index(index.points));
-  }
-  host_views_ = {policy.index_backend, GridView::of(index),
-                 use_bvh ? BvhView::of(*host_bvh_) : BvhView{}};
+                         const char* category, const SubCells* sub_cells)
+    : policy_(policy), category_(category), host_view_(GridView::of(index)) {
   if (sub_cells != nullptr && !sub_cells->order.empty()) {
-    host_views_.grid.sub_order = sub_cells->order.data();
-    host_views_.grid.sub_bounds = sub_cells->bounds.data();
+    host_view_.sub_order = sub_cells->order.data();
+    host_view_.sub_bounds = sub_cells->bounds.data();
   }
-  upload_grid = upload_grid || !use_bvh;
   for (cudasim::Device* device : devices) {
     try {
       TRACE_SPAN(category, "index_upload d%u", device->id());
       // Declared before the stream, so a failed upload drains its queued
       // transfers before the buffers they write go.
-      Slot slot{device, nullptr, nullptr};
+      Slot slot{device, nullptr};
       cudasim::Stream upload_stream(*device);
-      if (upload_grid) {
-        slot.grid = std::make_unique<gpu::GridDeviceIndex>(
-            *device, upload_stream, index, sub_cells);
-      }
-      if (use_bvh) {
-        slot.bvh = std::make_unique<gpu::BvhDeviceIndex>(
-            *device, upload_stream, *host_bvh_);
-      }
+      slot.grid = std::make_unique<gpu::GridDeviceIndex>(
+          *device, upload_stream, index, sub_cells);
       upload_stream.synchronize();
       if (upload_bytes_ == 0) {
         config_ = &device->config();
-        upload_bytes_ = (slot.grid ? slot.grid->upload_bytes() : 0) +
-                        (slot.bvh ? slot.bvh->upload_bytes() : 0);
+        upload_bytes_ = slot.grid->upload_bytes();
       }
       slots_.push_back(std::move(slot));
     } catch (const cudasim::DeviceOutOfMemory&) {
@@ -76,18 +60,10 @@ void BatchEngine::drop_lost_slots() {
 void BatchEngine::open_lanes() {
   lanes_.clear();
   for (const Slot& slot : slots_) {
-    IndexViews views{policy_.index_backend, {}, {}};
-    if (slot.grid) {
-      views.grid = slot.grid->view();
-    } else {
-      // A lane that traverses only the BVH still needs the batch domain.
-      views.grid.num_points = static_cast<std::uint32_t>(index_.size());
-      views.grid.num_query = static_cast<std::uint32_t>(index_.query_count());
-    }
-    if (slot.bvh) views.bvh = slot.bvh->view();
+    const GridView view = slot.grid->view();
     for (unsigned s = 0; s < std::max(1u, policy_.num_streams); ++s) {
       lanes_.push_back(std::make_unique<Lane>(
-          *slot.device, static_cast<unsigned>(lanes_.size()), views));
+          *slot.device, static_cast<unsigned>(lanes_.size()), view));
     }
   }
 }

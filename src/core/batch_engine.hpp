@@ -14,17 +14,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "core/batch_planner.hpp"
 #include "core/neighbor_table_builder.hpp"
 #include "cudasim/device.hpp"
 #include "cudasim/stream.hpp"
-#include "gpu/bvh_device_index.hpp"
 #include "gpu/device_index.hpp"
 #include "gpu/kernels.hpp"
-#include "index/bvh.hpp"
 #include "index/grid_index.hpp"
 
 namespace hdbscan {
@@ -40,32 +37,18 @@ struct WorkItem {
   unsigned transient_retries = 0;  ///< TransientKernelFault retries so far
 };
 
-/// The views of one copy of the index, and the one place a traversal
-/// picks between the grid and the BVH.
-struct IndexViews {
-  IndexBackend backend = IndexBackend::kGrid;
-  GridView grid{};  ///< kGrid traversal; always carries the batch domain
-  BvhView bvh{};    ///< kBvh traversal
-
-  /// Calls `kernel` with the view `backend` traverses.
-  template <typename Kernel>
-  decltype(auto) visit(Kernel&& kernel) const {
-    return backend == IndexBackend::kBvh ? kernel(bvh) : kernel(grid);
-  }
-};
-
 /// One (device, stream) lane. Its tallies are lane-private: only its
 /// stream thread updates them, and the caller reads them after the
 /// streams synchronize.
 struct Lane {
-  Lane(cudasim::Device& device_in, unsigned id_in, const IndexViews& views_in)
-      : device(device_in), id(id_in), views(views_in), stream(device_in) {}
+  Lane(cudasim::Device& device_in, unsigned id_in, const GridView& view_in)
+      : device(device_in), id(id_in), view(view_in), stream(device_in) {}
 
-  /// Launches `kernel` (a callable taking the traversed device view) and
-  /// adds its stats to the lane's tallies.
+  /// Launches `kernel` (a callable taking the device's grid view) and adds
+  /// its stats to the lane's tallies.
   template <typename Kernel>
   cudasim::KernelStats launch(Kernel&& kernel) {
-    const cudasim::KernelStats stats = views.visit(kernel);
+    const cudasim::KernelStats stats = kernel(view);
     kernel_modeled += stats.modeled_seconds;
     timeline += stats.modeled_seconds;
     atomic_ops += stats.work.atomic_ops;
@@ -76,7 +59,7 @@ struct Lane {
 
   cudasim::Device& device;
   const unsigned id;  ///< index into the engine's lanes and sub-queues
-  const IndexViews views;
+  const GridView view;  ///< the device's copy of the grid
   cudasim::Stream stream;
 
   /// Modeled device seconds plus the host work a step charges to this
@@ -91,28 +74,23 @@ struct Lane {
 
 class BatchEngine {
  public:
-  /// A device that took the index, with the copies its lanes traverse.
+  /// A device that took the index, with the copy its lanes traverse.
   struct Slot {
     cudasim::Device* device;
     std::unique_ptr<gpu::GridDeviceIndex> grid;
-    std::unique_ptr<gpu::BvhDeviceIndex> bvh;  ///< kBvh builds only
   };
   /// What one batch does on a lane; runs on the lane's stream thread.
   using Step = std::function<void(Lane&, WorkItem&)>;
 
-  /// Uploads the index once per device (pageable host memory, as in the
+  /// Uploads the grid once per device (pageable host memory, as in the
   /// paper; several devices each hold a replica, like a GPU-per-node
-  /// deployment). The grid goes up when the lanes traverse it or
-  /// `upload_grid` asks for it, with `sub_cells` when given (the fused
-  /// union pass reads them; the host views carry them too); a kBvh policy
-  /// builds the host BVH over the index's point order (so ids agree with
-  /// the grid's) and uploads it too. A device that runs out of memory or
-  /// dies during its upload is dropped and counted in devices_lost.
-  /// `category` names the trace spans and error messages.
+  /// deployment), with `sub_cells` when given (the fused union pass reads
+  /// them; the host view carries them too). A device that runs out of
+  /// memory or dies during its upload is dropped and counted in
+  /// devices_lost. `category` names the trace spans and error messages.
   BatchEngine(const std::vector<cudasim::Device*>& devices,
               const GridIndex& index, const BatchPolicy& policy,
-              const char* category, bool upload_grid,
-              const SubCells* sub_cells = nullptr);
+              const char* category, const SubCells* sub_cells = nullptr);
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
 
@@ -131,9 +109,9 @@ class BatchEngine {
   /// Modeled upload of one index copy (the copies go up in parallel, so
   /// it is charged once); 0 when no device took the index.
   [[nodiscard]] double upload_seconds() const;
-  /// The host-memory index, for the host rung.
-  [[nodiscard]] const IndexViews& host_views() const noexcept {
-    return host_views_;
+  /// The host-memory grid, for the host rung.
+  [[nodiscard]] const GridView& host_view() const noexcept {
+    return host_view_;
   }
 
   /// Drops the slots whose device died since the last check, counting
@@ -181,11 +159,9 @@ class BatchEngine {
   void fail(std::exception_ptr error);
   void orphan_locked(std::size_t lane);
 
-  const GridIndex& index_;
   const BatchPolicy& policy_;
   const char* category_;
-  std::optional<BvhIndex> host_bvh_;
-  IndexViews host_views_;
+  GridView host_view_;
   std::vector<Slot> slots_;
   std::exception_ptr setup_error_;
   const cudasim::DeviceConfig* config_ = nullptr;

@@ -25,7 +25,6 @@
 #include "common/cancel.hpp"
 #include "common/request_context.hpp"
 #include "common/types.hpp"
-#include "index/index_backend.hpp"
 
 namespace hdbscan {
 
@@ -61,11 +60,6 @@ struct BatchPolicy {
   /// directly (callers that already know the result size, e.g. repeated
   /// runs; also how tests exercise the overflow-recovery path).
   std::uint64_t estimated_total_override = 0;
-  /// Which spatial index the traversal kernels run against. kBvh requires
-  /// whole-index builds — sharded slabs keep the grid. The estimation
-  /// kernel always samples through the grid: the estimate is a property of
-  /// the data, not of the traversal structure.
-  IndexBackend index_backend = IndexBackend::kGrid;
   /// Candidate-pair traversal (see ScanMode in common/types.hpp). kHalf
   /// tests each pair once — roughly half the distance FLOPs and candidate
   /// reads of kFull — and the builder restores symmetry afterwards with

@@ -38,19 +38,15 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   report.fused = true;
   report.table_materialized = false;
   report.scan_mode = policy.scan_mode;
-  report.index_backend = policy.index_backend;
 
-  // Upload only what the backend traverses. There is no estimation kernel
-  // — with no result buffers there is nothing to size — which is also why
-  // the BVH backend skips the grid upload here, unlike the table builder.
-  // The grid's union pass walks its sub-cell runs, which go up with it.
-  SubCells sub_cells;
-  if (policy.index_backend == IndexBackend::kGrid) {
+  // There is no estimation kernel — with no result buffers there is
+  // nothing to size. The union pass walks the grid's sub-cell runs, which
+  // go up with it.
+  const SubCells sub_cells = [&] {
     TRACE_SPAN("fused", "sub_cells n=%zu", index.size());
-    sub_cells = build_sub_cells(index);
-  }
-  BatchEngine engine(devices, index, policy, "fused", /*upload_grid=*/false,
-                     &sub_cells);
+    return build_sub_cells(index);
+  }();
+  BatchEngine engine(devices, index, policy, "fused", &sub_cells);
   engine.open_lanes();
 
   // Two waves per lane and pass — failover granularity and stream overlap
@@ -74,12 +70,12 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
     std::vector<WorkItem> unfinished = engine.run(
         num_batches,
         [&](Lane& lane, WorkItem& item) {
-          if (item.spec.points_in_batch(lane.views.grid.query_count()) == 0) {
+          if (item.spec.points_in_batch(lane.view.query_count()) == 0) {
             return;
           }
           TRACE_SPAN("fused", "%s_batch %u/%u d%u", name, item.spec.batch,
                      item.spec.num_batches, lane.device.id());
-          events += lane.launch([&](const auto& view) {
+          events += lane.launch([&](const GridView& view) {
                           return gpu::run_fused_batch(
                               lane.device, view, eps, item.spec, pass,
                               consumer, policy.scan_mode, policy.block_size);
@@ -93,11 +89,9 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
       check_cancel(policy.cancel);
       TRACE_SPAN("host", "fused_host_%s %u/%u", name, item.spec.batch,
                  item.spec.num_batches);
-      engine.host_views().visit([&](const auto& view) {
-        events += gpu::host_fused_batch(view, eps, item.spec, pass, consumer,
-                                        policy.scan_mode)
-                      .events;
-      });
+      events += gpu::host_fused_batch(engine.host_view(), eps, item.spec,
+                                      pass, consumer, policy.scan_mode)
+                    .events;
       ++report.host_fallback_batches;
     }
     return events.load();

@@ -27,7 +27,7 @@
 // repeat harmlessly), a cancelled token stops every stream, a lost
 // device's batches — also one lost between the passes — fail over to the
 // survivors, and with no device left the host finishes the pass with the
-// pass's own kernel body over the same grid or BVH.
+// pass's own kernel body over the same grid.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +49,7 @@ namespace hdbscan {
 /// returns. The report counts capped_points, recounted_points and the
 /// dense sub-cells the union pass linked (dense_runs); its d2h_bytes is 0,
 /// and its total_pairs stays 0 — capped degrees do not add up to the pair
-/// count. Honors policy.index_backend (grid stencil vs packed-BVH
-/// traversal), policy.scan_mode (the union pass's; kHalf walks the
+/// count. Honors policy.scan_mode (the union pass's; kHalf walks the
 /// forward half of the stencil), the resilience ladder, cancellation and
 /// metrics labels; the buffer and estimation fields are ignored — there
 /// is nothing to size or estimate.

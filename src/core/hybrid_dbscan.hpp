@@ -50,10 +50,8 @@ struct HybridTimings {
 /// degrees, the cores next to non-core points are recounted, and a union
 /// pass unions core-core pairs and folds border keys (core/fused_clustering)
 /// over the whole index replicated on every device, so the fill pass and
-/// every result transfer disappear — combine with policy.index_backend =
-/// IndexBackend::kBvh for the tree-traversal variant. Since the fused
-/// path never shards, kFused with options.num_shards > 1 throws
-/// std::invalid_argument.
+/// every result transfer disappear. Since the fused path never shards,
+/// kFused with options.num_shards > 1 throws std::invalid_argument.
 ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
                             std::span<const Point2> points, float eps,
                             int minpts, HybridTimings* timings = nullptr,

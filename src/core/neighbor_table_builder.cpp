@@ -99,12 +99,12 @@ void process_batch_csr(BatchEngine& engine, Lane& lane, CsrLane& cl,
   const ScanMode scan = policy.scan_mode;
   // Query domain, not resident count: on a shard slab the ghost points
   // hold no batch slots (the kernels never write counts for them).
-  const std::uint32_t pts = spec.points_in_batch(lane.views.grid.query_count());
+  const std::uint32_t pts = spec.points_in_batch(lane.view.query_count());
   if (pts == 0) return;
   TRACE_SPAN("batch", "batch %u/%u d%u", spec.batch, spec.num_batches,
              lane.device.id());
 
-  lane.launch([&](const auto& view) {
+  lane.launch([&](const GridView& view) {
     return gpu::run_count_batch(lane.device, view, eps, spec,
                                 cl.counts.device_data(), scan,
                                 policy.block_size);
@@ -141,7 +141,7 @@ void process_batch_csr(BatchEngine& engine, Lane& lane, CsrLane& cl,
   cl.d2h_bytes += offset_bytes;
 
   const auto batch_total = static_cast<std::uint32_t>(total);
-  lane.launch([&](const auto& view) {
+  lane.launch([&](const GridView& view) {
     return gpu::run_fill_csr(lane.device, view, eps, spec,
                              cl.counts.device_data(), batch_total,
                              cl.values.device_data(), scan,
@@ -201,26 +201,17 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
                                                float eps,
                                                BuildReport* report) {
   TRACE_SPAN("build", "table_build n=%zu", index.size());
-  if (policy_.index_backend == IndexBackend::kBvh &&
-      (!index.emit_ids.empty() || index.query_count() != index.size())) {
-    throw std::invalid_argument(
-        "NeighborTableBuilder: IndexBackend::kBvh supports whole-index "
-        "builds only; sharded slabs keep the grid backend");
-  }
   check_cancel(policy_.cancel);  // cheapest point to abandon: no device work yet
   WallTimer total_timer;
   BuildReport local_report;
   local_report.scan_mode = policy_.scan_mode;
-  local_report.index_backend = policy_.index_backend;
   const ResiliencePolicy& res = policy_.resilience;
   const ScanMode scan = policy_.scan_mode;
 
-  // The grid goes up to every device even for kBvh builds: the estimation
-  // kernel always samples through it, keeping e_b a property of the data
-  // rather than of the traversal structure. A device that cannot hold the
+  // The grid goes up to every device. A device that cannot hold the
   // index — or dies during the upload — is dropped; the remaining devices
   // absorb its share of the batches.
-  BatchEngine engine(devices_, index, policy_, "build", /*upload_grid=*/true);
+  BatchEngine engine(devices_, index, policy_, "build");
   const cudasim::DeviceConfig& cfg = engine.config();
 
   NeighborTable table(index.size());
@@ -387,9 +378,8 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     check_cancel(policy_.cancel);  // host batches are slow; poll each one
     TRACE_SPAN("host", "host_fallback %u/%u", item.spec.batch,
                item.spec.num_batches);
-    host_shards.push_back(engine.host_views().visit([&](const auto& view) {
-      return gpu::host_csr_batch(view, eps, item.spec, scan);
-    }));
+    host_shards.push_back(
+        gpu::host_csr_batch(engine.host_view(), eps, item.spec, scan));
     ++local_report.host_fallback_batches;
   }
 

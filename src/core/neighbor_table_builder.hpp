@@ -82,10 +82,6 @@ struct BuildReport {
   std::uint64_t dense_runs = 0;
 
   ScanMode scan_mode = ScanMode::kHalf;  ///< pair-evaluation mode that ran
-  /// Spatial index the traversal kernels ran against (grid stencil vs
-  /// packed-BVH stack traversal). Affects the kHalf pair-ownership rule;
-  /// see IndexBackend.
-  IndexBackend index_backend = IndexBackend::kGrid;
 
   /// Modeled wall time of the whole T construction on the reference
   /// hardware (K20c + PCIe 2.0): index upload, estimation kernel, pinned

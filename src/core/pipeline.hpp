@@ -78,8 +78,7 @@ struct PipelineOptions {
   /// kFused (the default): a capped core pass counts degrees and a union
   /// pass unions core-core pairs (core/fused_clustering) — no table, no fill
   /// pass, no BFS. A sweep of one-off (eps, minpts) variants never reads a
-  /// table twice, so nothing is lost by skipping it. Honors
-  /// policy.index_backend for grid-vs-BVH traversal.
+  /// table twice, so nothing is lost by skipping it.
   /// kBatchTable: the paper's pipeline — T of v_{i+1} builds while v_i
   /// clusters over it (Alg. 4's BFS). Ask for it to reproduce the paper's
   /// figures or to shard the build.

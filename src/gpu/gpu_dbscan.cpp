@@ -81,7 +81,7 @@ struct PropagateKernel {
     if (i >= view.num_points || !core[i]) return;
     const Point2 point = view.points[i];
     ctx.count_global_bytes(sizeof(Point2) + 1);
-    std::uint32_t best = labels[i];
+    std::uint32_t best = label(i);
     std::array<std::uint32_t, 9> cells{};
     const unsigned n = get_neighbor_cells(
         view.params, view.params.linear_cell(point), cells);
@@ -94,13 +94,13 @@ struct PropagateKernel {
       for (std::uint32_t a = range.begin; a < range.end; ++a) {
         const PointId j = view.lookup[a];
         if (!core[j] || dist2(point, view.points[j]) > eps2) continue;
-        best = std::min(best, labels[j]);
+        best = std::min(best, label(j));
       }
     }
     // Pointer jump: my label is a point id whose label may be smaller.
-    best = std::min(best, labels[best]);
+    best = std::min(best, label(best));
     ctx.count_global_bytes(sizeof(std::uint32_t));
-    if (best < labels[i]) {
+    if (best < label(i)) {
       // Atomic min via CAS (the simulator's global-memory atomic).
       std::atomic_ref<std::uint32_t> slot(labels[i]);
       std::uint32_t cur = slot.load(std::memory_order_relaxed);
@@ -111,6 +111,13 @@ struct PropagateKernel {
       ctx.count_atomic();
       changed->store(1, std::memory_order_relaxed);
     }
+  }
+
+  /// Label k, which its own thread may be lowering concurrently: a relaxed
+  /// atomic load, like the CAS that lowers it.
+  [[nodiscard]] std::uint32_t label(std::uint64_t k) const {
+    return std::atomic_ref<std::uint32_t>(labels[k]).load(
+        std::memory_order_relaxed);
   }
 };
 

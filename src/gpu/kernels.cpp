@@ -88,55 +88,11 @@ void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
   }
 }
 
-/// BVH overload of for_each_neighbor: explicit-stack traversal over the
-/// packed node array. Every visited node costs one node read and the
-/// min_dist2 prune (~8 ops); accepted leaves charge like a shared-kernel
-/// tile — candidate ids are read for the whole leaf (the kHalf id filter
-/// needs them), points and the 6-op distance test only for tested ones.
-/// Under kHalf subtrees whose max_id < pid hold nothing row pid owns and
-/// are pruned before their MBR is even tested. Like the grid overload it
-/// visits every tested candidate with its hit bit.
-template <typename Visit>
-void for_each_neighbor(const BvhView& view, ScanMode mode, PointId pid,
-                       const Point2& point, float eps2, cudasim::ThreadCtx& ctx,
-                       Visit&& visit) {
-  const bool half = mode == ScanMode::kHalf;
-  std::uint32_t stack[160];
-  unsigned depth = 0;
-  stack[depth++] = view.root;
-  std::uint64_t nodes_read = 0;
-  while (depth > 0) {
-    const BvhNode& node = view.nodes[stack[--depth]];
-    ++nodes_read;
-    if (half && node.max_id < pid) continue;
-    if (node.mbr.min_dist2(point) > eps2) continue;
-    if (node.leaf != 0) {
-      std::uint64_t tested = 0;
-      for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
-        const PointId cand = view.leaf_ids[i];
-        if (half && cand < pid) continue;  // id-ownership rule
-        ++tested;
-        visit(cand, dist2(point, view.leaf_points[i]) <= eps2);
-      }
-      ctx.count_global_bytes(
-          static_cast<std::uint64_t>(node.count) * sizeof(PointId) +
-          tested * sizeof(Point2));
-      ctx.count_flops(tested * 6);
-    } else {
-      for (std::uint32_t c = node.first; c < node.first + node.count; ++c) {
-        stack[depth++] = c;
-      }
-    }
-  }
-  ctx.count_global_bytes(nodes_read * sizeof(BvhNode));
-  ctx.count_flops(nodes_read * 8);
-}
-
 /// The early-exit traversal of the fused core and mark passes: visits the
 /// hits of a kFull traversal, self included, until `limit` of them were
-/// visited, and returns how many were. On a grid the point's own cell is
-/// scanned first — where a dense point finds its first neighbors — then
-/// the rest of the stencil in order. Each tested candidate is charged like
+/// visited, and returns how many were. The point's own cell is scanned
+/// first — where a dense point finds its first neighbors — then the rest
+/// of the stencil in order. Each tested candidate is charged like
 /// for_each_neighbor's, and where the scan stops depends only on the
 /// geometry, so the charges depend on the input alone.
 template <typename View, typename Point, typename Hit>
@@ -172,44 +128,6 @@ std::uint32_t for_each_hit_until(const View& view, const Point& point,
   ctx.count_global_bytes(scanned * sizeof(CellRange) +
                          tested * (sizeof(PointId) + sizeof(point)));
   ctx.count_flops(tested * kTestFlops);
-  return found;
-}
-
-/// BVH overload of for_each_hit_until: for_each_neighbor's kFull stack
-/// traversal, left as soon as `limit` hits were visited. A tested
-/// candidate's id and point are charged, and nothing of an untested one.
-template <typename Hit>
-std::uint32_t for_each_hit_until(const BvhView& view, const Point2& point,
-                                 float eps2, std::uint32_t limit,
-                                 cudasim::ThreadCtx& ctx, Hit&& hit) {
-  std::uint32_t stack[160];
-  unsigned depth = 0;
-  stack[depth++] = view.root;
-  std::uint64_t nodes_read = 0;
-  std::uint64_t tested = 0;
-  std::uint32_t found = 0;
-  while (depth > 0 && found < limit) {
-    const BvhNode& node = view.nodes[stack[--depth]];
-    ++nodes_read;
-    if (node.mbr.min_dist2(point) > eps2) continue;
-    if (node.leaf != 0) {
-      std::uint32_t i = node.first;
-      for (; i < node.first + node.count && found < limit; ++i) {
-        if (dist2(point, view.leaf_points[i]) <= eps2) {
-          hit(view.leaf_ids[i]);
-          ++found;
-        }
-      }
-      tested += i - node.first;
-    } else {
-      for (std::uint32_t c = node.first; c < node.first + node.count; ++c) {
-        stack[depth++] = c;
-      }
-    }
-  }
-  ctx.count_global_bytes(nodes_read * sizeof(BvhNode) +
-                         tested * (sizeof(PointId) + sizeof(Point2)));
-  ctx.count_flops(nodes_read * 8 + tested * 6);
   return found;
 }
 
@@ -805,20 +723,18 @@ cudasim::KernelStats run_fused_batch(cudasim::Device& device,
   });
 }
 
-template <typename View>
-std::vector<std::uint32_t> host_count_batch(const View& view, float eps,
+std::vector<std::uint32_t> host_count_batch(const GridView& view, float eps,
                                             BatchSpec batch, ScanMode mode) {
   std::vector<std::uint32_t> counts(
       batch.points_in_batch(view.query_count()));
   cudasim::run_flat_host(batch_grid_dim(view, batch, kDefaultBlockSize),
                          kDefaultBlockSize,
-                         CountBatchKernelBody<View>{view, eps * eps, batch,
-                                                    counts.data(), mode});
+                         CountBatchKernelBody<GridView>{view, eps * eps, batch,
+                                                        counts.data(), mode});
   return counts;
 }
 
-template <typename View>
-NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
+NeighborTable host_csr_batch(const GridView& view, float eps, BatchSpec batch,
                              ScanMode mode) {
   NeighborTable shard(view.num_points);
   // Counts become exclusive CSR offsets in place, as on the device.
@@ -830,15 +746,14 @@ NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
   std::vector<PointId> values(total);
   cudasim::run_flat_host(batch_grid_dim(view, batch, kDefaultBlockSize),
                          kDefaultBlockSize,
-                         FillCsrKernelBody<View>{view, eps * eps, batch,
-                                                 offsets.data(), total,
-                                                 values.data(), mode});
+                         FillCsrKernelBody<GridView>{view, eps * eps, batch,
+                                                     offsets.data(), total,
+                                                     values.data(), mode});
   shard.append_csr_batch(batch.batch, batch.num_batches, offsets, values);
   return shard;
 }
 
-template <typename View>
-cudasim::BlockCounters host_fused_batch(const View& view, float eps,
+cudasim::BlockCounters host_fused_batch(const GridView& view, float eps,
                                         BatchSpec batch, FusedPass pass,
                                         StreamingDbscan& sink, ScanMode mode) {
   return with_fused_body(view, eps, batch, pass, sink, mode, [&](auto body) {
@@ -860,19 +775,7 @@ cudasim::BlockCounters host_fused_batch(const View& view, float eps,
       StreamingDbscan&, ScanMode, unsigned);
 HDBSCAN_TRAVERSAL_KERNELS(GridView)
 HDBSCAN_TRAVERSAL_KERNELS(GridView3)
-HDBSCAN_TRAVERSAL_KERNELS(BvhView)
 #undef HDBSCAN_TRAVERSAL_KERNELS
-
-#define HDBSCAN_HOST_BODIES(View)                                            \
-  template std::vector<std::uint32_t> host_count_batch<View>(                \
-      const View&, float, BatchSpec, ScanMode);                              \
-  template NeighborTable host_csr_batch<View>(const View&, float, BatchSpec, \
-                                              ScanMode);                     \
-  template cudasim::BlockCounters host_fused_batch<View>(                     \
-      const View&, float, BatchSpec, FusedPass, StreamingDbscan&, ScanMode);
-HDBSCAN_HOST_BODIES(GridView)
-HDBSCAN_HOST_BODIES(BvhView)
-#undef HDBSCAN_HOST_BODIES
 
 std::size_t shared_kernel_smem_bytes(unsigned block_size) {
   return kSmemHeader +

@@ -12,8 +12,8 @@
 //  * Count kernel (§VI): counts neighbors of a uniform sample of points to
 //    produce the result-size estimate e_b without materializing results.
 //  * CSR count/fill and the fused passes' kernels: one body each,
-//    templated over the index view (2-D grid, 3-D grid, BVH) and run
-//    either on a simulated device or on the host pool — see below.
+//    templated over the grid view (2-D or 3-D) and run either on a
+//    simulated device or, in 2-D, on the host pool — see below.
 //
 // Batched execution (§VI, Fig. 2): batch l of n_b processes points
 // i = gid * n_b + l, so every batch samples the (spatially sorted) database
@@ -29,7 +29,6 @@
 #include "dbscan/neighbor_table.hpp"
 #include "dbscan/streaming_dbscan.hpp"
 #include "gpu/result_sink.hpp"
-#include "index/bvh.hpp"
 #include "index/grid_index.hpp"
 #include "index/grid_index3.hpp"
 
@@ -69,35 +68,30 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
                                      ResultSinkView sink,
                                      unsigned block_size = kDefaultBlockSize);
 
-// --- Per-point traversal kernels: one body per kernel, any index --------
+// --- Per-point traversal kernels: one body per kernel, any grid ---------
 //
 // The count, fill and fused-pass bodies are each written once, as
-// templates over the index view they traverse:
+// templates over the grid view they traverse:
 //  * GridView  — the paper's 2-D grid: the 9-cell stencil (shard slabs
 //    included: values go out through the slab's emission map);
-//  * GridView3 — the 3-D grid: the same traversal over the 27-cell stencil;
-//  * BvhView   — the packed BVH (IndexBackend::kBvh): a stack traversal with
-//    min_dist2 pruning against node MBRs instead of a stencil.
-// Each runs under two executors: a cudasim device launch (run_*, which
-// validates, fault-gates, models and records the launch) or the host pool
-// (host_*, none of those). Host-run work therefore follows the kernels'
-// pair-ownership rule by construction — that is what lets the degradation
-// ladder finish a device build's batches on the host.
+//  * GridView3 — the 3-D grid: the same traversal over the 27-cell stencil.
+// A 2-D body runs under two executors: a cudasim device launch (run_*,
+// which validates, fault-gates, models and records the launch) or the
+// host pool (host_*, none of those). Host-run work therefore follows the
+// kernels' pair-ownership rule by construction — that is what lets the
+// degradation ladder finish a device build's batches on the host.
 //
 // The table entry points take a `mode`. Under ScanMode::kHalf each
 // candidate pair is tested once and only the *forward* rows are emitted;
-// the caller restores symmetry afterwards via NeighborTable::assemble. On
-// a grid a forward row is the same-cell candidates at/after the query's
-// lookup position plus the forward stencil; a tree has no forward stencil, so there row i owns
-// exactly the candidates with id >= i (self included) and subtrees whose
-// max_id < i are pruned outright. Either way every cross pair lands in
-// exactly one row — the cover the assembler's expansion and the fused
-// union pass require — so the expanded tables are identical across
-// indexes.
+// the caller restores symmetry afterwards via NeighborTable::assemble. A
+// forward row is the same-cell candidates at/after the query's lookup
+// position plus the forward stencil, so every cross pair lands in exactly
+// one row — the cover the assembler's expansion and the fused union pass
+// require.
 // Every tested candidate pays its point fetch and distance test; the
 // traversal has no per-pair filter, so every path that runs it is exact.
 //
-// `View` is GridView, GridView3 or BvhView (instantiated in kernels.cpp).
+// `View` is GridView or GridView3 (instantiated in kernels.cpp).
 
 /// Two-pass CSR builder, pass 1: per-point neighbor counts for one batch.
 /// Thread g writes |N_eps(point g of the batch)| to counts[g]
@@ -166,9 +160,8 @@ cudasim::KernelStats run_fused_batch(cudasim::Device& device,
 // --- Host execution of the same bodies -----------------------------------
 
 /// The count body over one batch on the host: entry g is the count
-/// run_count_batch writes to counts[g]. Grid and BVH views only.
-template <typename View>
-std::vector<std::uint32_t> host_count_batch(const View& view, float eps,
+/// run_count_batch writes to counts[g].
+std::vector<std::uint32_t> host_count_batch(const GridView& view, float eps,
                                             BatchSpec batch,
                                             ScanMode mode = ScanMode::kFull);
 
@@ -177,17 +170,14 @@ std::vector<std::uint32_t> host_count_batch(const View& view, float eps,
 /// view.num_points rows. The result is the shard a device batch appends
 /// (only the batch's keys are filled, as forward rows under kHalf, through
 /// the emission map on shard slabs), so NeighborTable::assemble merges it
-/// with device-built shards and expands it like them. Grid and BVH views
-/// only.
-template <typename View>
-NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
+/// with device-built shards and expands it like them.
+NeighborTable host_csr_batch(const GridView& view, float eps, BatchSpec batch,
                              ScanMode mode = ScanMode::kFull);
 
 /// One fused pass over one batch on the host: its writes land in `sink`
 /// exactly as from run_fused_batch. Returns the work the body charged,
-/// events included. Grid and BVH views only.
-template <typename View>
-cudasim::BlockCounters host_fused_batch(const View& view, float eps,
+/// events included.
+cudasim::BlockCounters host_fused_batch(const GridView& view, float eps,
                                         BatchSpec batch, FusedPass pass,
                                         StreamingDbscan& sink,
                                         ScanMode mode = ScanMode::kHalf);

@@ -54,8 +54,7 @@ struct JobSpec {
   /// place, so no neighbor table is built, transferred, or cached. Fused jobs
   /// bypass the TableCache (there is nothing to reuse) but still coalesce
   /// — with other fused jobs of the same (dataset, eps, minpts), since
-  /// the union-find threshold is baked into the traversal. The index
-  /// backend comes from the service's BatchPolicy (--index=).
+  /// the union-find threshold is baked into the traversal.
   bool fused = false;
   /// Quality knob for this request (DESIGN.md §16); the job is served
   /// under this spec alone. Quality is part of the coalescing identity, so

@@ -568,9 +568,7 @@ void ClusterService::process_group(PendingPtr leader,
 
   const JobSpec& lead = runnable.front()->spec;
   const Dataset& ds = datasets_.at(lead.dataset);
-  const TableCache::Key key{lead.dataset, eps_bits(lead.eps),
-                            options_.policy.index_backend,
-                            options_.policy.scan_mode};
+  const TableCache::Key key{lead.dataset, eps_bits(lead.eps)};
   const bool coalesced_build = runnable.size() > 1;
   // Counted once, when the group is served: a dispatch that fails and
   // requeues its jobs shared nothing.

@@ -20,7 +20,6 @@
 
 #include "common/types.hpp"
 #include "dbscan/neighbor_table.hpp"
-#include "index/index_backend.hpp"
 
 namespace hdbscan::service {
 
@@ -46,20 +45,14 @@ class TableCache {
   struct Key {
     std::string dataset;
     std::uint32_t eps_bits = 0;  ///< bit pattern of the float eps
-    /// Build configuration the entry was produced under. A canonicalized
-    /// table is backend/scan-mode agnostic *when both paths are correct*,
-    /// but keying on them keeps a backend or scan-mode change from
-    /// silently serving tables built by a differently-validated path —
-    /// an operator A/B-ing grid vs BVH sees each backend populate (and
-    /// hit) its own entries.
-    IndexBackend backend = IndexBackend::kGrid;
-    ScanMode scan_mode = ScanMode::kHalf;
-    // Every cached table is exact: cell-graph and fused groups return
-    // before the cache, so the key carries no quality.
+    // A cache belongs to one service, whose build policy is fixed, and a
+    // canonicalized table is the same under either scan mode, so the key
+    // carries no build configuration. Every cached table is exact:
+    // cell-graph and fused groups return before the cache, so it carries
+    // no quality either.
 
     bool operator==(const Key& o) const noexcept {
-      return eps_bits == o.eps_bits && backend == o.backend &&
-             scan_mode == o.scan_mode && dataset == o.dataset;
+      return eps_bits == o.eps_bits && dataset == o.dataset;
     }
   };
 
@@ -150,9 +143,7 @@ class TableCache {
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept {
-      return std::hash<std::string>{}(k.dataset) * 1000003u ^ k.eps_bits ^
-             (static_cast<std::size_t>(k.backend) * 0x9e3779b9u) ^
-             (static_cast<std::size_t>(k.scan_mode) * 0x85ebca6bu);
+      return std::hash<std::string>{}(k.dataset) * 1000003u ^ k.eps_bits;
     }
   };
 

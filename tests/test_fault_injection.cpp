@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fused_clustering.hpp"
 #include "core/neighbor_table_builder.hpp"
 #include "core/pipeline.hpp"
 #include "core/reuse.hpp"
@@ -276,33 +277,6 @@ std::uint64_t clean_build_ops(const Scenario& s, const BatchPolicy& policy) {
   return probe->ops();
 }
 
-TEST(ResilientBuild, BvhHostFallbackAfterDeviceBatchesStaysExact) {
-  // A BVH build that loses its only device mid-build finishes the rest of
-  // its batches on the host; the merged (and, under kHalf, expanded) table
-  // must match the oracle, so the host rows follow the tree kernels'
-  // id-ownership rule.
-  const Scenario s = make_scenario(3000, 0.35f);
-  for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
-    SCOPED_TRACE(scan == ScanMode::kHalf ? "kHalf" : "kFull");
-    BatchPolicy policy = many_batch_policy(s);
-    policy.index_backend = IndexBackend::kBvh;
-    policy.scan_mode = scan;
-    policy.resilience.host_fallback = true;
-    cudasim::FaultPlan plan;
-    plan.lost_at_op = clean_build_ops(s, policy) / 2;
-
-    cudasim::Device device({}, faulted_options(plan));
-    BuildReport report;
-    const NeighborTable table =
-        NeighborTableBuilder(device, policy).build(s.index, s.eps, &report);
-    EXPECT_GT(report.batches_run, 0u);
-    EXPECT_GT(report.host_fallback_batches, 0u);
-    EXPECT_TRUE(report.used_host_fallback);
-    EXPECT_EQ(report.devices_lost, 1u);
-    expect_identical(table, s.oracle);
-  }
-}
-
 TEST(ResilientBuild, LossBeforeBatchingReportsHostBatchAndScanMode) {
   // The only device dies at its first op (the index upload), so the whole
   // index is finished on the host as one batch — under the policy's scan
@@ -361,16 +335,17 @@ TEST(ResilientBuild, DeviceLostBetweenUploadAndEstimationIsReported) {
   }
 }
 
-TEST(ResilientBuild, FailedBvhUploadDrainsQueuedGridTransfers) {
-  // A kBvh build queues a device's grid uploads, then allocates its BVH
-  // copy. Device 0's first BVH allocation (its fifth: the grid takes
-  // four) runs out of memory while its grid transfers still wait behind a
-  // slow link. The device may be dropped only after those transfers
-  // drained — one into a freed grid buffer is a heap-use-after-free under
-  // ASan — and device 1 builds the exact table.
+TEST(ResilientBuild, FailedSubCellUploadDrainsQueuedGridTransfers) {
+  // A fused run queues a device's four grid uploads, then allocates the
+  // sub-cell runs the union pass walks. Device 0's sub_order allocation
+  // (its fifth) runs out of memory while its grid transfers still wait
+  // behind a slow link. The device may be dropped only after those
+  // transfers drained — one into a freed grid buffer is a
+  // heap-use-after-free under ASan — and device 1 clusters exactly.
   const Scenario s = make_scenario(3000, 0.35f);
-  BatchPolicy policy = many_batch_policy(s);
-  policy.index_backend = IndexBackend::kBvh;
+  // A cell of kSubCellMinResidents residents, so the sub-cells exist.
+  ASSERT_GE(s.index.max_cell_occupancy, kSubCellMinResidents);
+  const int minpts = 4;
   cudasim::FaultPlan plan;
   plan.oom_allocs = {5};
   cudasim::DeviceConfig slow_link;
@@ -379,12 +354,15 @@ TEST(ResilientBuild, FailedBvhUploadDrainsQueuedGridTransfers) {
   slow.throttle_transfers = true;
   cudasim::Device dev0(slow_link, slow);
   cudasim::Device dev1({}, fast_options());
-  NeighborTableBuilder builder({&dev0, &dev1}, policy);
-  BuildReport report;
-  const NeighborTable table = builder.build(s.index, s.eps, &report);
+  StreamingDbscan consumer(s.index.size(), minpts);
+  const BuildReport report =
+      fused_cluster({&dev0, &dev1}, s.index, s.eps, consumer);
   EXPECT_EQ(dev0.metrics().injected_oom_faults, 1u);
   EXPECT_EQ(report.devices_lost, 1u);
-  expect_identical(table, s.oracle);
+  EXPECT_GT(report.batches_run, 0u);
+  EXPECT_FALSE(report.used_host_fallback);
+  EXPECT_EQ(consumer.finalize().labels,
+            dbscan_parallel(s.oracle, minpts).labels);
   for (cudasim::Device* dev : {&dev0, &dev1}) {
     dev->pool().trim();
     EXPECT_EQ(dev->used_global_bytes(), 0u);

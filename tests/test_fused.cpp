@@ -1,6 +1,6 @@
 // Fused no-table clustering (ClusterMode::kFused): label bit-identity
-// against the banded union-find pass (dbscan_parallel) across backends,
-// scan modes, degenerate inputs and dimensions, equivalence with batch
+// against the banded union-find pass (dbscan_parallel) across scan
+// modes, degenerate inputs and dimensions, equivalence with batch
 // (BFS) DBSCAN, the zero-table contract, counted fields that repeat
 // exactly run after run, the metrics a fused build publishes, and the
 // degradation ladder — scripted device loss fails over to survivors,
@@ -34,7 +34,6 @@
 #include "dbscan/neighbor_table.hpp"
 #include "dbscan/streaming_dbscan.hpp"
 #include "index/grid_index.hpp"
-#include "index/index_backend.hpp"
 #include "obs/registry.hpp"
 
 namespace hdbscan {
@@ -116,16 +115,15 @@ NeighborTable input_order_table(std::span<const Point2> points, float eps) {
 }
 
 // ---------------------------------------------------------------------------
-// 2-D equivalence: fused == banded pass, both backends;
+// 2-D equivalence: fused == banded pass;
 // batch (BFS) DBSCAN agrees on cores, noise and clusters
 // ---------------------------------------------------------------------------
 
 class FusedEquivalence
-    : public ::testing::TestWithParam<
-          std::tuple<int, float, int, IndexBackend>> {};
+    : public ::testing::TestWithParam<std::tuple<int, float, int>> {};
 
 TEST_P(FusedEquivalence, LabelsBitIdenticalToBandedPass) {
-  const auto [family, eps, minpts, backend] = GetParam();
+  const auto [family, eps, minpts] = GetParam();
   const std::size_t n = 2500;
   const std::vector<Point2> points =
       family == 0 ? data::generate_uniform(n, 71, 10.0f, 10.0f)
@@ -141,22 +139,18 @@ TEST_P(FusedEquivalence, LabelsBitIdenticalToBandedPass) {
   const auto outcome = compare_clusterings(banded, batch, oracle, minpts);
   EXPECT_TRUE(outcome.equivalent) << outcome.diagnostic;
 
-  BatchPolicy policy;
-  policy.index_backend = backend;
   HybridTimings timings;
   cudasim::Device fused_dev({}, fast_options());
   const ClusterResult fused =
-      hybrid_dbscan(fused_dev, points, eps, minpts, &timings, policy,
+      hybrid_dbscan(fused_dev, points, eps, minpts, &timings, {},
                     ClusterMode::kFused);
   EXPECT_EQ(fused.labels, want);
   EXPECT_EQ(fused.num_clusters, batch.num_clusters);
 
-  // The no-table contract: nothing materialized, and the report owns up
-  // to the backend that ran.
+  // The no-table contract: nothing materialized.
   EXPECT_TRUE(timings.fused);
   EXPECT_TRUE(timings.build_report.fused);
   EXPECT_FALSE(timings.build_report.table_materialized);
-  EXPECT_EQ(timings.build_report.index_backend, backend);
   // The capped core pass and the recount: the oracle's counts exactly
   // (degrees, and so the counts, do not depend on the id order).
   const FusedDegrees contract = expected_fused_degrees(oracle, minpts);
@@ -168,30 +162,23 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, FusedEquivalence,
     ::testing::Combine(::testing::Values(0, 1),
                        ::testing::Values(0.2f, 0.5f),
-                       ::testing::Values(4, 16),
-                       ::testing::Values(IndexBackend::kGrid,
-                                         IndexBackend::kBvh)));
+                       ::testing::Values(4, 16)));
 
 TEST(FusedDbscan, FullScanModeMatchesBandedPass) {
   const auto points = data::generate_space_weather(
       2000, 73, {.width = 10.0f, .height = 10.0f});
   const std::vector<std::int32_t> want = union_find_labels(points, 0.4f, 4);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    BatchPolicy policy;
-    policy.index_backend = backend;
-    policy.scan_mode = ScanMode::kFull;
-    cudasim::Device dev({}, fast_options());
-    const ClusterResult fused = hybrid_dbscan(
-        dev, points, 0.4f, 4, nullptr, policy, ClusterMode::kFused);
-    EXPECT_EQ(fused.labels, want);
-  }
+  BatchPolicy policy;
+  policy.scan_mode = ScanMode::kFull;
+  cudasim::Device dev({}, fast_options());
+  const ClusterResult fused = hybrid_dbscan(
+      dev, points, 0.4f, 4, nullptr, policy, ClusterMode::kFused);
+  EXPECT_EQ(fused.labels, want);
 }
 
 TEST(FusedDbscan, DuplicatePointsCluster) {
   // 300 coincident points plus a sparse ring of strays: the duplicate pile
-  // exercises degree saturation and self-pair handling in one cell/leaf.
+  // exercises degree saturation and self-pair handling in one cell.
   std::vector<Point2> points(300, Point2{3.0f, 3.0f});
   Xoshiro256 rng(74);
   for (int i = 0; i < 200; ++i) {
@@ -200,25 +187,19 @@ TEST(FusedDbscan, DuplicatePointsCluster) {
   const std::vector<std::int32_t> want = union_find_labels(points, 0.3f, 8);
   cudasim::Device batch_dev({}, fast_options());
   const ClusterResult batch = hybrid_dbscan(batch_dev, points, 0.3f, 8);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    BatchPolicy policy;
-    policy.index_backend = backend;
-    cudasim::Device dev({}, fast_options());
-    const ClusterResult fused = hybrid_dbscan(
-        dev, points, 0.3f, 8, nullptr, policy, ClusterMode::kFused);
-    EXPECT_EQ(fused.labels, want);
-    EXPECT_EQ(fused.num_clusters, batch.num_clusters);
-    EXPECT_EQ(fused.noise_count(), batch.noise_count());
-  }
+  cudasim::Device dev({}, fast_options());
+  const ClusterResult fused = hybrid_dbscan(
+      dev, points, 0.3f, 8, nullptr, {}, ClusterMode::kFused);
+  EXPECT_EQ(fused.labels, want);
+  EXPECT_EQ(fused.num_clusters, batch.num_clusters);
+  EXPECT_EQ(fused.noise_count(), batch.noise_count());
   EXPECT_GE(batch.num_clusters, 1);
 }
 
 TEST(FusedDbscan, ExactEpsBoundaryPairsAreNeighbors) {
   // Chains of points spaced exactly eps apart: the closed-ball (<=)
-  // semantic must hold identically in the fused traversal, on both
-  // backends, or the chain fragments.
+  // semantic must hold identically in the fused traversal, or the chain
+  // fragments.
   const float eps = 0.25f;
   std::vector<Point2> points;
   for (int c = 0; c < 4; ++c) {
@@ -230,16 +211,10 @@ TEST(FusedDbscan, ExactEpsBoundaryPairsAreNeighbors) {
   cudasim::Device batch_dev({}, fast_options());
   const ClusterResult batch = hybrid_dbscan(batch_dev, points, eps, 2);
   EXPECT_EQ(batch.num_clusters, 4);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    BatchPolicy policy;
-    policy.index_backend = backend;
-    cudasim::Device dev({}, fast_options());
-    const ClusterResult fused = hybrid_dbscan(
-        dev, points, eps, 2, nullptr, policy, ClusterMode::kFused);
-    EXPECT_EQ(fused.labels, batch.labels);
-  }
+  cudasim::Device dev({}, fast_options());
+  const ClusterResult fused = hybrid_dbscan(
+      dev, points, eps, 2, nullptr, {}, ClusterMode::kFused);
+  EXPECT_EQ(fused.labels, batch.labels);
 }
 
 TEST(FusedDbscan, DegenerateInputsMatchBandedPass) {
@@ -272,26 +247,21 @@ TEST(FusedDbscan, DegenerateInputsMatchBandedPass) {
   for (const Case& c : cases) {
     const std::vector<std::int32_t> want =
         union_find_labels(c.points, eps, c.minpts);
-    for (const IndexBackend backend :
-         {IndexBackend::kGrid, IndexBackend::kBvh}) {
-      for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
-        SCOPED_TRACE(std::string(c.name) + ", " +
-                     std::string(to_string(backend)) +
-                     (scan == ScanMode::kHalf ? ", kHalf" : ", kFull"));
-        BatchPolicy policy;
-        policy.index_backend = backend;
-        policy.scan_mode = scan;
-        cudasim::Device dev({}, fast_options());
-        const ClusterResult fused = hybrid_dbscan(
-            dev, c.points, eps, c.minpts, nullptr, policy,
-            ClusterMode::kFused);
-        EXPECT_EQ(fused.labels, want);
-        if (c.minpts == 1) {
-          EXPECT_EQ(fused.noise_count(), 0u);
-        }
-        if (static_cast<std::size_t>(c.minpts) > c.points.size()) {
-          EXPECT_EQ(fused.noise_count(), c.points.size());
-        }
+    for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (scan == ScanMode::kHalf ? ", kHalf" : ", kFull"));
+      BatchPolicy policy;
+      policy.scan_mode = scan;
+      cudasim::Device dev({}, fast_options());
+      const ClusterResult fused = hybrid_dbscan(
+          dev, c.points, eps, c.minpts, nullptr, policy,
+          ClusterMode::kFused);
+      EXPECT_EQ(fused.labels, want);
+      if (c.minpts == 1) {
+        EXPECT_EQ(fused.noise_count(), 0u);
+      }
+      if (static_cast<std::size_t>(c.minpts) > c.points.size()) {
+        EXPECT_EQ(fused.noise_count(), c.points.size());
       }
     }
   }
@@ -302,8 +272,7 @@ TEST(FusedDbscan, DegenerateInputsMatchBandedPass) {
 // cores that touch a non-core point are recounted
 // ---------------------------------------------------------------------------
 
-/// Runs `points` through fused_cluster on both backends, under both union
-/// scan modes, on one and two devices and on the host rung (the only
+/// Runs `points` through fused_cluster under both union scan modes, on one and two devices and on the host rung (the only
 /// device lost at its first op), and checks each run against the oracle
 /// table: every degree and the capped and recounted counts follow the
 /// contract, and the labels are the banded pass's. Returns how many passes
@@ -316,46 +285,41 @@ unsigned expect_contract_exact(const std::vector<Point2>& points, float eps,
       dbscan_parallel(oracle, minpts).labels;
   const FusedDegrees contract = expected_fused_degrees(oracle, minpts);
   std::vector<unsigned> passes;
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
-      for (const unsigned devices : {1u, 2u, 0u}) {
-        SCOPED_TRACE(
-            std::string(to_string(backend)) +
-            (scan == ScanMode::kHalf ? ", kHalf, " : ", kFull, ") +
-            (devices == 0 ? std::string("host rung")
-                          : std::to_string(devices) + " device(s)"));
-        Fleet fleet;
-        BatchPolicy policy;
-        policy.index_backend = backend;
-        policy.scan_mode = scan;
-        if (devices == 0) {
-          cudasim::FaultPlan lost;
-          lost.lost_at_op = 1;
-          fleet.add(faulted_options(lost));
-          policy.resilience.host_fallback = true;
-        }
-        for (unsigned d = 0; d < devices; ++d) fleet.add(fast_options());
-        StreamingDbscan consumer(index.size(), minpts);
-        const BuildReport report =
-            fused_cluster(fleet.ptrs, index, eps, consumer, policy);
-        EXPECT_EQ(report.used_host_fallback, devices == 0);
-        for (PointId i = 0; i < index.size(); ++i) {
-          EXPECT_EQ(consumer.degree(i), contract.degree[i])
-              << "point " << i << ", exact degree "
-              << oracle.neighbor_count(i);
-        }
-        EXPECT_EQ(report.capped_points, contract.capped_points);
-        EXPECT_EQ(report.recounted_points, contract.recounted_points);
-        EXPECT_EQ(consumer.finalize().labels, want);
-        // A device run launches one batch per point up to the plan's
-        // batches in each pass; the host rung runs each pass whole.
-        const auto per_pass = std::min<std::uint32_t>(
-            static_cast<std::uint32_t>(index.size()),
-            report.plan.num_batches);
-        passes.push_back(devices == 0 ? report.host_fallback_batches
-                                      : report.batches_run / per_pass);
+  for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
+    for (const unsigned devices : {1u, 2u, 0u}) {
+      SCOPED_TRACE(
+          std::string(scan == ScanMode::kHalf ? "kHalf, " : "kFull, ") +
+          (devices == 0 ? std::string("host rung")
+                        : std::to_string(devices) + " device(s)"));
+      Fleet fleet;
+      BatchPolicy policy;
+      policy.scan_mode = scan;
+      if (devices == 0) {
+        cudasim::FaultPlan lost;
+        lost.lost_at_op = 1;
+        fleet.add(faulted_options(lost));
+        policy.resilience.host_fallback = true;
       }
+      for (unsigned d = 0; d < devices; ++d) fleet.add(fast_options());
+      StreamingDbscan consumer(index.size(), minpts);
+      const BuildReport report =
+          fused_cluster(fleet.ptrs, index, eps, consumer, policy);
+      EXPECT_EQ(report.used_host_fallback, devices == 0);
+      for (PointId i = 0; i < index.size(); ++i) {
+        EXPECT_EQ(consumer.degree(i), contract.degree[i])
+            << "point " << i << ", exact degree "
+            << oracle.neighbor_count(i);
+      }
+      EXPECT_EQ(report.capped_points, contract.capped_points);
+      EXPECT_EQ(report.recounted_points, contract.recounted_points);
+      EXPECT_EQ(consumer.finalize().labels, want);
+      // A device run launches one batch per point up to the plan's
+      // batches in each pass; the host rung runs each pass whole.
+      const auto per_pass = std::min<std::uint32_t>(
+          static_cast<std::uint32_t>(index.size()),
+          report.plan.num_batches);
+      passes.push_back(devices == 0 ? report.host_fallback_batches
+                                    : report.batches_run / per_pass);
     }
   }
   for (const unsigned p : passes) EXPECT_EQ(p, passes.front());
@@ -502,8 +466,7 @@ TEST(FusedCappedDegrees, AllDuplicatesSkipTheMarkAndRecountPasses) {
 // Dense eps/2 sub-cells in the union pass: exact at their float edges
 // ---------------------------------------------------------------------------
 
-/// Runs `points` through the fused passes on the grid backend under both
-/// scan modes, on one and two devices and on the host rung (the only
+/// Runs `points` through the fused passes under both scan modes, on one and two devices and on the host rung (the only
 /// device lost at its first op), and checks every run's degrees (the
 /// capped contract) and labels against the host oracle table. Each scan
 /// mode reports the same count of dense runs everywhere; returns the kHalf
@@ -779,14 +742,6 @@ Scenario make_scenario(std::size_t n, float eps, int minpts,
   return s;
 }
 
-/// Buffer/estimation policy fields are ignored by the fused path (nothing
-/// to size); only the backend, scan mode and resilience ladder matter.
-BatchPolicy chaos_policy(IndexBackend backend) {
-  BatchPolicy policy;
-  policy.index_backend = backend;
-  return policy;
-}
-
 /// Every degree follows the capped contract on the oracle table: a
 /// dropped, doubled or uncapped degree fails here.
 void expect_contract_degrees(const Scenario& s,
@@ -806,25 +761,20 @@ void expect_exact(const Scenario& s, StreamingDbscan& consumer) {
 
 TEST(FusedDbscan, LabelsEqualBandedPassOverOracleTable) {
   // One banded pass over the oracle table answers the whole minpts list;
-  // a fused clustering per value gives the same label vector, on both
-  // backends: the two share one border rule and one cluster numbering.
+  // a fused clustering per value gives the same label vector: the two
+  // share one border rule and one cluster numbering.
   const Scenario s = make_scenario(2500, 0.35f, 4, 78);
   const std::vector<int> minpts{64, 2, 16, 4};
   const std::vector<ClusterResult> banded =
       dbscan_parallel(s.oracle, minpts, 2);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    for (std::size_t i = 0; i < minpts.size(); ++i) {
-      SCOPED_TRACE("minpts " + std::to_string(minpts[i]));
-      cudasim::Device dev({}, fast_options());
-      StreamingDbscan consumer(s.index.size(), minpts[i]);
-      (void)fused_cluster(dev, s.index, s.eps, consumer,
-                          chaos_policy(backend));
-      const ClusterResult fused = consumer.finalize();
-      EXPECT_EQ(fused.labels, banded[i].labels);
-      EXPECT_EQ(fused.num_clusters, banded[i].num_clusters);
-    }
+  for (std::size_t i = 0; i < minpts.size(); ++i) {
+    SCOPED_TRACE("minpts " + std::to_string(minpts[i]));
+    cudasim::Device dev({}, fast_options());
+    StreamingDbscan consumer(s.index.size(), minpts[i]);
+    (void)fused_cluster(dev, s.index, s.eps, consumer);
+    const ClusterResult fused = consumer.finalize();
+    EXPECT_EQ(fused.labels, banded[i].labels);
+    EXPECT_EQ(fused.num_clusters, banded[i].num_clusters);
   }
 }
 
@@ -874,24 +824,21 @@ TEST(FusedDeterminism, CountedFieldsRepeatExactly) {
   // fused_smoke's input: 6000 skewed points, eps 0.35, minpts 4.
   const Scenario s = make_scenario(6000, 0.35f, 4, 21);
   ASSERT_GT(s.contract.recounted_points, 0u);  // every pass has work
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
-      for (const unsigned devices : {1u, 2u}) {
-        SCOPED_TRACE(std::string(to_string(backend)) +
-                     (scan == ScanMode::kHalf ? ", kHalf, " : ", kFull, ") +
-                     std::to_string(devices) + " device(s)");
-        BatchPolicy policy = chaos_policy(backend);
-        policy.scan_mode = scan;
-        const FusedRun first = run_fused(s, devices, policy);
-        expect_repeats(first, run_fused(s, devices, policy));
-        EXPECT_EQ(first.report.capped_points, s.contract.capped_points);
-        EXPECT_EQ(first.report.recounted_points,
-                  s.contract.recounted_points);
-        EXPECT_EQ(first.report.total_pairs, 0u);  // capped: not a pair count
-        EXPECT_EQ(first.report.d2h_bytes, 0u);
-        EXPECT_EQ(first.labels, s.want);
-      }
+  for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
+    for (const unsigned devices : {1u, 2u}) {
+      SCOPED_TRACE(std::string(scan == ScanMode::kHalf ? "kHalf, "
+                                                       : "kFull, ") +
+                   std::to_string(devices) + " device(s)");
+      BatchPolicy policy;
+      policy.scan_mode = scan;
+      const FusedRun first = run_fused(s, devices, policy);
+      expect_repeats(first, run_fused(s, devices, policy));
+      EXPECT_EQ(first.report.capped_points, s.contract.capped_points);
+      EXPECT_EQ(first.report.recounted_points,
+                s.contract.recounted_points);
+      EXPECT_EQ(first.report.total_pairs, 0u);  // capped: not a pair count
+      EXPECT_EQ(first.report.d2h_bytes, 0u);
+      EXPECT_EQ(first.labels, s.want);
     }
   }
   // A scripted transient fault in each pass. One lane (one device, one
@@ -900,25 +847,21 @@ TEST(FusedDeterminism, CountedFieldsRepeatExactly) {
   // launches; that fixes which batch each launch ordinal hits, and so the
   // order in which the lane adds up its modeled seconds. Pass p faults
   // its batch p % 2.
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    cudasim::FaultPlan transient;
-    for (unsigned pass = 0; pass < kFusedPasses; ++pass) {
-      transient.transient_launches.push_back(
-          pass * (kBatchesPerLane + 1) + 1 + pass % 2);
-    }
-    BatchPolicy policy = chaos_policy(backend);
-    policy.num_streams = 1;
-    const FusedRun first = run_fused(s, 1, policy, transient);
-    EXPECT_EQ(first.report.transient_retries, kFusedPasses);
-    EXPECT_EQ(first.report.batches_run, kFusedPasses * kBatchesPerLane);
-    expect_repeats(first, run_fused(s, 1, policy, transient));
-    // The faults changed nothing: the counts of a clean one-lane run.
-    expect_counts_repeat(first, run_fused(s, 1, policy));
-    EXPECT_EQ(first.report.recounted_points, s.contract.recounted_points);
-    EXPECT_EQ(first.labels, s.want);
+  cudasim::FaultPlan transient;
+  for (unsigned pass = 0; pass < kFusedPasses; ++pass) {
+    transient.transient_launches.push_back(
+        pass * (kBatchesPerLane + 1) + 1 + pass % 2);
   }
+  BatchPolicy policy;
+  policy.num_streams = 1;
+  const FusedRun first = run_fused(s, 1, policy, transient);
+  EXPECT_EQ(first.report.transient_retries, kFusedPasses);
+  EXPECT_EQ(first.report.batches_run, kFusedPasses * kBatchesPerLane);
+  expect_repeats(first, run_fused(s, 1, policy, transient));
+  // The faults changed nothing: the counts of a clean one-lane run.
+  expect_counts_repeat(first, run_fused(s, 1, policy));
+  EXPECT_EQ(first.report.recounted_points, s.contract.recounted_points);
+  EXPECT_EQ(first.labels, s.want);
 }
 
 // Metrics: a fused build publishes its own counters and none of the
@@ -943,11 +886,11 @@ TEST(FusedMetrics, PublishesFusedCountersAndNoRowDeliverySeries) {
 
 /// Device ops of a fused run's index upload, one allocation and one
 /// transfer per buffer: the grid's points, cells, lookup and schedule plus
-/// its sub-cell order and bounds (12), or the BVH's four arrays (8).
-/// Each fused batch is one launch after that.
-std::uint64_t fused_upload_ops(const Scenario& s, IndexBackend backend) {
+/// its sub-cell order and bounds (12). Each fused batch is one launch
+/// after that.
+std::uint64_t fused_upload_ops(const Scenario& s) {
   EXPECT_FALSE(build_sub_cells(s.index).order.empty());
-  return backend == IndexBackend::kGrid ? 12 : 8;
+  return 12;
 }
 
 /// The device op of one device's `launch`-th launch (from 1) in fused
@@ -956,69 +899,61 @@ std::uint64_t fused_upload_ops(const Scenario& s, IndexBackend backend) {
 /// the device for each earlier pass.
 std::uint64_t fused_launch_op(const Scenario& s, const BatchPolicy& policy,
                               unsigned pass, unsigned launch) {
-  return fused_upload_ops(s, policy.index_backend) +
+  return fused_upload_ops(s) +
          std::uint64_t{pass} * kBatchesPerLane * policy.num_streams + launch;
 }
 
 TEST(FusedChaos, DeviceLossFailsOverToSurvivorExactly) {
   const Scenario s = make_scenario(2500, 0.35f, 4, 77);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    cudasim::FaultPlan lost;
-    // That device's third core-pass batch: a loss mid-traversal with work
-    // left to orphan in every pass.
-    const BatchPolicy policy = chaos_policy(backend);
-    lost.lost_at_op = fused_launch_op(s, policy, 0, 3);
-    Fleet fleet;
-    fleet.add(fast_options());
-    fleet.add(faulted_options(lost));
+  cudasim::FaultPlan lost;
+  // That device's third core-pass batch: a loss mid-traversal with work
+  // left to orphan in every pass.
+  const BatchPolicy policy;
+  lost.lost_at_op = fused_launch_op(s, policy, 0, 3);
+  Fleet fleet;
+  fleet.add(fast_options());
+  fleet.add(faulted_options(lost));
 
-    StreamingDbscan consumer(s.index.size(), s.minpts);
-    const BuildReport report =
-        fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
+  StreamingDbscan consumer(s.index.size(), s.minpts);
+  const BuildReport report =
+      fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
 
-    EXPECT_EQ(report.devices_lost, 1u);
-    EXPECT_GT(report.failover_batches, 0u);
-    EXPECT_FALSE(report.used_host_fallback);
-    EXPECT_FALSE(report.table_materialized);
-    expect_exact(s, consumer);
+  EXPECT_EQ(report.devices_lost, 1u);
+  EXPECT_GT(report.failover_batches, 0u);
+  EXPECT_FALSE(report.used_host_fallback);
+  EXPECT_FALSE(report.table_materialized);
+  expect_exact(s, consumer);
 
-    // The survivor returned every pooled buffer.
-    for (const auto& dev : fleet.owned) {
-      if (dev->lost()) continue;
-      dev->pool().trim();
-      EXPECT_EQ(dev->used_global_bytes(), 0u);
-    }
+  // The survivor returned every pooled buffer.
+  for (const auto& dev : fleet.owned) {
+    if (dev->lost()) continue;
+    dev->pool().trim();
+    EXPECT_EQ(dev->used_global_bytes(), 0u);
   }
 }
 
 TEST(FusedChaos, TotalFleetLossCompletesOnHostExactly) {
-  // Both backends must fall back under their own pair-ownership rule —
-  // the BVH id rule, the grid's forward stencil; the host runs the fused
-  // body over the same index — or the degree parity check below catches
-  // the double-counted cross pairs.
+  // The host rung must fall back under the devices' pair-ownership rule,
+  // the grid's forward stencil — it runs the fused body over the same
+  // index — or the degree parity check below catches the double-counted
+  // cross pairs.
   const Scenario s = make_scenario(1500, 0.35f, 4, 78);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    BatchPolicy policy = chaos_policy(backend);
-    policy.resilience.host_fallback = true;
-    cudasim::FaultPlan lost;
-    // The second core-pass launch of the only device.
-    lost.lost_at_op = fused_launch_op(s, policy, 0, 2);
-    Fleet fleet;
-    fleet.add(faulted_options(lost));
+  BatchPolicy policy;
+  policy.resilience.host_fallback = true;
+  cudasim::FaultPlan lost;
+  // The second core-pass launch of the only device.
+  lost.lost_at_op = fused_launch_op(s, policy, 0, 2);
+  Fleet fleet;
+  fleet.add(faulted_options(lost));
 
-    StreamingDbscan consumer(s.index.size(), s.minpts);
-    const BuildReport report =
-        fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
+  StreamingDbscan consumer(s.index.size(), s.minpts);
+  const BuildReport report =
+      fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
 
-    EXPECT_TRUE(report.used_host_fallback);
-    EXPECT_GT(report.host_fallback_batches, 0u);
-    EXPECT_EQ(report.devices_lost, 1u);
-    expect_exact(s, consumer);
-  }
+  EXPECT_TRUE(report.used_host_fallback);
+  EXPECT_GT(report.host_fallback_batches, 0u);
+  EXPECT_EQ(report.devices_lost, 1u);
+  expect_exact(s, consumer);
 }
 
 TEST(FusedChaos, DeviceLostBetweenPassesFailsOver) {
@@ -1028,38 +963,34 @@ TEST(FusedChaos, DeviceLostBetweenPassesFailsOver) {
   // two-device run counts.
   const Scenario s = make_scenario(2500, 0.35f, 4, 77);
   ASSERT_GT(s.contract.recounted_points, 0u);  // every pass has work
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    const BatchPolicy policy = chaos_policy(backend);
-    Fleet healthy_fleet;
-    healthy_fleet.add(fast_options());
-    healthy_fleet.add(fast_options());
-    FusedRun healthy;
-    {
-      StreamingDbscan consumer(s.index.size(), s.minpts);
-      healthy.report =
-          fused_cluster(healthy_fleet.ptrs, s.index, s.eps, consumer, policy);
-      healthy.labels = consumer.finalize().labels;
-    }
-    for (unsigned pass = 1; pass < kFusedPasses; ++pass) {
-      SCOPED_TRACE(std::string(to_string(backend)) + ", lost before pass " +
-                   std::to_string(pass));
-      cudasim::FaultPlan lost;
-      lost.lost_at_op = fused_launch_op(s, policy, pass, 1);
-      Fleet fleet;
-      fleet.add(fast_options());
-      fleet.add(faulted_options(lost));
-      StreamingDbscan consumer(s.index.size(), s.minpts);
-      FusedRun run;
-      run.report = fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
-      EXPECT_EQ(run.report.devices_lost, 1u);
-      EXPECT_GT(run.report.failover_batches, 0u);
-      EXPECT_FALSE(run.report.used_host_fallback);
-      expect_contract_degrees(s, consumer);
-      run.labels = consumer.finalize().labels;
-      EXPECT_EQ(run.labels, s.want);
-      expect_counts_repeat(run, healthy);
-    }
+  const BatchPolicy policy;
+  Fleet healthy_fleet;
+  healthy_fleet.add(fast_options());
+  healthy_fleet.add(fast_options());
+  FusedRun healthy;
+  {
+    StreamingDbscan consumer(s.index.size(), s.minpts);
+    healthy.report =
+        fused_cluster(healthy_fleet.ptrs, s.index, s.eps, consumer, policy);
+    healthy.labels = consumer.finalize().labels;
+  }
+  for (unsigned pass = 1; pass < kFusedPasses; ++pass) {
+    SCOPED_TRACE("lost before pass " + std::to_string(pass));
+    cudasim::FaultPlan lost;
+    lost.lost_at_op = fused_launch_op(s, policy, pass, 1);
+    Fleet fleet;
+    fleet.add(fast_options());
+    fleet.add(faulted_options(lost));
+    StreamingDbscan consumer(s.index.size(), s.minpts);
+    FusedRun run;
+    run.report = fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
+    EXPECT_EQ(run.report.devices_lost, 1u);
+    EXPECT_GT(run.report.failover_batches, 0u);
+    EXPECT_FALSE(run.report.used_host_fallback);
+    expect_contract_degrees(s, consumer);
+    run.labels = consumer.finalize().labels;
+    EXPECT_EQ(run.labels, s.want);
+    expect_counts_repeat(run, healthy);
   }
 }
 
@@ -1068,25 +999,21 @@ TEST(FusedChaos, HostParkedEdgesAreNotChargedAsTransfers) {
   // fused passes: nothing is parked and nothing crosses PCIe, so the run
   // ships zero result bytes while the labels stay exact.
   const Scenario s = make_scenario(1500, 0.35f, 4, 80);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    cudasim::FaultPlan lost;
-    lost.lost_at_op = 1;
-    Fleet fleet;
-    fleet.add(faulted_options(lost));
+  cudasim::FaultPlan lost;
+  lost.lost_at_op = 1;
+  Fleet fleet;
+  fleet.add(faulted_options(lost));
 
-    StreamingDbscan consumer(s.index.size(), s.minpts);
-    BatchPolicy policy = chaos_policy(backend);
-    policy.resilience.host_fallback = true;
-    const BuildReport report =
-        fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
+  StreamingDbscan consumer(s.index.size(), s.minpts);
+  BatchPolicy policy;
+  policy.resilience.host_fallback = true;
+  const BuildReport report =
+      fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
 
-    EXPECT_TRUE(report.used_host_fallback);
-    EXPECT_EQ(report.batches_run, 0u);
-    EXPECT_EQ(report.d2h_bytes, 0u);
-    expect_exact(s, consumer);
-  }
+  EXPECT_TRUE(report.used_host_fallback);
+  EXPECT_EQ(report.batches_run, 0u);
+  EXPECT_EQ(report.d2h_bytes, 0u);
+  expect_exact(s, consumer);
 }
 
 TEST(FusedChaos, TransientFaultsRetryWithinBudgetAndSurfacePastIt) {
@@ -1098,37 +1025,33 @@ TEST(FusedChaos, TransientFaultsRetryWithinBudgetAndSurfacePastIt) {
   // runs), so the retried build is exact; one more fault exhausts a
   // batch's budget.
   const Scenario s = make_scenario(1500, 0.35f, 4, 82);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    BatchPolicy policy = chaos_policy(backend);
-    policy.num_streams = 1;
-    const unsigned budget = policy.resilience.max_transient_retries;
-    cudasim::FaultPlan within;
-    for (std::uint64_t launch = 1; launch <= 2 * budget; ++launch) {
-      within.transient_launches.push_back(launch);
-    }
-    {
-      cudasim::Device dev({}, faulted_options(within));
-      StreamingDbscan consumer(s.index.size(), s.minpts);
-      const BuildReport report =
-          fused_cluster(dev, s.index, s.eps, consumer, policy);
-      EXPECT_EQ(report.plan.num_batches, 2u);
-      EXPECT_EQ(report.transient_retries, 2 * budget);
-      EXPECT_EQ(report.transient_retries,
-                dev.metrics().injected_transient_faults);
-      EXPECT_FALSE(report.used_host_fallback);
-      expect_exact(s, consumer);
-    }
-    cudasim::FaultPlan past = within;
-    past.transient_launches.push_back(2 * budget + 1);
-    cudasim::Device dev({}, faulted_options(past));
-    StreamingDbscan consumer(s.index.size(), s.minpts);
-    EXPECT_THROW((void)fused_cluster(dev, s.index, s.eps, consumer, policy),
-                 cudasim::TransientKernelFault);
-    dev.pool().trim();
-    EXPECT_EQ(dev.used_global_bytes(), 0u);
+  BatchPolicy policy;
+  policy.num_streams = 1;
+  const unsigned budget = policy.resilience.max_transient_retries;
+  cudasim::FaultPlan within;
+  for (std::uint64_t launch = 1; launch <= 2 * budget; ++launch) {
+    within.transient_launches.push_back(launch);
   }
+  {
+    cudasim::Device dev({}, faulted_options(within));
+    StreamingDbscan consumer(s.index.size(), s.minpts);
+    const BuildReport report =
+        fused_cluster(dev, s.index, s.eps, consumer, policy);
+    EXPECT_EQ(report.plan.num_batches, 2u);
+    EXPECT_EQ(report.transient_retries, 2 * budget);
+    EXPECT_EQ(report.transient_retries,
+              dev.metrics().injected_transient_faults);
+    EXPECT_FALSE(report.used_host_fallback);
+    expect_exact(s, consumer);
+  }
+  cudasim::FaultPlan past = within;
+  past.transient_launches.push_back(2 * budget + 1);
+  cudasim::Device dev({}, faulted_options(past));
+  StreamingDbscan consumer(s.index.size(), s.minpts);
+  EXPECT_THROW((void)fused_cluster(dev, s.index, s.eps, consumer, policy),
+               cudasim::TransientKernelFault);
+  dev.pool().trim();
+  EXPECT_EQ(dev.used_global_bytes(), 0u);
 }
 
 TEST(FusedChaos, CancelMidBuildDrainsStreamsAndReturnsDeviceMemory) {
@@ -1137,50 +1060,42 @@ TEST(FusedChaos, CancelMidBuildDrainsStreamsAndReturnsDeviceMemory) {
   // check passed: the lanes' pumps see it at their first batch and wind
   // down, and fused_cluster rethrows only once every stream drained.
   const Scenario s = make_scenario(1500, 0.35f, 4, 81);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    cudasim::DeviceConfig slow_link;
-    slow_link.pcie_latency_us = 80'000.0;
-    cudasim::SimulationOptions opt = fast_options();
-    opt.throttle_transfers = true;
-    cudasim::Device dev(slow_link, opt);
-    StreamingDbscan consumer(s.index.size(), s.minpts);
-    CancelToken token;
-    BatchPolicy policy = chaos_policy(backend);
-    policy.cancel = &token;
-    token.set_deadline_after(0.1);
-    try {
-      (void)fused_cluster(dev, s.index, s.eps, consumer, policy);
-      ADD_FAILURE() << "the build finished past its deadline";
-    } catch (const OperationCancelled& e) {
-      EXPECT_EQ(e.reason(), CancelReason::kDeadline);
-    }
-    EXPECT_GT(dev.metrics().h2d_bytes, 0u);          // the upload ran
-    EXPECT_EQ(dev.metrics().kernel_launches, 0u);    // no batch did
-    dev.pool().trim();
-    EXPECT_EQ(dev.used_global_bytes(), 0u);
+  cudasim::DeviceConfig slow_link;
+  slow_link.pcie_latency_us = 80'000.0;
+  cudasim::SimulationOptions opt = fast_options();
+  opt.throttle_transfers = true;
+  cudasim::Device dev(slow_link, opt);
+  StreamingDbscan consumer(s.index.size(), s.minpts);
+  CancelToken token;
+  BatchPolicy policy;
+  policy.cancel = &token;
+  token.set_deadline_after(0.1);
+  try {
+    (void)fused_cluster(dev, s.index, s.eps, consumer, policy);
+    ADD_FAILURE() << "the build finished past its deadline";
+  } catch (const OperationCancelled& e) {
+    EXPECT_EQ(e.reason(), CancelReason::kDeadline);
   }
+  EXPECT_GT(dev.metrics().h2d_bytes, 0u);          // the upload ran
+  EXPECT_EQ(dev.metrics().kernel_launches, 0u);    // no batch did
+  dev.pool().trim();
+  EXPECT_EQ(dev.used_global_bytes(), 0u);
 }
 
 TEST(FusedChaos, RandomizedFaultPlansKeepLabelsExact) {
   const Scenario s = make_scenario(1500, 0.35f, 4, 79);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    for (const std::uint64_t seed : {5ull, 17ull, 42ull}) {
-      SCOPED_TRACE(std::string(to_string(backend)) + " fault seed " +
-                   std::to_string(seed));
-      Fleet fleet;
-      for (int d = 0; d < 3; ++d) {
-        fleet.add(faulted_options(
-            cudasim::FaultPlan::randomized(seed + 100ull * d)));
-      }
-      StreamingDbscan consumer(s.index.size(), s.minpts);
-      BatchPolicy policy = chaos_policy(backend);
-      policy.resilience.host_fallback = true;  // survive total loss
-      (void)fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
-      expect_exact(s, consumer);
+  for (const std::uint64_t seed : {5ull, 17ull, 42ull}) {
+    SCOPED_TRACE("fault seed " + std::to_string(seed));
+    Fleet fleet;
+    for (int d = 0; d < 3; ++d) {
+      fleet.add(faulted_options(
+          cudasim::FaultPlan::randomized(seed + 100ull * d)));
     }
+    StreamingDbscan consumer(s.index.size(), s.minpts);
+    BatchPolicy policy;
+    policy.resilience.host_fallback = true;  // survive total loss
+    (void)fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
+    expect_exact(s, consumer);
   }
 }
 

@@ -16,7 +16,6 @@
 #include "data/generators.hpp"
 #include "dbscan/neighbor_table.hpp"
 #include "gpu/result_sink.hpp"
-#include "index/bvh.hpp"
 #include "index/grid_index.hpp"
 #include "index/grid_index3.hpp"
 
@@ -444,26 +443,6 @@ TEST(FillCsr, StaysInsideRowsOnGrid3d) {
   oracle.canonicalize();
   cudasim::Device dev({}, fast_options());
   const GridView3 view = GridView3::of(index);
-  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
-    for (const std::uint32_t nb : fill_batch_counts(view.query_count())) {
-      SCOPED_TRACE(std::to_string(nb) + " batches, " +
-                   (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
-      EXPECT_TRUE(
-          fill_with_sentinel(dev, view, eps, nb, mode).identical_to(oracle));
-    }
-  }
-}
-
-TEST(FillCsr, StaysInsideRowsOnBvh) {
-  const float eps = 0.3f;
-  const GridIndex index = build_grid_index(
-      data::generate_space_weather(400, 47, {.width = 3.0f, .height = 3.0f}),
-      eps);
-  NeighborTable oracle = build_neighbor_table_host(index, eps);
-  oracle.canonicalize();
-  const BvhIndex bvh = build_bvh_index(index.points);
-  cudasim::Device dev({}, fast_options());
-  const BvhView view = BvhView::of(bvh);
   for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
     for (const std::uint32_t nb : fill_batch_counts(view.query_count())) {
       SCOPED_TRACE(std::to_string(nb) + " batches, " +

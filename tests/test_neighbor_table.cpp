@@ -12,7 +12,6 @@
 #include "dbscan/dbscan_parallel.hpp"
 #include "dbscan/streaming_dbscan.hpp"
 #include "gpu/kernels.hpp"
-#include "index/bvh.hpp"
 #include "index/grid_index.hpp"
 
 namespace hdbscan {
@@ -130,8 +129,7 @@ void expect_identical(NeighborTable got, NeighborTable want) {
 /// Assembles the host shards of `num_batches` strided batches, expanding
 /// the forward rows under kHalf — the shape of a degraded builder's
 /// assembly.
-template <typename View>
-NeighborTable host_table(const View& view, float eps,
+NeighborTable host_table(const GridView& view, float eps,
                          std::uint32_t num_batches, ScanMode mode) {
   std::vector<NeighborTable> parts;
   for (std::uint32_t l = 0; l < num_batches; ++l) {
@@ -158,19 +156,6 @@ HostScenario host_scenario() {
 TEST(HostCsrBatch, GridWholeAndStridedBatchesEqualOracle) {
   const HostScenario s = host_scenario();
   const GridView view = GridView::of(s.index);
-  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
-    for (const std::uint32_t batches : {1u, 5u}) {
-      SCOPED_TRACE(std::to_string(batches) + " batches, " +
-                   (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
-      expect_identical(host_table(view, s.eps, batches, mode), s.oracle);
-    }
-  }
-}
-
-TEST(HostCsrBatch, BvhWholeAndStridedBatchesEqualOracle) {
-  const HostScenario s = host_scenario();
-  const BvhIndex bvh = build_bvh_index(s.index.points);
-  const BvhView view = BvhView::of(bvh);
   for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
     for (const std::uint32_t batches : {1u, 5u}) {
       SCOPED_TRACE(std::to_string(batches) + " batches, " +
@@ -331,41 +316,30 @@ TEST(HostFusedBatch, GivesOracleDegreesAndLabels) {
   const HostScenario s = host_scenario();
   const int minpts = 4;
   const ClusterResult want = dbscan_parallel(s.oracle, minpts);
-  const BvhIndex bvh = build_bvh_index(s.index.points);
-  for (const bool use_bvh : {false, true}) {
-    for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
-      SCOPED_TRACE(std::string(use_bvh ? "bvh, " : "grid, ") +
-                   (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
-      StreamingDbscan consumer(s.index.size(), minpts);
-      // The core pass lands every exact degree before the union pass runs.
-      const auto pass = [&](auto&& body) {
-        for (std::uint32_t l = 0; l < 3; ++l) {
-          if (use_bvh) {
-            body(BvhView::of(bvh), gpu::BatchSpec{l, 3});
-          } else {
-            body(GridView::of(s.index), gpu::BatchSpec{l, 3});
-          }
-        }
-      };
-      const StreamingDbscan::FusedView fused = consumer.fused_view();
-      pass([&](const auto& view, gpu::BatchSpec batch) {
-        const std::vector<std::uint32_t> counts =
-            gpu::host_count_batch(view, s.eps, batch, ScanMode::kFull);
-        for (std::uint32_t g = 0; g < counts.size(); ++g) {
-          fused.degree[batch.batch + g * batch.num_batches].store(
-              counts[g], std::memory_order_relaxed);
-        }
-      });
-      pass([&](const auto& view, gpu::BatchSpec batch) {
-        gpu::host_fused_batch(view, s.eps, batch, gpu::FusedPass::kUnion,
-                              consumer, mode);
-      });
-      for (PointId i = 0; i < s.index.size(); ++i) {
-        ASSERT_EQ(consumer.degree(i), s.oracle.neighbor_count(i))
-            << "degree mismatch at point " << i;
+  const GridView view = GridView::of(s.index);
+  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
+    SCOPED_TRACE(mode == ScanMode::kHalf ? "kHalf" : "kFull");
+    StreamingDbscan consumer(s.index.size(), minpts);
+    // The core pass lands every exact degree before the union pass runs.
+    const StreamingDbscan::FusedView fused = consumer.fused_view();
+    for (std::uint32_t l = 0; l < 3; ++l) {
+      const gpu::BatchSpec batch{l, 3};
+      const std::vector<std::uint32_t> counts =
+          gpu::host_count_batch(view, s.eps, batch, ScanMode::kFull);
+      for (std::uint32_t g = 0; g < counts.size(); ++g) {
+        fused.degree[batch.batch + g * batch.num_batches].store(
+            counts[g], std::memory_order_relaxed);
       }
-      EXPECT_EQ(consumer.finalize().labels, want.labels);
     }
+    for (std::uint32_t l = 0; l < 3; ++l) {
+      gpu::host_fused_batch(view, s.eps, {l, 3}, gpu::FusedPass::kUnion,
+                            consumer, mode);
+    }
+    for (PointId i = 0; i < s.index.size(); ++i) {
+      ASSERT_EQ(consumer.degree(i), s.oracle.neighbor_count(i))
+          << "degree mismatch at point " << i;
+    }
+    EXPECT_EQ(consumer.finalize().labels, want.labels);
   }
 }
 

