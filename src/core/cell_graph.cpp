@@ -88,6 +88,87 @@ struct CellRun {
   std::uint32_t last = 0;
 };
 
+/// The binning the clustering and cell_graph_dense_share start from: side
+/// eps/sqrt(d), so the diagonal of a cell is exactly eps and any two
+/// residents of one cell are eps-neighbors; every point's packed key; and
+/// the point ids in key order, each cell's residents in input order (one
+/// stable counting sort per axis, O(n + cells per axis), so any extent
+/// the key holds is served). Throws std::invalid_argument when the extent
+/// is not finite or needs more cells on an axis than its key field holds.
+struct Binning {
+  double side = 0.0;
+  std::array<std::int32_t, 3> count{1, 1, 1};  ///< cells per axis
+  std::vector<std::uint64_t> key_of;           ///< per input point
+  std::vector<PointId> order;                  ///< input ids in key order
+};
+
+template <typename Traits>
+Binning bin_points(std::span<const typename Traits::Point> points, float eps) {
+  using Point = typename Traits::Point;
+  constexpr int kDims = Traits::kDims;
+  const auto n = points.size();
+  Binning b;
+  b.side = static_cast<double>(eps) / std::sqrt(static_cast<double>(kDims));
+  const double side = b.side;
+  std::array<float, 3> mins{};
+  std::array<float, 3> maxs{};
+  mins.fill(std::numeric_limits<float>::max());
+  maxs.fill(std::numeric_limits<float>::lowest());
+  for (const Point& p : points) {
+    for (int axis = 0; axis < kDims; ++axis) {
+      mins[axis] = std::min(mins[axis], Traits::coord(p, axis));
+      maxs[axis] = std::max(maxs[axis], Traits::coord(p, axis));
+    }
+  }
+  // Cells per axis, sized in double before anything narrows: the span must
+  // be finite and the count must fit the axis's key field.
+  std::array<std::int32_t, 3>& count = b.count;
+  for (int axis = 0; axis < kDims; ++axis) {
+    const float span = maxs[axis] - mins[axis];
+    if (!std::isfinite(span)) {
+      throw std::invalid_argument("cell_graph_dbscan: extent is not finite");
+    }
+    const double cells = std::floor(span / side) + 1.0;
+    if (!(cells <= std::ldexp(1.0, kKeyBits[axis]))) {
+      throw std::invalid_argument(
+          "cell_graph_dbscan: more cells per axis than the cell key holds"
+          " (eps too small for this extent)");
+    }
+    count[axis] = static_cast<std::int32_t>(cells);
+  }
+  std::vector<std::uint64_t>& key_of = b.key_of;
+  key_of.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::array<std::int32_t, 3> c{};
+    for (int axis = 0; axis < kDims; ++axis) {
+      const double cell = (Traits::coord(points[i], axis) - mins[axis]) / side;
+      if (!(cell >= 0.0 && cell < count[axis])) {  // NaN coordinates too
+        throw std::invalid_argument(
+            "cell_graph_dbscan: coordinate outside the binned extent");
+      }
+      c[axis] = static_cast<std::int32_t>(cell);
+    }
+    key_of[i] = pack_key(c[0], c[1], c[2]);
+  }
+
+  // Cell order: one stable counting sort per axis (x, then y, then z).
+  std::vector<PointId>& order = b.order;
+  order.resize(n);
+  std::vector<PointId> order_next(n);
+  std::vector<std::uint32_t> bucket;
+  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<PointId>(i);
+  for (int axis = 0; axis < kDims; ++axis) {
+    bucket.assign(static_cast<std::size_t>(count[axis]) + 1, 0);
+    for (const PointId i : order) ++bucket[key_field(key_of[i], axis) + 1];
+    for (std::size_t c = 1; c < bucket.size(); ++c) bucket[c] += bucket[c - 1];
+    for (const PointId i : order) {
+      order_next[bucket[key_field(key_of[i], axis)]++] = i;
+    }
+    order.swap(order_next);
+  }
+  return b;
+}
+
 template <typename Traits>
 ClusterResult cell_graph_impl(std::span<const typename Traits::Point> points,
                               float eps, int minpts,
@@ -112,66 +193,12 @@ ClusterResult cell_graph_impl(std::span<const typename Traits::Point> points,
     return result;
   }
 
-  // --- bin to side eps/sqrt(d): the diagonal of a cell is exactly eps,
-  // so any two residents of one cell are eps-neighbors ---
-  const double side =
-      static_cast<double>(eps) / std::sqrt(static_cast<double>(kDims));
-  std::array<float, 3> mins{};
-  std::array<float, 3> maxs{};
-  mins.fill(std::numeric_limits<float>::max());
-  maxs.fill(std::numeric_limits<float>::lowest());
-  for (const Point& p : points) {
-    for (int axis = 0; axis < kDims; ++axis) {
-      mins[axis] = std::min(mins[axis], Traits::coord(p, axis));
-      maxs[axis] = std::max(maxs[axis], Traits::coord(p, axis));
-    }
-  }
-  // Cells per axis, sized in double before anything narrows: the span must
-  // be finite and the count must fit the axis's key field.
-  std::array<std::int32_t, 3> count{1, 1, 1};
-  for (int axis = 0; axis < kDims; ++axis) {
-    const float span = maxs[axis] - mins[axis];
-    if (!std::isfinite(span)) {
-      throw std::invalid_argument("cell_graph_dbscan: extent is not finite");
-    }
-    const double cells = std::floor(span / side) + 1.0;
-    if (!(cells <= std::ldexp(1.0, kKeyBits[axis]))) {
-      throw std::invalid_argument(
-          "cell_graph_dbscan: more cells per axis than the cell key holds"
-          " (eps too small for this extent)");
-    }
-    count[axis] = static_cast<std::int32_t>(cells);
-  }
-  std::vector<std::uint64_t> key_of(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::array<std::int32_t, 3> c{};
-    for (int axis = 0; axis < kDims; ++axis) {
-      const double cell = (Traits::coord(points[i], axis) - mins[axis]) / side;
-      if (!(cell >= 0.0 && cell < count[axis])) {  // NaN coordinates too
-        throw std::invalid_argument(
-            "cell_graph_dbscan: coordinate outside the binned extent");
-      }
-      c[axis] = static_cast<std::int32_t>(cell);
-    }
-    key_of[i] = pack_key(c[0], c[1], c[2]);
-  }
-
-  // --- cell order: one stable counting sort per axis (x, then y, then z)
-  // leaves the points in key order, each cell's residents in input order.
-  // O(n + cells per axis), so any extent the key holds is served. ---
-  std::vector<PointId> order(n);
-  std::vector<PointId> order_next(n);
-  std::vector<std::uint32_t> bucket;
-  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<PointId>(i);
-  for (int axis = 0; axis < kDims; ++axis) {
-    bucket.assign(static_cast<std::size_t>(count[axis]) + 1, 0);
-    for (const PointId i : order) ++bucket[key_field(key_of[i], axis) + 1];
-    for (std::size_t c = 1; c < bucket.size(); ++c) bucket[c] += bucket[c - 1];
-    for (const PointId i : order) {
-      order_next[bucket[key_field(key_of[i], axis)]++] = i;
-    }
-    order.swap(order_next);
-  }
+  // --- bin to side eps/sqrt(d), in cell order ---
+  Binning bins = bin_points<Traits>(points, eps);
+  const double side = bins.side;
+  const std::array<std::int32_t, 3>& count = bins.count;
+  const std::vector<std::uint64_t>& key_of = bins.key_of;
+  const std::vector<PointId>& order = bins.order;
   // Coordinates in key order next to the sorted occupied-cell keys: cell
   // c holds sorted positions [cell_start[c], cell_start[c + 1]).
   std::vector<Point> pts(n);
@@ -423,6 +450,28 @@ ClusterResult cell_graph_dbscan3(std::span<const Point3> points, float eps,
                                  const cudasim::DeviceConfig& config,
                                  CellGraphReport* report) {
   return cell_graph_impl<Traits3>(points, eps, minpts, config, report);
+}
+
+double cell_graph_dense_share(std::span<const Point2> points, float eps,
+                              int minpts) {
+  if (eps <= 0.0f) {
+    throw std::invalid_argument("cell_graph_dbscan: eps must be positive");
+  }
+  if (minpts < 1) {
+    throw std::invalid_argument("cell_graph_dbscan: minpts must be >= 1");
+  }
+  if (points.empty()) return 0.0;
+  const Binning bins = bin_points<Traits2>(points, eps);
+  const std::size_t n = points.size();
+  std::size_t dense = 0;
+  for (std::size_t first = 0; first < n;) {
+    const std::uint64_t key = bins.key_of[bins.order[first]];
+    std::size_t last = first + 1;
+    while (last < n && bins.key_of[bins.order[last]] == key) ++last;
+    if (last - first >= static_cast<std::size_t>(minpts)) dense += last - first;
+    first = last;
+  }
+  return static_cast<double>(dense) / static_cast<double>(n);
 }
 
 }  // namespace hdbscan

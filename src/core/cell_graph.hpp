@@ -59,4 +59,14 @@ ClusterResult cell_graph_dbscan3(std::span<const Point3> points, float eps,
                                  const cudasim::DeviceConfig& config,
                                  CellGraphReport* report = nullptr);
 
+/// The share of `points` that cell_graph_dbscan at (eps, minpts) makes core
+/// wholesale, with no distance test: those whose eps/sqrt(2) cell holds
+/// minpts or more of them (its report's dense_points / n; 0 for no
+/// points). The cell graph is cheap exactly when this share is high, so a
+/// caller can choose it over the traversal before running either. Bins
+/// the points as the clustering does, O(n + cells per axis), and throws
+/// what it throws for an eps, minpts or extent it cannot bin.
+[[nodiscard]] double cell_graph_dense_share(std::span<const Point2> points,
+                                            float eps, int minpts);
+
 }  // namespace hdbscan

@@ -38,9 +38,9 @@ inline void eps_grid_dims(std::span<const float> spans, float eps,
     total *= cells;
     if (!(total <= limit)) {
       throw std::invalid_argument(
-          std::string(what) +
-          ": cell array would exceed the configured capacity (eps too small "
-          "for this extent)");
+          std::string(what) + ": cell array would exceed its capacity of " +
+          std::to_string(static_cast<std::uint64_t>(limit)) +
+          " cells (eps too small for this extent)");
     }
     dims[d] = static_cast<std::uint32_t>(cells);
   }

@@ -45,18 +45,12 @@ unsigned get_forward_neighbor_cells(
   return n;
 }
 
-GridIndex build_grid_index(std::span<const Point2> input, float eps,
-                           std::uint64_t max_cells) {
-  if (input.empty()) throw std::invalid_argument("grid index: empty database");
+GridParams grid_params(const Rect2& extent, float eps,
+                       std::uint64_t max_cells) {
   if (!(eps > 0.0f) || !std::isfinite(eps)) {
     throw std::invalid_argument("grid index: eps must be positive and finite");
   }
-
-  GridIndex index;
-  Rect2 extent;
-  for (const Point2& p : input) extent.expand(p);
-
-  GridParams& params = index.params;
+  GridParams params;
   params.min_x = extent.min_x;
   params.min_y = extent.min_y;
   params.eps = eps;
@@ -66,6 +60,16 @@ GridIndex build_grid_index(std::span<const Point2> input, float eps,
   detail::eps_grid_dims(spans, eps, max_cells, dims, "grid index");
   params.cells_x = dims[0];
   params.cells_y = dims[1];
+  return params;
+}
+
+GridIndex build_grid_index(std::span<const Point2> input, float eps,
+                           std::uint64_t max_cells) {
+  if (input.empty()) throw std::invalid_argument("grid index: empty database");
+  Rect2 extent;
+  for (const Point2& p : input) extent.expand(p);
+  GridIndex index;
+  index.params = grid_params(extent, eps, max_cells);
 
   // D in cell order: one counting sort fills G, A and D (paper Figure 1;
   // the unit-bin pre-sort of §IV is replaced, see DESIGN.md §2).

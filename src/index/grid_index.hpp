@@ -207,12 +207,25 @@ inline constexpr std::uint32_t kMaxSubCellAxis = 1u << 19;
 /// when no cell is that full, or the grid is wider than kMaxSubCellAxis.
 SubCells build_sub_cells(const GridIndex& index);
 
+/// Cells a grid index may hold unless its builder is told otherwise: 2^27,
+/// a 1 GiB cell array (the same capacity concern a 5 GB GPU imposes).
+inline constexpr std::uint64_t kMaxGridCells = 1ull << 27;
+
+/// The geometry build_grid_index gives a grid over `extent`: its min
+/// corner, `eps`, and floor(span / eps) + 1 cells per axis, the ratio
+/// divided in float as points are binned. Throws std::invalid_argument for
+/// an eps that is not positive and finite, an extent that is not finite,
+/// or a grid of more than `max_cells` cells. It sizes the cell array
+/// without allocating it, so a caller can learn before a build whether
+/// the grid can index an eps at all (the service does, at admission).
+GridParams grid_params(const Rect2& extent, float eps,
+                       std::uint64_t max_cells = kMaxGridCells);
+
 /// Builds the grid index for database `input` and search radius `eps`:
 /// one counting sort stores D in cell order, so cells[h] is also the range
 /// of D holding cell h's points and lookup[a] == a. Throws
-/// std::invalid_argument for eps <= 0, an empty database, an extent that
-/// is not finite, or a grid that would exceed `max_cells` (the same
-/// capacity concern a 5 GB GPU imposes on the cell array).
+/// std::invalid_argument for an empty database or whatever grid_params
+/// throws for the database's extent.
 ///
 /// Ordering invariant (load-bearing for ScanMode::kHalf): within every
 /// cell's [begin, end) range the lookup array A stores point ids in
@@ -222,7 +235,7 @@ SubCells build_sub_cells(const GridIndex& index);
 /// on it to binary-search their own lookup position and scan only
 /// same-cell candidates with id >= their own.
 GridIndex build_grid_index(std::span<const Point2> input, float eps,
-                           std::uint64_t max_cells = 1ull << 27);
+                           std::uint64_t max_cells = kMaxGridCells);
 
 /// Reference search: all point ids (into the index's reordered D) within
 /// eps of q. It shares no code with the kernels' traversal, which is what

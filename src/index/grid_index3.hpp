@@ -97,7 +97,7 @@ struct GridView3 {
 
 /// Builds the 3-D index; the same contract and checks as build_grid_index.
 GridIndex3 build_grid_index3(std::span<const Point3> input, float eps,
-                             std::uint64_t max_cells = 1ull << 27);
+                             std::uint64_t max_cells = kMaxGridCells);
 
 /// Reference search (the 3-D oracle): all point ids within eps of q.
 void grid_query3(const GridIndex3& index, const Point3& q, float eps,

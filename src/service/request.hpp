@@ -53,15 +53,21 @@ struct JobSpec {
   /// core pass counts degrees and a union pass unions core-core pairs in
   /// place, so no neighbor table is built, transferred, or cached. Fused jobs
   /// bypass the TableCache (there is nothing to reuse) but still coalesce
-  /// — with other fused jobs of the same (dataset, eps, minpts), since
-  /// the union-find threshold is baked into the traversal.
+  /// — with fused and cell-graph jobs of the same (dataset, eps, minpts)
+  /// that run fused, since the union-find threshold is baked into the
+  /// traversal. A fused job runs fused whatever `quality` says. An eps the
+  /// dense grid cannot index is rejected at admission with a reason.
   bool fused = false;
-  /// Quality knob for this request (DESIGN.md §16); the job is served
-  /// under this spec alone. Quality is part of the coalescing identity, so
-  /// exact and cell-graph jobs never share a run, and a cell-graph job
-  /// never reaches the TableCache. kCellGraph is incompatible with `fused`
-  /// (the cell graph replaces the traversal the fused path would fuse
-  /// into) and such jobs are rejected at admission with a reason.
+  /// Quality knob for this request (DESIGN.md §13, §16). kCellGraph asks
+  /// for no table, and admission picks the cheaper no-table run for the
+  /// job's (dataset, eps, minpts): the fused passes, served exactly like a
+  /// fused job (the same run and labels, counted in `fused_jobs`), or the
+  /// host cell graph (counted in `cell_graph_jobs`, on no device) where
+  /// at least 0.8 of the points sit in dense eps/sqrt(2) cells, where the
+  /// dense grid would hold more than 16 cells per point, or past its
+  /// capacity. Either way it never shares a run or a cache entry with an
+  /// exact job, and with no live device it completes host-side even with
+  /// `host_fallback` off.
   QualitySpec quality{};
 };
 
@@ -136,7 +142,7 @@ struct JobResult {
   FailureReason failure = FailureReason::kNone;  ///< cause for kFailed &c.
 
   bool cache_hit = false;   ///< served from the eps-keyed table cache
-  bool fused = false;       ///< served by the fused no-table traversal
+  bool fused = false;       ///< served by the fused no-table passes
   bool coalesced = false;   ///< shared its group's build: a table, or
                             ///< the fused passes
   bool host_fallback = false;  ///< clustered host-side (no live device)

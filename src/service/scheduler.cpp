@@ -33,6 +33,38 @@ std::uint32_t eps_bits(float eps) noexcept {
   return bits;
 }
 
+/// A cell-graph job runs the host cell graph instead of the fused passes
+/// when at least this share of its points sit in dense eps/sqrt(2) cells
+/// (cell_graph_dense_share), whose residents it makes core with no
+/// distance test. Best-of-5 single runs of both on SDSS2 and SW4 samples
+/// (eps 0.15-0.5, minpts 4 and 8, 4-vCPU VM) put the crossover there: the
+/// fused passes won every run below a share of 0.65 (by 1.07-2.6x), the
+/// cell graph every run from 0.8 up (by 1.04-2.2x), and in between
+/// neither won by more than 1.33x.
+constexpr double kCellGraphDenseShare = 0.8;
+
+/// ... or when the dense grid at its eps would hold more than this many
+/// cells per point: the fused passes build and upload one CellRange per
+/// cell of it, where the cell graph's sparse key costs O(n + cells per
+/// axis). On sparse uniform points (20,000 and 80,000 of them, dense
+/// share 0, best of 5) fused won at 8 cells per point by 1.4-1.5x and at
+/// 12 by 1.03-1.18x, and the cell graph at 16 by 1.15-1.2x, at 32 by
+/// 2.7-3.0x and at 128 by 12.8x. The SDSS2 and SW4 samples hold 6.3 and
+/// 15 cells per point at eps 0.05, and under 2 from eps 0.15.
+constexpr std::uint64_t kFusedGridCellsPerPoint = 16;
+
+/// Distinct (eps, minpts) a dataset memoizes CellGraphFits for before it
+/// drops them all (a client cycling through eps values costs a re-bin per
+/// job, not unbounded memory).
+constexpr std::size_t kMaxCellGraphFits = 256;
+
+/// An eps as reject reasons quote it.
+std::string eps_text(float eps) {
+  char text[32];
+  std::snprintf(text, sizeof text, "%g", static_cast<double>(eps));
+  return text;
+}
+
 void publish_outcome(JobState state) {
   obs::Registry::global()
       .counter("service_requests",
@@ -123,6 +155,7 @@ void ClusterService::register_dataset(const std::string& name,
   RequestScope reg_scope(reg_ctx);
   Dataset ds;
   ds.points = std::move(points);
+  for (const Point2& p : ds.points) ds.extent.expand(p);
   ds.ref_eps = reference_eps;
   GridIndex index = build_grid_index(ds.points, reference_eps);
   // Calibrate with the estimation kernel over the host-resident view (no
@@ -170,6 +203,25 @@ std::pair<std::uint64_t, std::uint64_t> ClusterService::price(
 // ---------------------------------------------------------------------------
 // Admission
 // ---------------------------------------------------------------------------
+
+const ClusterService::CellGraphFit& ClusterService::cell_graph_fit_locked(
+    Dataset& ds, float eps, int minpts) {
+  const std::pair<std::uint32_t, int> key{eps_bits(eps), minpts};
+  if (const auto it = ds.cell_graph_fits.find(key);
+      it != ds.cell_graph_fits.end()) {
+    return it->second;
+  }
+  if (ds.cell_graph_fits.size() >= kMaxCellGraphFits) {
+    ds.cell_graph_fits.clear();
+  }
+  CellGraphFit fit;
+  try {
+    fit.dense_share = cell_graph_dense_share(ds.points, eps, minpts);
+  } catch (const std::invalid_argument& e) {
+    fit.error = e.what();
+  }
+  return ds.cell_graph_fits.emplace(key, std::move(fit)).first->second;
+}
 
 void ClusterService::enqueue_locked(PendingPtr job) {
   const auto cls = static_cast<std::size_t>(job->spec.priority);
@@ -237,7 +289,8 @@ void ClusterService::submit_locked(PendingPtr job, ReplayState& rs) {
     record_terminal(*job, rs, JobState::kRejected, std::move(r));
   };
   const JobSpec& spec = job->spec;
-  if (datasets_.find(spec.dataset) == datasets_.end()) {
+  const auto ds = datasets_.find(spec.dataset);
+  if (ds == datasets_.end()) {
     reject("unknown dataset '" + spec.dataset + "'");
     return;
   }
@@ -248,16 +301,47 @@ void ClusterService::submit_locked(PendingPtr job, ReplayState& rs) {
     return;
   }
   if (!(spec.eps > 0.0f) || !std::isfinite(spec.eps)) {
-    char got[32];
-    std::snprintf(got, sizeof got, "%g", static_cast<double>(spec.eps));
-    reject(std::string("eps must be positive and finite (got ") + got + ")");
+    reject("eps must be positive and finite (got " + eps_text(spec.eps) + ")");
     return;
   }
-  if (spec.fused && spec.quality.mode == ClusterQuality::kCellGraph) {
-    reject(
-        "fused is incompatible with cellgraph quality: the cell graph "
-        "replaces the traversal kernel the fused path would fuse into");
-    return;
+  // The run is fixed here, once: a table for an exact job, the fused
+  // passes for a fused one, and for a cell-graph job the cheaper of the
+  // fused passes and the cell graph, by what its (dataset, eps, minpts)
+  // costs each. A job that no run can serve (its eps past the dense
+  // grid's capacity and, for a cell-graph job, past the cell key's too)
+  // would fail inside a worker and be blamed on its device, so it is
+  // rejected here like a bad eps.
+  Dataset& data = ds->second;
+  const auto past = [&](const std::string& why) {
+    reject("eps " + eps_text(spec.eps) + " on dataset '" + spec.dataset +
+           "': " + why);
+  };
+  std::string grid_error;
+  std::uint64_t grid_cells = 0;
+  try {
+    grid_cells = grid_params(data.extent, spec.eps).num_cells();
+  } catch (const std::invalid_argument& e) {
+    grid_error = e.what();
+  }
+  if (spec.fused || spec.quality.mode != ClusterQuality::kCellGraph) {
+    if (!grid_error.empty()) {
+      past(grid_error);
+      return;
+    }
+    job->run = spec.fused ? RunKind::kFused : RunKind::kTable;
+  } else {
+    const CellGraphFit& fit =
+        cell_graph_fit_locked(data, spec.eps, spec.minpts);
+    if (!grid_error.empty() && !fit.error.empty()) {
+      past(grid_error + "; " + fit.error);
+      return;
+    }
+    const bool fused_cheaper =
+        grid_error.empty() &&
+        grid_cells <= kFusedGridCellsPerPoint * data.points.size() &&
+        fit.dense_share < kCellGraphDenseShare;
+    job->run = fit.error.empty() && !fused_cheaper ? RunKind::kCellGraph
+                                                   : RunKind::kFused;
   }
   const auto [pairs, bytes] = price(spec.dataset, spec.eps);
   job->priced_pairs = pairs;
@@ -331,25 +415,19 @@ ClusterService::PendingPtr ClusterService::pop_group(
   leader->pickup_us = pickup_us;
 
   if (options_.coalesce) {
-    // Same-(dataset, eps) jobs ride along with the leader's build —
-    // whatever their tenant or class, they cost no extra device time.
-    // Fused jobs only coalesce with fused jobs of the same minpts: the
-    // union-find threshold is baked into the fused traversal, and a
-    // table job cannot share a build that produces no table.
-    // Quality is part of the build's identity too: an exact job never
-    // rides a cell-graph run (it would get no table) and vice versa.
-    // Cell-graph "builds" are the whole clustering, so like fused they
-    // additionally require equal minpts.
-    const bool needs_equal_minpts =
-        leader->spec.fused ||
-        leader->spec.quality.mode == ClusterQuality::kCellGraph;
+    // Same-(dataset, eps) jobs of the leader's run kind ride along with
+    // its build — whatever their tenant or class, they cost no extra
+    // device time. A table job cannot share a run that produces no table,
+    // and a fused or cell-graph run is the whole clustering, its minpts
+    // baked into the union-find, so those also require equal minpts. A
+    // fused run serves fused and cell-graph jobs alike.
+    const bool needs_equal_minpts = leader->run != RunKind::kTable;
     for (auto& per_class : queues_) {
       for (auto& [tenant, q] : per_class) {
         for (auto it = q.begin(); it != q.end();) {
           if ((*it)->spec.dataset == leader->spec.dataset &&
               eps_bits((*it)->spec.eps) == eps_bits(leader->spec.eps) &&
-              (*it)->spec.fused == leader->spec.fused &&
-              (*it)->spec.quality == leader->spec.quality &&
+              (*it)->run == leader->run &&
               (!needs_equal_minpts ||
                (*it)->spec.minpts == leader->spec.minpts)) {
             remove_queued_locked(**it);
@@ -567,9 +645,10 @@ void ClusterService::process_group(PendingPtr leader,
   if (runnable.empty()) return;
 
   const JobSpec& lead = runnable.front()->spec;
+  const RunKind run = runnable.front()->run;
   const Dataset& ds = datasets_.at(lead.dataset);
   const TableCache::Key key{lead.dataset, eps_bits(lead.eps)};
-  const bool coalesced_build = runnable.size() > 1;
+  bool coalesced_build = runnable.size() > 1;
   // Counted once, when the group is served: a dispatch that fails and
   // requeues its jobs shared nothing.
   auto count_coalesced = [&] {
@@ -584,11 +663,14 @@ void ClusterService::process_group(PendingPtr leader,
   // span this worker records carries some request id.
   RequestScope group_scope(runnable.front()->trace);
 
-  // --- Cell-graph quality: the whole clustering is one host pass over
-  // the eps/sqrt(d) cell grid — no neighbor table, no cache entry, no
-  // device occupancy. Coalescing guaranteed equal minpts, so one run
-  // serves the group; labels come back in input order (no unmap). ---
-  if (lead.quality.mode == ClusterQuality::kCellGraph) {
+  // --- Cell graph, for the cell-graph jobs it serves more cheaply than
+  // the fused passes (dense cells, or a dense grid too big for the points
+  // or past its capacity): the whole clustering is one host pass over the
+  // eps/sqrt(d) cells' sparse keys — no neighbor table, no cache entry,
+  // no device occupancy.
+  // Coalescing guaranteed equal minpts, so one run serves the group;
+  // labels come back in input order (no unmap). ---
+  if (run == RunKind::kCellGraph) {
     const cudasim::DeviceConfig* cfg = nullptr;
     for (cudasim::Device* d : devices_) {
       if (!d->lost()) {
@@ -604,8 +686,8 @@ void ClusterService::process_group(PendingPtr leader,
       labels = cell_graph_dbscan(ds.points, lead.eps, lead.minpts,
                                  cfg != nullptr ? *cfg : reference, &cg);
     } catch (...) {
-      // The input is the fault (an extent past the cell key, say), so a
-      // retry would throw again and no device is to blame: the group
+      // The input is the fault (an extent past the cell key too, say), so
+      // a retry would throw again and no device is to blame: the group
       // fails at once, with no retry and no breaker strike.
       const FailureReason fr = classify_current_exception();
       for (auto& job : runnable) {
@@ -726,11 +808,12 @@ void ClusterService::process_group(PendingPtr leader,
     };
   };
 
-  // --- Cache hit: no device at all. Fused jobs never probe: the cache
+  // --- Cache hit: no device at all. Fused runs never probe: the cache
   // holds materialized tables, and serving a fused request from one would
   // silently undo its no-table contract (and skew A/B measurements). ---
-  if (TableCache::Handle hit = lead.fused ? TableCache::Handle{}
-                                          : cache_.find(key)) {
+  const bool fused = run == RunKind::kFused;
+  if (TableCache::Handle hit = fused ? TableCache::Handle{}
+                                     : cache_.find(key)) {
     JobResult served;
     served.cache_hit = true;
     for (auto& job : runnable) {
@@ -752,17 +835,55 @@ void ClusterService::process_group(PendingPtr leader,
   // --- Fresh build. ---
   const int dev = pick_device();
   if (dev < 0) {
-    // Fleet gone. Finish host-side (still a completed request) or fail.
+    // Fleet gone. Finish host-side (still a completed request) or fail. A
+    // cell-graph job never asked for a device, so it finishes host-side
+    // even without the host rung; the rest of its group fails. Failed
+    // jobs go back to `group`, which keeps alive the spec `lead` names.
     if (!options_.host_fallback) {
-      for (auto& job : runnable) {
+      const auto host_side = std::stable_partition(
+          runnable.begin(), runnable.end(), [](const PendingPtr& job) {
+            return job->spec.quality.mode == ClusterQuality::kCellGraph &&
+                   !job->spec.fused;
+          });
+      for (auto it = host_side; it != runnable.end(); ++it) {
         JobResult r;
         r.failure = FailureReason::kDeviceLost;
-        record_terminal(*job, rs, JobState::kFailed, std::move(r));
+        record_terminal(**it, rs, JobState::kFailed, std::move(r));
+        group.push_back(std::move(*it));
       }
-      return;
+      runnable.erase(host_side, runnable.end());
+      if (runnable.empty()) return;
+      coalesced_build = runnable.size() > 1;
     }
     WallTimer t;
     GridIndex index = build_grid_index(ds.points, lead.eps);
+    {
+      std::lock_guard slock(stats_mutex_);
+      stats_.host_fallback_jobs += runnable.size();
+      if (fused) stats_.fused_jobs += runnable.size();
+    }
+    JobResult served;
+    served.fused = fused;
+    served.host_fallback = true;
+    if (fused) {
+      // The fused passes need no table: with every device lost, the
+      // engine's host rung runs each pass over the host grid, into the
+      // consumer a device run fills, so the labels are the same.
+      StreamingDbscan consumer(index.size(), lead.minpts);
+      BatchPolicy hp = options_.policy;
+      hp.resilience.host_fallback = true;
+      hp.metrics_labels = "service=1";
+      hp.trace = runnable.front()->trace;
+      (void)fused_cluster(devices_, index, lead.eps, consumer, hp);
+      const double host_build = t.seconds();
+      for (auto& job : runnable) {
+        finish(*job, served, host_build, host_build, Stage::kStreamUnion,
+               index.original_ids, [&](int) {
+                 return consumer.finalize(options_.dbscan_threads);
+               });
+      }
+      return;
+    }
     CachedTable entry;
     entry.table = gpu::host_csr_batch(GridView::of(index), lead.eps,
                                       gpu::BatchSpec{0, 1}, ScanMode::kFull);
@@ -771,31 +892,19 @@ void ClusterService::process_group(PendingPtr leader,
     entry.bytes = CachedTable::payload_bytes(entry.table);
     entry.built_by_request = runnable.front()->trace.request_id;
     const double host_build = t.seconds();
-    {
-      std::lock_guard slock(stats_mutex_);
-      stats_.host_fallback_jobs += runnable.size();
-      if (lead.fused) stats_.fused_jobs += runnable.size();
-    }
     // Each group gets the labels a live device gives it: BFS when its
-    // table would be cached, and the banded pass over the host table for
-    // a fused group or with the cache off (the labels-only paths'
-    // union-find labels).
-    const bool labels_only = lead.fused || !cache_.enabled();
-    JobResult served;
-    served.fused = lead.fused;
-    served.host_fallback = true;
+    // table would be cached, and with the cache off the banded pass over
+    // the host table (the labels-only path's union-find labels).
     for (auto& job : runnable) {
-      if (labels_only) {
-        finish(*job, served, host_build, host_build, Stage::kStreamUnion,
-               entry.original_ids, banded_over(entry.table));
-      } else {
+      if (cache_.enabled()) {
         finish(*job, served, host_build, host_build, Stage::kCache,
                entry.original_ids, bfs_over(entry.table));
+      } else {
+        finish(*job, served, host_build, host_build, Stage::kStreamUnion,
+               entry.original_ids, banded_over(entry.table));
       }
     }
-    // Fused jobs bypass the cache in both directions: the emergency host
-    // table above is a fallback artifact, not a reusable build product.
-    if (cache_.enabled() && !lead.fused) cache_.insert(key, std::move(entry));
+    if (cache_.enabled()) cache_.insert(key, std::move(entry));
     return;
   }
 
@@ -824,10 +933,10 @@ void ClusterService::process_group(PendingPtr leader,
     const double index_wall = build_wall_timer.seconds();
     BuildReport report;
     JobResult served;
-    served.fused = lead.fused;
+    served.fused = fused;
     served.device_id = dev;
 
-    if (cache_.enabled() && !lead.fused) {
+    if (cache_.enabled() && !fused) {
       // Materialized path: one build, labels for every group job via the
       // same dbscan_neighbor_table a later cache hit will use — so
       // cache-hit labels are bit-identical to fresh-build labels.
@@ -850,7 +959,7 @@ void ClusterService::process_group(PendingPtr leader,
       return;
     }
 
-    if (lead.fused) {
+    if (fused) {
       // The fused passes run straight into one consumer: coalescing gave
       // a fused group one minpts. T is never materialized.
       StreamingDbscan consumer(index.size(), lead.minpts);

@@ -57,7 +57,8 @@ struct ServiceOptions {
   /// failures (transient-exhausted / OOM / device-lost).
   unsigned retry_budget = 4;
   /// When every device is gone, complete admitted jobs host-side instead
-  /// of failing them.
+  /// of failing them. Cell-graph jobs complete host-side either way: they
+  /// never asked for a device.
   bool host_fallback = true;
   bool keep_labels = false;
   /// Threads for the host-side union-find labels (a fused finalize, the
@@ -123,11 +124,17 @@ struct ServiceStats {
   std::uint64_t coalesced_jobs = 0;
   std::uint64_t coalesced_builds = 0;
   /// Label computations the service ran: one per distinct minpts of a
-  /// table or cache-off group, one per fused or cell-graph group. At most
-  /// `completed`, and equal to it when nothing coalesces.
+  /// table or cache-off group, one per fused run (fused and cell-graph
+  /// jobs of one (dataset, eps, minpts) share it), one per cell-graph
+  /// run. At most `completed`, and equal to it when nothing coalesces.
   std::uint64_t clusterings_run = 0;
-  std::uint64_t fused_jobs = 0;        ///< jobs served by the fused path
-  std::uint64_t cell_graph_jobs = 0;   ///< jobs served by the cell graph
+  /// Jobs served by the fused passes: every fused job, and every
+  /// cell-graph job for which they are the cheaper no-table run.
+  std::uint64_t fused_jobs = 0;
+  /// Jobs served by the host cell graph: the cell-graph jobs for which it
+  /// is the cheaper run (dense cells, a dense grid too big for the
+  /// points, or one past kMaxGridCells).
+  std::uint64_t cell_graph_jobs = 0;
   std::uint64_t retries = 0;
   std::uint64_t breaker_opens = 0;
   std::uint64_t host_fallback_jobs = 0;
@@ -173,14 +180,36 @@ class ClusterService {
       const std::string& dataset, float eps) const;
 
  private:
+  /// What the cell graph would make of one (eps, minpts) on a dataset:
+  /// its dense share (cell_graph_dense_share), or why its key cannot bin
+  /// the extent at that eps.
+  struct CellGraphFit {
+    double dense_share = 0.0;
+    std::string error;  ///< empty when the cell key holds the extent
+  };
+
   struct Dataset {
     std::vector<Point2> points;
+    Rect2 extent;  ///< sizes the grid of any eps at admission
     float ref_eps = 0.0f;
     std::uint64_t ref_pairs = 0;
+    /// Per (eps bits, minpts) of the cell-graph jobs admitted; read and
+    /// filled under mutex_ (cell_graph_fit_locked).
+    std::map<std::pair<std::uint32_t, int>, CellGraphFit> cell_graph_fits;
+  };
+
+  /// The run that serves a job, decided once at admission (submit_locked)
+  /// from its flags and what its (dataset, eps, minpts) costs each run.
+  /// Jobs coalesce only with jobs of the same kind.
+  enum class RunKind {
+    kTable,      ///< exact: a neighbor table (cached, or one banded pass)
+    kFused,      ///< fused, or cell-graph where it is cheaper: fused passes
+    kCellGraph,  ///< cell-graph where its own run is cheaper: the cell graph
   };
 
   struct Pending {
     JobSpec spec;
+    RunKind run = RunKind::kTable;
     std::size_t index = 0;  ///< slot in the results vector
     std::uint64_t priced_pairs = 0;
     std::uint64_t priced_bytes = 0;
@@ -207,6 +236,13 @@ class ClusterService {
 
   // Admission (mutex_ held).
   void submit_locked(PendingPtr job, ReplayState& rs);
+  /// `ds`'s CellGraphFit for (eps, minpts), binning its points on the
+  /// first ask; the memo is dropped whole once it holds kMaxCellGraphFits.
+  /// Memoized because admission holds mutex_: binning the 78,125-point
+  /// SDSS2 sample takes about 2 ms, which every cell-graph job of a
+  /// service_mix burst would otherwise pay while workers wait to pop.
+  const CellGraphFit& cell_graph_fit_locked(Dataset& ds, float eps,
+                                            int minpts);
   bool shed_for_locked(Priority arriving, std::uint64_t needed_bytes,
                        ReplayState& rs);
   void enqueue_locked(PendingPtr job);

@@ -42,6 +42,34 @@ TEST(GridIndex, RejectsGridBeyondCapacityBeforeNarrowing) {
   EXPECT_THROW(build_grid_index(huge_y, 1.0f), std::invalid_argument);
 }
 
+/// grid_params is the builder's own sizing: it gives the geometry the
+/// builder builds, and the capacity check holds to the cell, without the
+/// cell array being allocated.
+TEST(GridIndex, GridParamsSizeTheGridTheBuilderBuilds) {
+  const auto points = data::generate_uniform(500, 3, 10.0f, 7.0f);
+  Rect2 extent;
+  for (const Point2& p : points) extent.expand(p);
+  const GridParams params = grid_params(extent, 0.3f);
+  const GridIndex g = build_grid_index(points, 0.3f);
+  EXPECT_EQ(params.min_x, g.params.min_x);
+  EXPECT_EQ(params.min_y, g.params.min_y);
+  EXPECT_EQ(params.eps, g.params.eps);
+  EXPECT_EQ(params.cells_x, g.params.cells_x);
+  EXPECT_EQ(params.cells_y, g.params.cells_y);
+
+  // 8192 x 16384 cells is exactly kMaxGridCells; one more column is past.
+  const GridParams full = grid_params(
+      Rect2{.min_x = 0.0f, .min_y = 0.0f, .max_x = 8191.0f, .max_y = 16383.0f},
+      1.0f);
+  EXPECT_EQ(full.num_cells(), kMaxGridCells);
+  EXPECT_THROW(
+      (void)grid_params(Rect2{.min_x = 0.0f, .min_y = 0.0f, .max_x = 8192.0f,
+                              .max_y = 16383.0f},
+                        1.0f),
+      std::invalid_argument);
+  EXPECT_THROW((void)grid_params(extent, 0.0f), std::invalid_argument);
+}
+
 TEST(GridIndex, SinglePointGrid) {
   const std::vector<Point2> points{{3.5f, -2.0f}};
   const GridIndex g = build_grid_index(points, 0.5f);

@@ -128,6 +128,35 @@ TEST(CellGraphMode, ValidatesInputsAndHandlesEmpty) {
                std::invalid_argument);
 }
 
+// The dense share is what the clustering's report counts, with no
+// clustering: the points in eps/sqrt(2) cells of minpts or more residents.
+TEST(CellGraphMode, DenseShareIsTheReportsDensePoints) {
+  const cudasim::DeviceConfig config;
+  const std::vector<Point2> points =
+      data::generate_uniform(3000, 11, 20.0f, 20.0f);
+  for (const float eps : {0.2f, 0.5f, 1.0f, 2.0f}) {
+    for (const int minpts : {1, 4, 8, 30}) {
+      SCOPED_TRACE(::testing::Message() << "eps " << eps << " minpts "
+                                        << minpts);
+      CellGraphReport report;
+      (void)cell_graph_dbscan(points, eps, minpts, config, &report);
+      EXPECT_DOUBLE_EQ(cell_graph_dense_share(points, eps, minpts),
+                       static_cast<double>(report.dense_points) /
+                           static_cast<double>(points.size()));
+    }
+  }
+  EXPECT_EQ(cell_graph_dense_share(points, 0.5f, 1), 1.0);
+  EXPECT_EQ(cell_graph_dense_share(std::vector<Point2>{}, 0.5f, 4), 0.0);
+  const std::vector<Point2> one{{0.0f, 0.0f}};
+  EXPECT_THROW((void)cell_graph_dense_share(one, 0.0f, 4),
+               std::invalid_argument);
+  EXPECT_THROW((void)cell_graph_dense_share(one, 0.5f, 0),
+               std::invalid_argument);
+  const std::vector<Point2> huge{{0.0f, 0.0f}, {3e9f, 0.0f}};
+  EXPECT_THROW((void)cell_graph_dense_share(huge, 1.0f, 2),
+               std::invalid_argument);
+}
+
 // Wide extents: cell coordinates are packed into 21-bit key fields (22 on
 // z). An extent that needs more cells per axis used to wrap far cells onto
 // near ones and merge them; it is now rejected. A count that fits exactly

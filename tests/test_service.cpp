@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/cancel.hpp"
+#include "core/cell_graph.hpp"
 #include "core/failure.hpp"
 #include "cudasim/buffer_pool.hpp"
 #include "cudasim/error.hpp"
@@ -291,13 +292,40 @@ struct ServiceFixture {
   std::vector<Point2> points =
       data::generate_uniform(1500, 5, 12.0f, 12.0f);
 
-  std::unique_ptr<ClusterService> make(ServiceOptions opt) {
+  std::unique_ptr<ClusterService> make(ServiceOptions opt,
+                                       float reference_eps = 0.8f) {
     auto svc = std::make_unique<ClusterService>(
         std::vector<cudasim::Device*>{device.get()}, opt);
-    svc->register_dataset("sky", points, 0.8f);
+    svc->register_dataset("sky", points, reference_eps);
     return svc;
   }
+
+  /// Replaces the device with one that dies at its first op: the
+  /// dataset's calibration, before any job dispatches.
+  void lose_the_fleet() {
+    cudasim::FaultPlan lost;
+    lost.lost_at_op = 1;
+    cudasim::SimulationOptions sim = fast_options();
+    sim.fault = std::make_shared<cudasim::FaultInjector>(lost);
+    device = std::make_unique<cudasim::Device>(cudasim::DeviceConfig{}, sim);
+  }
 };
+
+/// 2,000 points on a 0.2 lattice plus one far point at (20000, 20000): at
+/// eps 0.3 the dense grid would need about 4.4e9 cells, past its capacity
+/// (kMaxGridCells), while the cell graph's sparse key holds the extent.
+/// Registered at eps 20, where the grid has 1e6 cells.
+constexpr float kPastTheGridEps = 0.3f;
+constexpr float kWideReferenceEps = 20.0f;
+std::vector<Point2> lattice_with_far_point() {
+  std::vector<Point2> points;
+  for (int i = 0; i < 2000; ++i) {
+    points.push_back({0.2f * static_cast<float>(i % 50),
+                      0.2f * static_cast<float>(i / 50)});
+  }
+  points.push_back({20000.0f, 20000.0f});
+  return points;
+}
 
 /// The union-find paths' labels (fused, the banded pass) in
 /// input order: the banded pass over the host table of the grid index.
@@ -609,17 +637,13 @@ TEST(ClusterServiceTest, CoalescedGroupClustersOncePerDistinctMinpts) {
   }
 }
 
-/// With no device left, a fused group is served from the host table by
-/// the one-value banded pass, the labels its device run gives, and still
-/// counts as fused; a table group on the same rung labels with BFS, as a
-/// healthy device's build would.
+/// With no device left, a fused group is served by the fused passes on
+/// the host, with no table: the labels its device run gives (the banded
+/// pass's), and it still counts as fused; a table group on the same rung
+/// labels with BFS, as a healthy device's build would.
 TEST(ClusterServiceTest, FusedJobOnALostFleetMatchesTheFusedPath) {
   ServiceFixture f;
-  cudasim::FaultPlan lost;
-  lost.lost_at_op = 1;  // dies at calibration, before any job dispatches
-  cudasim::SimulationOptions sim = fast_options();
-  sim.fault = std::make_shared<cudasim::FaultInjector>(lost);
-  f.device = std::make_unique<cudasim::Device>(cudasim::DeviceConfig{}, sim);
+  f.lose_the_fleet();
   ServiceOptions opt;
   opt.num_workers = 1;
   opt.cache_bytes_budget = 256ull << 20;  // table jobs take the BFS path
@@ -674,11 +698,7 @@ TEST(ClusterServiceTest, CacheOffJobOnALostFleetMatchesTheLiveDevice) {
   const auto want = healthy.make(opt)->replay(jobs);
 
   ServiceFixture f;
-  cudasim::FaultPlan lost;
-  lost.lost_at_op = 1;  // dies at calibration, before any job dispatches
-  cudasim::SimulationOptions sim = fast_options();
-  sim.fault = std::make_shared<cudasim::FaultInjector>(lost);
-  f.device = std::make_unique<cudasim::Device>(cudasim::DeviceConfig{}, sim);
+  f.lose_the_fleet();
   auto svc = f.make(opt);
   ASSERT_TRUE(f.device->lost());
   const auto results = svc->replay(jobs);
@@ -806,12 +826,13 @@ TEST(ClusterServiceTest, FusedJobsBypassAResidentCacheEntry) {
 }
 
 // ---------------------------------------------------------------------------
-// Quality knob (DESIGN.md §16)
+// Run kinds and the grid's capacity (DESIGN.md §13, §16)
 // ---------------------------------------------------------------------------
 
-/// Exact and cell-graph jobs on one (dataset, eps) never share work: the
-/// cache key carries no quality, so this rests on the coalescing equality
-/// and on the cell-graph branch returning before the cache.
+/// An exact job and a cell-graph job on one (dataset, eps) never share
+/// work: the cell-graph job runs the fused passes, which build no table
+/// and never probe or fill the cache, while the exact job's table is
+/// cached and later hit.
 TEST(ClusterServiceTest,
      ExactAndCellGraphJobsOnOneEpsNeverShareABuildOrCacheEntry) {
   ServiceFixture f;
@@ -829,8 +850,11 @@ TEST(ClusterServiceTest,
   ASSERT_EQ(first[1].state, JobState::kCompleted);
   EXPECT_FALSE(first[0].coalesced);
   EXPECT_FALSE(first[1].coalesced);
+  EXPECT_TRUE(first[0].fused);
+  EXPECT_FALSE(first[1].fused);
   EXPECT_EQ(svc->stats().coalesced_builds, 0u);
-  EXPECT_EQ(svc->stats().cell_graph_jobs, 1u);
+  EXPECT_EQ(svc->stats().fused_jobs, 1u);
+  EXPECT_EQ(svc->stats().cell_graph_jobs, 0u);
   EXPECT_EQ(svc->cache().size(), 1u);  // the exact table only
 
   // The cell-graph job runs its own pass again, even with the exact
@@ -838,7 +862,7 @@ TEST(ClusterServiceTest,
   const auto cg_again = svc->replay({cg});
   ASSERT_EQ(cg_again[0].state, JobState::kCompleted);
   EXPECT_FALSE(cg_again[0].cache_hit);
-  EXPECT_EQ(svc->stats().cell_graph_jobs, 2u);
+  EXPECT_EQ(svc->stats().fused_jobs, 2u);
   EXPECT_EQ(cg_again[0].labels, first[0].labels);
 
   const auto exact_again = svc->replay({exact});
@@ -848,14 +872,154 @@ TEST(ClusterServiceTest,
   EXPECT_EQ(svc->cache().size(), 1u);
 }
 
-TEST(ClusterServiceTest, CellGraphJobCompletesWithoutTableOrDevice) {
+/// A cell-graph job and a fused job at one (dataset, eps, minpts) are one
+/// run: one fused build, one finalize, and the banded pass's labels for
+/// both, bit for bit.
+TEST(ClusterServiceTest, CellGraphAndFusedJobsShareOneFusedRun) {
   ServiceFixture f;
   ServiceOptions opt;
   opt.num_workers = 1;
   opt.cache_bytes_budget = 256ull << 20;
   opt.keep_labels = true;
   auto svc = f.make(opt);
-  JobSpec cg = job(0.5f, 4);
+  JobSpec cg = job(0.5f, 4, Priority::kNormal, "t0");
+  cg.quality.mode = ClusterQuality::kCellGraph;
+  JobSpec fused = job(0.5f, 4, Priority::kBatch, "t1");
+  fused.fused = true;
+  const service::ServiceStats before = svc->stats();
+  const auto results = svc->replay({cg, fused});
+  const service::ServiceStats after = svc->stats();
+  ASSERT_EQ(results.size(), 2u);
+  const std::vector<std::int32_t> banded = union_find_labels(f.points, 0.5f, 4);
+  for (const JobResult& r : results) {
+    ASSERT_EQ(r.state, JobState::kCompleted);
+    EXPECT_TRUE(r.fused);
+    EXPECT_TRUE(r.coalesced);
+    EXPECT_FALSE(r.cache_hit);
+    EXPECT_EQ(r.device_id, 0);
+    EXPECT_EQ(r.labels, banded);
+  }
+  EXPECT_EQ(after.clusterings_run - before.clusterings_run, 1u);
+  EXPECT_EQ(after.coalesced_builds - before.coalesced_builds, 1u);
+  EXPECT_EQ(after.fused_jobs - before.fused_jobs, 2u);
+  EXPECT_EQ(after.cell_graph_jobs, before.cell_graph_jobs);
+  EXPECT_EQ(svc->cache().size(), 0u);
+}
+
+/// A cell-graph job whose eps already has an exact table cached neither
+/// hits that entry nor adds one: it runs the fused passes.
+TEST(ClusterServiceTest, CellGraphJobBypassesAResidentCacheEntry) {
+  ServiceFixture f;
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.cache_bytes_budget = 256ull << 20;
+  opt.keep_labels = true;
+  auto svc = f.make(opt);
+  ASSERT_EQ(svc->replay({job(0.5f, 4)})[0].state, JobState::kCompleted);
+  ASSERT_EQ(svc->cache().size(), 1u);
+  const service::ServiceStats before = svc->stats();
+  JobSpec cg = job(0.5f, 4, Priority::kNormal, "t1");
+  cg.quality.mode = ClusterQuality::kCellGraph;
+  const auto results = svc->replay({cg});
+  const service::ServiceStats after = svc->stats();
+  ASSERT_EQ(results[0].state, JobState::kCompleted);
+  EXPECT_FALSE(results[0].cache_hit);
+  EXPECT_TRUE(results[0].fused);
+  EXPECT_EQ(after.cache_hits, before.cache_hits);
+  EXPECT_EQ(after.cache_misses, before.cache_misses);
+  EXPECT_EQ(svc->cache().size(), 1u);
+  EXPECT_EQ(results[0].labels, union_find_labels(f.points, 0.5f, 4));
+}
+
+/// With no device left, a cell-graph group the fused passes serve is
+/// served like a fused group: those passes on the host, with the banded
+/// pass's labels and no table.
+TEST(ClusterServiceTest, CellGraphJobOnALostFleetMatchesTheFusedPath) {
+  ServiceFixture f;
+  f.lose_the_fleet();
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.cache_bytes_budget = 256ull << 20;
+  opt.keep_labels = true;
+  ASSERT_TRUE(opt.host_fallback);
+  auto svc = f.make(opt);
+  ASSERT_TRUE(f.device->lost());
+  JobSpec c1 = job(0.5f, 8, Priority::kNormal, "t0");
+  JobSpec c2 = job(0.5f, 8, Priority::kInteractive, "t1");
+  c1.quality.mode = c2.quality.mode = ClusterQuality::kCellGraph;
+  const auto results = svc->replay({c1, c2});
+  ASSERT_EQ(results.size(), 2u);
+  const std::vector<std::int32_t> banded = union_find_labels(f.points, 0.5f, 8);
+  for (const JobResult& r : results) {
+    ASSERT_EQ(r.state, JobState::kCompleted);
+    EXPECT_TRUE(r.host_fallback);
+    EXPECT_TRUE(r.fused);
+    EXPECT_EQ(r.device_id, -1);
+    EXPECT_EQ(r.labels, banded);
+  }
+  const service::ServiceStats s = svc->stats();
+  EXPECT_EQ(s.host_fallback_jobs, 2u);
+  EXPECT_EQ(s.fused_jobs, 2u);
+  EXPECT_EQ(s.cell_graph_jobs, 0u);
+  EXPECT_EQ(s.clusterings_run, 1u);
+  EXPECT_EQ(svc->cache().size(), 0u);
+}
+
+/// A cell-graph job never asked for a device: with the fleet lost and the
+/// host rung off, it still completes through the fused passes on the
+/// host, while the fused and exact jobs beside it fail with kDeviceLost.
+TEST(ClusterServiceTest, CellGraphJobOnALostFleetCompletesWithoutHostFallback) {
+  ServiceFixture f;
+  f.lose_the_fleet();
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.cache_bytes_budget = 256ull << 20;
+  opt.keep_labels = true;
+  opt.host_fallback = false;
+  auto svc = f.make(opt);
+  ASSERT_TRUE(f.device->lost());
+  JobSpec cg = job(0.5f, 8, Priority::kNormal, "t0");
+  cg.quality.mode = ClusterQuality::kCellGraph;
+  JobSpec fused = job(0.5f, 8, Priority::kNormal, "t1");
+  fused.fused = true;
+  const auto results =
+      svc->replay({cg, fused, job(0.5f, 8, Priority::kNormal, "t2")});
+  ASSERT_EQ(results.size(), 3u);
+  ASSERT_EQ(results[0].state, JobState::kCompleted);
+  EXPECT_TRUE(results[0].fused);
+  EXPECT_TRUE(results[0].host_fallback);
+  EXPECT_FALSE(results[0].coalesced);  // its fused twin failed
+  EXPECT_EQ(results[0].device_id, -1);
+  EXPECT_EQ(results[0].labels, union_find_labels(f.points, 0.5f, 8));
+  for (std::size_t i = 1; i < 3; ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    EXPECT_EQ(results[i].state, JobState::kFailed);
+    EXPECT_EQ(results[i].failure, FailureReason::kDeviceLost);
+  }
+  const service::ServiceStats s = svc->stats();
+  EXPECT_EQ(s.completed, 1u);
+  EXPECT_EQ(s.failed, 2u);
+  EXPECT_EQ(s.host_fallback_jobs, 1u);
+  EXPECT_EQ(s.fused_jobs, 1u);
+  EXPECT_EQ(s.cell_graph_jobs, 0u);
+  EXPECT_EQ(s.clusterings_run, 1u);
+  EXPECT_EQ(s.coalesced_builds, 0u);
+  EXPECT_EQ(s.retries, 0u);
+  EXPECT_EQ(svc->cache().size(), 0u);
+}
+
+/// Past the grid's capacity the host cell graph is a cell-graph job's only
+/// run: the pair coalesces into one pass that occupies no device and
+/// caches nothing, and gets the cell graph's labels.
+TEST(ClusterServiceTest, CellGraphJobCompletesWithoutTableOrDevice) {
+  ServiceFixture f;
+  f.points = lattice_with_far_point();
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.cache_bytes_budget = 256ull << 20;
+  opt.keep_labels = true;
+  auto svc = f.make(opt, kWideReferenceEps);
+  JobSpec cg = job(kPastTheGridEps, 4);
   cg.quality.mode = ClusterQuality::kCellGraph;
   const auto results = svc->replay({cg, cg});
   ASSERT_EQ(results.size(), 2u);
@@ -865,56 +1029,271 @@ TEST(ClusterServiceTest, CellGraphJobCompletesWithoutTableOrDevice) {
   // was occupied and nothing was cached.
   EXPECT_EQ(results[0].device_id, -1);
   EXPECT_EQ(results[0].modeled_device_seconds, 0.0);
+  EXPECT_FALSE(results[0].fused);
   EXPECT_TRUE(results[0].coalesced);
   EXPECT_EQ(results[0].labels, results[1].labels);
+  EXPECT_EQ(results[0].labels,
+            cell_graph_dbscan(f.points, kPastTheGridEps, 4,
+                              cudasim::DeviceConfig{})
+                .labels);
   EXPECT_EQ(svc->cache().size(), 0u);
   EXPECT_EQ(svc->stats().cell_graph_jobs, 2u);
+  EXPECT_EQ(svc->stats().fused_jobs, 0u);
   EXPECT_EQ(svc->stats().clusterings_run, 1u);
-  EXPECT_GT(results[0].num_clusters, 0);
+  EXPECT_EQ(results[0].num_clusters, 1);
+  EXPECT_EQ(results[0].noise_count, 1u);
 }
 
-/// One far point puts the extent past the cell key's 2^21 cells per axis
-/// at eps 1, so the cell graph throws. The group fails with the classified
-/// cause (no retry, no breaker strike: the input will not change) instead
-/// of taking the worker thread and the process down, and the table job on
-/// the same dataset still completes.
-TEST(ClusterServiceTest, CellGraphJobPastTheCellKeyFailsAndTheServiceServesOn) {
+/// Past the grid's capacity the cell graph is a cell-graph job's only
+/// run, on no device; the service picks it for that (dataset, eps) whatever
+/// the density says.
+TEST(ClusterServiceTest, CellGraphJobPastTheGridStillRunsTheCellGraph) {
+  ServiceFixture f;
+  f.points = lattice_with_far_point();
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  auto svc = f.make(opt, kWideReferenceEps);
+  JobSpec past = job(kPastTheGridEps, 4);
+  past.quality.mode = ClusterQuality::kCellGraph;
+  Rect2 extent;
+  for (const Point2& p : f.points) extent.expand(p);
+  ASSERT_THROW((void)grid_params(extent, kPastTheGridEps),
+               std::invalid_argument);
+  ASSERT_LT(cell_graph_dense_share(f.points, kPastTheGridEps, 4), 0.8);
+
+  const service::ServiceStats before = svc->stats();
+  const auto results = svc->replay({past});
+  const service::ServiceStats after = svc->stats();
+  ASSERT_EQ(results[0].state, JobState::kCompleted);
+  EXPECT_EQ(results[0].device_id, -1);
+  EXPECT_FALSE(results[0].fused);
+  EXPECT_EQ(after.cell_graph_jobs - before.cell_graph_jobs, 1u);
+  EXPECT_EQ(after.fused_jobs, before.fused_jobs);
+}
+
+/// 2,000 points on a 2.0 lattice plus one far point at (20000, 20000): at
+/// eps 2.5 the dense grid fits its capacity with about 6.4e7 cells, 3.2e4
+/// per point, while every eps/sqrt(2) cell holds one lattice point.
+constexpr float kWideSparseEps = 2.5f;
+std::vector<Point2> sparse_lattice_with_far_point() {
+  std::vector<Point2> points;
+  for (int i = 0; i < 2000; ++i) {
+    points.push_back({2.0f * static_cast<float>(i % 50),
+                      2.0f * static_cast<float>(i / 50)});
+  }
+  points.push_back({20000.0f, 20000.0f});
+  return points;
+}
+
+/// A dense grid far bigger than its points is the cell graph's to serve,
+/// though the grid could index the eps and no cell is dense: the fused
+/// passes would build and upload one cell range per cell, where the cell
+/// graph's key costs O(n + cells per axis). The job occupies no device.
+TEST(ClusterServiceTest, CellGraphJobOnAWideSparseGridRunsTheCellGraph) {
+  ServiceFixture f;
+  f.points = sparse_lattice_with_far_point();
+  Rect2 extent;
+  for (const Point2& p : f.points) extent.expand(p);
+  const std::uint64_t cells = grid_params(extent, kWideSparseEps).num_cells();
+  ASSERT_LE(cells, kMaxGridCells);
+  ASSERT_GT(cells, 1000 * f.points.size());
+  ASSERT_EQ(cell_graph_dense_share(f.points, kWideSparseEps, 4), 0.0);
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.keep_labels = true;
+  auto svc = f.make(opt, kWideReferenceEps);
+  JobSpec cg = job(kWideSparseEps, 4);
+  cg.quality.mode = ClusterQuality::kCellGraph;
+  const service::ServiceStats before = svc->stats();
+  const auto results = svc->replay({cg});
+  const service::ServiceStats after = svc->stats();
+  ASSERT_EQ(results[0].state, JobState::kCompleted);
+  EXPECT_EQ(results[0].device_id, -1);
+  EXPECT_FALSE(results[0].fused);
+  EXPECT_EQ(results[0].labels,
+            cell_graph_dbscan(f.points, kWideSparseEps, 4,
+                              cudasim::DeviceConfig{})
+                .labels);
+  EXPECT_EQ(results[0].num_clusters, 1);
+  EXPECT_EQ(results[0].noise_count, 1u);
+  EXPECT_EQ(after.cell_graph_jobs - before.cell_graph_jobs, 1u);
+  EXPECT_EQ(after.fused_jobs, before.fused_jobs);
+}
+
+/// Where most points sit in dense eps/sqrt(2) cells, the cell graph makes
+/// them core with no distance test and beats the fused passes, so a
+/// cell-graph job runs it, on no device; at a small eps on the same
+/// dataset the fused passes serve it. A fused job beside the dense one
+/// keeps its own run: the two never share one.
+TEST(ClusterServiceTest, CellGraphJobOnDenseCellsRunsTheCellGraph) {
+  ServiceFixture f;
+  constexpr float kDenseEps = 1.5f;
+  ASSERT_GE(cell_graph_dense_share(f.points, kDenseEps, 4), 0.8);
+  ASSERT_LT(cell_graph_dense_share(f.points, 0.5f, 4), 0.8);
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.keep_labels = true;
+  auto svc = f.make(opt);
+  JobSpec dense = job(kDenseEps, 4, Priority::kNormal, "t0");
+  dense.quality.mode = ClusterQuality::kCellGraph;
+  JobSpec fused = job(kDenseEps, 4, Priority::kNormal, "t1");
+  fused.fused = true;
+  JobSpec sparse = job(0.5f, 4, Priority::kNormal, "t2");
+  sparse.quality.mode = ClusterQuality::kCellGraph;
+  const auto results = svc->replay({dense, fused, sparse});
+  ASSERT_EQ(results.size(), 3u);
+  for (const JobResult& r : results) {
+    ASSERT_EQ(r.state, JobState::kCompleted);
+    EXPECT_FALSE(r.coalesced);
+  }
+  EXPECT_EQ(results[0].device_id, -1);
+  EXPECT_FALSE(results[0].fused);
+  EXPECT_EQ(results[0].labels,
+            cell_graph_dbscan(f.points, kDenseEps, 4, cudasim::DeviceConfig{})
+                .labels);
+  EXPECT_EQ(results[1].device_id, 0);
+  EXPECT_TRUE(results[1].fused);
+  EXPECT_EQ(results[1].labels, union_find_labels(f.points, kDenseEps, 4));
+  EXPECT_EQ(results[2].device_id, 0);
+  EXPECT_TRUE(results[2].fused);
+  EXPECT_EQ(results[2].labels, union_find_labels(f.points, 0.5f, 4));
+  const service::ServiceStats s = svc->stats();
+  EXPECT_EQ(s.cell_graph_jobs, 1u);
+  EXPECT_EQ(s.fused_jobs, 2u);
+  EXPECT_EQ(s.clusterings_run, 3u);
+  EXPECT_EQ(s.coalesced_builds, 0u);
+}
+
+/// An exact or fused job whose eps the dense grid cannot index is an input
+/// fault: admission rejects it with a reason naming the grid's capacity,
+/// so it costs no retry and strikes no breaker, and the cell-graph job
+/// beside it completes. On a lost fleet the same jobs must not reach the
+/// host rung's grid build, whose throw would end the worker thread.
+TEST(ClusterServiceTest, JobsPastTheGridAreRejectedAtAdmissionOnBothFleets) {
+  for (const bool lost : {false, true}) {
+    SCOPED_TRACE(lost ? "lost fleet" : "live fleet");
+    ServiceFixture f;
+    f.points = lattice_with_far_point();
+    if (lost) f.lose_the_fleet();
+    ServiceOptions opt;
+    opt.num_workers = 1;
+    opt.cache_bytes_budget = 256ull << 20;
+    ASSERT_TRUE(opt.host_fallback);
+    auto svc = f.make(opt, kWideReferenceEps);
+    ASSERT_EQ(f.device->lost(), lost);
+    JobSpec exact = job(kPastTheGridEps, 4, Priority::kNormal, "t0");
+    JobSpec fused = job(kPastTheGridEps, 4, Priority::kNormal, "t1");
+    fused.fused = true;
+    JobSpec cg = job(kPastTheGridEps, 4, Priority::kNormal, "t2");
+    cg.quality.mode = ClusterQuality::kCellGraph;
+    const auto results = svc->replay({exact, fused, cg});
+    ASSERT_EQ(results.size(), 3u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      SCOPED_TRACE("job " + std::to_string(i));
+      EXPECT_EQ(results[i].state, JobState::kRejected);
+      EXPECT_EQ(results[i].retries, 0u);
+      EXPECT_EQ(results[i].device_id, -1);
+      const std::string& why = results[i].reject_reason;
+      EXPECT_NE(why.find("eps 0.3"), std::string::npos) << why;
+      EXPECT_NE(why.find("capacity of " + std::to_string(kMaxGridCells)),
+                std::string::npos)
+          << why;
+    }
+    EXPECT_EQ(results[2].state, JobState::kCompleted);
+    EXPECT_EQ(results[2].device_id, -1);
+    EXPECT_EQ(results[2].noise_count, 1u);
+    const service::ServiceStats s = svc->stats();
+    EXPECT_EQ(s.rejected, 2u);
+    EXPECT_EQ(s.completed, 1u);
+    EXPECT_EQ(s.failed, 0u);
+    EXPECT_EQ(s.retries, 0u);
+    EXPECT_EQ(s.breaker_opens, 0u);
+    EXPECT_EQ(s.cell_graph_jobs, 1u);
+  }
+}
+
+/// One far point at (2e6, 0) puts the extent past the cell key's 2^21
+/// cells per axis at eps 1, but inside the dense grid's capacity (2e6
+/// cells), so a cell-graph job there completes through the fused passes,
+/// however big that grid is for its points. Only an input past both
+/// limits has no run: admission rejects the job with a reason naming
+/// both (no retry, no breaker strike, no failed request: the input will
+/// not change), while a table job on the same dataset still completes.
+TEST(ClusterServiceTest, CellGraphJobPastTheCellKeyRunsFusedOrIsRejected) {
+  {
+    SCOPED_TRACE("past the cell key only");
+    ServiceFixture f;
+    f.points = data::generate_uniform(200, 5, 12.0f, 0.9f);
+    f.points.push_back({2e6f, 0.0f});
+    ServiceOptions opt;
+    opt.num_workers = 2;
+    opt.keep_labels = true;
+    auto svc = f.make(opt);
+    JobSpec cg = job(1.0f, 4);
+    cg.quality.mode = ClusterQuality::kCellGraph;
+    const auto results = svc->replay({cg, job(1.0f, 4)});
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].state, JobState::kCompleted);
+    EXPECT_TRUE(results[0].fused);
+    EXPECT_EQ(results[0].noise_count, 1u);
+    EXPECT_EQ(results[0].labels, union_find_labels(f.points, 1.0f, 4));
+    EXPECT_EQ(results[1].state, JobState::kCompleted);
+    EXPECT_EQ(results[1].noise_count, 1u);
+    EXPECT_EQ(svc->stats().fused_jobs, 1u);
+    EXPECT_EQ(svc->stats().cell_graph_jobs, 0u);
+    EXPECT_EQ(svc->stats().failed, 0u);
+  }
+  SCOPED_TRACE("past both limits");
   ServiceFixture f;
   f.points = data::generate_uniform(200, 5, 12.0f, 0.9f);
-  f.points.push_back({2e6f, 0.0f});
+  f.points.push_back({2e6f, 2e6f});
+  constexpr float kTableEps = 4000.0f;  // a 500 x 500 grid
   ServiceOptions opt;
   opt.num_workers = 2;
   opt.keep_labels = true;
-  auto svc = f.make(opt);
+  auto svc = f.make(opt, kTableEps);
   JobSpec cg = job(1.0f, 4);
   cg.quality.mode = ClusterQuality::kCellGraph;
-  const auto results = svc->replay({cg, job(1.0f, 4)});
+  const auto results = svc->replay({cg, job(kTableEps, 4)});
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].state, JobState::kFailed);
-  EXPECT_EQ(results[0].failure, FailureReason::kOther);
+  EXPECT_EQ(results[0].state, JobState::kRejected);
   EXPECT_EQ(results[0].retries, 0u);
+  const std::string& why = results[0].reject_reason;
+  EXPECT_NE(why.find("eps 1 on dataset 'sky'"), std::string::npos) << why;
+  EXPECT_NE(why.find("capacity of " + std::to_string(kMaxGridCells)),
+            std::string::npos)
+      << why;
+  EXPECT_NE(why.find("cell key"), std::string::npos) << why;
   EXPECT_EQ(results[1].state, JobState::kCompleted);
   EXPECT_EQ(results[1].noise_count, 1u);
   EXPECT_EQ(svc->stats().retries, 0u);
   EXPECT_EQ(svc->stats().breaker_opens, 0u);
   EXPECT_EQ(svc->stats().cell_graph_jobs, 0u);
 
-  const auto again = svc->replay({job(1.0f, 8), cg});
+  const auto again = svc->replay({job(kTableEps, 8), cg});
   EXPECT_EQ(again[0].state, JobState::kCompleted);
-  EXPECT_EQ(again[1].state, JobState::kFailed);
-  EXPECT_EQ(svc->stats().failed, 2u);
+  EXPECT_EQ(again[1].state, JobState::kRejected);
+  EXPECT_EQ(svc->stats().rejected, 2u);
+  EXPECT_EQ(svc->stats().failed, 0u);
 }
 
-TEST(ClusterServiceTest, FusedCellGraphIsRejectedWithReason) {
+/// A job that is both fused and cell-graph asks for one thing: the fused
+/// run, with the banded pass's labels.
+TEST(ClusterServiceTest, FusedCellGraphJobCompletesAsAFusedRun) {
   ServiceFixture f;
-  auto svc = f.make({});
-  JobSpec bad = job(0.5f, 4);
-  bad.fused = true;
-  bad.quality.mode = ClusterQuality::kCellGraph;
-  const auto results = svc->replay({bad});
+  ServiceOptions opt;
+  opt.keep_labels = true;
+  auto svc = f.make(opt);
+  JobSpec both = job(0.5f, 4);
+  both.fused = true;
+  both.quality.mode = ClusterQuality::kCellGraph;
+  const auto results = svc->replay({both});
   ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].state, JobState::kRejected);
-  EXPECT_NE(results[0].reject_reason.find("cellgraph"), std::string::npos);
+  EXPECT_EQ(results[0].state, JobState::kCompleted);
+  EXPECT_TRUE(results[0].fused);
+  EXPECT_EQ(results[0].labels, union_find_labels(f.points, 0.5f, 4));
+  EXPECT_EQ(svc->stats().fused_jobs, 1u);
+  EXPECT_EQ(svc->stats().cell_graph_jobs, 0u);
 }
 
 TEST(ClusterServiceTest, PublishesRequestOutcomeCounters) {
