@@ -12,50 +12,57 @@
 
 namespace hdbscan {
 
-/// A 2-D point. The paper clusters spatial (x, y) data; float matches the
-/// precision used on the GPU in the original implementation.
-struct Point2 {
+/// A point of D float coordinates. The paper clusters spatial (x, y) data
+/// and its grid method works in any dimension (§II-A): the grid gains an
+/// axis and a neighborhood spans 3^D cells. float matches the precision
+/// used on the GPU in the original implementation. Each dimension keeps
+/// its coordinates' names; code written once for every D reads them by
+/// axis number through operator[] and sizes its loops by kDims.
+template <unsigned D>
+struct Point;
+
+template <>
+struct Point<2> {
+  static constexpr unsigned kDims = 2;
   float x = 0.0f;
   float y = 0.0f;
 
-  friend bool operator==(const Point2&, const Point2&) = default;
+  [[nodiscard]] float operator[](unsigned axis) const noexcept {
+    return axis == 0 ? x : y;
+  }
+  friend bool operator==(const Point&, const Point&) = default;
 };
 
-/// Squared Euclidean distance; kernels compare against eps^2 to avoid sqrt.
-[[nodiscard]] inline float dist2(const Point2& a, const Point2& b) noexcept {
-  const float dx = a.x - b.x;
-  const float dy = a.y - b.y;
-  return dx * dx + dy * dy;
-}
-
-[[nodiscard]] inline float dist(const Point2& a, const Point2& b) noexcept {
-  return std::sqrt(dist2(a, b));
-}
-
-/// Returns true when q lies inside the closed eps-ball around p.
-[[nodiscard]] inline bool within_eps(const Point2& p, const Point2& q,
-                                     float eps) noexcept {
-  return dist2(p, q) <= eps * eps;
-}
-
-/// A 3-D point (the paper's method generalizes beyond 2-D: the grid gains
-/// a third axis and neighborhoods span 27 cells instead of 9).
-struct Point3 {
+template <>
+struct Point<3> {
+  static constexpr unsigned kDims = 3;
   float x = 0.0f;
   float y = 0.0f;
   float z = 0.0f;
 
-  friend bool operator==(const Point3&, const Point3&) = default;
+  [[nodiscard]] float operator[](unsigned axis) const noexcept {
+    return axis == 0 ? x : (axis == 1 ? y : z);
+  }
+  friend bool operator==(const Point&, const Point&) = default;
 };
 
-[[nodiscard]] inline float dist2(const Point3& a, const Point3& b) noexcept {
-  const float dx = a.x - b.x;
-  const float dy = a.y - b.y;
-  const float dz = a.z - b.z;
-  return dx * dx + dy * dy + dz * dz;
+using Point2 = Point<2>;
+using Point3 = Point<3>;
+
+/// Squared Euclidean distance, summed in axis order (dx² + dy² + dz²);
+/// kernels compare against eps^2 to avoid sqrt.
+template <unsigned D>
+[[nodiscard]] inline float dist2(const Point<D>& a,
+                                 const Point<D>& b) noexcept {
+  float sum = (a[0] - b[0]) * (a[0] - b[0]);
+  for (unsigned axis = 1; axis < D; ++axis) {
+    sum += (a[axis] - b[axis]) * (a[axis] - b[axis]);
+  }
+  return sum;
 }
 
-[[nodiscard]] inline float dist(const Point3& a, const Point3& b) noexcept {
+template <unsigned D>
+[[nodiscard]] inline float dist(const Point<D>& a, const Point<D>& b) noexcept {
   return std::sqrt(dist2(a, b));
 }
 
@@ -122,7 +129,7 @@ struct NeighborPair {
 
 /// How the epsilon-neighborhood kernels traverse the candidate space.
 ///
-/// Distance is symmetric, so the full 9-cell (27-cell in 3-D) scan
+/// Distance is symmetric, so the full 3^D-cell scan
 /// evaluates every qualifying pair (i, j) twice — once from each side.
 /// kHalf exploits the grid index's ordering invariant (within a cell the
 /// lookup array stores point ids in ascending order; see build_grid_index)

@@ -18,27 +18,6 @@ namespace {
 constexpr std::int32_t kStencilReach = 2;  ///< sqrt(d) cells cover eps
 constexpr PointId kNoCore = std::numeric_limits<PointId>::max();
 
-/// Traits unify the 2-D and 3-D passes: coordinate count, per-axis access
-/// and the per-distance-test FLOP charge (matching the traversal kernels:
-/// 3 per axis for the squared difference plus the compare).
-struct Traits2 {
-  static constexpr int kDims = 2;
-  static constexpr std::uint64_t kFlopsPerTest = 6;
-  using Point = Point2;
-  static float coord(const Point& p, int axis) noexcept {
-    return axis == 0 ? p.x : p.y;
-  }
-};
-
-struct Traits3 {
-  static constexpr int kDims = 3;
-  static constexpr std::uint64_t kFlopsPerTest = 9;
-  using Point = Point3;
-  static float coord(const Point& p, int axis) noexcept {
-    return axis == 0 ? p.x : (axis == 1 ? p.y : p.z);
-  }
-};
-
 /// Bits of the packed key per axis: x and y take 21 bits, z the 22 above
 /// them. The binning rejects an extent whose cell count does not fit.
 /// Packed keys sort by (z, y, x), so one row of cells is a key range.
@@ -102,10 +81,9 @@ struct Binning {
   std::vector<PointId> order;                  ///< input ids in key order
 };
 
-template <typename Traits>
-Binning bin_points(std::span<const typename Traits::Point> points, float eps) {
-  using Point = typename Traits::Point;
-  constexpr int kDims = Traits::kDims;
+template <typename Point>
+Binning bin_points(std::span<const Point> points, float eps) {
+  constexpr int kDims = Point::kDims;
   const auto n = points.size();
   Binning b;
   b.side = static_cast<double>(eps) / std::sqrt(static_cast<double>(kDims));
@@ -116,8 +94,8 @@ Binning bin_points(std::span<const typename Traits::Point> points, float eps) {
   maxs.fill(std::numeric_limits<float>::lowest());
   for (const Point& p : points) {
     for (int axis = 0; axis < kDims; ++axis) {
-      mins[axis] = std::min(mins[axis], Traits::coord(p, axis));
-      maxs[axis] = std::max(maxs[axis], Traits::coord(p, axis));
+      mins[axis] = std::min(mins[axis], p[axis]);
+      maxs[axis] = std::max(maxs[axis], p[axis]);
     }
   }
   // Cells per axis, sized in double before anything narrows: the span must
@@ -141,7 +119,7 @@ Binning bin_points(std::span<const typename Traits::Point> points, float eps) {
   for (std::size_t i = 0; i < n; ++i) {
     std::array<std::int32_t, 3> c{};
     for (int axis = 0; axis < kDims; ++axis) {
-      const double cell = (Traits::coord(points[i], axis) - mins[axis]) / side;
+      const double cell = (points[i][axis] - mins[axis]) / side;
       if (!(cell >= 0.0 && cell < count[axis])) {  // NaN coordinates too
         throw std::invalid_argument(
             "cell_graph_dbscan: coordinate outside the binned extent");
@@ -169,13 +147,13 @@ Binning bin_points(std::span<const typename Traits::Point> points, float eps) {
   return b;
 }
 
-template <typename Traits>
-ClusterResult cell_graph_impl(std::span<const typename Traits::Point> points,
-                              float eps, int minpts,
-                              const cudasim::DeviceConfig& config,
+/// The distance tests are charged like the traversal kernels': 3 FLOPs per
+/// axis for the squared difference plus the compare.
+template <typename Point>
+ClusterResult cell_graph_impl(std::span<const Point> points, float eps,
+                              int minpts, const cudasim::DeviceConfig& config,
                               CellGraphReport* report) {
-  using Point = typename Traits::Point;
-  constexpr int kDims = Traits::kDims;
+  constexpr int kDims = Point::kDims;
   if (eps <= 0.0f) {
     throw std::invalid_argument("cell_graph_dbscan: eps must be positive");
   }
@@ -194,7 +172,7 @@ ClusterResult cell_graph_impl(std::span<const typename Traits::Point> points,
   }
 
   // --- bin to side eps/sqrt(d), in cell order ---
-  Binning bins = bin_points<Traits>(points, eps);
+  Binning bins = bin_points(points, eps);
   const double side = bins.side;
   const std::array<std::int32_t, 3>& count = bins.count;
   const std::vector<std::uint64_t>& key_of = bins.key_of;
@@ -426,7 +404,7 @@ ClusterResult cell_graph_impl(std::span<const typename Traits::Point> points,
   const double mem_s =
       static_cast<double>(bytes) / (config.mem_bandwidth_gbps * 1e9);
   const double compute_s =
-      static_cast<double>(local.distance_tests * Traits::kFlopsPerTest) /
+      static_cast<double>(local.distance_tests * 3 * kDims) /
       config.peak_flops();
   local.modeled_seconds = std::max(mem_s, compute_s) +
                           static_cast<double>(local.unions) *
@@ -442,14 +420,14 @@ ClusterResult cell_graph_dbscan(std::span<const Point2> points, float eps,
                                 int minpts,
                                 const cudasim::DeviceConfig& config,
                                 CellGraphReport* report) {
-  return cell_graph_impl<Traits2>(points, eps, minpts, config, report);
+  return cell_graph_impl(points, eps, minpts, config, report);
 }
 
-ClusterResult cell_graph_dbscan3(std::span<const Point3> points, float eps,
-                                 int minpts,
-                                 const cudasim::DeviceConfig& config,
-                                 CellGraphReport* report) {
-  return cell_graph_impl<Traits3>(points, eps, minpts, config, report);
+ClusterResult cell_graph_dbscan(std::span<const Point3> points, float eps,
+                                int minpts,
+                                const cudasim::DeviceConfig& config,
+                                CellGraphReport* report) {
+  return cell_graph_impl(points, eps, minpts, config, report);
 }
 
 double cell_graph_dense_share(std::span<const Point2> points, float eps,
@@ -461,7 +439,7 @@ double cell_graph_dense_share(std::span<const Point2> points, float eps,
     throw std::invalid_argument("cell_graph_dbscan: minpts must be >= 1");
   }
   if (points.empty()) return 0.0;
-  const Binning bins = bin_points<Traits2>(points, eps);
+  const Binning bins = bin_points(points, eps);
   const std::size_t n = points.size();
   std::size_t dense = 0;
   for (std::size_t first = 0; first < n;) {

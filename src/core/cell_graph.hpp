@@ -53,11 +53,11 @@ ClusterResult cell_graph_dbscan(std::span<const Point2> points, float eps,
                                 const cudasim::DeviceConfig& config,
                                 CellGraphReport* report = nullptr);
 
-/// 3-D variant: side eps/sqrt(3), 5x5x5 stencil; otherwise identical.
-ClusterResult cell_graph_dbscan3(std::span<const Point3> points, float eps,
-                                 int minpts,
-                                 const cudasim::DeviceConfig& config,
-                                 CellGraphReport* report = nullptr);
+/// 3-D: side eps/sqrt(3), 5x5x5 stencil; otherwise identical.
+ClusterResult cell_graph_dbscan(std::span<const Point3> points, float eps,
+                                int minpts,
+                                const cudasim::DeviceConfig& config,
+                                CellGraphReport* report = nullptr);
 
 /// The share of `points` that cell_graph_dbscan at (eps, minpts) makes core
 /// wholesale, with no distance test: those whose eps/sqrt(2) cell holds

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -14,8 +15,9 @@
 
 namespace hdbscan {
 
+template <typename Point>
 BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
-                          const GridIndex& index, float eps,
+                          const BasicGridIndex<Point>& index, float eps,
                           StreamingDbscan& consumer,
                           const BatchPolicy& policy) {
   TRACE_SPAN("fused", "fused_cluster n=%zu", index.size());
@@ -40,13 +42,14 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   report.scan_mode = policy.scan_mode;
 
   // There is no estimation kernel — with no result buffers there is
-  // nothing to size. The union pass walks the grid's sub-cell runs, which
-  // go up with it.
-  const SubCells sub_cells = [&] {
+  // nothing to size. The union pass walks a 2-D grid's sub-cell runs,
+  // which go up with it.
+  SubCells sub_cells;
+  if constexpr (std::is_same_v<Point, Point2>) {
     TRACE_SPAN("fused", "sub_cells n=%zu", index.size());
-    return build_sub_cells(index);
-  }();
-  BatchEngine engine(devices, index, policy, "fused", &sub_cells);
+    sub_cells = build_sub_cells(index);
+  }
+  BatchEngine<Point> engine(devices, index, policy, "fused", &sub_cells);
   engine.open_lanes();
 
   // Two waves per lane and pass — failover granularity and stream overlap
@@ -69,13 +72,13 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
     std::atomic<std::uint64_t> events{0};
     std::vector<WorkItem> unfinished = engine.run(
         num_batches,
-        [&](Lane& lane, WorkItem& item) {
+        [&](Lane<Point>& lane, WorkItem& item) {
           if (item.spec.points_in_batch(lane.view.query_count()) == 0) {
             return;
           }
           TRACE_SPAN("fused", "%s_batch %u/%u d%u", name, item.spec.batch,
                      item.spec.num_batches, lane.device.id());
-          events += lane.launch([&](const GridView& view) {
+          events += lane.launch([&](const auto& view) {
                           return gpu::run_fused_batch(
                               lane.device, view, eps, item.spec, pass,
                               consumer, policy.scan_mode, policy.block_size);
@@ -145,12 +148,12 @@ FusedDegrees expected_fused_degrees(const NeighborTable& table,
   return out;
 }
 
-BuildReport fused_cluster(cudasim::Device& device, const GridIndex& index,
-                          float eps, StreamingDbscan& consumer,
-                          const BatchPolicy& policy) {
-  return fused_cluster(std::vector<cudasim::Device*>{&device}, index, eps,
-                       consumer, policy);
-}
+template BuildReport fused_cluster(const std::vector<cudasim::Device*>&,
+                                   const GridIndex&, float, StreamingDbscan&,
+                                   const BatchPolicy&);
+template BuildReport fused_cluster(const std::vector<cudasim::Device*>&,
+                                   const GridIndex3&, float, StreamingDbscan&,
+                                   const BatchPolicy&);
 
 void reject_sharded_fused(const char* caller, unsigned num_shards) {
   if (num_shards <= 1) return;

@@ -11,8 +11,8 @@
 //    core stores its exact degree, which the border rule reads;
 //  * the union pass starts once every degree is in, so core status is
 //    final: it unions core-core pairs and folds each core/non-core pair
-//    into the non-core point's border key. On the grid a core point links
-//    each dense eps/2 sub-cell (minpts or more residents, all mutual
+//    into the non-core point's border key. On a 2-D grid a core point
+//    links each dense eps/2 sub-cell (minpts or more residents, all mutual
 //    neighbors) of a well-filled cell with one union and skips the rest
 //    of it (DESIGN.md §15).
 // A degree is then exact below T or on a flagged point, and T otherwise
@@ -42,8 +42,9 @@
 
 namespace hdbscan {
 
-/// Runs the fused passes over `index` (whole-index builds only; the grid
-/// index fixes the id order exactly as for the table pipelines) and fills
+/// Runs the fused passes over `index` (a 2-D or 3-D grid; whole-index
+/// builds only; the grid index fixes the id order exactly as for the table
+/// pipelines) and fills
 /// `consumer`'s degrees, union-find and border keys in place. The caller
 /// owns finalize(): labels come from consumer.finalize() after this
 /// returns. The report counts capped_points, recounted_points and the
@@ -53,15 +54,21 @@ namespace hdbscan {
 /// forward half of the stencil), the resilience ladder, cancellation and
 /// metrics labels; the buffer and estimation fields are ignored — there
 /// is nothing to size or estimate.
+template <typename Point>
 BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
-                          const GridIndex& index, float eps,
+                          const BasicGridIndex<Point>& index, float eps,
                           StreamingDbscan& consumer,
                           const BatchPolicy& policy = {});
 
 /// Single-device convenience overload.
-BuildReport fused_cluster(cudasim::Device& device, const GridIndex& index,
-                          float eps, StreamingDbscan& consumer,
-                          const BatchPolicy& policy = {});
+template <typename Point>
+BuildReport fused_cluster(cudasim::Device& device,
+                          const BasicGridIndex<Point>& index, float eps,
+                          StreamingDbscan& consumer,
+                          const BatchPolicy& policy = {}) {
+  return fused_cluster(std::vector<cudasim::Device*>{&device}, index, eps,
+                       consumer, policy);
+}
 
 /// The degree contract a fused_cluster run at `minpts` leaves in its
 /// consumer, derived from the full table of the same index, and the

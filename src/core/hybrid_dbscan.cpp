@@ -1,6 +1,8 @@
 #include "core/hybrid_dbscan.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "common/timer.hpp"
 #include "core/cell_graph.hpp"
@@ -16,8 +18,9 @@ namespace {
 /// cell_graph_dbscan and the labels come back in input order. The fused
 /// traversal has nothing to fuse with here, so the combination is
 /// rejected rather than silently served by a different algorithm.
+template <typename Point>
 ClusterResult run_cell_graph_mode(const cudasim::DeviceConfig& config,
-                                  std::span<const Point2> points, float eps,
+                                  std::span<const Point> points, float eps,
                                   int minpts, ClusterMode mode,
                                   HybridTimings& local,
                                   WallTimer& total_timer) {
@@ -39,35 +42,12 @@ ClusterResult run_cell_graph_mode(const cudasim::DeviceConfig& config,
   return out;
 }
 
-}  // namespace
-
-ClusterResult unmap_labels(const ClusterResult& indexed,
-                           std::span<const PointId> original_ids) {
-  ClusterResult out;
-  out.num_clusters = indexed.num_clusters;
-  out.labels.resize(indexed.labels.size());
-  for (std::size_t i = 0; i < indexed.labels.size(); ++i) {
-    out.labels[original_ids[i]] = indexed.labels[i];
-  }
-  out.finalize_noise_count();
-  return out;
-}
-
-ClusterResult hybrid_dbscan(cudasim::Device& device,
-                            std::span<const Point2> points, float eps,
-                            int minpts, HybridTimings* timings,
-                            const BatchPolicy& policy, ClusterMode mode) {
-  ShardedBuildOptions options;
-  options.policy = policy;
-  return hybrid_dbscan(std::vector<cudasim::Device*>{&device}, points, eps,
-                       minpts, timings, options, mode);
-}
-
-ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
-                            std::span<const Point2> points, float eps,
-                            int minpts, HybridTimings* timings,
-                            const ShardedBuildOptions& options,
-                            ClusterMode mode) {
+template <typename Point>
+ClusterResult hybrid_dbscan_impl(const std::vector<cudasim::Device*>& devices,
+                                 std::span<const Point> points, float eps,
+                                 int minpts, HybridTimings* timings,
+                                 const ShardedBuildOptions& options,
+                                 ClusterMode mode) {
   HybridTimings local;
   WallTimer total_timer;
   const BatchPolicy& policy = options.policy;
@@ -88,17 +68,26 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
   }
 
   WallTimer phase_timer;
-  const GridIndex index = [&] {
+  const BasicGridIndex<Point> index = [&] {
     TRACE_SPAN("index", "grid_index n=%zu", points.size());
-    return build_grid_index(points, eps);
+    return build_grid_index<Point>(points, eps);
   }();
   local.index_seconds = phase_timer.seconds();
 
   phase_timer.reset();
   ClusterResult indexed;
   if (mode == ClusterMode::kBatchTable) {
-    const NeighborTable table = build_fleet_neighbor_table(
-        devices, index, eps, options, &local.build_report);
+    // A 2-D index may be built in row slabs (core/sharded_build.hpp); the
+    // slabs are 2-D, so a 3-D index goes whole to every device.
+    const NeighborTable table = [&] {
+      if constexpr (std::is_same_v<Point, Point2>) {
+        return build_fleet_neighbor_table(devices, index, eps, options,
+                                          &local.build_report);
+      } else {
+        return NeighborTableBuilder(devices, policy)
+            .build(index, eps, &local.build_report);
+      }
+    }();
     local.gpu_table_seconds = phase_timer.seconds();
 
     phase_timer.reset();
@@ -126,6 +115,65 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
                                 local.dbscan_seconds;
   if (timings != nullptr) *timings = local;
   return unmap_labels(indexed, index.original_ids);
+}
+
+}  // namespace
+
+ClusterResult unmap_labels(const ClusterResult& indexed,
+                           std::span<const PointId> original_ids) {
+  ClusterResult out;
+  out.num_clusters = indexed.num_clusters;
+  out.labels.resize(indexed.labels.size());
+  for (std::size_t i = 0; i < indexed.labels.size(); ++i) {
+    out.labels[original_ids[i]] = indexed.labels[i];
+  }
+  out.finalize_noise_count();
+  return out;
+}
+
+ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
+                            std::span<const Point2> points, float eps,
+                            int minpts, HybridTimings* timings,
+                            const ShardedBuildOptions& options,
+                            ClusterMode mode) {
+  return hybrid_dbscan_impl(devices, points, eps, minpts, timings, options,
+                            mode);
+}
+
+ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
+                            std::span<const Point3> points, float eps,
+                            int minpts, HybridTimings* timings,
+                            const ShardedBuildOptions& options,
+                            ClusterMode mode) {
+  if (options.num_shards > 1 || options.plan != nullptr) {
+    throw std::invalid_argument(
+        "hybrid_dbscan: 3-D points replicate the whole index on every "
+        "device and cannot be sharded (num_shards = " +
+        std::to_string(options.num_shards) +
+        "); the shard planner cuts 2-D row slabs");
+  }
+  return hybrid_dbscan_impl(devices, points, eps, minpts, timings, options,
+                            mode);
+}
+
+ClusterResult hybrid_dbscan(cudasim::Device& device,
+                            std::span<const Point2> points, float eps,
+                            int minpts, HybridTimings* timings,
+                            const BatchPolicy& policy, ClusterMode mode) {
+  ShardedBuildOptions options;
+  options.policy = policy;
+  return hybrid_dbscan(std::vector<cudasim::Device*>{&device}, points, eps,
+                       minpts, timings, options, mode);
+}
+
+ClusterResult hybrid_dbscan(cudasim::Device& device,
+                            std::span<const Point3> points, float eps,
+                            int minpts, HybridTimings* timings,
+                            const BatchPolicy& policy, ClusterMode mode) {
+  ShardedBuildOptions options;
+  options.policy = policy;
+  return hybrid_dbscan(std::vector<cudasim::Device*>{&device}, points, eps,
+                       minpts, timings, options, mode);
 }
 
 }  // namespace hdbscan

@@ -1,5 +1,6 @@
 // HYBRID-DBSCAN (paper Algorithm 4): grid index construction, GPU neighbor
-// table construction with batching, and host-side DBSCAN over T.
+// table construction with batching, and host-side DBSCAN over T — for 2-D
+// and 3-D points through one body.
 #pragma once
 
 #include <span>
@@ -58,9 +59,26 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
                             const ShardedBuildOptions& options = {},
                             ClusterMode mode = ClusterMode::kBatchTable);
 
+/// 3-D points through the same body: the grid gains an axis and the
+/// stencil spans 27 cells. T is built by NeighborTableBuilder over the
+/// whole index replicated on every device (the row slabs of a sharded
+/// build are 2-D), so a shard request — options.num_shards > 1 or a shard
+/// plan — throws std::invalid_argument; the fused passes run on the fleet
+/// as in 2-D, and ClusterQuality::kCellGraph runs the 3-D cell graph.
+ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
+                            std::span<const Point3> points, float eps,
+                            int minpts, HybridTimings* timings = nullptr,
+                            const ShardedBuildOptions& options = {},
+                            ClusterMode mode = ClusterMode::kBatchTable);
+
 /// One device is a fleet of one: forwards to the fleet overload.
 ClusterResult hybrid_dbscan(cudasim::Device& device,
                             std::span<const Point2> points, float eps,
+                            int minpts, HybridTimings* timings = nullptr,
+                            const BatchPolicy& policy = {},
+                            ClusterMode mode = ClusterMode::kBatchTable);
+ClusterResult hybrid_dbscan(cudasim::Device& device,
+                            std::span<const Point3> points, float eps,
                             int minpts, HybridTimings* timings = nullptr,
                             const BatchPolicy& policy = {},
                             ClusterMode mode = ClusterMode::kBatchTable);

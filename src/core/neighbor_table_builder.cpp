@@ -76,7 +76,9 @@ struct CsrLane {
 
 /// (l, n_b) == (l, 2 n_b) u (l + n_b, 2 n_b): same points, half each.
 /// The halves stay on the splitting lane's sub-queue.
-void push_halves(BatchEngine& engine, const Lane& lane, const WorkItem& item) {
+template <typename Point>
+void push_halves(BatchEngine<Point>& engine, const Lane<Point>& lane,
+                 const WorkItem& item) {
   WorkItem half = item;
   half.depth = item.depth + 1;
   half.spec = {item.spec.batch, item.spec.num_batches * 2};
@@ -92,9 +94,10 @@ void push_halves(BatchEngine& engine, const Lane& lane, const WorkItem& item) {
 /// buffer splits *before* any fill work runs. Under ScanMode::kHalf both
 /// passes walk only the forward half of the stencil (counts stay
 /// atomic-free) and the CSR rows that cross PCIe are forward rows.
-void process_batch_csr(BatchEngine& engine, Lane& lane, CsrLane& cl,
-                       const WorkItem& item, const BatchPolicy& policy,
-                       float eps) {
+template <typename Point>
+void process_batch_csr(BatchEngine<Point>& engine, Lane<Point>& lane,
+                       CsrLane& cl, const WorkItem& item,
+                       const BatchPolicy& policy, float eps) {
   const gpu::BatchSpec spec = item.spec;
   const ScanMode scan = policy.scan_mode;
   // Query domain, not resident count: on a shard slab the ghost points
@@ -104,7 +107,7 @@ void process_batch_csr(BatchEngine& engine, Lane& lane, CsrLane& cl,
   TRACE_SPAN("batch", "batch %u/%u d%u", spec.batch, spec.num_batches,
              lane.device.id());
 
-  lane.launch([&](const GridView& view) {
+  lane.launch([&](const auto& view) {
     return gpu::run_count_batch(lane.device, view, eps, spec,
                                 cl.counts.device_data(), scan,
                                 policy.block_size);
@@ -141,7 +144,7 @@ void process_batch_csr(BatchEngine& engine, Lane& lane, CsrLane& cl,
   cl.d2h_bytes += offset_bytes;
 
   const auto batch_total = static_cast<std::uint32_t>(total);
-  lane.launch([&](const GridView& view) {
+  lane.launch([&](const auto& view) {
     return gpu::run_fill_csr(lane.device, view, eps, spec,
                              cl.counts.device_data(), batch_total,
                              cl.values.device_data(), scan,
@@ -184,8 +187,9 @@ NeighborTableBuilder::NeighborTableBuilder(
   }
 }
 
-NeighborTable NeighborTableBuilder::build(const GridIndex& index, float eps,
-                                          BuildReport* report) {
+template <typename Point>
+NeighborTable NeighborTableBuilder::build(const BasicGridIndex<Point>& index,
+                                          float eps, BuildReport* report) {
   try {
     return build_impl(index, eps, report);
   } catch (...) {
@@ -197,9 +201,9 @@ NeighborTable NeighborTableBuilder::build(const GridIndex& index, float eps,
   }
 }
 
-NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
-                                               float eps,
-                                               BuildReport* report) {
+template <typename Point>
+NeighborTable NeighborTableBuilder::build_impl(
+    const BasicGridIndex<Point>& index, float eps, BuildReport* report) {
   TRACE_SPAN("build", "table_build n=%zu", index.size());
   check_cancel(policy_.cancel);  // cheapest point to abandon: no device work yet
   WallTimer total_timer;
@@ -211,7 +215,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
   // The grid goes up to every device. A device that cannot hold the
   // index — or dies during the upload — is dropped; the remaining devices
   // absorb its share of the batches.
-  BatchEngine engine(devices_, index, policy_, "build");
+  BatchEngine<Point> engine(devices_, index, policy_, "build");
   const cudasim::DeviceConfig& cfg = engine.config();
 
   NeighborTable table(index.size());
@@ -224,7 +228,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
   // the single batch {0, 1} when no device survives setup or estimation.
   // Without the host rung each of those outcomes throws instead.
   auto run_on_devices = [&]() -> std::vector<WorkItem> {
-    std::vector<BatchEngine::Slot>& slots = engine.slots();
+    auto& slots = engine.slots();
     if (slots.empty()) return engine.fleet_gone(engine.setup_error());
 
     // Estimate the result-set size from a 1% sample (negligible cost), or
@@ -243,7 +247,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
       WallTimer est_timer;
       bool estimated = false;
       std::exception_ptr est_error;
-      for (BatchEngine::Slot& slot : slots) {
+      for (auto& slot : slots) {
         unsigned retries = 0;
         while (!estimated) {
           check_cancel(policy_.cancel);
@@ -286,7 +290,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     auto compute_plan = [&](unsigned shrink_shift) {
       std::uint64_t min_free_bytes =
           std::numeric_limits<std::uint64_t>::max();
-      for (const BatchEngine::Slot& slot : slots) {
+      for (const auto& slot : slots) {
         min_free_bytes = std::min(min_free_bytes,
                                   slot.device->free_global_bytes());
       }
@@ -360,7 +364,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     }
     return engine.run(
         local_report.plan.num_batches,
-        [&](Lane& lane, WorkItem& item) {
+        [&](Lane<Point>& lane, WorkItem& item) {
           process_batch_csr(engine, lane, *csr[lane.id], item, policy_, eps);
         },
         local_report);
@@ -426,5 +430,10 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
   if (report != nullptr) *report = local_report;
   return table;
 }
+
+template NeighborTable NeighborTableBuilder::build(const GridIndex&, float,
+                                                   BuildReport*);
+template NeighborTable NeighborTableBuilder::build(const GridIndex3&, float,
+                                                   BuildReport*);
 
 }  // namespace hdbscan

@@ -141,10 +141,11 @@ class NeighborTableBuilder {
   NeighborTableBuilder(std::vector<cudasim::Device*> devices,
                        BatchPolicy policy = {});
 
-  /// Builds T for `index` (which fixes the point ordering) and `eps`.
-  /// Thread-safe for concurrent calls with distinct indexes (each call
-  /// creates its own streams and buffers).
-  NeighborTable build(const GridIndex& index, float eps,
+  /// Builds T for `index` (which fixes the point ordering; a 2-D or 3-D
+  /// grid) and `eps`. Thread-safe for concurrent calls with distinct
+  /// indexes (each call creates its own streams and buffers).
+  template <typename Point>
+  NeighborTable build(const BasicGridIndex<Point>& index, float eps,
                       BuildReport* report = nullptr);
 
   [[nodiscard]] const BatchPolicy& policy() const noexcept { return policy_; }
@@ -155,7 +156,8 @@ class NeighborTableBuilder {
  private:
   /// The actual build; the public build() wraps it to stamp
   /// report->failure with the classified cause when it throws.
-  NeighborTable build_impl(const GridIndex& index, float eps,
+  template <typename Point>
+  NeighborTable build_impl(const BasicGridIndex<Point>& index, float eps,
                            BuildReport* report);
 
   std::vector<cudasim::Device*> devices_;

@@ -141,7 +141,7 @@ NeighborTable build_sharded_impl(
   // this map nor the tallies that use it sit on the modeled clock.
   std::vector<std::uint32_t> row_of(index.size());
   for (std::size_t i = 0; i < index.size(); ++i) {
-    row_of[i] = index.params.cell_y_of(index.points[i].y);
+    row_of[i] = index.params.axis_cell(1, index.points[i].y);
   }
 
   NeighborTable table(index.size());

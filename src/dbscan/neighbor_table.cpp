@@ -283,7 +283,9 @@ void NeighborTable::canonicalize() {
   values_ = std::move(new_values);
 }
 
-NeighborTable build_neighbor_table_host(const GridIndex& index, float eps) {
+template <typename Point>
+NeighborTable build_neighbor_table_host(const BasicGridIndex<Point>& index,
+                                        float eps) {
   NeighborTable table(index.size());
   std::vector<PointId> neighbors;
   std::vector<NeighborPair> pairs;
@@ -296,5 +298,8 @@ NeighborTable build_neighbor_table_host(const GridIndex& index, float eps) {
   }
   return table;
 }
+
+template NeighborTable build_neighbor_table_host(const GridIndex&, float);
+template NeighborTable build_neighbor_table_host(const GridIndex3&, float);
 
 }  // namespace hdbscan

@@ -146,6 +146,8 @@ class NeighborTable {
 /// fallback the paper mentions ("a CPU-only implementation could also
 /// compute and reuse T") runs the kernel bodies themselves on the host
 /// (gpu::host_csr_batch), and this builder is what checks it.
-NeighborTable build_neighbor_table_host(const GridIndex& index, float eps);
+template <typename Point>
+NeighborTable build_neighbor_table_host(const BasicGridIndex<Point>& index,
+                                        float eps);
 
 }  // namespace hdbscan

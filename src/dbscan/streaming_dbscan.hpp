@@ -98,10 +98,10 @@ class StreamingDbscan final {
 
   /// Final degree of point i (self included) once the passes have
   /// returned — the test hook where a dropped or doubled batch shows up.
-  /// Exact after fused_dbscan3. After fused_cluster it follows the capped
-  /// contract, with T = max(minpts, 2): exact when below T or when the
-  /// mark pass flagged i (a core point with a non-core neighbor), and
-  /// exactly T otherwise (expected_fused_degrees).
+  /// After fused_cluster it follows the capped contract, with T =
+  /// max(minpts, 2): exact when below T or when the mark pass flagged i (a
+  /// core point with a non-core neighbor), and exactly T otherwise
+  /// (expected_fused_degrees).
   [[nodiscard]] std::uint32_t degree(PointId i) const noexcept {
     return degree_[i].load(std::memory_order_relaxed);
   }

@@ -1,5 +1,5 @@
 // Device-resident copy of the grid index (D, G, A and the schedule S are
-// stored in global memory on the GPU — paper §IV).
+// stored in global memory on the GPU — paper §IV), for either point type.
 #pragma once
 
 #include <cstdint>
@@ -11,15 +11,16 @@
 
 namespace hdbscan::gpu {
 
-class GridDeviceIndex {
+template <typename Point>
+class BasicGridDeviceIndex {
  public:
   /// Allocates device buffers and enqueues the H2D uploads on `stream`
   /// (pageable host memory — the index is uploaded once per epsilon).
   /// `sub_cells`, the index's sub-cell runs (the fused union pass reads
   /// them), go up with it when given and not empty.
-  GridDeviceIndex(cudasim::Device& device, cudasim::Stream& stream,
-                  const GridIndex& host_index,
-                  const SubCells* sub_cells = nullptr)
+  BasicGridDeviceIndex(cudasim::Device& device, cudasim::Stream& stream,
+                       const BasicGridIndex<Point>& host_index,
+                       const SubCells* sub_cells = nullptr)
       : params_(host_index.params),
         num_points_(static_cast<std::uint32_t>(host_index.points.size())),
         cell_base_(host_index.cell_base),
@@ -48,17 +49,17 @@ class GridDeviceIndex {
     }
   }
 
-  [[nodiscard]] GridView view() const noexcept {
-    return GridView{params_,
-                    points_.device_data(),
-                    num_points_,
-                    cells_.device_data(),
-                    lookup_.device_data(),
-                    cell_base_,
-                    num_query_,
-                    emit_.empty() ? nullptr : emit_.device_data(),
-                    sub_order_.empty() ? nullptr : sub_order_.device_data(),
-                    sub_bounds_.empty() ? nullptr : sub_bounds_.device_data()};
+  [[nodiscard]] BasicGridView<Point> view() const noexcept {
+    return {params_,
+            points_.device_data(),
+            num_points_,
+            cells_.device_data(),
+            lookup_.device_data(),
+            cell_base_,
+            num_query_,
+            emit_.empty() ? nullptr : emit_.device_data(),
+            sub_order_.empty() ? nullptr : sub_order_.device_data(),
+            sub_bounds_.empty() ? nullptr : sub_bounds_.device_data()};
   }
 
   [[nodiscard]] const std::uint32_t* schedule() const noexcept {
@@ -107,13 +108,13 @@ class GridDeviceIndex {
     stream.memcpy_to_device(buffer, host.data(), host.size());
   }
 
-  GridParams params_;
+  BasicGridParams<Point> params_;
   std::uint32_t num_points_;
   std::uint32_t cell_base_;
   std::uint32_t num_query_;
   std::uint32_t num_nonempty_;
   std::uint32_t max_cell_occupancy_;
-  cudasim::DeviceBuffer<Point2> points_;
+  cudasim::DeviceBuffer<Point> points_;
   cudasim::DeviceBuffer<CellRange> cells_;
   cudasim::DeviceBuffer<PointId> lookup_;
   cudasim::DeviceBuffer<std::uint32_t> schedule_;
@@ -121,5 +122,7 @@ class GridDeviceIndex {
   cudasim::DeviceBuffer<PointId> sub_order_;          ///< may be empty
   cudasim::DeviceBuffer<std::uint32_t> sub_bounds_;   ///< may be empty
 };
+
+using GridDeviceIndex = BasicGridDeviceIndex<Point2>;
 
 }  // namespace hdbscan::gpu

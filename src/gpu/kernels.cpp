@@ -13,10 +13,6 @@ namespace hdbscan::gpu {
 
 namespace {
 
-/// Spatial dimensions of a point type (all-float coordinates).
-template <typename Point>
-inline constexpr unsigned kDims = sizeof(Point) / sizeof(float);
-
 /// Candidate traversal shared by the per-point kernel bodies over a grid,
 /// 2-D or 3-D. Calls `visit(candidate, hit)` for every candidate it tests,
 /// `hit` being whether the candidate lies within eps of `point`, and
@@ -45,7 +41,7 @@ template <typename View, typename Point, typename Visit,
 void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
                        const Point& point, float eps2, cudasim::ThreadCtx& ctx,
                        Visit&& visit, Walk&& walk = {}) {
-  constexpr std::uint64_t kTestFlops = 3 * kDims<Point>;
+  constexpr std::uint64_t kTestFlops = 3 * Point::kDims;
   auto scan_range = [&](std::uint32_t begin, std::uint32_t end) {
     const std::uint32_t candidates = end - begin;
     ctx.count_global_bytes(static_cast<std::uint64_t>(candidates) *
@@ -62,7 +58,7 @@ void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
   // Owned points' whole stencils lie inside the slab by construction
   // (shard_planner includes the epsilon-halo rows), so no bound check.
   const std::uint32_t cell = view.params.linear_cell(point);
-  std::array<std::uint32_t, kDims<Point> == 2 ? 9 : 27> cell_ids{};
+  CellStencil<Point> cell_ids{};
   unsigned ncells = 0;
   if (mode == ScanMode::kHalf) {
     const CellRange own = view.cells[cell - view.cell_base];
@@ -99,7 +95,7 @@ template <typename View, typename Point, typename Hit>
 std::uint32_t for_each_hit_until(const View& view, const Point& point,
                                  float eps2, std::uint32_t limit,
                                  cudasim::ThreadCtx& ctx, Hit&& hit) {
-  constexpr std::uint64_t kTestFlops = 3 * kDims<Point>;
+  constexpr std::uint64_t kTestFlops = 3 * Point::kDims;
   std::uint32_t found = 0;
   std::uint64_t tested = 0;
   unsigned scanned = 0;
@@ -119,7 +115,7 @@ std::uint32_t for_each_hit_until(const View& view, const Point& point,
   const std::uint32_t cell = view.params.linear_cell(point);
   scan(cell);
   if (found < limit) {
-    std::array<std::uint32_t, kDims<Point> == 2 ? 9 : 27> cell_ids{};
+    CellStencil<Point> cell_ids{};
     const unsigned ncells = get_neighbor_cells(view.params, cell, cell_ids);
     for (unsigned c = 0; c < ncells && found < limit; ++c) {
       if (cell_ids[c] != cell) scan(cell_ids[c]);
@@ -270,11 +266,10 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
 }
 
 /// Bytes one emitted CSR value costs: the 4 B write, plus the 4 B
-/// emission-map read on shard slabs (only the 2-D grid has slabs).
-std::uint64_t value_write_bytes(const GridView& view) {
+/// emission-map read on shard slabs.
+std::uint64_t value_write_bytes(const auto& view) {
   return view.emit_ids != nullptr ? 2 * sizeof(PointId) : sizeof(PointId);
 }
-std::uint64_t value_write_bytes(const auto&) { return sizeof(PointId); }
 
 /// Pass 1 of the two-pass CSR builder: thread g counts the neighbors of
 /// its batch point and writes counts[g]. No atomics, no result
@@ -556,7 +551,7 @@ struct UnionKernelBody {
   bool walk_cell(CellRange range, bool own, PointId pid, const Point2& point,
                  std::uint32_t& root, Visit& visit,
                  cudasim::ThreadCtx& ctx) const {
-    constexpr std::uint64_t kTestFlops = 3 * kDims<Point2>;
+    constexpr std::uint64_t kTestFlops = 3 * Point2::kDims;
     const std::uint32_t walked = std::max(u.required, kSubCellMinResidents);
     if (range.count() < walked) return false;
     // Run s is [bounds[s], bounds[s + 1]).
@@ -613,12 +608,11 @@ struct UnionKernelBody {
 };
 
 /// Whether the union body may walk a view's sub-cell runs at this eps: the
-/// view carries them, and their side (half the index's eps) keeps their
-/// diagonal inside eps. Only the 2-D grid has them.
-bool walks_runs(const GridView& view, float eps) {
+/// view carries them (only a 2-D grid's may), and their side (half the
+/// index's eps) keeps their diagonal inside eps.
+bool walks_runs(const auto& view, float eps) {
   return view.sub_order != nullptr && view.params.eps <= eps;
 }
-bool walks_runs(const auto&, float) { return false; }
 
 /// Hands `launch` the body of fused pass `pass` over `view`.
 template <typename View, typename Launch>
@@ -644,8 +638,9 @@ decltype(auto) with_fused_body(const View& view, float eps, BatchSpec batch,
 /// Per-thread body of the estimation kernel: thread t counts the neighbors
 /// of sample point t * stride over the full stencil and contributes one
 /// atomic add.
+template <typename View>
 struct CountKernelBody {
-  GridView view;
+  View view;
   float eps2;
   std::uint32_t stride;
   std::atomic<std::uint64_t>* total;
@@ -654,8 +649,8 @@ struct CountKernelBody {
     const std::uint64_t i =
         static_cast<std::uint64_t>(ctx.global_id()) * stride;
     if (i >= view.query_count()) return;
-    const Point2 point = view.points[i];
-    ctx.count_global_bytes(sizeof(Point2));
+    const auto point = view.points[i];
+    ctx.count_global_bytes(sizeof(point));
     std::uint64_t neighbors = 0;
     for_each_neighbor(view, ScanMode::kFull, static_cast<PointId>(i), point,
                       eps2, ctx,
@@ -723,18 +718,20 @@ cudasim::KernelStats run_fused_batch(cudasim::Device& device,
   });
 }
 
-std::vector<std::uint32_t> host_count_batch(const GridView& view, float eps,
+template <typename View>
+std::vector<std::uint32_t> host_count_batch(const View& view, float eps,
                                             BatchSpec batch, ScanMode mode) {
   std::vector<std::uint32_t> counts(
       batch.points_in_batch(view.query_count()));
   cudasim::run_flat_host(batch_grid_dim(view, batch, kDefaultBlockSize),
                          kDefaultBlockSize,
-                         CountBatchKernelBody<GridView>{view, eps * eps, batch,
-                                                        counts.data(), mode});
+                         CountBatchKernelBody<View>{view, eps * eps, batch,
+                                                    counts.data(), mode});
   return counts;
 }
 
-NeighborTable host_csr_batch(const GridView& view, float eps, BatchSpec batch,
+template <typename View>
+NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
                              ScanMode mode) {
   NeighborTable shard(view.num_points);
   // Counts become exclusive CSR offsets in place, as on the device.
@@ -746,14 +743,15 @@ NeighborTable host_csr_batch(const GridView& view, float eps, BatchSpec batch,
   std::vector<PointId> values(total);
   cudasim::run_flat_host(batch_grid_dim(view, batch, kDefaultBlockSize),
                          kDefaultBlockSize,
-                         FillCsrKernelBody<GridView>{view, eps * eps, batch,
-                                                     offsets.data(), total,
-                                                     values.data(), mode});
+                         FillCsrKernelBody<View>{view, eps * eps, batch,
+                                                 offsets.data(), total,
+                                                 values.data(), mode});
   shard.append_csr_batch(batch.batch, batch.num_batches, offsets, values);
   return shard;
 }
 
-cudasim::BlockCounters host_fused_batch(const GridView& view, float eps,
+template <typename View>
+cudasim::BlockCounters host_fused_batch(const View& view, float eps,
                                         BatchSpec batch, FusedPass pass,
                                         StreamingDbscan& sink, ScanMode mode) {
   return with_fused_body(view, eps, batch, pass, sink, mode, [&](auto body) {
@@ -762,20 +760,6 @@ cudasim::BlockCounters host_fused_batch(const GridView& view, float eps,
         body);
   });
 }
-
-#define HDBSCAN_TRAVERSAL_KERNELS(View)                                      \
-  template cudasim::KernelStats run_count_batch<View>(                       \
-      cudasim::Device&, const View&, float, BatchSpec, std::uint32_t*,       \
-      ScanMode, unsigned);                                                   \
-  template cudasim::KernelStats run_fill_csr<View>(                          \
-      cudasim::Device&, const View&, float, BatchSpec, const std::uint32_t*, \
-      std::uint32_t, PointId*, ScanMode, unsigned);                          \
-  template cudasim::KernelStats run_fused_batch<View>(                       \
-      cudasim::Device&, const View&, float, BatchSpec, FusedPass,            \
-      StreamingDbscan&, ScanMode, unsigned);
-HDBSCAN_TRAVERSAL_KERNELS(GridView)
-HDBSCAN_TRAVERSAL_KERNELS(GridView3)
-#undef HDBSCAN_TRAVERSAL_KERNELS
 
 std::size_t shared_kernel_smem_bytes(unsigned block_size) {
   return kSmemHeader +
@@ -797,7 +781,8 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
                                   shared_kernel_smem_bytes(block_size), gen);
 }
 
-std::uint64_t run_count_kernel(cudasim::Device& device, const GridView& view,
+template <typename View>
+std::uint64_t run_count_kernel(cudasim::Device& device, const View& view,
                                float eps, std::uint32_t sample_stride,
                                cudasim::KernelStats* stats_out,
                                unsigned block_size) {
@@ -806,11 +791,34 @@ std::uint64_t run_count_kernel(cudasim::Device& device, const GridView& view,
   const std::uint64_t samples =
       (view.query_count() + sample_stride - 1) / sample_stride;
   const unsigned grid = grid_dim_for(samples, block_size);
-  CountKernelBody body{view, eps * eps, sample_stride, &total};
+  CountKernelBody<View> body{view, eps * eps, sample_stride, &total};
   const cudasim::KernelStats stats =
       cudasim::run_flat_kernel(device, grid, block_size, body);
   if (stats_out != nullptr) *stats_out = stats;
   return total.load(std::memory_order_relaxed);
 }
+
+#define HDBSCAN_TRAVERSAL_KERNELS(View)                                      \
+  template cudasim::KernelStats run_count_batch<View>(                       \
+      cudasim::Device&, const View&, float, BatchSpec, std::uint32_t*,       \
+      ScanMode, unsigned);                                                   \
+  template cudasim::KernelStats run_fill_csr<View>(                          \
+      cudasim::Device&, const View&, float, BatchSpec, const std::uint32_t*, \
+      std::uint32_t, PointId*, ScanMode, unsigned);                          \
+  template cudasim::KernelStats run_fused_batch<View>(                       \
+      cudasim::Device&, const View&, float, BatchSpec, FusedPass,            \
+      StreamingDbscan&, ScanMode, unsigned);                                 \
+  template std::vector<std::uint32_t> host_count_batch<View>(                \
+      const View&, float, BatchSpec, ScanMode);                              \
+  template NeighborTable host_csr_batch<View>(const View&, float, BatchSpec, \
+                                              ScanMode);                     \
+  template cudasim::BlockCounters host_fused_batch<View>(                    \
+      const View&, float, BatchSpec, FusedPass, StreamingDbscan&, ScanMode); \
+  template std::uint64_t run_count_kernel<View>(                             \
+      cudasim::Device&, const View&, float, std::uint32_t,                   \
+      cudasim::KernelStats*, unsigned);
+HDBSCAN_TRAVERSAL_KERNELS(GridView)
+HDBSCAN_TRAVERSAL_KERNELS(GridView3)
+#undef HDBSCAN_TRAVERSAL_KERNELS
 
 }  // namespace hdbscan::gpu

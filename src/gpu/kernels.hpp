@@ -13,7 +13,7 @@
 //    produce the result-size estimate e_b without materializing results.
 //  * CSR count/fill and the fused passes' kernels: one body each,
 //    templated over the grid view (2-D or 3-D) and run either on a
-//    simulated device or, in 2-D, on the host pool — see below.
+//    simulated device or on the host pool — see below.
 //
 // Batched execution (§VI, Fig. 2): batch l of n_b processes points
 // i = gid * n_b + l, so every batch samples the (spatially sorted) database
@@ -30,7 +30,6 @@
 #include "dbscan/streaming_dbscan.hpp"
 #include "gpu/result_sink.hpp"
 #include "index/grid_index.hpp"
-#include "index/grid_index3.hpp"
 
 namespace hdbscan::gpu {
 
@@ -71,13 +70,12 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
 // --- Per-point traversal kernels: one body per kernel, any grid ---------
 //
 // The count, fill and fused-pass bodies are each written once, as
-// templates over the grid view they traverse:
-//  * GridView  — the paper's 2-D grid: the 9-cell stencil (shard slabs
-//    included: values go out through the slab's emission map);
-//  * GridView3 — the 3-D grid: the same traversal over the 27-cell stencil.
-// A 2-D body runs under two executors: a cudasim device launch (run_*,
-// which validates, fault-gates, models and records the launch) or the
-// host pool (host_*, none of those). Host-run work therefore follows the
+// templates over the grid view they traverse — BasicGridView<Point>, the
+// 3^D-cell stencil of a 2-D (GridView; shard slabs included: values go
+// out through the slab's emission map) or 3-D (GridView3) grid. A body
+// runs under two executors: a cudasim device launch (run_*, which
+// validates, fault-gates, models and records the launch) or the host
+// pool (host_*, none of those). Host-run work therefore follows the
 // kernels' pair-ownership rule by construction — that is what lets the
 // degradation ladder finish a device build's batches on the host.
 //
@@ -91,7 +89,7 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
 // Every tested candidate pays its point fetch and distance test; the
 // traversal has no per-pair filter, so every path that runs it is exact.
 //
-// `View` is GridView or GridView3 (instantiated in kernels.cpp).
+// `View` is GridView or GridView3 (both instantiated in kernels.cpp).
 
 /// Two-pass CSR builder, pass 1: per-point neighbor counts for one batch.
 /// Thread g writes |N_eps(point g of the batch)| to counts[g]
@@ -134,7 +132,7 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
 //  * kUnion: core status is final, so each core-core pair is unioned into
 //    the consumer's AtomicUnionFind and each core/non-core pair folds into
 //    the non-core point's border key by atomic max — reading only the
-//    degrees of flagged cores, which are exact. On a 2-D grid view that
+//    degrees of flagged cores, which are exact. On a (2-D) grid view that
 //    carries sub-cell runs (SubCells), a core point links each dense run —
 //    minpts or more residents of one eps/2 sub-cell, mutual neighbors —
 //    in a cell with a sub-cell of kSubCellMinResidents or more with one
@@ -161,7 +159,8 @@ cudasim::KernelStats run_fused_batch(cudasim::Device& device,
 
 /// The count body over one batch on the host: entry g is the count
 /// run_count_batch writes to counts[g].
-std::vector<std::uint32_t> host_count_batch(const GridView& view, float eps,
+template <typename View>
+std::vector<std::uint32_t> host_count_batch(const View& view, float eps,
                                             BatchSpec batch,
                                             ScanMode mode = ScanMode::kFull);
 
@@ -171,13 +170,15 @@ std::vector<std::uint32_t> host_count_batch(const GridView& view, float eps,
 /// (only the batch's keys are filled, as forward rows under kHalf, through
 /// the emission map on shard slabs), so NeighborTable::assemble merges it
 /// with device-built shards and expands it like them.
-NeighborTable host_csr_batch(const GridView& view, float eps, BatchSpec batch,
+template <typename View>
+NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
                              ScanMode mode = ScanMode::kFull);
 
 /// One fused pass over one batch on the host: its writes land in `sink`
 /// exactly as from run_fused_batch. Returns the work the body charged,
 /// events included.
-cudasim::BlockCounters host_fused_batch(const GridView& view, float eps,
+template <typename View>
+cudasim::BlockCounters host_fused_batch(const View& view, float eps,
                                         BatchSpec batch, FusedPass pass,
                                         StreamingDbscan& sink,
                                         ScanMode mode = ScanMode::kHalf);
@@ -190,7 +191,8 @@ cudasim::BlockCounters host_fused_batch(const GridView& view, float eps,
 /// i = 0, stride, 2*stride, ... over the shared kFull grid traversal and
 /// returns the raw sampled count e_b. Runs synchronously; negligible cost
 /// by design (no result set).
-std::uint64_t run_count_kernel(cudasim::Device& device, const GridView& view,
+template <typename View>
+std::uint64_t run_count_kernel(cudasim::Device& device, const View& view,
                                float eps, std::uint32_t sample_stride,
                                cudasim::KernelStats* stats_out = nullptr,
                                unsigned block_size = kDefaultBlockSize);

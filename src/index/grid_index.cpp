@@ -1,79 +1,140 @@
 #include "index/grid_index.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
-
-#include "index/cell_sort.hpp"
 
 namespace hdbscan {
 
-unsigned get_neighbor_cells(const GridParams& params, std::uint32_t cell,
-                            std::array<std::uint32_t, 9>& out) noexcept {
-  const std::uint32_t cx = cell % params.cells_x;
-  const std::uint32_t cy = cell / params.cells_x;
-  unsigned n = 0;
-  for (int dy = -1; dy <= 1; ++dy) {
-    const std::int64_t ny = static_cast<std::int64_t>(cy) + dy;
-    if (ny < 0 || ny >= static_cast<std::int64_t>(params.cells_y)) continue;
-    for (int dx = -1; dx <= 1; ++dx) {
-      const std::int64_t nx = static_cast<std::int64_t>(cx) + dx;
-      if (nx < 0 || nx >= static_cast<std::int64_t>(params.cells_x)) continue;
-      out[n++] = static_cast<std::uint32_t>(ny) * params.cells_x +
-                 static_cast<std::uint32_t>(nx);
-    }
-  }
-  return n;
-}
+namespace {
 
-unsigned get_forward_neighbor_cells(
-    const GridParams& params, std::uint32_t cell,
-    std::array<std::uint32_t, 9>& out) noexcept {
-  const std::uint32_t cx = cell % params.cells_x;
-  const std::uint32_t cy = cell / params.cells_x;
-  unsigned n = 0;
-  // Row-major linearization: (+1, 0) and every dy = +1 cell have a larger
-  // linear id than `cell`; everything else is smaller.
-  if (cx + 1 < params.cells_x) out[n++] = cell + 1;
-  if (cy + 1 < params.cells_y) {
-    const std::uint32_t row = cell + params.cells_x;
-    if (cx > 0) out[n++] = row - 1;
-    out[n++] = row;
-    if (cx + 1 < params.cells_x) out[n++] = row + 1;
-  }
-  return n;
-}
-
-GridParams grid_params(const Rect2& extent, float eps,
-                       std::uint64_t max_cells) {
+/// The geometry of a grid of eps-wide cells from corner `lo` to `hi`. Each
+/// axis's span / eps is divided in float, as BasicGridParams bins points,
+/// but floored and checked in double before it is narrowed: a span that is
+/// not finite (it overflowed float) or a grid of more than `max_cells`
+/// cells (or more than 32-bit cell ids can address) throws
+/// std::invalid_argument.
+template <typename Point>
+BasicGridParams<Point> make_grid_params(
+    const std::array<float, Point::kDims>& lo,
+    const std::array<float, Point::kDims>& hi, float eps,
+    std::uint64_t max_cells) {
   if (!(eps > 0.0f) || !std::isfinite(eps)) {
     throw std::invalid_argument("grid index: eps must be positive and finite");
   }
-  GridParams params;
-  params.min_x = extent.min_x;
-  params.min_y = extent.min_y;
-  params.eps = eps;
-  const std::array<float, 2> spans{extent.max_x - extent.min_x,
-                                   extent.max_y - extent.min_y};
-  std::array<std::uint32_t, 2> dims{};
-  detail::eps_grid_dims(spans, eps, max_cells, dims, "grid index");
-  params.cells_x = dims[0];
-  params.cells_y = dims[1];
-  return params;
+  const double limit = static_cast<double>(std::min<std::uint64_t>(
+      max_cells, std::numeric_limits<std::uint32_t>::max()));
+  std::array<std::uint32_t, Point::kDims> dims{};
+  double total = 1.0;
+  for (unsigned axis = 0; axis < Point::kDims; ++axis) {
+    const float span = hi[axis] - lo[axis];
+    if (!std::isfinite(span)) {
+      throw std::invalid_argument("grid index: extent is not finite");
+    }
+    const double cells = std::floor(static_cast<double>(span / eps)) + 1.0;
+    total *= cells;
+    if (!(total <= limit)) {
+      throw std::invalid_argument(
+          "grid index: cell array would exceed its capacity of " +
+          std::to_string(static_cast<std::uint64_t>(limit)) +
+          " cells (eps too small for this extent)");
+    }
+    dims[axis] = static_cast<std::uint32_t>(cells);
+  }
+  return [&]<std::size_t... A>(std::index_sequence<A...>) {
+    return BasicGridParams<Point>{{lo[A]..., eps, dims[A]...}};
+  }(std::make_index_sequence<Point::kDims>{});
 }
 
-GridIndex build_grid_index(std::span<const Point2> input, float eps,
-                           std::uint64_t max_cells) {
+}  // namespace
+
+GridParams grid_params(const Rect2& extent, float eps,
+                       std::uint64_t max_cells) {
+  return make_grid_params<Point2>({extent.min_x, extent.min_y},
+                                 {extent.max_x, extent.max_y}, eps, max_cells);
+}
+
+template <typename Point>
+BasicGridIndex<Point> build_grid_index(
+    std::span<const std::type_identity_t<Point>> input, float eps,
+    std::uint64_t max_cells) {
   if (input.empty()) throw std::invalid_argument("grid index: empty database");
-  Rect2 extent;
-  for (const Point2& p : input) extent.expand(p);
-  GridIndex index;
-  index.params = grid_params(extent, eps, max_cells);
+  // The extent, with every coordinate checked first: std::min and std::max
+  // would skip a NaN, and a NaN has no cell to be binned into.
+  std::array<float, Point::kDims> lo{};
+  std::array<float, Point::kDims> hi{};
+  lo.fill(std::numeric_limits<float>::max());
+  hi.fill(std::numeric_limits<float>::lowest());
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    for (unsigned axis = 0; axis < Point::kDims; ++axis) {
+      const float v = input[i][axis];
+      if (!std::isfinite(v)) {
+        throw std::invalid_argument("grid index: point " + std::to_string(i) +
+                                    " has a coordinate that is not finite");
+      }
+      lo[axis] = std::min(lo[axis], v);
+      hi[axis] = std::max(hi[axis], v);
+    }
+  }
+  BasicGridIndex<Point> index;
+  index.params = make_grid_params<Point>(lo, hi, eps, max_cells);
 
   // D in cell order: one counting sort fills G, A and D (paper Figure 1;
-  // the unit-bin pre-sort of §IV is replaced, see DESIGN.md §2).
-  detail::sort_into_cells(index, input, "grid index");
+  // the unit-bin pre-sort of §IV is replaced, see DESIGN.md §2) —
+  // linear_cell once per input point, per-cell counts, an exclusive scan
+  // into G, and one scatter that writes D, original_ids and A at each
+  // cell's cursor. Each cell's residents end up contiguous and in input
+  // order, so lookup[a] == a.
+  const auto num_cells = static_cast<std::size_t>(index.params.num_cells());
+  const std::size_t n = input.size();
+  std::vector<std::uint32_t> cell_of(n);
+  std::vector<std::uint32_t> cursor(num_cells, 0);  // counts, then cursors
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t h = index.params.linear_cell(input[i]);
+    cell_of[i] = h;
+    ++cursor[h];
+  }
+
+  index.cells.resize(num_cells);
+  std::uint32_t running = 0;
+  for (std::size_t h = 0; h < num_cells; ++h) {
+    const std::uint32_t count = cursor[h];
+    index.cells[h] = CellRange{running, running + count};
+    cursor[h] = running;
+    running += count;
+    if (count > 0) {
+      index.nonempty_cells.push_back(static_cast<std::uint32_t>(h));
+      index.max_cell_occupancy = std::max(index.max_cell_occupancy, count);
+    }
+  }
+
+  index.points.resize(n);
+  index.original_ids.resize(n);
+  index.lookup.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t a = cursor[cell_of[i]]++;
+    index.points[a] = input[i];
+    index.original_ids[a] = static_cast<PointId>(i);
+    index.lookup[a] = a;
+  }
+
+  // Ordering invariant (ScanMode::kHalf depends on it): every cell's slice
+  // of A is strictly ascending. One linear pass, so verify it rather than
+  // trust it.
+  for (const std::uint32_t h : index.nonempty_cells) {
+    const CellRange range = index.cells[h];
+    for (std::uint32_t a = range.begin + 1; a < range.end; ++a) {
+      if (index.lookup[a - 1] >= index.lookup[a]) {
+        throw std::logic_error(
+            "grid index: lookup ids not ascending within a cell (ordering "
+            "invariant violated)");
+      }
+    }
+  }
   return index;
 }
 
@@ -114,26 +175,9 @@ SubCells build_sub_cells(const GridIndex& index) {
   return sub_cells;
 }
 
-void grid_query(const GridIndex& index, const Point2& q, float eps,
-                std::vector<PointId>& out) {
-  out.clear();
-  const float eps2 = eps * eps;
-  const std::uint32_t cell = index.params.linear_cell(q);
-  std::array<std::uint32_t, 9> neighbors{};
-  const unsigned n = get_neighbor_cells(index.params, cell, neighbors);
-  for (unsigned c = 0; c < n; ++c) {
-    // Shard sub-indexes hold a slab: global cell h lives at h - cell_base.
-    // Queries for owned points never leave the slab; the bound check only
-    // guards direct queries of ghost/outside points (unsigned wrap covers
-    // cells below the base).
-    const std::uint32_t local = neighbors[c] - index.cell_base;
-    if (local >= index.cells.size()) continue;
-    const CellRange range = index.cells[local];
-    for (std::uint32_t a = range.begin; a < range.end; ++a) {
-      const PointId id = index.lookup[a];
-      if (dist2(q, index.points[id]) <= eps2) out.push_back(id);
-    }
-  }
-}
+template GridIndex build_grid_index<Point2>(std::span<const Point2>, float,
+                                            std::uint64_t);
+template GridIndex3 build_grid_index<Point3>(std::span<const Point3>, float,
+                                             std::uint64_t);
 
 }  // namespace hdbscan

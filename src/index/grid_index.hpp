@@ -1,24 +1,27 @@
-// Grid index for epsilon-neighborhood searches (paper §IV, Figure 1).
+// Grid index for epsilon-neighborhood searches (paper §IV, Figure 1),
+// written once for points of any dimension D (Point2, Point3).
 //
 // The index consists of:
 //   * D  — the database, stored in eps-cell order: every cell's residents
 //          are one contiguous run, in input order, so points in similar
 //          locations are nearby in memory (the paper's locality
 //          optimization, §IV, sorts by unit-width bins instead);
-//   * G  — an array of eps x eps cells, each holding a range [Amin, Amax]
-//          into the lookup array;
+//   * G  — an array of eps-wide cells (squares in 2-D, cubes in 3-D), each
+//          holding a range [Amin, Amax] into the lookup array;
 //   * A  — the lookup array of point ids, |A| == |D| (a point lives in
 //          exactly one cell, so no per-cell over-allocation is needed);
 //   * S  — the schedule of non-empty cells (GPUCalcShared assigns one
 //          thread block per entry of S).
 //
 // Because cells are eps wide, all neighbors within eps of a point are
-// guaranteed to lie in the point's cell or the 8 adjacent cells.
+// guaranteed to lie in the 3^D-cell block around the point's cell: its
+// own cell and the 8 adjacent ones in 2-D, 26 in 3-D.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -34,80 +37,182 @@ struct CellRange {
   [[nodiscard]] std::uint32_t count() const noexcept { return end - begin; }
 };
 
-/// Geometry of the grid; a POD so it can be passed to kernels by value.
-struct GridParams {
+/// A grid's fields, named by axis as its point type names coordinates:
+/// the min corner, the cell side eps and the cells per axis. min() and
+/// cells() read them by axis number for the code written once for all D.
+template <typename Point>
+struct GridAxes;
+
+template <>
+struct GridAxes<Point2> {
   float min_x = 0.0f;
   float min_y = 0.0f;
   float eps = 0.0f;
   std::uint32_t cells_x = 0;
   std::uint32_t cells_y = 0;
 
-  [[nodiscard]] std::uint64_t num_cells() const noexcept {
-    return static_cast<std::uint64_t>(cells_x) * cells_y;
-  }
-
-  [[nodiscard]] std::uint32_t cell_x_of(float x) const noexcept {
-    auto c = static_cast<std::int64_t>((x - min_x) / eps);
-    if (c < 0) c = 0;
-    if (c >= static_cast<std::int64_t>(cells_x)) c = cells_x - 1;
-    return static_cast<std::uint32_t>(c);
-  }
-
-  [[nodiscard]] std::uint32_t cell_y_of(float y) const noexcept {
-    auto c = static_cast<std::int64_t>((y - min_y) / eps);
-    if (c < 0) c = 0;
-    if (c >= static_cast<std::int64_t>(cells_y)) c = cells_y - 1;
-    return static_cast<std::uint32_t>(c);
-  }
-
-  /// Linearized cell id h of a point (paper: h computed from x/y coords).
-  [[nodiscard]] std::uint32_t linear_cell(const Point2& p) const noexcept {
-    return cell_y_of(p.y) * cells_x + cell_x_of(p.x);
-  }
-
-  /// Which of its cell's 2 x 2 sub-cells of side eps/2 holds p: bit 0 is
-  /// set in the cell's upper half along x, bit 1 along y. It splits the
-  /// quotient cell_x_of/cell_y_of bin, so a sub-cell never straddles two
-  /// cells.
-  [[nodiscard]] unsigned sub_cell_of(const Point2& p) const noexcept {
-    const float tx = (p.x - min_x) / eps - static_cast<float>(cell_x_of(p.x));
-    const float ty = (p.y - min_y) / eps - static_cast<float>(cell_y_of(p.y));
-    return (tx >= 0.5f ? 1u : 0u) | (ty >= 0.5f ? 2u : 0u);
+  [[nodiscard]] Point2 min() const noexcept { return {min_x, min_y}; }
+  [[nodiscard]] std::array<std::uint32_t, 2> cells() const noexcept {
+    return {cells_x, cells_y};
   }
 };
 
-/// Fills `out` with the linear ids of the (at most 9) cells that can
-/// contain points within eps of anything in `cell`; returns how many.
-/// Cells outside the grid boundary are clipped.
-unsigned get_neighbor_cells(const GridParams& params, std::uint32_t cell,
-                            std::array<std::uint32_t, 9>& out) noexcept;
+template <>
+struct GridAxes<Point3> {
+  float min_x = 0.0f;
+  float min_y = 0.0f;
+  float min_z = 0.0f;
+  float eps = 0.0f;
+  std::uint32_t cells_x = 0;
+  std::uint32_t cells_y = 0;
+  std::uint32_t cells_z = 0;
 
-/// Forward half of the 9-cell stencil: the (at most 4) adjacent cells with
-/// linear id strictly greater than `cell` — (+1, 0) in the same row plus
-/// the whole dy = +1 row. Cell adjacency is symmetric, so every adjacent
-/// cell pair (a, b) with a != b appears in exactly one of the two forward
-/// stencils; a unidirectional scan (ScanMode::kHalf) therefore tests every
-/// cross-cell candidate pair exactly once. The cell itself is NOT included
-/// — same-cell pairs are halved by the ordering invariant instead (see
-/// build_grid_index).
-unsigned get_forward_neighbor_cells(const GridParams& params,
+  [[nodiscard]] Point3 min() const noexcept { return {min_x, min_y, min_z}; }
+  [[nodiscard]] std::array<std::uint32_t, 3> cells() const noexcept {
+    return {cells_x, cells_y, cells_z};
+  }
+};
+
+/// Geometry of the grid; a POD so it can be passed to kernels by value.
+/// Cells are linearized with x fastest: h = (z * cells_y + y) * cells_x + x.
+template <typename Point>
+struct BasicGridParams : GridAxes<Point> {
+  using GridAxes<Point>::eps;
+
+  [[nodiscard]] std::uint64_t num_cells() const noexcept {
+    std::uint64_t n = 1;
+    for (const std::uint32_t c : this->cells()) n *= c;
+    return n;
+  }
+
+  /// The cell coordinate of `v` on `axis`, clamped into the grid.
+  [[nodiscard]] std::uint32_t axis_cell(unsigned axis,
+                                        float v) const noexcept {
+    auto c = static_cast<std::int64_t>((v - this->min()[axis]) / eps);
+    const std::uint32_t n = this->cells()[axis];
+    if (c < 0) c = 0;
+    if (c >= static_cast<std::int64_t>(n)) c = n - 1;
+    return static_cast<std::uint32_t>(c);
+  }
+
+  /// Linearized cell id h of a point (paper: h computed from its coords).
+  [[nodiscard]] std::uint32_t linear_cell(const Point& p) const noexcept {
+    std::uint32_t h = 0;
+    for (unsigned axis = Point::kDims; axis-- > 0;) {
+      h = h * this->cells()[axis] + axis_cell(axis, p[axis]);
+    }
+    return h;
+  }
+
+  /// Which of its cell's 2^D sub-cells of side eps/2 holds p: bit a is set
+  /// in the cell's upper half along axis a. It splits the axis_cell bin,
+  /// so a sub-cell never straddles two cells. Only 2-D grids build
+  /// sub-cells (build_sub_cells).
+  [[nodiscard]] unsigned sub_cell_of(const Point& p) const noexcept {
+    unsigned sub = 0;
+    for (unsigned axis = 0; axis < Point::kDims; ++axis) {
+      const float t = (p[axis] - this->min()[axis]) / eps -
+                      static_cast<float>(axis_cell(axis, p[axis]));
+      sub |= (t >= 0.5f ? 1u : 0u) << axis;
+    }
+    return sub;
+  }
+};
+
+using GridParams = BasicGridParams<Point2>;
+using GridParams3 = BasicGridParams<Point3>;
+
+/// Room for the 3^D cells of a stencil: 9 in 2-D, 27 in 3-D.
+template <typename Point>
+using CellStencil = std::array<std::uint32_t, Point::kDims == 2 ? 9 : 27>;
+
+namespace detail {
+
+/// Appends the stencil cells of the cell at `at` on axes [0, A), in
+/// ascending linear id: axis A - 1 is walked slowest, by offset -1, 0, +1,
+/// clipped at the grid's edge, and `base` is the id prefix of the axes
+/// above. kForward keeps only the cells after the cell itself in that
+/// order: offset 0 on this axis with the forward cells of the axes below,
+/// then offset +1 with all of them.
+template <unsigned A, bool kForward, typename Point>
+void walk_stencil(const BasicGridParams<Point>& params,
+                  const std::array<std::uint32_t, Point::kDims>& at,
+                  std::uint32_t base, CellStencil<Point>& out,
+                  unsigned& count) noexcept {
+  if constexpr (A == 0) {
+    if constexpr (!kForward) out[count++] = base;
+  } else {
+    const std::uint32_t n = params.cells()[A - 1];
+    const std::uint32_t c = at[A - 1];
+    if (!kForward && c > 0) {
+      walk_stencil<A - 1, false>(params, at, base * n + c - 1, out, count);
+    }
+    walk_stencil<A - 1, kForward>(params, at, base * n + c, out, count);
+    if (c + 1 < n) {
+      walk_stencil<A - 1, false>(params, at, base * n + c + 1, out, count);
+    }
+  }
+}
+
+template <bool kForward, typename Point>
+unsigned stencil_cells(const BasicGridParams<Point>& params,
+                       std::uint32_t cell, CellStencil<Point>& out) noexcept {
+  const std::array<std::uint32_t, Point::kDims> n = params.cells();
+  std::array<std::uint32_t, Point::kDims> at{};
+  for (unsigned axis = 0; axis + 1 < Point::kDims; ++axis) {
+    at[axis] = cell % n[axis];
+    cell /= n[axis];
+  }
+  at[Point::kDims - 1] = cell;
+  unsigned count = 0;
+  walk_stencil<Point::kDims, kForward>(params, at, 0, out, count);
+  return count;
+}
+
+}  // namespace detail
+
+/// Fills `out` with the linear ids of the (at most 3^D) cells that can
+/// contain points within eps of anything in `cell`, ascending — in 2-D
+/// by (dy, dx), in 3-D by (dz, dy, dx); returns how many. Cells outside
+/// the grid boundary are clipped.
+template <typename Point>
+unsigned get_neighbor_cells(const BasicGridParams<Point>& params,
+                            std::uint32_t cell,
+                            CellStencil<Point>& out) noexcept {
+  return detail::stencil_cells</*kForward=*/false>(params, cell, out);
+}
+
+/// Forward half of the stencil: the adjacent cells with linear id strictly
+/// greater than `cell`, in the same order — in 2-D (+1, 0) in the same row
+/// plus the whole dy = +1 row (at most 4), in 3-D that plus the whole
+/// dz = +1 plane (at most 13). Cell adjacency is symmetric, so every
+/// adjacent cell pair (a, b) with a != b appears in exactly one of the two
+/// forward stencils; a unidirectional scan (ScanMode::kHalf) therefore
+/// tests every cross-cell candidate pair exactly once. The cell itself is
+/// NOT included — same-cell pairs are halved by the ordering invariant
+/// instead (see build_grid_index).
+template <typename Point>
+unsigned get_forward_neighbor_cells(const BasicGridParams<Point>& params,
                                     std::uint32_t cell,
-                                    std::array<std::uint32_t, 9>& out) noexcept;
+                                    CellStencil<Point>& out) noexcept {
+  return detail::stencil_cells</*kForward=*/true>(params, cell, out);
+}
 
 /// Host-resident grid index.
 ///
-/// A *shard sub-index* (core/shard_planner.hpp) reuses this struct for a
-/// contiguous slab of grid-cell rows: `params` keeps the GLOBAL geometry
-/// (so every point hashes to the same cell id it has in the full index),
-/// `cells` holds only the slab — cells[h - cell_base] is global cell h —
-/// and `points`/`lookup` hold the slab's residents in *owned-first* order:
-/// the first `num_query` points are the ones this shard owns (ascending
-/// global id), followed by the epsilon-halo ghosts (ascending global id).
-/// Kernels and host queries only ever query owned points, whose full
-/// 9-cell stencil lies inside the slab by construction.
-struct GridIndex {
-  GridParams params;
-  std::vector<Point2> points;          ///< D, in cell order
+/// A *shard sub-index* (core/shard_planner.hpp, 2-D only) reuses this
+/// struct for a contiguous slab of grid-cell rows: `params` keeps the
+/// GLOBAL geometry (so every point hashes to the same cell id it has in
+/// the full index), `cells` holds only the slab — cells[h - cell_base] is
+/// global cell h — and `points`/`lookup` hold the slab's residents in
+/// *owned-first* order: the first `num_query` points are the ones this
+/// shard owns (ascending global id), followed by the epsilon-halo ghosts
+/// (ascending global id). Kernels and host queries only ever query owned
+/// points, whose full 9-cell stencil lies inside the slab by construction.
+template <typename Point>
+struct BasicGridIndex {
+  BasicGridParams<Point> params;
+  std::vector<Point> points;           ///< D, in cell order
   std::vector<PointId> original_ids;   ///< points[i] came from input[original_ids[i]]
   std::vector<CellRange> cells;        ///< G
   std::vector<PointId> lookup;         ///< A
@@ -136,11 +241,15 @@ struct GridIndex {
   }
 };
 
+using GridIndex = BasicGridIndex<Point2>;
+using GridIndex3 = BasicGridIndex<Point3>;
+
 /// Non-owning view of the index data; what kernels receive. The pointers
 /// may reference host vectors (tests, the host rungs) or device buffers.
-struct GridView {
-  GridParams params;
-  const Point2* points = nullptr;
+template <typename Point>
+struct BasicGridView {
+  BasicGridParams<Point> params;
+  const Point* points = nullptr;
   std::uint32_t num_points = 0;  ///< resident points (extent of the arrays)
   const CellRange* cells = nullptr;
   const PointId* lookup = nullptr;
@@ -162,21 +271,25 @@ struct GridView {
     return emit_ids == nullptr ? c : emit_ids[c];
   }
 
-  [[nodiscard]] static GridView of(const GridIndex& g) noexcept {
-    return GridView{g.params,
-                    g.points.data(),
-                    static_cast<std::uint32_t>(g.points.size()),
-                    g.cells.data(),
-                    g.lookup.data(),
-                    g.cell_base,
-                    g.num_query,
-                    g.emit_ids.empty() ? nullptr : g.emit_ids.data()};
+  [[nodiscard]] static BasicGridView of(
+      const BasicGridIndex<Point>& g) noexcept {
+    return BasicGridView{g.params,
+                         g.points.data(),
+                         static_cast<std::uint32_t>(g.points.size()),
+                         g.cells.data(),
+                         g.lookup.data(),
+                         g.cell_base,
+                         g.num_query,
+                         g.emit_ids.empty() ? nullptr : g.emit_ids.data()};
   }
 };
 
-/// The eps/2 sub-cells of a whole grid index, which the fused union pass
-/// reads (DESIGN.md §15). Any two residents of one sub-cell are within eps
-/// of each other: its diagonal is eps/√2. order[a], for a in cells[h],
+using GridView = BasicGridView<Point2>;
+using GridView3 = BasicGridView<Point3>;
+
+/// The eps/2 sub-cells of a whole 2-D grid index, which the fused union
+/// pass reads (DESIGN.md §15). Any two residents of one sub-cell are within
+/// eps of each other: its diagonal is eps/√2. order[a], for a in cells[h],
 /// lists cell h's residents again, grouped into one run per sub-cell in
 /// sub_cell_of order — a per-cell permutation of the same ids. For a cell
 /// of at least kSubCellMinResidents residents starting at position b,
@@ -198,7 +311,9 @@ inline constexpr std::uint32_t kSubCellMinResidents = 16;
 /// float, so a point's quotient is off by up to about 2^-23 of itself: at
 /// 2^19 cells two residents of one sub-cell are at most 0.625 eps apart
 /// per axis (0.78 eps² squared, inside the kernels' float test). Wider
-/// grids go without, and the fused union pass scans them as before.
+/// grids go without, and the fused union pass scans them as before. The
+/// bound is why sub-cells stay 2-D: three such axes give 1.17 eps², past
+/// eps².
 inline constexpr std::uint32_t kMaxSubCellAxis = 1u << 19;
 
 /// Groups each cell of a whole `index` (not a shard slab) by sub-cell: a
@@ -211,7 +326,7 @@ SubCells build_sub_cells(const GridIndex& index);
 /// a 1 GiB cell array (the same capacity concern a 5 GB GPU imposes).
 inline constexpr std::uint64_t kMaxGridCells = 1ull << 27;
 
-/// The geometry build_grid_index gives a grid over `extent`: its min
+/// The geometry build_grid_index gives a 2-D grid over `extent`: its min
 /// corner, `eps`, and floor(span / eps) + 1 cells per axis, the ratio
 /// divided in float as points are binned. Throws std::invalid_argument for
 /// an eps that is not positive and finite, an extent that is not finite,
@@ -223,9 +338,11 @@ GridParams grid_params(const Rect2& extent, float eps,
 
 /// Builds the grid index for database `input` and search radius `eps`:
 /// one counting sort stores D in cell order, so cells[h] is also the range
-/// of D holding cell h's points and lookup[a] == a. Throws
-/// std::invalid_argument for an empty database or whatever grid_params
-/// throws for the database's extent.
+/// of D holding cell h's points and lookup[a] == a. The point type is
+/// Point2 unless named: build_grid_index<Point3>(points, eps) builds a 3-D
+/// grid. Throws std::invalid_argument for an empty database, for a point
+/// with a coordinate that is not finite (naming the first one), or for
+/// whatever grid_params throws for the database's extent.
 ///
 /// Ordering invariant (load-bearing for ScanMode::kHalf): within every
 /// cell's [begin, end) range the lookup array A stores point ids in
@@ -234,14 +351,36 @@ GridParams grid_params(const Rect2& extent, float eps,
 /// The builder verifies it before returning. Half-comparison kernels rely
 /// on it to binary-search their own lookup position and scan only
 /// same-cell candidates with id >= their own.
-GridIndex build_grid_index(std::span<const Point2> input, float eps,
-                           std::uint64_t max_cells = kMaxGridCells);
+template <typename Point = Point2>
+BasicGridIndex<Point> build_grid_index(
+    std::span<const std::type_identity_t<Point>> input, float eps,
+    std::uint64_t max_cells = kMaxGridCells);
 
 /// Reference search: all point ids (into the index's reordered D) within
 /// eps of q. It shares no code with the kernels' traversal, which is what
 /// makes it the oracle the host table builder and dbscan_grid run on; the
 /// host fallback runs the kernel bodies instead (gpu/kernels.hpp).
-void grid_query(const GridIndex& index, const Point2& q, float eps,
-                std::vector<PointId>& out);
+template <typename Point>
+void grid_query(const BasicGridIndex<Point>& index, const Point& q, float eps,
+                std::vector<PointId>& out) {
+  out.clear();
+  const float eps2 = eps * eps;
+  const std::uint32_t cell = index.params.linear_cell(q);
+  CellStencil<Point> neighbors{};
+  const unsigned n = get_neighbor_cells(index.params, cell, neighbors);
+  for (unsigned c = 0; c < n; ++c) {
+    // Shard sub-indexes hold a slab: global cell h lives at h - cell_base.
+    // Queries for owned points never leave the slab; the bound check only
+    // guards direct queries of ghost/outside points (unsigned wrap covers
+    // cells below the base).
+    const std::uint32_t local = neighbors[c] - index.cell_base;
+    if (local >= index.cells.size()) continue;
+    const CellRange range = index.cells[local];
+    for (std::uint32_t a = range.begin; a < range.end; ++a) {
+      const PointId id = index.lookup[a];
+      if (dist2(q, index.points[id]) <= eps2) out.push_back(id);
+    }
+  }
+}
 
 }  // namespace hdbscan

@@ -157,7 +157,9 @@ class ClusterService {
   /// estimator run at `reference_eps` (host-resident grid view — no index
   /// upload), from which any eps is priced as ref_pairs * (eps/ref)^2.
   /// Falls back to a strided host sample when no device can run the
-  /// estimation kernel.
+  /// estimation kernel. Throws std::invalid_argument, and registers
+  /// nothing, for an empty dataset, a reference_eps that is not positive,
+  /// or a point with a coordinate that is not finite (build_grid_index).
   void register_dataset(const std::string& name, std::vector<Point2> points,
                         float reference_eps);
 

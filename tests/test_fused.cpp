@@ -23,7 +23,6 @@
 #include "common/cancel.hpp"
 #include "common/rng.hpp"
 #include "core/hybrid_dbscan.hpp"
-#include "core/hybrid_dbscan3.hpp"
 #include "cudasim/buffer_pool.hpp"
 #include "cudasim/error.hpp"
 #include "cudasim/fault.hpp"
@@ -89,9 +88,9 @@ std::vector<std::int32_t> union_find_labels(std::span<const Point2> points,
 
 std::vector<std::int32_t> union_find_labels3(std::span<const Point3> points,
                                              float eps, int minpts) {
-  const GridIndex3 index = build_grid_index3(points, eps);
+  const GridIndex3 index = build_grid_index<Point3>(points, eps);
   const int values[] = {minpts};
-  return dbscan_parallel(build_neighbor_table_host3(index, eps), values, 0,
+  return dbscan_parallel(build_neighbor_table_host(index, eps), values, 0,
                          index.original_ids)
       .front()
       .labels;
@@ -649,7 +648,8 @@ TEST(FusedDenseRuns, DenseSubCellsJustBeyondEpsStayApart) {
 }
 
 // ---------------------------------------------------------------------------
-// 3-D: fused_dbscan3 == the banded pass; hybrid_dbscan3 agrees on counts
+// 3-D through the one front door: fused == the banded pass; batch agrees
+// on counts
 // ---------------------------------------------------------------------------
 
 std::vector<Point3> random_points3(std::size_t n, std::uint64_t seed,
@@ -666,21 +666,28 @@ std::vector<Point3> random_points3(std::size_t n, std::uint64_t seed,
 TEST(FusedDbscan3, MatchesBatchAcrossScanModes) {
   const auto points = random_points3(2000, 75, 5.0f);
   cudasim::Device batch_dev({}, fast_options());
-  const ClusterResult batch = hybrid_dbscan3(batch_dev, points, 0.4f, 4);
+  const ClusterResult batch = hybrid_dbscan(batch_dev, points, 0.4f, 4);
   const std::vector<std::int32_t> want = union_find_labels3(points, 0.4f, 4);
   for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
     SCOPED_TRACE(scan == ScanMode::kHalf ? "kHalf" : "kFull");
     cudasim::Device dev({}, fast_options());
-    Build3Report report;
-    const ClusterResult fused =
-        fused_dbscan3(dev, points, 0.4f, 4, &report, scan);
+    BatchPolicy policy;
+    policy.scan_mode = scan;
+    HybridTimings timings;
+    const ClusterResult fused = hybrid_dbscan(dev, points, 0.4f, 4, &timings,
+                                              policy, ClusterMode::kFused);
+    const BuildReport& report = timings.build_report;
     EXPECT_EQ(fused.labels, want);
     EXPECT_EQ(fused.num_clusters, batch.num_clusters);
     EXPECT_EQ(fused.noise_count(), batch.noise_count());
-    EXPECT_GT(report.total_pairs, 0u);
+    EXPECT_TRUE(report.fused);
+    EXPECT_EQ(report.scan_mode, scan);
+    EXPECT_GT(report.capped_points, 0u);
     EXPECT_GT(report.kernel_flops, 0u);
-    // Nothing to transpose: no forward rows ever became a table.
+    EXPECT_EQ(report.dense_runs, 0u);  // sub-cells are 2-D only
+    // Nothing to transpose or ship: no forward rows ever became a table.
     EXPECT_EQ(report.expand_seconds, 0.0);
+    EXPECT_EQ(report.d2h_bytes, 0u);
   }
 }
 
@@ -704,10 +711,10 @@ TEST(FusedDbscan3, DenseClumpsAndMinptsSweep) {
   for (const int minpts : {2, 8, 64}) {
     SCOPED_TRACE("minpts " + std::to_string(minpts));
     cudasim::Device batch_dev({}, fast_options());
-    const ClusterResult batch =
-        hybrid_dbscan3(batch_dev, points, 0.3f, minpts);
+    const ClusterResult batch = hybrid_dbscan(batch_dev, points, 0.3f, minpts);
     cudasim::Device dev({}, fast_options());
-    const ClusterResult fused = fused_dbscan3(dev, points, 0.3f, minpts);
+    const ClusterResult fused = hybrid_dbscan(dev, points, 0.3f, minpts,
+                                              nullptr, {}, ClusterMode::kFused);
     EXPECT_EQ(fused.labels, union_find_labels3(points, 0.3f, minpts));
     EXPECT_EQ(fused.num_clusters, batch.num_clusters);
     EXPECT_EQ(fused.noise_count(), batch.noise_count());

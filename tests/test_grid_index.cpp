@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -40,6 +43,60 @@ TEST(GridIndex, RejectsGridBeyondCapacityBeforeNarrowing) {
   EXPECT_THROW(build_grid_index(huge, 1.0f), std::invalid_argument);
   const std::vector<Point2> huge_y{{0.0f, -3e38f}, {1.0f, 3e38f}};
   EXPECT_THROW(build_grid_index(huge_y, 1.0f), std::invalid_argument);
+}
+
+/// A NaN coordinate would pass the extent check (std::min and std::max skip
+/// it) and then be cast to a cell index: the builder rejects it, naming the
+/// first point that has one.
+template <typename Point>
+void expect_point_3_rejected(const std::vector<Point>& points) {
+  try {
+    (void)build_grid_index<Point>(points, 0.3f);
+    ADD_FAILURE() << "a non-finite coordinate was binned";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("point 3 "), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(GridIndex, RejectsNonFiniteCoordinatesNamingThePoint) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float v : {nan, inf, -inf}) {
+    SCOPED_TRACE(std::to_string(v));
+    // Each axis of each dimension, beside three finite points.
+    expect_point_3_rejected<Point2>({{0, 0}, {0.1f, 0}, {0.2f, 0}, {v, 0.5f}});
+    expect_point_3_rejected<Point2>({{0, 0}, {0.1f, 0}, {0.2f, 0}, {0.5f, v}});
+    expect_point_3_rejected<Point3>(
+        {{0, 0, 0}, {0.1f, 0, 0}, {0.2f, 0, 0}, {v, 0.5f, 0.5f}});
+    expect_point_3_rejected<Point3>(
+        {{0, 0, 0}, {0.1f, 0, 0}, {0.2f, 0, 0}, {0.5f, v, 0.5f}});
+    expect_point_3_rejected<Point3>(
+        {{0, 0, 0}, {0.1f, 0, 0}, {0.2f, 0, 0}, {0.5f, 0.5f, v}});
+  }
+}
+
+/// The stencils list their cells in ascending linear id, by (dy, dx) over
+/// -1, 0, +1 with the grid's edges clipped; the forward half keeps the
+/// cells with a larger id than the cell's own.
+TEST(NeighborCells, StencilsListCellsInAscendingIdOrder) {
+  const GridParams p{0, 0, 1.0f, 4, 3};
+  for (std::uint32_t cell = 0; cell < p.num_cells(); ++cell) {
+    const int cx = static_cast<int>(cell % 4);
+    const int cy = static_cast<int>(cell / 4);
+    std::vector<std::uint32_t> want;
+    for (int y = cy - 1; y <= cy + 1; ++y) {
+      for (int x = cx - 1; x <= cx + 1; ++x) {
+        if (x >= 0 && x < 4 && y >= 0 && y < 3) want.push_back(y * 4 + x);
+      }
+    }
+    std::array<std::uint32_t, 9> out{};
+    const unsigned n = get_neighbor_cells(p, cell, out);
+    EXPECT_EQ(std::vector<std::uint32_t>(out.begin(), out.begin() + n), want);
+    std::erase_if(want, [&](std::uint32_t id) { return id <= cell; });
+    const unsigned f = get_forward_neighbor_cells(p, cell, out);
+    EXPECT_EQ(std::vector<std::uint32_t>(out.begin(), out.begin() + f), want);
+  }
 }
 
 /// grid_params is the builder's own sizing: it gives the geometry the

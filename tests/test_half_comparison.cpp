@@ -9,12 +9,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/hybrid_dbscan3.hpp"
 #include "core/neighbor_table_builder.hpp"
 #include "data/generators.hpp"
 #include "gpu/kernels.hpp"
 #include "index/grid_index.hpp"
-#include "index/grid_index3.hpp"
 
 namespace hdbscan {
 namespace {
@@ -137,21 +135,21 @@ TEST(HalfComparison, Device3MatchesFullAndHost) {
   // Duplicate-coordinate clump in 3-D too.
   for (int i = 0; i < 30; ++i) points.push_back({1.5f, 1.5f, 1.5f});
   const float eps = 0.4f;
-  const GridIndex3 index = build_grid_index3(points, eps);
+  const GridIndex3 index = build_grid_index<Point3>(points, eps);
+  BatchPolicy policy;
 
+  policy.scan_mode = ScanMode::kFull;
   cudasim::Device full_dev({}, fast_options());
-  NeighborTable full = build_neighbor_table_device3(
-      full_dev, index, eps, nullptr, ScanMode::kFull);
+  NeighborTable full = NeighborTableBuilder(full_dev, policy).build(index, eps);
+  policy.scan_mode = ScanMode::kHalf;
   cudasim::Device half_dev({}, fast_options());
-  NeighborTable half = build_neighbor_table_device3(
-      half_dev, index, eps, nullptr, ScanMode::kHalf);
+  NeighborTable half = NeighborTableBuilder(half_dev, policy).build(index, eps);
 
-  NeighborTable oracle = build_neighbor_table_host3(index, eps);
+  NeighborTable oracle = build_neighbor_table_host(index, eps);
   expect_identical(std::move(half), std::move(full));
 
   cudasim::Device dev2({}, fast_options());
-  NeighborTable again = build_neighbor_table_device3(
-      dev2, index, eps, nullptr, ScanMode::kHalf);
+  NeighborTable again = NeighborTableBuilder(dev2, policy).build(index, eps);
   expect_identical(std::move(again), std::move(oracle));
 }
 

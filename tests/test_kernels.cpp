@@ -12,12 +12,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/hybrid_dbscan3.hpp"
 #include "data/generators.hpp"
 #include "dbscan/neighbor_table.hpp"
 #include "gpu/result_sink.hpp"
 #include "index/grid_index.hpp"
-#include "index/grid_index3.hpp"
 
 namespace hdbscan {
 namespace {
@@ -438,8 +436,8 @@ TEST(FillCsr, StaysInsideRowsOnGrid3d) {
     p = {rng.uniform(0.0f, 2.0f), rng.uniform(0.0f, 2.0f),
          rng.uniform(0.0f, 2.0f)};
   }
-  const GridIndex3 index = build_grid_index3(points, eps);
-  NeighborTable oracle = build_neighbor_table_host3(index, eps);
+  const GridIndex3 index = build_grid_index<Point3>(points, eps);
+  NeighborTable oracle = build_neighbor_table_host(index, eps);
   oracle.canonicalize();
   cudasim::Device dev({}, fast_options());
   const GridView3 view = GridView3::of(index);

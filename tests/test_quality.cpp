@@ -190,13 +190,13 @@ TEST(CellGraphMode, RejectsExtentsPastTheKeyField3d) {
                                  {0.2f, 0.1f, 0.1f},
                                  {1210791.75f, 0.1f, 0.1f},
                                  {1210791.875f, 0.1f, 0.1f}};
-  EXPECT_THROW((void)cell_graph_dbscan3(wrap, 1.0f, 4, config),
+  EXPECT_THROW((void)cell_graph_dbscan(wrap, 1.0f, 4, config),
                std::invalid_argument);
   const std::vector<Point3> huge{{0.0f, 0.0f, 0.0f}, {3e9f, 0.0f, 0.0f}};
-  EXPECT_THROW((void)cell_graph_dbscan3(huge, 1.0f, 2, config),
+  EXPECT_THROW((void)cell_graph_dbscan(huge, 1.0f, 2, config),
                std::invalid_argument);
   const std::vector<Point3> deep{{0.0f, 0.0f, 0.0f}, {0.0f, 0.0f, 3e9f}};
-  EXPECT_THROW((void)cell_graph_dbscan3(deep, 1.0f, 2, config),
+  EXPECT_THROW((void)cell_graph_dbscan(deep, 1.0f, 2, config),
                std::invalid_argument);
 }
 
@@ -214,8 +214,7 @@ TEST(CellGraphMode, ServesAnExtentThatFillsTheKeyField) {
   CellGraphReport r2;
   CellGraphReport r3;
   const ClusterResult noise2 = cell_graph_dbscan(edge2, 1.0f, 4, config, &r2);
-  const ClusterResult noise3 =
-      cell_graph_dbscan3(edge3, 1.0f, 4, config, &r3);
+  const ClusterResult noise3 = cell_graph_dbscan(edge3, 1.0f, 4, config, &r3);
   EXPECT_EQ(noise2.noise_count(), 4u);
   EXPECT_EQ(noise3.noise_count(), 4u);
   // Two cells of two points, each testing only its own residents: no
@@ -225,7 +224,7 @@ TEST(CellGraphMode, ServesAnExtentThatFillsTheKeyField) {
   EXPECT_EQ(r3.num_cells, 2u);
   EXPECT_EQ(r3.distance_tests, 8u);
   const ClusterResult pairs2 = cell_graph_dbscan(edge2, 1.0f, 2, config);
-  const ClusterResult pairs3 = cell_graph_dbscan3(edge3, 1.0f, 2, config);
+  const ClusterResult pairs3 = cell_graph_dbscan(edge3, 1.0f, 2, config);
   for (const ClusterResult* r : {&pairs2, &pairs3}) {
     EXPECT_EQ(r->num_clusters, 2);
     EXPECT_EQ(r->labels[0], r->labels[1]);
@@ -249,7 +248,7 @@ TEST(CellGraphMode, RecoversSeparated3dClusters) {
   }
   CellGraphReport report;
   const ClusterResult r =
-      cell_graph_dbscan3(pts, 0.6f, 8, cudasim::DeviceConfig{}, &report);
+      cell_graph_dbscan(pts, 0.6f, 8, cudasim::DeviceConfig{}, &report);
   EXPECT_EQ(r.num_clusters, 2);
   EXPECT_EQ(r.noise_count(), 0u);
   // The two generating clusters never mix.
@@ -412,12 +411,7 @@ void expect_labels_equal_the_definition(std::uint64_t seed_base) {
     const int minpts = minpts_choices[rng.below(7)];
     const auto pts = adversarial_cloud<Point>(n, eps, rng());
     const ClusterResult want = cell_graph_definition(pts, eps, minpts);
-    ClusterResult got;
-    if constexpr (std::is_same_v<Point, Point3>) {
-      got = cell_graph_dbscan3(pts, eps, minpts, config);
-    } else {
-      got = cell_graph_dbscan(pts, eps, minpts, config);
-    }
+    const ClusterResult got = cell_graph_dbscan(pts, eps, minpts, config);
     ASSERT_EQ(got.labels, want.labels)
         << "trial " << trial << " n=" << n << " eps=" << eps
         << " minpts=" << minpts;

@@ -10,6 +10,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -360,6 +361,28 @@ TEST(ClusterServiceTest, UnknownDatasetIsRejectedWithReason) {
   EXPECT_EQ(results[0].state, JobState::kRejected);
   EXPECT_NE(results[0].reject_reason.find("nope"), std::string::npos);
   EXPECT_EQ(svc->stats().rejected, 1u);
+}
+
+/// A point with a NaN coordinate has no grid cell: registration throws,
+/// naming the point, and the service keeps serving the datasets it has.
+TEST(ClusterServiceTest, RegisterDatasetRejectsANonFiniteCoordinate) {
+  ServiceFixture f;
+  auto svc = f.make({});
+  std::vector<Point2> bad = f.points;
+  bad[7].y = std::numeric_limits<float>::quiet_NaN();
+  try {
+    svc->register_dataset("bad", bad, 0.8f);
+    ADD_FAILURE() << "a NaN coordinate was registered";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("point 7"), std::string::npos)
+        << e.what();
+  }
+  JobSpec on_bad = job(0.5f);
+  on_bad.dataset = "bad";
+  const auto results = svc->replay({on_bad, job(0.5f)});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].state, JobState::kRejected);
+  EXPECT_EQ(results[1].state, JobState::kCompleted);
 }
 
 /// A minpts below 1, or an eps that is not positive and finite, is
