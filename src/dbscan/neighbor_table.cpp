@@ -1,6 +1,7 @@
 #include "dbscan/neighbor_table.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -281,6 +282,17 @@ void NeighborTable::canonicalize() {
   begin_ = std::move(new_begin);
   end_ = std::move(new_end);
   values_ = std::move(new_values);
+}
+
+bool NeighborTable::is_canonical() const noexcept {
+  for (std::size_t k = 0; k < begin_.size(); ++k) {
+    const auto first = values_.begin() + begin_[k];
+    const auto last = values_.begin() + end_[k];
+    if (std::adjacent_find(first, last, std::greater_equal<>()) != last) {
+      return false;
+    }
+  }
+  return true;
 }
 
 template <typename Point>

@@ -119,6 +119,14 @@ class NeighborTable {
   /// tests and the chaos harness assert that a degraded build lost nothing.
   void canonicalize();
 
+  /// True when every row is strictly ascending: the rows canonicalize()
+  /// would write. Every producer of a table over a grid index emits them as
+  /// built — ids are cell-ordered, stencils list cells in ascending id, and
+  /// assemble() puts a row's back contributions before its forward row
+  /// (DESIGN.md §10) — so consumers that read rows (BFS, the banded pass,
+  /// the service's table cache) never re-sort.
+  [[nodiscard]] bool is_canonical() const noexcept;
+
   /// Byte equality of ranges and values (meaningful after canonicalize()).
   [[nodiscard]] bool identical_to(const NeighborTable& other) const noexcept {
     return begin_ == other.begin_ && end_ == other.end_ &&

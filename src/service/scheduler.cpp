@@ -53,11 +53,6 @@ constexpr double kCellGraphDenseShare = 0.8;
 /// 15 cells per point at eps 0.05, and under 2 from eps 0.15.
 constexpr std::uint64_t kFusedGridCellsPerPoint = 16;
 
-/// Distinct (eps, minpts) a dataset memoizes CellGraphFits for before it
-/// drops them all (a client cycling through eps values costs a re-bin per
-/// job, not unbounded memory).
-constexpr std::size_t kMaxCellGraphFits = 256;
-
 /// An eps as reject reasons quote it.
 std::string eps_text(float eps) {
   char text[32];
@@ -100,6 +95,18 @@ void emit_stage_spans(const RequestContext& ctx, double submit_us,
     at_us += dur_us;
     model_at_us += model_dur_us;
   }
+}
+
+/// Records the span of one grid-index acquisition that began at
+/// `begin_us`, named by how it ended: a cache hit or a build.
+void record_index_span(double begin_us, bool built, float eps) {
+  obs::Tracer& t = obs::Tracer::global();
+  if (!obs::kTraceCompiled || !t.enabled()) return;
+  char name[48];
+  std::snprintf(name, sizeof name, "%s eps=%g",
+                built ? "index_build" : "index_hit", static_cast<double>(eps));
+  t.record(obs::EventType::kSpan, "index", name, begin_us,
+           t.now_us() - begin_us, 0.0, -1.0, 0.0);
 }
 
 /// Remaps index-order labels back to input order (the service returns
@@ -153,11 +160,12 @@ void ClusterService::register_dataset(const std::string& name,
   reg_ctx.request_id = mint_request_id();
   reg_ctx.set_tenant("system");
   RequestScope reg_scope(reg_ctx);
-  Dataset ds;
-  ds.points = std::move(points);
-  for (const Point2& p : ds.points) ds.extent.expand(p);
-  ds.ref_eps = reference_eps;
-  GridIndex index = build_grid_index(ds.points, reference_eps);
+  auto ds = std::make_shared<Dataset>();
+  ds->points = std::move(points);
+  for (const Point2& p : ds->points) ds->extent.expand(p);
+  ds->ref_eps = reference_eps;
+  auto index = std::make_shared<const GridIndex>(
+      build_grid_index(ds->points, reference_eps));
   // Calibrate with the estimation kernel over the host-resident view (no
   // index upload): one cheap device op per dataset, at registration — the
   // admission decision itself is pure arithmetic afterwards.
@@ -165,31 +173,46 @@ void ClusterService::register_dataset(const std::string& name,
     if (d->lost()) continue;
     try {
       const ResultSizeEstimate est = estimate_result_size(
-          *d, GridView::of(index), reference_eps,
+          *d, GridView::of(*index), reference_eps,
           options_.policy.sample_fraction, options_.policy.block_size);
-      ds.ref_pairs = est.estimated_total;
+      ds->ref_pairs = est.estimated_total;
       break;
     } catch (const cudasim::SimError&) {
       // Faulted during calibration; try the next device or fall through.
     }
   }
-  if (ds.ref_pairs == 0) {
+  if (ds->ref_pairs == 0) {
     // No device could run the kernel: a 1-in-16 strided host sample of
     // the same grid gives the reference figure.
     const NeighborTable sample = gpu::host_csr_batch(
-        GridView::of(index), reference_eps, gpu::BatchSpec{0, 16},
+        GridView::of(*index), reference_eps, gpu::BatchSpec{0, 16},
         ScanMode::kFull);
-    ds.ref_pairs = std::max<std::uint64_t>(1, sample.total_pairs() * 16);
+    ds->ref_pairs = std::max<std::uint64_t>(1, sample.total_pairs() * 16);
+  }
+  ds->indexes.emplace_back(eps_bits(reference_eps), std::move(index));
+  {
+    std::lock_guard slock(stats_mutex_);
+    ++stats_.index_builds;
   }
   std::lock_guard lock(mutex_);
+  ds->generation = ++registrations_;
   datasets_[name] = std::move(ds);
+  // A replaced registration's tables carry its generation and can never
+  // hit again; drop them so they stop holding budget. Its indexes go with
+  // its Dataset once no job holds it.
+  cache_.drop_dataset(name);
 }
 
 std::pair<std::uint64_t, std::uint64_t> ClusterService::price(
     const std::string& dataset, float eps) const {
+  std::lock_guard lock(mutex_);
   const auto it = datasets_.find(dataset);
   if (it == datasets_.end()) return {0, 0};
-  const Dataset& ds = it->second;
+  return price_of(*it->second, eps);
+}
+
+std::pair<std::uint64_t, std::uint64_t> ClusterService::price_of(
+    const Dataset& ds, float eps) {
   // Expected pairs scale with the neighborhood area: (eps / eps_ref)^2.
   const double ratio = static_cast<double>(eps) / ds.ref_eps;
   const auto pairs = static_cast<std::uint64_t>(std::max(
@@ -294,6 +317,7 @@ void ClusterService::submit_locked(PendingPtr job, ReplayState& rs) {
     reject("unknown dataset '" + spec.dataset + "'");
     return;
   }
+  job->data = ds->second;
   // Checked here, not at dispatch: a bad value would throw inside a
   // worker, for the whole coalesced group, and every retry would again.
   if (spec.minpts < 1) {
@@ -311,7 +335,7 @@ void ClusterService::submit_locked(PendingPtr job, ReplayState& rs) {
   // grid's capacity and, for a cell-graph job, past the cell key's too)
   // would fail inside a worker and be blamed on its device, so it is
   // rejected here like a bad eps.
-  Dataset& data = ds->second;
+  Dataset& data = *job->data;
   const auto past = [&](const std::string& why) {
     reject("eps " + eps_text(spec.eps) + " on dataset '" + spec.dataset +
            "': " + why);
@@ -343,7 +367,7 @@ void ClusterService::submit_locked(PendingPtr job, ReplayState& rs) {
     job->run = fit.error.empty() && !fused_cheaper ? RunKind::kCellGraph
                                                    : RunKind::kFused;
   }
-  const auto [pairs, bytes] = price(spec.dataset, spec.eps);
+  const auto [pairs, bytes] = price_of(data, spec.eps);
   job->priced_pairs = pairs;
   job->priced_bytes = bytes;
   rs.results[job->index].priced_pairs = pairs;
@@ -386,6 +410,50 @@ void ClusterService::submit_locked(PendingPtr job, ReplayState& rs) {
 // Dispatch
 // ---------------------------------------------------------------------------
 
+std::shared_ptr<const GridIndex> ClusterService::grid_index(Dataset& ds,
+                                                            float eps) {
+  const std::uint32_t bits = eps_bits(eps);
+  const double begin_us = obs::Tracer::global().now_us();
+  // The cached index at `bits`, moved to the front as most recently used;
+  // null when there is none (ds.index_mutex held).
+  const auto take_cached = [&]() -> std::shared_ptr<const GridIndex> {
+    const auto it = std::find_if(
+        ds.indexes.begin(), ds.indexes.end(),
+        [bits](const auto& entry) { return entry.first == bits; });
+    if (it == ds.indexes.end()) return nullptr;
+    std::rotate(ds.indexes.begin(), it, it + 1);
+    return ds.indexes.front().second;
+  };
+  std::shared_ptr<const GridIndex> cached;
+  {
+    std::lock_guard lock(ds.index_mutex);
+    cached = take_cached();
+  }
+  if (cached != nullptr) {
+    record_index_span(begin_us, /*built=*/false, eps);
+    return cached;
+  }
+  // Built outside the lock: other eps stay servable meanwhile.
+  auto built =
+      std::make_shared<const GridIndex>(build_grid_index(ds.points, eps));
+  {
+    std::lock_guard slock(stats_mutex_);
+    ++stats_.index_builds;
+  }
+  std::shared_ptr<const GridIndex> index;
+  {
+    std::lock_guard lock(ds.index_mutex);
+    index = take_cached();
+    if (index == nullptr) {
+      ds.indexes.emplace(ds.indexes.begin(), bits, built);
+      if (ds.indexes.size() > kMaxDatasetIndexes) ds.indexes.pop_back();
+      index = std::move(built);
+    }
+  }
+  record_index_span(begin_us, /*built=*/true, eps);
+  return index;
+}
+
 ClusterService::PendingPtr ClusterService::pop_group(
     std::vector<PendingPtr>& members) {
   std::unique_lock lock(mutex_);
@@ -425,7 +493,7 @@ ClusterService::PendingPtr ClusterService::pop_group(
     for (auto& per_class : queues_) {
       for (auto& [tenant, q] : per_class) {
         for (auto it = q.begin(); it != q.end();) {
-          if ((*it)->spec.dataset == leader->spec.dataset &&
+          if ((*it)->data == leader->data &&
               eps_bits((*it)->spec.eps) == eps_bits(leader->spec.eps) &&
               (*it)->run == leader->run &&
               (!needs_equal_minpts ||
@@ -646,8 +714,8 @@ void ClusterService::process_group(PendingPtr leader,
 
   const JobSpec& lead = runnable.front()->spec;
   const RunKind run = runnable.front()->run;
-  const Dataset& ds = datasets_.at(lead.dataset);
-  const TableCache::Key key{lead.dataset, eps_bits(lead.eps)};
+  Dataset& ds = *runnable.front()->data;
+  const TableCache::Key key{lead.dataset, eps_bits(lead.eps), ds.generation};
   bool coalesced_build = runnable.size() > 1;
   // Counted once, when the group is served: a dispatch that fails and
   // requeues its jobs shared nothing.
@@ -807,6 +875,17 @@ void ClusterService::process_group(PendingPtr leader,
       return std::move(banded[static_cast<std::size_t>(at)]);
     };
   };
+  // A fresh table goes into the cache as built: every table producer emits
+  // canonical rows (NeighborTable::is_canonical), so nothing re-sorts it.
+  // The index keeps its ids; the entry gets a copy.
+  auto cache_table = [&](NeighborTable&& table, const GridIndex& index) {
+    CachedTable entry;
+    entry.table = std::move(table);
+    entry.original_ids = index.original_ids;
+    entry.bytes = CachedTable::payload_bytes(entry.table);
+    entry.built_by_request = runnable.front()->trace.request_id;
+    return cache_.insert(key, std::move(entry));
+  };
 
   // --- Cache hit: no device at all. Fused runs never probe: the cache
   // holds materialized tables, and serving a fused request from one would
@@ -856,7 +935,7 @@ void ClusterService::process_group(PendingPtr leader,
       coalesced_build = runnable.size() > 1;
     }
     WallTimer t;
-    GridIndex index = build_grid_index(ds.points, lead.eps);
+    const std::shared_ptr<const GridIndex> index = grid_index(ds, lead.eps);
     {
       std::lock_guard slock(stats_mutex_);
       stats_.host_fallback_jobs += runnable.size();
@@ -869,42 +948,39 @@ void ClusterService::process_group(PendingPtr leader,
       // The fused passes need no table: with every device lost, the
       // engine's host rung runs each pass over the host grid, into the
       // consumer a device run fills, so the labels are the same.
-      StreamingDbscan consumer(index.size(), lead.minpts);
+      StreamingDbscan consumer(index->size(), lead.minpts);
       BatchPolicy hp = options_.policy;
       hp.resilience.host_fallback = true;
       hp.metrics_labels = "service=1";
       hp.trace = runnable.front()->trace;
-      (void)fused_cluster(devices_, index, lead.eps, consumer, hp);
+      (void)fused_cluster(devices_, *index, lead.eps, consumer, hp);
       const double host_build = t.seconds();
       for (auto& job : runnable) {
         finish(*job, served, host_build, host_build, Stage::kStreamUnion,
-               index.original_ids, [&](int) {
+               index->original_ids, [&](int) {
                  return consumer.finalize(options_.dbscan_threads);
                });
       }
       return;
     }
-    CachedTable entry;
-    entry.table = gpu::host_csr_batch(GridView::of(index), lead.eps,
-                                      gpu::BatchSpec{0, 1}, ScanMode::kFull);
-    entry.table.canonicalize();
-    entry.original_ids = std::move(index.original_ids);
-    entry.bytes = CachedTable::payload_bytes(entry.table);
-    entry.built_by_request = runnable.front()->trace.request_id;
+    NeighborTable table = gpu::host_csr_batch(
+        GridView::of(*index), lead.eps, gpu::BatchSpec{0, 1}, ScanMode::kFull);
     const double host_build = t.seconds();
-    // Each group gets the labels a live device gives it: BFS when its
-    // table would be cached, and with the cache off the banded pass over
-    // the host table (the labels-only path's union-find labels).
-    for (auto& job : runnable) {
-      if (cache_.enabled()) {
-        finish(*job, served, host_build, host_build, Stage::kCache,
-               entry.original_ids, bfs_over(entry.table));
-      } else {
+    // Each group gets the labels a live device gives it: BFS over its
+    // cached table, and with the cache off the banded pass over the host
+    // table (the labels-only path's union-find labels).
+    if (!cache_.enabled()) {
+      for (auto& job : runnable) {
         finish(*job, served, host_build, host_build, Stage::kStreamUnion,
-               entry.original_ids, banded_over(entry.table));
+               index->original_ids, banded_over(table));
       }
+      return;
     }
-    if (cache_.enabled()) cache_.insert(key, std::move(entry));
+    const TableCache::Handle pinned = cache_table(std::move(table), *index);
+    for (auto& job : runnable) {
+      finish(*job, served, host_build, host_build, Stage::kCache,
+             pinned->original_ids, bfs_over(pinned->table));
+    }
     return;
   }
 
@@ -929,7 +1005,7 @@ void ClusterService::process_group(PendingPtr leader,
 
   try {
     WallTimer build_wall_timer;
-    GridIndex index = build_grid_index(ds.points, lead.eps);
+    const std::shared_ptr<const GridIndex> index = grid_index(ds, lead.eps);
     const double index_wall = build_wall_timer.seconds();
     BuildReport report;
     JobResult served;
@@ -940,15 +1016,10 @@ void ClusterService::process_group(PendingPtr leader,
       // Materialized path: one build, labels for every group job via the
       // same dbscan_neighbor_table a later cache hit will use — so
       // cache-hit labels are bit-identical to fresh-build labels.
-      CachedTable entry;
-      entry.table = NeighborTableBuilder(device, bp).build(index, lead.eps,
-                                                           &report);
-      entry.table.canonicalize();
-      entry.original_ids = std::move(index.original_ids);
-      entry.bytes = CachedTable::payload_bytes(entry.table);
-      entry.built_by_request = runnable.front()->trace.request_id;
+      NeighborTable table =
+          NeighborTableBuilder(device, bp).build(*index, lead.eps, &report);
       const double build_wall = build_wall_timer.seconds();
-      TableCache::Handle pinned = cache_.insert(key, std::move(entry));
+      const TableCache::Handle pinned = cache_table(std::move(table), *index);
       breaker_.record_success(static_cast<std::size_t>(dev));
       const double build_model = index_wall + report.modeled_table_seconds;
       served.host_fallback = report.used_host_fallback;
@@ -962,9 +1033,9 @@ void ClusterService::process_group(PendingPtr leader,
     if (fused) {
       // The fused passes run straight into one consumer: coalescing gave
       // a fused group one minpts. T is never materialized.
-      StreamingDbscan consumer(index.size(), lead.minpts);
+      StreamingDbscan consumer(index->size(), lead.minpts);
       if (token != nullptr) consumer.set_cancel_token(token);
-      report = fused_cluster(device, index, lead.eps, consumer, bp);
+      report = fused_cluster(device, *index, lead.eps, consumer, bp);
       breaker_.record_success(static_cast<std::size_t>(dev));
       const double build_wall = build_wall_timer.seconds();
       const double build_model = index_wall + report.modeled_table_seconds;
@@ -975,7 +1046,7 @@ void ClusterService::process_group(PendingPtr leader,
       served.host_fallback = report.used_host_fallback;
       for (auto& job : runnable) {
         finish(*job, served, build_model, build_wall, Stage::kStreamUnion,
-               index.original_ids, [&](int) {
+               index->original_ids, [&](int) {
                  return consumer.finalize(options_.dbscan_threads);
                });
       }
@@ -986,14 +1057,14 @@ void ClusterService::process_group(PendingPtr leader,
     // answers every distinct minpts. Hard failures fall through to the
     // breaker + retry ladder like any build.
     const NeighborTable table =
-        NeighborTableBuilder(device, bp).build(index, lead.eps, &report);
+        NeighborTableBuilder(device, bp).build(*index, lead.eps, &report);
     breaker_.record_success(static_cast<std::size_t>(dev));
     const double build_wall = build_wall_timer.seconds();
     const double build_model = index_wall + report.modeled_table_seconds;
     served.host_fallback = report.used_host_fallback;
     for (auto& job : runnable) {
       finish(*job, served, build_model, build_wall, Stage::kStreamUnion,
-             index.original_ids, banded_over(table));
+             index->original_ids, banded_over(table));
     }
     return;
   } catch (...) {

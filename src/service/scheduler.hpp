@@ -29,6 +29,7 @@
 #include "common/types.hpp"
 #include "core/batch_planner.hpp"
 #include "cudasim/device.hpp"
+#include "index/grid_index.hpp"
 #include "obs/registry.hpp"
 #include "service/circuit_breaker.hpp"
 #include "service/request.hpp"
@@ -135,6 +136,11 @@ struct ServiceStats {
   /// is the cheaper run (dense cells, a dense grid too big for the
   /// points, or one past kMaxGridCells).
   std::uint64_t cell_graph_jobs = 0;
+  /// Grid indexes the service built: one per register_dataset (its
+  /// calibration grid, which seeds the dataset's index cache), then one per
+  /// (dataset, eps) a group needed that the cache did not hold. Two
+  /// workers racing on one may both build it.
+  std::uint64_t index_builds = 0;
   std::uint64_t retries = 0;
   std::uint64_t breaker_opens = 0;
   std::uint64_t host_fallback_jobs = 0;
@@ -150,6 +156,17 @@ struct ServiceStats {
 
 class ClusterService {
  public:
+  /// Distinct (eps, minpts) a dataset memoizes CellGraphFits for before it
+  /// drops them all (a client cycling through eps values costs a re-bin per
+  /// job, not unbounded memory).
+  static constexpr std::size_t kMaxCellGraphFits = 256;
+  /// Grid indexes a dataset keeps, one per eps, least recently used out
+  /// first. An index depends only on (points, eps), so every table, fused
+  /// and host-rung group at that eps shares one; 8 covers service_mix's
+  /// 6-eps menu. On the 78,125-point SDSS2 sample an index holds 1.3-1.9
+  /// MB and takes 1.6-2.7 ms to build at eps 0.15-0.40.
+  static constexpr std::size_t kMaxDatasetIndexes = 8;
+
   ClusterService(std::vector<cudasim::Device*> devices,
                  ServiceOptions options);
 
@@ -157,9 +174,12 @@ class ClusterService {
   /// estimator run at `reference_eps` (host-resident grid view — no index
   /// upload), from which any eps is priced as ref_pairs * (eps/ref)^2.
   /// Falls back to a strided host sample when no device can run the
-  /// estimation kernel. Throws std::invalid_argument, and registers
+  /// estimation kernel. The calibration grid becomes the dataset's cached
+  /// index at `reference_eps`. Throws std::invalid_argument, and registers
   /// nothing, for an empty dataset, a reference_eps that is not positive,
   /// or a point with a coordinate that is not finite (build_grid_index).
+  /// Registering a name again replaces the dataset and all that was built
+  /// from it: its cached indexes and tables are never served again.
   void register_dataset(const std::string& name, std::vector<Point2> points,
                         float reference_eps);
 
@@ -190,15 +210,27 @@ class ClusterService {
     std::string error;  ///< empty when the cell key holds the extent
   };
 
+  /// One registration of a dataset. Jobs hold the registration they were
+  /// admitted against, so one registered again mid-replay never mixes
+  /// points.
   struct Dataset {
     std::vector<Point2> points;
     Rect2 extent;  ///< sizes the grid of any eps at admission
     float ref_eps = 0.0f;
     std::uint64_t ref_pairs = 0;
+    /// Numbers the registrations of one service; its tables' cache keys
+    /// carry it.
+    std::uint64_t generation = 0;
     /// Per (eps bits, minpts) of the cell-graph jobs admitted; read and
     /// filled under mutex_ (cell_graph_fit_locked).
     std::map<std::pair<std::uint32_t, int>, CellGraphFit> cell_graph_fits;
+    /// Grid indexes by eps bits, most recently used first, at most
+    /// kMaxDatasetIndexes; read and filled under index_mutex (grid_index).
+    std::vector<std::pair<std::uint32_t, std::shared_ptr<const GridIndex>>>
+        indexes;
+    std::mutex index_mutex;
   };
+  using DatasetPtr = std::shared_ptr<Dataset>;
 
   /// The run that serves a job, decided once at admission (submit_locked)
   /// from its flags and what its (dataset, eps, minpts) costs each run.
@@ -211,6 +243,7 @@ class ClusterService {
 
   struct Pending {
     JobSpec spec;
+    DatasetPtr data;  ///< the registration admission found for spec.dataset
     RunKind run = RunKind::kTable;
     std::size_t index = 0;  ///< slot in the results vector
     std::uint64_t priced_pairs = 0;
@@ -238,6 +271,9 @@ class ClusterService {
 
   // Admission (mutex_ held).
   void submit_locked(PendingPtr job, ReplayState& rs);
+  /// What price() returns, for a registration in hand.
+  static std::pair<std::uint64_t, std::uint64_t> price_of(const Dataset& ds,
+                                                          float eps);
   /// `ds`'s CellGraphFit for (eps, minpts), binning its points on the
   /// first ask; the memo is dropped whole once it holds kMaxCellGraphFits.
   /// Memoized because admission holds mutex_: binning the 78,125-point
@@ -251,6 +287,10 @@ class ClusterService {
   void remove_queued_locked(const Pending& job);
 
   // Dispatch.
+  /// `ds`'s grid index at `eps`: the cached one, or one built now and
+  /// cached (of two workers racing to build it, the first insert wins).
+  /// Records an "index_hit" or "index_build" span.
+  std::shared_ptr<const GridIndex> grid_index(Dataset& ds, float eps);
   PendingPtr pop_group(std::vector<PendingPtr>& members);
   void requeue_front(std::vector<PendingPtr> group);
   void worker_loop(unsigned worker_id, ReplayState& rs);
@@ -276,9 +316,9 @@ class ClusterService {
   CircuitBreaker breaker_;
   std::atomic<std::size_t> dispatch_rr_{0};  ///< round-robin device cursor
 
-  std::map<std::string, Dataset> datasets_;  ///< immutable during replay
-
-  mutable std::mutex mutex_;  ///< queues + counters below
+  mutable std::mutex mutex_;  ///< datasets, queues + counters below
+  std::map<std::string, DatasetPtr> datasets_;  ///< current registrations
+  std::uint64_t registrations_ = 0;
   std::condition_variable work_available_;
   std::array<std::map<std::string, std::deque<PendingPtr>>, kNumClasses>
       queues_;

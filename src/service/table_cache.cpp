@@ -31,7 +31,7 @@ TableCache::Handle TableCache::insert(const Key& key, CachedTable entry) {
   if (it != slots_.end()) {
     if (it->second.pins != 0) {
       // Another group raced us here and its entry is in use; adopt theirs
-      // (same key -> byte-identical table by the canonicalize property).
+      // (same key -> the same canonical rows, whichever build made them).
       it->second.last_used = ++tick_;
       ++it->second.pins;
       return Handle(this, key, it->second.entry);
@@ -50,6 +50,21 @@ TableCache::Handle TableCache::insert(const Key& key, CachedTable entry) {
       .gauge("service_cache_bytes")
       .set(static_cast<double>(resident_bytes_));
   return Handle(this, key, pos->second.entry);
+}
+
+void TableCache::drop_dataset(const std::string& dataset) {
+  std::lock_guard lock(mutex_);
+  for (auto it = slots_.begin(); it != slots_.end();) {
+    if (it->first.dataset == dataset && it->second.pins == 0) {
+      resident_bytes_ -= it->second.entry->bytes;
+      it = slots_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  obs::Registry::global()
+      .gauge("service_cache_bytes")
+      .set(static_cast<double>(resident_bytes_));
 }
 
 void TableCache::evict_over_budget_locked() {

@@ -3,12 +3,12 @@
 // for an (dataset, eps) the service has already built skips the GPU
 // entirely and pays only the host-side DBSCAN over the cached table.
 //
-// Entries are immutable once inserted (canonicalized tables plus the id
-// map needed to unmap labels) and handed out as shared_ptrs, so eviction
-// never invalidates a reader. A pin count per entry protects in-flight
-// coalesced builds: the group that inserted (or found) an entry holds a
-// Handle until its last job finished, and the evictor skips pinned
-// entries even under byte pressure.
+// Entries are immutable once inserted (tables canonical as built, plus
+// the id map needed to unmap labels) and handed out as shared_ptrs, so
+// eviction never invalidates a reader. A pin count per entry protects
+// in-flight coalesced builds: the group that inserted (or found) an entry
+// holds a Handle until its last job finished, and the evictor skips
+// pinned entries even under byte pressure.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +23,10 @@
 
 namespace hdbscan::service {
 
-/// One cached build: the canonicalized symmetric table plus the grid
-/// index's id permutation (labels computed over the table are in index
-/// order; original_ids unmaps them).
+/// One cached build: the symmetric table, canonical as built
+/// (NeighborTable::is_canonical), plus a copy of the grid index's id
+/// permutation (labels computed over the table are in index order;
+/// original_ids unmaps them).
 struct CachedTable {
   NeighborTable table;
   std::vector<PointId> original_ids;
@@ -45,14 +46,19 @@ class TableCache {
   struct Key {
     std::string dataset;
     std::uint32_t eps_bits = 0;  ///< bit pattern of the float eps
+    /// Which registration of `dataset` the table was built from: a name
+    /// registered again starts a new generation, so tables of its old
+    /// points never answer for the new ones.
+    std::uint64_t generation = 0;
     // A cache belongs to one service, whose build policy is fixed, and a
-    // canonicalized table is the same under either scan mode, so the key
-    // carries no build configuration. Every cached table is exact:
-    // cell-graph and fused groups return before the cache, so it carries
-    // no quality either.
+    // table canonical as built has the same rows under either scan mode,
+    // so the key carries no build configuration. Every cached table is
+    // exact: cell-graph and fused groups return before the cache, so it
+    // carries no quality either.
 
     bool operator==(const Key& o) const noexcept {
-      return eps_bits == o.eps_bits && dataset == o.dataset;
+      return eps_bits == o.eps_bits && generation == o.generation &&
+             dataset == o.dataset;
     }
   };
 
@@ -127,6 +133,12 @@ class TableCache {
   /// new entry itself is never evicted while the returned Handle lives.
   Handle insert(const Key& key, CachedTable entry);
 
+  /// Drops every unpinned entry of `dataset`, whatever its generation, and
+  /// returns its bytes to the budget; not counted as an eviction. A dataset
+  /// registered again calls it: the old points' tables can never hit. A
+  /// pinned entry stays until the budget evicts it.
+  void drop_dataset(const std::string& dataset);
+
   [[nodiscard]] std::uint64_t resident_bytes() const;
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::uint64_t hits() const;
@@ -143,7 +155,9 @@ class TableCache {
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept {
-      return std::hash<std::string>{}(k.dataset) * 1000003u ^ k.eps_bits;
+      return (std::hash<std::string>{}(k.dataset) * 1000003u ^ k.eps_bits) *
+                 1000003u ^
+             k.generation;
     }
   };
 

@@ -531,9 +531,8 @@ TEST(ClusterServiceTest, ModeledDeadlineAlreadyMissedSkipsTheDevice) {
 }
 
 /// Cache-hit labels must be byte-identical to the fresh build's, across
-/// scan modes and minpts — the canonicalize property carried through the
-/// service: both servings run the same host DBSCAN over byte-identical
-/// tables.
+/// scan modes and minpts: both servings run the same host DBSCAN over the
+/// same rows, which every build emits canonical (ascending) as built.
 TEST(ClusterServiceTest, CacheHitLabelsBitIdenticalAcrossScanModesAndMinpts) {
   ServiceFixture f;
   std::vector<std::vector<std::int32_t>> label_sets;
@@ -565,8 +564,9 @@ TEST(ClusterServiceTest, CacheHitLabelsBitIdenticalAcrossScanModesAndMinpts) {
     label_sets.push_back(results[0].labels);
     label_sets.push_back(results[2].labels);
   }
-  // Across scan modes the canonicalized tables are byte-identical, so the
-  // labels must be too (kHalf run vs kFull run, matched by minpts).
+  // Across scan modes the tables hold the same canonical rows, so the
+  // labels must be identical too (kHalf run vs kFull run, matched by
+  // minpts).
   ASSERT_EQ(label_sets.size(), 4u);
   EXPECT_EQ(label_sets[0], label_sets[2]);  // minpts 4
   EXPECT_EQ(label_sets[1], label_sets[3]);  // minpts 12
@@ -1331,6 +1331,177 @@ TEST(ClusterServiceTest, PublishesRequestOutcomeCounters) {
   EXPECT_EQ(reg.counter("service_requests", "outcome=completed").value(), 1u);
   EXPECT_EQ(reg.counter("service_requests", "outcome=rejected").value(), 1u);
   EXPECT_EQ(reg.counter("service_requests", "outcome=admitted").value(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Grid-index cache and re-registration
+// ---------------------------------------------------------------------------
+
+/// Grid indexes the service built since `before`.
+std::uint64_t index_builds_since(const ClusterService& svc,
+                                 const service::ServiceStats& before) {
+  return svc.stats().index_builds - before.index_builds;
+}
+
+/// One index per (dataset, eps) serves every run at that eps: table,
+/// fused and fused-routed cell-graph groups build it once between them,
+/// the calibration grid serves the reference eps, and a repeated job list
+/// builds nothing. Labels stay those of an index built per group.
+TEST(ClusterServiceTest, IndexIsBuiltOncePerEpsAndSharedByEveryRun) {
+  ServiceFixture f;
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.cache_bytes_budget = 256ull << 20;
+  opt.coalesce = false;  // every job is a group of its own
+  opt.keep_labels = true;
+  constexpr float kRef = 0.8f;
+  auto svc = f.make(opt, kRef);
+  EXPECT_EQ(svc->stats().index_builds, 1u);  // the calibration grid
+
+  for (const float eps : {0.5f, kRef}) {
+    SCOPED_TRACE("eps " + std::to_string(eps));
+    // Two exact jobs, a fused one and a cell-graph one, whose cheaper run
+    // on these sparse points is the fused passes.
+    JobSpec fused = job(eps, 4, Priority::kNormal, "t1");
+    fused.fused = true;
+    JobSpec cg = job(eps, 8, Priority::kNormal, "t2");
+    cg.quality.mode = ClusterQuality::kCellGraph;
+    const std::vector<JobSpec> jobs = {job(eps, 4), job(eps, 8), fused, cg};
+    service::ServiceStats before = svc->stats();
+    const auto results = svc->replay(jobs);
+    EXPECT_EQ(index_builds_since(*svc, before), eps == kRef ? 0u : 1u);
+    for (const JobResult& r : results) {
+      ASSERT_EQ(r.state, JobState::kCompleted);
+    }
+    EXPECT_TRUE(results[2].fused);
+    EXPECT_TRUE(results[3].fused);
+    EXPECT_EQ(svc->stats().cell_graph_jobs, 0u);
+    EXPECT_EQ(results[2].labels, union_find_labels(f.points, eps, 4));
+    EXPECT_EQ(results[3].labels, union_find_labels(f.points, eps, 8));
+
+    before = svc->stats();
+    const auto again = svc->replay(jobs);
+    EXPECT_EQ(index_builds_since(*svc, before), 0u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      ASSERT_EQ(again[i].state, JobState::kCompleted);
+      EXPECT_EQ(again[i].labels, results[i].labels) << "job " << i;
+    }
+    EXPECT_TRUE(again[0].cache_hit);
+  }
+}
+
+/// A dataset keeps the indexes of its kMaxDatasetIndexes most recently
+/// used eps: one eps more evicts the least recently used one, which the
+/// next job at that eps builds again.
+TEST(ClusterServiceTest, IndexCacheEvictsTheLeastRecentlyUsedEps) {
+  ServiceFixture f;
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  auto svc = f.make(opt, 0.8f);
+  constexpr std::size_t kBound = ClusterService::kMaxDatasetIndexes;
+  std::vector<JobSpec> fill;
+  for (std::size_t i = 0; i < kBound; ++i) {
+    fill.push_back(job(0.3f + 0.02f * static_cast<float>(i)));
+  }
+  const auto builds = [&](const std::vector<JobSpec>& jobs) {
+    const service::ServiceStats before = svc->stats();
+    for (const JobResult& r : svc->replay(jobs)) {
+      EXPECT_EQ(r.state, JobState::kCompleted);
+    }
+    return index_builds_since(*svc, before);
+  };
+  // kBound new eps: the calibration grid at 0.8 was the least recently
+  // used, so it is out.
+  EXPECT_EQ(builds(fill), kBound);
+  EXPECT_EQ(builds({job(0.8f)}), 1u);
+  // 0.8 took the place of fill[0], the least recently used since; the
+  // rest are resident.
+  EXPECT_EQ(builds({fill.begin() + 1, fill.end()}), 0u);
+  EXPECT_EQ(builds({fill.front()}), 1u);
+}
+
+/// Registering a name again replaces its dataset and the indexes built
+/// from it: the calibration grid of the new registration is the only one
+/// it holds.
+TEST(ClusterServiceTest, ReRegisteredDatasetRebuildsItsIndexes) {
+  ServiceFixture f;
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  auto svc = f.make(opt, 0.8f);
+  service::ServiceStats before = svc->stats();
+  ASSERT_EQ(svc->replay({job(0.5f)})[0].state, JobState::kCompleted);
+  EXPECT_EQ(index_builds_since(*svc, before), 1u);
+
+  before = svc->stats();
+  svc->register_dataset("sky", f.points, 0.8f);
+  EXPECT_EQ(index_builds_since(*svc, before), 1u);  // its calibration grid
+  before = svc->stats();
+  ASSERT_EQ(svc->replay({job(0.5f), job(0.8f)})[0].state,
+            JobState::kCompleted);
+  EXPECT_EQ(index_builds_since(*svc, before), 1u);  // 0.5 only
+}
+
+/// Re-registering a name with other points drops the old points' tables:
+/// the same exact job then misses the cache and gets the labels a fresh
+/// service gives the new points.
+TEST(ClusterServiceTest, ReRegisteredDatasetMissesItsOldTables) {
+  cudasim::Device device(cudasim::DeviceConfig{}, fast_options());
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.cache_bytes_budget = 256ull << 20;
+  opt.keep_labels = true;
+  JobSpec exact = job(0.3f, 4);
+  exact.dataset = "d";
+  const std::vector<Point2> old_points =
+      data::generate_uniform(2000, 31, 12.0f, 12.0f);
+  const std::vector<Point2> new_points =
+      data::generate_uniform(3000, 32, 12.0f, 12.0f);
+
+  ClusterService svc({&device}, opt);
+  svc.register_dataset("d", old_points, 0.8f);
+  const auto first = svc.replay({exact});
+  ASSERT_EQ(first[0].state, JobState::kCompleted);
+  EXPECT_EQ(first[0].labels.size(), old_points.size());
+  EXPECT_EQ(svc.cache().size(), 1u);
+
+  svc.register_dataset("d", new_points, 0.8f);
+  EXPECT_EQ(svc.cache().size(), 0u);
+  const auto second = svc.replay({exact});
+  ASSERT_EQ(second[0].state, JobState::kCompleted);
+  EXPECT_FALSE(second[0].cache_hit);
+  ASSERT_EQ(second[0].labels.size(), new_points.size());
+
+  ClusterService fresh({&device}, opt);
+  fresh.register_dataset("d", new_points, 0.8f);
+  const auto want = fresh.replay({exact});
+  ASSERT_EQ(want[0].state, JobState::kCompleted);
+  EXPECT_EQ(second[0].labels, want[0].labels);
+}
+
+/// With no device left, the host rung runs over the cached index too: a
+/// table group builds it, and a fused group at the same eps and any job
+/// at the reference eps reuse it.
+TEST(ClusterServiceTest, LostFleetHostRungReusesTheCachedIndex) {
+  ServiceFixture f;
+  f.lose_the_fleet();
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.cache_bytes_budget = 256ull << 20;
+  opt.keep_labels = true;
+  auto svc = f.make(opt, 0.8f);
+  ASSERT_TRUE(f.device->lost());
+  JobSpec fused = job(0.5f, 4, Priority::kNormal, "t1");
+  fused.fused = true;
+  const service::ServiceStats before = svc->stats();
+  const auto results = svc->replay({job(0.5f, 4), fused, job(0.8f, 4)});
+  EXPECT_EQ(index_builds_since(*svc, before), 1u);
+  for (const JobResult& r : results) {
+    ASSERT_EQ(r.state, JobState::kCompleted);
+    EXPECT_TRUE(r.host_fallback);
+  }
+  EXPECT_TRUE(results[1].fused);
+  EXPECT_EQ(results[1].labels, union_find_labels(f.points, 0.5f, 4));
+  EXPECT_EQ(svc->stats().host_fallback_jobs, 3u);
 }
 
 }  // namespace

@@ -1238,12 +1238,13 @@ void print_service_summary(const service::ClusterService& svc,
       static_cast<unsigned long long>(s.deadline_exceeded),
       static_cast<unsigned long long>(s.failed));
   std::printf(
-      "cache: %llu hits, %llu misses, %llu evictions | coalesced: %llu jobs"
-      " across %llu shared builds, %llu clusterings run | retries %llu,"
-      " breaker opens %llu, host fallback jobs %llu\n",
+      "cache: %llu hits, %llu misses, %llu evictions, %llu index builds |"
+      " coalesced: %llu jobs across %llu shared builds, %llu clusterings"
+      " run | retries %llu, breaker opens %llu, host fallback jobs %llu\n",
       static_cast<unsigned long long>(s.cache_hits),
       static_cast<unsigned long long>(s.cache_misses),
       static_cast<unsigned long long>(s.cache_evictions),
+      static_cast<unsigned long long>(s.index_builds),
       static_cast<unsigned long long>(s.coalesced_jobs),
       static_cast<unsigned long long>(s.coalesced_builds),
       static_cast<unsigned long long>(s.clusterings_run),
