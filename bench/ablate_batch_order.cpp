@@ -38,8 +38,8 @@ struct ContiguousBatchKernel {
         get_neighbor_cells(view.params, view.params.linear_cell(point), cells);
     for (unsigned c = 0; c < n; ++c) {
       const CellRange range = view.cells[cells[c]];
-      for (std::uint32_t a = range.begin; a < range.end; ++a) {
-        const PointId candidate = view.lookup[a];
+      for (PointId candidate = range.begin; candidate < range.end;
+           ++candidate) {
         if (dist2(point, view.points[candidate]) <= eps2) {
           sink.push({static_cast<PointId>(i), candidate}, ctx);
         }

@@ -42,11 +42,10 @@ struct SparseOnlyKernelBody {
     for (unsigned c = 0; c < n; ++c) {
       const CellRange range = view.cells[cells[c]];
       ctx.count_global_bytes(sizeof(CellRange) +
-                             std::uint64_t(range.count()) *
-                                 (sizeof(PointId) + sizeof(Point2)));
+                             std::uint64_t(range.count()) * sizeof(Point2));
       ctx.count_flops(std::uint64_t(range.count()) * 6);
-      for (std::uint32_t a = range.begin; a < range.end; ++a) {
-        const PointId candidate = view.lookup[a];
+      for (PointId candidate = range.begin; candidate < range.end;
+           ++candidate) {
         if (dist2(point, view.points[candidate]) <= eps2) {
           sink.push({static_cast<PointId>(i), candidate}, ctx);
         }

@@ -114,8 +114,9 @@ struct Rect2 {
   }
 };
 
-/// Point index into the database D. 32-bit matches the paper's GPU layout
-/// (lookup array A and result-set keys/values are point ids).
+/// Point index into the database D, which is also the point's position in
+/// the grid index's D. 32-bit matches the paper's GPU layout (result-set
+/// keys/values are point ids).
 using PointId = std::uint32_t;
 
 /// A (key, value) neighbor pair produced by the GPU kernels: `value` lies
@@ -131,12 +132,12 @@ struct NeighborPair {
 ///
 /// Distance is symmetric, so the full 3^D-cell scan
 /// evaluates every qualifying pair (i, j) twice — once from each side.
-/// kHalf exploits the grid index's ordering invariant (within a cell the
-/// lookup array stores point ids in ascending order; see build_grid_index)
-/// to test each pair exactly once: a query scans only the same-cell
-/// candidates at lookup positions at or after its own, plus the cells of
-/// the forward stencil (linear cell id greater than its own). Each tested
-/// pair is then emitted in both directions — either device-side (the
+/// kHalf exploits the grid index's ordering invariant (a cell's residents
+/// are the ascending ids of its range; see build_grid_index) to test each
+/// pair exactly once: a query scans only the same-cell candidates from its
+/// own id to the cell's end, plus the cells of the forward stencil (linear
+/// cell id greater than its own). Each tested pair is then emitted in both
+/// directions — either device-side (the
 /// shared-tile kernel's dual-row staged push) or host-side (the batched
 /// pipelines emit forward rows and NeighborTable::assemble transposes
 /// them as it merges the shards).

@@ -10,11 +10,13 @@ namespace hdbscan {
 
 namespace {
 
-/// [begin, end) of the global lookup array covered by cell row r — the
+/// [begin, end) of the global index's ids held by cell row r — the
 /// counting sort lays rows out contiguously in linearization order.
 struct RowSpan {
   std::uint32_t begin;
   std::uint32_t end;
+
+  [[nodiscard]] std::uint32_t count() const noexcept { return end - begin; }
 };
 
 RowSpan row_span(const GridIndex& index, std::uint32_t r) {
@@ -23,64 +25,39 @@ RowSpan row_span(const GridIndex& index, std::uint32_t r) {
           index.cells[static_cast<std::size_t>(r + 1) * cx - 1].end};
 }
 
-/// Fills one shard in place: gather owned + ghost residents, owned-first
-/// relabeling, slab cell/lookup rebuild. Independent of every other
-/// shard except for owner_of writes, which are disjoint (each point has
-/// exactly one owner). `row_of` maps global id -> cell row (shared,
-/// read-only); `g2l` is caller-provided scratch of full-index size,
-/// written for each resident before any read — no reset needed.
+/// Fills one shard in place. Global ids are positions in cell order, so
+/// the owned rows hold one run of them and each halo row another. Local
+/// ids number the owned run from 0, then the halo row above, then the one
+/// below: owned-first, each class ascending in global id. A slab cell's
+/// residents share its row's class, so its range is its global range moved
+/// into that class's local run: one ascending run of local ids, owned
+/// cells inside [0, num_owned). Independent of every other shard except
+/// for owner_of writes, which are disjoint (each point has exactly one
+/// owner).
 void assemble_shard(const GridIndex& index, GridShard& shard,
-                    const std::vector<std::uint32_t>& row_of,
-                    std::vector<std::uint32_t>& owner_of,
-                    std::vector<PointId>& g2l) {
+                    std::vector<std::uint32_t>& owner_of) {
   const std::uint32_t cx = index.params.cells_x;
   const std::uint32_t cy = index.params.cells_y;
   const std::uint32_t rb = shard.row_begin;
   const std::uint32_t re = shard.row_end;
-  const std::uint32_t n = static_cast<std::uint32_t>(index.size());
 
   // Epsilon-halo: one row above and below the owned slab (clipped at
   // the grid boundary, matching the stencil clipping).
   const std::uint32_t slab_lo = rb > 0 ? rb - 1 : 0;
   const std::uint32_t slab_hi = std::min(cy, re + 1);
+  const RowSpan owned{row_span(index, rb).begin, row_span(index, re - 1).end};
+  const RowSpan above = rb > 0 ? row_span(index, rb - 1) : RowSpan{0, 0};
+  const RowSpan below = re < cy ? row_span(index, re) : RowSpan{0, 0};
 
-  // Gather owned and ghost ids in one ascending scan of the row map —
-  // a sort-free gather: scanning ids in order IS ascending order, and a
-  // shard's residents are exactly the points whose row falls in the slab.
-  std::uint64_t owned_hint = 0;
-  std::uint64_t ghost_hint = 0;
-  for (std::uint32_t row = slab_lo; row < slab_hi; ++row) {
-    const RowSpan span = row_span(index, row);
-    if (row >= rb && row < re) {
-      owned_hint += span.end - span.begin;
-    } else {
-      ghost_hint += span.end - span.begin;
+  shard.num_owned = owned.count();
+  shard.to_global.reserve(owned.count() + above.count() + below.count());
+  for (const RowSpan span : {owned, above, below}) {
+    for (PointId g = span.begin; g < span.end; ++g) {
+      shard.to_global.push_back(g);
     }
   }
-  std::vector<PointId> owned;
-  std::vector<PointId> ghosts;
-  owned.reserve(owned_hint);
-  ghosts.reserve(ghost_hint);
-  for (PointId id = 0; id < n; ++id) {
-    const std::uint32_t row = row_of[id];
-    if (row < slab_lo || row >= slab_hi) continue;
-    if (row >= rb && row < re) {
-      owned.push_back(id);
-    } else {
-      ghosts.push_back(id);
-    }
-  }
-  shard.num_owned = static_cast<std::uint32_t>(owned.size());
-  for (const PointId id : owned) owner_of[id] = shard.shard_id;
-
-  // Owned-first local numbering; ghosts follow. Ownership is
-  // row-homogeneous, so each cell's residents are one class and the
-  // ascending-in-cell invariant survives the relabeling.
-  shard.to_global = std::move(owned);
-  shard.to_global.insert(shard.to_global.end(), ghosts.begin(),
-                         ghosts.end());
-  for (std::size_t l = 0; l < shard.to_global.size(); ++l) {
-    g2l[shard.to_global[l]] = static_cast<PointId>(l);
+  for (PointId g = owned.begin; g < owned.end; ++g) {
+    owner_of[g] = shard.shard_id;
   }
 
   GridIndex& sub = shard.index;
@@ -97,28 +74,29 @@ void assemble_shard(const GridIndex& index, GridShard& shard,
     sub.points.push_back(index.points[g]);
   }
 
-  const std::size_t slab_cells =
-      static_cast<std::size_t>(slab_hi - slab_lo) * cx;
-  sub.cells.resize(slab_cells);
-  sub.lookup.resize(shard.to_global.size());
-  std::uint32_t cursor = 0;
-  for (std::size_t c = 0; c < slab_cells; ++c) {
-    const CellRange global_range = index.cells[sub.cell_base + c];
-    sub.cells[c].begin = cursor;
-    for (std::uint32_t a = global_range.begin; a < global_range.end; ++a) {
-      sub.lookup[cursor++] = g2l[index.lookup[a]];
-    }
-    sub.cells[c].end = cursor;
-    const std::uint32_t count = global_range.end - global_range.begin;
-    if (count > 0) {
-      sub.max_cell_occupancy = std::max(sub.max_cell_occupancy, count);
-      // Schedule only owned cells: a block-per-cell kernel over the
-      // slab must not emit ghost rows.
-      const std::uint32_t row = static_cast<std::uint32_t>(
-          (sub.cell_base + c) / cx);
-      if (row >= rb && row < re) {
-        sub.nonempty_cells.push_back(
-            static_cast<std::uint32_t>(sub.cell_base + c));
+  sub.cells.resize(static_cast<std::size_t>(slab_hi - slab_lo) * cx);
+  for (std::uint32_t row = slab_lo; row < slab_hi; ++row) {
+    // The row's class: where its run starts in global and in local ids.
+    const bool is_owned = row >= rb && row < re;
+    const std::uint32_t global_first = is_owned ? owned.begin
+                                       : row < rb ? above.begin
+                                                  : below.begin;
+    const std::uint32_t local_first = is_owned ? 0
+                                      : row < rb ? shard.num_owned
+                                                 : shard.num_owned +
+                                                       above.count();
+    for (std::uint32_t x = 0; x < cx; ++x) {
+      const std::uint32_t h = row * cx + x;
+      const CellRange global_range = index.cells[h];
+      sub.cells[h - sub.cell_base] =
+          CellRange{global_range.begin - global_first + local_first,
+                    global_range.end - global_first + local_first};
+      const std::uint32_t count = global_range.count();
+      if (count > 0) {
+        sub.max_cell_occupancy = std::max(sub.max_cell_occupancy, count);
+        // Schedule only owned cells: a block-per-cell kernel over the
+        // slab must not emit ghost rows.
+        if (is_owned) sub.nonempty_cells.push_back(h);
       }
     }
   }
@@ -156,8 +134,7 @@ ShardPlan plan_shards(const GridIndex& index, unsigned num_shards,
 
   std::uint64_t range_points = 0;
   for (std::uint32_t r = row_begin; r < row_end; ++r) {
-    const RowSpan s = row_span(index, r);
-    range_points += s.end - s.begin;
+    range_points += row_span(index, r).count();
   }
   plan.owned_points = range_points;
 
@@ -292,8 +269,7 @@ ShardPlan plan_shards(const GridIndex& index, unsigned num_shards,
   for (std::uint32_t s = 0; s < k; ++s) {
     std::uint64_t slab_points = 0;
     for (std::uint32_t row = cuts[s]; row < cuts[s + 1]; ++row) {
-      const RowSpan span = row_span(index, row);
-      slab_points += span.end - span.begin;
+      slab_points += row_span(index, row).count();
     }
     if (slab_points == 0) continue;
     GridShard shard;
@@ -302,30 +278,19 @@ ShardPlan plan_shards(const GridIndex& index, unsigned num_shards,
     shard.row_end = cuts[s + 1];
     plan.shards.push_back(std::move(shard));
   }
-  // Global id -> cell row, shared read-only by the assembly workers so
-  // each shard's resident gather is one ascending id scan, not a sort.
-  std::vector<std::uint32_t> row_of(index.size());
-  for (std::uint32_t rr = 0; rr < cy; ++rr) {
-    const RowSpan span = row_span(index, rr);
-    for (std::uint32_t a = span.begin; a < span.end; ++a) {
-      row_of[index.lookup[a]] = rr;
-    }
-  }
   serial_seconds += serial_timer.seconds();
 
   // Per-shard assembly is embarrassingly parallel: worker w assembles
-  // shards w, w + W, ... with its own full-size g2l scratch (written per
-  // shard before any read, so workers never share relabeling state), and
-  // owner_of writes are disjoint across shards. The critical path charges
-  // the slowest worker — on the reference host each shard gets a core.
+  // shards w, w + W, ..., and owner_of writes are disjoint across shards.
+  // The critical path charges the slowest worker — on the reference host
+  // each shard gets a core.
   const unsigned W = static_cast<unsigned>(std::min<std::size_t>(
       threads, std::max<std::size_t>(1, plan.shards.size())));
   std::vector<double> worker_seconds(W, 0.0);
   if (W <= 1) {
     ThreadCpuTimer t;
-    std::vector<PointId> g2l(index.size());
     for (GridShard& shard : plan.shards) {
-      assemble_shard(index, shard, row_of, plan.owner_of, g2l);
+      assemble_shard(index, shard, plan.owner_of);
     }
     worker_seconds[0] = t.seconds();
   } else {
@@ -334,9 +299,8 @@ ShardPlan plan_shards(const GridIndex& index, unsigned num_shards,
     for (unsigned w = 0; w < W; ++w) {
       workers.emplace_back([&, w] {
         ThreadCpuTimer t;
-        std::vector<PointId> g2l(index.size());
         for (std::size_t s = w; s < plan.shards.size(); s += W) {
-          assemble_shard(index, plan.shards[s], row_of, plan.owner_of, g2l);
+          assemble_shard(index, plan.shards[s], plan.owner_of);
         }
         worker_seconds[w] = t.seconds();
       });

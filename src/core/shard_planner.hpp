@@ -5,9 +5,8 @@
 // 3x3-stencil occupancy, i.e. candidate distance tests, so a dense band
 // does not land on one device while the others idle (row-major
 // linearization makes a row slab a contiguous range of both the cell
-// array G and the lookup array A). Each shard owns the points of its
-// rows and additionally holds the
-// epsilon-halo: the one row above and the one row below the owned slab,
+// array G and the points D). Each shard owns the points of its rows and
+// additionally holds the epsilon-halo: the one row above and the one row below the owned slab,
 // whose points are resident *ghosts* — cells are exactly eps wide, so an
 // owned point's whole 9-cell stencil lies inside owned-rows +/- 1.
 //
@@ -20,10 +19,11 @@
 // Local point numbering is owned-first: local ids [0, num_owned) are the
 // owned points in ascending global id order, ids [num_owned, resident) the
 // ghosts in ascending global id order. Ownership is row-homogeneous, so
-// every cell's lookup slice keeps the ascending-id invariant the
-// half-comparison kernels binary-search on, and — because the local order
-// is a monotone relabeling of the global order within each cell — a pair
-// is "forward" locally exactly when it is forward globally.
+// every slab cell's residents are one ascending run of local ids — its
+// range, as on a whole index, which the half-comparison kernels scan from
+// their own id — and, because the local order is a monotone relabeling
+// of the global order within each cell, a pair is "forward" locally
+// exactly when it is forward globally.
 //
 // Exactly-once cross-shard edges fall out of that consistency: a shard
 // emits rows only for points it owns, every point has exactly one owner,
@@ -46,8 +46,8 @@ struct GridShard {
   std::uint32_t row_begin = 0;  ///< first owned cell row
   std::uint32_t row_end = 0;    ///< one past the last owned cell row
   std::uint32_t num_owned = 0;  ///< owned (query) points == index.num_query
-  /// Slab sub-index: global params, cells/lookup for owned rows +/- 1
-  /// halo, owned-first points. Empty (size() == 0) when the slab owns no
+  /// Slab sub-index: global params, cells for owned rows +/- 1 halo,
+  /// owned-first points. Empty (size() == 0) when the slab owns no
   /// points — such shards have nothing to build and are skipped.
   GridIndex index;
   /// Local id -> global id (into the full index's point order); size is

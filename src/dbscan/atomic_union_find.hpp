@@ -47,8 +47,14 @@ class AtomicUnionFind {
   /// unite() for a caller that unions one element with many others:
   /// `root_hint` is any member of the element's set — ideally the root
   /// this call returned last time, which find() then confirms with one
-  /// load — and the merged set's root is returned for the next call.
+  /// load — and the merged set's root is returned for the next call. When
+  /// b's parent is the hint and the hint is a root, the two are already
+  /// one set (sets only merge), and the hint returns without a find.
   std::uint32_t unite_root(std::uint32_t root_hint, std::uint32_t b) noexcept {
+    if (parent_[b].load(std::memory_order_relaxed) == root_hint &&
+        parent_[root_hint].load(std::memory_order_relaxed) == root_hint) {
+      return root_hint;
+    }
     std::uint32_t root = 0;
     link(root_hint, b, root);
     return root;

@@ -1,5 +1,6 @@
-// Device-resident copy of the grid index (D, G, A and the schedule S are
+// Device-resident copy of the grid index (D, G and the schedule S are
 // stored in global memory on the GPU — paper §IV), for either point type.
+// Ids are positions in D, so there is no lookup array A to upload.
 #pragma once
 
 #include <cstdint>
@@ -30,14 +31,11 @@ class BasicGridDeviceIndex {
         max_cell_occupancy_(host_index.max_cell_occupancy),
         points_(device, host_index.points.size()),
         cells_(device, host_index.cells.size()),
-        lookup_(device, host_index.lookup.size()),
         schedule_(device, host_index.nonempty_cells.size()) {
     stream.memcpy_to_device(points_, host_index.points.data(),
                             host_index.points.size());
     stream.memcpy_to_device(cells_, host_index.cells.data(),
                             host_index.cells.size());
-    stream.memcpy_to_device(lookup_, host_index.lookup.data(),
-                            host_index.lookup.size());
     stream.memcpy_to_device(schedule_, host_index.nonempty_cells.data(),
                             host_index.nonempty_cells.size());
     // No allocation at all without a map or runs — a zero-byte buffer
@@ -54,7 +52,6 @@ class BasicGridDeviceIndex {
             points_.device_data(),
             num_points_,
             cells_.device_data(),
-            lookup_.device_data(),
             cell_base_,
             num_query_,
             emit_.empty() ? nullptr : emit_.device_data(),
@@ -81,9 +78,8 @@ class BasicGridDeviceIndex {
   /// Bytes shipped over PCIe by the constructor's uploads (the fixed
   /// modeled cost the planner attributes to the index).
   [[nodiscard]] std::size_t upload_bytes() const noexcept {
-    return points_.bytes() + cells_.bytes() + lookup_.bytes() +
-           schedule_.bytes() + emit_.bytes() + sub_order_.bytes() +
-           sub_bounds_.bytes();
+    return points_.bytes() + cells_.bytes() + schedule_.bytes() +
+           emit_.bytes() + sub_order_.bytes() + sub_bounds_.bytes();
   }
 
  private:
@@ -116,7 +112,6 @@ class BasicGridDeviceIndex {
   std::uint32_t max_cell_occupancy_;
   cudasim::DeviceBuffer<Point> points_;
   cudasim::DeviceBuffer<CellRange> cells_;
-  cudasim::DeviceBuffer<PointId> lookup_;
   cudasim::DeviceBuffer<std::uint32_t> schedule_;
   cudasim::DeviceBuffer<PointId> emit_;  ///< value-emission map (may be empty)
   cudasim::DeviceBuffer<PointId> sub_order_;          ///< may be empty

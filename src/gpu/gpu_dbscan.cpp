@@ -40,11 +40,10 @@ struct CoreKernel {
     for (unsigned c = 0; c < n; ++c) {
       const CellRange range = view.cells[cells[c]];
       ctx.count_global_bytes(sizeof(CellRange) +
-                             std::uint64_t(range.count()) *
-                                 (sizeof(PointId) + sizeof(Point2)));
+                             std::uint64_t(range.count()) * sizeof(Point2));
       ctx.count_flops(std::uint64_t(range.count()) * 6);
-      for (std::uint32_t a = range.begin; a < range.end; ++a) {
-        count += dist2(point, view.points[view.lookup[a]]) <= eps2;
+      for (PointId j = range.begin; j < range.end; ++j) {
+        count += dist2(point, view.points[j]) <= eps2;
       }
     }
     core[i] = count >= required;
@@ -89,10 +88,9 @@ struct PropagateKernel {
       const CellRange range = view.cells[cells[c]];
       ctx.count_global_bytes(sizeof(CellRange) +
                              std::uint64_t(range.count()) *
-                                 (sizeof(PointId) + sizeof(Point2) + 5));
+                                 (sizeof(Point2) + 5));
       ctx.count_flops(std::uint64_t(range.count()) * 6);
-      for (std::uint32_t a = range.begin; a < range.end; ++a) {
-        const PointId j = view.lookup[a];
+      for (PointId j = range.begin; j < range.end; ++j) {
         if (!core[j] || dist2(point, view.points[j]) > eps2) continue;
         best = std::min(best, label(j));
       }
@@ -141,10 +139,9 @@ struct BorderKernel {
       const CellRange range = view.cells[cells[c]];
       ctx.count_global_bytes(sizeof(CellRange) +
                              std::uint64_t(range.count()) *
-                                 (sizeof(PointId) + sizeof(Point2) + 5));
+                                 (sizeof(Point2) + 5));
       ctx.count_flops(std::uint64_t(range.count()) * 6);
-      for (std::uint32_t a = range.begin; a < range.end; ++a) {
-        const PointId j = view.lookup[a];
+      for (PointId j = range.begin; j < range.end; ++j) {
         if (!core[j] || dist2(point, view.points[j]) > eps2) continue;
         best = std::min(best, labels[j]);
       }

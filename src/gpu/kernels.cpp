@@ -16,23 +16,31 @@ namespace {
 /// Candidate traversal shared by the per-point kernel bodies over a grid,
 /// 2-D or 3-D. Calls `visit(candidate, hit)` for every candidate it tests,
 /// `hit` being whether the candidate lies within eps of `point`, and
-/// charges the per-candidate reads (lookup id 4 B + the point) and the
-/// 3·D-op squared-distance test (6 ops in 2-D, 9 in 3-D). Passing the hit
-/// bit instead of calling back only on hits lets a body consume it without
-/// a branch (the count adds it, the fill advances its cursor by it).
+/// charges each stencil cell's range, each tested candidate's point (ids
+/// are positions in D, so a candidate is one point read and no id read)
+/// and its 3·D-op squared-distance test (6 ops in 2-D, 9 in 3-D). Passing
+/// the hit bit instead of calling back only on hits lets a body consume it
+/// without a branch (the count adds it, the fill advances its cursor by
+/// it).
 ///
 /// kFull walks the whole 3^D-cell stencil — every qualifying pair (i, j)
 /// is tested from both sides. kHalf tests each pair exactly once: the own
-/// cell contributes only the suffix of candidates at/after the query's own
-/// lookup position (found by binary search over the cell's ascending slice
-/// of A — charged as log2 candidate-id reads), and only the forward half
-/// of the stencil is visited. Hits are therefore forward rows only;
-/// symmetry is restored downstream (NeighborTable::assemble).
+/// cell contributes only its ids from the query's own on (its residents
+/// are the ascending ids of its range), and only the forward half of the
+/// stencil is visited. Hits are therefore forward rows only; symmetry is
+/// restored downstream (NeighborTable::assemble).
+///
+/// Cells along axis 0 hold consecutive ranges of D, and the ranges of
+/// different cells are disjoint, so a cell whose range begins where the
+/// pending one ends is scanned with it as one range: a 2-D kFull stencil
+/// is 3 ranges (9 in 3-D), a 2-D kHalf one 2. Candidates are still
+/// visited in stencil order.
 ///
 /// `walk(range, own)` sees each stencil cell before it is scanned, `own`
 /// marking the point's own cell, and may take the cell over by returning
 /// true (the fused union pass walks dense sub-cell runs that way); the
-/// default scans every cell.
+/// default scans every cell. A walked cell ends the pending range, which
+/// is scanned after the walk.
 struct ScanEveryCell {
   constexpr bool operator()(CellRange, bool) const noexcept { return false; }
 };
@@ -42,15 +50,22 @@ void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
                        const Point& point, float eps2, cudasim::ThreadCtx& ctx,
                        Visit&& visit, Walk&& walk = {}) {
   constexpr std::uint64_t kTestFlops = 3 * Point::kDims;
-  auto scan_range = [&](std::uint32_t begin, std::uint32_t end) {
-    const std::uint32_t candidates = end - begin;
-    ctx.count_global_bytes(static_cast<std::uint64_t>(candidates) *
-                           (sizeof(PointId) + sizeof(point)));
-    ctx.count_flops(static_cast<std::uint64_t>(candidates) * kTestFlops);
-    for (std::uint32_t a = begin; a < end; ++a) {
-      const PointId candidate = view.lookup[a];
-      visit(candidate, dist2(point, view.points[candidate]) <= eps2);
+  std::uint32_t begin = 0;  // the pending range [begin, end)
+  std::uint32_t end = 0;
+  std::uint64_t tested = 0;
+  unsigned cells_read = 0;
+  auto scan = [&] {
+    for (PointId a = begin; a < end; ++a) {
+      visit(a, dist2(point, view.points[a]) <= eps2);
     }
+    tested += end - begin;
+  };
+  auto add = [&](std::uint32_t from, std::uint32_t to) {
+    if (from != end) {
+      scan();
+      begin = from;
+    }
+    end = to;
   };
 
   // `params` keeps the global geometry even on a shard slab, so cell ids
@@ -62,35 +77,32 @@ void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
   unsigned ncells = 0;
   if (mode == ScanMode::kHalf) {
     const CellRange own = view.cells[cell - view.cell_base];
-    ctx.count_global_bytes(sizeof(CellRange));
-    if (!walk(own, true)) {
-      const PointId* first = view.lookup + own.begin;
-      const PointId* last = view.lookup + own.end;
-      const PointId* lo = std::lower_bound(first, last, pid);
-      unsigned probes = 0;
-      while ((1u << probes) < own.count()) ++probes;
-      ctx.count_global_bytes(static_cast<std::uint64_t>(probes) *
-                             sizeof(PointId));
-      scan_range(static_cast<std::uint32_t>(lo - view.lookup), own.end);
-    }
+    ++cells_read;
+    if (!walk(own, true)) add(pid, own.end);
     ncells = get_forward_neighbor_cells(view.params, cell, cell_ids);
   } else {
     ncells = get_neighbor_cells(view.params, cell, cell_ids);
   }
   for (unsigned c = 0; c < ncells; ++c) {
     const CellRange range = view.cells[cell_ids[c] - view.cell_base];
-    ctx.count_global_bytes(sizeof(CellRange));
-    if (!walk(range, cell_ids[c] == cell)) scan_range(range.begin, range.end);
+    ++cells_read;
+    if (!walk(range, cell_ids[c] == cell)) add(range.begin, range.end);
   }
+  scan();
+  ctx.count_global_bytes(cells_read * sizeof(CellRange) +
+                         tested * sizeof(point));
+  ctx.count_flops(tested * kTestFlops);
 }
 
 /// The early-exit traversal of the fused core and mark passes: visits the
-/// hits of a kFull traversal, self included, until `limit` of them were
-/// visited, and returns how many were. The point's own cell is scanned
-/// first — where a dense point finds its first neighbors — then the rest
-/// of the stencil in order. Each tested candidate is charged like
-/// for_each_neighbor's, and where the scan stops depends only on the
-/// geometry, so the charges depend on the input alone.
+/// hits of a kFull traversal, self included, until `limit` (at least 1) of
+/// them were visited, and returns how many were. The point's own cell is
+/// scanned first — where a dense point finds its first neighbors — then
+/// the rest of the stencil in order, abutting cells as one range as in
+/// for_each_neighbor. Each tested candidate is charged like
+/// for_each_neighbor's, and each cell the scan reached its range; where
+/// the scan stops depends only on the geometry, so the charges depend on
+/// the input alone.
 template <typename View, typename Point, typename Hit>
 std::uint32_t for_each_hit_until(const View& view, const Point& point,
                                  float eps2, std::uint32_t limit,
@@ -98,31 +110,59 @@ std::uint32_t for_each_hit_until(const View& view, const Point& point,
   constexpr std::uint64_t kTestFlops = 3 * Point::kDims;
   std::uint32_t found = 0;
   std::uint64_t tested = 0;
-  unsigned scanned = 0;
-  auto scan = [&](std::uint32_t cell) {
-    const CellRange range = view.cells[cell - view.cell_base];
-    ++scanned;
-    std::uint32_t a = range.begin;
-    for (; a < range.end && found < limit; ++a) {
-      const PointId candidate = view.lookup[a];
-      if (dist2(point, view.points[candidate]) <= eps2) {
-        hit(candidate);
+  unsigned reached = 0;
+  // The pending range: abutting cells not scanned yet, where each begins,
+  // and where the last ends.
+  CellStencil<Point> begins{};
+  unsigned pending = 0;
+  std::uint32_t end = 0;
+  auto flush = [&] {
+    if (pending == 0) return;
+    PointId a = begins[0];
+    for (; a < end && found < limit; ++a) {
+      if (dist2(point, view.points[a]) <= eps2) {
+        hit(a);
         ++found;
       }
     }
-    tested += a - range.begin;
+    tested += a - begins[0];
+    // A cell was reached when the scan got to it: every cell of a range
+    // scanned through, else those beginning at or before the last
+    // candidate tested.
+    if (found < limit) {
+      reached += pending;
+    } else {
+      for (unsigned k = 0; k < pending; ++k) reached += begins[k] < a;
+    }
+    pending = 0;
   };
+  // Adds a cell to the pending range; false when the limit was met before
+  // the scan got to it.
+  auto add = [&](std::uint32_t cell) {
+    const CellRange range = view.cells[cell - view.cell_base];
+    if (pending > 0 && range.begin != end) {
+      flush();
+      if (found >= limit) return false;
+    }
+    begins[pending++] = range.begin;
+    end = range.end;
+    return true;
+  };
+  // The own cell is scanned before the stencil is even listed: a dense
+  // point stops there.
   const std::uint32_t cell = view.params.linear_cell(point);
-  scan(cell);
+  add(cell);
+  flush();
   if (found < limit) {
     CellStencil<Point> cell_ids{};
     const unsigned ncells = get_neighbor_cells(view.params, cell, cell_ids);
-    for (unsigned c = 0; c < ncells && found < limit; ++c) {
-      if (cell_ids[c] != cell) scan(cell_ids[c]);
+    for (unsigned c = 0; c < ncells; ++c) {
+      if (cell_ids[c] != cell && !add(cell_ids[c])) break;
     }
+    flush();
   }
-  ctx.count_global_bytes(scanned * sizeof(CellRange) +
-                         tested * (sizeof(PointId) + sizeof(point)));
+  ctx.count_global_bytes(reached * sizeof(CellRange) +
+                         tested * sizeof(point));
   ctx.count_flops(tested * kTestFlops);
   return found;
 }
@@ -213,10 +253,9 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
     const std::uint32_t oidx = obase + tid;
     const bool has_origin = oidx < origin_range.end;
     if (has_origin) {
-      const PointId id = p.view.lookup[oidx];
-      origin_ids[tid] = id;
-      origin_pts[tid] = p.view.points[id];
-      ctx.count_global_bytes(sizeof(PointId) + sizeof(Point2));
+      origin_ids[tid] = oidx;
+      origin_pts[tid] = p.view.points[oidx];
+      ctx.count_global_bytes(sizeof(Point2));
       ctx.count_shared_bytes(sizeof(PointId) + sizeof(Point2));
     }
     co_await ctx.sync();
@@ -230,10 +269,9 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
         // Page one comparison tile into shared memory (lines 15-17).
         const std::uint32_t cidx = cbase + tid;
         if (cidx < comp_range.end) {
-          const PointId id = p.view.lookup[cidx];
-          comp_ids[tid] = id;
-          comp_pts[tid] = p.view.points[id];
-          ctx.count_global_bytes(sizeof(PointId) + sizeof(Point2));
+          comp_ids[tid] = cidx;
+          comp_pts[tid] = p.view.points[cidx];
+          ctx.count_global_bytes(sizeof(Point2));
           ctx.count_shared_bytes(sizeof(PointId) + sizeof(Point2));
         }
         co_await ctx.sync();
@@ -456,7 +494,7 @@ struct RecountKernelBody {
 ///
 /// With sub-cell runs (`runs`), a core point walks the cells that hold
 /// big enough runs (walk_cell): a dense run costs it one union, not a
-/// test per resident.
+/// test per resident, and a pair of dense runs costs one search.
 template <typename View>
 struct UnionKernelBody {
   static constexpr unsigned kStage = 64;
@@ -511,10 +549,11 @@ struct UnionKernelBody {
     };
     if constexpr (std::is_same_v<View, GridView>) {
       if (core && runs) {
+        OwnRun mine;  // found when first needed
         for_each_neighbor(view, mode, pid, point, eps2, ctx, visit,
                           [&](CellRange range, bool own) {
-                            return walk_cell(range, own, pid, point, root,
-                                             visit, ctx);
+                            return walk_cell(range, own, pid, point, mine,
+                                             root, visit, ctx);
                           });
         judge();
         return;  // a core point has no best core neighbor to fold
@@ -536,40 +575,96 @@ struct UnionKernelBody {
     return u.uf->unite_root(root, cand);
   }
 
+  /// Fewest residents a cell's biggest run needs for the cell to be
+  /// walked: max(minpts, kSubCellMinResidents).
+  [[nodiscard]] std::uint32_t walk_min() const {
+    return std::max(u.required, kSubCellMinResidents);
+  }
+
+  /// Where the runs of a cell of at least walk_min() residents start and
+  /// end: run s is [bounds[s], bounds[s + 1]) of the sub-cell order.
+  [[nodiscard]] std::array<std::uint32_t, 5> run_bounds(
+      CellRange range) const {
+    return {range.begin, view.sub_bounds[range.begin],
+            view.sub_bounds[range.begin + 1],
+            view.sub_bounds[range.begin + 2], range.end};
+  }
+
+  [[nodiscard]] bool walked(const std::array<std::uint32_t, 5>& bounds) const {
+    bool walk = false;
+    for (unsigned s = 0; s < 4; ++s) {
+      walk |= bounds[s + 1] - bounds[s] >= walk_min();
+    }
+    return walk;
+  }
+
+  /// A core point's own run, when it is dense (minpts or more residents)
+  /// in a walked cell: its range of the sub-cell order, and whether the
+  /// point is its first resident. Empty otherwise; `known` once looked up.
+  struct OwnRun {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    bool first = false;
+    bool known = false;
+
+    [[nodiscard]] bool dense() const noexcept { return begin != end; }
+  };
+
+  /// Run `s` of a walked cell with runs `bounds`, as the own run of `pid`.
+  [[nodiscard]] OwnRun own_run(const std::array<std::uint32_t, 5>& bounds,
+                               unsigned s, PointId pid) const {
+    if (bounds[s + 1] - bounds[s] < u.required) return {.known = true};
+    return {bounds[s], bounds[s + 1], view.sub_order[bounds[s]] == pid,
+            true};
+  }
+
+  /// The own run looked up from the point alone, for a dense run met
+  /// before the own cell. It reads what walking the own cell reads again,
+  /// and is charged there.
+  [[nodiscard]] OwnRun own_run(PointId pid, const Point2& point) const {
+    const CellRange range =
+        view.cells[view.params.linear_cell(point) - view.cell_base];
+    if (range.count() < walk_min()) return {.known = true};
+    const std::array<std::uint32_t, 5> bounds = run_bounds(range);
+    if (!walked(bounds)) return {.known = true};
+    return own_run(bounds, view.params.sub_cell_of(point), pid);
+  }
+
   /// A core point's for_each_neighbor hook: walks one stencil cell run by
-  /// run when one of its sub-cell runs holds at least max(minpts,
-  /// kSubCellMinResidents) residents, and otherwise returns false to have
-  /// the cell scanned. A run of at least minpts residents is dense: they
-  /// are mutual neighbors, so all core by their degrees and one
-  /// component, and it holds no border to fold. The point's own dense run
-  /// is linked with one union to its first resident and no test; any other
-  /// dense run is tested until its first hit, which is linked. Sparse runs
-  /// are scanned in full — in the own cell under kHalf only ids at or above
-  /// pid, the ownership of the suffix scan — and their hits go to `visit`.
+  /// run when one of its sub-cell runs holds at least walk_min() residents,
+  /// and otherwise returns false to have the cell scanned. A run of at
+  /// least minpts residents is dense: they are mutual neighbors, so all
+  /// core by their degrees and one component, and it holds no border to
+  /// fold. The point's own dense run is linked with one union to its first
+  /// resident and no test. Sparse runs are scanned in full — in the own
+  /// cell under kHalf only ids at or above pid, the ownership of the suffix
+  /// scan — and their hits go to `visit`. Any other dense run:
+  ///  * from a point outside a dense run (`mine` empty) is tested until
+  ///    its first hit, which is linked;
+  ///  * from the first resident of a dense run is searched pair by pair
+  ///    against every resident of its own run, the first hit linked — in
+  ///    the own cell only runs after its own, so one search decides each
+  ///    pair of runs in a cell. Any resident can be the one within eps;
+  ///  * from any other resident of a dense run is skipped: its first
+  ///    resident decides the pair. Under kFull both runs' first residents
+  ///    search, which is redundant but exact.
   /// Each dense run met counts one event.
   template <typename Visit>
   bool walk_cell(CellRange range, bool own, PointId pid, const Point2& point,
-                 std::uint32_t& root, Visit& visit,
+                 OwnRun& mine, std::uint32_t& root, Visit& visit,
                  cudasim::ThreadCtx& ctx) const {
     constexpr std::uint64_t kTestFlops = 3 * Point2::kDims;
-    const std::uint32_t walked = std::max(u.required, kSubCellMinResidents);
-    if (range.count() < walked) return false;
-    // Run s is [bounds[s], bounds[s + 1]).
-    const std::array<std::uint32_t, 5> bounds{
-        range.begin, view.sub_bounds[range.begin],
-        view.sub_bounds[range.begin + 1], view.sub_bounds[range.begin + 2],
-        range.end};
+    if (range.count() < walk_min()) return false;
+    const std::array<std::uint32_t, 5> bounds = run_bounds(range);
     ctx.count_global_bytes(3 * sizeof(std::uint32_t));
-    bool walk = false;
-    for (unsigned s = 0; s < 4; ++s) {
-      walk |= bounds[s + 1] - bounds[s] >= walked;
-    }
-    if (!walk) return false;
+    if (!walked(bounds)) return false;
 
     const bool half = mode == ScanMode::kHalf;
     const unsigned own_sub = own ? view.params.sub_cell_of(point) : 4u;
-    std::uint64_t ids_read = 0;  // candidate ids read one by one
-    std::uint64_t tested = 0;    // ... and the ones tested
+    if (own && !mine.known) mine = own_run(bounds, own_sub, pid);
+    std::uint64_t ids_read = 0;     // candidate ids read one by one
+    std::uint64_t points_read = 0;  // ... the points read
+    std::uint64_t tested = 0;       // ... and the distance tests
     for (unsigned s = 0; s < 4; ++s) {
       const std::uint32_t begin = bounds[s];
       const std::uint32_t end = bounds[s + 1];
@@ -590,18 +685,32 @@ struct UnionKernelBody {
         if (first != pid) root = link(root, first, ctx);
         continue;
       }
-      for (std::uint32_t a = begin; a < end; ++a) {
-        const PointId cand = view.sub_order[a];
-        ++ids_read;
-        ++tested;
-        if (dist2(point, view.points[cand]) <= eps2) {
-          root = link(root, cand, ctx);
-          break;
+      if (!mine.known) mine = own_run(pid, point);
+      if (mine.dense() && (!mine.first || (own && s < own_sub))) continue;
+      // Tests the run from `from` until its first hit, which is linked.
+      auto search_from = [&](const Point2& from) {
+        for (std::uint32_t a = begin; a < end; ++a) {
+          const PointId cand = view.sub_order[a];
+          ++ids_read;
+          ++tested;
+          if (dist2(from, view.points[cand]) <= eps2) {
+            root = link(root, cand, ctx);
+            return true;
+          }
         }
+        return false;
+      };
+      // One search decides the pair of runs: from the point itself, then
+      // from the rest of the run it leads.
+      if (search_from(point) || !mine.first) continue;
+      for (std::uint32_t m = mine.begin + 1; m < mine.end; ++m) {
+        ++ids_read;
+        ++points_read;
+        if (search_from(view.points[view.sub_order[m]])) break;
       }
     }
     ctx.count_global_bytes(ids_read * sizeof(PointId) +
-                           tested * sizeof(point));
+                           (points_read + tested) * sizeof(point));
     ctx.count_flops(tested * kTestFlops);
     return true;
   }

@@ -82,12 +82,13 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
 // The table entry points take a `mode`. Under ScanMode::kHalf each
 // candidate pair is tested once and only the *forward* rows are emitted;
 // the caller restores symmetry afterwards via NeighborTable::assemble. A
-// forward row is the same-cell candidates at/after the query's lookup
-// position plus the forward stencil, so every cross pair lands in exactly
-// one row — the cover the assembler's expansion and the fused union pass
-// require.
+// forward row is the same-cell candidates from the query's own id on plus
+// the forward stencil, so every cross pair lands in exactly one row — the
+// cover the assembler's expansion and the fused union pass require.
 // Every tested candidate pays its point fetch and distance test; the
 // traversal has no per-pair filter, so every path that runs it is exact.
+// Ids are positions in D: a cell's range is its residents' ids, and a
+// stencil's abutting ranges are scanned as one.
 //
 // `View` is GridView or GridView3 (both instantiated in kernels.cpp).
 
@@ -136,7 +137,9 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
 //    carries sub-cell runs (SubCells), a core point links each dense run —
 //    minpts or more residents of one eps/2 sub-cell, mutual neighbors —
 //    in a cell with a sub-cell of kSubCellMinResidents or more with one
-//    union instead of testing every resident, an event each.
+//    union instead of testing every resident, an event each. A pair of
+//    dense runs is decided by one search over their resident pairs, run
+//    by the first resident of one of them.
 // Each pass starts once the one before it finished on every batch. A
 // store, a flag or a union repeats harmlessly, so every pass may re-run a
 // batch. Nothing is parked, and every counter depends on the input alone.

@@ -83,12 +83,12 @@ BasicGridIndex<Point> build_grid_index(
   BasicGridIndex<Point> index;
   index.params = make_grid_params<Point>(lo, hi, eps, max_cells);
 
-  // D in cell order: one counting sort fills G, A and D (paper Figure 1;
-  // the unit-bin pre-sort of §IV is replaced, see DESIGN.md §2) —
-  // linear_cell once per input point, per-cell counts, an exclusive scan
-  // into G, and one scatter that writes D, original_ids and A at each
-  // cell's cursor. Each cell's residents end up contiguous and in input
-  // order, so lookup[a] == a.
+  // D in cell order: one counting sort fills G and D (paper Figure 1; the
+  // unit-bin pre-sort of §IV is replaced, see DESIGN.md §2) — linear_cell
+  // once per input point, per-cell counts, an exclusive scan into G, and
+  // one scatter that writes D and original_ids at each cell's cursor. Each
+  // cell's residents end up contiguous and in input order, and their ids
+  // are their positions.
   const auto num_cells = static_cast<std::size_t>(index.params.num_cells());
   const std::size_t n = input.size();
   std::vector<std::uint32_t> cell_of(n);
@@ -114,26 +114,10 @@ BasicGridIndex<Point> build_grid_index(
 
   index.points.resize(n);
   index.original_ids.resize(n);
-  index.lookup.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t a = cursor[cell_of[i]]++;
     index.points[a] = input[i];
     index.original_ids[a] = static_cast<PointId>(i);
-    index.lookup[a] = a;
-  }
-
-  // Ordering invariant (ScanMode::kHalf depends on it): every cell's slice
-  // of A is strictly ascending. One linear pass, so verify it rather than
-  // trust it.
-  for (const std::uint32_t h : index.nonempty_cells) {
-    const CellRange range = index.cells[h];
-    for (std::uint32_t a = range.begin + 1; a < range.end; ++a) {
-      if (index.lookup[a - 1] >= index.lookup[a]) {
-        throw std::logic_error(
-            "grid index: lookup ids not ascending within a cell (ordering "
-            "invariant violated)");
-      }
-    }
   }
   return index;
 }
@@ -149,7 +133,6 @@ SubCells build_sub_cells(const GridIndex& index) {
   std::vector<std::uint8_t> sub(n);
   sub_cells.order.resize(n);
   sub_cells.bounds.resize(n);
-  // A whole index has lookup[a] == a: position and id coincide.
   for (const std::uint32_t h : index.nonempty_cells) {
     const CellRange range = index.cells[h];
     if (range.count() < kSubCellMinResidents) {

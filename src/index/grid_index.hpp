@@ -7,11 +7,13 @@
 //          locations are nearby in memory (the paper's locality
 //          optimization, §IV, sorts by unit-width bins instead);
 //   * G  — an array of eps-wide cells (squares in 2-D, cubes in 3-D), each
-//          holding a range [Amin, Amax] into the lookup array;
-//   * A  — the lookup array of point ids, |A| == |D| (a point lives in
-//          exactly one cell, so no per-cell over-allocation is needed);
+//          holding the range [begin, end) of D its residents occupy;
 //   * S  — the schedule of non-empty cells (GPUCalcShared assigns one
 //          thread block per entry of S).
+// A point's id is its position in D, so a cell's range is also the range
+// of its residents' ids. The paper's lookup array A, which maps a cell's
+// slots to point ids, would be the identity: the index has none, and
+// every scan reads points[a] as candidate a.
 //
 // Because cells are eps wide, all neighbors within eps of a point are
 // guaranteed to lie in the 3^D-cell block around the point's cell: its
@@ -28,7 +30,8 @@
 
 namespace hdbscan {
 
-/// Half-open range [begin, end) into the lookup array A.
+/// Half-open range [begin, end) of D, and so of point ids: a cell's
+/// residents.
 struct CellRange {
   std::uint32_t begin = 0;
   std::uint32_t end = 0;
@@ -204,10 +207,12 @@ unsigned get_forward_neighbor_cells(const BasicGridParams<Point>& params,
 /// struct for a contiguous slab of grid-cell rows: `params` keeps the
 /// GLOBAL geometry (so every point hashes to the same cell id it has in
 /// the full index), `cells` holds only the slab — cells[h - cell_base] is
-/// global cell h — and `points`/`lookup` hold the slab's residents in
+/// global cell h — and `points` holds the slab's residents in
 /// *owned-first* order: the first `num_query` points are the ones this
 /// shard owns (ascending global id), followed by the epsilon-halo ghosts
-/// (ascending global id). Kernels and host queries only ever query owned
+/// (ascending global id). Ids are still positions: each slab cell's range
+/// is its residents' local ids, inside [0, num_query) for an owned cell and
+/// past it for a ghost cell. Kernels and host queries only ever query owned
 /// points, whose full 9-cell stencil lies inside the slab by construction.
 template <typename Point>
 struct BasicGridIndex {
@@ -215,7 +220,6 @@ struct BasicGridIndex {
   std::vector<Point> points;           ///< D, in cell order
   std::vector<PointId> original_ids;   ///< points[i] came from input[original_ids[i]]
   std::vector<CellRange> cells;        ///< G
-  std::vector<PointId> lookup;         ///< A
   std::vector<std::uint32_t> nonempty_cells;  ///< S
   std::uint32_t max_cell_occupancy = 0;
   /// Linear id of cells[0] (nonzero only for shard sub-indexes).
@@ -252,7 +256,6 @@ struct BasicGridView {
   const Point* points = nullptr;
   std::uint32_t num_points = 0;  ///< resident points (extent of the arrays)
   const CellRange* cells = nullptr;
-  const PointId* lookup = nullptr;
   std::uint32_t cell_base = 0;  ///< linear id of cells[0] (shard slabs)
   std::uint32_t num_query = 0;  ///< owned prefix; 0 = num_points
   /// Optional value-emission map (GridIndex::emit_ids); null = identity.
@@ -277,7 +280,6 @@ struct BasicGridView {
                          g.points.data(),
                          static_cast<std::uint32_t>(g.points.size()),
                          g.cells.data(),
-                         g.lookup.data(),
                          g.cell_base,
                          g.num_query,
                          g.emit_ids.empty() ? nullptr : g.emit_ids.data()};
@@ -337,20 +339,17 @@ GridParams grid_params(const Rect2& extent, float eps,
                        std::uint64_t max_cells = kMaxGridCells);
 
 /// Builds the grid index for database `input` and search radius `eps`:
-/// one counting sort stores D in cell order, so cells[h] is also the range
-/// of D holding cell h's points and lookup[a] == a. The point type is
-/// Point2 unless named: build_grid_index<Point3>(points, eps) builds a 3-D
-/// grid. Throws std::invalid_argument for an empty database, for a point
-/// with a coordinate that is not finite (naming the first one), or for
-/// whatever grid_params throws for the database's extent.
+/// one counting sort stores D in cell order, so cells[h] is the range of D,
+/// and of ids, holding cell h's points. The point type is Point2 unless
+/// named: build_grid_index<Point3>(points, eps) builds a 3-D grid. Throws
+/// std::invalid_argument for an empty database, for a point with a
+/// coordinate that is not finite (naming the first one), or for whatever
+/// grid_params throws for the database's extent.
 ///
-/// Ordering invariant (load-bearing for ScanMode::kHalf): within every
-/// cell's [begin, end) range the lookup array A stores point ids in
-/// strictly ascending order. A whole index has it trivially (A is the
-/// identity); shard slabs keep it through their owned-first relabeling.
-/// The builder verifies it before returning. Half-comparison kernels rely
-/// on it to binary-search their own lookup position and scan only
-/// same-cell candidates with id >= their own.
+/// Ordering invariant (load-bearing for ScanMode::kHalf): a cell's
+/// residents are the ascending ids of its range, because ids are
+/// positions. Half-comparison kernels scan the same-cell candidates from
+/// their own id to the cell's end.
 template <typename Point = Point2>
 BasicGridIndex<Point> build_grid_index(
     std::span<const std::type_identity_t<Point>> input, float eps,
@@ -376,8 +375,7 @@ void grid_query(const BasicGridIndex<Point>& index, const Point& q, float eps,
     const std::uint32_t local = neighbors[c] - index.cell_base;
     if (local >= index.cells.size()) continue;
     const CellRange range = index.cells[local];
-    for (std::uint32_t a = range.begin; a < range.end; ++a) {
-      const PointId id = index.lookup[a];
+    for (PointId id = range.begin; id < range.end; ++id) {
       if (dist2(q, index.points[id]) <= eps2) out.push_back(id);
     }
   }

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "dbscan/union_find.hpp"
 
 namespace hdbscan {
@@ -88,6 +91,47 @@ TEST(AtomicUnionFind, ConcurrentCrossUnions) {
   }
   for (auto& t : threads) t.join();
   for (std::uint32_t i = 0; i < n; ++i) EXPECT_EQ(uf.find(i), 0u);
+}
+
+TEST(AtomicUnionFind, ConcurrentFastPathMatchesSequential) {
+  // Pool threads mix repeated unite_root calls on pairs already joined —
+  // the no-find exit, which reads two parents while other threads CAS
+  // them — with cross unions over the same elements. The components must
+  // match a sequential UnionFind fed every union.
+  const std::uint32_t n = 2000;
+  Xoshiro256 plan_rng(29);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> cross(3000);
+  for (auto& [a, b] : cross) {
+    a = static_cast<std::uint32_t>(plan_rng.below(n));
+    b = static_cast<std::uint32_t>(plan_rng.below(n));
+  }
+  UnionFind seq(n);
+  for (std::uint32_t i = 0; i + 1 < n; i += 2) seq.unite(i, i + 1);
+  for (const auto& [a, b] : cross) seq.unite(a, b);
+
+  AtomicUnionFind uf(n);
+  for (std::uint32_t i = 0; i + 1 < n; i += 2) uf.unite(i, i + 1);
+  ThreadPool pool(4);
+  pool.parallel_for(0, 8, [&](std::size_t t) {
+    std::uint32_t root = static_cast<std::uint32_t>(2 * t);
+    for (std::size_t k = t; k < cross.size(); k += 8) {
+      // Already joined: i + 1 hangs off i, mostly straight off the root.
+      for (int repeat = 0; repeat < 4; ++repeat) {
+        const std::uint32_t i = static_cast<std::uint32_t>((2 * k) % n);
+        root = uf.unite_root(i, i + 1);
+        root = uf.unite_root(root, i);
+      }
+      root = uf.unite_root(cross[k].first, cross[k].second);
+    }
+  });
+  // The atomic forest roots each set at its smallest id.
+  std::vector<std::uint32_t> smallest(n, n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    smallest[seq.find(i)] = std::min(smallest[seq.find(i)], i);
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    EXPECT_EQ(uf.find(i), smallest[seq.find(i)]) << "element " << i;
+  }
 }
 
 }  // namespace

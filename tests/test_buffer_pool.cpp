@@ -221,13 +221,13 @@ TEST(BufferPool, ScriptedOomDuringBuildLeavesPoolConsistent) {
   NeighborTable oracle = build_neighbor_table_host(index, eps);
   oracle.canonicalize();
 
-  // Allocations 1-4 upload the grid index; every later one checks out a
+  // Allocations 1-3 upload the grid index; every later one checks out a
   // stream context's counts or values buffer (batches allocate nothing).
-  // #6 fails on the first context's values buffer after its counts buffer
-  // was checked out, so the setup unwind returns a block to the pool; #7
+  // #5 fails on the first context's values buffer after its counts buffer
+  // was checked out, so the setup unwind returns a block to the pool; #6
   // fails the retry. Each failure halves the buffer cap and replans.
   cudasim::FaultPlan plan;
-  plan.oom_allocs = {6, 7};
+  plan.oom_allocs = {5, 6};
   cudasim::SimulationOptions opt = fast_options();
   opt.fault = std::make_shared<cudasim::FaultInjector>(plan);
   cudasim::Device dev({}, opt);

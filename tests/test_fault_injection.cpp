@@ -232,7 +232,7 @@ TEST(ResilientBuild, TwoDeviceAcceptanceScenario) {
   plan0.degrade_from_transfer = 3;
   plan0.degrade_factor = 3.0;
   cudasim::FaultPlan plan1;
-  plan1.lost_at_op = 25;  // after setup, well before its batches finish
+  plan1.lost_at_op = 23;  // after setup, well before its batches finish
   cudasim::Device dev0({}, faulted_options(plan0));
   cudasim::Device dev1({}, faulted_options(plan1));
   NeighborTableBuilder builder({&dev0, &dev1}, policy);
@@ -255,9 +255,9 @@ TEST(ResilientBuild, AllDevicesLostFallsBackToHost) {
   BatchPolicy policy = many_batch_policy(s);
   policy.resilience.host_fallback = true;
   cudasim::FaultPlan plan0;
-  plan0.lost_at_op = 20;
+  plan0.lost_at_op = 18;
   cudasim::FaultPlan plan1;
-  plan1.lost_at_op = 24;
+  plan1.lost_at_op = 22;
   cudasim::Device dev0({}, faulted_options(plan0));
   cudasim::Device dev1({}, faulted_options(plan1));
   NeighborTableBuilder builder({&dev0, &dev1}, policy);
@@ -336,9 +336,9 @@ TEST(ResilientBuild, DeviceLostBetweenUploadAndEstimationIsReported) {
 }
 
 TEST(ResilientBuild, FailedSubCellUploadDrainsQueuedGridTransfers) {
-  // A fused run queues a device's four grid uploads, then allocates the
+  // A fused run queues a device's three grid uploads, then allocates the
   // sub-cell runs the union pass walks. Device 0's sub_order allocation
-  // (its fifth) runs out of memory while its grid transfers still wait
+  // (its fourth) runs out of memory while its grid transfers still wait
   // behind a slow link. The device may be dropped only after those
   // transfers drained — one into a freed grid buffer is a
   // heap-use-after-free under ASan — and device 1 clusters exactly.
@@ -347,7 +347,7 @@ TEST(ResilientBuild, FailedSubCellUploadDrainsQueuedGridTransfers) {
   ASSERT_GE(s.index.max_cell_occupancy, kSubCellMinResidents);
   const int minpts = 4;
   cudasim::FaultPlan plan;
-  plan.oom_allocs = {5};
+  plan.oom_allocs = {4};
   cudasim::DeviceConfig slow_link;
   slow_link.pcie_latency_us = 20'000.0;
   cudasim::SimulationOptions slow = faulted_options(plan);
@@ -373,7 +373,7 @@ TEST(ResilientBuild, HostFallbackDisabledSurfacesDeviceLoss) {
   const Scenario s = make_scenario(3000, 0.35f);
   const BatchPolicy policy = many_batch_policy(s);  // fallback off
   cudasim::FaultPlan plan;
-  plan.lost_at_op = 20;
+  plan.lost_at_op = 18;
   cudasim::Device device({}, faulted_options(plan));
   NeighborTableBuilder builder(device, policy);
   EXPECT_THROW((void)builder.build(s.index, s.eps), cudasim::DeviceLost);
@@ -417,7 +417,7 @@ TEST_P(ResilientBuild, RandomizedPlansOnTwoDevicesKeepTableExact) {
 TEST_P(ResilientBuild, MidBuildLossFailsOverWithTableExact) {
   const Scenario s = make_scenario(2500, 0.35f, 94);
   cudasim::FaultPlan lost;
-  lost.lost_at_op = 25;
+  lost.lost_at_op = 23;
   cudasim::Device dev0({}, fast_options());
   cudasim::Device dev1({}, faulted_options(lost));
   NeighborTableBuilder builder({&dev0, &dev1},
@@ -434,10 +434,10 @@ TEST_P(ResilientBuild, SoleDeviceLostFinishesOnHostWithTableExact) {
   const Scenario s = make_scenario(1500, 0.3f, 95);
   BatchPolicy policy = striped_policy(s, GetParam());
   policy.resilience.host_fallback = true;
-  // Op 20 falls before the first batch, so the host builds the whole
+  // Op 18 falls before the first batch, so the host builds the whole
   // index; half a clean build's ops falls mid-batching, so the host
   // drains the lost lanes' batches.
-  for (const std::uint64_t op : {std::uint64_t{20},
+  for (const std::uint64_t op : {std::uint64_t{18},
                                  clean_build_ops(s, policy) / 2}) {
     SCOPED_TRACE("lost at op " + std::to_string(op));
     cudasim::FaultPlan lost;

@@ -647,6 +647,76 @@ TEST(FusedDenseRuns, DenseSubCellsJustBeyondEpsStayApart) {
   }
 }
 
+/// Two dense runs whose only pair within eps is `near` and the point `t`
+/// along `dir` from it, neither its run's first resident: run A fans back
+/// from `near` along -dir and run B across dir from the far point, so
+/// every other pair is farther apart, and each run lists its farthest
+/// resident first (giving it the run's smallest id), so neither first
+/// resident is within eps of the other run. A point at the origin fixes
+/// the grid there.
+std::vector<Point2> two_runs_one_pair(Point2 near, Point2 dir, float t) {
+  constexpr int kRun = std::max<int>(16, kSubCellMinResidents);
+  const Point2 far{near.x + t * dir.x, near.y + t * dir.y};
+  std::vector<Point2> points{{0.0f, 0.0f}};
+  for (int i = kRun - 1; i >= 0; --i) {
+    const float k = 0.002f * static_cast<float>(i);
+    points.push_back({near.x - k * dir.x, near.y - k * dir.y});
+  }
+  for (int i = kRun - 1; i >= 0; --i) {
+    const float k = 0.002f * static_cast<float>(i);
+    points.push_back({far.x - k * dir.y, far.y + k * dir.x});
+  }
+  return points;
+}
+
+/// The largest float t whose point along `dir` from `near` lies within
+/// `eps` of it.
+float last_step_within(Point2 near, Point2 dir, float eps) {
+  float t = 0.99f * eps;
+  for (;;) {
+    const float next = std::nextafter(t, 2.0f * eps);
+    if (dist2(near, Point2{near.x + next * dir.x, near.y + next * dir.y}) >
+        eps * eps) {
+      return t;
+    }
+    t = next;
+  }
+}
+
+TEST(FusedDenseRuns, RunPairJoinedOnlyPastTheFirstResidents) {
+  // Runs in adjacent cells (sub-cell 3 of cells (1, 1) and (2, 1)) and
+  // two runs of one cell (its sub-cells 0 and 3, across the diagonal).
+  // Their one pair within eps joins neither run's first resident, so a
+  // search from the first resident's own point alone misses it; one float
+  // step further apart, they are two clusters.
+  struct Layout {
+    const char* name;
+    Point2 near;
+    Point2 dir;
+  };
+  const Layout layouts[] = {
+      {"adjacent cells", {1.7f, 1.75f}, {1.0f, 0.0f}},
+      {"one cell, sub-cells 0 and 3", {1.2f, 1.2f},
+       {0.70710677f, 0.70710677f}},
+  };
+  constexpr float eps = 1.0f;
+  for (const Layout& l : layouts) {
+    SCOPED_TRACE(l.name);
+    const float inside = last_step_within(l.near, l.dir, eps);
+    for (const bool apart : {false, true}) {
+      SCOPED_TRACE(apart ? "one step beyond eps" : "last step within eps");
+      const std::vector<Point2> points = two_runs_one_pair(
+          l.near, l.dir, apart ? std::nextafter(inside, 2.0f) : inside);
+      for (const int minpts : {4, 16}) {
+        SCOPED_TRACE("minpts " + std::to_string(minpts));
+        EXPECT_GT(expect_dense_runs_exact(points, eps, minpts), 0u);
+        EXPECT_EQ(union_find_clustering(points, eps, minpts).num_clusters,
+                  apart ? 2 : 1);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // 3-D through the one front door: fused == the banded pass; batch agrees
 // on counts
@@ -892,12 +962,12 @@ TEST(FusedMetrics, PublishesFusedCountersAndNoRowDeliverySeries) {
 }
 
 /// Device ops of a fused run's index upload, one allocation and one
-/// transfer per buffer: the grid's points, cells, lookup and schedule plus
-/// its sub-cell order and bounds (12). Each fused batch is one launch
-/// after that.
+/// transfer per buffer: the grid's points, cells and schedule plus its
+/// sub-cell order and bounds (10). Each fused batch is one launch after
+/// that.
 std::uint64_t fused_upload_ops(const Scenario& s) {
   EXPECT_FALSE(build_sub_cells(s.index).order.empty());
-  return 12;
+  return 10;
 }
 
 /// The device op of one device's `launch`-th launch (from 1) in fused

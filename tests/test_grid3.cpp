@@ -134,11 +134,13 @@ TEST(GridIndex3, RejectsGridBeyondCapacityBeforeNarrowing) {
 TEST(GridIndex3, PointsAreStoredInCellOrder) {
   const auto points = blobs3(3000, 2, 4, 0.3f, 5.0f, 0.3);
   const GridIndex3 g = build_grid_index<Point3>(points, 0.35f);
-  ASSERT_EQ(g.lookup.size(), points.size());
-  for (std::uint32_t a = 0; a < g.lookup.size(); ++a) {
-    ASSERT_EQ(g.lookup[a], a);
-  }
+  // The cells' runs follow one another in cell order and cover D, so a
+  // point's id is its position.
+  ASSERT_EQ(g.size(), points.size());
+  ASSERT_EQ(g.cells.front().begin, 0u);
+  ASSERT_EQ(g.cells.back().end, points.size());
   for (std::uint32_t h = 0; h < g.cells.size(); ++h) {
+    if (h > 0) ASSERT_EQ(g.cells[h].begin, g.cells[h - 1].end);
     const CellRange range = g.cells[h];
     for (std::uint32_t a = range.begin; a < range.end; ++a) {
       ASSERT_EQ(g.params.linear_cell(g.points[a]), h) << "slot " << a;
@@ -153,10 +155,14 @@ TEST(GridIndex3, PointsAreStoredInCellOrder) {
   }
 }
 
-TEST(GridIndex3, LookupIsPermutation) {
+TEST(GridIndex3, CellRangesHoldEveryPointIdOnce) {
   const auto points = random_points3(3000, 1, 5.0f);
   const GridIndex3 g = build_grid_index<Point3>(points, 0.4f);
-  std::vector<PointId> sorted(g.lookup.begin(), g.lookup.end());
+  std::vector<PointId> sorted;
+  for (const CellRange& range : g.cells) {
+    for (PointId id = range.begin; id < range.end; ++id) sorted.push_back(id);
+  }
+  ASSERT_EQ(sorted.size(), points.size());
   std::sort(sorted.begin(), sorted.end());
   for (PointId i = 0; i < sorted.size(); ++i) EXPECT_EQ(sorted[i], i);
   // Reordered points match originals through original_ids.
@@ -432,10 +438,10 @@ BatchPolicy striped_policy(const Scenario3& s) {
   return policy;
 }
 
-/// A 3-D index uploads its points, cells, lookup and schedule — one
-/// allocation and one transfer each, and no sub-cells — so the fused
-/// passes' launches start at device op 9.
-constexpr std::uint64_t kFusedUploadOps3 = 8;
+/// A 3-D index uploads its points, cells and schedule — one allocation and
+/// one transfer each, and no sub-cells — so the fused passes' launches
+/// start at device op 7.
+constexpr std::uint64_t kFusedUploadOps3 = 6;
 
 struct Run3 {
   BuildReport report;

@@ -133,18 +133,25 @@ TEST(GridIndex, SinglePointGrid) {
   EXPECT_EQ(g.size(), 1u);
   EXPECT_EQ(g.params.cells_x, 1u);
   EXPECT_EQ(g.params.cells_y, 1u);
-  EXPECT_EQ(g.lookup.size(), 1u);
+  EXPECT_EQ(g.cells[0].begin, 0u);
+  EXPECT_EQ(g.cells[0].end, 1u);
   EXPECT_EQ(g.nonempty_cells.size(), 1u);
   EXPECT_EQ(g.max_cell_occupancy, 1u);
 }
 
-TEST(GridIndex, LookupArrayIsPermutationOfPointIds) {
+TEST(GridIndex, CellRangesHoldEveryPointIdOnce) {
+  // Ids are positions: the cells' ranges together list every point id
+  // exactly once.
   const auto points = data::generate_uniform(5000, 1, 10.0f, 10.0f);
   const GridIndex g = build_grid_index(points, 0.3f);
-  ASSERT_EQ(g.lookup.size(), points.size());
-  std::vector<PointId> sorted(g.lookup.begin(), g.lookup.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (PointId i = 0; i < sorted.size(); ++i) EXPECT_EQ(sorted[i], i);
+  ASSERT_EQ(g.size(), points.size());
+  std::vector<PointId> ids;
+  for (const CellRange& range : g.cells) {
+    for (PointId id = range.begin; id < range.end; ++id) ids.push_back(id);
+  }
+  ASSERT_EQ(ids.size(), points.size());
+  std::sort(ids.begin(), ids.end());
+  for (PointId i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i);
 }
 
 TEST(GridIndex, OriginalIdsArePermutation) {
@@ -161,15 +168,16 @@ TEST(GridIndex, OriginalIdsArePermutation) {
 
 TEST(GridIndex, PointsAreStoredInCellOrder) {
   // D is in cell order: each cell's residents are one contiguous run of D,
-  // in input order, so the lookup array is the identity.
+  // in input order, and the cells' runs follow one another in cell order,
+  // so a point's id is its position.
   for (const float eps : {0.15f, 0.4f}) {
     const auto points = data::generate_space_weather(4000, 6);
     const GridIndex g = build_grid_index(points, eps);
-    ASSERT_EQ(g.lookup.size(), points.size());
-    for (std::uint32_t a = 0; a < g.lookup.size(); ++a) {
-      ASSERT_EQ(g.lookup[a], a);
-    }
+    ASSERT_EQ(g.size(), points.size());
+    ASSERT_EQ(g.cells.front().begin, 0u);
+    ASSERT_EQ(g.cells.back().end, points.size());
     for (std::uint32_t h = 0; h < g.cells.size(); ++h) {
+      if (h > 0) ASSERT_EQ(g.cells[h].begin, g.cells[h - 1].end);
       const CellRange range = g.cells[h];
       for (std::uint32_t a = range.begin; a < range.end; ++a) {
         ASSERT_EQ(g.params.linear_cell(g.points[a]), h) << "slot " << a;
@@ -205,11 +213,8 @@ TEST(GridIndex, EveryPointInItsOwnCellRange) {
   for (PointId i = 0; i < g.size(); ++i) {
     const std::uint32_t h = g.params.linear_cell(g.points[i]);
     const CellRange range = g.cells[h];
-    bool found = false;
-    for (std::uint32_t a = range.begin; a < range.end && !found; ++a) {
-      found = g.lookup[a] == i;
-    }
-    EXPECT_TRUE(found) << "point " << i << " missing from its cell";
+    EXPECT_TRUE(range.begin <= i && i < range.end)
+        << "point " << i << " missing from its cell";
   }
 }
 

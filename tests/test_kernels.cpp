@@ -8,10 +8,12 @@
 #include <array>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/shard_planner.hpp"
 #include "data/generators.hpp"
 #include "dbscan/neighbor_table.hpp"
 #include "gpu/result_sink.hpp"
@@ -407,7 +409,7 @@ TEST(FillCsr, StaysInsideRowsOnGrid2d) {
     PointId last = i;
     for (unsigned c = 0; c < nc; ++c) {
       if (!index.cells[cells[c]].empty()) {
-        last = index.lookup[index.cells[cells[c]].end - 1];
+        last = index.cells[cells[c]].end - 1;
       }
     }
     ++(dist2(index.points[i], index.points[last]) <= eps * eps ? ends_in_hit
@@ -448,6 +450,181 @@ TEST(FillCsr, StaysInsideRowsOnGrid3d) {
       EXPECT_TRUE(
           fill_with_sentinel(dev, view, eps, nb, mode).identical_to(oracle));
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Charges follow the work: a host oracle of every pass's flops and bytes
+// ---------------------------------------------------------------------------
+
+/// What a query point's traversal reaches, listed on the host from the
+/// index alone: the candidates of its (forward, under kHalf) stencil and
+/// the cells whose range it reads.
+struct Reach {
+  std::uint64_t candidates = 0;
+  std::uint64_t cells = 0;
+};
+
+template <typename Index>
+Reach host_reach(const Index& g, PointId i, ScanMode mode) {
+  using Point = std::decay_t<decltype(g.points[0])>;
+  const std::uint32_t cell = g.params.linear_cell(g.points[i]);
+  auto range = [&](std::uint32_t h) { return g.cells[h - g.cell_base]; };
+  CellStencil<Point> ids{};
+  Reach r;
+  unsigned n = 0;
+  if (mode == ScanMode::kHalf) {
+    r.candidates += range(cell).end - i;
+    ++r.cells;
+    n = get_forward_neighbor_cells(g.params, cell, ids);
+  } else {
+    n = get_neighbor_cells(g.params, cell, ids);
+  }
+  for (unsigned c = 0; c < n; ++c) r.candidates += range(ids[c]).count();
+  r.cells += n;
+  return r;
+}
+
+/// The core pass's own-cell-first early exit, replayed on the host: the
+/// candidates tested and the cells reached before `cap` hits were met.
+template <typename Index>
+Reach host_capped_reach(const Index& g, PointId i, float eps,
+                        std::uint32_t cap) {
+  using Point = std::decay_t<decltype(g.points[0])>;
+  const std::uint32_t cell = g.params.linear_cell(g.points[i]);
+  CellStencil<Point> ids{};
+  std::vector<std::uint32_t> order{cell};
+  const unsigned n = get_neighbor_cells(g.params, cell, ids);
+  for (unsigned c = 0; c < n; ++c) {
+    if (ids[c] != cell) order.push_back(ids[c]);
+  }
+  Reach r;
+  std::uint32_t found = 0;
+  for (const std::uint32_t h : order) {
+    if (found == cap) break;
+    ++r.cells;
+    const CellRange range = g.cells[h - g.cell_base];
+    for (PointId a = range.begin; a < range.end && found < cap; ++a) {
+      ++r.candidates;
+      found += dist2(g.points[i], g.points[a]) <= eps * eps;
+    }
+  }
+  return r;
+}
+
+/// Checks the count, fill, core and recount passes' flops and global bytes
+/// over `g` against the host oracle: 3·D flops and one point read per
+/// tested candidate, one CellRange per cell read.
+template <typename Index>
+void expect_charges_follow_the_work(const Index& g, float eps) {
+  using Point = std::decay_t<decltype(g.points[0])>;
+  constexpr std::uint64_t kTestFlops = 3 * Point::kDims;
+  constexpr std::uint64_t kCell = sizeof(CellRange);
+  const auto view = BasicGridView<Point>::of(g);
+  const std::uint32_t n = view.query_count();
+  cudasim::Device dev({}, fast_options());
+  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
+    SCOPED_TRACE(mode == ScanMode::kHalf ? "kHalf" : "kFull");
+    std::uint64_t candidates = 0;
+    std::uint64_t cells = 0;
+    for (PointId i = 0; i < n; ++i) {
+      const Reach r = host_reach(g, i, mode);
+      candidates += r.candidates;
+      cells += r.cells;
+    }
+    std::vector<std::uint32_t> offsets(n);
+    const cudasim::KernelStats count =
+        gpu::run_count_batch(dev, view, eps, {}, offsets.data(), mode);
+    EXPECT_EQ(count.work.flops, kTestFlops * candidates);
+    EXPECT_EQ(count.work.global_bytes,
+              n * (sizeof(Point) + sizeof(std::uint32_t)) + cells * kCell +
+                  candidates * sizeof(Point));
+    std::uint32_t total = 0;
+    for (std::uint32_t& slot : offsets) total += std::exchange(slot, total);
+    std::vector<PointId> values(total);
+    const cudasim::KernelStats fill = gpu::run_fill_csr(
+        dev, view, eps, {}, offsets.data(), total, values.data(), mode);
+    EXPECT_EQ(fill.work.flops, kTestFlops * candidates);
+  }
+  for (const int minpts : {3, 8}) {
+    SCOPED_TRACE("minpts " + std::to_string(minpts));
+    StreamingDbscan consumer(view.num_points, minpts);
+    const cudasim::KernelStats core = gpu::run_fused_batch(
+        dev, view, eps, {}, gpu::FusedPass::kCore, consumer);
+    std::uint64_t tested = 0;
+    std::uint64_t cells = 0;
+    for (PointId i = 0; i < n; ++i) {
+      const Reach r = host_capped_reach(
+          g, i, eps, static_cast<std::uint32_t>(std::max(minpts, 2)));
+      tested += r.candidates;
+      cells += r.cells;
+    }
+    EXPECT_EQ(core.work.flops, kTestFlops * tested);
+    EXPECT_EQ(core.work.global_bytes,
+              n * (sizeof(Point) + sizeof(std::uint32_t)) + cells * kCell +
+                  tested * sizeof(Point));
+    (void)gpu::run_fused_batch(dev, view, eps, {}, gpu::FusedPass::kMark,
+                               consumer);
+    const cudasim::KernelStats recount = gpu::run_fused_batch(
+        dev, view, eps, {}, gpu::FusedPass::kRecount, consumer);
+    std::uint64_t recounted = 0;
+    for (PointId i = 0; i < n; ++i) {
+      if (consumer.fused_view().flag[i].load() != 0) {
+        recounted += host_reach(g, i, ScanMode::kFull).candidates;
+      }
+    }
+    EXPECT_EQ(recount.work.flops, kTestFlops * recounted);
+  }
+}
+
+TEST(KernelCharges, FollowTheWorkOnEveryGridShape) {
+  const float eps = 0.3f;
+  // A sparse 2-D grid: stencil rows with empty cells inside them.
+  const GridIndex sparse = build_grid_index(
+      data::generate_sky_survey(500, 51, {.width = 6.0f, .height = 6.0f}),
+      eps);
+  std::size_t empty = 0;
+  for (const CellRange& c : sparse.cells) empty += c.empty();
+  ASSERT_GT(empty, sparse.cells.size() / 4);
+  // One row and one column of cells (every cell an edge cell).
+  Xoshiro256 rng(52);
+  std::vector<Point2> row(400);
+  std::vector<Point2> column(400);
+  for (std::size_t k = 0; k < row.size(); ++k) {
+    row[k] = {rng.uniform(0.0f, 9.0f), rng.uniform(0.0f, 0.1f)};
+    column[k] = {rng.uniform(0.0f, 0.1f), rng.uniform(0.0f, 9.0f)};
+  }
+  const GridIndex one_row = build_grid_index(row, eps);
+  const GridIndex one_column = build_grid_index(column, eps);
+  ASSERT_EQ(one_row.params.cells_y, 1u);
+  ASSERT_EQ(one_column.params.cells_x, 1u);
+  // A dense 2-D grid and a 3-D one.
+  const GridIndex dense = build_grid_index(
+      data::generate_space_weather(1500, 53, {.width = 5.0f, .height = 5.0f}),
+      eps);
+  std::vector<Point3> cloud(1200);
+  for (Point3& p : cloud) {
+    p = {rng.uniform(0.0f, 3.0f), rng.uniform(0.0f, 3.0f),
+         rng.uniform(0.0f, 3.0f)};
+  }
+  const GridIndex3 grid3 = build_grid_index<Point3>(cloud, eps);
+  for (const auto& [name, g] :
+       {std::pair{"sparse", &sparse}, std::pair{"one row", &one_row},
+        std::pair{"one column", &one_column}, std::pair{"dense", &dense}}) {
+    SCOPED_TRACE(name);
+    expect_charges_follow_the_work(*g, eps);
+  }
+  {
+    SCOPED_TRACE("3-D");
+    expect_charges_follow_the_work(grid3, eps);
+  }
+  // Each slab of a k = 3 plan: ghost cells' ranges sit past the owned
+  // ones, so a stencil's rows abut only within a class.
+  const ShardPlan plan = plan_shards(dense, 3);
+  ASSERT_EQ(plan.shards.size(), 3u);
+  for (const GridShard& shard : plan.shards) {
+    SCOPED_TRACE("shard " + std::to_string(shard.shard_id));
+    expect_charges_follow_the_work(shard.index, eps);
   }
 }
 

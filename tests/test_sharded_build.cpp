@@ -95,6 +95,38 @@ BatchPolicy many_batch_policy(const Scenario& s, ScanMode scan) {
 // Shard planner
 // ---------------------------------------------------------------------------
 
+/// A slab's layout: each cell's range is one run of local ids, whose
+/// points hash to that cell and whose global ids ascend (the order the
+/// half-comparison kernels scan by); an owned cell's run lies inside
+/// [0, num_owned) and a ghost cell's past it; every local id lies in
+/// exactly one cell.
+void expect_slab_layout(const GridShard& shard) {
+  const GridIndex& sub = shard.index;
+  const std::uint32_t cx = sub.params.cells_x;
+  std::vector<std::uint32_t> cells_of(sub.size(), 0);
+  for (std::uint32_t c = 0; c < sub.cells.size(); ++c) {
+    const CellRange r = sub.cells[c];
+    ASSERT_LE(r.begin, r.end);
+    ASSERT_LE(r.end, sub.size());
+    const std::uint32_t h = sub.cell_base + c;
+    const bool owned = h / cx >= shard.row_begin && h / cx < shard.row_end;
+    if (!r.empty() && owned) EXPECT_LE(r.end, shard.num_owned) << "cell " << h;
+    if (!r.empty() && !owned) {
+      EXPECT_GE(r.begin, shard.num_owned) << "cell " << h;
+    }
+    for (PointId l = r.begin; l < r.end; ++l) {
+      ++cells_of[l];
+      EXPECT_EQ(sub.params.linear_cell(sub.points[l]), h) << "local id " << l;
+      if (l > r.begin) {
+        EXPECT_LT(shard.to_global[l - 1], shard.to_global[l]) << "cell " << h;
+      }
+    }
+  }
+  for (PointId l = 0; l < cells_of.size(); ++l) {
+    EXPECT_EQ(cells_of[l], 1u) << "local id " << l;
+  }
+}
+
 TEST(ShardPlanner, EveryPointOwnedExactlyOnceWithRowHomogeneousShards) {
   const Scenario s = make_scenario(4000, 0.35f, 11);
   const ShardPlan plan = plan_shards(s.index, 4);
@@ -126,13 +158,8 @@ TEST(ShardPlanner, EveryPointOwnedExactlyOnceWithRowHomogeneousShards) {
     EXPECT_TRUE(std::is_sorted(shard.to_global.begin() + shard.num_owned,
                                shard.to_global.end()));
     // The slab keeps the ascending-in-cell invariant the half-comparison
-    // kernels binary-search on.
-    for (std::size_t c = 0; c < shard.index.cells.size(); ++c) {
-      const CellRange r = shard.index.cells[c];
-      for (std::uint32_t a = r.begin; a + 1 < r.end; ++a) {
-        EXPECT_LT(shard.index.lookup[a], shard.index.lookup[a + 1]);
-      }
-    }
+    // kernels scan by.
+    expect_slab_layout(shard);
   }
   EXPECT_EQ(owned_total, s.index.size());
   EXPECT_EQ(plan.owned_points, s.index.size());
@@ -151,6 +178,36 @@ TEST(ShardPlanner, SingleShardIsTheWholeGridWithoutGhosts) {
   EXPECT_EQ(shard.index.cell_base, 0u);
   EXPECT_EQ(plan.total_ghosts, 0u);
   EXPECT_EQ(plan.halo_overhead_fraction(), 0.0);
+}
+
+TEST(ShardPlanner, SlabCellsAreAscendingRunsOfLocalIds) {
+  // k = 2, 3 and 4 over the whole grid, whose first and last slabs have
+  // their halo clipped at the grid edge, and a planned row range inside
+  // it, whose slabs all have both halo rows.
+  const Scenario s = make_scenario(3000, 0.3f, 14);
+  const std::uint32_t rows = s.index.params.cells_y;
+  ASSERT_GE(rows, 12u);
+  for (const unsigned k : {2u, 3u, 4u}) {
+    for (const bool inner : {false, true}) {
+      SCOPED_TRACE("k = " + std::to_string(k) + (inner ? ", inner" : ""));
+      const ShardPlan plan =
+          inner ? plan_shards(s.index, k, 3, rows - 3) : plan_shards(s.index, k);
+      ASSERT_GE(plan.shards.size(), 2u);
+      for (const GridShard& shard : plan.shards) {
+        expect_slab_layout(shard);
+        const std::uint32_t lo = shard.row_begin > 0 ? shard.row_begin - 1 : 0;
+        EXPECT_EQ(shard.index.cell_base, lo * s.index.params.cells_x);
+        // Clipped at the edge, the slab holds one halo row fewer.
+        const std::uint32_t hi = std::min(rows, shard.row_end + 1);
+        EXPECT_EQ(shard.index.cells.size(),
+                  std::size_t{hi - lo} * s.index.params.cells_x);
+      }
+      if (!inner) {
+        EXPECT_EQ(plan.shards.front().index.cell_base, 0u);
+        EXPECT_EQ(plan.shards.back().row_end, rows);
+      }
+    }
+  }
 }
 
 TEST(ShardPlanner, ClampsToRowCountAndRejectsBadInput) {
@@ -419,8 +476,8 @@ TEST(ShardedBuildFleet, RejectsEmptyDeviceList) {
 // ---------------------------------------------------------------------------
 
 TEST(ShardedBuildChaos, FailedEmissionMapAllocationDrainsQueuedUploads) {
-  // A slab's device index queues four uploads, then allocates its
-  // emission map. When that fifth allocation runs out of memory on a slow
+  // A slab's device index queues three uploads, then allocates its
+  // emission map. When that fourth allocation runs out of memory on a slow
   // link, the uploads are still queued: the constructor must let them
   // land before its unwind frees the buffers they write.
   const Scenario s = make_scenario(3000, 0.5f, 30);
@@ -428,7 +485,7 @@ TEST(ShardedBuildChaos, FailedEmissionMapAllocationDrainsQueuedUploads) {
   const GridShard& shard = plan.shards.front();
   ASSERT_FALSE(shard.index.emit_ids.empty());
   cudasim::FaultPlan oom;
-  oom.oom_allocs = {5};
+  oom.oom_allocs = {4};
   cudasim::SimulationOptions opt = faulted_options(oom);
   opt.throttle_transfers = true;
   cudasim::DeviceConfig slow_link;
@@ -445,7 +502,7 @@ TEST(ShardedBuildChaos, DeviceLossRepartitionsOntoSurvivorsExactly) {
   const Scenario s = make_scenario(3000, 0.35f, 26);
 
   cudasim::FaultPlan lost;
-  lost.lost_at_op = 30;  // one shard's device dies mid-build
+  lost.lost_at_op = 28;  // one shard's device dies mid-build
   Fleet fleet;
   fleet.add(fast_options());
   fleet.add(faulted_options(lost));

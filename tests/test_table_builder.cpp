@@ -281,18 +281,23 @@ TEST_P(CanonicalRows, HostKernelBodies) {
                                        gpu::BatchSpec{0, 1}, ScanMode::kFull));
 }
 
-TEST_P(CanonicalRows, ShardedBuildOnThreeShards) {
+TEST_P(CanonicalRows, ShardedBuildOnTwoToFourShards) {
+  // Every plan's first and last slabs have their halo clipped at the grid
+  // edge; their cells are ranges of local ids like the inner slabs'.
   for (const ScanMode scan : kScanModes) {
-    SCOPED_TRACE(scan == ScanMode::kHalf ? "kHalf" : "kFull");
-    Fleet fleet;
-    for (int d = 0; d < 3; ++d) fleet.add();
-    ShardedBuildOptions options;
-    options.num_shards = 3;
-    options.policy = policy(scan);
-    BuildReport report;
-    expect_canonical(build_sharded_neighbor_table(fleet.ptrs, index_, eps_,
-                                                  options, &report));
-    EXPECT_EQ(report.shards, 3u);
+    for (const unsigned k : {2u, 3u, 4u}) {
+      SCOPED_TRACE(std::string(scan == ScanMode::kHalf ? "kHalf" : "kFull") +
+                   " on " + std::to_string(k) + " shards");
+      Fleet fleet;
+      for (unsigned d = 0; d < k; ++d) fleet.add();
+      ShardedBuildOptions options;
+      options.num_shards = k;
+      options.policy = policy(scan);
+      BuildReport report;
+      expect_canonical(build_sharded_neighbor_table(fleet.ptrs, index_, eps_,
+                                                    options, &report));
+      EXPECT_EQ(report.shards, k);
+    }
   }
 }
 

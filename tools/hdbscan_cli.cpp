@@ -601,7 +601,7 @@ int cmd_shard_smoke(int argc, char** argv) {
     cudasim::SimulationOptions dev_opt = opt;
     if (d == 1) {
       cudasim::FaultPlan lost;
-      lost.lost_at_op = 40;  // dies with its shard mid-build
+      lost.lost_at_op = 38;  // dies with its shard mid-build
       dev_opt.fault = std::make_shared<cudasim::FaultInjector>(lost);
     }
     devices.push_back(
@@ -1485,11 +1485,11 @@ int cmd_overload_smoke(int argc, char** argv) {
   devices.push_back(
       std::make_unique<cudasim::Device>(cudasim::DeviceConfig{}, sim));
   {
-    // Device 1 dies mid-serve: after 25 global ops it refuses everything,
+    // Device 1 dies mid-serve: after 23 global ops it refuses everything,
     // so the first build dispatched to it dies mid-flight and must be
     // re-dispatched (retry budget) while the breaker opens.
     cudasim::FaultPlan plan;
-    plan.lost_at_op = 25;
+    plan.lost_at_op = 23;
     cudasim::SimulationOptions faulty = sim;
     faulty.fault = std::make_shared<cudasim::FaultInjector>(plan);
     devices.push_back(
@@ -1731,7 +1731,7 @@ int cmd_explain_smoke(int argc, char** argv) {
     // The second device dies mid-serve — the flight recorder must catch
     // it and dump a post-mortem.
     cudasim::FaultPlan plan;
-    plan.lost_at_op = 25;
+    plan.lost_at_op = 23;
     cudasim::SimulationOptions faulty = sim;
     faulty.fault = std::make_shared<cudasim::FaultInjector>(plan);
     devices.push_back(
