@@ -70,7 +70,6 @@ int main() {
   cudasim::Device device = bench::make_device();
   cudasim::Stream stream(device);
   gpu::GridDeviceIndex dev_index(device, stream, index);
-  stream.synchronize();
   const GridView view = dev_index.view();
 
   for (const std::uint32_t nb : {4u, 8u, 16u}) {

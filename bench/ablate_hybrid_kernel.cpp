@@ -68,7 +68,6 @@ int main() {
     cudasim::Device device = bench::make_device();
     cudasim::Stream stream(device);
     gpu::GridDeviceIndex dev_index(device, stream, index);
-    stream.synchronize();
     const GridView view = dev_index.view();
 
     const auto est = estimate_result_size(device, view, eps, 1.0);

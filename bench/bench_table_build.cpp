@@ -9,14 +9,14 @@
 // ships about half the value bytes of the full scan; whether it also wins
 // end to end depends on the host expansion it adds.
 //
-// A sharded-scaling sweep (schema v4) then builds the same workloads
-// spatially partitioned across k = 1..4 simulated devices (a grid-row slab
-// plus its eps-halo per device; see core/sharded_build.hpp) and reports
-// the modeled speedup of the materialized build, the halo-duplication
-// overhead, and the cross-shard edge count; the bench fails unless k=4
-// reaches >= 3.2x modeled speedup on at least one workload.
+// A fleet-scaling sweep (schema 10; it replaced schema 4's sharded sweep)
+// then builds two 200k-point workloads on k = 1..4 simulated devices, the
+// whole index replicated on each and the batches striped over them, and
+// reports the modeled time, its fixed share and the median wall time per
+// k; the bench fails unless every table is bit-identical to k = 1's and
+// k = 4 reaches >= 3.2x modeled speedup on at least one workload.
 //
-// Emits BENCH_table_build.json (schema_version 9) alongside the
+// Emits BENCH_table_build.json (schema_version 10) alongside the
 // human-readable table. The JSON is self-describing: a `scenario` block
 // records the scale factor, trial count, and the exact generator seed and
 // size of every dataset, so a stored result can be reproduced bit-for-bit.
@@ -59,9 +59,9 @@
 
 #include "bench_common.hpp"
 #include "common/request_context.hpp"
+#include "common/stats.hpp"
 #include "core/hybrid_dbscan.hpp"
 #include "core/neighbor_table_builder.hpp"
-#include "core/sharded_build.hpp"
 #include "data/generators.hpp"
 #include "dbscan/cluster_compare.hpp"
 #include "dbscan/dbscan.hpp"
@@ -488,47 +488,43 @@ int main() {
         " bit-identical replay: %s\n",
         quality_ok ? "PASS" : "FAIL");
   }
-  // Spatial slab sharding (one grid-row slab + eps-halo per device): each
-  // device holds ~1/k of the index and does ~1/k of the distance tests,
-  // and the modeled critical path charges the slowest shard per round —
-  // never the sum — so k devices should approach k-fold modeled speedup.
-  // A sharded build always materializes the merged global CSR table, and
-  // the serial fan-in merge and half-table expansion erode the scaling
-  // (fixed_seconds is that serial share). The
-  // sweep runs at 200k points rather than the 1/32-scale defaults:
-  // sharding targets large workloads, and at a few-ms total build the
+  // Fleet scaling: the whole index replicated on k = 1..4 devices and the
+  // batches striped over devices x streams (the paper's batching, §VI,
+  // dealt to a fleet). Each device runs ~1/k of the batches, and the
+  // modeled critical path charges the slowest lane, never the sum, so k
+  // devices approach k-fold modeled speedup until the serial share (index
+  // upload, estimation, the host assembly of T: fixed_seconds) caps it.
+  // Every k's table must be bit-identical to k = 1's. The sweep runs at
+  // 200k points rather than the 1/32-scale defaults: at a few-ms build the
   // per-build fixed costs swamp the device phases being scaled.
-  struct ShardPoint {
+  struct FleetPoint {
     unsigned k = 1;
-    std::uint32_t shards = 0;
-    double wall_seconds = 1e30;
-    double modeled_seconds = 1e30;
-    double speedup = 1.0;             ///< modeled, vs k=1
-    double fixed_seconds = 0.0;       ///< serial host share
-    double partition_seconds = 0.0;   ///< one-time plan_shards critical path
-    double halo_fraction = 0.0;       ///< ghost residents / owned points
-    std::uint64_t halo_ghosts = 0;
-    std::uint64_t cross_pairs = 0;  ///< forward pairs spanning two owners
+    double wall_seconds = 0.0;      ///< median over the trials
+    double modeled_seconds = 1e30;  ///< best over the trials
+    double speedup = 1.0;           ///< modeled, vs k=1
+    double fixed_seconds = 0.0;     ///< serial share of the best trial
+    bool table_identical = true;    ///< every trial's table == k=1's
   };
-  struct ShardScalingRow {
+  struct FleetScalingRow {
     std::string dataset;
     float eps;
     std::size_t size = 0;
-    std::vector<ShardPoint> points;
+    std::vector<FleetPoint> points;
   };
-  constexpr std::size_t kShardSweepSize = 200000;
-  std::vector<ShardScalingRow> shard_rows;
-  double shard_k4_best = 0.0;  // the gate reads this: best k=4 speedup
-  bool shard_ok = false;       // >= 3.2x modeled at k=4 on some workload
+  constexpr std::size_t kFleetSweepSize = 200000;
+  std::vector<FleetScalingRow> fleet_rows;
+  double fleet_k4_best = 0.0;  // the gate reads this: best k=4 speedup
+  bool fleet_tables_ok = true;
+  const int fleet_trials = std::max(3, env_trials());
   for (const auto& [dataset, eps] :
        std::vector<std::pair<std::string, float>>{{"SW1", 0.3f},
                                                   {"SDSS1", 0.5f}}) {
-    const auto points = data::make_dataset(dataset, kShardSweepSize);
-    std::printf("  dataset %-6s |D| = %zu (sharded sweep)\n",
-                dataset.c_str(), points.size());
+    const auto points = data::make_dataset(dataset, kFleetSweepSize);
+    std::printf("  dataset %-6s |D| = %zu (fleet sweep)\n", dataset.c_str(),
+                points.size());
     const GridIndex index = build_grid_index(points, eps);
-    ShardScalingRow row{dataset, eps, points.size(), {}};
-    const int repeats = std::max(3, env_trials());
+    FleetScalingRow row{dataset, eps, points.size(), {}};
+    NeighborTable one_device;
     for (unsigned k = 1; k <= 4; ++k) {
       std::vector<std::unique_ptr<cudasim::Device>> fleet;
       std::vector<cudasim::Device*> fleet_ptrs;
@@ -537,60 +533,53 @@ int main() {
             cudasim::DeviceConfig{}, cudasim::SimulationOptions{}));
         fleet_ptrs.push_back(fleet.back().get());
       }
-      // Partition once per (workload, k) and reuse it across trials —
-      // the plan is a function of the index and eps only, so a
-      // deployment computes it at setup time, exactly like the grid index
-      // (whose construction the single-device numbers above exclude too).
-      // Its one-time critical path is reported alongside the build times.
-      const ShardPlan plan = plan_shards(
-          index, k,
-          static_cast<unsigned>(cudasim::DeviceConfig{}.host_cores));
-      ShardedBuildOptions options;
-      options.num_shards = k;
-      options.plan = &plan;
-      ShardPoint pt;
+      FleetPoint pt;
       pt.k = k;
-      pt.partition_seconds = plan.critical_seconds;
-      for (int t = 0; t < repeats; ++t) {
+      std::vector<double> walls;
+      for (int t = 0; t < fleet_trials; ++t) {
         WallTimer timer;
         BuildReport report;
-        (void)build_sharded_neighbor_table(fleet_ptrs, index, eps, options,
-                                           &report);
-        pt.wall_seconds = std::min(pt.wall_seconds, timer.seconds());
+        NeighborTable table =
+            NeighborTableBuilder(fleet_ptrs, BatchPolicy{})
+                .build(index, eps, &report);
+        walls.push_back(timer.seconds());
         if (report.modeled_table_seconds < pt.modeled_seconds) {
           pt.modeled_seconds = report.modeled_table_seconds;
-          pt.fixed_seconds = report.shard_fixed_seconds;
-          pt.shards = report.shards;
-          pt.halo_ghosts = report.halo_ghost_points;
-          pt.cross_pairs = report.cross_shard_pairs;
+          pt.fixed_seconds = report.fixed_seconds;
+        }
+        if (k == 1 && t == 0) {
+          one_device = std::move(table);
+        } else {
+          pt.table_identical =
+              pt.table_identical && table.identical_to(one_device);
         }
       }
-      pt.halo_fraction = static_cast<double>(pt.halo_ghosts) /
-                         static_cast<double>(points.size());
+      pt.wall_seconds = percentile(walls, 0.5);
+      fleet_tables_ok = fleet_tables_ok && pt.table_identical;
       row.points.push_back(pt);
     }
-    for (ShardPoint& pt : row.points) {
+    for (FleetPoint& pt : row.points) {
       pt.speedup = row.points.front().modeled_seconds / pt.modeled_seconds;
     }
-    std::printf("\n  sharded scaling [%s, eps=%.2f, n=%zu]:\n",
-                dataset.c_str(), eps, row.size);
-    std::printf("  %3s %7s %10s %9s %10s %8s %12s %12s\n", "k", "shards",
-                "table (s)", "speedup", "fixed (s)", "halo", "ghosts",
-                "cross pairs");
-    for (const ShardPoint& pt : row.points) {
-      std::printf("  %3u %7u %10.4f %8.2fx %10.4f %7.1f%% %12llu %12llu\n",
-                  pt.k, pt.shards, pt.modeled_seconds, pt.speedup,
-                  pt.fixed_seconds, 100.0 * pt.halo_fraction,
-                  static_cast<unsigned long long>(pt.halo_ghosts),
-                  static_cast<unsigned long long>(pt.cross_pairs));
+    std::printf("\n  fleet scaling [%s, eps=%.2f, n=%zu, %d trials]:\n",
+                dataset.c_str(), eps, row.size, fleet_trials);
+    std::printf("  %3s %10s %9s %10s %7s %10s %6s\n", "k", "table (s)",
+                "speedup", "fixed (s)", "fixed", "wall (s)", "exact");
+    for (const FleetPoint& pt : row.points) {
+      std::printf("  %3u %10.4f %8.2fx %10.4f %6.1f%% %10.4f %6s\n", pt.k,
+                  pt.modeled_seconds, pt.speedup, pt.fixed_seconds,
+                  100.0 * pt.fixed_seconds / pt.modeled_seconds,
+                  pt.wall_seconds, pt.table_identical ? "yes" : "NO");
     }
-    shard_k4_best = std::max(shard_k4_best, row.points.back().speedup);
-    shard_rows.push_back(std::move(row));
+    fleet_k4_best = std::max(fleet_k4_best, row.points.back().speedup);
+    fleet_rows.push_back(std::move(row));
   }
-  shard_ok = shard_k4_best >= 3.2;
+  const bool fleet_ok = fleet_k4_best >= 3.2 && fleet_tables_ok;
   std::printf(
-      "  k=4 modeled speedup >= 3.2x on some workload: %s (best %.2fx)\n",
-      shard_ok ? "PASS" : "FAIL", shard_k4_best);
+      "  k=4 modeled speedup >= 3.2x on some workload: %s (best %.2fx);"
+      " every table bit-identical to k=1: %s\n",
+      fleet_k4_best >= 3.2 ? "PASS" : "FAIL", fleet_k4_best,
+      fleet_tables_ok ? "PASS" : "FAIL");
 
   // --- service front-end: skewed workload vs naive baseline ----------
   // The same Zipf-over-eps multi-tenant workload served three ways on a
@@ -770,7 +759,7 @@ int main() {
   }
   std::fprintf(out,
                "{\n  \"benchmark\": \"table_build\",\n"
-               "  \"schema_version\": 9,\n"
+               "  \"schema_version\": 10,\n"
                "  \"scenario\": {\n"
                "    \"scale\": %.4f,\n"
                "    \"trials\": %d,\n"
@@ -886,36 +875,36 @@ int main() {
                "\"rand_index_scenario\": \"separated\", "
                "\"requires_deterministic_replay\": true, \"pass\": %s}},\n",
                quality_ok ? "true" : "false");
-  std::fprintf(out, "  \"sharded_scaling\": [\n");
-  for (std::size_t i = 0; i < shard_rows.size(); ++i) {
-    const ShardScalingRow& row = shard_rows[i];
+  std::fprintf(out, "  \"fleet_scaling\": [\n");
+  for (std::size_t i = 0; i < fleet_rows.size(); ++i) {
+    const FleetScalingRow& row = fleet_rows[i];
     std::fprintf(out,
                  "    {\"dataset\": \"%s\", \"eps\": %.3f, \"size\": %zu, "
-                 "\"points\": [\n",
-                 row.dataset.c_str(), row.eps, row.size);
+                 "\"trials\": %d, \"points\": [\n",
+                 row.dataset.c_str(), row.eps, row.size, fleet_trials);
     for (std::size_t p = 0; p < row.points.size(); ++p) {
-      const ShardPoint& pt = row.points[p];
+      const FleetPoint& pt = row.points[p];
       std::fprintf(
           out,
-          "      {\"k\": %u, \"shards\": %u, \"wall_seconds\": %.6f, "
+          "      {\"k\": %u, \"wall_seconds\": %.6f, "
           "\"modeled_seconds\": %.6f, \"modeled_speedup\": %.4f, "
-          "\"fixed_seconds\": %.6f, \"partition_seconds\": %.6f, "
-          "\"halo_ghost_points\": %llu, \"halo_overhead_fraction\": %.4f, "
-          "\"cross_shard_pairs\": %llu}%s\n",
-          pt.k, pt.shards, pt.wall_seconds, pt.modeled_seconds, pt.speedup,
-          pt.fixed_seconds, pt.partition_seconds,
-          static_cast<unsigned long long>(pt.halo_ghosts), pt.halo_fraction,
-          static_cast<unsigned long long>(pt.cross_pairs),
+          "\"fixed_seconds\": %.6f, \"fixed_share\": %.4f, "
+          "\"table_identical\": %s}%s\n",
+          pt.k, pt.wall_seconds, pt.modeled_seconds, pt.speedup,
+          pt.fixed_seconds, pt.fixed_seconds / pt.modeled_seconds,
+          pt.table_identical ? "true" : "false",
           p + 1 < row.points.size() ? "," : "");
     }
-    std::fprintf(out, "    ]}%s\n", i + 1 < shard_rows.size() ? "," : "");
+    std::fprintf(out, "    ]}%s\n", i + 1 < fleet_rows.size() ? "," : "");
   }
   std::fprintf(out,
-               "  ],\n  \"sharded_speedup_gate\": {\"k\": 4, "
+               "  ],\n  \"fleet_speedup_gate\": {\"k\": 4, "
                "\"reads\": \"modeled_speedup\", "
                "\"min_modeled_speedup\": 3.2, "
-               "\"best_modeled_speedup\": %.4f, \"pass\": %s},\n",
-               shard_k4_best, shard_ok ? "true" : "false");
+               "\"best_modeled_speedup\": %.4f, "
+               "\"tables_identical\": %s, \"pass\": %s},\n",
+               fleet_k4_best, fleet_tables_ok ? "true" : "false",
+               fleet_ok ? "true" : "false");
   std::fprintf(out,
                "  \"service\": {\"dataset\": \"SW1\", \"jobs\": 32, "
                "\"tenants\": 4, \"zipf_s\": 1.2, \"devices\": 2,\n"
@@ -948,5 +937,5 @@ int main() {
                guard_overhead_pct, guard_ok ? "true" : "false");
   std::fclose(out);
   std::printf("\nwrote BENCH_table_build.json\n");
-  return guard_ok && shard_ok && serve_ok && fused_ok && quality_ok ? 0 : 1;
+  return guard_ok && fleet_ok && serve_ok && fused_ok && quality_ok ? 0 : 1;
 }

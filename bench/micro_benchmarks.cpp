@@ -200,7 +200,6 @@ void BM_FusedPasses(benchmark::State& state) {
   cudasim::Device device({}, fast_options());
   cudasim::Stream stream(device);
   const gpu::GridDeviceIndex device_index(device, stream, index, &sub_cells);
-  stream.synchronize();
   const GridView view = device_index.view();
   GridView scan_view = view;
   scan_view.sub_order = nullptr;

@@ -33,7 +33,6 @@ int main() {
     cudasim::Device device = bench::make_device();
     cudasim::Stream stream(device);
     gpu::GridDeviceIndex device_index(device, stream, index);
-    stream.synchronize();
 
     // Size the sink from an exact census so neither kernel overflows.
     const auto est =

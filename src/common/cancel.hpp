@@ -1,8 +1,8 @@
 // Cooperative cancellation and deadline propagation.
 //
 // A CancelToken is a small shared flag a request front-end hands to the
-// long-running build layers (NeighborTableBuilder, sharded_build,
-// fused_cluster, StreamingDbscan::finalize). The workers poll it at batch
+// long-running build layers (NeighborTableBuilder, fused_cluster,
+// StreamingDbscan::finalize). The workers poll it at batch
 // granularity — one relaxed atomic load on the happy path — and abandon
 // the build by throwing OperationCancelled, which rides the existing
 // hard-error unwind: streams drain, pooled buffers return to the device's

@@ -3,8 +3,7 @@
 // The clustering service mints one RequestContext per admitted job and
 // installs it — via the RAII RequestScope — on every thread that does
 // work for that job: the service worker itself, the builder's stream
-// pump threads, sharded_build's per-device workers, and anything routed
-// through ThreadPool. The tracer
+// pump threads, and anything routed through ThreadPool. The tracer
 // (obs/trace.cpp) reads the calling thread's context at record time, so
 // every span/instant/counter carries the request it serves without any
 // call-site changes.

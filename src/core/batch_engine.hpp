@@ -112,13 +112,9 @@ class BatchEngine {
     for (cudasim::Device* device : devices) {
       try {
         TRACE_SPAN(category, "index_upload d%u", device->id());
-        // Declared before the stream, so a failed upload drains its queued
-        // transfers before the buffers they write go.
-        Slot slot{device, nullptr};
         cudasim::Stream upload_stream(*device);
-        slot.grid = std::make_unique<gpu::BasicGridDeviceIndex<Point>>(
-            *device, upload_stream, index, sub_cells);
-        upload_stream.synchronize();
+        Slot slot{device, std::make_unique<gpu::BasicGridDeviceIndex<Point>>(
+                              *device, upload_stream, index, sub_cells)};
         if (upload_bytes_ == 0) {
           config_ = &device->config();
           upload_bytes_ = slot.grid->upload_bytes();

@@ -71,16 +71,9 @@ struct BatchPolicy {
   unsigned max_split_depth = 10;
   /// Fault-degradation behavior (see ResiliencePolicy).
   ResiliencePolicy resilience;
-  /// Under kHalf with a materialized table, expand the forward rows into
-  /// the full symmetric table when build() assembles T. The sharded
-  /// orchestrator turns this off: shard tables hold *local* ids whose
-  /// ghost-key back rows would collide across shards, so expansion must
-  /// run once, globally, when the translated shards are assembled.
-  bool expand_half = true;
   /// Extra metric labels ("key=value,key=value") for this builder's
-  /// published build counters/gauges — the sharded orchestrator tags each
-  /// shard's report "shard=<i>" so concurrent builds don't overwrite one
-  /// another's gauges. Empty = unlabeled (the fleet-level series).
+  /// published build counters/gauges, so concurrent builds don't overwrite
+  /// one another's gauges. Empty = unlabeled.
   std::string metrics_labels;
   /// Optional cooperative-cancellation hook (not owned; must outlive the
   /// build). Workers poll it at batch granularity; a cancelled token turns
@@ -89,7 +82,7 @@ struct BatchPolicy {
   /// cancelled.
   const CancelToken* cancel = nullptr;
   /// Request attribution installed on every thread that works for this
-  /// build (stream pumps, shard workers, host-builder threads), so their
+  /// build (stream pumps, host-builder threads), so their
   /// spans carry the request id the service minted (DESIGN.md §14).
   /// Default-constructed = unattributed.
   RequestContext trace;

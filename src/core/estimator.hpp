@@ -45,7 +45,7 @@ ResultSizeEstimate estimate_result_size(cudasim::Device& device,
       std::max(1.0, std::round(1.0 / sample_fraction)));
   // Never stride past the whole dataset: tiny inputs fall back to a census.
   est.sample_stride = std::min<std::uint32_t>(
-      est.sample_stride, std::max<std::uint32_t>(1, view.query_count()));
+      est.sample_stride, std::max<std::uint32_t>(1, view.num_points));
   est.sampled_pairs = gpu::run_count_kernel(
       device, view, eps, est.sample_stride, &est.kernel_stats, block_size);
   est.estimated_total =

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -24,11 +23,6 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   if (devices.empty()) throw std::invalid_argument("fused_cluster: no devices");
   for (const cudasim::Device* d : devices) {
     if (d == nullptr) throw std::invalid_argument("fused_cluster: null device");
-  }
-  if (!index.emit_ids.empty() || index.query_count() != index.size()) {
-    throw std::invalid_argument(
-        "fused_cluster: whole-index builds only — the fused kernels union "
-        "global ids directly, so sharded slabs must use the table pipelines");
   }
   if (consumer.num_points() != index.size()) {
     throw std::invalid_argument(
@@ -73,7 +67,7 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
     std::vector<WorkItem> unfinished = engine.run(
         num_batches,
         [&](Lane<Point>& lane, WorkItem& item) {
-          if (item.spec.points_in_batch(lane.view.query_count()) == 0) {
+          if (item.spec.points_in_batch(lane.view.num_points) == 0) {
             return;
           }
           TRACE_SPAN("fused", "%s_batch %u/%u d%u", name, item.spec.batch,
@@ -119,9 +113,9 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   // Every modeled term is counted: the index upload and the lanes' kernel
   // timelines. No result byte crosses the bus (d2h_bytes stays 0).
   const double slowest_stream = engine.harvest(report);
-  report.shard_fixed_seconds = engine.upload_seconds();
-  report.shard_stream_seconds = slowest_stream;
-  report.modeled_table_seconds = report.shard_fixed_seconds + slowest_stream;
+  report.fixed_seconds = engine.upload_seconds();
+  report.stream_seconds = slowest_stream;
+  report.modeled_table_seconds = report.fixed_seconds + slowest_stream;
   report.table_seconds = total_timer.seconds();
   publish_build_report(report, policy.metrics_labels);
   return report;
@@ -154,15 +148,5 @@ template BuildReport fused_cluster(const std::vector<cudasim::Device*>&,
 template BuildReport fused_cluster(const std::vector<cudasim::Device*>&,
                                    const GridIndex3&, float, StreamingDbscan&,
                                    const BatchPolicy&);
-
-void reject_sharded_fused(const char* caller, unsigned num_shards) {
-  if (num_shards <= 1) return;
-  throw std::invalid_argument(
-      std::string(caller) +
-      ": ClusterMode::kFused replicates the whole index on every device "
-      "and cannot shard it (num_shards = " +
-      std::to_string(num_shards) +
-      "); use ClusterMode::kBatchTable for a sharded build");
-}
 
 }  // namespace hdbscan

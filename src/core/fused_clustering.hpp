@@ -42,10 +42,9 @@
 
 namespace hdbscan {
 
-/// Runs the fused passes over `index` (a 2-D or 3-D grid; whole-index
-/// builds only; the grid index fixes the id order exactly as for the table
-/// pipelines) and fills
-/// `consumer`'s degrees, union-find and border keys in place. The caller
+/// Runs the fused passes over `index` (a 2-D or 3-D grid, which fixes the
+/// id order exactly as for the table pipelines) and fills `consumer`'s
+/// degrees, union-find and border keys in place. The caller
 /// owns finalize(): labels come from consumer.finalize() after this
 /// returns. The report counts capped_points, recounted_points and the
 /// dense sub-cells the union pass linked (dense_runs); its d2h_bytes is 0,
@@ -80,11 +79,5 @@ struct FusedDegrees {
 };
 [[nodiscard]] FusedDegrees expected_fused_degrees(const NeighborTable& table,
                                                   int minpts);
-
-/// The front doors' guard for a fused run: the passes replicate the whole
-/// index on every device, so a request for num_shards > 1 cannot be
-/// honored. Throws std::invalid_argument, prefixed with `caller`, that
-/// names ClusterMode::kBatchTable; returns for num_shards <= 1.
-void reject_sharded_fused(const char* caller, unsigned num_shards);
 
 }  // namespace hdbscan

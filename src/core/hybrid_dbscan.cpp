@@ -1,8 +1,6 @@
 #include "core/hybrid_dbscan.hpp"
 
 #include <stdexcept>
-#include <string>
-#include <type_traits>
 
 #include "common/timer.hpp"
 #include "core/cell_graph.hpp"
@@ -46,11 +44,9 @@ template <typename Point>
 ClusterResult hybrid_dbscan_impl(const std::vector<cudasim::Device*>& devices,
                                  std::span<const Point> points, float eps,
                                  int minpts, HybridTimings* timings,
-                                 const ShardedBuildOptions& options,
-                                 ClusterMode mode) {
+                                 const BatchPolicy& policy, ClusterMode mode) {
   HybridTimings local;
   WallTimer total_timer;
-  const BatchPolicy& policy = options.policy;
 
   if (policy.quality.mode == ClusterQuality::kCellGraph) {
     if (devices.empty() || devices.front() == nullptr) {
@@ -63,10 +59,6 @@ ClusterResult hybrid_dbscan_impl(const std::vector<cudasim::Device*>& devices,
     return out;
   }
 
-  if (mode == ClusterMode::kFused) {
-    reject_sharded_fused("hybrid_dbscan", options.num_shards);
-  }
-
   WallTimer phase_timer;
   const BasicGridIndex<Point> index = [&] {
     TRACE_SPAN("index", "grid_index n=%zu", points.size());
@@ -77,26 +69,14 @@ ClusterResult hybrid_dbscan_impl(const std::vector<cudasim::Device*>& devices,
   phase_timer.reset();
   ClusterResult indexed;
   if (mode == ClusterMode::kBatchTable) {
-    // A 2-D index may be built in row slabs (core/sharded_build.hpp); the
-    // slabs are 2-D, so a 3-D index goes whole to every device.
-    const NeighborTable table = [&] {
-      if constexpr (std::is_same_v<Point, Point2>) {
-        return build_fleet_neighbor_table(devices, index, eps, options,
-                                          &local.build_report);
-      } else {
-        return NeighborTableBuilder(devices, policy)
-            .build(index, eps, &local.build_report);
-      }
-    }();
+    const NeighborTable table = NeighborTableBuilder(devices, policy)
+                                    .build(index, eps, &local.build_report);
     local.gpu_table_seconds = phase_timer.seconds();
 
     phase_timer.reset();
     indexed = dbscan_neighbor_table(table, minpts);
     local.dbscan_seconds = phase_timer.seconds();
   } else {
-    // Fused: the index is replicated across the devices and the strided
-    // batches interleave — no slab sharding applies, since the kernels
-    // union global ids directly.
     StreamingDbscan consumer(index.size(), minpts);
     consumer.set_cancel_token(policy.cancel);
     local.build_report = fused_cluster(devices, index, eps, consumer, policy);
@@ -134,25 +114,16 @@ ClusterResult unmap_labels(const ClusterResult& indexed,
 ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
                             std::span<const Point2> points, float eps,
                             int minpts, HybridTimings* timings,
-                            const ShardedBuildOptions& options,
-                            ClusterMode mode) {
-  return hybrid_dbscan_impl(devices, points, eps, minpts, timings, options,
+                            const BatchPolicy& policy, ClusterMode mode) {
+  return hybrid_dbscan_impl(devices, points, eps, minpts, timings, policy,
                             mode);
 }
 
 ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
                             std::span<const Point3> points, float eps,
                             int minpts, HybridTimings* timings,
-                            const ShardedBuildOptions& options,
-                            ClusterMode mode) {
-  if (options.num_shards > 1 || options.plan != nullptr) {
-    throw std::invalid_argument(
-        "hybrid_dbscan: 3-D points replicate the whole index on every "
-        "device and cannot be sharded (num_shards = " +
-        std::to_string(options.num_shards) +
-        "); the shard planner cuts 2-D row slabs");
-  }
-  return hybrid_dbscan_impl(devices, points, eps, minpts, timings, options,
+                            const BatchPolicy& policy, ClusterMode mode) {
+  return hybrid_dbscan_impl(devices, points, eps, minpts, timings, policy,
                             mode);
 }
 
@@ -160,20 +131,14 @@ ClusterResult hybrid_dbscan(cudasim::Device& device,
                             std::span<const Point2> points, float eps,
                             int minpts, HybridTimings* timings,
                             const BatchPolicy& policy, ClusterMode mode) {
-  ShardedBuildOptions options;
-  options.policy = policy;
-  return hybrid_dbscan(std::vector<cudasim::Device*>{&device}, points, eps,
-                       minpts, timings, options, mode);
+  return hybrid_dbscan({&device}, points, eps, minpts, timings, policy, mode);
 }
 
 ClusterResult hybrid_dbscan(cudasim::Device& device,
                             std::span<const Point3> points, float eps,
                             int minpts, HybridTimings* timings,
                             const BatchPolicy& policy, ClusterMode mode) {
-  ShardedBuildOptions options;
-  options.policy = policy;
-  return hybrid_dbscan(std::vector<cudasim::Device*>{&device}, points, eps,
-                       minpts, timings, options, mode);
+  return hybrid_dbscan({&device}, points, eps, minpts, timings, policy, mode);
 }
 
 }  // namespace hdbscan

@@ -8,7 +8,6 @@
 
 #include "core/batch_planner.hpp"
 #include "core/neighbor_table_builder.hpp"
-#include "core/sharded_build.hpp"
 #include "cudasim/device.hpp"
 #include "dbscan/cluster_result.hpp"
 #include "dbscan/dbscan.hpp"
@@ -40,35 +39,28 @@ struct HybridTimings {
   std::size_t peak_consumer_bytes = 0;  ///< replaces the table footprint
 };
 
-/// Runs HYBRID-DBSCAN for a single (eps, minpts) on a fleet of devices.
-/// The returned labels are in the order of `points` (the grid index's
-/// internal reordering is unmapped before returning). T is built by
-/// build_fleet_neighbor_table: a fleet of one device with num_shards <= 1
-/// builds the whole index; any other fleet builds it sharded (one grid
-/// slab plus its eps-halo per shard; see core/sharded_build.hpp), with
-/// labels bit-identical to the one-device run.
+/// Runs HYBRID-DBSCAN for a single (eps, minpts) on a fleet of devices,
+/// for 2-D or 3-D points through one body. The returned labels are in the
+/// order of `points` (the grid index's internal reordering is unmapped
+/// before returning). The whole index is replicated on every device and
+/// the batches are striped over devices x streams (the paper's batching
+/// scheme, §VI, dealt to a fleet), so any fleet gives labels bit-identical
+/// to one device. ClusterMode::kBatchTable builds T with
+/// NeighborTableBuilder and clusters it with Alg. 4's BFS.
 /// ClusterMode::kFused never materializes T: a capped core pass counts
 /// degrees, the cores next to non-core points are recounted, and a union
 /// pass unions core-core pairs and folds border keys (core/fused_clustering)
-/// over the whole index replicated on every device, so the fill pass and
-/// every result transfer disappear. Since the fused path never shards,
-/// kFused with options.num_shards > 1 throws std::invalid_argument.
+/// on the same striped fleet, so the fill pass and every result transfer
+/// disappear. policy.quality = kCellGraph runs the host cell graph.
 ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
                             std::span<const Point2> points, float eps,
                             int minpts, HybridTimings* timings = nullptr,
-                            const ShardedBuildOptions& options = {},
+                            const BatchPolicy& policy = {},
                             ClusterMode mode = ClusterMode::kBatchTable);
-
-/// 3-D points through the same body: the grid gains an axis and the
-/// stencil spans 27 cells. T is built by NeighborTableBuilder over the
-/// whole index replicated on every device (the row slabs of a sharded
-/// build are 2-D), so a shard request — options.num_shards > 1 or a shard
-/// plan — throws std::invalid_argument; the fused passes run on the fleet
-/// as in 2-D, and ClusterQuality::kCellGraph runs the 3-D cell graph.
 ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
                             std::span<const Point3> points, float eps,
                             int minpts, HybridTimings* timings = nullptr,
-                            const ShardedBuildOptions& options = {},
+                            const BatchPolicy& policy = {},
                             ClusterMode mode = ClusterMode::kBatchTable);
 
 /// One device is a fleet of one: forwards to the fleet overload.

@@ -100,9 +100,7 @@ void process_batch_csr(BatchEngine<Point>& engine, Lane<Point>& lane,
                        const BatchPolicy& policy, float eps) {
   const gpu::BatchSpec spec = item.spec;
   const ScanMode scan = policy.scan_mode;
-  // Query domain, not resident count: on a shard slab the ghost points
-  // hold no batch slots (the kernels never write counts for them).
-  const std::uint32_t pts = spec.points_in_batch(lane.view.query_count());
+  const std::uint32_t pts = spec.points_in_batch(lane.view.num_points);
   if (pts == 0) return;
   TRACE_SPAN("batch", "batch %u/%u d%u", spec.batch, spec.num_batches,
              lane.device.id());
@@ -406,7 +404,7 @@ NeighborTable NeighborTableBuilder::build_impl(
       parts.push_back(std::move(shard));
     }
     local_report.expand_seconds = table.assemble(
-        std::move(parts), scan == ScanMode::kHalf && policy_.expand_half,
+        std::move(parts), scan == ScanMode::kHalf,
         static_cast<unsigned>(std::max(1, cfg.host_cores)));
     modeled_fixed += local_report.expand_seconds;
   }
@@ -422,8 +420,8 @@ NeighborTable NeighborTableBuilder::build_impl(
   }
   local_report.total_pairs = table.total_pairs();
 
-  local_report.shard_fixed_seconds = modeled_fixed;
-  local_report.shard_stream_seconds = slowest_stream;
+  local_report.fixed_seconds = modeled_fixed;
+  local_report.stream_seconds = slowest_stream;
   local_report.modeled_table_seconds = modeled_fixed + slowest_stream;
   local_report.table_seconds = total_timer.seconds();
   publish_build_report(local_report, policy_.metrics_labels);

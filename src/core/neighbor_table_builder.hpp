@@ -99,21 +99,13 @@ struct BuildReport {
   std::uint32_t host_fallback_batches = 0;///< batches finished on the host
   bool used_host_fallback = false;        ///< any host-side completion
 
-  // --- sharded build accounting (core/sharded_build.hpp); zero unless the
-  // --- report came from build_sharded ---
-  std::uint32_t shards = 0;               ///< slab shards actually built
-  std::uint32_t shard_repartitions = 0;   ///< dead-shard re-partition rounds
-  std::uint64_t halo_ghost_points = 0;    ///< summed eps-halo residents
-  std::uint64_t cross_shard_pairs = 0;    ///< pairs spanning two owners
   /// Decomposition of modeled_table_seconds: the serial host phases
-  /// (index upload, estimation, pinned allocation, the post-build merge,
-  /// the final half-table expansion — plus partition planning and host
-  /// fallback for sharded builds) versus the overlapped per-stream /
-  /// per-round device timelines (charged at the slowest one). Their sum
-  /// equals modeled_table_seconds; the fixed share is the Amdahl term
-  /// that bounds multi-device scaling.
-  double shard_fixed_seconds = 0.0;
-  double shard_stream_seconds = 0.0;
+  /// (index upload, estimation, pinned allocation, the post-build
+  /// assembly) versus the overlapped per-stream device timelines (charged
+  /// at the slowest one). Their sum equals modeled_table_seconds; the
+  /// fixed share is the Amdahl term that bounds multi-device scaling.
+  double fixed_seconds = 0.0;
+  double stream_seconds = 0.0;
 
   /// Structured cause when build() threw (kNone on success). Filled by the
   /// classifying wrapper around build_impl, so even callers that swallow

@@ -177,9 +177,6 @@ PipelineReport run_multi_clustering(
     return run_cell_graph_variants(fleet.front()->config(), points, variants,
                                    options);
   }
-  if (options.cluster_mode == ClusterMode::kFused) {
-    reject_sharded_fused("run_multi_clustering", options.num_shards);
-  }
   PipelineReport report;
   report.variants.resize(variants.size());
   if (options.keep_results) report.results.resize(variants.size());
@@ -195,10 +192,6 @@ PipelineReport run_multi_clustering(
     }
     return live;
   };
-  ShardedBuildOptions sopts;
-  sopts.num_shards = options.num_shards;
-  sopts.policy = options.policy;
-
   std::mutex report_mutex;
   std::exception_ptr first_error;
   std::size_t failed_variants = 0;  // guarded by report_mutex
@@ -233,15 +226,14 @@ PipelineReport run_multi_clustering(
       item.payload_bytes = table_payload_bytes(item.table);
     } else if (options.cluster_mode == ClusterMode::kBatchTable) {
       BuildReport build_report;
-      item.table = build_fleet_neighbor_table(fleet, index, variants[i].eps,
-                                              sopts, &build_report);
+      item.table = NeighborTableBuilder(live, options.policy)
+                       .build(index, variants[i].eps, &build_report);
       modeled_s = index_s + build_report.modeled_table_seconds;
       item.payload_bytes = table_payload_bytes(item.table);
     } else {
-      // Fused variants never touch the table builder: the whole index is
-      // replicated across the live devices (no slab sharding; the kernels
-      // union global ids) and the fused passes write straight into the
-      // clusterer. The consumers only run the resolution tail.
+      // Fused variants never touch the table builder: the fused passes
+      // write straight into the clusterer. The consumers only run the
+      // resolution tail.
       auto clusterer = std::make_unique<StreamingDbscan>(
           index.size(), variants[i].minpts);
       clusterer->set_cancel_token(options.policy.cancel);

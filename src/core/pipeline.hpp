@@ -21,7 +21,6 @@
 
 #include "core/batch_planner.hpp"
 #include "core/failure.hpp"
-#include "core/sharded_build.hpp"
 #include "cudasim/device.hpp"
 #include "dbscan/cluster_result.hpp"
 #include "dbscan/streaming_dbscan.hpp"
@@ -81,14 +80,8 @@ struct PipelineOptions {
   /// table twice, so nothing is lost by skipping it.
   /// kBatchTable: the paper's pipeline — T of v_{i+1} builds while v_i
   /// clusters over it (Alg. 4's BFS). Ask for it to reproduce the paper's
-  /// figures or to shard the build.
+  /// figures.
   ClusterMode cluster_mode = ClusterMode::kFused;
-  /// Shards per variant's table build (0 = one shard per live device, the
-  /// sharded orchestrator's default). A fleet of one device with
-  /// num_shards <= 1 builds the whole index unsharded (see
-  /// build_fleet_neighbor_table). kFused replicates the whole index on
-  /// every device, so it rejects num_shards > 1.
-  unsigned num_shards = 0;
 };
 
 struct PipelineReport {
@@ -100,19 +93,16 @@ struct PipelineReport {
 /// Clusters `points` for every variant on a fleet of devices. With
 /// options.pipelined the producer/consumer overlap (bounded queue: count +
 /// byte budget, one-item minimum) is on; otherwise variants run
-/// sequentially. By default each variant runs the fused passes on the
-/// live devices and a consumer runs its finalize tail; the labels equal
-/// the one-value banded pass (dbscan_parallel) over the variant's table.
-/// Under kBatchTable each variant's table is built by
-/// build_fleet_neighbor_table: a fleet of one device with num_shards <= 1
-/// builds the whole index, any other fleet goes through the sharded
-/// orchestrator — eps-halo row slabs, re-partitioning on device loss, the
-/// whole §12 ladder. Once every device is lost, later variants build their
-/// tables host-side and cluster them with the banded pass (BFS under
+/// sequentially. Every variant replicates its index on the live devices
+/// and stripes its batches over them (the engine's ladder, DESIGN.md §8,
+/// handles faults). By default each variant runs the fused passes and a
+/// consumer runs its finalize tail; the labels equal the one-value banded
+/// pass (dbscan_parallel) over the variant's table. Under kBatchTable each
+/// variant's table is built by NeighborTableBuilder and clustered with
+/// BFS. Once every device is lost, later variants build their tables
+/// host-side and cluster them with the banded pass (BFS under
 /// kBatchTable). policy.quality = kCellGraph runs the host cell graph per
 /// variant under every mode.
-///
-/// Throws std::invalid_argument for kFused with num_shards > 1.
 PipelineReport run_multi_clustering(
     const std::vector<cudasim::Device*>& devices,
     std::span<const Point2> points, std::span<const Variant> variants,

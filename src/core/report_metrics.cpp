@@ -6,13 +6,11 @@
 
 namespace hdbscan {
 
-namespace {
-
-/// Mirrors one DeviceMetrics snapshot under the given label set. Gauges,
-/// not counters: the values are themselves cumulative snapshots, so
-/// re-publishing must overwrite, not add.
-void publish_device_metrics_labeled(const std::string& labels,
-                                    const cudasim::DeviceMetrics& m) {
+/// Gauges, not counters: the values are themselves cumulative snapshots,
+/// so re-publishing must overwrite, not add.
+void publish_device_metrics(std::uint32_t device_id,
+                            const cudasim::DeviceMetrics& m) {
+  const std::string labels = "device=" + std::to_string(device_id);
   obs::Registry& r = obs::Registry::global();
   r.gauge("cudasim_kernel_launches", labels)
       .set(static_cast<double>(m.kernel_launches));
@@ -49,44 +47,6 @@ void publish_device_metrics_labeled(const std::string& labels,
       .set(static_cast<double>(m.pool_trim_bytes));
 }
 
-}  // namespace
-
-void publish_device_metrics(std::uint32_t device_id,
-                            const cudasim::DeviceMetrics& m) {
-  publish_device_metrics_labeled("device=" + std::to_string(device_id), m);
-}
-
-void publish_fleet_metrics(std::span<const cudasim::DeviceMetrics> devices) {
-  cudasim::DeviceMetrics sum;
-  for (const cudasim::DeviceMetrics& m : devices) {
-    sum.kernel_launches += m.kernel_launches;
-    sum.kernel_modeled_seconds += m.kernel_modeled_seconds;
-    sum.kernel_wall_seconds += m.kernel_wall_seconds;
-    sum.h2d_bytes += m.h2d_bytes;
-    sum.d2h_bytes += m.d2h_bytes;
-    sum.transfer_seconds += m.transfer_seconds;
-    sum.pinned_alloc_seconds += m.pinned_alloc_seconds;
-    sum.sort_seconds += m.sort_seconds;
-    sum.scan_seconds += m.scan_seconds;
-    sum.current_mem_bytes += m.current_mem_bytes;
-    sum.peak_mem_bytes += m.peak_mem_bytes;  // upper bound: peaks may not align
-    sum.pool_device_hits += m.pool_device_hits;
-    sum.pool_device_misses += m.pool_device_misses;
-    sum.pool_pinned_hits += m.pool_pinned_hits;
-    sum.pool_pinned_misses += m.pool_pinned_misses;
-    sum.pool_trim_bytes += m.pool_trim_bytes;
-    sum.injected_oom_faults += m.injected_oom_faults;
-    sum.injected_transient_faults += m.injected_transient_faults;
-    sum.degraded_transfers += m.degraded_transfers;
-    sum.refused_ops += m.refused_ops;
-    sum.device_lost = sum.device_lost || m.device_lost;
-  }
-  publish_device_metrics_labeled("device=fleet", sum);
-  obs::Registry::global()
-      .gauge("cudasim_fleet_devices", "device=fleet")
-      .set(static_cast<double>(devices.size()));
-}
-
 void publish_build_report(const BuildReport& report,
                           const std::string& labels) {
   obs::Registry& r = obs::Registry::global();
@@ -119,16 +79,6 @@ void publish_build_report(const BuildReport& report,
     r.counter("build_capped_points", labels).add(report.capped_points);
     r.counter("build_recounted_points", labels).add(report.recounted_points);
     r.counter("build_dense_runs", labels).add(report.dense_runs);
-  }
-  if (report.shards != 0) {
-    r.counter("build_sharded_builds", labels).add(1);
-    r.counter("build_shards", labels).add(report.shards);
-    r.counter("build_shard_repartitions", labels)
-        .add(report.shard_repartitions);
-    r.counter("build_halo_ghost_points", labels)
-        .add(report.halo_ghost_points);
-    r.counter("build_cross_shard_pairs", labels)
-        .add(report.cross_shard_pairs);
   }
   r.histogram("build_table_seconds", labels).observe(report.table_seconds);
   r.histogram("build_modeled_table_seconds", labels)

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "core/neighbor_table_builder.hpp"
@@ -18,15 +17,9 @@ namespace hdbscan {
 void publish_device_metrics(std::uint32_t device_id,
                             const cudasim::DeviceMetrics& m);
 
-/// Publishes the element-wise sum of several devices' metrics under labels
-/// "device=fleet" — the multi-device roll-up that per-device gauges alone
-/// can't provide without the reader re-summing label sets.
-void publish_fleet_metrics(std::span<const cudasim::DeviceMetrics> devices);
-
 /// Publishes a build report's counters and timings. `labels` scopes every
-/// series ("key=value,key=value"; empty = the unlabeled fleet-level
-/// series). Concurrent builders must use distinct labels — the sharded
-/// orchestrator tags each shard "shard=<i>" — or their last-value gauges
+/// series ("key=value,key=value"; empty = the unlabeled series).
+/// Concurrent builders must use distinct labels, or their last-value gauges
 /// silently overwrite each other. Counters stay cumulative per label set,
 /// which is the registry contract.
 void publish_build_report(const BuildReport& report,

@@ -89,33 +89,6 @@ void NeighborTable::absorb_shard(NeighborTable&& shard) {
   values_.insert(values_.end(), shard.values_.begin(), shard.values_.end());
 }
 
-NeighborTable NeighborTable::translate(std::span<const PointId> to_global,
-                                       std::uint32_t num_owned,
-                                       std::size_t num_global) && {
-  if (to_global.size() != num_points()) {
-    throw std::invalid_argument("NeighborTable: translate map size mismatch");
-  }
-  if (num_owned > to_global.size()) {
-    throw std::invalid_argument("NeighborTable: num_owned exceeds residents");
-  }
-  NeighborTable out(num_global);
-  // Values were emitted through the slab's emission map and are already
-  // global; only the row keys move. The value storage is handed over
-  // wholesale (offsets are position-based and survive).
-  for (std::uint32_t l = 0; l < num_owned; ++l) {
-    const PointId g = to_global[l];
-    if (g >= num_global) {
-      throw std::out_of_range("NeighborTable: global key out of range");
-    }
-    out.begin_[g] = begin_[l];
-    out.end_[g] = end_[l];
-  }
-  out.values_ = std::move(values_);
-  begin_.clear();
-  end_.clear();
-  return out;
-}
-
 double NeighborTable::assemble(std::vector<NeighborTable>&& parts,
                                bool expand_half, unsigned chunks) {
   if (!values_.empty()) {
@@ -301,7 +274,7 @@ NeighborTable build_neighbor_table_host(const BasicGridIndex<Point>& index,
   NeighborTable table(index.size());
   std::vector<PointId> neighbors;
   std::vector<NeighborPair> pairs;
-  for (PointId i = 0; i < index.query_count(); ++i) {
+  for (PointId i = 0; i < index.size(); ++i) {
     grid_query(index, index.points[i], eps, neighbors);
     pairs.clear();
     pairs.reserve(neighbors.size());

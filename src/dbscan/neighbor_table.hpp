@@ -69,21 +69,9 @@ class NeighborTable {
   /// rebased. The shard is consumed. The serial reference for assemble().
   void absorb_shard(NeighborTable&& shard);
 
-  /// Rebases a shard-local table into the global key space. Local row l
-  /// (owned rows only: l < num_owned; ghost rows are never filled) becomes
-  /// global row to_global[l]; the VALUES move untouched — shard kernels
-  /// emit them through the slab's emission map (GridIndex::emit_ids), so
-  /// they are already global. O(num_owned) plus the storage handoff: no
-  /// per-pair work. The result has num_global rows and is a valid
-  /// assemble() part — shards own disjoint global key sets, so translated
-  /// shards merge without collision. Consumes this table.
-  [[nodiscard]] NeighborTable translate(std::span<const PointId> to_global,
-                                        std::uint32_t num_owned,
-                                        std::size_t num_global) &&;
-
   /// Assembles this (empty) table from `parts` — tables of num_points()
-  /// rows over pairwise-disjoint key sets: the stream shards, host batches
-  /// and translated slabs of one build. The parts are read in place and
+  /// rows over pairwise-disjoint key sets: the stream shards and host
+  /// batches of one build. The parts are read in place and
   /// the final table is written once, in key order:
   ///  * a row-source sweep records which part holds each key's row and
   ///    throws std::logic_error for a key found in two parts;

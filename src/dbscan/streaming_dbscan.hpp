@@ -27,7 +27,7 @@ namespace hdbscan {
 enum class ClusterMode {
   /// Materialize T, then run DBSCAN over it (paper Alg. 4). Required when
   /// the caller wants the table itself (reuse across calls, OPTICS,
-  /// export) or a sharded build.
+  /// export).
   kBatchTable,
   /// No table, no rows: a core pass counts degrees up to minpts, the
   /// cores that touch a non-core point get exact degrees, then a union

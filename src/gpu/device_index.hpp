@@ -15,8 +15,10 @@ namespace hdbscan::gpu {
 template <typename Point>
 class BasicGridDeviceIndex {
  public:
-  /// Allocates device buffers and enqueues the H2D uploads on `stream`
-  /// (pageable host memory — the index is uploaded once per epsilon).
+  /// Allocates device buffers and uploads the index on `stream` (pageable
+  /// host memory — the index is uploaded once per epsilon), then
+  /// synchronizes `stream`: the copy is resident when the constructor
+  /// returns, and no queued transfer outlives the buffers it writes.
   /// `sub_cells`, the index's sub-cell runs (the fused union pass reads
   /// them), go up with it when given and not empty.
   BasicGridDeviceIndex(cudasim::Device& device, cudasim::Stream& stream,
@@ -24,8 +26,6 @@ class BasicGridDeviceIndex {
                        const SubCells* sub_cells = nullptr)
       : params_(host_index.params),
         num_points_(static_cast<std::uint32_t>(host_index.points.size())),
-        cell_base_(host_index.cell_base),
-        num_query_(host_index.num_query),
         num_nonempty_(
             static_cast<std::uint32_t>(host_index.nonempty_cells.size())),
         max_cell_occupancy_(host_index.max_cell_occupancy),
@@ -38,13 +38,13 @@ class BasicGridDeviceIndex {
                             host_index.cells.size());
     stream.memcpy_to_device(schedule_, host_index.nonempty_cells.data(),
                             host_index.nonempty_cells.size());
-    // No allocation at all without a map or runs — a zero-byte buffer
-    // would still consume a fault-injection op and shift scripted plans.
-    upload_optional(device, stream, emit_, host_index.emit_ids);
+    // No allocation at all without runs — a zero-byte buffer would still
+    // consume a fault-injection op and shift scripted plans.
     if (sub_cells != nullptr) {
       upload_optional(device, stream, sub_order_, sub_cells->order);
       upload_optional(device, stream, sub_bounds_, sub_cells->bounds);
     }
+    stream.synchronize();
   }
 
   [[nodiscard]] BasicGridView<Point> view() const noexcept {
@@ -52,9 +52,6 @@ class BasicGridDeviceIndex {
             points_.device_data(),
             num_points_,
             cells_.device_data(),
-            cell_base_,
-            num_query_,
-            emit_.empty() ? nullptr : emit_.device_data(),
             sub_order_.empty() ? nullptr : sub_order_.device_data(),
             sub_bounds_.empty() ? nullptr : sub_bounds_.device_data()};
   }
@@ -79,7 +76,7 @@ class BasicGridDeviceIndex {
   /// modeled cost the planner attributes to the index).
   [[nodiscard]] std::size_t upload_bytes() const noexcept {
     return points_.bytes() + cells_.bytes() + schedule_.bytes() +
-           emit_.bytes() + sub_order_.bytes() + sub_bounds_.bytes();
+           sub_order_.bytes() + sub_bounds_.bytes();
   }
 
  private:
@@ -106,14 +103,11 @@ class BasicGridDeviceIndex {
 
   BasicGridParams<Point> params_;
   std::uint32_t num_points_;
-  std::uint32_t cell_base_;
-  std::uint32_t num_query_;
   std::uint32_t num_nonempty_;
   std::uint32_t max_cell_occupancy_;
   cudasim::DeviceBuffer<Point> points_;
   cudasim::DeviceBuffer<CellRange> cells_;
   cudasim::DeviceBuffer<std::uint32_t> schedule_;
-  cudasim::DeviceBuffer<PointId> emit_;  ///< value-emission map (may be empty)
   cudasim::DeviceBuffer<PointId> sub_order_;          ///< may be empty
   cudasim::DeviceBuffer<std::uint32_t> sub_bounds_;   ///< may be empty
 };

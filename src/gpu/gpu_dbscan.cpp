@@ -160,7 +160,6 @@ ClusterResult gpu_dbscan(cudasim::Device& device, const GridIndex& index,
 
   cudasim::Stream stream(device);
   GridDeviceIndex device_index(device, stream, index);
-  stream.synchronize();
   const GridView view = device_index.view();
   const std::uint32_t n = view.num_points;
   const unsigned grid_dim = (n + kBlock - 1) / kBlock;

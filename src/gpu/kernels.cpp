@@ -68,15 +68,11 @@ void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
     end = to;
   };
 
-  // `params` keeps the global geometry even on a shard slab, so cell ids
-  // are global; the slab's cells array is indexed relative to cell_base.
-  // Owned points' whole stencils lie inside the slab by construction
-  // (shard_planner includes the epsilon-halo rows), so no bound check.
   const std::uint32_t cell = view.params.linear_cell(point);
   CellStencil<Point> cell_ids{};
   unsigned ncells = 0;
   if (mode == ScanMode::kHalf) {
-    const CellRange own = view.cells[cell - view.cell_base];
+    const CellRange own = view.cells[cell];
     ++cells_read;
     if (!walk(own, true)) add(pid, own.end);
     ncells = get_forward_neighbor_cells(view.params, cell, cell_ids);
@@ -84,7 +80,7 @@ void for_each_neighbor(const View& view, ScanMode mode, PointId pid,
     ncells = get_neighbor_cells(view.params, cell, cell_ids);
   }
   for (unsigned c = 0; c < ncells; ++c) {
-    const CellRange range = view.cells[cell_ids[c] - view.cell_base];
+    const CellRange range = view.cells[cell_ids[c]];
     ++cells_read;
     if (!walk(range, cell_ids[c] == cell)) add(range.begin, range.end);
   }
@@ -139,7 +135,7 @@ std::uint32_t for_each_hit_until(const View& view, const Point& point,
   // Adds a cell to the pending range; false when the limit was met before
   // the scan got to it.
   auto add = [&](std::uint32_t cell) {
-    const CellRange range = view.cells[cell - view.cell_base];
+    const CellRange range = view.cells[cell];
     if (pending > 0 && range.begin != end) {
       flush();
       if (found >= limit) return false;
@@ -179,7 +175,7 @@ struct GlobalKernelBody {
     const std::uint64_t gid = ctx.global_id();
     const std::uint64_t i =
         gid * batch.num_batches + batch.batch;  // strided assignment
-    if (i >= view.query_count()) return;
+    if (i >= view.num_points) return;
 
     const auto pid = static_cast<PointId>(i);
     const Point2 point = view.points[i];
@@ -243,7 +239,7 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
   }
   co_await ctx.sync();
 
-  const CellRange origin_range = p.view.cells[cell_to_proc - p.view.cell_base];
+  const CellRange origin_range = p.view.cells[cell_to_proc];
   ctx.count_global_bytes(sizeof(CellRange));
 
   // Outer tiling loop: needed when the origin cell holds more points than
@@ -262,7 +258,7 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
 
     const unsigned ncells = cell_count[0];
     for (unsigned c = 0; c < ncells; ++c) {
-      const CellRange comp_range = p.view.cells[cell_ids[c] - p.view.cell_base];
+      const CellRange comp_range = p.view.cells[cell_ids[c]];
       ctx.count_global_bytes(sizeof(CellRange));
       for (std::uint32_t cbase = comp_range.begin; cbase < comp_range.end;
            cbase += bdim) {
@@ -303,12 +299,6 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
   staged.flush(ctx);
 }
 
-/// Bytes one emitted CSR value costs: the 4 B write, plus the 4 B
-/// emission-map read on shard slabs.
-std::uint64_t value_write_bytes(const auto& view) {
-  return view.emit_ids != nullptr ? 2 * sizeof(PointId) : sizeof(PointId);
-}
-
 /// Pass 1 of the two-pass CSR builder: thread g counts the neighbors of
 /// its batch point and writes counts[g]. No atomics, no result
 /// materialization — an exclusive scan of `counts` then yields the exact
@@ -324,7 +314,7 @@ struct CountBatchKernelBody {
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
     const std::uint64_t i = gid * batch.num_batches + batch.batch;
-    if (i >= view.query_count()) return;
+    if (i >= view.num_points) return;
     const auto pid = static_cast<PointId>(i);
     const auto point = view.points[i];
     ctx.count_global_bytes(sizeof(point));
@@ -363,30 +353,27 @@ struct FillCsrKernelBody {
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
     const std::uint64_t i = gid * batch.num_batches + batch.batch;
-    if (i >= view.query_count()) return;
+    if (i >= view.num_points) return;
     const auto pid = static_cast<PointId>(i);
     const auto point = view.points[i];
     // The row end is the next thread's offset, fetched in the same
     // coalesced transaction as the thread's own.
     ctx.count_global_bytes(sizeof(point) + sizeof(std::uint32_t));
     const std::uint32_t row_begin = offsets[gid];
-    const std::uint32_t row_end = i + batch.num_batches >= view.query_count()
+    const std::uint32_t row_end = i + batch.num_batches >= view.num_points
                                       ? total
                                       : offsets[gid + 1];
     PointId* row = values + row_begin;
     const std::uint32_t len = row_end - row_begin;
     PointId spill = 0;
     std::uint32_t written = 0;
-    // Values go out through the emission map (identity on a whole index;
-    // local->global on shard slabs), which buys the shard merge freedom
-    // from ever touching individual pairs.
     for_each_neighbor(view, mode, pid, point, eps2, ctx,
                       [&](PointId candidate, bool hit) {
                         PointId* slot = written < len ? row + written : &spill;
-                        *slot = view.emit(candidate);
+                        *slot = candidate;
                         written += hit;
                       });
-    ctx.count_global_bytes(written * value_write_bytes(view));
+    ctx.count_global_bytes(written * sizeof(PointId));
   }
 };
 
@@ -404,7 +391,7 @@ struct CoreKernelBody {
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
     const std::uint64_t i = gid * batch.num_batches + batch.batch;
-    if (i >= view.query_count()) return;
+    if (i >= view.num_points) return;
     const auto point = view.points[i];
     ctx.count_global_bytes(sizeof(point));
     const std::uint32_t cap = u.cap();
@@ -431,7 +418,7 @@ struct MarkKernelBody {
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
     const std::uint64_t i = gid * batch.num_batches + batch.batch;
-    if (i >= view.query_count()) return;
+    if (i >= view.num_points) return;
     const auto pid = static_cast<PointId>(i);
     const std::uint32_t degree = u.degree[pid].load(std::memory_order_relaxed);
     ctx.count_global_bytes(sizeof(std::uint32_t));
@@ -464,7 +451,7 @@ struct RecountKernelBody {
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
     const std::uint64_t i = gid * batch.num_batches + batch.batch;
-    if (i >= view.query_count()) return;
+    if (i >= view.num_points) return;
     const auto pid = static_cast<PointId>(i);
     ctx.count_global_bytes(sizeof(std::uint8_t));
     if (u.flag[pid].load(std::memory_order_relaxed) == 0) return;
@@ -509,7 +496,7 @@ struct UnionKernelBody {
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
     const std::uint64_t i = gid * batch.num_batches + batch.batch;
-    if (i >= view.query_count()) return;
+    if (i >= view.num_points) return;
     const auto pid = static_cast<PointId>(i);
     const std::uint32_t degree = u.degree[pid].load(std::memory_order_relaxed);
     ctx.count_global_bytes(sizeof(std::uint32_t));
@@ -622,8 +609,7 @@ struct UnionKernelBody {
   /// before the own cell. It reads what walking the own cell reads again,
   /// and is charged there.
   [[nodiscard]] OwnRun own_run(PointId pid, const Point2& point) const {
-    const CellRange range =
-        view.cells[view.params.linear_cell(point) - view.cell_base];
+    const CellRange range = view.cells[view.params.linear_cell(point)];
     if (range.count() < walk_min()) return {.known = true};
     const std::array<std::uint32_t, 5> bounds = run_bounds(range);
     if (!walked(bounds)) return {.known = true};
@@ -757,7 +743,7 @@ struct CountKernelBody {
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t i =
         static_cast<std::uint64_t>(ctx.global_id()) * stride;
-    if (i >= view.query_count()) return;
+    if (i >= view.num_points) return;
     const auto point = view.points[i];
     ctx.count_global_bytes(sizeof(point));
     std::uint64_t neighbors = 0;
@@ -778,7 +764,7 @@ struct CountKernelBody {
 template <typename View>
 [[nodiscard]] unsigned batch_grid_dim(const View& view, BatchSpec batch,
                                       unsigned block_size) {
-  return grid_dim_for(batch.points_in_batch(view.query_count()), block_size);
+  return grid_dim_for(batch.points_in_batch(view.num_points), block_size);
 }
 
 }  // namespace
@@ -787,7 +773,7 @@ cudasim::KernelStats run_calc_global(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, ResultSinkView sink,
                                      unsigned block_size) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
+  const std::uint32_t points = batch.points_in_batch(view.num_points);
   const unsigned grid = grid_dim_for(points, block_size);
   GlobalKernelBody body{view, eps * eps, batch, sink};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
@@ -831,7 +817,7 @@ template <typename View>
 std::vector<std::uint32_t> host_count_batch(const View& view, float eps,
                                             BatchSpec batch, ScanMode mode) {
   std::vector<std::uint32_t> counts(
-      batch.points_in_batch(view.query_count()));
+      batch.points_in_batch(view.num_points));
   cudasim::run_flat_host(batch_grid_dim(view, batch, kDefaultBlockSize),
                          kDefaultBlockSize,
                          CountBatchKernelBody<View>{view, eps * eps, batch,
@@ -898,7 +884,7 @@ std::uint64_t run_count_kernel(cudasim::Device& device, const View& view,
   if (sample_stride == 0) sample_stride = 1;
   std::atomic<std::uint64_t> total{0};
   const std::uint64_t samples =
-      (view.query_count() + sample_stride - 1) / sample_stride;
+      (view.num_points + sample_stride - 1) / sample_stride;
   const unsigned grid = grid_dim_for(samples, block_size);
   CountKernelBody<View> body{view, eps * eps, sample_stride, &total};
   const cudasim::KernelStats stats =

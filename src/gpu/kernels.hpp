@@ -71,8 +71,7 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
 //
 // The count, fill and fused-pass bodies are each written once, as
 // templates over the grid view they traverse — BasicGridView<Point>, the
-// 3^D-cell stencil of a 2-D (GridView; shard slabs included: values go
-// out through the slab's emission map) or 3-D (GridView3) grid. A body
+// 3^D-cell stencil of a 2-D (GridView) or 3-D (GridView3) grid. A body
 // runs under two executors: a cudasim device launch (run_*, which
 // validates, fault-gates, models and records the launch) or the host
 // pool (host_*, none of those). Host-run work therefore follows the
@@ -170,9 +169,9 @@ std::vector<std::uint32_t> host_count_batch(const View& view, float eps,
 /// One CSR batch on the host: the count body, a host exclusive scan and
 /// the fill body, then an append_csr_batch into a fresh table of
 /// view.num_points rows. The result is the shard a device batch appends
-/// (only the batch's keys are filled, as forward rows under kHalf, through
-/// the emission map on shard slabs), so NeighborTable::assemble merges it
-/// with device-built shards and expands it like them.
+/// (only the batch's keys are filled, as forward rows under kHalf), so
+/// NeighborTable::assemble merges it with device-built shards and expands
+/// it like them.
 template <typename View>
 NeighborTable host_csr_batch(const View& view, float eps, BatchSpec batch,
                              ScanMode mode = ScanMode::kFull);

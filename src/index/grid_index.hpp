@@ -202,18 +202,6 @@ unsigned get_forward_neighbor_cells(const BasicGridParams<Point>& params,
 }
 
 /// Host-resident grid index.
-///
-/// A *shard sub-index* (core/shard_planner.hpp, 2-D only) reuses this
-/// struct for a contiguous slab of grid-cell rows: `params` keeps the
-/// GLOBAL geometry (so every point hashes to the same cell id it has in
-/// the full index), `cells` holds only the slab — cells[h - cell_base] is
-/// global cell h — and `points` holds the slab's residents in
-/// *owned-first* order: the first `num_query` points are the ones this
-/// shard owns (ascending global id), followed by the epsilon-halo ghosts
-/// (ascending global id). Ids are still positions: each slab cell's range
-/// is its residents' local ids, inside [0, num_query) for an owned cell and
-/// past it for a ghost cell. Kernels and host queries only ever query owned
-/// points, whose full 9-cell stencil lies inside the slab by construction.
 template <typename Point>
 struct BasicGridIndex {
   BasicGridParams<Point> params;
@@ -222,27 +210,8 @@ struct BasicGridIndex {
   std::vector<CellRange> cells;        ///< G
   std::vector<std::uint32_t> nonempty_cells;  ///< S
   std::uint32_t max_cell_occupancy = 0;
-  /// Linear id of cells[0] (nonzero only for shard sub-indexes).
-  std::uint32_t cell_base = 0;
-  /// Number of query (owned) points; 0 means every point is owned. A
-  /// shard's ghost points are resident for distance tests but never
-  /// queried, counted, or assigned to batches.
-  std::uint32_t num_query = 0;
-  /// Value-emission map: neighbor candidates are emitted as emit_ids[c]
-  /// instead of their resident id c. Empty means identity. Shard
-  /// sub-indexes set this to local->global so kernels produce globally
-  /// addressed neighbor values directly — the merge then never touches
-  /// individual pairs. Comparisons (the half-scan ordering rule) stay in
-  /// resident-id space; only the emitted value is mapped.
-  std::vector<PointId> emit_ids;
 
   [[nodiscard]] std::size_t size() const noexcept { return points.size(); }
-  [[nodiscard]] std::size_t query_count() const noexcept {
-    return num_query != 0 ? num_query : points.size();
-  }
-  [[nodiscard]] PointId emit(PointId c) const noexcept {
-    return emit_ids.empty() ? c : emit_ids[c];
-  }
 };
 
 using GridIndex = BasicGridIndex<Point2>;
@@ -254,35 +223,18 @@ template <typename Point>
 struct BasicGridView {
   BasicGridParams<Point> params;
   const Point* points = nullptr;
-  std::uint32_t num_points = 0;  ///< resident points (extent of the arrays)
+  std::uint32_t num_points = 0;  ///< |D|; kernels query [0, num_points)
   const CellRange* cells = nullptr;
-  std::uint32_t cell_base = 0;  ///< linear id of cells[0] (shard slabs)
-  std::uint32_t num_query = 0;  ///< owned prefix; 0 = num_points
-  /// Optional value-emission map (GridIndex::emit_ids); null = identity.
-  const PointId* emit_ids = nullptr;
   /// The index's sub-cell runs (SubCells::order, bounds); null when the
   /// traversal has none.
   const PointId* sub_order = nullptr;
   const std::uint32_t* sub_bounds = nullptr;
 
-  /// The batch/query domain: kernels iterate points [0, query_count()).
-  [[nodiscard]] std::uint32_t query_count() const noexcept {
-    return num_query != 0 ? num_query : num_points;
-  }
-
-  [[nodiscard]] PointId emit(PointId c) const noexcept {
-    return emit_ids == nullptr ? c : emit_ids[c];
-  }
-
   [[nodiscard]] static BasicGridView of(
       const BasicGridIndex<Point>& g) noexcept {
-    return BasicGridView{g.params,
-                         g.points.data(),
+    return BasicGridView{g.params, g.points.data(),
                          static_cast<std::uint32_t>(g.points.size()),
-                         g.cells.data(),
-                         g.cell_base,
-                         g.num_query,
-                         g.emit_ids.empty() ? nullptr : g.emit_ids.data()};
+                         g.cells.data()};
   }
 };
 
@@ -318,10 +270,10 @@ inline constexpr std::uint32_t kSubCellMinResidents = 16;
 /// eps².
 inline constexpr std::uint32_t kMaxSubCellAxis = 1u << 19;
 
-/// Groups each cell of a whole `index` (not a shard slab) by sub-cell: a
-/// four-bucket counting sort per cell of at least kSubCellMinResidents
-/// residents, O(n) — nothing is sized by the number of (sub-)cells. Empty
-/// when no cell is that full, or the grid is wider than kMaxSubCellAxis.
+/// Groups each cell of `index` by sub-cell: a four-bucket counting sort per
+/// cell of at least kSubCellMinResidents residents, O(n) — nothing is sized
+/// by the number of (sub-)cells. Empty when no cell is that full, or the
+/// grid is wider than kMaxSubCellAxis.
 SubCells build_sub_cells(const GridIndex& index);
 
 /// Cells a grid index may hold unless its builder is told otherwise: 2^27,
@@ -368,13 +320,7 @@ void grid_query(const BasicGridIndex<Point>& index, const Point& q, float eps,
   CellStencil<Point> neighbors{};
   const unsigned n = get_neighbor_cells(index.params, cell, neighbors);
   for (unsigned c = 0; c < n; ++c) {
-    // Shard sub-indexes hold a slab: global cell h lives at h - cell_base.
-    // Queries for owned points never leave the slab; the bound check only
-    // guards direct queries of ghost/outside points (unsigned wrap covers
-    // cells below the base).
-    const std::uint32_t local = neighbors[c] - index.cell_base;
-    if (local >= index.cells.size()) continue;
-    const CellRange range = index.cells[local];
+    const CellRange range = index.cells[neighbors[c]];
     for (PointId id = range.begin; id < range.end; ++id) {
       if (dist2(q, index.points[id]) <= eps2) out.push_back(id);
     }

@@ -2,6 +2,10 @@
 
 #include "cudasim/buffer.hpp"
 #include "cudasim/device.hpp"
+#include "cudasim/stream.hpp"
+#include "data/generators.hpp"
+#include "gpu/device_index.hpp"
+#include "index/grid_index.hpp"
 
 namespace {
 
@@ -123,6 +127,26 @@ TEST(DeviceMemory, ZeroSizedBufferIsValid) {
   Device dev(small_config(1 << 20), fast_options());
   DeviceBuffer<int> buf(dev, 0);
   EXPECT_TRUE(buf.empty());
+  EXPECT_EQ(dev.used_global_bytes(), 0u);
+}
+
+TEST(DeviceIndex, UploadsLandBeforeTheConstructorReturns) {
+  // On a 50 ms link the index's three uploads are still queued long after
+  // they were enqueued. The device copy must not return before they land:
+  // destroying it with transfers in flight would free the buffers they
+  // write into (a heap-use-after-free under ASan).
+  DeviceConfig slow_link;
+  slow_link.pcie_latency_us = 50'000.0;
+  SimulationOptions opt = fast_options();
+  opt.throttle_transfers = true;
+  Device dev(slow_link, opt);
+  const hdbscan::GridIndex index = hdbscan::build_grid_index(
+      hdbscan::data::generate_uniform(2000, 5, 8.0f, 8.0f), 0.3f);
+  cudasim::Stream stream(dev);
+  {
+    const hdbscan::gpu::GridDeviceIndex upload(dev, stream, index);
+    EXPECT_EQ(dev.metrics().h2d_bytes, upload.upload_bytes());
+  }  // destroyed without touching the stream
   EXPECT_EQ(dev.used_global_bytes(), 0u);
 }
 

@@ -277,6 +277,53 @@ std::uint64_t clean_build_ops(const Scenario& s, const BatchPolicy& policy) {
   return probe->ops();
 }
 
+TEST(ResilientBuild, ThreeDeviceFleetLostMidBuildFinishesOnHostExactly) {
+  // Every device of a three-device fleet dies halfway through its share
+  // of the batches: the survivors take the orphans until none is left,
+  // then the host rung finishes what no device did. The table is exact
+  // under either scan mode.
+  const Scenario s = make_scenario(3000, 0.35f);
+  for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
+    SCOPED_TRACE(scan == ScanMode::kHalf ? "kHalf" : "kFull");
+    BatchPolicy policy = many_batch_policy(s);
+    policy.scan_mode = scan;
+    policy.resilience.host_fallback = true;
+
+    // Probe: the device ops each device of a clean build runs.
+    std::vector<std::shared_ptr<cudasim::FaultInjector>> probes(3);
+    {
+      std::vector<std::unique_ptr<cudasim::Device>> clean;
+      std::vector<cudasim::Device*> ptrs;
+      for (auto& probe : probes) {
+        clean.push_back(std::make_unique<cudasim::Device>(
+            cudasim::DeviceConfig{},
+            faulted_options(cudasim::FaultPlan{}, &probe)));
+        ptrs.push_back(clean.back().get());
+      }
+      (void)NeighborTableBuilder(ptrs, policy).build(s.index, s.eps);
+    }
+
+    std::vector<std::unique_ptr<cudasim::Device>> fleet;
+    std::vector<cudasim::Device*> ptrs;
+    for (const auto& probe : probes) {
+      cudasim::FaultPlan lost;
+      lost.lost_at_op = probe->ops() / 2;
+      fleet.push_back(std::make_unique<cudasim::Device>(
+          cudasim::DeviceConfig{}, faulted_options(lost)));
+      ptrs.push_back(fleet.back().get());
+    }
+    BuildReport report;
+    const NeighborTable table =
+        NeighborTableBuilder(ptrs, policy).build(s.index, s.eps, &report);
+    EXPECT_EQ(report.devices_lost, 3u);
+    EXPECT_GT(report.batches_run, 0u);  // the devices got some work done
+    EXPECT_TRUE(report.used_host_fallback);
+    EXPECT_GT(report.host_fallback_batches, 0u);
+    EXPECT_TRUE(table.is_canonical());
+    expect_identical(table, s.oracle);
+  }
+}
+
 TEST(ResilientBuild, LossBeforeBatchingReportsHostBatchAndScanMode) {
   // The only device dies at its first op (the index upload), so the whole
   // index is finished on the host as one batch — under the policy's scan
@@ -312,7 +359,6 @@ TEST(ResilientBuild, DeviceLostBetweenUploadAndEstimationIsReported) {
     cudasim::Device device({}, faulted_options(cudasim::FaultPlan{}, &probe));
     cudasim::Stream stream(device);
     const gpu::GridDeviceIndex upload(device, stream, s.index);
-    stream.synchronize();
   }
   cudasim::FaultPlan plan;
   plan.lost_at_op = probe->ops() + 1;

@@ -329,28 +329,43 @@ TEST(HybridDbscan3, DeviceMemoryReleased) {
   EXPECT_EQ(dev.used_global_bytes(), 0u);
 }
 
-TEST(HybridDbscan3, RejectsShardingAndNonFiniteCoordinates) {
-  const auto points = random_points3(200, 14, 2.0f);
+TEST(HybridDbscan3, RejectsNonFiniteCoordinates) {
+  std::vector<Point3> with_nan = random_points3(200, 14, 2.0f);
+  with_nan[5].z = std::numeric_limits<float>::quiet_NaN();
+  cudasim::Device dev({}, fast_options());
+  EXPECT_THROW((void)hybrid_dbscan(dev, with_nan, 0.3f, 4),
+               std::invalid_argument);
+}
+
+TEST(HybridDbscan3, TwoDevicesMatchOneBitForBit) {
+  // A 3-D fleet stripes its batches over the whole index replicated on
+  // each device, as a 2-D one does: the table as built, and the labels of
+  // both front-door modes, equal one device's.
+  const auto points = random_points3(2500, 15, 3.0f);
+  const float eps = 0.3f;
+  const GridIndex3 index = build_grid_index<Point3>(points, eps);
   cudasim::Device d0({}, fast_options());
   cudasim::Device d1({}, fast_options());
-  ShardedBuildOptions options;
-  options.num_shards = 2;
+  BatchPolicy policy;
+  policy.static_threshold_pairs = 1;  // several batches per lane
+  policy.static_buffer_pairs =
+      std::max<std::uint64_t>(
+          1, build_neighbor_table_host(index, eps).total_pairs() / 12);
+  BuildReport two_report;
+  const NeighborTable one =
+      NeighborTableBuilder(d0, policy).build(index, eps);
+  const NeighborTable two =
+      NeighborTableBuilder({&d0, &d1}, policy).build(index, eps, &two_report);
+  EXPECT_TRUE(two.identical_to(one));
+  EXPECT_GT(two_report.batches_run, 2u);
+  EXPECT_GT(d1.metrics().kernel_launches, 0u);
   for (const ClusterMode mode : {ClusterMode::kBatchTable,
                                  ClusterMode::kFused}) {
-    try {
-      (void)hybrid_dbscan({&d0, &d1}, points, 0.3f, 4, nullptr, options,
-                          mode);
-      ADD_FAILURE() << "a 3-D run was sharded";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("num_shards = 2"),
-                std::string::npos)
-          << e.what();
-    }
+    SCOPED_TRACE(mode == ClusterMode::kFused ? "fused" : "table");
+    EXPECT_EQ(hybrid_dbscan({&d0, &d1}, points, eps, 4, nullptr, policy, mode)
+                  .labels,
+              hybrid_dbscan(d0, points, eps, 4, nullptr, policy, mode).labels);
   }
-  std::vector<Point3> with_nan = points;
-  with_nan[5].z = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_THROW((void)hybrid_dbscan(d0, with_nan, 0.3f, 4),
-               std::invalid_argument);
 }
 
 TEST(HybridDbscan3, TableLargerThanDeviceMemoryRunsInBatches) {

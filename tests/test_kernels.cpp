@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/shard_planner.hpp"
 #include "data/generators.hpp"
 #include "dbscan/neighbor_table.hpp"
 #include "gpu/result_sink.hpp"
@@ -360,7 +359,7 @@ NeighborTable fill_with_sentinel(cudasim::Device& dev, const View& view,
   for (std::uint32_t l = 0; l < num_batches; ++l) {
     const gpu::BatchSpec batch{l, num_batches};
     std::vector<std::uint32_t> offsets(
-        batch.points_in_batch(view.query_count()));
+        batch.points_in_batch(view.num_points));
     if (offsets.empty()) continue;
     gpu::run_count_batch(dev, view, eps, batch, offsets.data(), mode);
     std::uint32_t total = 0;
@@ -421,7 +420,7 @@ TEST(FillCsr, StaysInsideRowsOnGrid2d) {
   cudasim::Device dev({}, fast_options());
   const GridView view = GridView::of(index);
   for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
-    for (const std::uint32_t nb : fill_batch_counts(view.query_count())) {
+    for (const std::uint32_t nb : fill_batch_counts(view.num_points)) {
       SCOPED_TRACE(std::to_string(nb) + " batches, " +
                    (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
       EXPECT_TRUE(
@@ -444,7 +443,7 @@ TEST(FillCsr, StaysInsideRowsOnGrid3d) {
   cudasim::Device dev({}, fast_options());
   const GridView3 view = GridView3::of(index);
   for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
-    for (const std::uint32_t nb : fill_batch_counts(view.query_count())) {
+    for (const std::uint32_t nb : fill_batch_counts(view.num_points)) {
       SCOPED_TRACE(std::to_string(nb) + " batches, " +
                    (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
       EXPECT_TRUE(
@@ -469,7 +468,7 @@ template <typename Index>
 Reach host_reach(const Index& g, PointId i, ScanMode mode) {
   using Point = std::decay_t<decltype(g.points[0])>;
   const std::uint32_t cell = g.params.linear_cell(g.points[i]);
-  auto range = [&](std::uint32_t h) { return g.cells[h - g.cell_base]; };
+  auto range = [&](std::uint32_t h) { return g.cells[h]; };
   CellStencil<Point> ids{};
   Reach r;
   unsigned n = 0;
@@ -503,7 +502,7 @@ Reach host_capped_reach(const Index& g, PointId i, float eps,
   for (const std::uint32_t h : order) {
     if (found == cap) break;
     ++r.cells;
-    const CellRange range = g.cells[h - g.cell_base];
+    const CellRange range = g.cells[h];
     for (PointId a = range.begin; a < range.end && found < cap; ++a) {
       ++r.candidates;
       found += dist2(g.points[i], g.points[a]) <= eps * eps;
@@ -521,7 +520,7 @@ void expect_charges_follow_the_work(const Index& g, float eps) {
   constexpr std::uint64_t kTestFlops = 3 * Point::kDims;
   constexpr std::uint64_t kCell = sizeof(CellRange);
   const auto view = BasicGridView<Point>::of(g);
-  const std::uint32_t n = view.query_count();
+  const std::uint32_t n = view.num_points;
   cudasim::Device dev({}, fast_options());
   for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
     SCOPED_TRACE(mode == ScanMode::kHalf ? "kHalf" : "kFull");
@@ -617,14 +616,6 @@ TEST(KernelCharges, FollowTheWorkOnEveryGridShape) {
   {
     SCOPED_TRACE("3-D");
     expect_charges_follow_the_work(grid3, eps);
-  }
-  // Each slab of a k = 3 plan: ghost cells' ranges sit past the owned
-  // ones, so a stencil's rows abut only within a class.
-  const ShardPlan plan = plan_shards(dense, 3);
-  ASSERT_EQ(plan.shards.size(), 3u);
-  for (const GridShard& shard : plan.shards) {
-    SCOPED_TRACE("shard " + std::to_string(shard.shard_id));
-    expect_charges_follow_the_work(shard.index, eps);
   }
 }
 

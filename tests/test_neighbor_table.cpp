@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/shard_planner.hpp"
 #include "data/generators.hpp"
 #include "dbscan/dbscan_parallel.hpp"
 #include "dbscan/streaming_dbscan.hpp"
@@ -165,34 +164,6 @@ TEST(HostCsrBatch, GridWholeAndStridedBatchesEqualOracle) {
   }
 }
 
-TEST(HostCsrBatch, ShardSlabsEmitGlobalIdsAndMergeToOracle) {
-  // A slab's fill pass writes values through its emission map, so the
-  // translated shards merge (and, under kHalf, expand) into the whole
-  // index's table — the sharded build's host rung.
-  const HostScenario s = host_scenario();
-  const ShardPlan plan = plan_shards(s.index, 3);
-  ASSERT_GT(plan.shards.size(), 1u);
-  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kHalf}) {
-    for (const std::uint32_t batches : {1u, 3u}) {
-      SCOPED_TRACE(std::to_string(batches) + " batches, " +
-                   (mode == ScanMode::kHalf ? "kHalf" : "kFull"));
-      std::vector<NeighborTable> parts;
-      for (const GridShard& shard : plan.shards) {
-        const GridView view = GridView::of(shard.index);
-        for (std::uint32_t l = 0; l < batches; ++l) {
-          parts.push_back(
-              gpu::host_csr_batch(view, s.eps, {l, batches}, mode)
-                  .translate(shard.to_global, shard.num_owned,
-                             s.index.size()));
-        }
-      }
-      NeighborTable merged(s.index.size());
-      (void)merged.assemble(std::move(parts), mode == ScanMode::kHalf, 4);
-      expect_identical(std::move(merged), s.oracle);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // NeighborTable::assemble: merge and half-table expansion in one pass
 // ---------------------------------------------------------------------------
@@ -310,6 +281,131 @@ TEST(Assemble, RejectsKeyInTwoPartsSizeMismatchAndNonEmptyTarget) {
   NeighborTable target(index.size());
   EXPECT_THROW((void)target.assemble(std::move(parts), false, 12),
                std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// NeighborTable::absorb_shard: the serial reference for assemble
+// ---------------------------------------------------------------------------
+
+/// A table of `n` rows whose row k holds rows[k] (rows past its end empty).
+NeighborTable table_with_rows(
+    std::size_t n, const std::vector<std::vector<PointId>>& rows) {
+  NeighborTable t(n);
+  std::vector<NeighborPair> pairs;
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    pairs.clear();
+    for (const PointId v : rows[k]) {
+      pairs.push_back({static_cast<PointId>(k), v});
+    }
+    if (!pairs.empty()) t.append_sorted_batch(pairs);
+  }
+  return t;
+}
+
+TEST(AbsorbShard, EmptyShardsAreNoOps) {
+  NeighborTable table = table_with_rows(6, {{0, 1}, {1}});
+  // A never-filled shard (a lane that ran no batch) is a full-sized table
+  // whose every row is empty; absorbing it must not disturb existing rows.
+  table.absorb_shard(NeighborTable(6));
+  table.absorb_shard(NeighborTable(6));
+  EXPECT_EQ(table.total_pairs(), 3u);
+  EXPECT_EQ(table.neighbor_count(0), 2u);
+  EXPECT_EQ(table.neighbor_count(1), 1u);
+
+  // First-absorb into a fresh table steals storage; an empty first shard
+  // must not wedge the fast path for the real shards that follow.
+  NeighborTable fresh(6);
+  fresh.absorb_shard(NeighborTable(6));
+  fresh.absorb_shard(table_with_rows(6, {{0, 1}, {1}}));
+  EXPECT_EQ(fresh.total_pairs(), 3u);
+}
+
+TEST(AbsorbShard, OrderPermutationsCanonicalizeByteIdentical) {
+  const std::vector<std::vector<PointId>> rows_a{{0, 2}, {1, 2, 3}};
+  const std::vector<std::vector<PointId>> rows_b{{}, {}, {2, 3}};
+  const std::vector<std::vector<PointId>> rows_c{{}, {}, {}, {0, 3}, {4}};
+  std::vector<int> order{0, 1, 2};
+  NeighborTable want;
+  bool first = true;
+  do {
+    NeighborTable merged(5);
+    for (const int which : order) {
+      const auto& rows = which == 0 ? rows_a : which == 1 ? rows_b : rows_c;
+      merged.absorb_shard(table_with_rows(5, rows));
+    }
+    merged.canonicalize();
+    if (first) {
+      want = std::move(merged);
+      first = false;
+    } else {
+      EXPECT_TRUE(merged.identical_to(want));
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST(AbsorbShard, RejectsDuplicateKeysAndSizeMismatch) {
+  NeighborTable table = table_with_rows(4, {{0, 1}});
+  EXPECT_THROW(table.absorb_shard(table_with_rows(4, {{0, 2}})),
+               std::logic_error);
+  EXPECT_THROW(table.absorb_shard(NeighborTable(5)), std::invalid_argument);
+}
+
+TEST(AbsorbShard, ParallelFanInMatchesSerialAbsorb) {
+  const std::vector<std::vector<PointId>> rows_a{{0, 2}, {1, 2, 3}};
+  const std::vector<std::vector<PointId>> rows_b{{}, {}, {2, 3}};
+  const std::vector<std::vector<PointId>> rows_c{{}, {}, {}, {0, 3}, {4}};
+  NeighborTable serial(5);
+  serial.absorb_shard(table_with_rows(5, rows_a));
+  serial.absorb_shard(table_with_rows(5, rows_b));
+  serial.absorb_shard(table_with_rows(5, rows_c));
+
+  std::vector<NeighborTable> parts;
+  parts.push_back(table_with_rows(5, rows_a));
+  parts.push_back(table_with_rows(5, rows_b));
+  parts.push_back(table_with_rows(5, rows_c));
+  NeighborTable fanin(5);
+  (void)fanin.assemble(std::move(parts), /*expand_half=*/false, 3);
+  // Per-row byte identity: every row holds serial absorption's values in
+  // the same order. The layout of B differs — the assembler writes rows
+  // in key order, serial absorption in part order.
+  ASSERT_EQ(fanin.total_pairs(), serial.total_pairs());
+  for (PointId k = 0; k < 5; ++k) {
+    const auto got = fanin.neighbors(k);
+    const auto want = serial.neighbors(k);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "row " << k;
+  }
+  const std::vector<PointId> key_order{0, 2, 1, 2, 3, 2, 3, 0, 3, 4};
+  EXPECT_TRUE(std::equal(fanin.values().begin(), fanin.values().end(),
+                         key_order.begin(), key_order.end()));
+
+  // A single part is taken over whole.
+  std::vector<NeighborTable> one;
+  one.push_back(table_with_rows(5, rows_a));
+  NeighborTable stolen(5);
+  (void)stolen.assemble(std::move(one), /*expand_half=*/false, 4);
+  EXPECT_EQ(stolen.total_pairs(), 5u);
+
+  // Strictness: duplicate keys, mismatched sizes, and a non-empty target
+  // are all rejected.
+  std::vector<NeighborTable> dup;
+  dup.push_back(table_with_rows(5, rows_a));
+  dup.push_back(table_with_rows(5, {{4}}));  // key 0 again
+  NeighborTable target(5);
+  EXPECT_THROW((void)target.assemble(std::move(dup), false, 2),
+               std::logic_error);
+
+  std::vector<NeighborTable> wrong;
+  wrong.push_back(table_with_rows(4, {{1}}));
+  NeighborTable target2(5);
+  EXPECT_THROW((void)target2.assemble(std::move(wrong), false, 2),
+               std::invalid_argument);
+
+  NeighborTable nonempty = table_with_rows(5, {{1}});
+  std::vector<NeighborTable> more;
+  more.push_back(table_with_rows(5, {{}, {2}}));
+  EXPECT_THROW((void)nonempty.assemble(std::move(more), false, 2),
+               std::invalid_argument);
 }
 
 TEST(HostFusedBatch, GivesOracleDegreesAndLabels) {

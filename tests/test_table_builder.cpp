@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/sharded_build.hpp"
 #include "cudasim/buffer_pool.hpp"
 #include "cudasim/fault.hpp"
 #include "data/datasets.hpp"
@@ -160,11 +159,11 @@ TEST(TableBuilder, EstimateSecondsAreNegligible) {
 
 // ---------------------------------------------------------------------------
 // Canonical rows as built: every producer of a table over a grid index —
-// the builder under either scan mode on one or two devices, the host
-// kernel bodies, a sharded build, and builds that lose devices or run a
-// fault plan — emits strictly ascending rows (NeighborTable::is_canonical),
-// the oracle's rows in the oracle's order. The service caches tables as
-// built on the strength of it.
+// the builder under either scan mode on one to four devices, the host
+// kernel bodies, and builds that lose devices or run a fault plan — emits
+// strictly ascending rows (NeighborTable::is_canonical), the oracle's rows
+// in the oracle's order. The service caches tables as built on the
+// strength of it.
 // ---------------------------------------------------------------------------
 
 /// A small sample of a named dataset at its full density: the points of its
@@ -261,9 +260,11 @@ class CanonicalRows : public ::testing::TestWithParam<Sample> {
   NeighborTable oracle_;
 };
 
-TEST_P(CanonicalRows, BuilderOnOneAndTwoDevices) {
+TEST_P(CanonicalRows, BuilderOnOneToFourDevices) {
+  // Every device holds the whole index; the batches stripe over k devices
+  // x streams, so each lane's part interleaves with k * streams - 1 others.
   for (const ScanMode scan : kScanModes) {
-    for (const unsigned k : {1u, 2u}) {
+    for (const unsigned k : {1u, 2u, 3u, 4u}) {
       SCOPED_TRACE(std::string(scan == ScanMode::kHalf ? "kHalf" : "kFull") +
                    " on " + std::to_string(k) + " device(s)");
       Fleet fleet;
@@ -279,26 +280,6 @@ TEST_P(CanonicalRows, BuilderOnOneAndTwoDevices) {
 TEST_P(CanonicalRows, HostKernelBodies) {
   expect_canonical(gpu::host_csr_batch(GridView::of(index_), eps_,
                                        gpu::BatchSpec{0, 1}, ScanMode::kFull));
-}
-
-TEST_P(CanonicalRows, ShardedBuildOnTwoToFourShards) {
-  // Every plan's first and last slabs have their halo clipped at the grid
-  // edge; their cells are ranges of local ids like the inner slabs'.
-  for (const ScanMode scan : kScanModes) {
-    for (const unsigned k : {2u, 3u, 4u}) {
-      SCOPED_TRACE(std::string(scan == ScanMode::kHalf ? "kHalf" : "kFull") +
-                   " on " + std::to_string(k) + " shards");
-      Fleet fleet;
-      for (unsigned d = 0; d < k; ++d) fleet.add();
-      ShardedBuildOptions options;
-      options.num_shards = k;
-      options.policy = policy(scan);
-      BuildReport report;
-      expect_canonical(build_sharded_neighbor_table(fleet.ptrs, index_, eps_,
-                                                    options, &report));
-      EXPECT_EQ(report.shards, k);
-    }
-  }
 }
 
 TEST_P(CanonicalRows, DeviceLostMidBuildFailsOver) {

@@ -2,13 +2,12 @@
 //
 //   hdbscan_cli gen <SW1|SW4|SDSS1|SDSS2|SDSS3|uniform> <n> <out.{csv,bin}>
 //   hdbscan_cli cluster <in.{csv,bin}> <eps> <minpts> [labels_out] [--map]
-//                       [--fused] [--shards k]
+//                       [--fused] [--devices k]
 //   hdbscan_cli sweep <in> <eps_lo> <eps_hi> <step> <minpts>
 //   hdbscan_cli reuse <in> <eps> <minpts,minpts,...> [threads]
 //   hdbscan_cli table <in> <eps> <table_out.bin>
 //   hdbscan_cli optics <in> <eps> <minpts> <eps',eps',...>
 //   hdbscan_cli chaos <SW1|...|uniform> <n> <seed> [devices]
-//   hdbscan_cli shard-smoke [n]
 //   hdbscan_cli profile <SW1|...|uniform> <n> <variants> [--faults=SEED]
 //                       [--selftest]
 //
@@ -52,7 +51,6 @@
 #include "core/pipeline.hpp"
 #include "core/report_metrics.hpp"
 #include "core/reuse.hpp"
-#include "core/sharded_build.hpp"
 #include "cudasim/buffer_pool.hpp"
 #include "cudasim/device.hpp"
 #include "cudasim/fault.hpp"
@@ -126,10 +124,8 @@ int usage() {
       "usage:\n"
       "  hdbscan_cli gen <SW1|SW4|SDSS1|SDSS2|SDSS3|uniform> <n> <out>\n"
       "  hdbscan_cli cluster <in> <eps> <minpts> [labels_out] [--map]"
-      " [--fused] [--shards k]\n"
+      " [--fused] [--devices k]\n"
       "               [--quality=exact|cellgraph]\n"
-      "               (--shards k > 1 builds a sharded table, so not with"
-      " --fused)\n"
       "  hdbscan_cli sweep <in> <eps_lo> <eps_hi> <step> <minpts>\n"
       "  hdbscan_cli reuse <in> <eps> <minpts,minpts,...> [threads]\n"
       "  hdbscan_cli table <in> <eps> <table_out.bin>\n"
@@ -139,7 +135,6 @@ int usage() {
       "  hdbscan_cli perf-smoke [n]\n"
       "  hdbscan_cli fused-smoke [n]\n"
       "  hdbscan_cli approx-smoke [n]\n"
-      "  hdbscan_cli shard-smoke [n]\n"
       "  hdbscan_cli profile <SW1|SW4|SDSS1|SDSS2|SDSS3|uniform> <n>"
       " <variants> [--faults=SEED] [--selftest]\n"
       "  hdbscan_cli serve <SW1|...|uniform> <n> <jobs> [devices]"
@@ -187,10 +182,10 @@ int cmd_gen(int argc, char** argv) {
 }
 
 int cmd_cluster(int argc, char** argv) {
-  // Strip --fused/--quality/--shards wherever they appear so the
+  // Strip --fused/--quality/--devices wherever they appear so the
   // positional args keep their places.
   bool fused = false;
-  unsigned shards = 0;
+  unsigned num_devices = 1;
   QualitySpec quality;
   for (int i = 2; i < argc;) {
     int consumed = 0;
@@ -221,11 +216,20 @@ int cmd_cluster(int argc, char** argv) {
       }
       quality.mode = *parsed;
       consumed = 1;
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = static_cast<unsigned>(std::max(1, std::atoi(argv[i + 1])));
+    } else if (std::strcmp(argv[i], "--shards") == 0 ||
+               std::strncmp(argv[i], "--shards=", 9) == 0) {
+      std::fprintf(stderr, "cluster: --shards was retired; use --devices:"
+                   " a fleet stripes batches over one replicated index,"
+                   " which read fewer bytes and ran faster than the"
+                   " sharded build on every row\n");
+      return 2;
+    } else if (std::strcmp(argv[i], "--devices") == 0 && i + 1 < argc) {
+      num_devices =
+          static_cast<unsigned>(std::max(1, std::atoi(argv[i + 1])));
       consumed = 2;
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = static_cast<unsigned>(std::max(1, std::atoi(argv[i] + 9)));
+    } else if (std::strncmp(argv[i], "--devices=", 10) == 0) {
+      num_devices =
+          static_cast<unsigned>(std::max(1, std::atoi(argv[i] + 10)));
       consumed = 1;
     }
     if (consumed == 0) {
@@ -253,46 +257,26 @@ int cmd_cluster(int argc, char** argv) {
                  " path would fuse into\n");
     return 2;
   }
-  if (fused && shards > 1) {
-    std::fprintf(stderr,
-                 "cluster: --fused replicates the whole index on every"
-                 " device and cannot shard it (--shards %u); drop --fused"
-                 " for a sharded table build\n", shards);
-    return 2;
-  }
   const auto points = load_points(argv[2]);
   const float eps = std::strtof(argv[3], nullptr);
   const int minpts = std::atoi(argv[4]);
   const bool want_map = argc > 5 && std::string(argv[argc - 1]) == "--map";
   const ClusterMode mode =
       fused ? ClusterMode::kFused : ClusterMode::kBatchTable;
-  // One simulated device per shard; without --shards a fleet of one builds
-  // the whole index unsharded.
-  const unsigned num_devices = std::max(1u, shards);
+  // Every device holds the whole index; the batches stripe over them.
   std::vector<std::unique_ptr<cudasim::Device>> fleet;
   std::vector<cudasim::Device*> fleet_ptrs;
   for (unsigned d = 0; d < num_devices; ++d) {
     fleet.push_back(std::make_unique<cudasim::Device>());
     fleet_ptrs.push_back(fleet.back().get());
   }
-  ShardedBuildOptions options;
-  options.num_shards = shards;
-  options.policy.quality = quality;
+  BatchPolicy policy;
+  policy.quality = quality;
 
   HybridTimings timings;
   const ClusterResult result = hybrid_dbscan(fleet_ptrs, points, eps, minpts,
-                                             &timings, options, mode);
+                                             &timings, policy, mode);
   const BuildReport& br = timings.build_report;
-  if (br.shards != 0) {
-    std::printf("sharded build: %u shards on %u devices, %llu halo ghosts"
-                " (%.1f%% of points), %llu cross-shard pairs\n",
-                br.shards, num_devices,
-                static_cast<unsigned long long>(br.halo_ghost_points),
-                100.0 * static_cast<double>(br.halo_ghost_points) /
-                    static_cast<double>(std::max<std::size_t>(1,
-                                                              points.size())),
-                static_cast<unsigned long long>(br.cross_shard_pairs));
-  }
   std::printf("%zu points, eps=%g minpts=%d -> %d clusters, %zu noise"
               " (%.3f s, modeled %.3f s)\n",
               points.size(), eps, minpts, result.num_clusters,
@@ -575,111 +559,6 @@ int cmd_chaos(int argc, char** argv) {
   return 0;
 }
 
-// Sharded-build gate (the shard_smoke CTest target): k=3 spatial shards on
-// three devices, one of which is scripted to die mid-build. Checks that
-// the re-partition rung put every slab somewhere (exact table vs the host
-// oracle, and the banded labels over it equal to the banded labels over
-// the oracle), that the report accounts the loss, and that no survivor
-// leaks device memory. Also run under the thread-sanitizer config: shard
-// builds run concurrently on their own host threads.
-int cmd_shard_smoke(int argc, char** argv) {
-  const std::size_t n =
-      argc >= 3 ? static_cast<std::size_t>(std::atoll(argv[2])) : 6000;
-  const float eps = 0.35f;
-  const int minpts = 4;
-  const auto points = data::generate_space_weather(
-      n, 13, {.width = 10.0f, .height = 10.0f});
-  const GridIndex index = build_grid_index(points, eps);
-  NeighborTable oracle = build_neighbor_table_host(index, eps);
-
-  cudasim::SimulationOptions opt;
-  opt.throttle_transfers = false;
-  opt.throttle_pinned_alloc = false;
-  std::vector<std::unique_ptr<cudasim::Device>> devices;
-  std::vector<cudasim::Device*> device_ptrs;
-  for (unsigned d = 0; d < 3; ++d) {
-    cudasim::SimulationOptions dev_opt = opt;
-    if (d == 1) {
-      cudasim::FaultPlan lost;
-      lost.lost_at_op = 38;  // dies with its shard mid-build
-      dev_opt.fault = std::make_shared<cudasim::FaultInjector>(lost);
-    }
-    devices.push_back(
-        std::make_unique<cudasim::Device>(cudasim::DeviceConfig{}, dev_opt));
-    device_ptrs.push_back(devices.back().get());
-  }
-
-  ShardedBuildOptions options;
-  options.num_shards = 3;
-  options.policy.estimated_total_override =
-      std::max<std::uint64_t>(1, oracle.total_pairs());
-  options.policy.static_threshold_pairs = 1;
-  options.policy.static_buffer_pairs =
-      std::max<std::uint64_t>(1, oracle.total_pairs() / 24);
-
-  BuildReport report;
-  NeighborTable table =
-      build_sharded_neighbor_table(device_ptrs, index, eps, options, &report);
-
-  std::printf("shard_smoke: n=%zu shards=%u repartitions=%u lost=%u"
-              " ghosts=%llu cross=%llu modeled=%.6fs\n",
-              points.size(), report.shards, report.shard_repartitions,
-              report.devices_lost,
-              static_cast<unsigned long long>(report.halo_ghost_points),
-              static_cast<unsigned long long>(report.cross_shard_pairs),
-              report.modeled_table_seconds);
-
-  int violations = 0;
-  table.canonicalize();
-  oracle.canonicalize();
-  if (!table.identical_to(oracle)) {
-    std::fprintf(stderr,
-                 "shard_smoke FAILED: merged table differs from the host"
-                 " oracle (%zu vs %zu pairs)\n",
-                 table.total_pairs(), oracle.total_pairs());
-    ++violations;
-  }
-  // The labels a caller gets from the sharded table: the banded pass over
-  // it must give the banded pass's labels over the oracle, vector for
-  // vector — a dropped or doubled cross-shard pair shifts a degree, and
-  // with it a core flag or a border's target.
-  if (dbscan_parallel(table, minpts).labels !=
-      dbscan_parallel(oracle, minpts).labels) {
-    std::fprintf(stderr,
-                 "shard_smoke FAILED: banded labels over the sharded table"
-                 " differ from the banded labels over the host oracle\n");
-    ++violations;
-  }
-  if (report.devices_lost != 1) {
-    std::fprintf(stderr,
-                 "shard_smoke FAILED: expected exactly one device loss,"
-                 " report says %u\n",
-                 report.devices_lost);
-    ++violations;
-  }
-  if (report.shard_repartitions == 0) {
-    std::fprintf(stderr,
-                 "shard_smoke FAILED: the dead shard was never"
-                 " re-partitioned\n");
-    ++violations;
-  }
-  for (unsigned d = 0; d < devices.size(); ++d) {
-    if (devices[d]->lost()) continue;
-    devices[d]->pool().trim();  // cached pool scratch is not a leak
-    if (devices[d]->used_global_bytes() != 0) {
-      std::fprintf(stderr,
-                   "shard_smoke FAILED: device %u leaks %zu bytes\n", d,
-                   devices[d]->used_global_bytes());
-      ++violations;
-    }
-  }
-  if (violations == 0) {
-    std::printf("shard_smoke: all invariants held (1 device lost, labels"
-                " and table exact)\n");
-  }
-  return violations == 0 ? 0 : 1;
-}
-
 // Perf regression gate (the perf_smoke CTest target): a tiny A/B build of
 // the same index under ScanMode::kFull and ScanMode::kHalf. The half scan
 // must produce the same table while spending at most 0.6x the distance-test
@@ -797,8 +676,7 @@ int cmd_fused_smoke(int argc, char** argv) {
   }
   HybridTimings fleet_t;
   const ClusterResult fused_fleet = hybrid_dbscan(
-      fleet_ptrs, points, eps, minpts, &fleet_t, ShardedBuildOptions{},
-      ClusterMode::kFused);
+      fleet_ptrs, points, eps, minpts, &fleet_t, {}, ClusterMode::kFused);
 
   std::printf(
       "fused_smoke: n=%zu modeled batch=%.6fs fused-grid=%.6fs"
@@ -1337,9 +1215,23 @@ int cmd_serve(int argc, char** argv) {
   return 0;
 }
 
+/// FNV-1a 64 over the labels' bytes, each label least significant byte
+/// first: one replay line shows whether a job's labels moved.
+std::uint64_t label_hash(const std::vector<std::int32_t>& labels) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::int32_t label : labels) {
+    auto bits = static_cast<std::uint32_t>(label);
+    for (int b = 0; b < 4; ++b, bits >>= 8) {
+      h = (h ^ (bits & 0xffu)) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
 int cmd_replay(int argc, char** argv) {
   ServeFlags flags = ServeFlags::parse(argc, argv);
   if (argc < 4) return usage();
+  flags.options.keep_labels = true;  // each completed line hashes them
   const std::vector<service::JobSpec> jobs = service::load_jobs_file(argv[2]);
 
   auto devices = make_clean_devices(2);
@@ -1362,8 +1254,17 @@ int cmd_replay(int argc, char** argv) {
   print_service_summary(svc, jobs, results);
   for (std::size_t i = 0; i < results.size(); ++i) {
     const service::JobResult& r = results[i];
-    std::printf("job %zu [%s %s eps=%.3g minpts=%d]: %s%s%s%s\n", i,
-                jobs[i].tenant.c_str(), jobs[i].dataset.c_str(),
+    // A completed job leads with its result: cluster and noise counts and
+    // the hash of its input-order labels.
+    char result[80] = "";
+    if (r.state == service::JobState::kCompleted) {
+      std::snprintf(result, sizeof(result),
+                    " clusters=%d noise=%zu labels=%016llx", r.num_clusters,
+                    r.noise_count,
+                    static_cast<unsigned long long>(label_hash(r.labels)));
+    }
+    std::printf("job %zu%s [%s %s eps=%.3g minpts=%d]: %s%s%s%s\n", i,
+                result, jobs[i].tenant.c_str(), jobs[i].dataset.c_str(),
                 static_cast<double>(jobs[i].eps), jobs[i].minpts,
                 service::job_state_name(r.state),
                 r.cache_hit ? " (cache hit)" : "",
@@ -1892,7 +1793,6 @@ int main(int argc, char** argv) {
     else if (cmd == "perf-smoke") rc = cmd_perf_smoke(argc, argv);
     else if (cmd == "fused-smoke") rc = cmd_fused_smoke(argc, argv);
     else if (cmd == "approx-smoke") rc = cmd_approx_smoke(argc, argv);
-    else if (cmd == "shard-smoke") rc = cmd_shard_smoke(argc, argv);
     else if (cmd == "serve") rc = cmd_serve(argc, argv);
     else if (cmd == "replay") rc = cmd_replay(argc, argv);
     else if (cmd == "serve-smoke") rc = cmd_serve_smoke(argc, argv);
